@@ -6,14 +6,15 @@
 // back, and takes the next. A worker that dies mid-range simply stops
 // heartbeating; its lease expires and the range goes to someone else.
 // The merged output is byte-identical to the single-process run — every
-// range payload is verified with the journal discipline before it
-// counts, and the terminal merge re-verifies the set.
+// range payload is written through a dist journal before it counts, and
+// the terminal merge (dist.Merge, the same one reunion-merge runs)
+// re-verifies the set.
 //
 //	reunion-coordinator -addr :9344 -state coord-state -out sweep.jsonl &
 //	reunion-sweep -coordinator http://host:9344 &   # any number, any machines
 //
 // The coordinator always reaches a terminal outcome: success (all ranges
-// verified, strict merge), partial (verified subset merged, manifest
+// verified and merged), partial (verified subset merged, manifest
 // accounting for the holes), or failed. Per-range retry budgets
 // distinguish lease expiries (dead workers — retried generously) from
 // reported failures and verification-rejected payloads (systematic —
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"reunion/internal/coord"
+	"reunion/internal/dist"
 	"reunion/internal/obs"
 	"reunion/internal/serve"
 )
@@ -112,14 +114,10 @@ func main() {
 	if ferr != nil {
 		log.Printf("reunion-coordinator: %v", ferr)
 	}
-	switch outcome {
-	case coord.OutcomeSuccess, "":
-		// "" = interrupted before terminal; the signal is the exit reason,
-		// not a campaign verdict.
-	case coord.OutcomePartial:
-		os.Exit(3)
-	default:
-		os.Exit(1)
+	// "" = interrupted before terminal; the signal is the exit reason,
+	// not a campaign verdict.
+	if outcome != "" {
+		os.Exit(dist.ExitCode(outcome))
 	}
 }
 

@@ -22,12 +22,12 @@
 // intervals, latency quantiles) prints to stdout at the end; live
 // progress goes to stderr (-quiet silences it).
 //
-// Long campaigns distribute and resume: -shard i/n runs only the i-th of
-// n contiguous slices of the flattened cells×trials space (each worker
-// warms only its own cells' checkpoints), -journal records the slice
-// resumably (JSONL + checksummed footer), -resume continues a killed
-// shard from its last complete trial record, and reunion-merge
-// reassembles the shard journals into a stream byte-identical to the
+// Long campaigns distribute and resume: -shard i/n runs only the static
+// range [total·i/n, total·(i+1)/n) of the flattened cells×trials space
+// (each worker warms only its own cells' checkpoints), -journal records
+// the range resumably (JSONL + checksummed footer), -resume continues a
+// killed shard from its last complete trial record, and reunion-merge
+// reassembles the journals into a stream byte-identical to the
 // single-process campaign:
 //
 //	reunion-inject -trials 3000 -shard 0/3 -journal shard-0.jsonl
@@ -35,15 +35,16 @@
 //
 // With -coordinator the worker instead pulls small index-range leases
 // from a reunion-coordinator and streams each completed range back —
-// dynamic dispatch for heterogeneous fleets, same byte-identical merged
-// stream (the coordinator does the merging):
+// dynamic dispatch for heterogeneous fleets through the same code path
+// as a -shard range, same byte-identical merged stream (the coordinator
+// does the merging):
 //
 //	reunion-inject -trials 3000 -coordinator http://host:8080
 //
-// A sharded run's coverage table covers only that shard's trials — and
+// A sharded run's coverage table covers only that range's trials — and
 // a resumed run's, only the trials executed in that invocation (a
-// stderr note says so); the journal always holds the full shard stream,
-// and the merged file is the campaign's source of truth.
+// stderr note says so); the journal always holds the full range, and
+// the merged file is the campaign's source of truth.
 package main
 
 import (
@@ -63,6 +64,7 @@ import (
 	"reunion/internal/ckptstore"
 	"reunion/internal/cliconf"
 	"reunion/internal/dist"
+	"reunion/internal/obs"
 	"reunion/internal/sweep"
 	"reunion/internal/workload"
 )
@@ -85,8 +87,8 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
 	out := flag.String("out", "inject.jsonl", "per-trial results file ('-' = stdout, '' = none)")
 	format := flag.String("format", "jsonl", "results format: jsonl | csv")
-	shardStr := flag.String("shard", "", "run only slice i/n of the flattened trial matrix (e.g. 0/3; default: all trials)")
-	journal := flag.String("journal", "", "write the slice as a resumable shard journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
+	shardStr := flag.String("shard", "", "run only static range i/n of the flattened trial matrix (e.g. 0/3; default: all trials)")
+	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
 	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete trial record")
 	coordinator := flag.String("coordinator", "", "run as a lease-pulling worker of a reunion-coordinator at this base URL (excludes -shard/-journal/-resume/-out)")
 	quiet := flag.Bool("quiet", false, "suppress per-trial progress on stderr")
@@ -146,32 +148,51 @@ func main() {
 		fmt.Sprintf("model:%+v", spec.Model),
 		fmt.Sprintf("exclude:%v", spec.StreamExclude))...)
 
+	// A worker warms only its own cells' checkpoints — and, across the
+	// leases of a coordinated worker, keeps them hot from one lease to the
+	// next; with a shared store it also skips the ones a fleet-mate (or a
+	// previous, killed incarnation resuming via -journal) already warmed.
+	// Restores are bit-identical to local warmup, so trial records are
+	// unchanged.
+	warmCache := reunion.NewWarmCache()
+	warmCache.Observe(sc)
+	store, err := ckpt.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "inject: %v\n", err)
+		os.Exit(2)
+	}
+	if store != nil {
+		warmCache.UseStore(ckptstore.Instrument(store, sc))
+	}
+	runTrial := reunion.TrialRunnerTraced(spec.Model, warmCache, *traceDump)
+
+	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: total}
 	if *coordinator != "" {
-		os.Exit(runCoordinated(*coordinator, spec, fingerprint, *parallel, *traceDump, *quiet, sc, ckpt, obsFlags))
+		os.Exit(cliconf.RunWorker("inject", *coordinator, plan, *quiet, sc, obsFlags,
+			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
+				_, err := runRange(ctx, spec, runTrial, lo, hi, *parallel, sc, sink, nil)
+				return err
+			}))
 	}
 
+	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	shard, nshards, err := dist.ParseShard(*shardStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	plan, err := dist.NewPlan(spec.Name, total, shard, nshards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	plan.Fingerprint = fingerprint
+	plan.Lo, plan.Hi = dist.ShardRange(total, shard, nshards)
 
-	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, dist.FlagWasSet("out")); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var sink sweep.Sink
 	var outFile *os.File
 	var jnl *dist.Journal
+	lo := plan.Lo
 	switch {
 	case *journal != "":
-		jnl, err = dist.OpenOrCreateObs(*journal, plan, *resume, sc)
+		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -181,6 +202,10 @@ func main() {
 			jnl.Close()
 			return
 		}
+		if jnl.Done() > 0 {
+			fmt.Fprintf(os.Stderr, "inject: resuming %s at trial record %d\n", plan, jnl.Done())
+		}
+		lo += jnl.Done()
 		sink = jnl
 	case *out == "":
 	case *format == "jsonl" || *format == "csv":
@@ -207,56 +232,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	indices := plan.Indices()
-	resumedAt := 0
-	if jnl != nil && jnl.Done() > 0 {
-		resumedAt = jnl.Done()
-		fmt.Fprintf(os.Stderr, "inject: resuming %s at trial record %d\n", plan, resumedAt)
-		indices = jnl.Remaining()
-	}
-	if nshards > 1 {
-		fmt.Fprintf(os.Stderr, "inject: %s: %d of %d trials (%d per cell × %d cells, %d workers)\n",
-			plan, len(indices), total, spec.Trials, spec.Matrix.Size(), *parallel)
-	} else {
-		fmt.Fprintf(os.Stderr, "inject: %d trials (%d per cell × %d cells, %d workers)\n",
-			len(indices), spec.Trials, spec.Matrix.Size(), *parallel)
-	}
-
-	// A sharded worker warms only its own cells' checkpoints; with a
-	// shared store it also skips the ones a fleet-mate (or a previous,
-	// killed incarnation of this shard resuming via -journal) already
-	// warmed. Restores are bit-identical to local warmup, so trial
-	// records are unchanged.
-	warmCache := reunion.NewWarmCache()
-	warmCache.Observe(sc)
-	store, err := ckpt.Open()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "inject: %v\n", err)
-		os.Exit(2)
-	}
-	if store != nil {
-		warmCache.UseStore(ckptstore.Instrument(store, sc))
-	}
-
-	hbLabel := "inject"
-	if nshards > 1 {
-		hbLabel = fmt.Sprintf("inject shard %d/%d", shard, nshards)
-	}
-	hb := obsFlags.Heartbeat(hbLabel, int64(len(indices)))
+	fmt.Fprintf(os.Stderr, "inject: %s: %d trials (%d per cell × %d cells, %d workers)\n",
+		plan, plan.Hi-lo, spec.Trials, spec.Matrix.Size(), *parallel)
+	hb := obsFlags.Heartbeat("inject "+plan.String(), int64(plan.Hi-lo))
 	stopHeartbeat := hb.Start()
 
 	start := time.Now() //reunion:nondeterm-ok host wall-clock for the progress summary
-	eng := campaign.Engine[reunion.Options]{
-		Spec:        spec,
-		RunTrial:    reunion.TrialRunnerTraced(spec.Model, warmCache, *traceDump),
-		Parallelism: *parallel,
-		Sink:        sink,
-		Obs:         sc,
-	}
-	if jnl != nil || nshards > 1 {
-		eng.Indices = indices
-	}
-	eng.Progress = func(done, total int, cell sweep.Point[reunion.Options], t campaign.Trial, o campaign.Observation, out campaign.Outcome) {
+	progress := func(done, total int, cell sweep.Point[reunion.Options], t campaign.Trial, o campaign.Observation, out campaign.Outcome) {
 		hb.Tick()
 		if !*quiet {
 			status := out.String()
@@ -274,12 +256,12 @@ func main() {
 				out, cell.Name(), t.Index, t.Bit, t.Cycle, o.Diag)
 		}
 	}
-	rep, err := eng.Run(ctx)
+	rep, err := runRange(ctx, spec, runTrial, lo, plan.Hi, *parallel, sc, sink, progress)
 	stopHeartbeat()
 	if jnl != nil {
-		// Seal the journal once every slice record is on disk (lost trials
+		// Seal the journal once every range record is on disk (lost trials
 		// journal deterministic DUE records, exactly as the single-process
-		// stream carries them). An interrupted or write-failed slice stays
+		// stream carries them). An interrupted or write-failed range stays
 		// footerless — resumable with -resume.
 		err = dist.SealOrClose(jnl, err)
 	} else if sink != nil {
@@ -305,9 +287,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if resumedAt > 0 {
-		fmt.Fprintf(os.Stderr, "inject: resumed run: the table covers only the %d trials executed in this invocation; all %d shard records are in the journal (merge for whole-campaign statistics)\n",
-			len(indices), jnl.Done())
+	if lo > plan.Lo {
+		fmt.Fprintf(os.Stderr, "inject: resumed run: the table covers only the %d trials executed in this invocation; all %d range records are in the journal (merge for whole-campaign statistics)\n",
+			plan.Hi-lo, plan.Count())
 	}
 	rep.WriteTable(os.Stdout)
 	fmt.Fprintf(os.Stderr, "inject: %d trials in %s\n",
@@ -316,6 +298,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "inject: %d DUE trials (deadline/unrecoverable) — inspect the results file\n",
 			rep.Total.Count(campaign.DUE))
 	}
+}
+
+// runRange runs trial indices [lo, hi) of the flattened cells×trials
+// space and writes their records to sink (nil = none) in index order —
+// byte-identical to the same records of a single-process campaign at any
+// parallelism. It is the one execution path of both a -shard/-journal
+// range and a coordinator lease. Trial failures become deterministic DUE
+// records rather than failing the range, exactly as the single-process
+// stream carries them; the report covers only the executed trials.
+func runRange(ctx context.Context, spec campaign.Spec[reunion.Options],
+	runTrial func(ctx context.Context, cell sweep.Point[reunion.Options], t campaign.Trial) campaign.Observation,
+	lo, hi, parallel int, sc obs.Scope, sink sweep.Sink,
+	progress func(done, total int, cell sweep.Point[reunion.Options], t campaign.Trial, o campaign.Observation, out campaign.Outcome)) (*campaign.Report, error) {
+	indices := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		indices = append(indices, i)
+	}
+	eng := campaign.Engine[reunion.Options]{
+		Spec:        spec,
+		RunTrial:    runTrial,
+		Parallelism: parallel,
+		Sink:        sink,
+		Indices:     indices,
+		Progress:    progress,
+		Obs:         sc,
+	}
+	return eng.Run(ctx)
 }
 
 // buildSpec assembles the campaign from the flags (validation and

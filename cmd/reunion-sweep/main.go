@@ -16,18 +16,19 @@
 // matched-pair IPC aggregate is printed at the end.
 //
 // The matrix distributes across processes and machines: -shard i/n runs
-// only the i-th of n deterministic contiguous slices, -journal writes
-// the slice as a resumable shard journal (JSONL framed by a header and a
-// checksummed footer), and -resume continues an interrupted journal from
-// its last complete record. reunion-merge reassembles complete shard
-// journals into a stream byte-identical to the single-process run:
+// only the static range [size·i/n, size·(i+1)/n) of the matrix, -journal
+// writes the range as a resumable journal (JSONL framed by a header and
+// a checksummed footer), and -resume continues an interrupted journal
+// from its last complete record. reunion-merge reassembles the journals
+// into a stream byte-identical to the single-process run:
 //
 //	reunion-sweep -shard 0/3 -journal shard-0.jsonl   # one per worker
 //	reunion-merge -out sweep.jsonl shard-*.jsonl
 //
-// For dynamic dispatch — a fleet of identical workers pulling leases
-// from a reunion-coordinator instead of fixed shard assignments — run
-// workers with -coordinator:
+// For dynamic dispatch — a fleet of identical workers pulling range
+// leases from a reunion-coordinator instead of fixed shard ranges — run
+// workers with -coordinator; a lease runs through the same code path as
+// a -shard range:
 //
 //	reunion-coordinator -spec-cmd sweep ... &
 //	reunion-sweep -coordinator http://host:8080 &   # any number of these
@@ -53,6 +54,7 @@ import (
 	"reunion/internal/ckptstore"
 	"reunion/internal/cliconf"
 	"reunion/internal/dist"
+	"reunion/internal/obs"
 	"reunion/internal/stats"
 	"reunion/internal/sweep"
 	"reunion/internal/workload"
@@ -77,8 +79,8 @@ func main() {
 	format := flag.String("format", "jsonl", "results format: jsonl | csv")
 	kernelName := flag.String("kernel", "fastforward", "simulation kernel: fastforward | naive (results are bit-identical)")
 	ckpt := cliconf.RegisterCkpt(flag.CommandLine)
-	shardStr := flag.String("shard", "", "run only slice i/n of the matrix (e.g. 0/3; default: the whole matrix)")
-	journal := flag.String("journal", "", "write the slice as a resumable shard journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
+	shardStr := flag.String("shard", "", "run only static range i/n of the matrix (e.g. 0/3; default: the whole matrix)")
+	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
 	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete record")
 	coordinator := flag.String("coordinator", "", "run as a lease-pulling worker of a reunion-coordinator at this base URL (excludes -shard/-journal/-resume/-out)")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress on stderr")
@@ -167,31 +169,31 @@ func main() {
 	fingerprint := dist.Fingerprint(append(spec.FingerprintParts(),
 		fmt.Sprintf("base:%+v", fpBase))...)
 
+	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
 	if *coordinator != "" {
-		os.Exit(runCoordinated(*coordinator, spec, fingerprint, *parallel, *quiet, sc, obsFlags))
+		os.Exit(cliconf.RunWorker("sweep", *coordinator, plan, *quiet, sc, obsFlags,
+			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
+				return runRange(ctx, spec, lo, hi, *parallel, sc, sink, nil)
+			}))
 	}
 
+	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	shard, nshards, err := dist.ParseShard(*shardStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	plan, err := dist.NewPlan(spec.Name, spec.Size(), shard, nshards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	plan.Fingerprint = fingerprint
+	plan.Lo, plan.Hi = dist.ShardRange(plan.Total, shard, nshards)
 
-	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, dist.FlagWasSet("out")); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var sink sweep.Sink
 	var outFile *os.File
 	var jnl *dist.Journal
+	lo := plan.Lo
 	if *journal != "" {
-		jnl, err = dist.OpenOrCreateObs(*journal, plan, *resume, sc)
+		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -201,12 +203,16 @@ func main() {
 				plan, jnl.Done(), jnl.Failed())
 			jnl.Close()
 			if jnl.Failed() > 0 {
-				// The sealed slice contains failed runs: exit as the run
+				// The sealed range contains failed runs: exit as the run
 				// that produced them did.
 				os.Exit(1)
 			}
 			return
 		}
+		if jnl.Done() > 0 {
+			fmt.Fprintf(os.Stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
+		}
+		lo += jnl.Done()
 		sink = jnl
 	} else {
 		w := os.Stdout
@@ -226,85 +232,48 @@ func main() {
 		}
 	}
 
-	indices := plan.Indices()
-	if jnl != nil && jnl.Done() > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
-		indices = jnl.Remaining()
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	hbLabel := "sweep"
-	if nshards > 1 {
-		hbLabel = fmt.Sprintf("sweep shard %d/%d", shard, nshards)
-	}
-	hb := obsFlags.Heartbeat(hbLabel, int64(len(indices)))
+	hb := obsFlags.Heartbeat("sweep "+plan.String(), int64(plan.Hi-lo))
 	stopHeartbeat := hb.Start()
 
 	var ipc stats.Online
 	failures := 0
 	start := time.Now() //reunion:nondeterm-ok host wall-clock for the progress summary
-	runner := sweep.Runner[reunion.Options, reunion.Result]{
-		Parallelism: *parallel,
-		Obs:         sc,
-		Run: func(_ context.Context, p sweep.Point[reunion.Options]) (reunion.Result, error) {
-			return reunion.Run(p.Config)
-		},
-		Progress: func(done, total int, r sweep.Result[reunion.Options, reunion.Result]) {
-			hb.Tick()
-			if r.Err != nil {
-				failures++
-			} else {
-				ipc.Add(r.Out.UserIPC)
-			}
-			if *quiet {
-				return
-			}
-			status := "ok"
-			if r.Err != nil {
-				status = r.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "[%*d/%d] %s: %s\n",
-				len(strconv.Itoa(total)), done, total, r.Point.Name(), status)
-		},
-		Emit: func(r sweep.Result[reunion.Options, reunion.Result]) error {
-			if jnl != nil && errors.Is(r.Err, sweep.ErrSkipped) {
-				// A cancelled, never-executed run must not reach the
-				// journal: it would be resumed past forever as a bogus
-				// error record. Stop emission at the last executed run;
-				// -resume recomputes from there.
-				return r.Err
-			}
-			var metrics map[string]float64
-			if r.Err == nil {
-				metrics = r.Out.Metrics()
-			}
-			return sink.Write(sweep.NewRecord(spec.Name, r.Point.Index, r.Point.LabelMap(), metrics, r.Err))
-		},
+	progress := func(done, total int, r sweep.Result[reunion.Options, reunion.Result]) {
+		hb.Tick()
+		if r.Err != nil {
+			failures++
+		} else {
+			ipc.Add(r.Out.UserIPC)
+		}
+		if *quiet {
+			return
+		}
+		status := "ok"
+		if r.Err != nil {
+			status = r.Err.Error()
+		}
+		fmt.Fprintf(os.Stderr, "[%*d/%d] %s: %s\n",
+			len(strconv.Itoa(total)), done, total, r.Point.Name(), status)
 	}
 
-	if nshards > 1 {
-		fmt.Fprintf(os.Stderr, "sweep: %s: %d of %d runs (%d workers)\n", plan, len(indices), spec.Size(), *parallel)
-	} else {
-		fmt.Fprintf(os.Stderr, "sweep: %d runs (%d workers)\n", len(indices), *parallel)
-	}
-	if jnl != nil || nshards > 1 {
-		_, err = runner.SweepIndices(ctx, spec, indices)
-	} else {
-		_, err = runner.Sweep(ctx, spec)
-	}
+	fmt.Fprintf(os.Stderr, "sweep: %s: %d runs (%d workers)\n", plan, plan.Hi-lo, *parallel)
+	err = runRange(ctx, spec, lo, plan.Hi, *parallel, sc, sink, progress)
 	stopHeartbeat()
 	if jnl != nil {
-		// Seal the journal once every slice record is on disk (failed runs
+		// Seal the journal once every range record is on disk (failed runs
 		// journal deterministic error records, exactly as the single-process
 		// file carries them; the exit code still reports them). An
-		// interrupted or write-failed slice stays footerless — resumable.
+		// interrupted or write-failed range stays footerless — resumable.
 		err = dist.SealOrClose(jnl, err)
-	} else {
-		if cerr := sink.Close(); err == nil {
-			err = cerr
-		}
+		// The exit code reflects the whole journaled range: a failed run
+		// journaled before a kill still fails the range after -resume, as
+		// it would have failed the uninterrupted run.
+		failures = jnl.Failed()
+	} else if cerr := sink.Close(); err == nil {
+		err = cerr
 	}
 	if outFile != nil {
 		// A close error can carry a deferred write failure; it must fail
@@ -325,18 +294,46 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
 	}
-	if jnl != nil {
-		// The exit code reflects the whole journaled slice: a failed run
-		// journaled before a kill still fails the shard after -resume, as
-		// it would have failed the uninterrupted run.
-		failures = jnl.Failed()
-	}
 	fmt.Fprintf(os.Stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
-		len(indices), time.Since(start).Round(time.Millisecond), ipc.String(), failures) //reunion:nondeterm-ok host wall-clock
+		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures) //reunion:nondeterm-ok host wall-clock
 	if failures > 0 {
 		stopCPUProfile()
 		os.Exit(1)
 	}
+}
+
+// runRange runs matrix indices [lo, hi) and writes their records to
+// sink in index order — byte-identical to the same records of a
+// single-process run at any parallelism. It is the one execution path
+// of both a -shard/-journal range and a coordinator lease. A cancelled,
+// never-executed run never reaches the sink: a journal would otherwise
+// resume past it forever as a bogus error record.
+func runRange(ctx context.Context, spec sweep.Spec[reunion.Options], lo, hi, parallel int,
+	sc obs.Scope, sink sweep.Sink, progress func(done, total int, r sweep.Result[reunion.Options, reunion.Result])) error {
+	indices := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		indices = append(indices, i)
+	}
+	runner := sweep.Runner[reunion.Options, reunion.Result]{
+		Parallelism: parallel,
+		Obs:         sc,
+		Run: func(_ context.Context, p sweep.Point[reunion.Options]) (reunion.Result, error) {
+			return reunion.Run(p.Config)
+		},
+		Progress: progress,
+		Emit: func(r sweep.Result[reunion.Options, reunion.Result]) error {
+			if errors.Is(r.Err, sweep.ErrSkipped) {
+				return r.Err
+			}
+			var metrics map[string]float64
+			if r.Err == nil {
+				metrics = r.Out.Metrics()
+			}
+			return sink.Write(sweep.NewRecord(spec.Name, r.Point.Index, r.Point.LabelMap(), metrics, r.Err))
+		},
+	}
+	_, err := runner.SweepIndices(ctx, spec, indices)
+	return err
 }
 
 // parseKernel resolves the -kernel flag. Both kernels are bit-identical

@@ -19,6 +19,7 @@ import (
 
 	"reunion/internal/campaign"
 	"reunion/internal/dist"
+	"reunion/internal/obs"
 	"reunion/internal/sweep"
 )
 
@@ -36,6 +37,18 @@ func truncateFile(t *testing.T, path string, n int64) {
 	if err := os.Truncate(path, st.Size()-n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shardPlan is the plan of static shard s of n, as the CLIs' -shard
+// flag builds it.
+func shardPlan(t *testing.T, spec string, total, s, n int) dist.Plan {
+	t.Helper()
+	lo, hi := dist.ShardRange(total, s, n)
+	plan, err := dist.NewPlan(spec, total, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 func shardSweepSpec() sweep.Spec[Options] {
@@ -102,10 +115,7 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 	}
 
 	for s := 0; s < nshards; s++ {
-		plan, err := dist.NewPlan(spec.Name, spec.Size(), s, nshards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := shardPlan(t, spec.Name, spec.Size(), s, nshards)
 		paths[s] = filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s))
 		jnl, err := dist.Create(paths[s], plan)
 		if err != nil {
@@ -160,12 +170,12 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 	}
 
 	var merged bytes.Buffer
-	info, err := dist.Merge(&merged, []string{paths[2], paths[0], paths[1]})
+	m, err := dist.Merge("", []string{paths[2], paths[0], paths[1]}, true, &merged, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != spec.Size() {
-		t.Fatalf("merged %d records, want %d", info.Records, spec.Size())
+	if m.Records != spec.Size() {
+		t.Fatalf("merged %d records, want %d", m.Records, spec.Size())
 	}
 	if !bytes.Equal(merged.Bytes(), ref.Bytes()) {
 		t.Fatal("merged shard stream differs from the single-process sweep JSONL")
@@ -215,10 +225,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, nshards)
 	for s := 0; s < nshards; s++ {
-		plan, err := dist.NewPlan(spec.Name, total, s, nshards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := shardPlan(t, spec.Name, total, s, nshards)
 		paths[s] = filepath.Join(dir, fmt.Sprintf("trialshard-%d.jsonl", s))
 		jnl, err := dist.Create(paths[s], plan)
 		if err != nil {
@@ -281,52 +288,14 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	}
 
 	var merged bytes.Buffer
-	info, err := dist.Merge(&merged, []string{paths[1], paths[2], paths[0]})
+	m, err := dist.Merge("", []string{paths[1], paths[2], paths[0]}, true, &merged, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != total {
-		t.Fatalf("merged %d records, want %d", info.Records, total)
+	if m.Records != total {
+		t.Fatalf("merged %d records, want %d", m.Records, total)
 	}
 	if !bytes.Equal(merged.Bytes(), ref.Bytes()) {
 		t.Fatal("merged campaign shard stream differs from the single-process JSONL")
-	}
-}
-
-// TestCoverageExperimentSharded: ExpConfig.Shard/NShards restrict the
-// coverage campaign to exactly one dist.Plan slice of the flattened
-// trial space. (That independently-run slices cover the whole matrix
-// exactly once, with identical records, is proven by the campaign
-// engine's shard test and the byte-identity tests above; here one narrow
-// shard keeps the real-simulation cost test-sized.)
-func TestCoverageExperimentSharded(t *testing.T) {
-	const shard, nshards = 3, 11
-	c := ExpConfig{
-		Seeds:         []uint64{1},
-		WarmCycles:    2_000,
-		MeasureCycles: 8_000, // commit target = 8000/16 = 500
-		Shard:         shard,
-		NShards:       nshards,
-		base:          newMemo[Result](),
-		warm:          NewWarmCache(),
-	}
-	rep, err := c.CoverageExperiment(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 modes × 2 phantoms × 11 workloads × 1 trial = 44 trials.
-	plan, err := dist.NewPlan("coverage", 44, shard, nshards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Total.Trials(); got != int64(plan.Count()) {
-		t.Fatalf("sharded coverage ran %d trials, want the plan's %d", got, plan.Count())
-	}
-
-	// A bogus shard shape must fail before any simulation runs.
-	bad := c
-	bad.Shard, bad.NShards = 5, 3
-	if _, err := bad.CoverageExperiment(1); err == nil {
-		t.Fatal("out-of-range shard accepted")
 	}
 }

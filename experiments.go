@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"reunion/internal/campaign"
-	"reunion/internal/dist"
 	"reunion/internal/obs"
 	"reunion/internal/stats"
 	"reunion/internal/sweep"
@@ -49,15 +48,6 @@ type ExpConfig struct {
 	// the cache is wired too. Zero value = everything off. Pure observer:
 	// results are byte-identical with or without a scope.
 	Obs obs.Scope
-
-	// Shard/NShards restrict the Monte-Carlo campaigns (CoverageExperiment)
-	// to one contiguous slice of the flattened cells×trials space, the
-	// slice a dist.Plan assigns to Shard — how a long campaign fans out
-	// across processes and machines. Per-trial draws and classification
-	// are unchanged (both are pure functions of trial coordinates); the
-	// worker runs, and therefore warms, only its own cells, and its
-	// report covers only its slice. Zero values mean unsharded.
-	Shard, NShards int
 
 	// base memoizes non-redundant baseline runs: sweeps reuse the same
 	// baseline across latencies and modes, and the singleflight entries
@@ -824,18 +814,6 @@ func (c ExpConfig) CoverageExperiment(trialsPerCell int) (*campaign.Report, erro
 	}
 	if err := eng.Spec.Validate(); err != nil {
 		return nil, err
-	}
-	if c.NShards > 1 || c.Shard != 0 {
-		trials := eng.Spec.Trials
-		if trials < 1 {
-			trials = 1
-		}
-		plan, err := dist.NewPlan(eng.Spec.Name, eng.Spec.Matrix.Size()*trials, c.Shard, c.NShards)
-		if err != nil {
-			return nil, err
-		}
-		eng.Indices = plan.Indices()
-		c.printf("%s: %d of %d trials\n", plan, plan.Count(), plan.Total)
 	}
 	rep, err := eng.Run(context.Background())
 	if err != nil {

@@ -2,11 +2,12 @@
 // the reunion CLIs. Five commands (sweep, inject, bench, merge, and
 // the coordinator worker modes) accept overlapping flag families —
 // axis CSVs with duplicate-value warnings and fail-fast unknown-value
-// listing, the telemetry trio, the checkpoint-store pair, and the
-// -shard/-journal/-resume cluster — and before this package each CLI
-// carried its own copy, which is exactly how validation rules drift
-// apart. The parsers here are the single source of those rules; the
-// CLIs keep only their flag registration and exit-code choreography.
+// listing, the telemetry trio, the checkpoint-store pair, the
+// -shard/-journal/-resume cluster, and the -coordinator worker mode —
+// and before this package each CLI carried its own copy, which is
+// exactly how validation rules drift apart. The parsers here are the
+// single source of those rules; the CLIs keep only their flag
+// registration and exit-code choreography.
 package cliconf
 
 import (
@@ -294,11 +295,22 @@ func (o *ObsFlags) WriteFiles(sc obs.Scope) error {
 	return sc.WriteFiles(*o.TraceOut, *o.MetricsOut)
 }
 
+// FlagWasSet reports whether the named command-line flag was passed
+// explicitly.
+func FlagWasSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
+}
+
 // CheckJournalFlags enforces the -journal/-resume/-out/-format rules
 // the sharded CLIs share; the returned error is a usage error (exit 2).
-// outSet reports whether -out was passed explicitly (dist.FlagWasSet):
-// -out has a non-empty default, so presence can't be read from the
-// value.
+// outSet reports whether -out was passed explicitly (FlagWasSet): -out
+// has a non-empty default, so presence can't be read from the value.
 func CheckJournalFlags(tool, journal, format string, resume, outSet bool) error {
 	if journal != "" {
 		if format != "jsonl" {

@@ -11,10 +11,9 @@
 // and pull the next. A lease carries a TTL renewed by heartbeats; a
 // worker that dies simply stops renewing, and its range goes back to
 // the grid for someone else. Dispatch order is dynamic, but the result
-// is not: every range journal is verified with the same discipline as a
-// -shard journal (index order, checksummed footer, fingerprint-pinned
-// header), and the terminal merge is byte-identical to the
-// single-process run.
+// is not: every completed range is written through a dist journal
+// (index order, checksummed footer, fingerprint-pinned header), and the
+// terminal merge is byte-identical to the single-process run.
 //
 // The coordinator always reaches a terminal outcome. Each range has two
 // bounded budgets that distinguish the transient from the systematic:
@@ -22,8 +21,8 @@
 // budget, while a reported failure or a payload that fails verification
 // charges the failure budget — a range that keeps crashing its workers
 // is declared failed rather than retried forever. When no range is
-// pending or leased, the run finalizes: all done → "success" (strict
-// merge); some done → "partial" (verified subset merged, manifest
+// pending or leased, the run finalizes through dist.Merge: all done →
+// "success"; some done → "partial" (verified subset merged, manifest
 // accounting for the holes); none → "failed". A stall watchdog bounds
 // the no-progress case so an abandoned coordinator terminates too.
 package coord
@@ -42,13 +41,11 @@ import (
 	"reunion/internal/obs"
 )
 
-// Outcome values of a coordinated run. Success and partial are the
-// dist merge outcomes; failed is the coordinator's own terminal state
-// for a run that produced no verified records at all.
+// Outcome values of a coordinated run: the dist merge outcomes.
 const (
 	OutcomeSuccess = dist.OutcomeSuccess
 	OutcomePartial = dist.OutcomePartial
-	OutcomeFailed  = "failed"
+	OutcomeFailed  = dist.OutcomeFailed
 )
 
 // ErrLeaseLost reports that the presented lease no longer exists: it
@@ -305,9 +302,9 @@ func (c *Coordinator) Register(worker, spec string, total int, fp uint64) error 
 }
 
 // adoptSealed credits ranges whose journal already exists sealed in
-// Dir — the restart path. A journal that does not verify is removed
-// (uploads are atomic, so leftovers are from torn crashes) and its
-// range re-runs. Called with mu held.
+// Dir — the restart path. A journal that does not verify — a torn
+// crash leftover, or one of an older journal format — is logged with
+// the reason, removed, and its range re-runs. Called with mu held.
 func (c *Coordinator) adoptSealed() {
 	for _, r := range c.ranges {
 		path := c.rangePath(r)
@@ -326,12 +323,7 @@ func (c *Coordinator) adoptSealed() {
 // verifySealed checks that path is a sealed, fingerprint-matching
 // journal of exactly r's range.
 func (c *Coordinator) verifySealed(path string, r *rng) error {
-	plan, err := dist.NewRange(c.spec, c.total, r.lo, r.hi)
-	if err != nil {
-		return err
-	}
-	plan.Fingerprint = c.fp
-	j, err := dist.Open(path, plan)
+	j, err := dist.Open(path, c.plan(r))
 	if err != nil {
 		return err
 	}
@@ -340,6 +332,11 @@ func (c *Coordinator) verifySealed(path string, r *rng) error {
 		return errors.New("journal is not sealed")
 	}
 	return nil
+}
+
+// plan is the journal plan of range r. Called with mu held.
+func (c *Coordinator) plan(r *rng) dist.Plan {
+	return dist.Plan{Spec: c.spec, Fingerprint: c.fp, Total: c.total, Lo: r.lo, Hi: r.hi}
 }
 
 func (c *Coordinator) rangePath(r *rng) string {
@@ -409,7 +406,7 @@ func (c *Coordinator) Heartbeat(worker, leaseID string) error {
 
 // Complete accepts a finished range: body must be the range's record
 // lines, exactly as the single-process stream carries them. They are
-// written through a ranged journal — which enforces index order, line
+// written through a range journal — which enforces index order, line
 // framing, and the checksummed footer — and the sealed file lands in
 // Dir atomically. A payload that does not verify charges the range's
 // failure budget and returns ErrBadPayload.
@@ -440,15 +437,10 @@ func (c *Coordinator) Complete(worker, leaseID string, body []byte) error {
 	return nil
 }
 
-// sealRange writes body's lines through a fresh ranged journal into a
+// sealRange writes body's lines through a fresh range journal into a
 // temp file and renames it into place. Any verification error leaves
 // nothing behind.
 func (c *Coordinator) sealRange(r *rng, body []byte) error {
-	plan, err := dist.NewRange(c.spec, c.total, r.lo, r.hi)
-	if err != nil {
-		return err
-	}
-	plan.Fingerprint = c.fp
 	tmp, err := os.CreateTemp(c.cfg.Dir, ".range-*.tmp")
 	if err != nil {
 		return err
@@ -456,7 +448,7 @@ func (c *Coordinator) sealRange(r *rng, body []byte) error {
 	tmpName := tmp.Name()
 	tmp.Close()
 	defer os.Remove(tmpName)
-	j, err := dist.Create(tmpName, plan)
+	j, err := dist.Create(tmpName, c.plan(r))
 	if err != nil {
 		return err
 	}
@@ -612,75 +604,45 @@ func (c *Coordinator) stallOut() {
 }
 
 // maybeFinalize declares the terminal outcome once no range is pending
-// or leased. Called with mu held.
+// or leased: the done ranges go through one non-strict dist.Merge,
+// whose manifest is the outcome, and the failed ranges' reasons join
+// its accounting. Called with mu held.
 func (c *Coordinator) maybeFinalize() {
 	if c.outcome != "" || !c.adopted {
 		return
 	}
 	var paths []string
-	nDone, nFailed := 0, 0
 	for _, r := range c.ranges {
 		switch r.state {
 		case statePending, stateLeased:
 			return // work remains
 		case stateDone:
-			nDone++
 			paths = append(paths, r.path)
-		case stateFailed:
-			nFailed++
 		}
 	}
-	switch {
-	case nFailed == 0:
-		info, err := dist.MergeFileObs(c.cfg.Out, paths, nil, c.cfg.Obs)
-		if err != nil {
-			// The sealed journals contradict each other or the disk went
-			// bad — nothing merged, nothing trustworthy.
-			c.outcome, c.finalErr = OutcomeFailed, err
-		} else {
-			c.outcome = OutcomeSuccess
-			c.manifest = &dist.Manifest{
-				Spec: c.spec, Fingerprint: fmt.Sprintf("%016x", c.fp),
-				Total: c.total, Records: info.Records, Outcome: dist.OutcomeSuccess,
+	m := &dist.Manifest{Spec: c.spec, Fingerprint: fmt.Sprintf("%016x", c.fp), Total: c.total,
+		Outcome: OutcomeFailed, Missing: []dist.IndexRange{{Lo: 0, Hi: c.total}}}
+	if len(paths) > 0 {
+		// Sealed journals that contradict each other, or a disk gone bad,
+		// leave nothing merged and nothing trustworthy.
+		m, c.finalErr = dist.Merge(c.cfg.Out, paths, false, nil, c.cfg.Obs)
+	}
+	c.outcome, c.manifest = OutcomeFailed, m
+	if c.finalErr == nil {
+		c.outcome = m.Outcome
+		for _, r := range c.ranges {
+			if r.state == stateFailed {
+				m.Failed = append(m.Failed, dist.JournalFailure{
+					Range: dist.IndexRange{Lo: r.lo, Hi: r.hi}, Err: r.failedErr,
+				})
 			}
 		}
-	case nDone > 0:
-		m, err := dist.MergePartialFile(c.cfg.Out, "", paths, nil)
-		if err != nil {
-			c.outcome, c.finalErr = OutcomeFailed, err
-		} else {
-			c.outcome, c.manifest = OutcomePartial, m
-			c.fillFailed(m)
-		}
-	default:
-		c.outcome = OutcomeFailed
-		c.manifest = &dist.Manifest{
-			Spec: c.spec, Fingerprint: fmt.Sprintf("%016x", c.fp),
-			Total: c.total, Outcome: OutcomeFailed,
-			Missing: []dist.IndexRange{{Lo: 0, Hi: c.total}},
-		}
-		c.fillFailed(c.manifest)
-	}
-	if c.manifest != nil && c.cfg.Manifest != "" {
-		if err := c.manifest.WriteFile(c.cfg.Manifest); err != nil && c.finalErr == nil {
-			c.finalErr = err
+		if c.cfg.Manifest != "" {
+			c.finalErr = m.WriteFile(c.cfg.Manifest)
 		}
 	}
-	c.cfg.Logf("coord: terminal outcome %q (%d ranges done, %d failed)", c.outcome, nDone, nFailed)
+	c.cfg.Logf("coord: terminal outcome %q (%d of %d ranges done)", c.outcome, len(paths), len(c.ranges))
 	close(c.done)
-}
-
-// fillFailed records the failed ranges' reasons in the manifest, so a
-// partial outcome says not just which indices are missing but why.
-// Called with mu held.
-func (c *Coordinator) fillFailed(m *dist.Manifest) {
-	for _, r := range c.ranges {
-		if r.state == stateFailed {
-			m.Failed = append(m.Failed, dist.JournalFailure{
-				Slic: dist.IndexRange{Lo: r.lo, Hi: r.hi}, Err: r.failedErr,
-			})
-		}
-	}
 }
 
 func (c *Coordinator) countState(st int) int {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +416,33 @@ func TestConcurrentWorkersRace(t *testing.T) {
 	}
 	if !bytes.Equal(got, slice(0, total)) {
 		t.Fatal("concurrent run's merge is not the single-process stream")
+	}
+}
+
+// A range journal of an older format found at adoption is refused with
+// an error naming its format, logged, and its range re-runs.
+func TestAdoptionRerunsOldFormatRange(t *testing.T) {
+	var logs []string
+	c, dir := newTestCoord(t, newFakeClock(), func(cfg *Config) {
+		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	})
+	v1 := fmt.Sprintf(`{"dist_header":{"format":"reunion-dist-journal/1","spec":%q,"fingerprint":%d,"shard":0,"nshards":1,"total":8,"ranged":true,"range_lo":0,"range_hi":4}}`+"\n",
+		testSpec, testFP)
+	state := filepath.Join(dir, "state")
+	if err := os.WriteFile(filepath.Join(state, "range-00000000-00000004.jsonl"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register("w1", testSpec, 8, testFP); err != nil {
+		t.Fatal(err)
+	}
+	if l := mustLease(t, c, "w1"); l.Lo != 0 {
+		t.Fatalf("old-format range was credited, first lease is %+v", l)
+	}
+	found := false
+	for _, l := range logs {
+		found = found || strings.Contains(l, "reunion-dist-journal/1")
+	}
+	if !found {
+		t.Fatalf("adoption did not log the refused format: %q", logs)
 	}
 }

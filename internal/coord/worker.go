@@ -4,10 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"reunion/internal/obs"
 )
+
+// WorkerName identifies a worker process of the named tool in leases and
+// coordinator logs.
+func WorkerName(tool string) string {
+	host, err := os.Hostname()
+	if err != nil {
+		host = "unknown"
+	}
+	return fmt.Sprintf("%s-%s-%d", tool, host, os.Getpid())
+}
 
 // RunRange produces the record lines of index range [lo, hi) of the
 // run — exactly the bytes the single-process stream carries for those

@@ -1,142 +1,103 @@
-// Package dist shards the experiment matrices across processes and
+// Package dist distributes the experiment matrices across processes and
 // machines and makes long campaigns resumable.
 //
 // The sweep and campaign engines flatten their matrices into one index
 // space — cells for a sweep, cells × trials for a fault campaign — where
 // every index is a pure function of the spec, never of scheduling. That
-// purity is what makes distribution trivial to get right: a Plan
-// partitions [0, Total) into contiguous slices by a pure function of
-// (total, shard, nshards), so any worker can claim its slice with no
-// coordination beyond agreeing on the spec and the shard count.
+// purity is what makes distribution trivial to get right: a Plan names
+// one contiguous range [Lo, Hi) of [0, Total), and any worker can run its
+// range with no coordination beyond agreeing on the spec. A static
+// -shard i/n is just the range ShardRange computes; a coordinator lease
+// is just a range the coordinator hands out. Both are the same Plan.
 //
-// Each shard streams its records through a Journal: a JSONL file framed
-// by a header (identifying the plan slice) and a footer (record count +
-// CRC-64 of the payload bytes). Appends happen in index order, so an
-// interrupted shard resumes from its last complete record — a torn final
-// line is discarded and recomputed, which is safe because every record
-// is a deterministic function of its index.
+// Each range streams its records through a Journal: a JSONL file framed
+// by a header (identifying the run and the range) and a footer (record
+// count + CRC-64 of the payload bytes). Appends happen in index order, so
+// an interrupted range resumes from its last complete record — a torn
+// final line is discarded and recomputed, which is safe because every
+// record is a deterministic function of its index.
 //
-// Merge reassembles complete shard journals into one stream that is
-// byte-identical to the single-process run, verifying record-by-record:
-// per-record index sequence, per-shard payload checksum, and exact
-// shard-set coverage of the plan. The merged bytes carry no trace of how
-// many shards produced them.
+// Merge reassembles range journals into one stream that is byte-identical
+// to the single-process run, verifying record-by-record (index sequence,
+// payload checksum) and the tiling of [0, Total), and returns a Manifest
+// accounting for every index. The merged bytes carry no trace of how
+// many ranges produced them.
 package dist
 
 import (
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
 )
 
-// Plan assigns one shard its contiguous slice of a flattened run matrix.
-// The slice bounds are a pure function of (Total, Shard, NShards):
-// shard s owns [Total*s/NShards, Total*(s+1)/NShards), so the shards
-// partition [0, Total) exactly, with sizes differing by at most one.
+// Plan is one contiguous range [Lo, Hi) of a run's flattened index
+// space [0, Total).
 //
 // Contiguity is deliberate: the matrices enumerate trials of a cell (and
-// cells of a workload) adjacently, so a contiguous slice keeps a shard's
+// cells of a workload) adjacently, so a contiguous range keeps a worker's
 // trials on as few cells as possible — each worker warms only the
 // checkpoints its own cells need — and lets Merge reassemble the
 // single-process stream by validated concatenation.
+//
+// A journal header carries the plan in these JSON fields.
 type Plan struct {
-	// Spec names the run (sweep or campaign spec name); journals refuse
-	// to resume under a different spec name.
-	Spec string
+	// Spec names the run (sweep or campaign spec name).
+	Spec string `json:"spec"`
 	// Fingerprint pins the run's full configuration — everything that
 	// determines the record bytes, not just the spec's (often constant)
 	// name. Journals and merges refuse to mix plans whose fingerprints
-	// differ, so a shard resumed or merged under different flags that
+	// differ, so a range resumed or merged under different flags that
 	// happen to produce the same name and total fails loudly instead of
 	// silently interleaving records from two different experiments. Set
 	// it with Fingerprint over the run's defining strings; zero means
 	// "unpinned" (library callers that construct specs in one process).
-	Fingerprint uint64
+	Fingerprint uint64 `json:"fingerprint"`
 	// Total is the size of the flattened index space.
-	Total int
-	// Shard/NShards select this worker's slice.
-	Shard, NShards int
-	// Ranged marks a plan whose slice is the explicit [RangeLo, RangeHi)
-	// instead of the shard arithmetic — the coordinator's lease granule.
-	// Ranged journals record their bounds in the header, so a range
-	// journal can only be resumed or merged as that exact range.
-	Ranged           bool
-	RangeLo, RangeHi int
+	Total int `json:"total"`
+	// Lo and Hi bound this plan's range. An empty range (Lo == Hi) is
+	// legal: a static shard of a run smaller than its shard count.
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
-// NewPlan validates and returns the plan for one shard.
-func NewPlan(spec string, total, shard, nshards int) (Plan, error) {
-	if total < 0 {
-		return Plan{}, fmt.Errorf("dist: negative total %d", total)
-	}
-	if nshards < 1 {
-		return Plan{}, fmt.Errorf("dist: nshards %d, need at least 1", nshards)
-	}
-	if shard < 0 || shard >= nshards {
-		return Plan{}, fmt.Errorf("dist: shard %d out of range [0,%d)", shard, nshards)
-	}
-	return Plan{Spec: spec, Total: total, Shard: shard, NShards: nshards}, nil
+// NewPlan validates and returns the plan for the range [lo, hi) of a
+// total-index run.
+func NewPlan(spec string, total, lo, hi int) (Plan, error) {
+	p := Plan{Spec: spec, Total: total, Lo: lo, Hi: hi}
+	return p, p.validate()
 }
 
-// NewRange validates and returns a ranged plan for the explicit slice
-// [lo, hi) of a total-index space — the coordinator's lease unit. The
-// slice must be non-empty: an empty lease has nothing to journal, and a
-// footer over zero records could not distinguish "done" from "never
-// ran".
-func NewRange(spec string, total, lo, hi int) (Plan, error) {
-	if total < 0 {
-		return Plan{}, fmt.Errorf("dist: negative total %d", total)
+func (p Plan) validate() error {
+	if p.Lo < 0 || p.Lo > p.Hi || p.Hi > p.Total {
+		return fmt.Errorf("dist: range [%d,%d) invalid for total %d", p.Lo, p.Hi, p.Total)
 	}
-	if lo < 0 || hi > total || lo >= hi {
-		return Plan{}, fmt.Errorf("dist: range [%d,%d) invalid for total %d", lo, hi, total)
-	}
-	return Plan{Spec: spec, Total: total, NShards: 1, Ranged: true, RangeLo: lo, RangeHi: hi}, nil
+	return nil
 }
 
-// Lo returns the first global index of the shard's slice.
-func (p Plan) Lo() int {
-	if p.Ranged {
-		return p.RangeLo
-	}
-	return p.Total * p.Shard / p.NShards
-}
+// Count returns the number of indices in the range.
+func (p Plan) Count() int { return p.Hi - p.Lo }
 
-// Hi returns one past the last global index of the shard's slice.
-func (p Plan) Hi() int {
-	if p.Ranged {
-		return p.RangeHi
-	}
-	return p.Total * (p.Shard + 1) / p.NShards
-}
-
-// Count returns the number of indices in the shard's slice.
-func (p Plan) Count() int { return p.Hi() - p.Lo() }
-
-// Index returns the k-th global index of the slice (k in [0, Count)).
-func (p Plan) Index(k int) int { return p.Lo() + k }
-
-// Owns reports whether the shard's slice contains global index i.
-func (p Plan) Owns(i int) bool { return i >= p.Lo() && i < p.Hi() }
-
-// Indices enumerates the shard's global indices in ascending order — the
-// order the shard runs and journals them.
+// Indices enumerates the range's global indices in ascending order — the
+// order a worker runs and journals them.
 func (p Plan) Indices() []int {
 	out := make([]int, p.Count())
 	for k := range out {
-		out[k] = p.Lo() + k
+		out[k] = p.Lo + k
 	}
 	return out
 }
 
-// String renders the slice for progress messages: "shard 1/3 [8,16)",
-// or "range [8,16)" for a ranged plan.
+// String renders the range for progress messages: "range [8,16) of 24".
 func (p Plan) String() string {
-	if p.Ranged {
-		return fmt.Sprintf("range [%d,%d)", p.RangeLo, p.RangeHi)
-	}
-	return fmt.Sprintf("shard %d/%d [%d,%d)", p.Shard, p.NShards, p.Lo(), p.Hi())
+	return fmt.Sprintf("range [%d,%d) of %d", p.Lo, p.Hi, p.Total)
+}
+
+// ShardRange returns static shard i of n of a total-index run:
+// [total*i/n, total*(i+1)/n). The shards partition [0, total) exactly,
+// with sizes differing by at most one.
+func ShardRange(total, i, n int) (lo, hi int) {
+	return total * i / n, total * (i + 1) / n
 }
 
 // Fingerprint hashes the given strings (FNV-1a 64, length-delimited)
@@ -152,20 +113,6 @@ func Fingerprint(parts ...string) uint64 {
 		h.Write([]byte{0}) // delimit, so ("ab","c") != ("a","bc")
 	}
 	return h.Sum64()
-}
-
-// FlagWasSet reports whether the named command-line flag was passed
-// explicitly. CLI support for the shard flag wiring both shard-aware
-// CLIs share: -journal must reject an explicit -out, but -out also has
-// a non-empty default, so presence can't be read from the value.
-func FlagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // ParseShard parses a -shard flag value "i/n" (e.g. "0/3"). The empty

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"reunion/internal/obs"
 	"reunion/internal/sweep"
 )
 
@@ -36,7 +37,18 @@ func refBytes(t *testing.T, total int) []byte {
 	return buf.Bytes()
 }
 
-// writeShard journals the plan's full slice and finishes it.
+// shardPlan is the plan of static shard s of n, as the CLIs build it.
+func shardPlan(t *testing.T, spec string, total, s, n int) Plan {
+	t.Helper()
+	lo, hi := ShardRange(total, s, n)
+	p, err := NewPlan(spec, total, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// writeShard journals the plan's full range and finishes it.
 func writeShard(t *testing.T, path string, p Plan) {
 	t.Helper()
 	j, err := Create(path, p)
@@ -53,6 +65,13 @@ func writeShard(t *testing.T, path string, p Plan) {
 	}
 }
 
+// mergeBytes merges paths into memory (no output file).
+func mergeBytes(paths []string, strict bool) (*Manifest, []byte, error) {
+	var buf bytes.Buffer
+	m, err := Merge("", paths, strict, &buf, obs.Scope{})
+	return m, buf.Bytes(), err
+}
+
 func TestPlanPartitions(t *testing.T) {
 	for _, tc := range []struct{ total, nshards int }{
 		{0, 1}, {0, 4}, {1, 1}, {1, 3}, {7, 3}, {8, 3}, {9, 3}, {100, 7}, {5, 8},
@@ -60,14 +79,11 @@ func TestPlanPartitions(t *testing.T) {
 		seen := make([]int, tc.total)
 		prevHi := 0
 		for s := 0; s < tc.nshards; s++ {
-			p, err := NewPlan("x", tc.total, s, tc.nshards)
-			if err != nil {
-				t.Fatal(err)
+			p := shardPlan(t, "x", tc.total, s, tc.nshards)
+			if p.Lo != prevHi {
+				t.Fatalf("total=%d n=%d shard %d: lo %d, want contiguous %d", tc.total, tc.nshards, s, p.Lo, prevHi)
 			}
-			if p.Lo() != prevHi {
-				t.Fatalf("total=%d n=%d shard %d: lo %d, want contiguous %d", tc.total, tc.nshards, s, p.Lo(), prevHi)
-			}
-			prevHi = p.Hi()
+			prevHi = p.Hi
 			if got := len(p.Indices()); got != p.Count() {
 				t.Fatalf("Indices len %d != Count %d", got, p.Count())
 			}
@@ -75,9 +91,6 @@ func TestPlanPartitions(t *testing.T) {
 				t.Fatalf("total=%d n=%d shard %d: count %d outside [%d,%d]", tc.total, tc.nshards, s, p.Count(), min, max)
 			}
 			for _, i := range p.Indices() {
-				if !p.Owns(i) {
-					t.Fatalf("shard %d does not own its own index %d", s, i)
-				}
 				seen[i]++
 			}
 		}
@@ -93,12 +106,18 @@ func TestPlanPartitions(t *testing.T) {
 }
 
 func TestNewPlanRejectsBadShapes(t *testing.T) {
-	for _, tc := range []struct{ total, shard, nshards int }{
-		{-1, 0, 1}, {4, 0, 0}, {4, -1, 3}, {4, 3, 3}, {4, 5, 3},
+	for _, bad := range []struct{ total, lo, hi int }{
+		{-1, 0, 0}, {10, -1, 3}, {10, 3, 11}, {10, 7, 3},
 	} {
-		if _, err := NewPlan("x", tc.total, tc.shard, tc.nshards); err == nil {
-			t.Fatalf("NewPlan(%d,%d,%d) accepted", tc.total, tc.shard, tc.nshards)
+		if _, err := NewPlan("t", bad.total, bad.lo, bad.hi); err == nil {
+			t.Errorf("NewPlan(total=%d, [%d,%d)) accepted", bad.total, bad.lo, bad.hi)
 		}
+	}
+	if _, err := NewPlan("t", 10, 5, 5); err != nil {
+		t.Errorf("empty range rejected: %v", err)
+	}
+	if _, err := Create(filepath.Join(t.TempDir(), "j.jsonl"), Plan{Spec: "t", Total: 4, Lo: 2, Hi: 9}); err == nil {
+		t.Fatal("Create accepted an invalid plan")
 	}
 }
 
@@ -133,68 +152,63 @@ func TestMergeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
 	for s := 0; s < nshards; s++ {
-		p, err := NewPlan("t", total, s, nshards)
-		if err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s))
-		writeShard(t, path, p)
+		writeShard(t, path, shardPlan(t, "t", total, s, nshards))
 		paths = append(paths, path)
 	}
 	// Shuffled path order must not matter.
 	shuffled := []string{paths[2], paths[0], paths[3], paths[1]}
-	var buf bytes.Buffer
-	info, err := Merge(&buf, shuffled)
+	m, got, err := mergeBytes(shuffled, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != total || info.NShards != nshards || info.Spec != "t" {
-		t.Fatalf("info = %+v", info)
+	if !m.Success() || m.Records != total || m.Spec != "t" || len(m.Missing) != 0 {
+		t.Fatalf("manifest = %+v", m)
 	}
-	if !bytes.Equal(buf.Bytes(), refBytes(t, total)) {
+	if !bytes.Equal(got, refBytes(t, total)) {
 		t.Fatal("merged stream differs from single-process stream")
 	}
 
 	out := filepath.Join(dir, "merged.jsonl")
 	var tee bytes.Buffer
-	if _, err := MergeFile(out, paths, &tee); err != nil {
+	if _, err := Merge(out, paths, true, &tee, obs.Scope{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tee.Bytes(), refBytes(t, total)) {
-		t.Fatal("MergeFile tee differs from the merged bytes")
+		t.Fatal("tee differs from the merged bytes")
 	}
-	got, err := os.ReadFile(out)
+	file, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, refBytes(t, total)) {
-		t.Fatal("MergeFile output differs from single-process stream")
+	if !bytes.Equal(file, refBytes(t, total)) {
+		t.Fatal("merged file differs from single-process stream")
 	}
 }
 
 func TestMergeEmptyShards(t *testing.T) {
-	// More shards than records: some slices are empty, the merge must
-	// still reassemble the full stream.
+	// More shards than records: some ranges are empty, seal with a
+	// zero-count footer, and the merge must still reassemble the full
+	// stream.
 	const total, nshards = 2, 5
 	dir := t.TempDir()
 	var paths []string
 	for s := 0; s < nshards; s++ {
-		p, _ := NewPlan("t", total, s, nshards)
 		path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", s))
-		writeShard(t, path, p)
+		writeShard(t, path, shardPlan(t, "t", total, s, nshards))
 		paths = append(paths, path)
 	}
-	var buf bytes.Buffer
-	if _, err := Merge(&buf, paths); err != nil {
+	m, got, err := mergeBytes(paths, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), refBytes(t, total)) {
-		t.Fatal("merged stream differs")
+	if !m.Success() || !bytes.Equal(got, refBytes(t, total)) {
+		t.Fatalf("merged stream differs (manifest %+v)", m)
 	}
 }
 
 func TestJournalResumeAfterCleanKill(t *testing.T) {
-	p, _ := NewPlan("t", 10, 1, 2) // indices 5..9
+	p := shardPlan(t, "t", 10, 1, 2) // indices 5..9
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j, err := Create(path, p)
 	if err != nil {
@@ -228,7 +242,7 @@ func TestJournalResumeAfterCleanKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A finished shard resumes as complete, and writes are refused.
+	// A finished range resumes as complete, and writes are refused.
 	j3, err := Open(path, p)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +259,7 @@ func TestJournalResumeAfterCleanKill(t *testing.T) {
 }
 
 func TestJournalResumeAfterMidRecordKill(t *testing.T) {
-	p, _ := NewPlan("t", 6, 0, 1)
+	p := shardPlan(t, "t", 6, 0, 1)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	writeShard(t, path, p)
 	want, err := os.ReadFile(path)
@@ -286,21 +300,18 @@ func TestJournalResumeAfterMidRecordKill(t *testing.T) {
 }
 
 func TestJournalRejectsWrongPlanAndOrder(t *testing.T) {
-	p, _ := NewPlan("t", 10, 0, 2)
+	p := shardPlan(t, "t", 10, 0, 2)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	writeShard(t, path, p)
 
-	other, _ := NewPlan("t", 10, 1, 2)
-	if _, err := Open(path, other); err == nil {
-		t.Fatal("journal resumed under a different shard")
+	if _, err := Open(path, shardPlan(t, "t", 10, 1, 2)); err == nil {
+		t.Fatal("journal resumed under a different range")
 	}
-	renamed, _ := NewPlan("u", 10, 0, 2)
-	if _, err := Open(path, renamed); err == nil {
+	if _, err := Open(path, shardPlan(t, "u", 10, 0, 2)); err == nil {
 		t.Fatal("journal resumed under a different spec")
 	}
 
-	p2, _ := NewPlan("t", 10, 1, 2)
-	j, err := Create(filepath.Join(t.TempDir(), "k.jsonl"), p2)
+	j, err := Create(filepath.Join(t.TempDir(), "k.jsonl"), shardPlan(t, "t", 10, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +325,7 @@ func TestJournalRejectsWrongPlanAndOrder(t *testing.T) {
 }
 
 func TestJournalCorruptFooterFailsLoudly(t *testing.T) {
-	p, _ := NewPlan("t", 4, 0, 1)
+	p := shardPlan(t, "t", 4, 0, 1)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	writeShard(t, path, p)
 	b, err := os.ReadFile(path)
@@ -336,7 +347,7 @@ func TestJournalCorruptFooterFailsLoudly(t *testing.T) {
 	if _, err := Open(path, p); err == nil {
 		t.Fatal("resume accepted a checksum-mismatched footer")
 	}
-	if _, err := Merge(&bytes.Buffer{}, []string{path}); err == nil {
+	if _, _, err := mergeBytes([]string{path}, true); err == nil {
 		t.Fatal("merge accepted a checksum-mismatched footer")
 	}
 }
@@ -346,23 +357,23 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, nshards)
 	for s := 0; s < nshards; s++ {
-		p, _ := NewPlan("t", total, s, nshards)
 		paths[s] = filepath.Join(dir, fmt.Sprintf("s%d.jsonl", s))
-		writeShard(t, paths[s], p)
+		writeShard(t, paths[s], shardPlan(t, "t", total, s, nshards))
 	}
 
-	if _, err := Merge(&bytes.Buffer{}, paths[:2]); err == nil {
-		t.Fatal("merge accepted a missing shard")
+	if _, _, err := mergeBytes(paths[:2], true); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("merge accepted a missing shard: %v", err)
 	}
-	if _, err := Merge(&bytes.Buffer{}, []string{paths[0], paths[1], paths[1]}); err == nil {
+	if _, _, err := mergeBytes([]string{paths[0], paths[1], paths[1]}, true); err == nil {
 		t.Fatal("merge accepted a duplicate shard")
 	}
-	if _, err := Merge(&bytes.Buffer{}, nil); err == nil {
+	if _, _, err := mergeBytes(nil, true); err == nil {
 		t.Fatal("merge accepted zero journals")
 	}
 
-	// An unfinished journal (no footer) must be rejected, not merged.
-	p0, _ := NewPlan("t", total, 0, nshards)
+	// An unfinished journal (no footer) must be rejected, not merged —
+	// and a failed strict merge leaves no output file behind.
+	p0 := shardPlan(t, "t", total, 0, nshards)
 	unfinished := filepath.Join(dir, "unfinished.jsonl")
 	j, err := Create(unfinished, p0)
 	if err != nil {
@@ -374,15 +385,18 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 		}
 	}
 	j.Close()
-	if _, err := Merge(&bytes.Buffer{}, []string{unfinished, paths[1], paths[2]}); err == nil {
-		t.Fatal("merge accepted a footerless journal")
+	out := filepath.Join(dir, "merged.jsonl")
+	if _, err := Merge(out, []string{unfinished, paths[1], paths[2]}, true, nil, obs.Scope{}); err == nil || !strings.Contains(err.Error(), "no footer") {
+		t.Fatalf("merge accepted a footerless journal: %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("failed strict merge left an output file: %v", err)
 	}
 
 	// A journal from a different run mixed in.
-	pOther, _ := NewPlan("other", total, 0, nshards)
 	otherPath := filepath.Join(dir, "other.jsonl")
-	writeShard(t, otherPath, pOther)
-	if _, err := Merge(&bytes.Buffer{}, []string{otherPath, paths[1], paths[2]}); err == nil {
+	writeShard(t, otherPath, shardPlan(t, "other", total, 0, nshards))
+	if _, _, err := mergeBytes([]string{otherPath, paths[1], paths[2]}, true); err == nil {
 		t.Fatal("merge accepted a journal from a different spec")
 	}
 }
@@ -390,8 +404,7 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 // TestFingerprintPinsRunConfiguration: a journal written under one run
 // configuration must refuse to resume — and merge must refuse to mix —
 // a plan whose fingerprint differs, even when spec name, size, and
-// shard shape all coincide (e.g. the same CLI matrix with one flag
-// changed).
+// range all coincide (e.g. the same CLI matrix with one flag changed).
 func TestFingerprintPinsRunConfiguration(t *testing.T) {
 	if Fingerprint("a", "bc") == Fingerprint("ab", "c") {
 		t.Fatal("fingerprint is not length-delimited")
@@ -399,10 +412,7 @@ func TestFingerprintPinsRunConfiguration(t *testing.T) {
 	const total, nshards = 6, 2
 	dir := t.TempDir()
 	mkPlan := func(s int, fp uint64) Plan {
-		p, err := NewPlan("t", total, s, nshards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := shardPlan(t, "t", total, s, nshards)
 		p.Fingerprint = fp
 		return p
 	}
@@ -435,29 +445,18 @@ func TestFingerprintPinsRunConfiguration(t *testing.T) {
 	}
 
 	other := filepath.Join(dir, "s1.jsonl")
-	jo, err := Create(other, mkPlan(1, fpB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range jo.plan.Indices() {
-		if err := jo.Write(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jo.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(&bytes.Buffer{}, []string{path, other}); err == nil {
+	writeShard(t, other, mkPlan(1, fpB))
+	if _, _, err := mergeBytes([]string{path, other}, true); err == nil {
 		t.Fatal("merge mixed shards from runs with different fingerprints")
 	}
 }
 
 // TestShortSealedJournalFailsBothEnds: a footer self-consistent with a
-// payload that is shorter than the shard's slice must be rejected by
+// payload that is shorter than the journal's range must be rejected by
 // resume exactly as merge rejects it — "complete" must mean the same
 // thing at both ends of the contract.
 func TestShortSealedJournalFailsBothEnds(t *testing.T) {
-	p, _ := NewPlan("t", 6, 0, 1)
+	p := shardPlan(t, "t", 6, 0, 1)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j, err := Create(path, p)
 	if err != nil {
@@ -491,18 +490,18 @@ func TestShortSealedJournalFailsBothEnds(t *testing.T) {
 	f.Close()
 
 	if _, err := Open(path, p); err == nil {
-		t.Fatal("resume accepted a sealed journal shorter than its slice")
+		t.Fatal("resume accepted a sealed journal shorter than its range")
 	}
-	if _, err := Merge(&bytes.Buffer{}, []string{path}); err == nil {
-		t.Fatal("merge accepted a sealed journal shorter than its slice")
+	if _, _, err := mergeBytes([]string{path}, true); err == nil {
+		t.Fatal("merge accepted a sealed journal shorter than its range")
 	}
 }
 
 // TestFailedRecordsSurviveResume: error records journaled before a kill
 // still count after resume, so a CLI exit code reflects the whole
-// slice, not just the post-resume records.
+// range, not just the post-resume records.
 func TestFailedRecordsSurviveResume(t *testing.T) {
-	p, _ := NewPlan("t", 4, 0, 1)
+	p := shardPlan(t, "t", 4, 0, 1)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j, err := Create(path, p)
 	if err != nil {
@@ -539,5 +538,22 @@ func TestFailedRecordsSurviveResume(t *testing.T) {
 	}
 	if j2.Failed() != 1 {
 		t.Fatalf("Failed = %d after Finish, want 1", j2.Failed())
+	}
+}
+
+// TestV1JournalRefused: a journal of the previous format is refused by
+// resume and by merge with an error that names its format.
+func TestV1JournalRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.jsonl")
+	v1 := `{"dist_header":{"format":"reunion-dist-journal/1","spec":"t","shard":0,"nshards":1,"total":1}}` + "\n" +
+		`{"sweep":"t","index":0,"labels":{}}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, shardPlan(t, "t", 1, 0, 1)); err == nil || !strings.Contains(err.Error(), "reunion-dist-journal/1") {
+		t.Fatalf("resume of a v1 journal: %v", err)
+	}
+	if _, _, err := mergeBytes([]string{path}, false); err == nil || !strings.Contains(err.Error(), "reunion-dist-journal/1") {
+		t.Fatalf("merge of a v1 journal: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc64"
@@ -14,33 +15,23 @@ import (
 	"reunion/internal/sweep"
 )
 
-// FormatV1 identifies the journal file format in the header line.
-const FormatV1 = "reunion-dist-journal/1"
+// Format identifies the journal file format in the header line.
+const Format = "reunion-dist-journal/2"
 
 // crcTable is the CRC-64 (ECMA) polynomial the footer checksum uses.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// header is the first line of a journal: which slice of which run the
+// header is the first line of a journal: which range of which run the
 // file holds, so resume and merge can refuse a journal written under a
-// different spec or plan.
+// different run or for a different range.
 type header struct {
-	Format      string `json:"format"`
-	Spec        string `json:"spec"`
-	Fingerprint uint64 `json:"fingerprint,omitempty"`
-	Shard       int    `json:"shard"`
-	NShards     int    `json:"nshards"`
-	Total       int    `json:"total"`
-	// Ranged journals (coordinator leases) pin their explicit slice
-	// bounds; absent on classic shard journals, so the framing stays
-	// FormatV1-compatible in both directions.
-	Ranged  bool `json:"ranged,omitempty"`
-	RangeLo int  `json:"range_lo,omitempty"`
-	RangeHi int  `json:"range_hi,omitempty"`
+	Format string `json:"format"`
+	Plan
 }
 
 // footer is the last line of a complete journal: the record count and
 // the CRC-64 of every payload byte (records including their newlines).
-// Its presence marks the shard finished; its checksum lets resume and
+// Its presence marks the range finished; its checksum lets resume and
 // merge distinguish "complete" from "complete-looking but corrupt".
 type footer struct {
 	Count int    `json:"count"`
@@ -55,47 +46,60 @@ type footerLine struct {
 	Footer *footer `json:"dist_footer"`
 }
 
-func (p Plan) header() header {
-	return header{Format: FormatV1, Spec: p.Spec, Fingerprint: p.Fingerprint,
-		Shard: p.Shard, NShards: p.NShards, Total: p.Total,
-		Ranged: p.Ranged, RangeLo: p.RangeLo, RangeHi: p.RangeHi}
+// readHeader reads a journal's header line and returns the plan it pins
+// and the line's byte length. io.EOF means there is no complete header
+// line; a journal of another format is an error that names the format.
+func readHeader(r *bufio.Reader) (Plan, int, error) {
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		return Plan{}, 0, err
+	}
+	var hl headerLine
+	if json.Unmarshal(line, &hl) != nil || hl.Header == nil {
+		return Plan{}, 0, errors.New("first line is not a journal header")
+	}
+	if f := hl.Header.Format; f != Format {
+		return Plan{}, 0, fmt.Errorf("journal format %q is not %q (re-run its range)", f, Format)
+	}
+	return hl.Header.Plan, len(line), hl.Header.validate()
 }
 
-// plan reconstructs the Plan a header pins — the slice identity merge
-// and resume verify records against.
-func (h header) plan() Plan {
-	return Plan{Spec: h.Spec, Fingerprint: h.Fingerprint, Total: h.Total,
-		Shard: h.Shard, NShards: h.NShards,
-		Ranged: h.Ranged, RangeLo: h.RangeLo, RangeHi: h.RangeHi}
-}
-
-func (h header) check(p Plan) error {
-	if h.Format != FormatV1 {
-		return fmt.Errorf("unsupported journal format %q", h.Format)
+// sameRun rejects a journal whose plan belongs to a different run than
+// want — merging or resuming streams of two experiments must fail
+// loudly.
+func sameRun(got, want Plan) error {
+	if got.Spec != want.Spec || got.Total != want.Total {
+		return fmt.Errorf("journal is from a different run: spec=%q total=%d, want spec=%q total=%d",
+			got.Spec, got.Total, want.Spec, want.Total)
 	}
-	if h.Ranged != p.Ranged || h.RangeLo != p.RangeLo || h.RangeHi != p.RangeHi {
-		return fmt.Errorf("journal is for %s, want %s", h.plan(), p)
-	}
-	if h.Spec != p.Spec || h.Shard != p.Shard || h.NShards != p.NShards || h.Total != p.Total {
-		return fmt.Errorf("journal is for spec=%q shard %d/%d total %d, want spec=%q shard %d/%d total %d",
-			h.Spec, h.Shard, h.NShards, h.Total, p.Spec, p.Shard, p.NShards, p.Total)
-	}
-	if h.Fingerprint != p.Fingerprint {
+	if got.Fingerprint != want.Fingerprint {
 		return fmt.Errorf("journal was written by a run with a different configuration (fingerprint %016x, want %016x) — same spec name and size, different flags",
-			h.Fingerprint, p.Fingerprint)
+			got.Fingerprint, want.Fingerprint)
 	}
 	return nil
 }
 
-// Journal is one shard's resumable results file. It implements
+// parseRecord extracts what the journal checks of a payload line: its
+// global index and whether it is an error record.
+func parseRecord(line []byte) (index int, failed, ok bool) {
+	var rec struct {
+		Index *int   `json:"index"`
+		Err   string `json:"err"`
+	}
+	if json.Unmarshal(line, &rec) != nil || rec.Index == nil {
+		return 0, false, false
+	}
+	return *rec.Index, rec.Err != "", true
+}
+
+// Journal is one range's resumable results file. It implements
 // sweep.Sink: records must arrive in the plan's index order (the order
 // the engines emit), each is appended as one JSONL payload line whose
 // bytes are exactly what the single-process JSONL sink would write, and
-// Finish seals the file with the checksummed footer once the slice is
+// Finish seals the file with the checksummed footer once the range is
 // complete. Close without Finish leaves the journal resumable.
 type Journal struct {
 	plan     Plan
-	path     string
 	f        *os.File
 	w        *bufio.Writer
 	crc      hash.Hash64
@@ -112,41 +116,36 @@ type Journal struct {
 }
 
 // Create starts a fresh journal at path (truncating any existing file)
-// and writes the header immediately, so even a shard killed before its
+// and writes the header immediately, so even a range killed before its
 // first record leaves a resumable file.
 func Create(path string, plan Plan) (*Journal, error) {
+	if err := plan.validate(); err != nil {
+		return nil, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{plan: plan, path: path, f: f, w: bufio.NewWriter(f), crc: crc64.New(crcTable)}
-	hb, err := json.Marshal(headerLine{Header: ptr(plan.header())})
+	hb, err := json.Marshal(headerLine{Header: &header{Format: Format, Plan: plan}})
+	if err == nil {
+		_, err = f.Write(append(hb, '\n'))
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	hb = append(hb, '\n')
-	if _, err := j.w.Write(hb); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := j.w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{plan: plan, f: f, w: bufio.NewWriter(f), crc: crc64.New(crcTable)}, nil
 }
 
 // Open resumes the journal at path: it validates the header against the
 // plan, replays the payload — verifying that record k carries global
-// index plan.Index(k) — and truncates the file back to the last complete
+// index plan.Lo+k — and truncates the file back to the last complete
 // record. A torn or index-mismatched tail (the kill-mid-record case) is
 // discarded and recomputed — safe, because every record is a pure
 // function of its index. A missing file starts fresh; a file whose
-// footer verifies is reported complete via Complete. A journal that
-// belongs to a different plan (wrong spec, shard, or total) or whose
-// footer contradicts its payload checksum is an error, never a silent
-// partial resume.
+// footer verifies is reported complete via Complete. A journal of
+// another format, run, or range, or whose footer contradicts its
+// payload, is an error, never a silent partial resume.
 func Open(path string, plan Plan) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
@@ -155,7 +154,7 @@ func Open(path string, plan Plan) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j, err := scan(f, path, plan)
+	j, err := resume(f, path, plan)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("dist: resume %s: %w", path, err)
@@ -163,10 +162,10 @@ func Open(path string, plan Plan) (*Journal, error) {
 	return j, nil
 }
 
-// scan replays an existing journal file and positions it for appending.
-func scan(f *os.File, path string, plan Plan) (*Journal, error) {
+// resume replays an existing journal file and positions it for appending.
+func resume(f *os.File, path string, plan Plan) (*Journal, error) {
 	r := bufio.NewReader(f)
-	headLine, err := r.ReadBytes('\n')
+	got, headLen, err := readHeader(r)
 	if err == io.EOF {
 		// No complete header (torn first line or empty file): start over.
 		f.Close()
@@ -175,56 +174,53 @@ func scan(f *os.File, path string, plan Plan) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hl headerLine
-	if err := json.Unmarshal(headLine, &hl); err != nil || hl.Header == nil {
-		return nil, fmt.Errorf("first line is not a journal header")
-	}
-	if err := hl.Header.check(plan); err != nil {
+	if err := sameRun(got, plan); err != nil {
 		return nil, err
 	}
-
-	st, err := replay(r, len(headLine), plan, false, nil)
+	if got != plan {
+		return nil, fmt.Errorf("journal is for %s, want %s", got, plan)
+	}
+	st, err := replay(r, plan, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(st.keep); err != nil {
+	keep := int64(headLen) + st.payload + st.footer
+	if err := f.Truncate(keep); err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(st.keep, io.SeekStart); err != nil {
+	if _, err := f.Seek(keep, io.SeekStart); err != nil {
 		return nil, err
 	}
-	return &Journal{plan: plan, path: path, f: f, w: bufio.NewWriter(f), crc: st.crc,
-		done: st.done, failed: st.failed, complete: st.complete}, nil
+	return &Journal{plan: plan, f: f, w: bufio.NewWriter(f), crc: st.crc,
+		done: st.done, failed: st.failed, complete: st.footer > 0}, nil
 }
 
 // replayState is what replay learned about a journal's body.
 type replayState struct {
 	done, failed int
 	crc          hash.Hash64
-	// keep is the byte length of the trustworthy prefix: header plus
-	// verified payload, plus the footer once complete.
-	keep     int64
-	complete bool
+	// payload is the byte length of the verified payload; footer is the
+	// byte length of the verified footer line, zero when there is none.
+	payload, footer int64
 }
 
-// replay walks a journal body (reader positioned just past the header,
-// whose byte length seeds keep), verifying every line against the plan:
-// payload records must carry consecutive slice indices, a footer must
-// match the payload's count and checksum and fill the whole slice, and
-// nothing may follow it. It is the ONE verifier behind both ends of the
-// journal contract — resume (strict=false: the walk stops at the first
-// torn or mismatched line and reports the verified prefix for
-// truncate-and-recompute) and merge (strict=true: any torn, mismatched,
-// or missing piece, including a missing footer, is an error) — so
-// "complete" and "corrupt" cannot mean different things to the two.
-// onPayload, when non-nil, receives each verified payload line.
-func replay(r *bufio.Reader, headerLen int, plan Plan, strict bool, onPayload func([]byte) error) (replayState, error) {
-	st := replayState{crc: crc64.New(crcTable), keep: int64(headerLen)}
+// replay walks a journal body (reader positioned just past the header),
+// verifying every line against the plan: payload records must carry
+// consecutive range indices, a footer must match the payload's count and
+// checksum and fill the whole range, and nothing may follow it. It is the
+// ONE verifier behind both ends of the journal contract — resume
+// (strict=false: the walk stops at the first torn or mismatched line and
+// reports the verified prefix for truncate-and-recompute) and merge
+// (strict=true: any torn, mismatched, or missing piece, including a
+// missing footer, is an error) — so "complete" and "corrupt" cannot mean
+// different things to the two.
+func replay(r *bufio.Reader, plan Plan, strict bool) (replayState, error) {
+	st := replayState{crc: crc64.New(crcTable)}
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
 			if strict {
-				return st, fmt.Errorf("journal has no footer (shard incomplete — run it to completion or -resume it first)")
+				return st, errors.New("journal has no footer (range incomplete — run it to completion or -resume it first)")
 			}
 			// A torn final line (or a clean kill): recompute from here.
 			return st, nil
@@ -235,7 +231,7 @@ func replay(r *bufio.Reader, headerLen int, plan Plan, strict bool, onPayload fu
 		var fl footerLine
 		if json.Unmarshal(line, &fl) == nil && fl.Footer != nil {
 			if _, err := r.Peek(1); err != io.EOF {
-				return st, fmt.Errorf("data after footer")
+				return st, errors.New("data after footer")
 			}
 			if fl.Footer.Count != st.done || fl.Footer.CRC64 != crcHex(st.crc) {
 				return st, fmt.Errorf("footer mismatch: footer says %d records crc %s, payload has %d records crc %s",
@@ -243,92 +239,66 @@ func replay(r *bufio.Reader, headerLen int, plan Plan, strict bool, onPayload fu
 			}
 			if st.done != plan.Count() {
 				// A footer consistent with its payload but short of the
-				// slice: sealed-but-incomplete fails at resume exactly as
+				// range: sealed-but-incomplete fails at resume exactly as
 				// it fails at merge.
-				return st, fmt.Errorf("journal sealed with %d records, shard slice needs %d", st.done, plan.Count())
+				return st, fmt.Errorf("journal sealed with %d records, its range needs %d", st.done, plan.Count())
 			}
-			st.keep += int64(len(line))
-			st.complete = true
+			st.footer = int64(len(line))
 			return st, nil
 		}
-		var rec struct {
-			Index *int   `json:"index"`
-			Err   string `json:"err"`
-		}
-		if st.done >= plan.Count() || json.Unmarshal(line, &rec) != nil || rec.Index == nil || *rec.Index != plan.Index(st.done) {
-			if strict {
-				if rec.Index == nil {
-					return st, fmt.Errorf("record %d is not a valid payload line", st.done)
-				}
-				return st, fmt.Errorf("record %d carries index %d, plan expects %d", st.done, *rec.Index, plan.Index(st.done))
+		index, failed, ok := parseRecord(line)
+		if !ok || st.done >= plan.Count() || index != plan.Lo+st.done {
+			if !strict {
+				// An intact line that is not the expected record: the tail
+				// is untrustworthy. Drop it and everything after; the
+				// records are deterministic, so recomputing is always safe.
+				return st, nil
 			}
-			// An intact line that is not the expected record: the tail is
-			// untrustworthy. Drop it and everything after; the records are
-			// deterministic, so recomputing is always safe.
-			return st, nil
-		}
-		if onPayload != nil {
-			if err := onPayload(line); err != nil {
-				return st, err
+			if !ok {
+				return st, fmt.Errorf("record %d is not a valid payload line", st.done)
 			}
+			return st, fmt.Errorf("record %d carries index %d, range expects %d", st.done, index, plan.Lo+st.done)
 		}
-		if rec.Err != "" {
+		if failed {
 			st.failed++
 		}
 		st.crc.Write(line)
-		st.keep += int64(len(line))
+		st.payload += int64(len(line))
 		st.done++
 	}
 }
 
-// OpenOrCreate resolves a CLI's -journal/-resume pair: Open (resume
-// from the last complete record) when resume is set, Create (start the
-// slice fresh, truncating any previous attempt) otherwise.
-func OpenOrCreate(path string, plan Plan, resume bool) (*Journal, error) {
-	if resume {
-		return Open(path, plan)
-	}
-	return Create(path, plan)
-}
-
-// OpenOrCreateObs is OpenOrCreate with telemetry attached: a resume's
-// header-validate-and-replay is wrapped in a "journal_replay" span, and
-// the returned journal counts its appended records and bytes under the
-// scope's registry. With a disabled scope it is exactly OpenOrCreate.
-func OpenOrCreateObs(path string, plan Plan, resume bool, sc obs.Scope) (*Journal, error) {
+// OpenOrCreate resolves a CLI's -journal/-resume pair: Open (resume from
+// the last complete record) when resume is set, Create (start the range
+// fresh, truncating any previous attempt) otherwise. With an enabled
+// scope a resume's replay runs in a "journal_replay" span, and the
+// journal counts its appended records and bytes.
+func OpenOrCreate(path string, plan Plan, resume bool, sc obs.Scope) (*Journal, error) {
+	open := Create
 	var sp *obs.Span
 	if resume {
+		open = Open
 		sp = sc.Trace.StartSpan("journal", "journal_replay",
-			obs.Arg{Key: "path", Val: path}, obs.Arg{Key: "shard", Val: plan.Shard})
+			obs.Arg{Key: "path", Val: path}, obs.Arg{Key: "range", Val: plan.String()})
 	}
-	j, err := OpenOrCreate(path, plan, resume)
+	j, err := open(path, plan)
 	if err != nil {
 		sp.End(obs.Arg{Key: "err", Val: true})
 		return nil, err
 	}
 	sp.End(obs.Arg{Key: "replayed", Val: j.done})
-	j.Observe(sc)
+	if m := sc.Metrics; m != nil {
+		j.recMetric = m.Counter("dist_journal_records_total", "Records appended to the journal.")
+		j.byteMetric = m.Counter("dist_journal_bytes_total", "Payload bytes appended to the journal.")
+		j.errMetric = m.Counter("dist_journal_error_records_total", "Error records appended to the journal.")
+	}
 	return j, nil
 }
 
-// Observe attaches telemetry to subsequent Writes: counters for records,
-// bytes, and error records appended, labeled with the journal's shard.
-func (j *Journal) Observe(sc obs.Scope) {
-	m := sc.Metrics
-	if m == nil {
-		return
-	}
-	shard := obs.L("shard", fmt.Sprintf("%d", j.plan.Shard))
-	j.recMetric = m.Counter("dist_journal_records_total", "Records appended to the shard journal.", shard)
-	j.byteMetric = m.Counter("dist_journal_bytes_total", "Payload bytes appended to the shard journal.", shard)
-	j.errMetric = m.Counter("dist_journal_error_records_total", "Error records appended to the shard journal.", shard)
-}
-
 // SealOrClose is the one correct way to put a journal down after a run:
-// a fully successful slice is sealed with its footer (Finish); any
+// a fully successful range is sealed with its footer (Finish); any
 // failure leaves the journal footerless — resumable — and the run's
-// error is returned unchanged. Both CLIs share this epilogue so the
-// sealing contract cannot drift between them.
+// error is returned unchanged.
 func SealOrClose(j *Journal, runErr error) error {
 	if runErr == nil {
 		return j.Finish()
@@ -337,93 +307,70 @@ func SealOrClose(j *Journal, runErr error) error {
 	return runErr
 }
 
-// Plan returns the slice this journal records.
-func (j *Journal) Plan() Plan { return j.plan }
-
-// Done returns the number of records already journaled; the shard's next
-// record must carry global index Plan().Index(Done()).
+// Done returns the number of records already journaled; the range's next
+// record must carry global index Plan.Lo+Done().
 func (j *Journal) Done() int { return j.done }
 
-// Remaining returns the shard's still-unjournaled global indices — what
-// a resumed shard passes to the engines.
+// Remaining returns the range's still-unjournaled global indices — what
+// a resumed range passes to the engines.
 func (j *Journal) Remaining() []int { return j.plan.Indices()[j.done:] }
 
 // Complete reports whether the journal carries a verified footer (the
-// shard finished; nothing to run).
+// range finished; nothing to run).
 func (j *Journal) Complete() bool { return j.complete }
 
 // Failed counts the journal's error records — runs that failed and were
 // journaled as deterministic error records, both in this process and in
 // the replayed prefix of a resumed journal. A CLI's exit code must
-// reflect the whole slice, not just the records run since the last
+// reflect the whole range, not just the records run since the last
 // resume.
 func (j *Journal) Failed() int { return j.failed }
 
-// Write appends one record. Records must arrive in the plan's index
-// order; anything else means the caller and the journal disagree about
-// the resume point, which must fail loudly rather than corrupt the file.
+// Write appends one record.
 func (j *Journal) Write(rec sweep.Record) error {
-	if j.closed || j.complete {
-		return fmt.Errorf("dist: write to %s journal", map[bool]string{true: "a completed", false: "a closed"}[j.complete])
-	}
-	if j.done >= j.plan.Count() {
-		return fmt.Errorf("dist: record %d past the shard's %d-record slice", rec.Index, j.plan.Count())
-	}
-	if want := j.plan.Index(j.done); rec.Index != want {
-		return fmt.Errorf("dist: out-of-order record: got index %d, want %d", rec.Index, want)
-	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	j.crc.Write(b)
-	if _, err := j.w.Write(b); err != nil {
-		return err
-	}
-	j.done++
-	if rec.Err != "" {
-		j.failed++
-		j.errMetric.Inc()
-	}
-	j.recMetric.Inc()
-	j.byteMetric.Add(int64(len(b)))
-	return nil
+	return j.append(rec.Index, rec.Err != "", append(b, '\n'))
 }
 
 // WriteLine appends one pre-encoded payload line — a single JSONL
 // record including its trailing newline, byte-for-byte as the producer
 // emitted it. The coordinator uses it to journal worker-streamed
 // records without a decode/re-encode round trip that could perturb the
-// bytes (float formatting, key order); the index-order discipline of
-// Write still applies, so a wrong, duplicated, or out-of-order line
-// fails loudly instead of corrupting the file.
+// bytes (float formatting, key order).
 func (j *Journal) WriteLine(line []byte) error {
+	if len(line) == 0 || bytes.IndexByte(line, '\n') != len(line)-1 {
+		return errors.New("dist: WriteLine needs exactly one newline-terminated record line")
+	}
+	index, failed, ok := parseRecord(line)
+	if !ok {
+		return errors.New("dist: WriteLine payload is not a record line")
+	}
+	return j.append(index, failed, line)
+}
+
+// append is the one append path behind Write and WriteLine. Records must
+// arrive in the plan's index order; anything else means the caller and
+// the journal disagree about the resume point, which must fail loudly
+// rather than corrupt the file.
+func (j *Journal) append(index int, failed bool, line []byte) error {
 	if j.closed || j.complete {
-		return fmt.Errorf("dist: write to %s journal", map[bool]string{true: "a completed", false: "a closed"}[j.complete])
-	}
-	if len(line) == 0 || line[len(line)-1] != '\n' || bytes.IndexByte(line, '\n') != len(line)-1 {
-		return fmt.Errorf("dist: WriteLine needs exactly one newline-terminated record line")
-	}
-	var rec struct {
-		Index *int   `json:"index"`
-		Err   string `json:"err"`
-	}
-	if err := json.Unmarshal(line, &rec); err != nil || rec.Index == nil {
-		return fmt.Errorf("dist: WriteLine payload is not a record line")
+		return errors.New("dist: write to a closed or completed journal")
 	}
 	if j.done >= j.plan.Count() {
-		return fmt.Errorf("dist: record %d past the shard's %d-record slice", *rec.Index, j.plan.Count())
+		return fmt.Errorf("dist: record %d past the journal's %d-record range", index, j.plan.Count())
 	}
-	if want := j.plan.Index(j.done); *rec.Index != want {
-		return fmt.Errorf("dist: out-of-order record: got index %d, want %d", *rec.Index, want)
+	if want := j.plan.Lo + j.done; index != want {
+		return fmt.Errorf("dist: out-of-order record: got index %d, want %d", index, want)
 	}
 	j.crc.Write(line)
 	if _, err := j.w.Write(line); err != nil {
 		return err
 	}
 	j.done++
-	if rec.Err != "" {
+	if failed {
 		j.failed++
 		j.errMetric.Inc()
 	}
@@ -432,12 +379,12 @@ func (j *Journal) WriteLine(line []byte) error {
 	return nil
 }
 
-// Finish seals a complete journal: it verifies every slice record was
+// Finish seals a complete journal: it verifies every range record was
 // written, appends the checksummed footer, and syncs and closes the
 // file. Finishing an already-complete journal just closes it.
 func (j *Journal) Finish() error {
 	if j.closed {
-		return fmt.Errorf("dist: Finish on a closed journal")
+		return errors.New("dist: Finish on a closed journal")
 	}
 	if !j.complete {
 		if j.done != j.plan.Count() {
@@ -447,8 +394,7 @@ func (j *Journal) Finish() error {
 		if err != nil {
 			return err
 		}
-		fb = append(fb, '\n')
-		if _, err := j.w.Write(fb); err != nil {
+		if _, err := j.w.Write(append(fb, '\n')); err != nil {
 			return err
 		}
 		j.complete = true
@@ -481,5 +427,3 @@ func (j *Journal) close(sync bool) error {
 }
 
 func crcHex(h hash.Hash64) string { return fmt.Sprintf("%016x", h.Sum64()) }
-
-func ptr[T any](v T) *T { return &v }

@@ -3,217 +3,294 @@ package dist
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"reunion/internal/obs"
 )
 
-// MergeInfo summarizes a successful merge.
-type MergeInfo struct {
-	Spec    string
-	NShards int
-	// Records is the number of payload records written — always the
-	// plan's Total on success.
-	Records int
+// Outcome values of a merge (Manifest.Outcome) and of a coordinated run.
+const (
+	// OutcomeSuccess: every record of the run verified and was written.
+	OutcomeSuccess = "success"
+	// OutcomePartial: the verified subset was written; Missing/Failed
+	// say which index ranges are not in the output and why.
+	OutcomePartial = "partial"
+	// OutcomeFailed: no record of the run verified.
+	OutcomeFailed = "failed"
+)
+
+// ExitCode maps an outcome to the process exit code every CLI that
+// reports one shares: 0 success, 3 partial, 1 failed.
+func ExitCode(outcome string) int {
+	switch outcome {
+	case OutcomeSuccess:
+		return 0
+	case OutcomePartial:
+		return 3
+	default:
+		return 1
+	}
 }
 
-// Merge validates the shard journals at paths and writes their records
-// to w in global index order, producing a stream byte-identical to the
-// single-process run. Paths may arrive in any order; the journals must
-// form exactly one complete shard set — same spec and total, nshards
-// equal to the number of paths, every shard present once, every journal
-// sealed by a verified footer. Ranged journals (coordinator leases) are
-// accepted under the same discipline: all journals must then be ranged,
-// from one run, and their ranges must tile [0, Total) exactly — no gap,
-// no overlap. Each record is verified as it is copied: the payload
-// index sequence must match the journal's slice and the payload bytes
-// must reproduce the footer checksum. On error the bytes already
-// written to w are meaningless; merge to a temporary destination.
-func Merge(w io.Writer, paths []string) (*MergeInfo, error) {
-	return MergeObs(w, paths, obs.Scope{})
+// IndexRange is a half-open [Lo, Hi) slice of the flattened index
+// space.
+type IndexRange struct {
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
-// MergeObs is Merge with telemetry: the scope, when enabled, wraps each
-// shard's verified copy in a "replay_shard" span and counts merged
-// records — it never touches the merged bytes. With a disabled scope it
-// is exactly Merge.
-func MergeObs(w io.Writer, paths []string, sc obs.Scope) (*MergeInfo, error) {
+// JournalFailure records one journal that was given to the merge but did
+// not survive verification — a torn file, a missing or contradicted
+// footer, an index-sequence break. Its range counts as missing from the
+// output.
+type JournalFailure struct {
+	Path  string     `json:"path"`
+	Range IndexRange `json:"range"`
+	Err   string     `json:"err"`
+}
+
+// Manifest is the machine-readable result of a merge: which ranges of
+// the run made it into the output, which did not, and why. The
+// coordinator writes one at its terminal outcome, and reunion-merge
+// -manifest emits one for operators reassembling journals by hand.
+type Manifest struct {
+	Spec        string `json:"spec"`
+	Fingerprint string `json:"fingerprint"`
+	Total       int    `json:"total"`
+	// Records is the number of verified records written to the output.
+	Records int    `json:"records"`
+	Outcome string `json:"outcome"` // "success" | "partial" | "failed"
+	// Missing lists the index ranges absent from the output, coalesced
+	// and in ascending order — no journal covered them, or the covering
+	// journal failed verification.
+	Missing []IndexRange `json:"missing,omitempty"`
+	// Failed lists the given journals that failed verification.
+	Failed []JournalFailure `json:"failed,omitempty"`
+}
+
+// Success reports whether the merge covered the whole run.
+func (m *Manifest) Success() bool { return m.Outcome == OutcomeSuccess }
+
+// WriteFile writes the manifest as indented JSON via a temporary file
+// and rename, so a crashed writer never leaves a torn manifest — the
+// file's whole point is to be trusted by tooling.
+func (m *Manifest) WriteFile(path string) error {
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
+}
+
+// incomplete explains why a strict merge refused a manifest.
+func (m *Manifest) incomplete() error {
+	var why []string
+	for _, f := range m.Failed {
+		why = append(why, fmt.Sprintf("%s: %s", f.Path, f.Err))
+	}
+	for _, r := range m.Missing {
+		why = append(why, fmt.Sprintf("range [%d,%d) missing", r.Lo, r.Hi))
+	}
+	return fmt.Errorf("dist: incomplete merge (%d of %d records verified): %s",
+		m.Records, m.Total, strings.Join(why, "; "))
+}
+
+// member is one verified journal: its range and where its payload lies.
+type member struct {
+	path    string
+	plan    Plan
+	start   int64 // payload offset (the header's length)
+	payload int64
+	crc     uint64
+}
+
+// Merge reassembles range journals into one stream byte-identical to the
+// single-process run and returns a Manifest accounting for every index
+// of [0, Total). Paths may arrive in any order.
+//
+// It first verifies every journal end to end — header against the run
+// the first journal names, every record against the journal's range,
+// payload against the footer — and checks that the verified ranges do
+// not overlap; the gaps between them are the manifest's missing ranges.
+// Then it copies the verified payloads in index order through one
+// buffered writer into a temporary file beside out, renamed into place
+// at the end (out "" writes no file), and into tee when non-nil.
+//
+// The error split is deliberate: a journal that is individually broken
+// (torn, unsealed, checksum-contradicted) is reported in the manifest
+// and its range counted missing — the "partial" outcome a caller can
+// act on. A contradictory set — zero journals, a journal of another
+// format or run, two verified journals claiming overlapping ranges — is
+// an error, because no output could be trusted. strict turns every
+// outcome but success into an error too (returned with the manifest
+// that explains it), and then nothing is written. A merge that verifies
+// no record writes no file. On any other error the bytes already given
+// to tee are meaningless.
+func Merge(out string, paths []string, strict bool, tee io.Writer, sc obs.Scope) (*Manifest, error) {
+	sp := sc.Trace.StartSpan("merge", "merge",
+		obs.Arg{Key: "out", Val: out}, obs.Arg{Key: "journals", Val: len(paths)})
+	m, err := merge(out, paths, strict, tee, sc)
+	sp.End(obs.Arg{Key: "err", Val: err != nil})
+	return m, err
+}
+
+func merge(out string, paths []string, strict bool, tee io.Writer, sc obs.Scope) (*Manifest, error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("dist: merge of zero journals")
+		return nil, errors.New("dist: merge of zero journals")
 	}
-	shards := make([]*shardFile, 0, len(paths))
-	defer func() {
-		for _, s := range shards {
-			s.f.Close()
-		}
-	}()
-	for _, path := range paths {
-		s, err := openShard(path)
+	var run Plan
+	var ok []member
+	m := &Manifest{}
+	for i, path := range paths {
+		mem, verr, err := verify(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dist: %s: %w", path, err)
 		}
-		shards = append(shards, s)
+		if i == 0 {
+			run = mem.plan
+		} else if err := sameRun(mem.plan, run); err != nil {
+			return nil, fmt.Errorf("dist: %s: %w", path, err)
+		}
+		if verr != nil {
+			m.Failed = append(m.Failed, JournalFailure{Path: path,
+				Range: IndexRange{mem.plan.Lo, mem.plan.Hi}, Err: verr.Error()})
+			continue
+		}
+		ok = append(ok, mem)
 	}
 
-	first := shards[0].head
-	for _, s := range shards {
-		if err := sameRun(s, first); err != nil {
-			return nil, err
+	// Tiling: verified ranges must not overlap (a corrupt set), and the
+	// gaps between them are what the output is missing.
+	sort.Slice(ok, func(i, j int) bool { return ok[i].plan.Lo < ok[j].plan.Lo })
+	m.Spec, m.Fingerprint, m.Total = run.Spec, fmt.Sprintf("%016x", run.Fingerprint), run.Total
+	next := 0
+	for _, mem := range ok {
+		if mem.plan.Count() == 0 {
+			continue // an empty static shard covers nothing
 		}
+		if mem.plan.Lo < next {
+			return nil, fmt.Errorf("dist: %s %s overlaps another verified journal's range ending at %d",
+				mem.path, mem.plan, next)
+		}
+		if mem.plan.Lo > next {
+			m.Missing = append(m.Missing, IndexRange{next, mem.plan.Lo})
+		}
+		next = mem.plan.Hi
+		m.Records += mem.plan.Count()
 	}
-	var bySlot []*shardFile
+	if next < run.Total {
+		m.Missing = append(m.Missing, IndexRange{next, run.Total})
+	}
+	switch {
+	case len(m.Missing) == 0 && len(m.Failed) == 0:
+		m.Outcome = OutcomeSuccess
+	case m.Records > 0:
+		m.Outcome = OutcomePartial
+	default:
+		m.Outcome = OutcomeFailed
+	}
+	if strict && !m.Success() {
+		return m, m.incomplete()
+	}
+	if m.Records == 0 && !m.Success() {
+		return m, nil
+	}
+
+	copyAll := func(w io.Writer) error {
+		if tee != nil {
+			w = io.MultiWriter(w, tee)
+		}
+		var recs *obs.Counter
+		if reg := sc.Metrics; reg != nil {
+			recs = reg.Counter("dist_merge_records_total", "Records copied into the merged stream.")
+		}
+		for _, mem := range ok {
+			csp := sc.Trace.StartSpan("merge", "copy_journal",
+				obs.Arg{Key: "path", Val: mem.path}, obs.Arg{Key: "range", Val: mem.plan.String()})
+			err := mem.copyTo(w)
+			csp.End(obs.Arg{Key: "records", Val: mem.plan.Count()}, obs.Arg{Key: "err", Val: err != nil})
+			if err != nil {
+				return err
+			}
+			recs.Add(int64(mem.plan.Count()))
+		}
+		return nil
+	}
 	var err error
-	if first.Ranged {
-		bySlot, err = orderRanged(shards, first.Total)
+	if out == "" {
+		err = copyAll(io.Discard)
 	} else {
-		bySlot, err = orderShards(shards, first.NShards, len(paths))
+		err = writeAtomic(out, copyAll)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	var recCounter *obs.Counter
-	if m := sc.Metrics; m != nil {
-		recCounter = m.Counter("dist_merge_records_total", "Records copied into the merged stream.")
-	}
-	records := 0
-	for _, s := range bySlot {
-		sp := sc.Trace.StartSpan("merge", "replay_shard",
-			obs.Arg{Key: "path", Val: s.path}, obs.Arg{Key: "shard", Val: s.head.Shard})
-		n, err := s.copyVerified(w)
-		sp.End(obs.Arg{Key: "records", Val: n}, obs.Arg{Key: "err", Val: err != nil})
-		if err != nil {
-			return nil, fmt.Errorf("dist: %s: %w", s.path, err)
-		}
-		recCounter.Add(int64(n))
-		records += n
-	}
-	if records != first.Total {
-		// Unreachable if every per-shard verification passed (the plans
-		// tile [0,Total)), kept as a last-line invariant check.
-		return nil, fmt.Errorf("dist: merged %d records, plan total is %d", records, first.Total)
-	}
-	nshards := first.NShards
-	if first.Ranged {
-		nshards = len(bySlot)
-	}
-	return &MergeInfo{Spec: first.Spec, NShards: nshards, Records: records}, nil
+	return m, nil
 }
 
-// sameRun rejects a journal from a different run than the reference
-// header — merging streams of two experiments must fail loudly.
-func sameRun(s *shardFile, first header) error {
-	if s.head.Spec != first.Spec || s.head.Total != first.Total ||
-		s.head.Ranged != first.Ranged || (!first.Ranged && s.head.NShards != first.NShards) {
-		return fmt.Errorf("dist: %s is from a different run: spec=%q shards=%d total=%d, want spec=%q shards=%d total=%d",
-			s.path, s.head.Spec, s.head.NShards, s.head.Total, first.Spec, first.NShards, first.Total)
+// verify opens the journal at path and checks it end to end. A journal
+// that cannot be placed in the run — unreadable, no header, another
+// format — is an error; one that can but whose body does not verify
+// comes back with its plan and the verification error.
+func verify(path string) (mem member, verr, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return mem, nil, err
 	}
-	if s.head.Fingerprint != first.Fingerprint {
-		return fmt.Errorf("dist: %s was written by a run with a different configuration (fingerprint %016x vs %016x) — same spec name and size, different flags",
-			s.path, s.head.Fingerprint, first.Fingerprint)
+	defer f.Close()
+	r := bufio.NewReader(f)
+	plan, headLen, err := readHeader(r)
+	if err == io.EOF {
+		err = errors.New("no journal header")
+	}
+	if err != nil {
+		return mem, nil, err
+	}
+	st, verr := replay(r, plan, true)
+	return member{path: path, plan: plan, start: int64(headLen), payload: st.payload, crc: st.crc.Sum64()}, verr, nil
+}
+
+// copyTo copies the journal's verified payload bytes to w, checking them
+// against the checksum verify computed: a file that changed since it was
+// verified fails rather than leaking unverified bytes into the output.
+func (mem member) copyTo(w io.Writer) error {
+	f, err := os.Open(mem.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	crc := crc64.New(crcTable)
+	if _, err := io.Copy(io.MultiWriter(w, crc), io.NewSectionReader(f, mem.start, mem.payload)); err != nil {
+		return err
+	}
+	if crc.Sum64() != mem.crc {
+		return fmt.Errorf("dist: %s changed between verification and copy", mem.path)
 	}
 	return nil
 }
 
-// orderShards places classic shard journals into their slots: nshards
-// journals, every shard present exactly once.
-func orderShards(shards []*shardFile, nshards, given int) ([]*shardFile, error) {
-	// The shard-count check precedes the slot allocation: NShards comes
-	// from a file header, so it must bound the journals actually given
-	// before it sizes anything.
-	if given != nshards {
-		return nil, fmt.Errorf("dist: run has %d shards but %d journals given", nshards, given)
-	}
-	bySlot := make([]*shardFile, nshards)
-	for _, s := range shards {
-		if s.head.Shard < 0 || s.head.Shard >= nshards {
-			return nil, fmt.Errorf("dist: %s claims shard %d of %d", s.path, s.head.Shard, nshards)
-		}
-		if bySlot[s.head.Shard] != nil {
-			return nil, fmt.Errorf("dist: shard %d appears twice: %s and %s",
-				s.head.Shard, bySlot[s.head.Shard].path, s.path)
-		}
-		bySlot[s.head.Shard] = s
-	}
-	for i, s := range bySlot {
-		if s == nil {
-			return nil, fmt.Errorf("dist: shard %d journal missing", i)
-		}
-	}
-	return bySlot, nil
-}
-
-// orderRanged sorts ranged journals by their lower bound and requires
-// them to tile [0, total) exactly: the first range starts at 0, each
-// range starts where the previous ended, the last ends at total. A gap
-// means a lease never completed; an overlap means two leases claim the
-// same records — both must fail the merge, never silently drop or
-// duplicate records.
-func orderRanged(shards []*shardFile, total int) ([]*shardFile, error) {
-	ordered := append([]*shardFile(nil), shards...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].head.RangeLo != ordered[j].head.RangeLo {
-			return ordered[i].head.RangeLo < ordered[j].head.RangeLo
-		}
-		return ordered[i].head.RangeHi < ordered[j].head.RangeHi
-	})
-	next := 0
-	for _, s := range ordered {
-		lo, hi := s.head.RangeLo, s.head.RangeHi
-		if lo < 0 || hi > total || lo >= hi {
-			return nil, fmt.Errorf("dist: %s claims invalid range [%d,%d) of total %d", s.path, lo, hi, total)
-		}
-		if lo < next {
-			return nil, fmt.Errorf("dist: %s range [%d,%d) overlaps the previous range ending at %d", s.path, lo, hi, next)
-		}
-		if lo > next {
-			return nil, fmt.Errorf("dist: range [%d,%d) journal missing", next, lo)
-		}
-		next = hi
-	}
-	if next != total {
-		return nil, fmt.Errorf("dist: range [%d,%d) journal missing", next, total)
-	}
-	return ordered, nil
-}
-
-// MergeFile merges into outPath via a temporary file in the same
-// directory, renaming over the destination only on success, so a failed
-// merge never leaves a truncated or half-verified results file behind.
-// A non-nil tee additionally receives the merged bytes as they are
-// written (a digest, a progress meter) without a second read of the
-// output file.
-func MergeFile(outPath string, paths []string, tee io.Writer) (*MergeInfo, error) {
-	return MergeFileObs(outPath, paths, tee, obs.Scope{})
-}
-
-// MergeFileObs is MergeFile with telemetry: the whole merge runs inside
-// a "merge" span and each shard's verified copy gets its own span (see
-// MergeObs). With a disabled scope it is exactly MergeFile.
-func MergeFileObs(outPath string, paths []string, tee io.Writer, sc obs.Scope) (*MergeInfo, error) {
-	sp := sc.Trace.StartSpan("merge", "merge",
-		obs.Arg{Key: "out", Val: outPath}, obs.Arg{Key: "shards", Val: len(paths)})
-	info, err := mergeFileObs(outPath, paths, tee, sc)
-	sp.End(obs.Arg{Key: "err", Val: err != nil})
-	return info, err
-}
-
-func mergeFileObs(outPath string, paths []string, tee io.Writer, sc obs.Scope) (*MergeInfo, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(outPath), filepath.Base(outPath)+".merge-*")
+// writeAtomic writes path through one buffered writer into a temporary
+// file in the same directory, renamed over path only when write and the
+// flush and sync all succeed, so a failed writer never leaves a
+// truncated or half-verified file behind.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	var w io.Writer = bw
-	if tee != nil {
-		w = io.MultiWriter(bw, tee)
-	}
-	info, err := MergeObs(w, paths, sc)
+	err = write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -224,55 +301,7 @@ func mergeFileObs(outPath string, paths []string, tee io.Writer, sc obs.Scope) (
 		err = cerr
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := os.Rename(tmp.Name(), outPath); err != nil {
-		return nil, err
-	}
-	return info, nil
-}
-
-// shardFile is one journal being merged: header parsed, reader
-// positioned at the first payload line.
-type shardFile struct {
-	path string
-	f    *os.File
-	r    *bufio.Reader
-	head header
-}
-
-func openShard(path string) (*shardFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dist: %s: reading header: %w", path, err)
-	}
-	var hl headerLine
-	if err := json.Unmarshal(line, &hl); err != nil || hl.Header == nil {
-		f.Close()
-		return nil, fmt.Errorf("dist: %s is not a shard journal (bad header line)", path)
-	}
-	if hl.Header.Format != FormatV1 {
-		f.Close()
-		return nil, fmt.Errorf("dist: %s: unsupported journal format %q", path, hl.Header.Format)
-	}
-	return &shardFile{path: path, f: f, r: r, head: *hl.Header}, nil
-}
-
-// copyVerified streams the shard's payload to w through the shared
-// journal verifier (replay in strict mode): every record's index is
-// checked against the shard's plan slice, the whole payload against the
-// footer checksum, and a missing or short footer is an error. It
-// returns the number of records copied.
-func (s *shardFile) copyVerified(w io.Writer) (int, error) {
-	st, err := replay(s.r, 0, s.head.plan(), true, func(line []byte) error {
-		_, werr := w.Write(line)
-		return werr
-	})
-	return st.done, err
+	return os.Rename(tmp.Name(), path)
 }

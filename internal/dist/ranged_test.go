@@ -4,51 +4,51 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// mustRange builds a ranged plan or fails the test.
-func mustRange(t *testing.T, total, lo, hi int) Plan {
-	t.Helper()
-	p, err := NewRange("t", total, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+	"reunion/internal/obs"
+)
 
 // writeRange journals [lo,hi) of a total-index run and seals it.
 func writeRange(t *testing.T, path string, total, lo, hi int, fp uint64) {
 	t.Helper()
-	p := mustRange(t, total, lo, hi)
+	p, err := NewPlan("t", total, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Fingerprint = fp
 	writeShard(t, path, p)
 }
 
+// A coordinator lease is a plan over an explicit slice [lo,hi) of the
+// run: NewPlan refuses slices outside [0,total) and the plan's
+// arithmetic enumerates exactly the slice.
 func TestNewRangeValidates(t *testing.T) {
 	for _, bad := range []struct{ total, lo, hi int }{
-		{-1, 0, 1}, {10, -1, 3}, {10, 3, 11}, {10, 5, 5}, {10, 7, 3},
+		{-1, 0, 1}, {10, -1, 3}, {10, 3, 11}, {10, 7, 3},
 	} {
-		if _, err := NewRange("t", bad.total, bad.lo, bad.hi); err == nil {
-			t.Errorf("NewRange(total=%d, [%d,%d)) accepted", bad.total, bad.lo, bad.hi)
+		if _, err := NewPlan("t", bad.total, bad.lo, bad.hi); err == nil {
+			t.Errorf("NewPlan(total=%d, [%d,%d)) accepted", bad.total, bad.lo, bad.hi)
 		}
 	}
-	p := mustRange(t, 10, 3, 7)
-	if p.Lo() != 3 || p.Hi() != 7 || p.Count() != 4 || p.Index(0) != 3 || !p.Owns(6) || p.Owns(7) {
+	p, err := NewPlan("t", 10, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Count() != 4 || len(p.Indices()) != 4 || p.Indices()[0] != 3 || p.Indices()[3] != 6 {
 		t.Fatalf("ranged plan arithmetic wrong: %+v", p)
 	}
-	if got := p.String(); got != "range [3,7)" {
+	if got := p.String(); got != "range [3,7) of 10" {
 		t.Fatalf("String() = %q", got)
 	}
 }
 
-// A set of ranged journals tiling [0,Total) merges to the exact
-// single-process stream — the coordinator's terminal byte-identity
-// invariant, at the dist layer.
+// A set of range journals of any sizes tiling [0,Total) merges to the
+// exact single-process stream — the coordinator's terminal
+// byte-identity invariant, at the dist layer.
 func TestRangedMergeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	const total = 11
@@ -62,16 +62,15 @@ func TestRangedMergeByteIdentical(t *testing.T) {
 	// Shuffle the order: merge must order by range, not by argument.
 	paths[0], paths[2] = paths[2], paths[0]
 
-	var got bytes.Buffer
-	info, err := Merge(&got, paths)
+	m, got, err := mergeBytes(paths, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != total || info.NShards != len(bounds) {
-		t.Fatalf("info = %+v", info)
+	if m.Records != total || !m.Success() {
+		t.Fatalf("manifest = %+v", m)
 	}
-	if want := refBytes(t, total); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("ranged merge differs from single-process stream:\n%s\nwant:\n%s", got.Bytes(), want)
+	if want := refBytes(t, total); !bytes.Equal(got, want) {
+		t.Fatalf("ranged merge differs from single-process stream:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -88,29 +87,24 @@ func TestRangedMergeRejectsGapsOverlapsAndMixes(t *testing.T) {
 	overlap := mk("o.jsonl", 3, 6)
 	short := mk("s.jsonl", 4, 9)
 
-	if _, err := Merge(io.Discard, []string{a, short}); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, _, err := mergeBytes([]string{a, short}, true); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("gap accepted: %v", err)
 	}
-	if _, err := Merge(io.Discard, []string{a, overlap, b}); err == nil || !strings.Contains(err.Error(), "overlap") {
+	if _, _, err := mergeBytes([]string{a, overlap, b}, true); err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("overlap accepted: %v", err)
 	}
 
-	// Mixing a ranged journal into a classic shard set must fail.
-	classic := filepath.Join(dir, "shard.jsonl")
-	p, err := NewPlan("t", total, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Fingerprint = 7
-	writeShard(t, classic, p)
-	if _, err := Merge(io.Discard, []string{classic, b}); err == nil || !strings.Contains(err.Error(), "different run") {
-		t.Errorf("classic/ranged mix accepted: %v", err)
+	// A journal of a different-sized run mixed in must fail.
+	bigger := filepath.Join(dir, "bigger.jsonl")
+	writeRange(t, bigger, total+1, 4, 11, 7)
+	if _, _, err := mergeBytes([]string{a, bigger}, false); err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Errorf("different-run mix accepted: %v", err)
 	}
 
-	// A ranged journal from a differently-configured run must fail.
+	// A journal from a differently-configured run must fail.
 	alien := filepath.Join(dir, "alien.jsonl")
 	writeRange(t, alien, total, 0, 4, 8)
-	if _, err := Merge(io.Discard, []string{alien, b}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, _, err := mergeBytes([]string{alien, b}, false); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("fingerprint mismatch accepted: %v", err)
 	}
 }
@@ -120,7 +114,10 @@ func TestRangedMergeRejectsGapsOverlapsAndMixes(t *testing.T) {
 // indistinguishable from one written record by record.
 func TestWriteLineByteIdenticalAndOrdered(t *testing.T) {
 	dir := t.TempDir()
-	p := mustRange(t, 9, 3, 7)
+	p, err := NewPlan("t", 9, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Reference: the same range journaled via Write.
 	ref := filepath.Join(dir, "ref.jsonl")
@@ -151,7 +148,7 @@ func TestWriteLineByteIdenticalAndOrdered(t *testing.T) {
 		}
 	}
 	if err := j.WriteLine(lines[7]); err == nil {
-		t.Fatal("line past the slice accepted")
+		t.Fatal("line past the range accepted")
 	}
 	if err := j.Finish(); err != nil {
 		t.Fatal(err)
@@ -164,7 +161,7 @@ func TestWriteLineByteIdenticalAndOrdered(t *testing.T) {
 	}
 }
 
-// The partial merge writes every verified slice, and the manifest
+// A non-strict merge writes every verified range, and the manifest
 // accounts for exactly the rest.
 func TestMergePartialManifest(t *testing.T) {
 	dir := t.TempDir()
@@ -186,8 +183,7 @@ func TestMergePartialManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var out bytes.Buffer
-	m, err := MergePartial(&out, []string{a, c, bad})
+	m, out, err := mergeBytes([]string{a, c, bad}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,19 +197,29 @@ func TestMergePartialManifest(t *testing.T) {
 	if len(m.Missing) != 2 || m.Missing[0] != wantMissing[0] || m.Missing[1] != wantMissing[1] {
 		t.Errorf("missing = %+v, want %+v", m.Missing, wantMissing)
 	}
-	if len(m.Failed) != 1 || m.Failed[0].Path != bad || m.Failed[0].Slic != (IndexRange{10, 12}) {
+	if len(m.Failed) != 1 || m.Failed[0].Path != bad || m.Failed[0].Range != (IndexRange{10, 12}) {
 		t.Errorf("failed = %+v", m.Failed)
 	}
 
-	// The output holds exactly the verified slices, in index order.
+	// The output holds exactly the verified ranges, in index order.
 	var want bytes.Buffer
 	all := refBytes(t, total)
 	lines := bytes.SplitAfter(all, []byte("\n"))
 	for _, i := range []int{0, 1, 2, 3, 8, 9} {
 		want.Write(lines[i])
 	}
-	if !bytes.Equal(out.Bytes(), want.Bytes()) {
-		t.Fatalf("partial output:\n%s\nwant:\n%s", out.Bytes(), want.Bytes())
+	if !bytes.Equal(out, want.Bytes()) {
+		t.Fatalf("partial output:\n%s\nwant:\n%s", out, want.Bytes())
+	}
+
+	// The same set merged strictly is an error that names the holes.
+	if _, _, err := mergeBytes([]string{a, c, bad}, true); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("strict merge of a partial set: %v", err)
+	}
+
+	// Nothing verified: the outcome is failed.
+	if m, _, err := mergeBytes([]string{bad}, false); err != nil || m.Outcome != OutcomeFailed || m.Records != 0 {
+		t.Errorf("all-failed set: %+v, %v", m, err)
 	}
 
 	// A complete set reports success with an empty accounting.
@@ -221,22 +227,21 @@ func TestMergePartialManifest(t *testing.T) {
 	d := filepath.Join(dir, "d.jsonl")
 	writeRange(t, b, total, 4, 8, 7)
 	writeRange(t, d, total, 10, 12, 7)
-	out.Reset()
-	m, err = MergePartial(&out, []string{a, b, c, d})
+	m, out, err = mergeBytes([]string{a, b, c, d}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Success() || m.Records != total || len(m.Missing) != 0 || len(m.Failed) != 0 {
 		t.Fatalf("complete set: %+v", m)
 	}
-	if !bytes.Equal(out.Bytes(), all) {
-		t.Fatal("complete partial merge is not the single-process stream")
+	if !bytes.Equal(out, all) {
+		t.Fatal("complete non-strict merge is not the single-process stream")
 	}
 
 	// Overlapping verified journals are a corrupt set, not a partial one.
 	o := filepath.Join(dir, "o.jsonl")
 	writeRange(t, o, total, 2, 6, 7)
-	if _, err := MergePartial(io.Discard, []string{a, o}); err == nil || !strings.Contains(err.Error(), "overlap") {
+	if _, _, err := mergeBytes([]string{a, o}, false); err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("overlapping set: %v", err)
 	}
 }
@@ -249,18 +254,22 @@ func TestMergePartialFileWritesManifest(t *testing.T) {
 
 	out := filepath.Join(dir, "merged.jsonl")
 	manifest := filepath.Join(dir, "merged.manifest.json")
-	m, err := MergePartialFile(out, manifest, []string{a}, nil)
+	m, err := Merge(out, []string{a}, false, nil, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Outcome != OutcomePartial || m.Records != 4 {
 		t.Fatalf("manifest = %+v", m)
 	}
+	if err := m.WriteFile(manifest); err != nil {
+		t.Fatal(err)
+	}
 	ob, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := refBytes(t, total)[:lenOfLines(t, total, 4)]; !bytes.Equal(ob, want) {
+	lines := bytes.SplitAfter(refBytes(t, total), []byte("\n"))
+	if want := bytes.Join(lines[:4], nil); !bytes.Equal(ob, want) {
 		t.Fatalf("partial file content:\n%s\nwant:\n%s", ob, want)
 	}
 	mb, err := os.ReadFile(manifest)
@@ -274,16 +283,4 @@ func TestMergePartialFileWritesManifest(t *testing.T) {
 	if back.Outcome != OutcomePartial || len(back.Missing) != 1 || back.Missing[0] != (IndexRange{4, 6}) {
 		t.Fatalf("manifest round trip: %+v", back)
 	}
-}
-
-// lenOfLines returns the byte length of the first n lines of the
-// single-process stream for [0,total).
-func lenOfLines(t *testing.T, total, n int) int {
-	t.Helper()
-	lines := bytes.SplitAfter(refBytes(t, total), []byte("\n"))
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += len(lines[i])
-	}
-	return sum
 }

@@ -152,15 +152,11 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 
 	// One 2-shard slice of the matrix, journaled twice: telemetry off and
-	// a full scope through OpenOrCreateObs + Runner.Obs. The journal files
+	// a full scope through OpenOrCreate + Runner.Obs. The journal files
 	// (header, records, checksummed footer) must be byte-identical.
 	writeJournal := func(path string, sc obs.Scope) {
 		t.Helper()
-		plan, err := dist.NewPlan(spec.Name, spec.Size(), 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jnl, err := dist.OpenOrCreateObs(path, plan, false, sc)
+		jnl, err := dist.OpenOrCreate(path, shardPlan(t, spec.Name, spec.Size(), 0, 2), false, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
