@@ -5,8 +5,9 @@ package reunion
 // sequential-consistency result. Each benchmark regenerates its result
 // rows (visible with -v via b.Logf) and reports the headline number as a
 // custom metric, so `go test -bench=. -benchmem` reproduces the whole
-// evaluation at quick-campaign scale. cmd/reunion-bench runs the same
-// experiments at paper scale.
+// evaluation at quick-campaign scale. cmd/reunion-bench prints the same
+// experiments as tables (-full for paper scale). The simulator's host
+// speed is measured by the repository benchmark in bench/, not here.
 
 import (
 	"strings"

@@ -4,20 +4,22 @@
 //
 // Usage:
 //
-//	reunion-bench [-experiment all|config|workloads|fig5|fig6a|fig6b|table3|fig7a|fig7b|sc|interval|rob|topology|throughput|snapshot|ckptstore] [-full] [-bench-out BENCH_kernel.json] [-snapshot-out BENCH_snapshot.json] [-ckptstore-out BENCH_ckptstore.json]
-//	reunion-bench -compare [-threshold 0.10] OLD.json NEW.json
+//	reunion-bench [-experiment all|config|workloads|fig5|fig6a|fig6b|table3|fig7a|fig7b|sc|interval|rob|topology] [-full]
 //
 // -full uses the paper-scale sampling methodology (3 matched seeds,
 // 100k/50k-cycle windows, 400k-cycle event windows); the default quick
-// campaign finishes in a few minutes.
+// campaign finishes in a few minutes. Host performance is measured by the
+// repository benchmark in bench/, not here.
+//
+// Exit codes: 0 success, 1 an experiment failed, 2 usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"strings"
 	"time"
 
 	"reunion"
@@ -26,154 +28,116 @@ import (
 	"reunion/internal/workload"
 )
 
-func main() {
-	exp := flag.String("experiment", "all", "which experiment to run")
-	full := flag.Bool("full", false, "paper-scale campaign (slower)")
-	benchOut := flag.String("bench-out", "BENCH_kernel.json",
-		"throughput trajectory file written by -experiment throughput")
-	snapOut := flag.String("snapshot-out", "BENCH_snapshot.json",
-		"warm-reuse trajectory file written by -experiment snapshot")
-	ckptOut := flag.String("ckptstore-out", "BENCH_ckptstore.json",
-		"shared-store fleet trajectory file written by -experiment ckptstore")
-	obsFlags := cliconf.RegisterObs(flag.CommandLine).WithHeartbeat(flag.CommandLine)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-	compare := flag.Bool("compare", false,
-		"compare two trajectory files: reunion-bench -compare OLD.json NEW.json (exits 1 on regression)")
-	threshold := flag.Float64("threshold", 0.10,
-		"with -compare, the fractional regression that fails the comparison")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: reunion-bench -compare [-threshold 0.10] OLD.json NEW.json")
-			os.Exit(2)
+// run is the whole command behind main, returning its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reunion-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("experiment", "all", "which experiment to run")
+	full := fs.Bool("full", false, "paper-scale campaign (slower)")
+	obsFlags := cliconf.RegisterObs(fs).WithHeartbeat(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		code, err := runCompare(flag.Arg(0), flag.Arg(1), *threshold, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: compare: %v\n", err)
-		}
-		os.Exit(code)
+		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: memprofile: %v\n", err)
-			}
-		}()
-	}
-
-	cfg := reunion.QuickExp(os.Stdout)
+	cfg := reunion.QuickExp(stdout)
 	if *full {
-		cfg = reunion.FullExp(os.Stdout)
+		cfg = reunion.FullExp(stdout)
 	}
-	// Telemetry is a pure observer: experiment tables and trajectory files
-	// are byte-identical with or without these flags.
+	// The tables and figures, in the order -experiment all runs them.
+	experiments := []struct {
+		name string
+		run  func() error
+	}{
+		{"config", func() error { printConfig(stdout); return nil }},
+		{"workloads", func() error { printWorkloads(stdout); return nil }},
+		{"fig5", func() error { _, err := cfg.Figure5(); return err }},
+		{"fig6a", func() error { _, err := cfg.Figure6(reunion.ModeStrict); return err }},
+		{"fig6b", func() error { _, err := cfg.Figure6(reunion.ModeReunion); return err }},
+		{"table3", func() error { _, err := cfg.Table3(); return err }},
+		{"fig7a", func() error { _, err := cfg.Figure7a(); return err }},
+		{"fig7b", func() error { _, err := cfg.Figure7b(); return err }},
+		{"sc", func() error { _, err := cfg.SCExperiment(); return err }},
+		{"interval", func() error { _, err := cfg.FPIntervalAblation(); return err }},
+		{"rob", func() error { _, err := cfg.ROBSweep(); return err }},
+		{"topology", func() error { _, err := cfg.TopologyAblation(); return err }},
+	}
+	selected := experiments
+	if *exp != "all" {
+		selected = nil
+		var names []string
+		for _, e := range experiments {
+			if e.name == *exp {
+				selected = append(selected, e)
+			}
+			names = append(names, e.name)
+		}
+		if selected == nil {
+			fmt.Fprintf(stderr, "unknown experiment %q (valid: %s, or 'all')\n", *exp, strings.Join(names, ", "))
+			return 2
+		}
+	}
+
+	// Telemetry is a pure observer: experiment tables are byte-identical
+	// with or without these flags.
 	sc := obsFlags.Scope()
 	cfg.Observe(sc)
 
 	hb := obsFlags.Heartbeat("bench", 0)
 	stopHeartbeat := hb.Start()
-
-	exitErr := func(name string, err error) {
-		stopHeartbeat()
-		pprof.StopCPUProfile() // flush a partial profile before exiting (no-op if not started)
-		if werr := obsFlags.WriteFiles(sc); werr != nil {
-			fmt.Fprintf(os.Stderr, "bench: telemetry: %v\n", werr)
-		}
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		os.Exit(1)
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		sp := sc.Trace.StartSpan("bench", name)
+	code := 0
+	for _, e := range selected {
+		sp := sc.Trace.StartSpan("bench", e.name)
 		start := time.Now() //reunion:nondeterm-ok host wall-clock for bench reporting
-		if err := fn(); err != nil {
+		if err := e.run(); err != nil {
 			sp.End(obs.Arg{Key: "err", Val: err.Error()})
-			exitErr(name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			code = 1
+			break
 		}
 		sp.End()
 		hb.Tick()
 		//reunion:nondeterm-ok host wall-clock for bench reporting
-		fmt.Printf("(%s finished in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("config", func() error { printConfig(); return nil })
-	run("workloads", func() error { printWorkloads(); return nil })
-	run("fig5", func() error { _, err := cfg.Figure5(); return err })
-	run("fig6a", func() error { _, err := cfg.Figure6(reunion.ModeStrict); return err })
-	run("fig6b", func() error { _, err := cfg.Figure6(reunion.ModeReunion); return err })
-	run("table3", func() error { _, err := cfg.Table3(); return err })
-	run("fig7a", func() error { _, err := cfg.Figure7a(); return err })
-	run("fig7b", func() error { _, err := cfg.Figure7b(); return err })
-	run("sc", func() error { _, err := cfg.SCExperiment(); return err })
-	run("interval", func() error { _, err := cfg.FPIntervalAblation(); return err })
-	run("rob", func() error { _, err := cfg.ROBSweep(); return err })
-	run("topology", func() error { _, err := cfg.TopologyAblation(); return err })
-	run("throughput", func() error { return runThroughput(*full, *benchOut) })
-	run("snapshot", func() error { return runSnapshot(*full, *snapOut) })
-	run("ckptstore", func() error { return runCkptStore(*full, *ckptOut) })
-
 	stopHeartbeat()
 	if err := obsFlags.WriteFiles(sc); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: telemetry: %v\n", err)
-		pprof.StopCPUProfile()
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bench: telemetry: %v\n", err)
+		code = 1
 	}
+	return code
 }
 
-func printConfig() {
+func printConfig(w io.Writer) {
 	c := reunion.DefaultConfig()
-	fmt.Println("Table 1: simulated baseline CMP parameters")
-	fmt.Printf("  logical processors   %d (+%d mute cores under Reunion)\n",
+	fmt.Fprintln(w, "Table 1: simulated baseline CMP parameters")
+	fmt.Fprintf(w, "  logical processors   %d (+%d mute cores under Reunion)\n",
 		c.LogicalProcessors, c.LogicalProcessors)
-	fmt.Printf("  pipeline             %d-wide dispatch/retire, %d-entry RUU, %d-entry store buffer\n",
+	fmt.Fprintf(w, "  pipeline             %d-wide dispatch/retire, %d-entry RUU, %d-entry store buffer\n",
 		c.Core.DispatchWidth, c.Core.ROBSize, c.Core.SBSize)
-	fmt.Printf("  L1 I/D               %d KB, %d-way, %d-cycle load-to-use, %d MSHRs, %d rd / %d wr ports\n",
+	fmt.Fprintf(w, "  L1 I/D               %d KB, %d-way, %d-cycle load-to-use, %d MSHRs, %d rd / %d wr ports\n",
 		c.L1Bytes>>10, c.L1Ways, c.Core.LoadToUse, c.L1MSHRs, c.Core.L1LoadPorts, c.Core.L1StorePorts)
-	fmt.Printf("  shared L2            %d MB, %d banks, %d-way, %d-cycle hit\n",
+	fmt.Fprintf(w, "  shared L2            %d MB, %d banks, %d-way, %d-cycle hit\n",
 		c.L2.CapacityBytes>>20, c.L2.Banks, c.L2.Ways, c.L2.HitLatency)
-	fmt.Printf("  memory               %d-cycle access, %d banks\n", c.L2.MemLatency, c.L2.MemBanks)
-	fmt.Printf("  ITLB/DTLB            %d / %d entries, %d-way, 8K pages\n",
+	fmt.Fprintf(w, "  memory               %d-cycle access, %d banks\n", c.L2.MemLatency, c.L2.MemBanks)
+	fmt.Fprintf(w, "  ITLB/DTLB            %d / %d entries, %d-way, 8K pages\n",
 		c.ITLBEntries, c.DTLBEntries, c.ITLBWays)
-	fmt.Printf("  comparison latency   %d cycles (default)\n", c.CompareLatency)
-	fmt.Println()
+	fmt.Fprintf(w, "  comparison latency   %d cycles (default)\n", c.CompareLatency)
+	fmt.Fprintln(w)
 }
 
-func printWorkloads() {
-	fmt.Println("Table 2: application suite (synthetic profiles; see DESIGN.md)")
-	fmt.Printf("  %-12s %-10s %10s %10s %8s %8s %8s\n",
+func printWorkloads(w io.Writer) {
+	fmt.Fprintln(w, "Table 2: application suite (synthetic profiles; see DESIGN.md)")
+	fmt.Fprintf(w, "  %-12s %-10s %10s %10s %8s %8s %8s\n",
 		"workload", "class", "private", "scan", "locks", "crit", "traps")
 	for _, p := range workload.Suite() {
-		fmt.Printf("  %-12s %-10s %9dK %9dK %8d 1/%-6d 1/%-6d\n",
+		fmt.Fprintf(w, "  %-12s %-10s %9dK %9dK %8d 1/%-6d 1/%-6d\n",
 			p.Name, p.Class, p.PrivateBytes>>10, p.ScanBytes>>10,
 			p.Locks, p.CritEvery, p.TrapEvery)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

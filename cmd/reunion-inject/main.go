@@ -55,7 +55,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -72,7 +71,12 @@ import (
 // warnOut receives axis-flag warnings (tests capture it).
 var warnOut io.Writer = os.Stderr
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command behind main, returning its exit code. Every
+// exit returns through it, so the deferred CPU-profile stop flushes the
+// profile on failed runs too.
+func run() int {
 	trials := flag.Int("trials", 200, "total trial budget, split evenly across cells (min 1 per cell)")
 	modes := flag.String("mode", "reunion,non-redundant", "execution models (csv: reunion,strict,non-redundant)")
 	workloads := flag.String("workloads", "all", "workloads (csv of names, or 'all')")
@@ -103,30 +107,25 @@ func main() {
 		for _, p := range workload.Suite() {
 			fmt.Printf("%-12s %s\n", p.Name, p.Class)
 		}
-		return
+		return 0
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "inject: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "inject: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfile, err := cliconf.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "inject: cpuprofile: %v\n", err)
+		return 2
 	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "inject: cpuprofile: %v\n", err)
+		}
+	}()
 
 	spec, err := buildSpec(*modes, *workloads, *phantoms, *seeds, *bits, *window,
 		*warm, *target, *deadline, *trials, *campSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	// Telemetry is a pure observer: with or without these flags the trial
@@ -159,7 +158,7 @@ func main() {
 	store, err := ckpt.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inject: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if store != nil {
 		warmCache.UseStore(ckptstore.Instrument(store, sc))
@@ -168,21 +167,21 @@ func main() {
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: total}
 	if *coordinator != "" {
-		os.Exit(cliconf.RunWorker("inject", *coordinator, plan, *quiet, sc, obsFlags,
+		return cliconf.RunWorker("inject", *coordinator, plan, *quiet, sc, obsFlags,
 			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
 				_, err := runRange(ctx, spec, runTrial, lo, hi, *parallel, sc, sink, nil)
 				return err
-			}))
+			})
 	}
 
 	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	shard, nshards, err := dist.ParseShard(*shardStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	plan.Lo, plan.Hi = dist.ShardRange(total, shard, nshards)
 
@@ -195,12 +194,12 @@ func main() {
 		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if jnl.Complete() {
 			fmt.Fprintf(os.Stderr, "inject: %s already complete (%d trials) — nothing to do\n", plan, jnl.Done())
 			jnl.Close()
-			return
+			return 0
 		}
 		if jnl.Done() > 0 {
 			fmt.Fprintf(os.Stderr, "inject: resuming %s at trial record %d\n", plan, jnl.Done())
@@ -214,7 +213,7 @@ func main() {
 			f, err := os.Create(*out)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			outFile = f
 			w = f
@@ -226,7 +225,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown format %q (valid: jsonl, csv)\n", *format)
-		os.Exit(2)
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -284,7 +283,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inject: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if lo > plan.Lo {
@@ -298,6 +297,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "inject: %d DUE trials (deadline/unrecoverable) — inspect the results file\n",
 			rep.Total.Count(campaign.DUE))
 	}
+	return 0
 }
 
 // runRange runs trial indices [lo, hi) of the flattened cells×trials

@@ -6,12 +6,6 @@
 //	reunion-lint ./...             # whole module, all analyzers
 //	reunion-lint -run obsgated ./internal/cache/...
 //	reunion-lint -wirepin          # print the wire-schema digest to re-pin
-//	go vet -vettool=$(which reunion-lint) ./...
-//
-// Under go vet only the per-package analyzers run (obsgated,
-// snapshotcomplete); determinism and wireversion need the whole
-// program, which vet's per-package protocol does not provide — run the
-// standalone form for those.
 //
 // Exit codes: 0 clean, 1 diagnostics reported, 2 usage or load error.
 package main
@@ -35,12 +29,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reunion-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		vFlag     = fs.String("V", "", "version handshake for the go vet -vettool protocol")
-		flagsDump = fs.Bool("flags", false, "describe flags as JSON for the go vet -vettool protocol")
-		dir       = fs.String("C", ".", "change to `dir` before loading packages")
-		runNames  = fs.String("run", "", "comma-separated `subset` of analyzers to run")
-		wirePin   = fs.Bool("wirepin", false, "print the current wire-schema digest and exit")
-		list      = fs.Bool("list", false, "list the analyzers and exit")
+		dir      = fs.String("C", ".", "change to `dir` before loading packages")
+		runNames = fs.String("run", "", "comma-separated `subset` of analyzers to run")
+		wirePin  = fs.Bool("wirepin", false, "print the current wire-schema digest and exit")
+		list     = fs.Bool("list", false, "list the analyzers and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: reunion-lint [flags] [packages]\n")
@@ -49,17 +41,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *vFlag != "" {
-		// The go command requires "<name> version <non-devel>".
-		fmt.Fprintln(stdout, "reunion-lint version v1")
-		return 0
-	}
-	if *flagsDump {
-		// go vet asks for the tool's extra flags; this suite exposes none
-		// to vet (use the standalone form for -run/-wirepin).
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
 	if *list {
 		for _, a := range lint.Analyzers {
 			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
@@ -67,12 +48,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// go vet mode: a single .cfg argument describing one package.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetMode(rest[0], stderr)
-	}
-
-	selected, err := selectAnalyzers(*runNames, false)
+	selected, err := selectAnalyzers(*runNames)
 	if err != nil {
 		fmt.Fprintln(stderr, "reunion-lint:", err)
 		return 2
@@ -105,41 +81,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetMode runs the per-package analyzers over one vet unit.
-func vetMode(cfgPath string, stderr io.Writer) int {
-	unit, err := analysis.LoadUnit(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "reunion-lint:", err)
-		return 2
-	}
-	if unit.VetxOutput != "" {
-		// The go command expects the facts file regardless of outcome.
-		if err := os.WriteFile(unit.VetxOutput, []byte("reunion-lint has no facts\n"), 0o666); err != nil {
-			fmt.Fprintln(stderr, "reunion-lint:", err)
-			return 2
-		}
-	}
-	if unit.VetxOnly || unit.Prog == nil {
-		return 0
-	}
-	perPkg, _ := selectAnalyzers("", true)
-	diags, err := analysis.Run(unit.Prog, perPkg)
-	if err != nil {
-		fmt.Fprintln(stderr, "reunion-lint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// selectAnalyzers resolves a -run subset (empty = all), optionally
-// restricted to per-package analyzers for vet mode.
-func selectAnalyzers(names string, perPackageOnly bool) ([]*analysis.Analyzer, error) {
+// selectAnalyzers resolves a -run subset (empty = all).
+func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 	want := map[string]bool{}
 	if names != "" {
 		for _, n := range strings.Split(names, ",") {
@@ -148,9 +91,6 @@ func selectAnalyzers(names string, perPackageOnly bool) ([]*analysis.Analyzer, e
 	}
 	var out []*analysis.Analyzer
 	for _, a := range lint.Analyzers {
-		if perPackageOnly && a.WholeProgram {
-			continue
-		}
 		if len(want) > 0 && !want[a.Name] {
 			continue
 		}

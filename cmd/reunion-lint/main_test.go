@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,36 +54,5 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := Main([]string{"-C", "testdata/nosuchdir", "./..."}, &out, &errb); code != 2 {
 		t.Errorf("bad directory: exit %d, want 2", code)
-	}
-}
-
-// TestVersionHandshake: the -V=full protocol line go vet requires.
-func TestVersionHandshake(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-V=full"}, &out, &errb); code != 0 {
-		t.Fatalf("-V=full: exit %d", code)
-	}
-	if got := strings.TrimSpace(out.String()); got != "reunion-lint version v1" {
-		t.Fatalf("-V=full printed %q", got)
-	}
-}
-
-// TestGoVetVettool drives the real go vet protocol end to end: build
-// the binary, point go vet at it inside the bad fixture module, and
-// require the planted obsgated violation to fail the vet run.
-func TestGoVetVettool(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "reunion-lint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building reunion-lint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = "testdata/lintbad"
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed on lintbad; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "ungated") {
-		t.Fatalf("go vet output missing the obsgated finding:\n%s", out)
 	}
 }

@@ -11,9 +11,9 @@
 // Results stream to the output file as JSON Lines (default) or CSV, one
 // record per run, in matrix order: for a fixed seed the output is
 // byte-identical at -parallel 1 and -parallel N, so results files are
-// diffable and suitable for BENCH_*.json-style trajectory tracking. Live
-// progress goes to stderr; pass -quiet to silence it. A summary with the
-// matched-pair IPC aggregate is printed at the end.
+// diffable across runs and machines. Live progress goes to stderr; pass
+// -quiet to silence it. A summary with the matched-pair IPC aggregate is
+// printed at the end.
 //
 // The matrix distributes across processes and machines: -shard i/n runs
 // only the static range [size·i/n, size·(i+1)/n) of the matrix, -journal
@@ -46,7 +46,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -63,7 +62,12 @@ import (
 // warnOut receives axis-flag warnings (tests capture it).
 var warnOut io.Writer = os.Stderr
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command behind main, returning its exit code. Every
+// exit returns through it, so the deferred CPU-profile stop flushes the
+// profile on failed runs too.
+func run() int {
 	modes := flag.String("modes", "non-redundant,strict,reunion", "execution models to sweep (csv)")
 	workloads := flag.String("workloads", "all", "workloads to sweep (csv of names, or 'all')")
 	latencies := flag.String("latencies", "10", "comparison latencies in cycles (csv; 0 = zero-cycle)")
@@ -93,41 +97,30 @@ func main() {
 		for _, p := range workload.Suite() {
 			fmt.Printf("%-12s %s\n", p.Name, p.Class)
 		}
-		return
+		return 0
 	}
 
-	stopCPUProfile := func() {}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		stopped := false
-		stopCPUProfile = func() {
-			if !stopped {
-				stopped = true
-				pprof.StopCPUProfile()
-				f.Close()
-			}
-		}
-		defer stopCPUProfile()
+	stopProfile, err := cliconf.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
+		return 2
 	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
+		}
+	}()
 
 	kern, err := parseKernel(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	spec, err := buildSpec(*modes, *workloads, *latencies, *phantoms, *tlbs,
 		*consistencies, *intervals, *seeds, *warm, *measure, kern)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	// Telemetry is a pure observer: with or without these flags the
 	// results stream and journal bytes are byte-identical (asserted in
@@ -136,7 +129,7 @@ func main() {
 	store, err := ckpt.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if store != nil {
 		// Every point starts from a copy of Base, so one store-backed
@@ -152,7 +145,7 @@ func main() {
 
 	if *format != "jsonl" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "unknown format %q (valid: jsonl, csv)\n", *format)
-		os.Exit(2)
+		return 2
 	}
 
 	// Pin the journal to this exact run configuration, not just the
@@ -171,20 +164,20 @@ func main() {
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
 	if *coordinator != "" {
-		os.Exit(cliconf.RunWorker("sweep", *coordinator, plan, *quiet, sc, obsFlags,
+		return cliconf.RunWorker("sweep", *coordinator, plan, *quiet, sc, obsFlags,
 			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
 				return runRange(ctx, spec, lo, hi, *parallel, sc, sink, nil)
-			}))
+			})
 	}
 
 	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	shard, nshards, err := dist.ParseShard(*shardStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	plan.Lo, plan.Hi = dist.ShardRange(plan.Total, shard, nshards)
 
@@ -196,7 +189,7 @@ func main() {
 		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if jnl.Complete() {
 			fmt.Fprintf(os.Stderr, "sweep: %s already complete (%d records, %d failed) — nothing to run\n",
@@ -205,9 +198,9 @@ func main() {
 			if jnl.Failed() > 0 {
 				// The sealed range contains failed runs: exit as the run
 				// that produced them did.
-				os.Exit(1)
+				return 1
 			}
-			return
+			return 0
 		}
 		if jnl.Done() > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
@@ -220,7 +213,7 @@ func main() {
 			f, err := os.Create(*out)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			outFile = f
 			w = f
@@ -292,14 +285,14 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
 		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures) //reunion:nondeterm-ok host wall-clock
 	if failures > 0 {
-		stopCPUProfile()
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runRange runs matrix indices [lo, hi) and writes their records to

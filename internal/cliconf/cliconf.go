@@ -3,11 +3,11 @@
 // the coordinator worker modes) accept overlapping flag families —
 // axis CSVs with duplicate-value warnings and fail-fast unknown-value
 // listing, the telemetry trio, the checkpoint-store pair, the
-// -shard/-journal/-resume cluster, and the -coordinator worker mode —
-// and before this package each CLI carried its own copy, which is
-// exactly how validation rules drift apart. The parsers here are the
-// single source of those rules; the CLIs keep only their flag
-// registration and exit-code choreography.
+// -cpuprofile profile, the -shard/-journal/-resume cluster, and the
+// -coordinator worker mode — and before this package each CLI carried
+// its own copy, which is exactly how validation rules drift apart. The
+// parsers here are the single source of those rules; the CLIs keep only
+// their flag registration and exit-code choreography.
 package cliconf
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -293,6 +294,29 @@ func (o *ObsFlags) Heartbeat(label string, total int64) *obs.Heartbeat {
 // destinations at exit.
 func (o *ObsFlags) WriteFiles(sc obs.Scope) error {
 	return sc.WriteFiles(*o.TraceOut, *o.MetricsOut)
+}
+
+// StartCPUProfile starts the -cpuprofile CPU profile into path and
+// returns the function that stops it and closes the file; with an empty
+// path it starts nothing and stop is a no-op. os.Exit skips deferred
+// calls, so a CLI must run stop on every exit after this point — a
+// failed run's profile is often the one wanted.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // FlagWasSet reports whether the named command-line flag was passed

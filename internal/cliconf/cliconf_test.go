@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -279,5 +281,32 @@ func TestFlagGroups(t *testing.T) {
 	}
 	if hb := o2.Heartbeat("t", 1); hb != nil {
 		t.Fatalf("heartbeat without flag: %+v", hb)
+	}
+}
+
+// The stop path flushes a complete profile: a CLI that runs it before
+// exiting leaves a readable (non-empty) file even when the run failed.
+func TestStartCPUProfileStopFlushes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	stop, err := StartCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile after stop: %v, %v", fi, err)
+	}
+
+	stop, err = StartCPUProfile("")
+	if err != nil {
+		t.Fatalf("no profile: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("no-op stop: %v", err)
+	}
+	if _, err := StartCPUProfile(filepath.Join(t.TempDir(), "missing", "cpu.prof")); err == nil {
+		t.Fatal("uncreatable profile path accepted")
 	}
 }

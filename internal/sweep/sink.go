@@ -40,7 +40,7 @@ type Sink interface {
 }
 
 // JSONL writes one JSON object per line (the sweep CLI's results-file
-// format, suitable for BENCH_*.json-style trajectory tracking).
+// format, diffable across runs).
 type JSONL struct {
 	w io.Writer
 }
