@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"reunion/internal/fault"
 	"reunion/internal/workload"
 )
 
@@ -249,6 +250,35 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sys.Restore(cp)
+	}
+}
+
+// BenchmarkSystemRestore times the restore a fault campaign pays before
+// every trial: the apache Reunion cell warmed 20k cycles (seed 1), then a
+// 2000-commit injected trial, then System.Restore of the warm checkpoint.
+// Only the restore is timed. Each iteration also simulates a trial, so
+// run it with a fixed count: go test -run '^$' -bench SystemRestore
+// -benchtime 20x .
+func BenchmarkSystemRestore(b *testing.B) {
+	o := Options{
+		Mode:         ModeReunion,
+		Workload:     workload.Apache(),
+		Seed:         1,
+		WarmCycles:   20_000,
+		CommitTarget: 2_000,
+		Inject:       &fault.Injection{Core: 0, Cycle: 500, Bit: 13},
+	}.withDefaults()
+	sys := warmSystem(o)
+	cp := sys.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := measure(sys, o); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		sys.Restore(cp)
 	}
 }

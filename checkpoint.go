@@ -17,11 +17,13 @@ import (
 	"reunion/internal/snoop"
 )
 
-// Checkpoint is a deep copy of a System's complete mutable state: the
+// Checkpoint is a copy of a System's complete mutable state: the
 // event queue (clock, pending events), scheduler counters, backing
-// memory, every core pipeline with its private caches/TLBs/predictor,
-// the execution-model gates, the memory-system topology (directory L2 or
-// snoopy bus), the liveness watchdog, and the interrupt-delivery chain.
+// memory (its pages shared copy-on-write with the live image, so never
+// written while the checkpoint exists), every core pipeline with its
+// private caches/TLBs/predictor, the execution-model gates, the
+// memory-system topology (directory L2 or snoopy bus), the liveness
+// watchdog, and the interrupt-delivery chain.
 //
 // A Checkpoint restores only onto the System it was taken from: pending
 // events and in-flight requests hold callbacks into that system's
@@ -112,7 +114,10 @@ func (s *System) Snapshot() *Checkpoint {
 // Restore rewrites the system's state from a checkpoint taken on this
 // same system, rewinding the clock, the pending-event set, and every
 // component to the snapshotted cycle. A checkpoint restores any number
-// of times; each restored run re-executes bit-identically.
+// of times; each restored run re-executes bit-identically. Restoring the
+// checkpoint the system was last snapshotted as or restored to rewrites
+// only the memory pages and cache sets used since; any other checkpoint
+// rewrites them all.
 func (s *System) Restore(cp *Checkpoint) {
 	if cp.owner != s {
 		panic("reunion: Restore with a checkpoint from a different System")

@@ -10,6 +10,8 @@
 package cache
 
 import (
+	"slices"
+
 	"reunion/internal/mem"
 )
 
@@ -54,11 +56,17 @@ type Line struct {
 }
 
 // Array is a set-associative cache array with true-LRU replacement.
+//
+// The array records every set it hands a *Line out of or mutates since
+// its last Snapshot or Restore. Outside those sets it still equals its
+// base state, so restoring the base rewrites only the touched sets.
 type Array struct {
 	sets    [][]Line
 	setMask uint64
 	ways    int
 	tick    int64
+	touched []bool     //reunion:derived restore bookkeeping: per set, handed out or mutated since base; cleared by every Snapshot and Restore
+	base    ArrayState //reunion:derived restore bookkeeping: the state the untouched sets equal, reset by every Snapshot and Restore
 }
 
 // NewArray builds an array with the given total capacity in bytes and
@@ -75,7 +83,9 @@ func NewArray(capacityBytes, ways int) *Array {
 	for i := range sets {
 		sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
-	return &Array{sets: sets, setMask: uint64(numSets - 1), ways: ways}
+	// An empty array at tick 0 equals the zero ArrayState, its base.
+	return &Array{sets: sets, setMask: uint64(numSets - 1), ways: ways,
+		touched: make([]bool, numSets)}
 }
 
 // Sets returns the number of sets.
@@ -88,11 +98,17 @@ func (a *Array) set(block uint64) []Line {
 	return a.sets[(block>>mem.BlockShift)&a.setMask]
 }
 
+// mark records that block's set may differ from the base state.
+func (a *Array) mark(block uint64) {
+	a.touched[(block>>mem.BlockShift)&a.setMask] = true
+}
+
 // Lookup returns the line holding block, touching LRU, or nil on miss.
 func (a *Array) Lookup(block uint64) *Line {
 	set := a.set(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Block == block {
+			a.mark(block)
 			a.tick++
 			set[i].lru = a.tick
 			return &set[i]
@@ -106,6 +122,7 @@ func (a *Array) Lookup(block uint64) *Line {
 // failed fast path followed by the full Lookup bumps the LRU clock once,
 // same as the full path alone.
 func (a *Array) Touch(l *Line) {
+	a.mark(l.Block)
 	a.tick++
 	l.lru = a.tick
 }
@@ -115,6 +132,7 @@ func (a *Array) Peek(block uint64) *Line {
 	set := a.set(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Block == block {
+			a.mark(block)
 			return &set[i]
 		}
 	}
@@ -127,6 +145,7 @@ func (a *Array) Peek(block uint64) *Line {
 // ever locked, so this can only happen transiently in degenerate configs).
 func (a *Array) Victim(block uint64) *Line {
 	set := a.set(block)
+	a.mark(block)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -201,10 +220,11 @@ func (a *Array) Downgrade(block uint64) (prior Line, ok, busy bool) {
 
 // ForEachValid calls fn for every valid line (stats, warmup checks).
 func (a *Array) ForEachValid(fn func(*Line)) {
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			if a.sets[s][w].State != Invalid {
-				fn(&a.sets[s][w])
+	for s, set := range a.sets {
+		for w := range set {
+			if set[w].State != Invalid {
+				a.touched[s] = true
+				fn(&set[w])
 			}
 		}
 	}
@@ -221,34 +241,66 @@ type ArrayState struct {
 	lines []Line
 }
 
-// Snapshot captures the array contents. Read-only.
+// Snapshot captures the array contents. Observably read-only; the
+// snapshot becomes the array's base state.
 func (a *Array) Snapshot() ArrayState {
-	s := ArrayState{tick: a.tick}
+	n := 0
+	for _, set := range a.sets {
+		for wi := range set {
+			if set[wi].State != Invalid {
+				n++
+			}
+		}
+	}
+	s := ArrayState{tick: a.tick, idx: make([]int32, 0, n), lines: make([]Line, 0, n)}
 	flat := int32(0)
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			if l := &a.sets[si][wi]; l.State != Invalid {
+	for _, set := range a.sets {
+		for wi := range set {
+			if l := &set[wi]; l.State != Invalid {
 				s.idx = append(s.idx, flat)
 				s.lines = append(s.lines, *l)
 			}
 			flat++
 		}
 	}
+	clear(a.touched)
+	a.base = s
 	return s
 }
 
-// Restore rewrites the array from a snapshot: every line is invalidated,
-// then the snapshotted valid lines are written back into their exact
-// ways. The backing storage is reused, so *Line pointers taken before the
-// snapshot keep pointing at the restored lines.
+// isBase reports whether s is the array's base state. States are never
+// mutated after creation, so sharing backing arrays means equal contents.
+func (a *Array) isBase(s ArrayState) bool {
+	b := a.base
+	return s.tick == b.tick && len(s.idx) == len(b.idx) &&
+		(len(s.idx) == 0 || &s.idx[0] == &b.idx[0] && &s.lines[0] == &b.lines[0])
+}
+
+// Restore rewrites the array from a snapshot: each rewritten set is
+// invalidated, then its snapshotted valid lines are written back into
+// their exact ways. Restoring the base state rewrites only the sets
+// touched since it; any other state rewrites every set. The backing
+// storage is reused, so *Line pointers taken before the snapshot keep
+// pointing at the restored lines.
 func (a *Array) Restore(s ArrayState) {
-	a.tick = s.tick
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			a.sets[si][wi] = Line{}
+	all := !a.isBase(s)
+	ways := int32(a.ways)
+	k := 0 // cursor into s.idx; sets are visited in ascending order
+	for si, set := range a.sets {
+		if !all && !a.touched[si] {
+			continue
+		}
+		clear(set)
+		lo := int32(si) * ways
+		if k < len(s.idx) && s.idx[k] < lo {
+			j, _ := slices.BinarySearch(s.idx[k:], lo)
+			k += j
+		}
+		for ; k < len(s.idx) && s.idx[k] < lo+ways; k++ {
+			set[s.idx[k]-lo] = s.lines[k]
 		}
 	}
-	for i, flat := range s.idx {
-		a.sets[int(flat)/a.ways][int(flat)%a.ways] = s.lines[i]
-	}
+	clear(a.touched)
+	a.tick = s.tick
+	a.base = s
 }

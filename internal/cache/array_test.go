@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"reunion/internal/bin"
 	"reunion/internal/mem"
 )
 
@@ -199,5 +202,147 @@ func TestForEachValid(t *testing.T) {
 	a.ForEachValid(func(l *Line) { n++ })
 	if n != 2 {
 		t.Fatalf("visited %d lines, want 2", n)
+	}
+}
+
+// image is a full copy of an array's observable contents: the LRU clock
+// and every line, with invalid lines zeroed (an invalid way carries no
+// state a lookup, victim choice or snapshot can observe).
+type image struct {
+	tick  int64
+	lines []Line
+}
+
+func imageOf(a *Array) image {
+	im := image{tick: a.tick}
+	for _, set := range a.sets {
+		for _, l := range set {
+			if l.State == Invalid {
+				l = Line{}
+			}
+			im.lines = append(im.lines, l)
+		}
+	}
+	return im
+}
+
+// Property: under random sequences of every Array method, each Restore
+// yields exactly the full-copy image taken with the snapshot. Restores
+// alternate between the base state (only touched sets are rewritten) and
+// older or decoded snapshots (every set is rewritten).
+func TestArrayRestoreVsFullCopy(t *testing.T) {
+	type snap struct {
+		s  ArrayState
+		im image
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	a := NewArray(128*4*mem.BlockBytes, 4) // 128 sets, 1024 blocks: frequent evictions
+	block := func() uint64 { return blk(rng.Uint64N(1024)) }
+	mutate := func(l *Line) {
+		if l == nil {
+			return
+		}
+		switch rng.IntN(4) {
+		case 0:
+			l.Dirty = !l.Dirty
+		case 1:
+			l.State = Modified
+		case 2:
+			l.Data[rng.IntN(mem.BlockWords)] = rng.Uint64()
+		default:
+			l.Locked = !l.Locked
+		}
+	}
+	snaps := []snap{{a.Snapshot(), imageOf(a)}}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.IntN(14); op {
+		case 0, 1, 2:
+			var d mem.Block
+			d[0] = rng.Uint64()
+			func() {
+				defer func() { _ = recover() }() // every way locked
+				a.Install(block(), &d, State(1+rng.IntN(3)))
+			}()
+		case 3:
+			mutate(a.Lookup(block()))
+		case 4:
+			if l := a.Peek(block()); l != nil {
+				a.Touch(l)
+				mutate(l)
+			}
+		case 5:
+			if l := a.Victim(block()); l != nil && l.State != Invalid {
+				mutate(l)
+			}
+		case 6:
+			a.Invalidate(block())
+		case 7:
+			a.Downgrade(block())
+		case 8:
+			a.ForEachValid(func(l *Line) {
+				if rng.IntN(8) == 0 {
+					l.Locked = false
+				}
+			})
+		case 9:
+			snaps = append(snaps, snap{a.Snapshot(), imageOf(a)})
+		case 10:
+			// A decoded copy of a snapshot is a different state with the
+			// same contents.
+			i := rng.IntN(len(snaps))
+			var w bin.Writer
+			snaps[i].s.Encode(&w)
+			r := bin.NewReader(w.Bytes())
+			snaps = append(snaps, snap{DecodeArrayState(r), snaps[i].im})
+		default:
+			i := len(snaps) - 1 // the base, unless a decode was appended
+			if op == 13 {
+				i = rng.IntN(len(snaps))
+			}
+			a.Restore(snaps[i].s)
+			if got := imageOf(a); !reflect.DeepEqual(got, snaps[i].im) {
+				t.Fatalf("step %d: restore of snapshot %d differs from its full copy", step, i)
+			}
+			snaps = append(snaps, snaps[i])
+		}
+	}
+}
+
+// TestArrayRestoreZeroAlloc pins the touched-set restore: after a run of
+// probes, Restore of the base allocates nothing.
+func TestArrayRestoreZeroAlloc(t *testing.T) {
+	a := NewArray(64<<10, 2)
+	var d mem.Block
+	for i := uint64(0); i < 512; i++ {
+		a.Install(blk(i), &d, Shared)
+	}
+	s := a.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		a.Lookup(blk(7))
+		a.Peek(blk(300))
+		a.Restore(s)
+	}); n != 0 {
+		t.Fatalf("Restore allocates %v per run, want 0", n)
+	}
+}
+
+// TestArrayStateValidate rejects decoded snapshots that do not fit the
+// live geometry: Restore walks line indices set by set and would
+// otherwise drop or misplace such lines.
+func TestArrayStateValidate(t *testing.T) {
+	a := NewArray(1024, 2) // 8 sets
+	var d mem.Block
+	a.Install(blk(3), &d, Shared)
+	good := a.Snapshot()
+	if err := good.Validate(a); err != nil {
+		t.Fatalf("own snapshot rejected: %v", err)
+	}
+	outOfRange := ArrayState{idx: []int32{16}, lines: []Line{{Block: blk(0), State: Shared}}}
+	if err := outOfRange.Validate(a); err == nil {
+		t.Fatal("line index past the array accepted")
+	}
+	wrongSet := ArrayState{idx: []int32{0}, lines: []Line{{Block: blk(3), State: Shared}}}
+	if err := wrongSet.Validate(a); err == nil {
+		t.Fatal("line in the wrong set accepted")
 	}
 }

@@ -337,15 +337,22 @@ func (s *L1State) Validate(c *L1) error {
 	if s.free != len(s.mshrs)-used {
 		return fmt.Errorf("cache: snapshot free count %d inconsistent with %d valid MSHRs", s.free, used)
 	}
-	total := int32(c.Arr.Sets() * c.Arr.Ways())
-	for _, flat := range s.arr.idx {
+	return s.arr.Validate(c.Arr)
+}
+
+// Validate checks a decoded array snapshot against the live array's
+// geometry: every line index in range and every line in its block's
+// set. Restore relies on both.
+func (s *ArrayState) Validate(a *Array) error {
+	total := int32(a.Sets() * a.Ways())
+	for _, flat := range s.idx {
 		if flat < 0 || flat >= total {
 			return fmt.Errorf("cache: snapshot line index %d out of range [0,%d)", flat, total)
 		}
 	}
-	for i := range s.arr.lines {
-		l := &s.arr.lines[i]
-		if int((l.Block>>mem.BlockShift)&uint64(c.Arr.Sets()-1)) != int(s.arr.idx[i])/c.Arr.Ways() {
+	for i := range s.lines {
+		l := &s.lines[i]
+		if int((l.Block>>mem.BlockShift)&a.setMask) != int(s.idx[i])/a.Ways() {
 			return fmt.Errorf("cache: snapshot line for block %#x mapped to wrong set", l.Block)
 		}
 	}

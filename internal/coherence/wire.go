@@ -425,6 +425,9 @@ func (s *L2State) BindTo(live *L2) error {
 		return fmt.Errorf("coherence: snapshot has %d memory banks, controller has %d",
 			len(s.l2.memBankFree), len(live.memBankFree))
 	}
+	if err := s.arr.Validate(live.arr); err != nil {
+		return err
+	}
 	n := len(live.l1d)
 	for b, d := range s.dir {
 		if int(d.owner) >= n {

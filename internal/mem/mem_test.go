@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"maps"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -147,5 +150,122 @@ func TestMemoryVsMapOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: under random word and block writes, unmapped reads and new
+// pages across repeated Snapshot/Restore cycles, the image behaves like a
+// map from aligned addresses to words, and every snapshot keeps the
+// contents it was taken with however the live image and the other
+// snapshots are written afterwards. Restores alternate between the base
+// state (only pages written since it are re-pointed) and older snapshots
+// (the whole map is re-pointed).
+func TestMemorySnapshotRestoreVsMapOracle(t *testing.T) {
+	type snap struct {
+		s      *MemoryState
+		oracle map[uint64]uint64
+		pages  int
+	}
+	check := func(m *Memory, oracle map[uint64]uint64, pages int, where string) {
+		t.Helper()
+		for addr, want := range oracle {
+			if got := m.ReadWord(addr); got != want {
+				t.Fatalf("%s: word %#x = %#x, want %#x", where, addr, got, want)
+			}
+		}
+		if m.MappedPages() != pages {
+			t.Fatalf("%s: %d mapped pages, want %d", where, m.MappedPages(), pages)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	m := New()
+	oracle := map[uint64]uint64{}
+	mapped := map[uint64]bool{}
+	var snaps []snap
+	addr := func() uint64 {
+		// 32 pages, so writes hit shared pages, owned pages and new ones.
+		return rng.Uint64N(32*PageBytes) &^ 7
+	}
+	write := func(a, v uint64) {
+		m.WriteWord(a, v)
+		oracle[a] = v
+		mapped[PageOf(a)] = true
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := rng.IntN(10); {
+		case op < 4:
+			write(addr(), rng.Uint64())
+		case op < 6:
+			a := BlockAddr(addr())
+			var b Block
+			for i := range b {
+				b[i] = rng.Uint64()
+				oracle[a+uint64(i)*8] = b[i]
+			}
+			m.WriteBlock(a, &b)
+			mapped[PageOf(a)] = true
+		case op < 7:
+			// Unmapped reads return zero and map nothing.
+			a := (64+rng.Uint64N(64))*PageBytes + rng.Uint64N(PageBytes)&^7
+			var b Block
+			m.ReadBlock(a, &b)
+			if m.ReadWord(a) != 0 || b != (Block{}) {
+				t.Fatalf("step %d: unmapped read of %#x not zero", step, a)
+			}
+		case op < 8:
+			// Read a page into the last-page cache, snapshot, then write
+			// the same page: the write must copy, not reach the snapshot.
+			a := addr()
+			_ = m.ReadWord(a)
+			snaps = append(snaps, snap{m.Snapshot(), maps.Clone(oracle), len(mapped)})
+			write(a, rng.Uint64())
+		default:
+			// Restore either the base (the latest snapshot, which no
+			// restore has moved off) or any snapshot, then write through
+			// the last-page cache at once.
+			if len(snaps) == 0 {
+				continue
+			}
+			i := rng.IntN(len(snaps))
+			if rng.IntN(2) == 0 {
+				i = len(snaps) - 1
+			}
+			a := addr()
+			_ = m.ReadWord(a)
+			m.Restore(snaps[i].s)
+			oracle = maps.Clone(snaps[i].oracle)
+			mapped = map[uint64]bool{}
+			for w := range oracle {
+				mapped[PageOf(w)] = true
+			}
+			check(m, oracle, snaps[i].pages, fmt.Sprintf("step %d: restore of snapshot %d", step, i))
+			write(a, rng.Uint64())
+			// Restored snapshots stay the newest, so the next restore of
+			// it takes the base path.
+			snaps = append(snaps, snaps[i])
+		}
+	}
+	check(m, oracle, len(mapped), "live image")
+	for i, s := range snaps {
+		m.Restore(s.s)
+		check(m, s.oracle, s.pages, fmt.Sprintf("final restore of snapshot %d", i))
+	}
+}
+
+// TestMemoryRestoreZeroAlloc pins the copy-on-write restore: once no page
+// was written since the base state, Restore moves no pointer and
+// allocates nothing, however large the image.
+func TestMemoryRestoreZeroAlloc(t *testing.T) {
+	m := New()
+	for pn := uint64(0); pn < 256; pn++ {
+		m.WriteWord(pn*PageBytes, pn)
+	}
+	s := m.Snapshot()
+	var b Block
+	if a := testing.AllocsPerRun(100, func() {
+		m.ReadBlock(3*PageBytes, &b)
+		m.Restore(s)
+	}); a != 0 {
+		t.Fatalf("Restore after a read-only run allocates %v per run, want 0", a)
 	}
 }

@@ -31,16 +31,17 @@ func (s *MemoryState) Encode(w *bin.Writer) {
 // DecodeMemoryState reads a snapshot written by Encode.
 func DecodeMemoryState(r *bin.Reader) *MemoryState {
 	n := r.Len(8 + pageWords*8)
-	s := &MemoryState{pages: make(map[uint64][pageWords]uint64, n)}
+	s := &MemoryState{pages: make(map[uint64]*[pageWords]uint64, n)}
+	frames := make([][pageWords]uint64, n)
 	var prev uint64
-	for i := 0; i < n; i++ {
+	for i := range frames {
 		num := r.U64()
 		if i > 0 && num <= prev {
 			r.Fail(errNonMonotonicPages)
 			return nil
 		}
 		prev = num
-		var page [pageWords]uint64
+		page := &frames[i]
 		for j := range page {
 			page[j] = r.U64()
 		}

@@ -145,7 +145,11 @@ type TLBState struct {
 
 // Snapshot captures the TLB state. Read-only.
 func (t *TLB) Snapshot() *TLBState {
-	s := &TLBState{tick: t.tick, hits: t.Hits, misses: t.Misses}
+	n := 0
+	for _, set := range t.sets {
+		n += len(set)
+	}
+	s := &TLBState{tick: t.tick, hits: t.Hits, misses: t.Misses, entries: make([]entry, 0, n)}
 	for _, set := range t.sets {
 		s.entries = append(s.entries, set...)
 	}

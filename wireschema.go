@@ -14,5 +14,5 @@ package reunion
 // carry a //reunion:wire-compat annotation saying why.
 const (
 	wireSchemaPinVersion uint16 = 3
-	wireSchemaPinDigest         = "d3c8f4c21be2e7cf"
+	wireSchemaPinDigest         = "54c0de46bb5656b0"
 )
