@@ -241,14 +241,22 @@ func warmKey(o Options) string {
 
 // run serves one measured run from the cache: the first run for a key
 // warms and snapshots, later runs restore. The entry stays locked through
-// the measurement phase (one system, single-threaded), so runs sharing
-// warm state serialize while distinct keys proceed in parallel.
+// the measurement phase (one system, single-threaded), so two runs of one
+// key never overlap while distinct keys proceed in parallel. A campaign
+// dispatches trials of different cells to concurrent workers, so two
+// runs queue here only when no other cell has work left; the wait shows
+// as a warm/wait span.
 func (w *WarmCache) run(o Options) (Result, error) {
 	e := w.entry(warmKey(o))
 	if e == nil {
 		return measure(warmSystem(o), o) // cache full: fresh, uncached run
 	}
-	e.mu.Lock()
+	if !e.mu.TryLock() {
+		sp := w.obsTrace.StartSpan("warm", "wait",
+			obs.Arg{Key: "workload", Val: o.Workload.Name}, obs.Arg{Key: "mode", Val: o.Mode.String()})
+		e.mu.Lock()
+		sp.End()
+	}
 	defer e.mu.Unlock()
 	if !e.init && w.store != nil {
 		w.tryFetch(e, o)
@@ -305,9 +313,10 @@ func observeSince(h *obs.Histogram, begin time.Time) {
 }
 
 // Observe attaches telemetry to the cache: spans for warmups, restores,
-// and store fetches, plus warm_warmups_total, warm_store_hits_total,
-// warm_store_misses_total, and warm_poisoned_blobs_total counters and
-// warmup/restore duration histograms. Call before the first run.
+// store fetches and waits for a busy entry, plus warm_warmups_total,
+// warm_store_hits_total, warm_store_misses_total, and
+// warm_poisoned_blobs_total counters and warmup/restore duration
+// histograms. Call before the first run.
 func (w *WarmCache) Observe(sc obs.Scope) {
 	w.obsTrace = sc.Trace
 	if m := sc.Metrics; m != nil {

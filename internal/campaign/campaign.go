@@ -284,7 +284,12 @@ type Engine[C any] struct {
 	// across distinct trials (the reunion trial runner is: one simulation
 	// per call, golden runs memoized behind a singleflight).
 	RunTrial func(ctx context.Context, cell sweep.Point[C], t Trial) Observation
-	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
+	// Parallelism bounds the worker pool; 0 means GOMAXPROCS. Workers
+	// run trials of different cells side by side while untaken cells
+	// remain; only then do two workers share a cell (and, in the reunion
+	// trial runner, take turns on its warm system). Completed trials of
+	// later cells wait for the earlier ones before reaching Sink: about
+	// Parallelism-1 cells of records when cells cost alike.
 	Parallelism int
 	// Sink, if set, receives one record per trial in matrix order —
 	// byte-identical output at any parallelism. The engine does not close
@@ -347,7 +352,11 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 
 	runner := sweep.Runner[C, trialRun]{
 		Parallelism: e.Parallelism,
-		Obs:         obs.Scope{Metrics: e.Obs.Metrics},
+		// A cell's trials share its golden run and warm system, so
+		// workers run trials of different cells side by side instead of
+		// queueing on one.
+		Group: func(pt sweep.Point[C]) int { return pt.Index / spec.Trials },
+		Obs:   obs.Scope{Metrics: e.Obs.Metrics},
 		Run: func(ctx context.Context, pt sweep.Point[C]) (trialRun, error) {
 			t := spec.draw(pt)
 			sp := e.Obs.Trace.StartSpan("campaign", "trial",

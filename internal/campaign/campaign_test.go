@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,22 +117,49 @@ func TestEveryTrialClassifiedExactlyOnce(t *testing.T) {
 
 // TestJSONLDeterministicUnderParallelism mirrors internal/sweep's ordering
 // test at the campaign level: the same Spec and seed must produce
-// byte-identical JSONL at parallelism 1 and 8.
+// byte-identical JSONL at parallelism 1, 2 and 8. At two workers it also
+// probes the cell-aware dispatch: a trial starts beside a running trial
+// of its own cell only after every trial of every other cell has
+// started. (With more workers than cells left, several may share one.)
 func TestJSONLDeterministicUnderParallelism(t *testing.T) {
+	const trials = 15
 	run := func(par int) []byte {
+		var mu sync.Mutex
+		cells := fakeMatrix().Size()
+		running := make([]int, cells)
+		started := make([][]bool, cells)
+		for c := range started {
+			started[c] = make([]bool, trials)
+		}
 		var buf bytes.Buffer
 		eng := Engine[fakeCell]{
 			Spec: Spec[fakeCell]{
 				Matrix:        fakeMatrix(),
 				Model:         FaultModel{WindowHi: 500},
-				Trials:        15,
+				Trials:        trials,
 				Seed:          7,
 				StreamExclude: []string{"mode"},
 			},
 			// A scheduling wobble makes completion order differ from
 			// matrix order under parallelism; emission order must not.
 			RunTrial: func(ctx context.Context, cell sweep.Point[fakeCell], tr Trial) Observation {
+				mu.Lock()
+				if par == 2 && running[tr.Cell] > 0 {
+					for c := range started {
+						if c != tr.Cell && slices.Contains(started[c], false) {
+							t.Errorf("trial %d of cell %d started beside a running trial of its cell while cell %d had unstarted trials",
+								tr.Index, tr.Cell, c)
+							break
+						}
+					}
+				}
+				started[tr.Cell][tr.Index] = true
+				running[tr.Cell]++
+				mu.Unlock()
 				time.Sleep(time.Duration(tr.Bit%5) * time.Millisecond)
+				mu.Lock()
+				running[tr.Cell]--
+				mu.Unlock()
 				return fakeRun(ctx, cell, tr)
 			},
 			Parallelism: par,
@@ -142,12 +171,13 @@ func TestJSONLDeterministicUnderParallelism(t *testing.T) {
 		return buf.Bytes()
 	}
 	seq := run(1)
-	par := run(8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("JSONL differs between -parallel 1 (%d bytes) and -parallel 8 (%d bytes)", len(seq), len(par))
-	}
 	if len(seq) == 0 {
 		t.Fatal("no records emitted")
+	}
+	for _, par := range []int{2, 8} {
+		if got := run(par); !bytes.Equal(seq, got) {
+			t.Fatalf("JSONL differs between -parallel 1 (%d bytes) and -parallel %d (%d bytes)", len(seq), par, len(got))
+		}
 	}
 }
 

@@ -14,6 +14,8 @@
 //
 // A Runner executes the points on a bounded worker pool (default
 // GOMAXPROCS) with context cancellation and per-run panic isolation.
+// Points that contend for one resource can share a Group, and the
+// workers then run points of different groups side by side.
 // Results come back two ways: as a slice indexed by point — identical for
 // any parallelism — and, optionally, streamed through an in-order Emit
 // callback as soon as each contiguous prefix of the matrix completes,
@@ -196,6 +198,16 @@ type Runner[C, R any] struct {
 	Run func(ctx context.Context, p Point[C]) (R, error)
 	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
 	Parallelism int
+	// Group, if set, names each point's group: points of one group
+	// contend for a shared resource (a campaign cell's warm state), so a
+	// free worker takes the lowest untaken point whose group has nothing
+	// running, and starts a second point of a busy group only when every
+	// remaining point's group is busy. Nil puts each point in a group of
+	// its own, which dispatches in point order. Grouping changes only
+	// which points run side by side: results and the Emit stream are the
+	// same for any Group, though a grouped sweep finishes points out of
+	// order, so Emit holds back more completed results.
+	Group func(Point[C]) int
 	// Progress, if set, observes every completed run in completion order
 	// (non-deterministic under parallelism; for live reporting only). It is
 	// called from the Sweep goroutine, never concurrently.
@@ -291,29 +303,24 @@ func (r *Runner[C, R]) sweepPoints(ctx context.Context, points []Point[C]) ([]Re
 
 	so := newSweepObs(r.Obs)
 
-	jobs := make(chan int)
+	d := newDispatcher(points, r.Group)
 	completions := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for {
+				i, ok := d.take(ctx)
+				if !ok {
+					return
+				}
 				results[i] = r.runOne(ctx, points[i], so)
+				d.release(i)
 				completions <- i
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(completions)
@@ -345,6 +352,66 @@ func (r *Runner[C, R]) sweepPoints(ctx context.Context, points []Point[C]) ([]Re
 		return results, emitErr
 	}
 	return results, ctx.Err()
+}
+
+// dispatcher hands points to the workers so that concurrent workers run
+// different groups. take returns the lowest-position untaken point whose
+// group has nothing running; when every remaining point's group is
+// busy, it returns the lowest-position untaken point, which then shares
+// its group with a running point exactly as in-order dispatch would.
+// Positions order the points, so a SweepIndices run still starts its
+// points in the order the indices were given whenever groups allow. A
+// take scans only the untaken points of busy groups ahead of the one it
+// returns.
+type dispatcher struct {
+	mu    sync.Mutex
+	group []int       // group of each position
+	busy  map[int]int // running points per group
+	taken []bool
+	next  int // every position below next is taken
+}
+
+// newDispatcher groups the points with group, or puts each point in a
+// group of its own when group is nil.
+func newDispatcher[C any](points []Point[C], group func(Point[C]) int) *dispatcher {
+	d := &dispatcher{group: make([]int, len(points)), busy: make(map[int]int), taken: make([]bool, len(points))}
+	for i, p := range points {
+		d.group[i] = i
+		if group != nil {
+			d.group[i] = group(p)
+		}
+	}
+	return d
+}
+
+// take claims the next point to run, or reports false once every point
+// is taken or ctx is done.
+func (d *dispatcher) take(ctx context.Context) (int, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.next < len(d.taken) && d.taken[d.next] {
+		d.next++
+	}
+	if d.next == len(d.taken) || ctx.Err() != nil {
+		return 0, false
+	}
+	pick := d.next
+	for i := d.next; i < len(d.taken); i++ {
+		if !d.taken[i] && d.busy[d.group[i]] == 0 {
+			pick = i
+			break
+		}
+	}
+	d.taken[pick] = true
+	d.busy[d.group[pick]]++
+	return pick, true
+}
+
+// release marks a taken point's run finished.
+func (d *dispatcher) release(i int) {
+	d.mu.Lock()
+	d.busy[d.group[i]]--
+	d.mu.Unlock()
 }
 
 // runOne executes a single point, converting a panic into that point's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,15 +82,31 @@ func TestApplyOrderAndBaseIsolation(t *testing.T) {
 	}
 }
 
+// groupShape is one Group input of the dispatch tests.
+type groupShape struct {
+	name  string
+	group func(Point[cfg]) int
+}
+
+// groupShapes are none (each point its own group), contiguous blocks
+// like a campaign's cells, and a stride that interleaves groups across
+// the matrix.
+var groupShapes = []groupShape{
+	{"none", nil},
+	{"block", func(p Point[cfg]) int { return p.Config.A }},
+	{"stride", func(p Point[cfg]) int { return p.Index % 3 }},
+}
+
 // TestDeterministicOrdering is the engine's core contract: the result
-// slice and the Emit stream are identical at parallelism 1 and 8, even
-// when completion order is scrambled.
+// slice and the Emit stream are identical at parallelism 1, 2 and 8 and
+// under any Group, even when completion order is scrambled.
 func TestDeterministicOrdering(t *testing.T) {
 	s := testSpec(5, 8) // 40 points
-	run := func(par int) ([]Result[cfg, int], []int) {
+	run := func(par int, group func(Point[cfg]) int) ([]Result[cfg, int], []int) {
 		var emitted []int
 		r := Runner[cfg, int]{
 			Parallelism: par,
+			Group:       group,
 			Run: func(_ context.Context, p Point[cfg]) (int, error) {
 				// Scramble completion order: early points sleep longest.
 				time.Sleep(time.Duration(40-p.Index) * 100 * time.Microsecond)
@@ -107,83 +124,163 @@ func TestDeterministicOrdering(t *testing.T) {
 		return results, emitted
 	}
 
-	serial, emitSerial := run(1)
-	parallel, emitParallel := run(8)
-
-	for i := range serial {
-		if serial[i].Out != parallel[i].Out || serial[i].Point.Name() != parallel[i].Point.Name() {
-			t.Errorf("point %d differs: serial=%+v parallel=%+v", i, serial[i], parallel[i])
-		}
-	}
-	if !reflect.DeepEqual(emitSerial, emitParallel) {
-		t.Errorf("emit order differs:\nserial:   %v\nparallel: %v", emitSerial, emitParallel)
-	}
-	for i, idx := range emitParallel {
+	serial, emitSerial := run(1, nil)
+	for i, idx := range emitSerial {
 		if idx != i {
 			t.Fatalf("emit out of order at %d: got index %d", i, idx)
 		}
 	}
-}
-
-func TestParallelismIsReal(t *testing.T) {
-	var cur, peak atomic.Int64
-	r := Runner[cfg, int]{
-		Parallelism: 4,
-		Run: func(_ context.Context, p Point[cfg]) (int, error) {
-			n := cur.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
+	for _, sh := range groupShapes {
+		for _, par := range []int{1, 2, 8} {
+			got, emitGot := run(par, sh.group)
+			for i := range serial {
+				if serial[i].Out != got[i].Out || serial[i].Point.Name() != got[i].Point.Name() {
+					t.Errorf("group=%s par=%d point %d differs: serial=%+v got=%+v", sh.name, par, i, serial[i], got[i])
 				}
 			}
-			time.Sleep(20 * time.Millisecond)
-			cur.Add(-1)
-			return 0, nil
-		},
-	}
-	if _, err := r.Sweep(context.Background(), testSpec(4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() < 2 {
-		t.Errorf("peak concurrency %d; want >= 2 with 4 workers", peak.Load())
+			if !reflect.DeepEqual(emitSerial, emitGot) {
+				t.Errorf("group=%s par=%d emit order differs:\nserial: %v\ngot:    %v", sh.name, par, emitSerial, emitGot)
+			}
+		}
 	}
 }
 
-func TestCancellationMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int64
-	r := Runner[cfg, int]{
-		Parallelism: 2,
-		Run: func(ctx context.Context, p Point[cfg]) (int, error) {
-			if ran.Add(1) == 4 {
-				cancel()
-			}
-			time.Sleep(time.Millisecond)
-			return p.Index, nil
-		},
-	}
-	results, err := r.Sweep(ctx, testSpec(10, 10))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	var done, skipped int
-	for _, res := range results {
-		switch {
-		case res.Err == nil:
-			done++
-		case errors.Is(res.Err, ErrSkipped):
-			skipped++
-		default:
-			t.Errorf("point %d: unexpected error %v", res.Point.Index, res.Err)
+// TestGroupDispatchSpreadsGroups probes the dispatch rule from inside
+// Run: a point starts while another point of its group is running only
+// when no other group has an untaken point left. Two workers make the
+// probe exact: each worker starts its points in the order it takes
+// them, so when two points of one group run side by side, every point
+// taken before the later of the two has already started.
+func TestGroupDispatchSpreadsGroups(t *testing.T) {
+	s := testSpec(6, 5) // 30 points
+	shapes := []groupShape{groupShapes[1], groupShapes[2],
+		{"uneven", func(p Point[cfg]) int { return min(p.Index/20, 1) }}}
+	for _, sh := range shapes {
+		groups := make([]int, s.Size())
+		for i := range groups {
+			groups[i] = sh.group(s.Point(i))
+		}
+		var mu sync.Mutex
+		running := make(map[int]int)
+		started := make([]bool, s.Size())
+		r := Runner[cfg, int]{
+			Parallelism: 2,
+			Group:       sh.group,
+			Run: func(_ context.Context, p Point[cfg]) (int, error) {
+				g := groups[p.Index]
+				mu.Lock()
+				if running[g] > 0 {
+					for i, st := range started {
+						if !st && i != p.Index && groups[i] != g {
+							t.Errorf("group=%s: point %d (group %d) started beside a running point of its group while point %d of group %d was untaken",
+								sh.name, p.Index, g, i, groups[i])
+							break
+						}
+					}
+				}
+				started[p.Index] = true
+				running[g]++
+				mu.Unlock()
+				time.Sleep(time.Duration(p.Index%3+1) * 200 * time.Microsecond)
+				mu.Lock()
+				running[g]--
+				mu.Unlock()
+				return p.Index, nil
+			},
+		}
+		if _, err := r.Sweep(context.Background(), s); err != nil {
+			t.Fatalf("group=%s: %v", sh.name, err)
 		}
 	}
-	if done == 0 || skipped == 0 {
-		t.Errorf("done=%d skipped=%d; want some of both", done, skipped)
+}
+
+// TestParallelismIsReal: workers run side by side, also when every
+// point shares one busy group.
+func TestParallelismIsReal(t *testing.T) {
+	for _, group := range []func(Point[cfg]) int{nil, func(Point[cfg]) int { return 0 }} {
+		var cur, peak atomic.Int64
+		r := Runner[cfg, int]{
+			Parallelism: 4,
+			Group:       group,
+			Run: func(_ context.Context, p Point[cfg]) (int, error) {
+				n := cur.Add(1)
+				for {
+					old := peak.Load()
+					if n <= old || peak.CompareAndSwap(old, n) {
+						break
+					}
+				}
+				time.Sleep(20 * time.Millisecond)
+				cur.Add(-1)
+				return 0, nil
+			},
+		}
+		if _, err := r.Sweep(context.Background(), testSpec(4, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if peak.Load() < 2 {
+			t.Errorf("one group=%v: peak concurrency %d; want >= 2 with 4 workers", group != nil, peak.Load())
+		}
 	}
-	if done+skipped != 100 {
-		t.Errorf("done+skipped = %d, want 100", done+skipped)
+}
+
+// TestCancellationMidSweep: under any Group, points never taken stay
+// ErrSkipped, and Emit sees only a contiguous prefix of the matrix.
+func TestCancellationMidSweep(t *testing.T) {
+	for _, sh := range groupShapes {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		var mu sync.Mutex
+		executed := make(map[int]bool)
+		var emitted []int
+		r := Runner[cfg, int]{
+			Parallelism: 2,
+			Group:       sh.group,
+			Run: func(ctx context.Context, p Point[cfg]) (int, error) {
+				mu.Lock()
+				executed[p.Index] = true
+				mu.Unlock()
+				if ran.Add(1) == 4 {
+					cancel()
+				}
+				time.Sleep(time.Millisecond)
+				return p.Index, nil
+			},
+			Emit: func(res Result[cfg, int]) error {
+				emitted = append(emitted, res.Point.Index)
+				return nil
+			},
+		}
+		results, err := r.Sweep(ctx, testSpec(10, 10))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("group=%s: err = %v, want context.Canceled", sh.name, err)
+		}
+		var done, skipped int
+		for _, res := range results {
+			switch {
+			case res.Err == nil:
+				done++
+			case errors.Is(res.Err, ErrSkipped):
+				skipped++
+			default:
+				t.Errorf("group=%s point %d: unexpected error %v", sh.name, res.Point.Index, res.Err)
+			}
+			if !executed[res.Point.Index] && !errors.Is(res.Err, ErrSkipped) {
+				t.Errorf("group=%s point %d: never run but err = %v, want ErrSkipped", sh.name, res.Point.Index, res.Err)
+			}
+		}
+		if done == 0 || skipped == 0 {
+			t.Errorf("group=%s: done=%d skipped=%d; want some of both", sh.name, done, skipped)
+		}
+		if done+skipped != 100 {
+			t.Errorf("group=%s: done+skipped = %d, want 100", sh.name, done+skipped)
+		}
+		for k, idx := range emitted {
+			if idx != k {
+				t.Fatalf("group=%s: emitted %v, want a contiguous prefix", sh.name, emitted)
+			}
+		}
 	}
 }
 

@@ -81,7 +81,9 @@ type Options struct {
 	// re-warming. Results are bit-identical to fresh runs — only host
 	// time changes. Share one cache across a sweep matrix or a
 	// fault-injection campaign; it is safe for concurrent use (runs that
-	// share warm state serialize on it, distinct keys run in parallel).
+	// share warm state take turns on it, distinct keys run in parallel;
+	// a campaign gives concurrent workers different cells, so its trials
+	// take turns only once no other cell has work left).
 	Warm *WarmCache
 }
 
