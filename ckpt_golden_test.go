@@ -2,11 +2,21 @@ package reunion
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"reunion/internal/workload"
@@ -33,38 +43,60 @@ func tinyWorkload() workload.Params {
 	return p
 }
 
+// goldenCell is one pinned format exemplar: the options that build and
+// warm it, plus the interrupt period set on the system before warming
+// (interrupts are a System knob, not an Option).
+type goldenCell struct {
+	name           string
+	o              Options
+	interruptEvery int64
+}
+
+// warm builds the cell's system and runs it through the warm window.
+func (c goldenCell) warm() *System {
+	sys := buildSystem(c.o)
+	sys.InterruptEvery = c.interruptEvery
+	if !c.o.NoPrefill {
+		sys.Prefill()
+	}
+	sys.Run(c.o.WarmCycles)
+	return sys
+}
+
 // goldenCells are the pinned format exemplars: one per structural
-// variant the encoding branches on (topology, execution mode, kernel).
-func goldenCells() []struct {
-	name string
-	o    Options
-} {
-	cell := func(name string, topo Topology, mode Mode, kern Kernel) struct {
-		name string
-		o    Options
-	} {
+// variant the encoding branches on (topology, execution mode, kernel),
+// plus cells whose warm window ends while an event of a descriptor type
+// the others lack is pending. TestCheckpointGoldenTagCoverage holds the
+// set to every descriptor tag the encoder writes.
+func goldenCells() []goldenCell {
+	cell := func(name string, topo Topology, mode Mode, kern Kernel, p workload.Params, warm, interruptEvery int64) goldenCell {
 		cfg := DefaultConfig()
 		cfg.Topology = topo
-		return struct {
-			name string
-			o    Options
-		}{name, Options{
+		return goldenCell{name, Options{
 			Mode:       mode,
-			Workload:   tinyWorkload(),
+			Workload:   p,
 			Seed:       23,
-			WarmCycles: 3_000,
+			WarmCycles: warm,
 			Config:     &cfg,
 			Kernel:     kern,
-		}.withDefaults()}
+		}.withDefaults(), interruptEvery}
 	}
-	return []struct {
-		name string
-		o    Options
-	}{
-		cell("dir-reunion-ff", TopologyDirectory, ModeReunion, KernelFastForward),
-		cell("dir-nonred-naive", TopologyDirectory, ModeNonRedundant, KernelNaive),
-		cell("snoop-reunion-naive", TopologySnoopy, ModeReunion, KernelNaive),
-		cell("snoop-strict-ff", TopologySnoopy, ModeStrict, KernelFastForward),
+	// dss-q1 shrunk like tinyWorkload, and its 32 MB scan table too, so
+	// the blob stays about a megabyte; a synchronizing fetch is pending
+	// at cycle 11,296.
+	dss := workload.DSSQ1()
+	dss.Name = "dss-q1-tiny"
+	dss.PrivateBytes = 64 << 10
+	dss.HotBytes = 32 << 10
+	dss.ScanBytes = 64 << 10
+	return []goldenCell{
+		cell("dir-reunion-ff", TopologyDirectory, ModeReunion, KernelFastForward, tinyWorkload(), 3_000, 0),
+		cell("dir-nonred-naive", TopologyDirectory, ModeNonRedundant, KernelNaive, tinyWorkload(), 3_000, 0),
+		cell("snoop-reunion-naive", TopologySnoopy, ModeReunion, KernelNaive, tinyWorkload(), 3_000, 0),
+		cell("snoop-strict-ff", TopologySnoopy, ModeStrict, KernelFastForward, tinyWorkload(), 3_000, 0),
+		// A crossbar hop and the self-rescheduling interrupt are pending.
+		cell("dir-reunion-intr-ff", TopologyDirectory, ModeReunion, KernelFastForward, tinyWorkload(), 3_220, 293),
+		cell("snoop-reunion-sync-ff", TopologySnoopy, ModeReunion, KernelFastForward, dss, 11_296, 0),
 	}
 }
 
@@ -73,17 +105,19 @@ func goldenPath(name string) string {
 }
 
 // TestCheckpointGoldenFormat re-encodes each pinned cell and compares
-// against the committed blob. With -update it regenerates the files
-// instead (do this only together with a ckptFormatVersion bump, or for
-// brand-new cells).
+// against the committed blob. With -update it writes blobs for
+// brand-new cells and rewrites blobs of an older format version; it
+// refuses to overwrite a blob of the current version whose bytes
+// differ, because that is exactly the drift this test exists to catch.
 func TestCheckpointGoldenFormat(t *testing.T) {
 	for _, cell := range goldenCells() {
-		blob, err := EncodeCheckpoint(warmSystem(cell.o).Snapshot(), CheckpointKey(cell.o))
+		blob, err := EncodeCheckpoint(cell.warm().Snapshot(), CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatalf("%s: encode: %v", cell.name, err)
 		}
 		path := goldenPath(cell.name)
-		if *updateGolden {
+		want, err := os.ReadFile(path)
+		if *updateGolden && (errors.Is(err, fs.ErrNotExist) || err == nil && !sameFormatVersion(want)) {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -93,19 +127,109 @@ func TestCheckpointGoldenFormat(t *testing.T) {
 			t.Logf("%s: wrote %d bytes", path, len(blob))
 			continue
 		}
-		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: no golden blob (generate with -update): %v", cell.name, err)
 		}
 		if !bytes.Equal(blob, want) {
 			t.Errorf("%s: checkpoint encoding changed without a version bump "+
 				"(golden %d bytes, current %d). If the format change is intentional, "+
-				"bump ckptFormatVersion and regenerate with "+
-				"`go test -run TestCheckpointGoldenFormat -update ./...`; "+
-				"otherwise the change breaks every stored checkpoint.",
+				"bump ckptFormatVersion in serialize.go first, then regenerate with "+
+				"`go test -run TestCheckpointGoldenFormat -update .`; -update will not "+
+				"overwrite a blob of the current version. Otherwise the change breaks "+
+				"every stored checkpoint.",
 				cell.name, len(want), len(blob))
 		}
 	}
+}
+
+// sameFormatVersion reports whether a committed blob's header carries
+// the current ckptFormatVersion.
+func sameFormatVersion(blob []byte) bool {
+	return len(blob) >= ckptHeaderBytes && string(blob[:4]) == ckptMagic &&
+		binary.LittleEndian.Uint16(blob[4:6]) == ckptFormatVersion
+}
+
+// TestCheckpointGoldenTagCoverage holds the committed blobs to every
+// wire path: each descriptor tag EncodeCheckpoint writes must appear in
+// at least one of them, so a layout change to any pending-event
+// descriptor fails TestCheckpointGoldenFormat. The tag list is read
+// from the encoder's type switch in serialize.go, so a new descriptor
+// type needs a golden cell before it lands.
+func TestCheckpointGoldenTagCoverage(t *testing.T) {
+	tagOf := encoderTags(t)
+	seen := map[string]bool{}
+	for _, cell := range goldenCells() {
+		committed, err := os.ReadFile(goldenPath(cell.name))
+		if err != nil {
+			t.Fatalf("%s: no golden blob (generate with -update): %v", cell.name, err)
+		}
+		d, err := DecodeCheckpoint(committed)
+		if err != nil {
+			t.Fatalf("%s: %v", cell.name, err)
+		}
+		for _, ev := range d.events {
+			typ := strings.Replace(fmt.Sprintf("%T", ev.desc), "*reunion.", "*", 1)
+			tag, ok := tagOf[typ]
+			if !ok {
+				t.Fatalf("%s: pending %s has no tag in serialize.go's encode switch", cell.name, typ)
+			}
+			seen[tag] = true
+		}
+	}
+	for _, tag := range slices.Sorted(maps.Values(tagOf)) {
+		if !seen[tag] {
+			t.Errorf("no committed golden blob holds a pending event with descriptor tag %s: "+
+				"add a golden cell whose warm window ends while one is pending", tag)
+		}
+	}
+}
+
+// encoderTags parses serialize.go and maps each descriptor type in
+// EncodeCheckpoint's type switch (as %T prints it, package-local types
+// unqualified) to the tag constant its case writes.
+func encoderTags(t *testing.T) map[string]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "serialize.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "EncodeCheckpoint" {
+			return true
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			cc, ok := n.(*ast.CaseClause)
+			if !ok || len(cc.List) != 1 || len(cc.Body) == 0 {
+				return true
+			}
+			call, ok := cc.Body[0].(*ast.ExprStmt)
+			if !ok {
+				return true
+			}
+			ce, ok := call.X.(*ast.CallExpr)
+			if !ok || len(ce.Args) != 1 {
+				return true
+			}
+			tag, ok := ce.Args[0].(*ast.Ident)
+			if !ok || !strings.HasPrefix(tag.Name, "tag") {
+				return true
+			}
+			var typ strings.Builder
+			if err := printer.Fprint(&typ, fset, cc.List[0]); err != nil {
+				t.Fatal(err)
+			}
+			tags[typ.String()] = tag.Name
+			return true
+		})
+		return false
+	})
+	if len(tags) == 0 {
+		t.Fatal("found no descriptor tags in EncodeCheckpoint")
+	}
+	return tags
 }
 
 // TestCheckpointGoldenDecode proves the committed blobs still decode to
@@ -125,7 +249,7 @@ func TestCheckpointGoldenDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: committed golden blob no longer decodes: %v", cell.name, err)
 		}
-		blob, err := EncodeCheckpoint(warmSystem(cell.o).Snapshot(), CheckpointKey(cell.o))
+		blob, err := EncodeCheckpoint(cell.warm().Snapshot(), CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatal(err)
 		}

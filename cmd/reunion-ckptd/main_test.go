@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc64"
 	"io"
 	"net/http"
@@ -34,8 +35,38 @@ func seal(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint64(payload, crc)
 }
 
+// series is one scalar metric series as Registry.WriteJSON renders it.
+type series struct {
+	Labels map[string]string
+	Value  *int64
+}
+
+// metricSeries reads the registry through its JSON rendering: each
+// family's series by family name.
+func metricSeries(t *testing.T, reg *obs.Registry) map[string][]series {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics []struct {
+			Name   string
+			Series []series
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	byName := map[string][]series{}
+	for _, f := range doc.Metrics {
+		byName[f.Name] = f.Series
+	}
+	return byName
+}
+
 func TestStoreRoundTripAndMetrics(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, reg, _ := newTestServer(t)
 	blob := seal([]byte("checkpoint bytes"))
 	url := srv.URL + "/ckpt/00000000deadbeef"
 
@@ -69,50 +100,47 @@ func TestStoreRoundTripAndMetrics(t *testing.T) {
 		t.Fatalf("GET after PUT: %d, %d bytes", resp.StatusCode, len(got))
 	}
 
-	// /metrics must round-trip through the independent parser and
-	// reflect the traffic just generated.
+	// /metrics serves the exposition, and the registry behind it
+	// reflects the traffic just generated.
 	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	exposition, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/metrics content-type: %q", ct)
 	}
-	fams, err := obs.ParsePrometheus(resp.Body)
-	if err != nil {
-		t.Fatalf("/metrics failed Prometheus parse: %v", err)
+	if !bytes.Contains(exposition, []byte("# TYPE http_requests_total counter")) {
+		t.Fatalf("/metrics does not expose http_requests_total:\n%s", exposition)
 	}
-	byName := map[string]obs.PromFamily{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
+	byName := metricSeries(t, reg)
 	reqs, ok := byName["http_requests_total"]
 	if !ok {
-		t.Fatal("/metrics missing http_requests_total")
+		t.Fatal("metrics missing http_requests_total")
 	}
-	var getOK, getMiss, put float64
-	for _, s := range reqs.Samples {
+	var getOK, getMiss, put int64
+	for _, s := range reqs {
 		switch {
 		case s.Labels["method"] == "GET" && s.Labels["code"] == "200":
-			getOK = s.Value
+			getOK = *s.Value
 		case s.Labels["method"] == "GET" && s.Labels["code"] == "404":
-			getMiss = s.Value
+			getMiss = *s.Value
 		case s.Labels["method"] == "PUT":
-			put = s.Value
+			put = *s.Value
 		}
 	}
 	if getOK != 1 || getMiss != 1 || put != 1 {
 		t.Fatalf("request counters: GET200=%v GET404=%v PUT=%v, want 1/1/1", getOK, getMiss, put)
 	}
 	if _, ok := byName["ckptstore_ops_total"]; !ok {
-		t.Fatal("/metrics missing store-level ckptstore_ops_total")
+		t.Fatal("metrics missing store-level ckptstore_ops_total")
 	}
 	if _, ok := byName["http_request_duration_us"]; !ok {
-		t.Fatal("/metrics missing http_request_duration_us")
+		t.Fatal("metrics missing http_request_duration_us")
 	}
 }
 

@@ -163,7 +163,7 @@ func run() int {
 	if store != nil {
 		warmCache.UseStore(ckptstore.Instrument(store, sc))
 	}
-	runTrial := reunion.TrialRunnerTraced(spec.Model, warmCache, *traceDump)
+	runTrial := reunion.TrialRunner(spec.Model, warmCache, *traceDump)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: total}
 	if *coordinator != "" {

@@ -1,11 +1,10 @@
 // Command reunion-lint runs the repository's invariant lint suite: the
-// four analyzers in internal/lint (snapshotcomplete, determinism,
-// obsgated, wireversion). It is a blocking CI step and a local
-// pre-commit check:
+// three analyzers in internal/lint (snapshotcomplete, determinism,
+// obsgated). `go test ./...` runs it over the module (TestRepoIsClean),
+// and it doubles as a local pre-commit check:
 //
 //	reunion-lint ./...             # whole module, all analyzers
 //	reunion-lint -run obsgated ./internal/cache/...
-//	reunion-lint -wirepin          # print the wire-schema digest to re-pin
 //
 // Exit codes: 0 clean, 1 diagnostics reported, 2 usage or load error.
 package main
@@ -19,7 +18,6 @@ import (
 
 	"reunion/internal/lint"
 	"reunion/internal/lint/analysis"
-	"reunion/internal/lint/wireversion"
 )
 
 func main() { os.Exit(Main(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -31,7 +29,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	var (
 		dir      = fs.String("C", ".", "change to `dir` before loading packages")
 		runNames = fs.String("run", "", "comma-separated `subset` of analyzers to run")
-		wirePin  = fs.Bool("wirepin", false, "print the current wire-schema digest and exit")
 		list     = fs.Bool("list", false, "list the analyzers and exit")
 	)
 	fs.Usage = func() {
@@ -57,15 +54,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "reunion-lint:", err)
 		return 2
-	}
-	if *wirePin {
-		digest, ok := wireversion.Digest(prog)
-		if !ok {
-			fmt.Fprintln(stderr, "reunion-lint: no checkpoint payload root in these packages")
-			return 2
-		}
-		fmt.Fprintln(stdout, digest)
-		return 0
 	}
 	diags, err := analysis.Run(prog, selected)
 	if err != nil {

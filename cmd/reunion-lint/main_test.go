@@ -32,19 +32,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestWirePin: -wirepin prints a 16-hex digest.
-func TestWirePin(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := Main([]string{"-C", "../..", "-wirepin"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("-wirepin: exit %d, stderr: %s", code, errb.String())
-	}
-	digest := strings.TrimSpace(out.String())
-	if len(digest) != 16 {
-		t.Fatalf("-wirepin printed %q, want 16 hex chars", digest)
-	}
-}
-
 // TestUsageErrors: unknown analyzers and unloadable directories are
 // usage errors (exit 2), not findings.
 func TestUsageErrors(t *testing.T) {

@@ -209,7 +209,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	var ref bytes.Buffer
 	refEng := campaign.Engine[Options]{
 		Spec:        spec,
-		RunTrial:    TrialRunner(model),
+		RunTrial:    TrialRunner(model, NewWarmCache(), 0),
 		Parallelism: 2,
 		Sink:        sweep.NewJSONL(&ref),
 	}
@@ -237,7 +237,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 			t.Helper()
 			eng := campaign.Engine[Options]{
 				Spec:        spec,
-				RunTrial:    TrialRunnerWarm(model, warm),
+				RunTrial:    TrialRunner(model, warm, 0),
 				Parallelism: 2,
 				Sink:        jnl,
 				Indices:     jnl.Remaining(),

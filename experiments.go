@@ -119,21 +119,19 @@ func (c *memo[V]) do(key string, f func() (V, error)) (V, error) {
 }
 
 // baseline runs (or reuses) the non-redundant baseline for o. The cache
-// key deliberately omits CompareLatency and Phantom: neither affects a
-// run without redundant pairs, which is what lets one baseline serve a
-// whole latency sweep.
+// key is the warm key plus the measurement window, with CompareLatency
+// and Phantom normalised: neither affects a run without redundant pairs,
+// which is what lets one baseline serve a whole latency sweep.
 func (c ExpConfig) baseline(o Options) (Result, error) {
 	if c.base == nil {
 		return Run(o)
 	}
-	cfgKey := ""
-	if o.Config != nil {
-		cfgKey = fmt.Sprintf("%+v", *o.Config)
-	}
-	key := fmt.Sprintf("%s|%d|%d|%d|%d|%v|%v|%d|%v|%s",
-		o.Workload.Name, o.Seed, o.WarmCycles, o.MeasureCycles,
-		o.FPInterval, o.TLB, o.Consistency, o.Threads, o.Kernel, cfgKey)
-	return c.base.do(key, func() (Result, error) { return Run(o) })
+	return c.base.do(baselineKey(o), func() (Result, error) { return Run(o) })
+}
+
+func baselineKey(o Options) string {
+	o.CompareLatency, o.Phantom = 0, 0
+	return fmt.Sprintf("%s|%d", warmKey(o), o.MeasureCycles)
 }
 
 // Observe attaches an observability scope to the campaign. Beyond
@@ -808,7 +806,7 @@ func (c ExpConfig) CoverageExperiment(trialsPerCell int) (*campaign.Report, erro
 			Seed:          0xfa017,
 			StreamExclude: []string{"mode", "phantom"},
 		},
-		RunTrial:    TrialRunnerWarm(model, c.coverageWarm()),
+		RunTrial:    TrialRunner(model, c.coverageWarm(), 0),
 		Parallelism: c.Parallelism,
 		Obs:         c.Obs,
 	}

@@ -32,18 +32,12 @@ func (o Options) CoresUnderTest() int {
 }
 
 // trialKey fingerprints every option a golden (fault-free) trial run
-// depends on, so one golden reference serves all trials of a cell. Like
-// the sweep's baseline cache, distinct cells never share an entry and
-// concurrent trials of one cell singleflight onto the same run.
+// depends on — the warm key plus the trial's measurement phase — so one
+// golden reference serves all trials of a cell. Like the sweep's
+// baseline cache, distinct cells never share an entry and concurrent
+// trials of one cell singleflight onto the same run.
 func trialKey(o Options) string {
-	cfgKey := ""
-	if o.Config != nil {
-		cfgKey = fmt.Sprintf("%+v", *o.Config)
-	}
-	return fmt.Sprintf("%v|%+v|%d|%d|%d|%d|%v|%v|%v|%d|%d|%d|%v|%s",
-		o.Mode, o.Workload, o.Threads, o.Seed, o.CompareLatency, o.FPInterval,
-		o.Phantom, o.TLB, o.Consistency, o.WarmCycles, o.CommitTarget,
-		o.TrialDeadline, o.NoPrefill, cfgKey)
+	return fmt.Sprintf("%s|%d|%d", warmKey(o), o.CommitTarget, o.TrialDeadline)
 }
 
 // TrialRunner returns the campaign trial-execution function over Run: it
@@ -53,37 +47,26 @@ func trialKey(o Options) string {
 // function is safe for concurrent use across trials; golden runs are
 // computed once per cell behind a singleflight.
 //
-// Warm state is checkpointed per cell and shared campaign-wide: the
-// golden run warms the cell's system once and snapshots it at the
+// Warm state is checkpointed per cell in warm and shared campaign-wide:
+// the golden run warms the cell's system once and snapshots it at the
 // measurement boundary, and every injected trial of that cell restores
 // the snapshot instead of re-warming from cycle 0 — bit-identical
-// classification, several times less host time.
-func TrialRunner(model campaign.FaultModel) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
-	return TrialRunnerWarm(model, NewWarmCache())
-}
-
-// TrialRunnerWarm is TrialRunner over a caller-owned warm-state cache.
-// Both caches are lazy — a cell's golden run and warm checkpoint are
-// built the first time one of its trials executes — which is what makes
-// sharded campaigns warm-local: under the dist layer's contiguous plans
-// a shard's trials land on the fewest possible cells, so each worker
-// process warms exactly the checkpoints its own cells need and no
-// others (asserted via WarmCache.Len in the shard byte-identity tests).
-// Passing the cache also lets one cache serve several engines of the
-// same campaign, e.g. a resumed shard's second Engine run.
-func TrialRunnerWarm(model campaign.FaultModel, warm *WarmCache) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
-	return TrialRunnerTraced(model, warm, 0)
-}
-
-// TrialRunnerTraced is TrialRunnerWarm with per-trial kernel-event
-// tracing: when traceEvents is positive, each injected run records its
-// last traceEvents recovery/mismatch events and the formatted dump
-// reaches the Observation's Diag field — where the inject CLI's
-// -trace-dump flag prints it for SDC and unexpected-DUE trials. Golden
-// runs stay untraced. Tracing is a pure observer (Options.TraceEvents is
-// excluded from every cache key), so traced and untraced campaigns
-// produce byte-identical result streams.
-func TrialRunnerTraced(model campaign.FaultModel, warm *WarmCache, traceEvents int) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
+// classification, several times less host time. The cache is lazy, which
+// is what makes sharded campaigns warm-local: under the dist layer's
+// contiguous plans a shard's trials land on the fewest possible cells,
+// so each worker process warms exactly the checkpoints its own cells
+// need (asserted via WarmCache.Len in the shard byte-identity tests).
+// One cache can serve several engines of the same campaign, e.g. a
+// resumed shard's second Engine run.
+//
+// When traceEvents is positive, each injected run records its last
+// traceEvents recovery/mismatch events and the formatted dump reaches
+// the Observation's Diag field — where the inject CLI's -trace-dump flag
+// prints it for SDC and unexpected-DUE trials. Golden runs stay
+// untraced. Tracing is a pure observer (Options.TraceEvents is excluded
+// from every cache key), so traced and untraced campaigns produce
+// byte-identical result streams.
+func TrialRunner(model campaign.FaultModel, warm *WarmCache, traceEvents int) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
 	golden := newMemo[Result]()
 	return func(_ context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
 		o := cell.Config

@@ -3,6 +3,7 @@ package reunion
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"reunion/internal/campaign"
@@ -136,7 +137,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 			Seed:          0xfa017,
 			StreamExclude: []string{"mode"},
 		},
-		RunTrial: TrialRunner(model),
+		RunTrial: TrialRunner(model, NewWarmCache(), 0),
 	}
 	rep, err := eng.Run(context.Background())
 	if err != nil {
@@ -169,5 +170,53 @@ func TestCampaignEndToEnd(t *testing.T) {
 	rep.WriteTable(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty coverage table")
+	}
+}
+
+// TestRunKeysCoverEveryOption perturbs each Options field in turn and
+// checks which memo keys see it: warmKey every field that shapes the
+// system up to the measurement boundary, trialKey those plus the trial
+// window, baselineKey those plus the measurement window minus the two
+// pair-only knobs. A new Options field fails here until it is placed,
+// instead of silently sharing a warm, golden or baseline run between
+// cells that differ.
+func TestRunKeysCoverEveryOption(t *testing.T) {
+	measureOnly := map[string]bool{"MeasureCycles": true, "Inject": true, "CommitTarget": true,
+		"TrialDeadline": true, "TraceEvents": true, "Warm": true}
+	trialOnly := map[string]bool{"CommitTarget": true, "TrialDeadline": true}
+	pairOnly := map[string]bool{"CompareLatency": true, "Phantom": true}
+	var base Options
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		o := base
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Struct:
+			o.Workload.PrivateBytes = 1 // same name, different program
+		default:
+			t.Fatalf("no perturbation for Options.%s (%s)", name, f.Kind())
+		}
+		for _, k := range []struct {
+			key  func(Options) string
+			name string
+			want bool
+		}{
+			{warmKey, "warmKey", !measureOnly[name]},
+			{trialKey, "trialKey", !measureOnly[name] || trialOnly[name]},
+			{baselineKey, "baselineKey", !measureOnly[name] && !pairOnly[name] || name == "MeasureCycles"},
+		} {
+			if got := k.key(o) != k.key(base); got != k.want {
+				t.Errorf("Options.%s: %s changes = %v, want %v", name, k.name, got, k.want)
+			}
+		}
 	}
 }

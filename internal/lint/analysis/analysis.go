@@ -40,9 +40,6 @@ const (
 	// MarkNondetermOK marks host-time-only code (latency telemetry,
 	// benchmark harnesses) that a deterministic-output path may contain.
 	MarkNondetermOK = "nondeterm-ok"
-	// MarkWireCompat justifies a checkpoint-payload type edit as
-	// wire-compatible, excluding the field from the wireversion digest.
-	MarkWireCompat = "wire-compat"
 )
 
 // An Analyzer describes one invariant check.
@@ -52,8 +49,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// WholeProgram analyzers run once per load with Pass.Pkg == nil and
-	// walk Pass.Prog themselves (cross-package callgraphs, type-graph
-	// digests). Per-package analyzers run once per target package.
+	// walk Pass.Prog themselves (cross-package callgraphs). Per-package
+	// analyzers run once per target package.
 	WholeProgram bool
 	// Run reports diagnostics through the pass.
 	Run func(*Pass) error
@@ -99,24 +96,6 @@ type Program struct {
 	// Targets are the packages named by the load patterns, in load
 	// (dependency-first) order. Diagnostics are only wanted here.
 	Targets []*Package
-
-	byTypes map[*types.Package]*Package
-}
-
-// PkgOf returns the analysis-domain package for a types.Package, or nil
-// for standard-library and otherwise unloaded packages.
-func (p *Program) PkgOf(tp *types.Package) *Package {
-	return p.byTypes[tp]
-}
-
-// IsTarget reports whether pkg is one of the load's analysis targets.
-func (p *Program) IsTarget(pkg *Package) bool {
-	for _, t := range p.Targets {
-		if t == pkg {
-			return true
-		}
-	}
-	return false
 }
 
 // A Pass carries one analyzer invocation's inputs and its report sink.
@@ -317,16 +296,6 @@ func commentHasMarker(cg *ast.CommentGroup, marker string) bool {
 		}
 	}
 	return false
-}
-
-// FileOf returns the syntax file containing pos, or nil.
-func (p *Package) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // Basename returns the last element of the package path — the name the

@@ -166,9 +166,8 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 	prog := &Program{
-		Fset:    sharedFset,
-		Pkgs:    map[string]*Package{},
-		byTypes: map[*types.Package]*Package{},
+		Fset: sharedFset,
+		Pkgs: map[string]*Package{},
 	}
 	local := map[string]*types.Package{}
 	var loadErrs []string
@@ -212,7 +211,6 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 		}
 		pkg.finish(sharedFset)
 		prog.Pkgs[lp.ImportPath] = pkg
-		prog.byTypes[tp] = pkg
 		if !lp.DepOnly {
 			prog.Targets = append(prog.Targets, pkg)
 		}
@@ -346,9 +344,8 @@ func LoadTree(root string, patterns ...string) (*Program, error) {
 	}
 
 	prog := &Program{
-		Fset:    sharedFset,
-		Pkgs:    map[string]*Package{},
-		byTypes: map[*types.Package]*Package{},
+		Fset: sharedFset,
+		Pkgs: map[string]*Package{},
 	}
 	local := map[string]*types.Package{}
 	for _, ip := range order {
@@ -370,7 +367,6 @@ func LoadTree(root string, patterns ...string) (*Program, error) {
 		}
 		pkg.finish(sharedFset)
 		prog.Pkgs[ip] = pkg
-		prog.byTypes[typed] = pkg
 	}
 
 	match := func(ip string) bool {

@@ -201,8 +201,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isSink reports whether fn is a deterministic-output sink: an Emit
-// method on a type implementing a module Sink interface, any method of
+// isSink reports whether fn is a deterministic-output sink: a method of
+// a module Sink interface on a type implementing it, any method of
 // dist's Journal, anything in a fingerprint package, or a function
 // whose name marks it as part of the digest pipeline.
 func isSink(fn *types.Func, site declSite, sinkIfaces []*types.Interface) bool {
@@ -225,9 +225,12 @@ func isSink(fn *types.Func, site declSite, sinkIfaces []*types.Interface) bool {
 	if pkgBase == "dist" && named.Obj().Name() == "Journal" {
 		return true
 	}
-	if name == "Emit" {
-		for _, iface := range sinkIfaces {
-			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+	for _, iface := range sinkIfaces {
+		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == name {
 				return true
 			}
 		}

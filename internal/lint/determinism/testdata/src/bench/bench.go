@@ -11,5 +11,5 @@ import (
 
 func Measure(c *res.Collector) {
 	t0 := time.Now()
-	c.Emit(time.Since(t0).String())
+	c.Write(time.Since(t0).String())
 }

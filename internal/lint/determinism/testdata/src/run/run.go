@@ -16,7 +16,7 @@ import (
 // of sweep.Sink is a resolution candidate.
 func emitAll(s sweep.Sink, rows []string) {
 	for _, r := range rows {
-		s.Emit(r)
+		s.Write(r)
 	}
 }
 
@@ -28,7 +28,7 @@ func runner(c *res.Collector, counts map[string]int) {
 	rng := rand.New(rand.NewSource(1))
 	_ = rng.Intn(10)
 	for k := range counts { // want `map`
-		c.Emit(k)
+		c.Write(k)
 	}
 }
 
@@ -39,7 +39,7 @@ func sortedRunner(s sweep.Sink, counts map[string]int) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		s.Emit(k)
+		s.Write(k)
 	}
 }
 
@@ -47,7 +47,7 @@ func pruneRunner(c *res.Collector, m map[string]int) {
 	for k := range m {
 		delete(m, k)
 	}
-	c.Emit("pruned")
+	c.Write("pruned")
 }
 
 // hostOnly never reaches a sink, so host time is fine here.
@@ -57,13 +57,13 @@ func hostOnly() time.Time { return time.Now() }
 // //reunion:nondeterm-ok host latency telemetry only
 func timedEmit(c *res.Collector) {
 	t0 := time.Now()
-	c.Emit(time.Since(t0).String())
+	c.Write(time.Since(t0).String())
 }
 
 func mixedEmit(c *res.Collector) {
 	t0 := time.Now() //reunion:nondeterm-ok host latency, not emitted
 	_ = t0
-	c.Emit("row")
+	c.Write("row")
 }
 
 // deferredEmit hides the violation in a closure; the body is still
@@ -71,7 +71,7 @@ func mixedEmit(c *res.Collector) {
 func deferredEmit(c *res.Collector) {
 	f := func() { _ = time.Now() } // want `time\.Now`
 	f()
-	c.Emit("row")
+	c.Write("row")
 }
 
 func computeDigest(rows []string) uint64 {

@@ -9,7 +9,6 @@ import (
 	"reunion/internal/lint/determinism"
 	"reunion/internal/lint/obsgated"
 	"reunion/internal/lint/snapshotcomplete"
-	"reunion/internal/lint/wireversion"
 )
 
 // Analyzers is the full suite, in documentation order.
@@ -17,5 +16,4 @@ var Analyzers = []*analysis.Analyzer{
 	snapshotcomplete.Analyzer,
 	determinism.Analyzer,
 	obsgated.Analyzer,
-	wireversion.Analyzer,
 }

@@ -25,9 +25,7 @@
 // state (never captured, reconstructed from serialized state — PR 8's
 // waiter chains); `//reunion:shared` declares a reference intentionally
 // shared between snapshot and live machine (identity-preserved
-// component wiring, immutable-once-created values). Both annotations
-// are also load-bearing for the wireversion analyzer, which excludes
-// annotated fields from the pinned payload digest.
+// component wiring, immutable-once-created values).
 package snapshotcomplete
 
 import (

@@ -147,7 +147,7 @@ func (m *Memory) MappedPages() int { return len(m.pages) }
 // and with other states until a writer copies them — so a state restores
 // any number of times.
 type MemoryState struct {
-	pages map[uint64]*[pageWords]uint64 //reunion:wire-compat encoded as sorted (number, 1024 words) records either way; the arrays became pointers shared copy-on-write with the live image
+	pages map[uint64]*[pageWords]uint64 // encoded as sorted (number, 1024 words) records
 }
 
 // Snapshot captures the memory image without copying page data: the

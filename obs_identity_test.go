@@ -5,8 +5,7 @@ package reunion
 // with a full scope attached (tracer + registry, plus the per-trial
 // kernel-event ring) are byte-identical to the telemetry-off run — and
 // the telemetry itself is well-formed: the trace parses as Chrome
-// trace-event JSON with the required fields, the metrics parse under a
-// strict Prometheus text-format check.
+// trace-event JSON with the required fields, the metrics count what ran.
 
 import (
 	"bytes"
@@ -63,31 +62,39 @@ func chromeTraceEvents(t *testing.T, tr *obs.Tracer) []map[string]any {
 	return doc.TraceEvents
 }
 
-// promFamilies runs the registry through the strict text-format parser
-// and indexes the result by family name.
-func promFamilies(t *testing.T, reg *obs.Registry) map[string]obs.PromFamily {
+// metricTotals reads the registry through its JSON rendering and sums
+// each family's series: counter and gauge values, histogram counts.
+func metricTotals(t *testing.T, reg *obs.Registry) map[string]float64 {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheus(&buf)
-	if err != nil {
-		t.Fatalf("metrics failed the Prometheus text-format check: %v", err)
+	var doc struct {
+		Metrics []struct {
+			Name   string
+			Series []struct {
+				Value     *int64
+				Histogram *struct{ Count int64 }
+			}
+		}
 	}
-	byName := make(map[string]obs.PromFamily, len(fams))
-	for _, f := range fams {
-		byName[f.Name] = f
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
 	}
-	return byName
-}
-
-func counterTotal(f obs.PromFamily) float64 {
-	var sum float64
-	for _, s := range f.Samples {
-		sum += s.Value
+	totals := make(map[string]float64, len(doc.Metrics))
+	for _, f := range doc.Metrics {
+		totals[f.Name] = 0
+		for _, s := range f.Series {
+			switch {
+			case s.Value != nil:
+				totals[f.Name] += float64(*s.Value)
+			case s.Histogram != nil:
+				totals[f.Name] += float64(s.Histogram.Count)
+			}
+		}
 	}
-	return sum
+	return totals
 }
 
 func obsSweepSpec() sweep.Spec[Options] {
@@ -134,15 +141,15 @@ func TestTelemetrySweepByteIdentity(t *testing.T) {
 	if len(events) != spec.Size() {
 		t.Fatalf("trace holds %d spans, want one per run (%d)", len(events), spec.Size())
 	}
-	fams := promFamilies(t, sc.Metrics)
-	runs, ok := fams["sweep_runs_total"]
+	totals := metricTotals(t, sc.Metrics)
+	n, ok := totals["sweep_runs_total"]
 	if !ok {
 		t.Fatal("metrics missing sweep_runs_total")
 	}
-	if got := counterTotal(runs); got != float64(spec.Size()) {
-		t.Fatalf("sweep_runs_total = %v, want %d", got, spec.Size())
+	if n != float64(spec.Size()) {
+		t.Fatalf("sweep_runs_total = %v, want %d", n, spec.Size())
 	}
-	if _, ok := fams["sweep_run_duration_us"]; !ok {
+	if _, ok := totals["sweep_run_duration_us"]; !ok {
 		t.Fatal("metrics missing sweep_run_duration_us")
 	}
 }
@@ -194,13 +201,13 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 		t.Fatal("journal bytes differ between telemetry on and off")
 	}
 
-	fams := promFamilies(t, sc.Metrics)
-	recs, ok := fams["dist_journal_records_total"]
+	totals := metricTotals(t, sc.Metrics)
+	n, ok := totals["dist_journal_records_total"]
 	if !ok {
 		t.Fatal("metrics missing dist_journal_records_total")
 	}
-	if got := counterTotal(recs); got != 2 {
-		t.Fatalf("dist_journal_records_total = %v, want the shard's 2", got)
+	if n != 2 {
+		t.Fatalf("dist_journal_records_total = %v, want the shard's 2", n)
 	}
 }
 
@@ -224,7 +231,7 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 		var out bytes.Buffer
 		eng := campaign.Engine[Options]{
 			Spec:        spec,
-			RunTrial:    TrialRunnerTraced(spec.Model, NewWarmCache(), traceEvents),
+			RunTrial:    TrialRunner(spec.Model, NewWarmCache(), traceEvents),
 			Parallelism: 2,
 			Sink:        sweep.NewJSONL(&out),
 			Obs:         sc,
@@ -248,12 +255,12 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 	if len(events) != spec.Trials {
 		t.Fatalf("trace holds %d spans, want one per trial (%d)", len(events), spec.Trials)
 	}
-	fams := promFamilies(t, sc.Metrics)
-	trialsFam, ok := fams["campaign_trials_total"]
+	totals := metricTotals(t, sc.Metrics)
+	n, ok := totals["campaign_trials_total"]
 	if !ok {
 		t.Fatal("metrics missing campaign_trials_total")
 	}
-	if got := counterTotal(trialsFam); got != float64(spec.Trials) {
-		t.Fatalf("campaign_trials_total = %v, want %d", got, spec.Trials)
+	if n != float64(spec.Trials) {
+		t.Fatalf("campaign_trials_total = %v, want %d", n, spec.Trials)
 	}
 }
