@@ -9,8 +9,10 @@
 //   - Shallow-copy snapshots (snapshot.go): `s.core = *c` captures every
 //     scalar automatically, so only reference-typed fields (slices,
 //     maps, pointers, chans, funcs, interfaces) can be lost — each must
-//     be mentioned somewhere in the snapshot path (deep-copied, fixed
-//     up, or nil'd) or annotated. Struct values captured by the copy
+//     be mentioned somewhere in the snapshot path (deep-copied or fixed
+//     up) or annotated. Assigning nil drops a field rather than
+//     capturing it, so a field the path only nils needs the annotation
+//     that says why. Struct values captured by the copy
 //     (including slice/array elements) are checked recursively the same
 //     way: a reference inside a copied element leaks identity just as
 //     surely.
@@ -103,14 +105,25 @@ func run(pass *analysis.Pass) error {
 				noteNamed(recv.Type(), modeAllFields)
 			}
 		}
+		// A field assigned nil on the snapshot path is dropped, not
+		// captured: like a field never mentioned, it needs an annotation.
+		dropped := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && info.Types[n.Rhs[i]].IsNil() {
+							dropped[sel] = true
+						}
+					}
+				}
 			case *ast.SelectorExpr:
-				if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal {
+				if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !dropped[n] {
 					referenced[s.Obj().(*types.Var)] = true
 				}
 			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
+				if id, ok := n.Key.(*ast.Ident); ok && !info.Types[n.Value].IsNil() {
 					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 						referenced[v] = true
 					}
@@ -190,7 +203,7 @@ func run(pass *analysis.Pass) error {
 			}
 			what := "captured by the snapshot path"
 			if mode == modeRefsOnly {
-				what = "deep-copied, fixed up, or nil'd in the snapshot path"
+				what = "deep-copied nor fixed up in the snapshot path"
 			}
 			pass.Reportf(f.Pos(),
 				"field %s.%s is neither %s (snapshot.go/wire.go/serialize.go) nor annotated "+

@@ -18,6 +18,10 @@ type Core struct {
 	wake []int
 	cfg  *Config //reunion:shared config is immutable once built
 	sets [2]inner
+	// Nil'ing a field on the snapshot path drops it: only an annotation
+	// says the drop is deliberate.
+	memo    []int // want `Core\.memo`
+	scratch []int //reunion:derived rebuilt on restore
 }
 
 type CoreState struct {
@@ -27,5 +31,7 @@ type CoreState struct {
 func (c *Core) Snapshot() *CoreState {
 	s := &CoreState{core: *c}
 	s.core.buf = append([]int(nil), c.buf...)
+	s.core.memo = nil
+	s.core.scratch = nil
 	return s
 }
