@@ -330,7 +330,7 @@ func (w *WarmCache) Observe(sc obs.Scope) {
 }
 
 // UseStore backs the cache with a persistent checkpoint store (a local
-// directory or a reunion-ckptd client). Call before the first run.
+// or shared directory). Call before the first run.
 func (w *WarmCache) UseStore(s ckptstore.Store) { w.store = s }
 
 // Warmups returns how many full local warmups this cache has performed;

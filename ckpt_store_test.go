@@ -1,7 +1,6 @@
 package reunion
 
 import (
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -50,10 +49,10 @@ func (s *memStore) Put(key uint64, blob []byte) error {
 	return nil
 }
 
-// TestWarmCacheStoreFleet is the fleet-reuse contract over both real
-// backends: worker A warms every cell once and uploads; workers B (same
-// disk) and C (over HTTP) restore every cell from the store, warm
-// nothing, and produce bit-identical Results.
+// TestWarmCacheStoreFleet is the fleet-reuse contract over the disk
+// store: worker A warms every cell once and uploads; worker B, sharing
+// the directory, restores every cell from the store, warms nothing, and
+// produces bit-identical Results.
 func TestWarmCacheStoreFleet(t *testing.T) {
 	cells := []Options{storeCell(31), storeCell(32), storeCell(33)}
 	want := make([]Result, len(cells))
@@ -69,8 +68,6 @@ func TestWarmCacheStoreFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(ckptstore.Handler(disk))
-	defer srv.Close()
 
 	workers := []struct {
 		name  string
@@ -80,7 +77,6 @@ func TestWarmCacheStoreFleet(t *testing.T) {
 	}{
 		{"warming-worker", disk, 0, int64(len(cells))},
 		{"cold-worker-disk", disk, int64(len(cells)), 0},
-		{"cold-worker-http", ckptstore.NewClient(srv.URL), int64(len(cells)), 0},
 	}
 	for _, wk := range workers {
 		warm := NewWarmCache()

@@ -33,13 +33,9 @@
 //	reunion-inject -trials 3000 -shard 0/3 -journal shard-0.jsonl
 //	reunion-merge -out inject.jsonl shard-*.jsonl
 //
-// With -coordinator the worker instead pulls small index-range leases
-// from a reunion-coordinator and streams each completed range back —
-// dynamic dispatch for heterogeneous fleets through the same code path
-// as a -shard range, same byte-identical merged stream (the coordinator
-// does the merging):
-//
-//	reunion-inject -trials 3000 -coordinator http://host:8080
+// With -ckpt-store on a directory the shards share (local or a network
+// mount), a cell warmed by one shard is restored, not re-warmed, by the
+// others.
 //
 // A sharded run's coverage table covers only that range's trials — and
 // a resumed run's, only the trials executed in that invocation (a
@@ -94,7 +90,6 @@ func run() int {
 	shardStr := flag.String("shard", "", "run only static range i/n of the flattened trial matrix (e.g. 0/3; default: all trials)")
 	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
 	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete trial record")
-	coordinator := flag.String("coordinator", "", "run as a lease-pulling worker of a reunion-coordinator at this base URL (excludes -shard/-journal/-resume/-out)")
 	quiet := flag.Bool("quiet", false, "suppress per-trial progress on stderr")
 	ckpt := cliconf.RegisterCkpt(flag.CommandLine)
 	obsFlags := cliconf.RegisterObs(flag.CommandLine).WithHeartbeat(flag.CommandLine)
@@ -147,10 +142,9 @@ func run() int {
 		fmt.Sprintf("model:%+v", spec.Model),
 		fmt.Sprintf("exclude:%v", spec.StreamExclude))...)
 
-	// A worker warms only its own cells' checkpoints — and, across the
-	// leases of a coordinated worker, keeps them hot from one lease to the
-	// next; with a shared store it also skips the ones a fleet-mate (or a
-	// previous, killed incarnation resuming via -journal) already warmed.
+	// A worker warms only its own cells' checkpoints; with a shared store
+	// it also skips the ones a fleet-mate (or a previous, killed
+	// incarnation resuming via -journal) already warmed.
 	// Restores are bit-identical to local warmup, so trial records are
 	// unchanged.
 	warmCache := reunion.NewWarmCache()
@@ -166,14 +160,6 @@ func run() int {
 	runTrial := reunion.TrialRunner(spec.Model, warmCache, *traceDump)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: total}
-	if *coordinator != "" {
-		return cliconf.RunWorker("inject", *coordinator, plan, *quiet, sc, obsFlags,
-			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
-				_, err := runRange(ctx, spec, runTrial, lo, hi, *parallel, sc, sink, nil)
-				return err
-			})
-	}
-
 	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -303,10 +289,10 @@ func run() int {
 // runRange runs trial indices [lo, hi) of the flattened cells×trials
 // space and writes their records to sink (nil = none) in index order —
 // byte-identical to the same records of a single-process campaign at any
-// parallelism. It is the one execution path of both a -shard/-journal
-// range and a coordinator lease. Trial failures become deterministic DUE
-// records rather than failing the range, exactly as the single-process
-// stream carries them; the report covers only the executed trials.
+// parallelism, for a whole run, a -shard range and a -resume tail
+// alike. Trial failures become deterministic DUE records rather than
+// failing the range, exactly as the single-process stream carries them;
+// the report covers only the executed trials.
 func runRange(ctx context.Context, spec campaign.Spec[reunion.Options],
 	runTrial func(ctx context.Context, cell sweep.Point[reunion.Options], t campaign.Trial) campaign.Observation,
 	lo, hi, parallel int, sc obs.Scope, sink sweep.Sink,

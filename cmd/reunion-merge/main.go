@@ -1,11 +1,10 @@
-// Command reunion-merge validates and reassembles the range journals of
-// a distributed reunion-sweep or reunion-inject run — static -shard
-// journals or a coordinator's sealed ranges — into one results stream
-// byte-identical to the single-process run.
+// Command reunion-merge validates and reassembles the -shard journals of
+// a distributed reunion-sweep or reunion-inject run into one results
+// stream byte-identical to the single-process run.
 //
 //	reunion-merge -out sweep.jsonl shard-0.jsonl shard-1.jsonl shard-2.jsonl
 //	reunion-merge -out - shard-*.jsonl > merged.jsonl
-//	reunion-merge -manifest m.json -out partial.jsonl coord-state/range-*.jsonl
+//	reunion-merge -manifest m.json -out partial.jsonl shard-*.jsonl
 //
 // The journals may be given in any order. Every journal is verified
 // before a byte is written — header against the run, each record's index

@@ -25,13 +25,8 @@
 //	reunion-sweep -shard 0/3 -journal shard-0.jsonl   # one per worker
 //	reunion-merge -out sweep.jsonl shard-*.jsonl
 //
-// For dynamic dispatch — a fleet of identical workers pulling range
-// leases from a reunion-coordinator instead of fixed shard ranges — run
-// workers with -coordinator; a lease runs through the same code path as
-// a -shard range:
-//
-//	reunion-coordinator -spec-cmd sweep ... &
-//	reunion-sweep -coordinator http://host:8080 &   # any number of these
+// Shards that share a -ckpt-store directory (local or a network mount)
+// hand each other warm checkpoints instead of each warming its own.
 //
 // Run with -list to enumerate workloads, and see EXPERIMENTS.md for the
 // invocation reproducing each paper table and figure.
@@ -86,7 +81,6 @@ func run() int {
 	shardStr := flag.String("shard", "", "run only static range i/n of the matrix (e.g. 0/3; default: the whole matrix)")
 	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
 	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete record")
-	coordinator := flag.String("coordinator", "", "run as a lease-pulling worker of a reunion-coordinator at this base URL (excludes -shard/-journal/-resume/-out)")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress on stderr")
 	obsFlags := cliconf.RegisterObs(flag.CommandLine).WithHeartbeat(flag.CommandLine)
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -163,13 +157,6 @@ func run() int {
 		fmt.Sprintf("base:%+v", fpBase))...)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
-	if *coordinator != "" {
-		return cliconf.RunWorker("sweep", *coordinator, plan, *quiet, sc, obsFlags,
-			func(ctx context.Context, lo, hi int, sink sweep.Sink) error {
-				return runRange(ctx, spec, lo, hi, *parallel, sc, sink, nil)
-			})
-	}
-
 	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -297,10 +284,10 @@ func run() int {
 
 // runRange runs matrix indices [lo, hi) and writes their records to
 // sink in index order — byte-identical to the same records of a
-// single-process run at any parallelism. It is the one execution path
-// of both a -shard/-journal range and a coordinator lease. A cancelled,
-// never-executed run never reaches the sink: a journal would otherwise
-// resume past it forever as a bogus error record.
+// single-process run at any parallelism, for a whole run, a -shard
+// range and a -resume tail alike. A cancelled, never-executed run never
+// reaches the sink: a journal would otherwise resume past it forever as
+// a bogus error record.
 func runRange(ctx context.Context, spec sweep.Spec[reunion.Options], lo, hi, parallel int,
 	sc obs.Scope, sink sweep.Sink, progress func(done, total int, r sweep.Result[reunion.Options, reunion.Result])) error {
 	indices := make([]int, 0, hi-lo)

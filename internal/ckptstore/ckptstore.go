@@ -1,16 +1,15 @@
 // Package ckptstore is the persistent, content-addressed checkpoint
 // store: serialized warm-state blobs filed under their options
-// fingerprint, shared across processes (local disk) or across machines
-// (a reunion-ckptd server over HTTP).
+// fingerprint in a directory that processes share — on one machine, or
+// across machines on a shared filesystem.
 //
 // The store is format-agnostic: a blob is opaque bytes whose last eight
 // bytes are a little-endian CRC-64 (ECMA) of everything before them —
 // the same footer discipline the checkpoint encoder and the dist
-// journal use. Every backend verifies that seal on both read and write,
-// so a torn file, a truncated response body, or a corrupted byte never
-// crosses a store boundary; semantic validation (format version, key
-// match, structural invariants) belongs to the checkpoint decoder
-// above.
+// journal use. The store verifies that seal on both read and write, so
+// a torn file or a corrupted byte never crosses a store boundary;
+// semantic validation (format version, key match, structural
+// invariants) belongs to the checkpoint decoder above.
 package ckptstore
 
 import (
@@ -55,26 +54,5 @@ func Verify(blob []byte) error {
 }
 
 // KeyName renders a key as the fixed-width hex string used in disk
-// paths and HTTP URLs.
+// paths and trace spans.
 func KeyName(key uint64) string { return fmt.Sprintf("%016x", key) }
-
-// ParseKey parses a KeyName back to a key.
-func ParseKey(name string) (uint64, error) {
-	if len(name) != 16 {
-		return 0, fmt.Errorf("ckptstore: key %q is not 16 hex digits", name)
-	}
-	var key uint64
-	for _, c := range []byte(name) {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		default:
-			return 0, fmt.Errorf("ckptstore: key %q is not 16 hex digits", name)
-		}
-		key = key<<4 | d
-	}
-	return key, nil
-}

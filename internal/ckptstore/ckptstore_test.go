@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -40,14 +41,10 @@ func TestVerify(t *testing.T) {
 
 func TestKeyNameRoundTrip(t *testing.T) {
 	for _, key := range []uint64{0, 1, 0xdeadbeefcafe0123, ^uint64(0)} {
-		got, err := ParseKey(KeyName(key))
-		if err != nil || got != key {
-			t.Errorf("ParseKey(KeyName(%#x)) = %#x, %v", key, got, err)
-		}
-	}
-	for _, bad := range []string{"", "xyz", "00112233445566", "00112233445566778", "0011223344556G77"} {
-		if _, err := ParseKey(bad); err == nil {
-			t.Errorf("ParseKey(%q) accepted", bad)
+		name := KeyName(key)
+		got, err := strconv.ParseUint(name, 16, 64)
+		if len(name) != 16 || strings.ToLower(name) != name || err != nil || got != key {
+			t.Errorf("KeyName(%#x) = %q, want 16 lower-case hex digits", key, name)
 		}
 	}
 }
@@ -137,139 +134,76 @@ func TestDiskCorruptAtRest(t *testing.T) {
 	}
 }
 
-func newTestClient(url string) *Client {
-	c := NewClient(url)
-	c.retryWait = 0
-	return c
-}
-
-func TestHTTPRoundTrip(t *testing.T) {
+// TestDiskConcurrentPutSameKey is the property a store directory shared
+// by several shards rests on: writers racing to Put the same checkpoint
+// under one key, while readers Get it, never expose a torn blob. Each
+// Get returns ErrNotFound or exactly the blob, and once the writers are
+// done the key's directory holds the checkpoint file and nothing else —
+// no temp file survives a completed Put.
+func TestDiskConcurrentPutSameKey(t *testing.T) {
 	d, err := NewDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(d))
-	defer srv.Close()
-	c := newTestClient(srv.URL)
-
-	key := uint64(0x5ca1ab1e)
-	if _, err := c.Get(key); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get on empty store: %v, want ErrNotFound", err)
+	key := uint64(0x5eed5eed)
+	payload := make([]byte, 256<<10)
+	for i := range payload {
+		payload[i] = byte(i * 131)
 	}
-	blob := seal([]byte("over the wire"))
-	if err := c.Put(key, blob); err != nil {
+	blob := seal(payload)
+
+	const writers, readers, puts = 6, 6, 8
+	var wg, rg sync.WaitGroup
+	var stop atomic.Bool
+	var hits atomic.Int64
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for !stop.Load() {
+				got, err := d.Get(key)
+				switch {
+				case errors.Is(err, ErrNotFound):
+				case err != nil:
+					t.Errorf("Get during concurrent Puts: %v", err)
+					return
+				case !bytes.Equal(got, blob):
+					t.Errorf("Get returned %d bytes that are not the blob", len(got))
+					return
+				default:
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				if err := d.Put(key, blob); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
+
+	if got, err := d.Get(key); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("Get after the Puts: %v", err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(d.path(key)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(key)
-	if err != nil || string(got) != string(blob) {
-		t.Fatalf("Get after Put: %v", err)
-	}
-	// The server's copy is the disk store's copy.
-	onDisk, err := d.Get(key)
-	if err != nil || string(onDisk) != string(blob) {
-		t.Fatalf("server-side store: %v", err)
-	}
-}
-
-// TestHTTPRetryOnce proves the client's transient-failure policy: a 503
-// answered by a 200 succeeds after exactly one retry; persistent 503s
-// fail after exactly two attempts total.
-func TestHTTPRetryOnce(t *testing.T) {
-	blob := seal([]byte("flaky"))
-	var gets atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if gets.Add(1) == 1 {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
+	want := filepath.Base(d.path(key))
+	for _, e := range entries {
+		if e.Name() != want {
+			t.Errorf("key directory holds %s besides %s", e.Name(), want)
 		}
-		w.Write(blob)
-	}))
-	defer srv.Close()
-	c := newTestClient(srv.URL)
-	got, err := c.Get(1)
-	if err != nil || string(got) != string(blob) {
-		t.Fatalf("Get through one 503: %v", err)
 	}
-	if n := gets.Load(); n != 2 {
-		t.Errorf("server saw %d requests, want exactly 2 (one retry)", n)
-	}
-
-	var always atomic.Int64
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		always.Add(1)
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer down.Close()
-	if _, err := newTestClient(down.URL).Get(1); err == nil {
-		t.Error("Get from a persistently failing server succeeded")
-	}
-	if n := always.Load(); n != 2 {
-		t.Errorf("server saw %d requests, want exactly 2 (one retry, then give up)", n)
-	}
-}
-
-// TestHTTPChecksumRejection proves the client re-verifies fetched
-// bodies: a corrupted response is an immediate error with no retry
-// (the server's copy is bad; re-fetching cannot help).
-func TestHTTPChecksumRejection(t *testing.T) {
-	blob := seal([]byte("will be corrupted"))
-	var gets atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		bad := append([]byte(nil), blob...)
-		bad[2] ^= 0x80
-		w.Write(bad)
-	}))
-	defer srv.Close()
-	_, err := newTestClient(srv.URL).Get(1)
-	if err == nil || errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get of checksum-mismatched body: %v, want checksum error", err)
-	}
-	if n := gets.Load(); n != 1 {
-		t.Errorf("server saw %d requests, want 1 (checksum mismatch is not retried)", n)
-	}
-}
-
-// TestHTTPTruncatedBody proves a response cut short mid-body fails
-// verification client-side.
-func TestHTTPTruncatedBody(t *testing.T) {
-	blob := seal(make([]byte, 4096))
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(blob[:1000])
-	}))
-	defer srv.Close()
-	if _, err := newTestClient(srv.URL).Get(1); err == nil {
-		t.Error("Get of truncated body succeeded")
-	}
-}
-
-// TestHandlerBadRequests covers the server's input validation.
-func TestHandlerBadRequests(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(d))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/ckpt/nothex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("GET bad key: status %d, want 400", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/ckpt/"+KeyName(7),
-		bytes.NewReader([]byte("not a sealed blob")))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT unsealed blob: status %d, want 400", resp.StatusCode)
-	}
+	t.Logf("%d Gets returned the blob", hits.Load())
 }

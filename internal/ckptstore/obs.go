@@ -12,8 +12,8 @@ import (
 // misses, errors, bytes, and latency. With a disabled scope it returns
 // the store unchanged, so the uninstrumented path pays nothing. The
 // wrapper is a pure observer — blobs, keys, and errors pass through
-// byte-for-byte, and it composes over any backend (Disk, Client, or a
-// test double).
+// byte-for-byte, and it composes over any backend (Disk or a test
+// double).
 func Instrument(s Store, sc obs.Scope) Store {
 	if !sc.Enabled() {
 		return s

@@ -1,17 +1,15 @@
 // Package cliconf is the shared flag-parsing and validation layer of
-// the reunion CLIs. Five commands (sweep, inject, bench, merge, and
-// the coordinator worker modes) accept overlapping flag families —
-// axis CSVs with duplicate-value warnings and fail-fast unknown-value
-// listing, the telemetry trio, the checkpoint-store pair, the
-// -cpuprofile profile, the -shard/-journal/-resume cluster, and the
-// -coordinator worker mode — and before this package each CLI carried
-// its own copy, which is exactly how validation rules drift apart. The
-// parsers here are the single source of those rules; the CLIs keep only
-// their flag registration and exit-code choreography.
+// the reunion CLIs. Four commands (sweep, inject, bench, merge) accept
+// overlapping flag families — axis CSVs with duplicate-value warnings
+// and fail-fast unknown-value listing, the telemetry trio, the
+// checkpoint-store directory, the -cpuprofile profile, and the
+// -shard/-journal/-resume cluster — and before this package each CLI
+// carried its own copy, which is exactly how validation rules drift
+// apart. The parsers here are the single source of those rules; the
+// CLIs keep only their flag registration and exit-code choreography.
 package cliconf
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -225,35 +223,26 @@ func Int64Axis(w io.Writer, tool, axis, csv string) ([]int64, error) {
 	return dedupe(w, tool, axis, vals, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
 }
 
-// OpenCkptStore resolves the -ckpt-store/-ckpt-url flag pair into a
-// checkpoint-store backend, or nil when neither is set.
-func OpenCkptStore(dir, url string) (ckptstore.Store, error) {
-	switch {
-	case dir != "" && url != "":
-		return nil, errors.New("-ckpt-store and -ckpt-url are mutually exclusive")
-	case dir != "":
-		return ckptstore.NewDisk(dir)
-	case url != "":
-		return ckptstore.NewClient(url), nil
-	}
-	return nil, nil
-}
-
-// CkptFlags is the shared checkpoint-store flag pair.
+// CkptFlags is the shared checkpoint-store flag.
 type CkptFlags struct {
-	Dir, URL *string
+	Dir *string
 }
 
-// RegisterCkpt registers -ckpt-store/-ckpt-url on fs.
+// RegisterCkpt registers -ckpt-store on fs.
 func RegisterCkpt(fs *flag.FlagSet) *CkptFlags {
 	return &CkptFlags{
 		Dir: fs.String("ckpt-store", "", "directory of a shared warm-checkpoint store (content-addressed; written and read in place)"),
-		URL: fs.String("ckpt-url", "", "base URL of a reunion-ckptd checkpoint server (mutually exclusive with -ckpt-store)"),
 	}
 }
 
-// Open resolves the pair (see OpenCkptStore).
-func (c *CkptFlags) Open() (ckptstore.Store, error) { return OpenCkptStore(*c.Dir, *c.URL) }
+// Open opens the disk store the flag names, or returns nil when it is
+// unset.
+func (c *CkptFlags) Open() (ckptstore.Store, error) {
+	if *c.Dir == "" {
+		return nil, nil
+	}
+	return ckptstore.NewDisk(*c.Dir)
+}
 
 // ObsFlags is the shared telemetry flag family. Telemetry is a pure
 // observer everywhere these flags appear: results and journal bytes

@@ -208,22 +208,6 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
-func TestOpenCkptStore(t *testing.T) {
-	if s, err := OpenCkptStore("", ""); err != nil || s != nil {
-		t.Fatalf("neither flag: %v, %v", s, err)
-	}
-	if _, err := OpenCkptStore(t.TempDir(), "http://x"); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("both flags: %v", err)
-	}
-	if s, err := OpenCkptStore(t.TempDir(), ""); err != nil || s == nil {
-		t.Fatalf("dir flag: %v, %v", s, err)
-	}
-	if s, err := OpenCkptStore("", "http://localhost:1"); err != nil || s == nil {
-		t.Fatalf("url flag: %v, %v", s, err)
-	}
-}
-
 func TestCheckJournalFlags(t *testing.T) {
 	cases := []struct {
 		name            string
@@ -273,14 +257,18 @@ func TestFlagGroups(t *testing.T) {
 		t.Fatalf("ckpt open: %v, %v", s, err)
 	}
 
-	// Heartbeat off by default: nil, and nil-safe downstream.
+	// Heartbeat and store off by default: nil, and nil-safe downstream.
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
 	o2 := RegisterObs(fs2).WithHeartbeat(fs2)
+	ckpt2 := RegisterCkpt(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	if hb := o2.Heartbeat("t", 1); hb != nil {
 		t.Fatalf("heartbeat without flag: %+v", hb)
+	}
+	if s, err := ckpt2.Open(); err != nil || s != nil {
+		t.Fatalf("ckpt open without flag: %v, %v", s, err)
 	}
 }
 

@@ -7,8 +7,7 @@
 // purity is what makes distribution trivial to get right: a Plan names
 // one contiguous range [Lo, Hi) of [0, Total), and any worker can run its
 // range with no coordination beyond agreeing on the spec. A static
-// -shard i/n is just the range ShardRange computes; a coordinator lease
-// is just a range the coordinator hands out. Both are the same Plan.
+// -shard i/n is just the range ShardRange computes.
 //
 // Each range streams its records through a Journal: a JSONL file framed
 // by a header (identifying the run and the range) and a footer (record

@@ -322,6 +322,21 @@ func TestJournalRejectsWrongPlanAndOrder(t *testing.T) {
 		t.Fatal("Finish on an incomplete journal succeeded")
 	}
 	j.Close()
+
+	// A record past the range is refused even when it is next in order.
+	full, err := Create(filepath.Join(t.TempDir(), "f.jsonl"), shardPlan(t, "t", 10, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := full.Write(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := full.Write(rec(5)); err == nil {
+		t.Fatal("record past the range accepted")
+	}
+	full.Close()
 }
 
 func TestJournalCorruptFooterFailsLoudly(t *testing.T) {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -326,51 +325,30 @@ func (j *Journal) Complete() bool { return j.complete }
 // resume.
 func (j *Journal) Failed() int { return j.failed }
 
-// Write appends one record.
+// Write appends one record. Records must arrive in the plan's index
+// order; anything else means the caller and the journal disagree about
+// the resume point, which must fail loudly rather than corrupt the file.
 func (j *Journal) Write(rec sweep.Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return j.append(rec.Index, rec.Err != "", append(b, '\n'))
-}
-
-// WriteLine appends one pre-encoded payload line — a single JSONL
-// record including its trailing newline, byte-for-byte as the producer
-// emitted it. The coordinator uses it to journal worker-streamed
-// records without a decode/re-encode round trip that could perturb the
-// bytes (float formatting, key order).
-func (j *Journal) WriteLine(line []byte) error {
-	if len(line) == 0 || bytes.IndexByte(line, '\n') != len(line)-1 {
-		return errors.New("dist: WriteLine needs exactly one newline-terminated record line")
-	}
-	index, failed, ok := parseRecord(line)
-	if !ok {
-		return errors.New("dist: WriteLine payload is not a record line")
-	}
-	return j.append(index, failed, line)
-}
-
-// append is the one append path behind Write and WriteLine. Records must
-// arrive in the plan's index order; anything else means the caller and
-// the journal disagree about the resume point, which must fail loudly
-// rather than corrupt the file.
-func (j *Journal) append(index int, failed bool, line []byte) error {
 	if j.closed || j.complete {
 		return errors.New("dist: write to a closed or completed journal")
 	}
 	if j.done >= j.plan.Count() {
-		return fmt.Errorf("dist: record %d past the journal's %d-record range", index, j.plan.Count())
+		return fmt.Errorf("dist: record %d past the journal's %d-record range", rec.Index, j.plan.Count())
 	}
-	if want := j.plan.Lo + j.done; index != want {
-		return fmt.Errorf("dist: out-of-order record: got index %d, want %d", index, want)
+	if want := j.plan.Lo + j.done; rec.Index != want {
+		return fmt.Errorf("dist: out-of-order record: got index %d, want %d", rec.Index, want)
 	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	line := append(b, '\n')
 	j.crc.Write(line)
 	if _, err := j.w.Write(line); err != nil {
 		return err
 	}
 	j.done++
-	if failed {
+	if rec.Err != "" {
 		j.failed++
 		j.errMetric.Inc()
 	}

@@ -15,7 +15,7 @@ import (
 	"reunion/internal/obs"
 )
 
-// Outcome values of a merge (Manifest.Outcome) and of a coordinated run.
+// Outcome values of a merge (Manifest.Outcome).
 const (
 	// OutcomeSuccess: every record of the run verified and was written.
 	OutcomeSuccess = "success"
@@ -26,8 +26,8 @@ const (
 	OutcomeFailed = "failed"
 )
 
-// ExitCode maps an outcome to the process exit code every CLI that
-// reports one shares: 0 success, 3 partial, 1 failed.
+// ExitCode maps an outcome to reunion-merge's exit code: 0 success,
+// 3 partial, 1 failed.
 func ExitCode(outcome string) int {
 	switch outcome {
 	case OutcomeSuccess:
@@ -57,9 +57,9 @@ type JournalFailure struct {
 }
 
 // Manifest is the machine-readable result of a merge: which ranges of
-// the run made it into the output, which did not, and why. The
-// coordinator writes one at its terminal outcome, and reunion-merge
-// -manifest emits one for operators reassembling journals by hand.
+// the run made it into the output, which did not, and why.
+// reunion-merge -manifest writes one, so an operator can see which
+// shards to rerun or -resume.
 type Manifest struct {
 	Spec        string `json:"spec"`
 	Fingerprint string `json:"fingerprint"`

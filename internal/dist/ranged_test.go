@@ -23,9 +23,9 @@ func writeRange(t *testing.T, path string, total, lo, hi int, fp uint64) {
 	writeShard(t, path, p)
 }
 
-// A coordinator lease is a plan over an explicit slice [lo,hi) of the
-// run: NewPlan refuses slices outside [0,total) and the plan's
-// arithmetic enumerates exactly the slice.
+// A plan is an explicit slice [lo,hi) of the run: NewPlan refuses
+// slices outside [0,total) and the plan's arithmetic enumerates exactly
+// the slice.
 func TestNewRangeValidates(t *testing.T) {
 	for _, bad := range []struct{ total, lo, hi int }{
 		{-1, 0, 1}, {10, -1, 3}, {10, 3, 11}, {10, 7, 3},
@@ -47,8 +47,8 @@ func TestNewRangeValidates(t *testing.T) {
 }
 
 // A set of range journals of any sizes tiling [0,Total) merges to the
-// exact single-process stream — the coordinator's terminal
-// byte-identity invariant, at the dist layer.
+// exact single-process stream — the byte-identity invariant of a
+// sharded run, at the dist layer.
 func TestRangedMergeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	const total = 11
@@ -106,58 +106,6 @@ func TestRangedMergeRejectsGapsOverlapsAndMixes(t *testing.T) {
 	writeRange(t, alien, total, 0, 4, 8)
 	if _, _, err := mergeBytes([]string{alien, b}, false); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("fingerprint mismatch accepted: %v", err)
-	}
-}
-
-// WriteLine appends exactly the producer's bytes under the same
-// index-order discipline as Write: the journal it seals is
-// indistinguishable from one written record by record.
-func TestWriteLineByteIdenticalAndOrdered(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NewPlan("t", 9, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the same range journaled via Write.
-	ref := filepath.Join(dir, "ref.jsonl")
-	writeShard(t, ref, p)
-
-	// Lines as a worker would stream them: the slice of the
-	// single-process stream.
-	all := refBytes(t, 9)
-	lines := bytes.SplitAfter(all, []byte("\n"))
-
-	got := filepath.Join(dir, "got.jsonl")
-	j, err := Create(got, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteLine(lines[2]); err == nil {
-		t.Fatal("out-of-order line accepted")
-	}
-	if err := j.WriteLine([]byte("not json\n")); err == nil {
-		t.Fatal("non-record line accepted")
-	}
-	if err := j.WriteLine(append(append([]byte{}, lines[3]...), lines[4]...)); err == nil {
-		t.Fatal("multi-line payload accepted")
-	}
-	for i := 3; i < 7; i++ {
-		if err := j.WriteLine(lines[i]); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-	}
-	if err := j.WriteLine(lines[7]); err == nil {
-		t.Fatal("line past the range accepted")
-	}
-	if err := j.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	rb, _ := os.ReadFile(ref)
-	gb, _ := os.ReadFile(got)
-	if !bytes.Equal(rb, gb) {
-		t.Fatalf("WriteLine journal differs from Write journal:\n%s\nvs:\n%s", gb, rb)
 	}
 }
 

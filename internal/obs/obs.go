@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer: a metrics
 // registry (atomic counters, gauges, and power-of-two latency histograms
 // with Prometheus-text and JSON exposition) and a span tracer that emits
-// Chrome trace-event JSON loadable in Perfetto, plus the HTTP middleware,
-// /metrics and /healthz handlers, and the CLI heartbeat built on them.
+// Chrome trace-event JSON loadable in Perfetto, plus the CLI heartbeat
+// built on them.
 //
 // The hard invariant of the whole layer: telemetry is a PURE OBSERVER.
 // Attaching a Scope to an engine, a cache, or a store must never change a
@@ -25,8 +25,7 @@ type Scope struct {
 	// warmup, restore, journal replay, store get/put, merge, ...).
 	Trace *Tracer
 	// Metrics, if set, accumulates the counters, gauges, and latency
-	// histograms the operation maintainers export via /metrics or
-	// -metrics-out.
+	// histograms the CLIs write with -metrics-out.
 	Metrics *Registry
 }
 

@@ -27,7 +27,7 @@ type PromFamily struct {
 
 // ParsePrometheus is a strict parser for the subset of the Prometheus
 // text exposition format (version 0.0.4) this package emits. It exists
-// so tests can round-trip /metrics output through an independent check:
+// so tests can round-trip -metrics-out output through an independent check:
 // every sample line must parse, every sample must belong to a family
 // declared by a preceding # TYPE line, histogram buckets must be
 // cumulative and monotone and end at le="+Inf" matching _count. It is
