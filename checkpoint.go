@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"reunion/internal/ckptstore"
 	"reunion/internal/coherence"
@@ -189,8 +188,8 @@ type WarmCache struct {
 	// store, when set (UseStore), backs the in-memory cache with a
 	// persistent content-addressed checkpoint store: a key's first run
 	// here tries a fetch+restore before warming from cycle 0, and a
-	// locally-computed warmup is uploaded for other processes. Every
-	// store-path failure — miss, network error, corrupt blob, format or
+	// locally-computed warmup is written back for other processes. Every
+	// store-path failure — miss, I/O error, corrupt blob, format or
 	// fingerprint mismatch — silently falls back to local warmup:
 	// results never depend on the store, only host time does.
 	store ckptstore.Store
@@ -198,16 +197,10 @@ type WarmCache struct {
 	warmups   atomic.Int64 // full local warmups performed
 	storeHits atomic.Int64 // warmups avoided via a fetched checkpoint
 
-	// Telemetry (Observe). Pure observers: the cached systems, the
-	// checkpoints, and every Result are byte-identical with or without a
-	// scope attached.
-	obsTrace      *obs.Tracer
-	warmupsMetric *obs.Counter
-	hitsMetric    *obs.Counter
-	missMetric    *obs.Counter
-	poisonMetric  *obs.Counter
-	warmupTime    *obs.Histogram
-	restoreTime   *obs.Histogram
+	// obsTrace (Observe) is a pure observer: the cached systems, the
+	// checkpoints, and every Result are byte-identical with or without
+	// a tracer attached.
+	obsTrace *obs.Tracer
 }
 
 type warmEntry struct {
@@ -268,66 +261,45 @@ func (w *WarmCache) run(o Options) (Result, error) {
 		// rather than restore from a half-built entry.
 		sp := w.obsTrace.StartSpan("warm", "warmup",
 			obs.Arg{Key: "workload", Val: o.Workload.Name}, obs.Arg{Key: "mode", Val: o.Mode.String()})
-		begin := timeNowIfObserved(w)
 		e.sys = warmSystem(o)
 		e.cp = e.sys.Snapshot()
 		e.init = true
 		w.warmups.Add(1)
-		w.warmupsMetric.Inc()
-		observeSince(w.warmupTime, begin)
 		sp.End()
 		if w.store != nil {
-			sp := w.obsTrace.StartSpan("warm", "store_put", obs.Arg{Key: "key", Val: ckptstore.KeyName(CheckpointKey(o))})
-			if blob, err := EncodeCheckpoint(e.cp, CheckpointKey(o)); err == nil {
-				_ = w.store.Put(CheckpointKey(o), blob)
-			}
-			sp.End()
+			w.storePut(e.cp, CheckpointKey(o))
 		}
 	} else {
 		sp := w.obsTrace.StartSpan("warm", "restore",
 			obs.Arg{Key: "workload", Val: o.Workload.Name}, obs.Arg{Key: "mode", Val: o.Mode.String()})
-		begin := timeNowIfObserved(w)
 		e.sys.Restore(e.cp)
-		observeSince(w.restoreTime, begin)
 		sp.End()
 	}
 	return measure(e.sys, o)
 }
 
-// timeNowIfObserved avoids the clock read entirely when the cache has no
-// telemetry attached.
-func timeNowIfObserved(w *WarmCache) time.Time {
-	if w.obsTrace == nil && w.warmupTime == nil && w.restoreTime == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeSince folds a wall-time measurement into h when both the
-// histogram and the start time exist.
-func observeSince(h *obs.Histogram, begin time.Time) {
-	if h == nil || begin.IsZero() {
+// storePut encodes a fresh warmup's checkpoint and writes it back to
+// the store under a warm/store_put span; the store/put span inside it
+// times the write alone. A failed encode or write only costs other
+// processes their reuse.
+func (w *WarmCache) storePut(cp *Checkpoint, key uint64) {
+	sp := w.obsTrace.StartSpan("warm", "store_put", obs.Arg{Key: "key", Val: ckptstore.KeyName(key)})
+	defer sp.End()
+	blob, err := EncodeCheckpoint(cp, key)
+	if err != nil {
 		return
 	}
-	h.Observe(time.Since(begin).Microseconds())
+	put := w.obsTrace.StartSpan("store", "put",
+		obs.Arg{Key: "key", Val: ckptstore.KeyName(key)}, obs.Arg{Key: "bytes", Val: len(blob)})
+	err = w.store.Put(key, blob)
+	put.End(obs.Arg{Key: "err", Val: err != nil})
 }
 
-// Observe attaches telemetry to the cache: spans for warmups, restores,
-// store fetches and waits for a busy entry, plus warm_warmups_total,
-// warm_store_hits_total, warm_store_misses_total, and
-// warm_poisoned_blobs_total counters and warmup/restore duration
-// histograms. Call before the first run.
-func (w *WarmCache) Observe(sc obs.Scope) {
-	w.obsTrace = sc.Trace
-	if m := sc.Metrics; m != nil {
-		w.warmupsMetric = m.Counter("warm_warmups_total", "Full local warmups performed.")
-		w.hitsMetric = m.Counter("warm_store_hits_total", "Warmups avoided by restoring a stored checkpoint.")
-		w.missMetric = m.Counter("warm_store_misses_total", "Store fetches that found no checkpoint.")
-		w.poisonMetric = m.Counter("warm_poisoned_blobs_total", "Stored blobs rejected (corrupt, stale format, or wrong fingerprint) and recomputed locally.")
-		w.warmupTime = m.Histogram("warm_warmup_duration_us", "Wall time of one full warmup in microseconds.")
-		w.restoreTime = m.Histogram("warm_restore_duration_us", "Wall time of one checkpoint restore in microseconds.")
-	}
-}
+// Observe attaches a tracer to the cache: spans for warmups, restores,
+// waits for a busy entry, store fetches and write-backs, and the
+// store/get and store/put operations inside them. Call before the
+// first run.
+func (w *WarmCache) Observe(tr *obs.Tracer) { w.obsTrace = tr }
 
 // UseStore backs the cache with a persistent checkpoint store (a local
 // or shared directory). Call before the first run.
@@ -336,7 +308,7 @@ func (w *WarmCache) UseStore(s ckptstore.Store) { w.store = s }
 // Warmups returns how many full local warmups this cache has performed;
 // StoreHits returns how many it avoided by restoring a fetched
 // checkpoint. Together they are the fleet-wide "one warmup per cell"
-// measurement the store-equivalence benchmark reports.
+// measurement the shared-store tests assert.
 func (w *WarmCache) Warmups() int64 { return w.warmups.Load() }
 
 // StoreHits returns the number of warmups served from the store.
@@ -353,34 +325,34 @@ func (w *WarmCache) StoreHits() int64 { return w.storeHits.Load() }
 func (w *WarmCache) tryFetch(e *warmEntry, o Options) {
 	key := CheckpointKey(o)
 	sp := w.obsTrace.StartSpan("warm", "store_fetch", obs.Arg{Key: "key", Val: ckptstore.KeyName(key)})
+	get := w.obsTrace.StartSpan("store", "get", obs.Arg{Key: "key", Val: ckptstore.KeyName(key)})
 	blob, err := w.store.Get(key)
+	outcome := "hit"
+	switch {
+	case errors.Is(err, ckptstore.ErrNotFound):
+		outcome = "miss"
+	case err != nil:
+		outcome = "error"
+	}
+	get.End(obs.Arg{Key: "outcome", Val: outcome}, obs.Arg{Key: "bytes", Val: len(blob)})
 	if err != nil {
-		if errors.Is(err, ckptstore.ErrNotFound) {
-			w.missMetric.Inc()
-			sp.End(obs.Arg{Key: "outcome", Val: "miss"})
-		} else {
-			w.poisonMetric.Inc()
-			sp.End(obs.Arg{Key: "outcome", Val: "error"})
-		}
+		sp.End(obs.Arg{Key: "outcome", Val: outcome})
 		return
 	}
 	d, err := DecodeCheckpoint(blob)
 	if err != nil {
-		w.poisonMetric.Inc()
 		sp.End(obs.Arg{Key: "outcome", Val: "poisoned"})
 		return
 	}
 	sys := buildSystem(o)
 	cp, err := d.Bind(sys, key)
 	if err != nil {
-		w.poisonMetric.Inc()
 		sp.End(obs.Arg{Key: "outcome", Val: "poisoned"})
 		return
 	}
 	sys.Restore(cp)
 	e.sys, e.cp, e.init = sys, cp, true
 	w.storeHits.Add(1)
-	w.hitsMetric.Inc()
 	sp.End(obs.Arg{Key: "outcome", Val: "hit"})
 }
 

@@ -1,11 +1,13 @@
 package reunion
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
 
 	"reunion/internal/ckptstore"
+	"reunion/internal/obs"
 )
 
 // WarmCache + persistent store integration: the fleet-wide reuse
@@ -97,6 +99,91 @@ func TestWarmCacheStoreFleet(t *testing.T) {
 		}
 		if w := warm.Warmups(); w != wk.warms {
 			t.Errorf("%s: %d local warmups, want %d", wk.name, w, wk.warms)
+		}
+	}
+}
+
+// TestWarmCacheStoreSpans checks the store telemetry the warm cache
+// emits around its store calls, over a populate-then-cold-fetch fleet
+// run twice, traced and untraced: the Results and the stored blobs are
+// byte-identical either way; the populating worker's store/get misses
+// and its store/put carries the blob size; the cold worker's store/get
+// hits with bytes equal to the blob length, and it warms nothing.
+func TestWarmCacheStoreSpans(t *testing.T) {
+	o := storeCell(41)
+	key := CheckpointKey(o)
+	stores := map[bool]*ckptstore.Disk{}
+	for _, traced := range []bool{false, true} {
+		d, err := ckptstore.NewDisk(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[traced] = d
+	}
+
+	for _, phase := range []string{"miss", "hit"} {
+		var results [2]Result
+		var tr *obs.Tracer
+		for i, traced := range []bool{false, true} {
+			warm := NewWarmCache()
+			warm.UseStore(stores[traced])
+			if traced {
+				tr = obs.NewTracer(0)
+				warm.Observe(tr)
+			}
+			run := o
+			run.Warm = warm
+			r, err := Run(run)
+			if err != nil {
+				t.Fatalf("%s traced=%v: %v", phase, traced, err)
+			}
+			results[i] = r
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Fatalf("%s: traced Result differs from untraced:\nuntraced: %+v\ntraced:   %+v", phase, results[0], results[1])
+		}
+		blob, err := stores[true].Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untracedBlob, err := stores[false].Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, untracedBlob) {
+			t.Fatalf("%s: traced store blob differs from untraced", phase)
+		}
+
+		events := chromeTraceEvents(t, tr)
+		gets := spansNamed(events, "store", "get")
+		fetches := spansNamed(events, "warm", "store_fetch")
+		puts := spansNamed(events, "store", "put")
+		warmups := spansNamed(events, "warm", "warmup")
+		if len(gets) != 1 || len(fetches) != 1 {
+			t.Fatalf("%s: %d store/get and %d warm/store_fetch spans, want 1 each", phase, len(gets), len(fetches))
+		}
+		get, fetch := spanArgs(gets[0]), spanArgs(fetches[0])
+		if get["outcome"] != phase || fetch["outcome"] != phase {
+			t.Fatalf("%s: store/get outcome %v, warm/store_fetch outcome %v", phase, get["outcome"], fetch["outcome"])
+		}
+		if get["key"] != ckptstore.KeyName(key) {
+			t.Fatalf("%s: store/get key %v, want %s", phase, get["key"], ckptstore.KeyName(key))
+		}
+		if phase == "miss" {
+			if len(puts) != 1 || len(warmups) != 1 {
+				t.Fatalf("populate: %d store/put and %d warm/warmup spans, want 1 each", len(puts), len(warmups))
+			}
+			put := spanArgs(puts[0])
+			if put["bytes"] != float64(len(blob)) || put["err"] != false {
+				t.Fatalf("populate: store/put args %v, want bytes %d and no error", put, len(blob))
+			}
+			continue
+		}
+		if get["bytes"] != float64(len(blob)) {
+			t.Fatalf("hit: store/get bytes %v, want the blob's %d", get["bytes"], len(blob))
+		}
+		if len(puts) != 0 || len(warmups) != 0 {
+			t.Fatalf("cold fetch: %d store/put and %d warm/warmup spans, want none", len(puts), len(warmups))
 		}
 	}
 }

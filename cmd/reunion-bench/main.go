@@ -84,14 +84,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Telemetry is a pure observer: experiment tables are byte-identical
 	// with or without these flags.
-	sc := obsFlags.Scope()
-	cfg.Observe(sc)
+	tr := obsFlags.Tracer()
+	cfg.Observe(tr)
 
 	hb := obsFlags.Heartbeat("bench", 0)
 	stopHeartbeat := hb.Start()
 	code := 0
 	for _, e := range selected {
-		sp := sc.Trace.StartSpan("bench", e.name)
+		sp := tr.StartSpan("bench", e.name)
 		start := time.Now() //reunion:nondeterm-ok host wall-clock for bench reporting
 		if err := e.run(); err != nil {
 			sp.End(obs.Arg{Key: "err", Val: err.Error()})
@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	stopHeartbeat()
-	if err := obsFlags.WriteFiles(sc); err != nil {
+	if err := obsFlags.WriteTrace(tr); err != nil {
 		fmt.Fprintf(stderr, "bench: telemetry: %v\n", err)
 		code = 1
 	}

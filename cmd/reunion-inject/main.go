@@ -56,7 +56,6 @@ import (
 
 	"reunion"
 	"reunion/internal/campaign"
-	"reunion/internal/ckptstore"
 	"reunion/internal/cliconf"
 	"reunion/internal/dist"
 	"reunion/internal/obs"
@@ -67,36 +66,42 @@ import (
 // warnOut receives axis-flag warnings (tests capture it).
 var warnOut io.Writer = os.Stderr
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run is the whole command behind main, returning its exit code. Every
 // exit returns through it, so the deferred CPU-profile stop flushes the
 // profile on failed runs too.
-func run() int {
-	trials := flag.Int("trials", 200, "total trial budget, split evenly across cells (min 1 per cell)")
-	modes := flag.String("mode", "reunion,non-redundant", "execution models (csv: reunion,strict,non-redundant)")
-	workloads := flag.String("workloads", "all", "workloads (csv of names, or 'all')")
-	phantoms := flag.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
-	seeds := flag.String("seeds", "1", "workload seeds (csv of uint64)")
-	bits := flag.String("bits", "0-63", "inclusive flip-bit range lo-hi")
-	window := flag.String("window", "", "injection cycle window lo-hi, measured from measurement start (default 0-target)")
-	warm := flag.Int64("warm", 10_000, "warmup cycles per run")
-	target := flag.Int64("target", 2_000, "committed instructions per logical processor per trial (classification boundary)")
-	deadline := flag.Int64("deadline", 150_000, "trial deadline in cycles (past it a trial is a terminal DUE)")
-	campSeed := flag.Uint64("campaign-seed", 0xfa017, "seed for the Monte-Carlo fault draws")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
-	out := flag.String("out", "inject.jsonl", "per-trial results file ('-' = stdout, '' = none)")
-	format := flag.String("format", "jsonl", "results format: jsonl | csv")
-	shardStr := flag.String("shard", "", "run only static range i/n of the flattened trial matrix (e.g. 0/3; default: all trials)")
-	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
-	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete trial record")
-	quiet := flag.Bool("quiet", false, "suppress per-trial progress on stderr")
-	ckpt := cliconf.RegisterCkpt(flag.CommandLine)
-	obsFlags := cliconf.RegisterObs(flag.CommandLine).WithHeartbeat(flag.CommandLine)
-	traceDump := flag.Int("trace-dump", 0, "record the last N kernel events of each injected run and print them to stderr for SDC and DUE trials (0 = off; prints even under -quiet)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	list := flag.Bool("list", false, "list workloads and exit")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("reunion-inject", flag.ContinueOnError)
+	trials := fs.Int("trials", 200, "total trial budget, split evenly across cells (min 1 per cell)")
+	modes := fs.String("mode", "reunion,non-redundant", "execution models (csv: reunion,strict,non-redundant)")
+	workloads := fs.String("workloads", "all", "workloads (csv of names, or 'all')")
+	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
+	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
+	bits := fs.String("bits", "0-63", "inclusive flip-bit range lo-hi")
+	window := fs.String("window", "", "injection cycle window lo-hi, measured from measurement start (default 0-target)")
+	warm := fs.Int64("warm", 10_000, "warmup cycles per run")
+	target := fs.Int64("target", 2_000, "committed instructions per logical processor per trial (classification boundary)")
+	deadline := fs.Int64("deadline", 150_000, "trial deadline in cycles (past it a trial is a terminal DUE)")
+	campSeed := fs.Uint64("campaign-seed", 0xfa017, "seed for the Monte-Carlo fault draws")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
+	out := fs.String("out", "inject.jsonl", "per-trial results file ('-' = stdout, '' = none)")
+	format := fs.String("format", "jsonl", "results format: jsonl | csv")
+	shardStr := fs.String("shard", "", "run only static range i/n of the flattened trial matrix (e.g. 0/3; default: all trials)")
+	journal := fs.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
+	resume := fs.Bool("resume", false, "resume an interrupted -journal from its last complete trial record")
+	quiet := fs.Bool("quiet", false, "suppress per-trial progress on stderr")
+	ckpt := cliconf.RegisterCkpt(fs)
+	obsFlags := cliconf.RegisterObs(fs).WithHeartbeat(fs)
+	traceDump := fs.Int("trace-dump", 0, "record the last N kernel events of each injected run and print them to stderr for SDC and DUE trials (0 = off; prints even under -quiet)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	list := fs.Bool("list", false, "list workloads and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, p := range workload.Suite() {
@@ -127,7 +132,7 @@ func run() int {
 	// stream and journal bytes are byte-identical (asserted in tests and
 	// CI). The per-trial kernel-event ring behind -trace-dump is too —
 	// Options.TraceEvents is excluded from every cache and checkpoint key.
-	sc := obsFlags.Scope()
+	tr := obsFlags.Tracer()
 
 	total := spec.Matrix.Size() * spec.Trials
 	// Pin the journal to this exact campaign configuration — matrix
@@ -148,19 +153,19 @@ func run() int {
 	// Restores are bit-identical to local warmup, so trial records are
 	// unchanged.
 	warmCache := reunion.NewWarmCache()
-	warmCache.Observe(sc)
+	warmCache.Observe(tr)
 	store, err := ckpt.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inject: %v\n", err)
 		return 2
 	}
 	if store != nil {
-		warmCache.UseStore(ckptstore.Instrument(store, sc))
+		warmCache.UseStore(store)
 	}
 	runTrial := reunion.TrialRunner(spec.Model, warmCache, *traceDump)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: total}
-	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
+	if err := cliconf.CheckJournalFlags("inject", *journal, *format, *resume, cliconf.FlagWasSet(fs, "out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -177,7 +182,7 @@ func run() int {
 	lo := plan.Lo
 	switch {
 	case *journal != "":
-		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
+		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, tr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -193,7 +198,7 @@ func run() int {
 		lo += jnl.Done()
 		sink = jnl
 	case *out == "":
-	case *format == "jsonl" || *format == "csv":
+	default:
 		w := os.Stdout
 		if *out != "-" {
 			f, err := os.Create(*out)
@@ -209,9 +214,6 @@ func run() int {
 		} else {
 			sink = sweep.NewJSONL(w)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q (valid: jsonl, csv)\n", *format)
-		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -241,7 +243,7 @@ func run() int {
 				out, cell.Name(), t.Index, t.Bit, t.Cycle, o.Diag)
 		}
 	}
-	rep, err := runRange(ctx, spec, runTrial, lo, plan.Hi, *parallel, sc, sink, progress)
+	rep, err := runRange(ctx, spec, runTrial, lo, plan.Hi, *parallel, tr, sink, progress)
 	stopHeartbeat()
 	if jnl != nil {
 		// Seal the journal once every range record is on disk (lost trials
@@ -261,7 +263,7 @@ func run() int {
 	}
 	// Telemetry flushes even when the campaign failed — that is when the
 	// trace is most wanted — but a flush error must not mask a run error.
-	if werr := obsFlags.WriteFiles(sc); werr != nil {
+	if werr := obsFlags.WriteTrace(tr); werr != nil {
 		fmt.Fprintf(os.Stderr, "inject: telemetry: %v\n", werr)
 		if err == nil {
 			err = werr
@@ -295,7 +297,7 @@ func run() int {
 // the report covers only the executed trials.
 func runRange(ctx context.Context, spec campaign.Spec[reunion.Options],
 	runTrial func(ctx context.Context, cell sweep.Point[reunion.Options], t campaign.Trial) campaign.Observation,
-	lo, hi, parallel int, sc obs.Scope, sink sweep.Sink,
+	lo, hi, parallel int, tr *obs.Tracer, sink sweep.Sink,
 	progress func(done, total int, cell sweep.Point[reunion.Options], t campaign.Trial, o campaign.Observation, out campaign.Outcome)) (*campaign.Report, error) {
 	indices := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -308,7 +310,7 @@ func runRange(ctx context.Context, spec campaign.Spec[reunion.Options],
 		Sink:        sink,
 		Indices:     indices,
 		Progress:    progress,
-		Obs:         sc,
+		Trace:       tr,
 	}
 	return eng.Run(ctx)
 }
@@ -327,14 +329,14 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 		StreamExclude: []string{"mode", "phantom"},
 	}
 
-	bitLo, bitHi, err := parseRange(bits, 0, 63)
+	bitLo, bitHi, err := cliconf.ParseRange(bits, 0, 63)
 	if err != nil {
 		return spec, fmt.Errorf("bits: %w", err)
 	}
 	if window == "" {
 		window = fmt.Sprintf("0-%d", target)
 	}
-	winLo, winHi, err := parseRange(window, 0, target)
+	winLo, winHi, err := cliconf.ParseRange(window, 0, target)
 	if err != nil {
 		return spec, fmt.Errorf("window: %w", err)
 	}
@@ -392,9 +394,4 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 		spec.Trials = 1
 	}
 	return spec, spec.Validate()
-}
-
-// parseRange parses "lo-hi" (inclusive) or a single value "n" (= n-n).
-func parseRange(s string, defLo, defHi int64) (lo, hi int64, err error) {
-	return cliconf.ParseRange(s, defLo, defHi)
 }

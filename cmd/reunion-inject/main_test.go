@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -61,24 +63,6 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestParseRange(t *testing.T) {
-	lo, hi, err := parseRange("3-9", 0, 63)
-	if err != nil || lo != 3 || hi != 9 {
-		t.Fatalf("parseRange(3-9) = %d,%d,%v", lo, hi, err)
-	}
-	lo, hi, err = parseRange("5", 0, 63)
-	if err != nil || lo != 5 || hi != 5 {
-		t.Fatalf("parseRange(5) = %d,%d,%v", lo, hi, err)
-	}
-	lo, hi, err = parseRange("", 2, 7)
-	if err != nil || lo != 2 || hi != 7 {
-		t.Fatalf("parseRange(\"\") = %d,%d,%v", lo, hi, err)
-	}
-	if _, _, err := parseRange("9-3", 0, 63); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
 // An unknown axis value must fail fast with the list of valid names —
 // not silently run a partial campaign matrix.
 func TestBuildSpecErrorsListValidNames(t *testing.T) {
@@ -93,5 +77,22 @@ func TestBuildSpecErrorsListValidNames(t *testing.T) {
 	_, err = buildSpec("reunion", "apache", "ghost", "1", "0-63", "", 100, 100, 1000, 10, 1)
 	if err == nil || !strings.Contains(err.Error(), "global, shared, null") {
 		t.Errorf("phantom error does not list valid names: %v", err)
+	}
+}
+
+// An unknown -format is a usage error whatever -out says: it exits 2
+// before any trial runs or any results file is created, including under
+// -out '' (no results file at all).
+func TestUnknownFormatExits2(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "inject.xml")
+	for _, out := range []string{"", file} {
+		code := run([]string{"-out", out, "-format", "xml", "-quiet",
+			"-trials", "1", "-mode", "reunion", "-workloads", "apache", "-warm", "1000", "-target", "100"})
+		if code != 2 {
+			t.Errorf("-out %q -format xml: exit %d, want 2", out, code)
+		}
+	}
+	if _, err := os.Stat(file); !os.IsNotExist(err) {
+		t.Errorf("rejected run created its results file (stat: %v)", err)
 	}
 }

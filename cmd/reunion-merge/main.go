@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Telemetry is a pure observer: the merged stream (and its digest) is
 	// byte-identical with or without these flags.
-	sc := obsFlags.Scope()
+	tr := obsFlags.Tracer()
 	digest := sha256.New()
 	var tee io.Writer = digest
 	var bw *bufio.Writer
@@ -81,14 +81,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bw = bufio.NewWriter(stdout)
 		tee, dest = io.MultiWriter(bw, digest), ""
 	}
-	m, err := dist.Merge(dest, paths, *manifest == "", tee, sc)
+	m, err := dist.Merge(dest, paths, *manifest == "", tee, tr)
 	if err == nil && bw != nil {
 		err = bw.Flush()
 	}
 	if err == nil && *manifest != "" {
 		err = m.WriteFile(*manifest)
 	}
-	if werr := obsFlags.WriteFiles(sc); werr != nil {
+	if werr := obsFlags.WriteTrace(tr); werr != nil {
 		fmt.Fprintf(stderr, "merge: telemetry: %v\n", werr)
 		if err == nil {
 			err = werr

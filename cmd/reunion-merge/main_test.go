@@ -94,7 +94,7 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// Telemetry files are written whether the merge is strict or writes a
+// The trace is written whether the merge is strict or writes a
 // manifest.
 func TestTelemetryInBothModes(t *testing.T) {
 	dir := t.TempDir()
@@ -107,16 +107,13 @@ func TestTelemetryInBothModes(t *testing.T) {
 		{"manifest", []string{"-manifest", filepath.Join(dir, "m.json")}},
 	} {
 		trace := filepath.Join(dir, mode.name+".trace.json")
-		metrics := filepath.Join(dir, mode.name+".prom")
 		args := append([]string{"-quiet", "-out", filepath.Join(dir, mode.name+".jsonl"),
-			"-trace-out", trace, "-metrics-out", metrics}, mode.extra...)
+			"-trace-out", trace}, mode.extra...)
 		if code, stderr := runMerge(t, append(args, paths...)...); code != 0 {
 			t.Fatalf("%s: exit %d: %s", mode.name, code, stderr)
 		}
-		for _, f := range []string{trace, metrics} {
-			if !exists(f) {
-				t.Errorf("%s mode wrote no %s", mode.name, filepath.Base(f))
-			}
+		if !exists(trace) {
+			t.Errorf("%s mode wrote no %s", mode.name, filepath.Base(trace))
 		}
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"reunion"
-	"reunion/internal/ckptstore"
 	"reunion/internal/cliconf"
 	"reunion/internal/dist"
 	"reunion/internal/obs"
@@ -105,7 +104,7 @@ func run() int {
 		}
 	}()
 
-	kern, err := parseKernel(*kernelName)
+	kern, err := cliconf.Kernel(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -119,7 +118,7 @@ func run() int {
 	// Telemetry is a pure observer: with or without these flags the
 	// results stream and journal bytes are byte-identical (asserted in
 	// tests and CI).
-	sc := obsFlags.Scope()
+	tr := obsFlags.Tracer()
 	store, err := ckpt.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -132,14 +131,9 @@ func run() int {
 		// otherwise. Restores are bit-identical to local warmup, so the
 		// results stream is unchanged.
 		wc := reunion.NewWarmCache()
-		wc.UseStore(ckptstore.Instrument(store, sc))
-		wc.Observe(sc)
+		wc.UseStore(store)
+		wc.Observe(tr)
 		spec.Base.Warm = wc
-	}
-
-	if *format != "jsonl" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (valid: jsonl, csv)\n", *format)
-		return 2
 	}
 
 	// Pin the journal to this exact run configuration, not just the
@@ -157,7 +151,7 @@ func run() int {
 		fmt.Sprintf("base:%+v", fpBase))...)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
-	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet("out")); err != nil {
+	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet(flag.CommandLine, "out")); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -173,7 +167,7 @@ func run() int {
 	var jnl *dist.Journal
 	lo := plan.Lo
 	if *journal != "" {
-		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, sc)
+		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, tr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -240,7 +234,7 @@ func run() int {
 	}
 
 	fmt.Fprintf(os.Stderr, "sweep: %s: %d runs (%d workers)\n", plan, plan.Hi-lo, *parallel)
-	err = runRange(ctx, spec, lo, plan.Hi, *parallel, sc, sink, progress)
+	err = runRange(ctx, spec, lo, plan.Hi, *parallel, tr, sink, progress)
 	stopHeartbeat()
 	if jnl != nil {
 		// Seal the journal once every range record is on disk (failed runs
@@ -264,7 +258,7 @@ func run() int {
 	}
 	// Telemetry flushes even when the sweep failed — that is when the
 	// trace is most wanted — but a flush error must not mask a run error.
-	if werr := obsFlags.WriteFiles(sc); werr != nil {
+	if werr := obsFlags.WriteTrace(tr); werr != nil {
 		fmt.Fprintf(os.Stderr, "sweep: telemetry: %v\n", werr)
 		if err == nil {
 			err = werr
@@ -289,14 +283,14 @@ func run() int {
 // reaches the sink: a journal would otherwise resume past it forever as
 // a bogus error record.
 func runRange(ctx context.Context, spec sweep.Spec[reunion.Options], lo, hi, parallel int,
-	sc obs.Scope, sink sweep.Sink, progress func(done, total int, r sweep.Result[reunion.Options, reunion.Result])) error {
+	tr *obs.Tracer, sink sweep.Sink, progress func(done, total int, r sweep.Result[reunion.Options, reunion.Result])) error {
 	indices := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		indices = append(indices, i)
 	}
 	runner := sweep.Runner[reunion.Options, reunion.Result]{
 		Parallelism: parallel,
-		Obs:         sc,
+		Trace:       tr,
 		Run: func(_ context.Context, p sweep.Point[reunion.Options]) (reunion.Result, error) {
 			return reunion.Run(p.Config)
 		},
@@ -315,11 +309,6 @@ func runRange(ctx context.Context, spec sweep.Spec[reunion.Options], lo, hi, par
 	_, err := runner.SweepIndices(ctx, spec, indices)
 	return err
 }
-
-// parseKernel resolves the -kernel flag. Both kernels are bit-identical
-// in results, which is what makes a per-shard fastforward-vs-naive byte
-// comparison of journals a kernel-equivalence check (see CI).
-func parseKernel(name string) (reunion.Kernel, error) { return cliconf.Kernel(name) }
 
 // buildSpec assembles the matrix from the axis flags (validation and
 // dedupe-warning rules live in cliconf, shared with the other CLIs).
@@ -406,5 +395,3 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	}
 	return spec, nil
 }
-
-func splitCSV(s string) []string { return cliconf.SplitCSV(s) }

@@ -77,16 +77,6 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestSplitCSV(t *testing.T) {
-	got := splitCSV(" a, ,b,,c ")
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("splitCSV = %v", got)
-	}
-	if out := splitCSV(""); len(out) != 0 {
-		t.Fatalf("splitCSV(\"\") = %v", out)
-	}
-}
-
 // An unknown axis value must fail fast with the list of valid names —
 // not silently run a partial matrix, and not leave the user guessing.
 func TestBuildSpecErrorsListValidNames(t *testing.T) {
@@ -101,21 +91,5 @@ func TestBuildSpecErrorsListValidNames(t *testing.T) {
 	_, err = buildSpec("reunion", "apache", "10", "ghost", "hardware", "tso", "1", "1", 100, 100, reunion.KernelFastForward)
 	if err == nil || !strings.Contains(err.Error(), "global, shared, null") {
 		t.Errorf("phantom error does not list valid names: %v", err)
-	}
-}
-
-func TestParseKernel(t *testing.T) {
-	for in, want := range map[string]reunion.Kernel{
-		"fastforward":  reunion.KernelFastForward,
-		"fast-forward": reunion.KernelFastForward,
-		"naive":        reunion.KernelNaive,
-	} {
-		got, err := parseKernel(in)
-		if err != nil || got != want {
-			t.Errorf("parseKernel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseKernel("warp"); err == nil || !strings.Contains(err.Error(), "fastforward, naive") {
-		t.Errorf("parseKernel error does not list valid kernels: %v", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 
 	"reunion/internal/campaign"
 	"reunion/internal/dist"
-	"reunion/internal/obs"
 	"reunion/internal/sweep"
 )
 
@@ -170,7 +169,7 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 	}
 
 	var merged bytes.Buffer
-	m, err := dist.Merge("", []string{paths[2], paths[0], paths[1]}, true, &merged, obs.Scope{})
+	m, err := dist.Merge("", []string{paths[2], paths[0], paths[1]}, true, &merged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	}
 
 	var merged bytes.Buffer
-	m, err := dist.Merge("", []string{paths[1], paths[2], paths[0]}, true, &merged, obs.Scope{})
+	m, err := dist.Merge("", []string{paths[1], paths[2], paths[0]}, true, &merged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,12 +42,11 @@ type ExpConfig struct {
 	// (default KernelFastForward; results are bit-identical either way).
 	Kernel Kernel
 
-	// Obs is the campaign's observability scope: sweep and coverage
-	// engines report spans and metrics into it, and the warm-state cache
-	// registers its hit/miss/warmup instruments. Set it through Observe so
-	// the cache is wired too. Zero value = everything off. Pure observer:
-	// results are byte-identical with or without a scope.
-	Obs obs.Scope
+	// Trace is the campaign's span tracer: the sweep and coverage engines
+	// and the warm-state cache report spans into it. Set it through
+	// Observe so the cache is wired too. Nil = off. Pure observer: results
+	// are byte-identical with or without a tracer.
+	Trace *obs.Tracer
 
 	// base memoizes non-redundant baseline runs: sweeps reuse the same
 	// baseline across latencies and modes, and the singleflight entries
@@ -134,20 +133,19 @@ func baselineKey(o Options) string {
 	return fmt.Sprintf("%s|%d", warmKey(o), o.MeasureCycles)
 }
 
-// Observe attaches an observability scope to the campaign. Beyond
-// storing it for the sweep and coverage engines, it registers the shared
-// warm-state cache's metrics (warmups, store hits/misses, poisoned
-// blobs, warmup/restore latency) — which is why callers should use this
-// instead of assigning Obs directly.
-func (c *ExpConfig) Observe(sc obs.Scope) {
-	c.Obs = sc
+// Observe attaches a tracer to the campaign. Beyond storing it for the
+// sweep and coverage engines, it attaches it to the shared warm-state
+// cache — which is why callers should use this instead of assigning
+// Trace directly.
+func (c *ExpConfig) Observe(tr *obs.Tracer) {
+	c.Trace = tr
 	if c.warm != nil {
-		c.warm.Observe(sc)
+		c.warm.Observe(tr)
 	}
 }
 
 // coverageWarm picks the warm cache for the coverage campaign: the
-// campaign-wide cache when the config has one (so its metrics, wired by
+// campaign-wide cache when the config has one (so its spans, wired by
 // Observe, also cover coverage trials), else a fresh private cache as
 // before. Either way results are bit-identical — warm restore is
 // checkpoint-keyed.
@@ -269,7 +267,7 @@ func (c ExpConfig) runNormalized(name string, base normCell, axes ...sweep.Axis[
 	spec := sweep.Spec[normCell]{Name: name, Base: base, Axes: axes}
 	r := sweep.Runner[normCell, float64]{
 		Parallelism: c.Parallelism,
-		Obs:         c.Obs,
+		Trace:       c.Trace,
 		Run: func(_ context.Context, pt sweep.Point[normCell]) (float64, error) {
 			return c.normalized(pt.Config.p, pt.Config.mode, pt.Config.apply)
 		},
@@ -287,7 +285,7 @@ func (c ExpConfig) runDirect(name string, base Options, axes ...sweep.Axis[Optio
 	spec := sweep.Spec[Options]{Name: name, Base: base, Axes: axes}
 	r := sweep.Runner[Options, Result]{
 		Parallelism: c.Parallelism,
-		Obs:         c.Obs,
+		Trace:       c.Trace,
 		Run: func(_ context.Context, pt sweep.Point[Options]) (Result, error) {
 			return Run(pt.Config)
 		},
@@ -808,7 +806,7 @@ func (c ExpConfig) CoverageExperiment(trialsPerCell int) (*campaign.Report, erro
 		},
 		RunTrial:    TrialRunner(model, c.coverageWarm(), 0),
 		Parallelism: c.Parallelism,
-		Obs:         c.Obs,
+		Trace:       c.Trace,
 	}
 	if err := eng.Spec.Validate(); err != nil {
 		return nil, err

@@ -306,12 +306,11 @@ type Engine[C any] struct {
 	// Progress, if set, observes completed trials in completion order
 	// (live reporting only).
 	Progress func(done, total int, cell sweep.Point[C], t Trial, o Observation, out Outcome)
-	// Obs, if enabled, observes the campaign: a span per trial plus
-	// campaign_trials_total{outcome=...} counters and a
-	// campaign_detect_latency_cycles histogram over detected trials. It is
-	// also forwarded to the underlying sweep runner. Pure observer — the
-	// report, the sink stream, and Progress are unaffected.
-	Obs obs.Scope
+	// Trace, if set, receives a campaign/trial span per trial carrying its
+	// cell, trial index, point and outcome, plus latency_cycles when the
+	// outcome is detected. Pure observer — the report, the sink stream,
+	// and Progress are unaffected.
+	Trace *obs.Tracer
 }
 
 // trialRun is the engine-internal result of one trial.
@@ -336,38 +335,25 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 
 	rep := newReport(spec.Name, spec.Trials, cells)
 
-	// Campaign-level telemetry: one span per trial carrying the outcome,
-	// outcome counters, and a detect-latency histogram. The sweep runner
-	// below gets the metrics handle only — its generic per-run span would
-	// duplicate the richer trial span.
-	var outcomeCounters [numOutcomes]*obs.Counter
-	var detectLatency *obs.Histogram
-	if m := e.Obs.Metrics; m != nil {
-		for _, o := range Outcomes() {
-			outcomeCounters[o] = m.Counter("campaign_trials_total", "Campaign trials by terminal outcome.",
-				obs.L("outcome", o.String()))
-		}
-		detectLatency = m.Histogram("campaign_detect_latency_cycles", "Detection latency of detected trials in cycles.")
-	}
-
 	runner := sweep.Runner[C, trialRun]{
 		Parallelism: e.Parallelism,
 		// A cell's trials share its golden run and warm system, so
 		// workers run trials of different cells side by side instead of
 		// queueing on one.
 		Group: func(pt sweep.Point[C]) int { return pt.Index / spec.Trials },
-		Obs:   obs.Scope{Metrics: e.Obs.Metrics},
+		// No Trace: the sweep runner's generic per-run span would
+		// duplicate the richer trial span below.
 		Run: func(ctx context.Context, pt sweep.Point[C]) (trialRun, error) {
 			t := spec.draw(pt)
-			sp := e.Obs.Trace.StartSpan("campaign", "trial",
+			sp := e.Trace.StartSpan("campaign", "trial",
 				obs.Arg{Key: "cell", Val: t.Cell}, obs.Arg{Key: "trial", Val: t.Index},
 				obs.Arg{Key: "point", Val: pt.Name()})
 			o := e.RunTrial(ctx, pt, t)
 			out := Classify(o)
-			sp.End(obs.Arg{Key: "outcome", Val: out.String()})
-			outcomeCounters[out].Inc()
-			if out == Detected && detectLatency != nil {
-				detectLatency.Observe(o.LatencyCycles)
+			if out == Detected {
+				sp.End(obs.Arg{Key: "outcome", Val: out.String()}, obs.Arg{Key: "latency_cycles", Val: o.LatencyCycles})
+			} else {
+				sp.End(obs.Arg{Key: "outcome", Val: out.String()})
 			}
 			return trialRun{trial: t, obs: o, out: out}, nil
 		},
@@ -390,7 +376,6 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 				// A panic in RunTrial is a lost trial: terminal DUE,
 				// preserved in the stream.
 				tr = trialRun{trial: spec.draw(r.Point), obs: Observation{Err: r.Err}, out: DUE}
-				outcomeCounters[DUE].Inc()
 			}
 			rep.add(tr)
 			if e.Sink == nil {
@@ -406,7 +391,6 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 	} else {
 		_, err = runner.Sweep(ctx, combined)
 	}
-	rep.finish()
 	return rep, err
 }
 

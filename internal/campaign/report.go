@@ -109,8 +109,6 @@ func (r *Report) add(tr trialRun) {
 	r.Total.add(tr)
 }
 
-func (r *Report) finish() {}
-
 // Cell returns the report for the cell with the given coordinates string
 // (as rendered by sweep.Point.Name), or nil.
 func (r *Report) Cell(name string) *CellReport {

@@ -1,7 +1,7 @@
 // Package cliconf is the shared flag-parsing and validation layer of
 // the reunion CLIs. Four commands (sweep, inject, bench, merge) accept
 // overlapping flag families — axis CSVs with duplicate-value warnings
-// and fail-fast unknown-value listing, the telemetry trio, the
+// and fail-fast unknown-value listing, the telemetry flags, the
 // checkpoint-store directory, the -cpuprofile profile, and the
 // -shard/-journal/-resume cluster — and before this package each CLI
 // carried its own copy, which is exactly how validation rules drift
@@ -101,13 +101,6 @@ func Kernel(name string) (reunion.Kernel, error) {
 	return 0, fmt.Errorf("unknown kernel %q (valid: fastforward, naive)", name)
 }
 
-// dedupe drops duplicate axis values with a warning to w — a
-// duplicated seed or latency would silently run every matching cell
-// twice and skew class averages.
-func dedupe[V comparable](w io.Writer, tool, axis string, vals []V, format func(V) string) []V {
-	return sweep.Dedupe(w, tool, axis, vals, format)
-}
-
 // Modes parses an execution-model axis CSV. allowStrict selects the
 // sweep form; inject passes false, because its strict oracle simulates
 // comparison timing only and a fault campaign against it would
@@ -132,7 +125,7 @@ func Modes(w io.Writer, tool, csv string, allowStrict bool) ([]reunion.Mode, err
 			return nil, fmt.Errorf("unknown mode %q (valid: non-redundant, strict, reunion)", name)
 		}
 	}
-	return dedupe(w, tool, "mode", ms, reunion.Mode.String), nil
+	return sweep.Dedupe(w, tool, "mode", ms, reunion.Mode.String), nil
 }
 
 // Phantoms parses a phantom-strength axis CSV.
@@ -150,7 +143,7 @@ func Phantoms(w io.Writer, tool, csv string) ([]reunion.Phantom, error) {
 			return nil, fmt.Errorf("unknown phantom strength %q (valid: global, shared, null)", name)
 		}
 	}
-	return dedupe(w, tool, "phantom", phs, reunion.Phantom.String), nil
+	return sweep.Dedupe(w, tool, "phantom", phs, reunion.Phantom.String), nil
 }
 
 // TLBs parses a TLB-discipline axis CSV.
@@ -166,7 +159,7 @@ func TLBs(w io.Writer, tool, csv string) ([]reunion.TLBMode, error) {
 			return nil, fmt.Errorf("unknown TLB discipline %q (valid: hardware, software)", name)
 		}
 	}
-	return dedupe(w, tool, "tlb", ts, reunion.TLBMode.String), nil
+	return sweep.Dedupe(w, tool, "tlb", ts, reunion.TLBMode.String), nil
 }
 
 // Consistencies parses a memory-consistency axis CSV.
@@ -182,7 +175,7 @@ func Consistencies(w io.Writer, tool, csv string) ([]reunion.Consistency, error)
 			return nil, fmt.Errorf("unknown consistency model %q (valid: tso, sc)", name)
 		}
 	}
-	return dedupe(w, tool, "consistency", cs, reunion.ConsistencyName), nil
+	return sweep.Dedupe(w, tool, "consistency", cs, reunion.ConsistencyName), nil
 }
 
 // Workloads parses a workload axis CSV ("all" = the full suite),
@@ -201,7 +194,7 @@ func Workloads(w io.Writer, tool, csv string) ([]workload.Params, error) {
 			ps = append(ps, p)
 		}
 	}
-	return dedupe(w, tool, "workload", ps, func(p workload.Params) string { return p.Name }), nil
+	return sweep.Dedupe(w, tool, "workload", ps, func(p workload.Params) string { return p.Name }), nil
 }
 
 // Seeds parses a workload-seed axis CSV.
@@ -210,7 +203,7 @@ func Seeds(w io.Writer, tool, csv string) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dedupe(w, tool, "seed", sds, func(s uint64) string { return strconv.FormatUint(s, 10) }), nil
+	return sweep.Dedupe(w, tool, "seed", sds, func(s uint64) string { return strconv.FormatUint(s, 10) }), nil
 }
 
 // Int64Axis parses a CSV of int64 axis values with dedupe warnings
@@ -220,7 +213,7 @@ func Int64Axis(w io.Writer, tool, axis, csv string) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", axis, err)
 	}
-	return dedupe(w, tool, axis, vals, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
+	return sweep.Dedupe(w, tool, axis, vals, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
 }
 
 // CkptFlags is the shared checkpoint-store flag.
@@ -248,15 +241,14 @@ func (c *CkptFlags) Open() (ckptstore.Store, error) {
 // observer everywhere these flags appear: results and journal bytes
 // are byte-identical with or without them.
 type ObsFlags struct {
-	TraceOut, MetricsOut *string
-	HeartbeatEvery       *time.Duration
+	TraceOut       *string
+	HeartbeatEvery *time.Duration
 }
 
-// RegisterObs registers -trace-out/-metrics-out on fs.
+// RegisterObs registers -trace-out on fs.
 func RegisterObs(fs *flag.FlagSet) *ObsFlags {
 	return &ObsFlags{
-		TraceOut:   fs.String("trace-out", "", "write spans as Chrome trace-event JSON to this file at exit ('-' = stdout; open in Perfetto)"),
-		MetricsOut: fs.String("metrics-out", "", "write metrics in Prometheus text format to this file at exit ('-' = stdout)"),
+		TraceOut: fs.String("trace-out", "", "write spans as Chrome trace-event JSON to this file at exit ('-' = stdout; open in Perfetto)"),
 	}
 }
 
@@ -267,8 +259,14 @@ func (o *ObsFlags) WithHeartbeat(fs *flag.FlagSet) *ObsFlags {
 	return o
 }
 
-// Scope builds the run's observability scope from the flags.
-func (o *ObsFlags) Scope() obs.Scope { return obs.NewScope(*o.TraceOut, *o.MetricsOut) }
+// Tracer returns the run's span tracer, or nil (telemetry off) when
+// -trace-out is unset.
+func (o *ObsFlags) Tracer() *obs.Tracer {
+	if *o.TraceOut == "" {
+		return nil
+	}
+	return obs.NewTracer(0)
+}
 
 // Heartbeat builds the stderr heartbeat, or nil when the flag is off
 // (obs.Heartbeat is nil-safe).
@@ -279,10 +277,13 @@ func (o *ObsFlags) Heartbeat(label string, total int64) *obs.Heartbeat {
 	return &obs.Heartbeat{Label: label, Total: total, Every: *o.HeartbeatEvery, W: os.Stderr}
 }
 
-// WriteFiles flushes the scope's trace and metrics to the flagged
-// destinations at exit.
-func (o *ObsFlags) WriteFiles(sc obs.Scope) error {
-	return sc.WriteFiles(*o.TraceOut, *o.MetricsOut)
+// WriteTrace flushes tr to -trace-out at exit; a nil tracer writes
+// nothing.
+func (o *ObsFlags) WriteTrace(tr *obs.Tracer) error {
+	if tr == nil {
+		return nil
+	}
+	return tr.WriteFile(*o.TraceOut)
 }
 
 // StartCPUProfile starts the -cpuprofile CPU profile into path and
@@ -308,11 +309,11 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// FlagWasSet reports whether the named command-line flag was passed
-// explicitly.
-func FlagWasSet(name string) bool {
+// FlagWasSet reports whether the named flag was passed explicitly to
+// fs.
+func FlagWasSet(fs *flag.FlagSet, name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
@@ -320,11 +321,14 @@ func FlagWasSet(name string) bool {
 	return set
 }
 
-// CheckJournalFlags enforces the -journal/-resume/-out/-format rules
+// CheckJournalFlags enforces the -format/-journal/-resume/-out rules
 // the sharded CLIs share; the returned error is a usage error (exit 2).
 // outSet reports whether -out was passed explicitly (FlagWasSet): -out
 // has a non-empty default, so presence can't be read from the value.
 func CheckJournalFlags(tool, journal, format string, resume, outSet bool) error {
+	if format != "jsonl" && format != "csv" {
+		return fmt.Errorf("%s: unknown format %q (valid: jsonl, csv)", tool, format)
+	}
 	if journal != "" {
 		if format != "jsonl" {
 			return fmt.Errorf("%s: a -journal is jsonl-only (merge output is byte-identical to a jsonl run)", tool)

@@ -221,6 +221,7 @@ func TestCheckJournalFlags(t *testing.T) {
 		{"journal csv", "j.jsonl", "csv", false, false, "jsonl-only"},
 		{"journal and out", "j.jsonl", "jsonl", false, true, "mutually exclusive"},
 		{"resume without journal", "", "jsonl", true, false, "-resume requires -journal"},
+		{"unknown format", "", "xml", false, false, `unknown format "xml"`},
 	}
 	for _, c := range cases {
 		err := CheckJournalFlags("t", c.journal, c.format, c.resume, c.outSet)
@@ -243,26 +244,32 @@ func TestFlagGroups(t *testing.T) {
 	if err := fs.Parse([]string{"-trace-out", "tr.json", "-heartbeat", "5s", "-ckpt-store", t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
-	if *obsf.TraceOut != "tr.json" || *obsf.MetricsOut != "" {
-		t.Fatalf("obs flags: %q %q", *obsf.TraceOut, *obsf.MetricsOut)
+	if *obsf.TraceOut != "tr.json" {
+		t.Fatalf("obs flags: %q", *obsf.TraceOut)
 	}
 	if hb := obsf.Heartbeat("t", 10); hb == nil || hb.Label != "t" || hb.Total != 10 {
 		t.Fatalf("heartbeat: %+v", hb)
 	}
-	sc := obsf.Scope()
-	if sc.Trace == nil {
-		t.Fatal("scope has no tracer despite -trace-out")
+	if obsf.Tracer() == nil {
+		t.Fatal("no tracer despite -trace-out")
 	}
 	if s, err := ckpt.Open(); err != nil || s == nil {
 		t.Fatalf("ckpt open: %v, %v", s, err)
 	}
 
-	// Heartbeat and store off by default: nil, and nil-safe downstream.
+	// Tracer, heartbeat and store off by default: nil, and nil-safe
+	// downstream.
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
 	o2 := RegisterObs(fs2).WithHeartbeat(fs2)
 	ckpt2 := RegisterCkpt(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
+	}
+	if tr := o2.Tracer(); tr != nil {
+		t.Fatalf("tracer without flag: %+v", tr)
+	}
+	if err := o2.WriteTrace(o2.Tracer()); err != nil {
+		t.Fatalf("nil tracer write: %v", err)
 	}
 	if hb := o2.Heartbeat("t", 1); hb != nil {
 		t.Fatalf("heartbeat without flag: %+v", hb)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"reunion/internal/obs"
 	"reunion/internal/sweep"
 )
 
@@ -68,7 +67,7 @@ func writeShard(t *testing.T, path string, p Plan) {
 // mergeBytes merges paths into memory (no output file).
 func mergeBytes(paths []string, strict bool) (*Manifest, []byte, error) {
 	var buf bytes.Buffer
-	m, err := Merge("", paths, strict, &buf, obs.Scope{})
+	m, err := Merge("", paths, strict, &buf, nil)
 	return m, buf.Bytes(), err
 }
 
@@ -171,7 +170,7 @@ func TestMergeByteIdentical(t *testing.T) {
 
 	out := filepath.Join(dir, "merged.jsonl")
 	var tee bytes.Buffer
-	if _, err := Merge(out, paths, true, &tee, obs.Scope{}); err != nil {
+	if _, err := Merge(out, paths, true, &tee, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tee.Bytes(), refBytes(t, total)) {
@@ -401,7 +400,7 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 	}
 	j.Close()
 	out := filepath.Join(dir, "merged.jsonl")
-	if _, err := Merge(out, []string{unfinished, paths[1], paths[2]}, true, nil, obs.Scope{}); err == nil || !strings.Contains(err.Error(), "no footer") {
+	if _, err := Merge(out, []string{unfinished, paths[1], paths[2]}, true, nil, nil); err == nil || !strings.Contains(err.Error(), "no footer") {
 		t.Fatalf("merge accepted a footerless journal: %v", err)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {

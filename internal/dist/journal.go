@@ -106,12 +106,6 @@ type Journal struct {
 	failed   int
 	complete bool
 	closed   bool
-
-	// Telemetry handles (nil when observability is off). Pure observers:
-	// they never touch the payload bytes or the checksum.
-	recMetric  *obs.Counter
-	byteMetric *obs.Counter
-	errMetric  *obs.Counter
 }
 
 // Create starts a fresh journal at path (truncating any existing file)
@@ -269,15 +263,14 @@ func replay(r *bufio.Reader, plan Plan, strict bool) (replayState, error) {
 
 // OpenOrCreate resolves a CLI's -journal/-resume pair: Open (resume from
 // the last complete record) when resume is set, Create (start the range
-// fresh, truncating any previous attempt) otherwise. With an enabled
-// scope a resume's replay runs in a "journal_replay" span, and the
-// journal counts its appended records and bytes.
-func OpenOrCreate(path string, plan Plan, resume bool, sc obs.Scope) (*Journal, error) {
+// fresh, truncating any previous attempt) otherwise. With a tracer a
+// resume's replay runs in a "journal_replay" span.
+func OpenOrCreate(path string, plan Plan, resume bool, tr *obs.Tracer) (*Journal, error) {
 	open := Create
 	var sp *obs.Span
 	if resume {
 		open = Open
-		sp = sc.Trace.StartSpan("journal", "journal_replay",
+		sp = tr.StartSpan("journal", "journal_replay",
 			obs.Arg{Key: "path", Val: path}, obs.Arg{Key: "range", Val: plan.String()})
 	}
 	j, err := open(path, plan)
@@ -286,11 +279,6 @@ func OpenOrCreate(path string, plan Plan, resume bool, sc obs.Scope) (*Journal, 
 		return nil, err
 	}
 	sp.End(obs.Arg{Key: "replayed", Val: j.done})
-	if m := sc.Metrics; m != nil {
-		j.recMetric = m.Counter("dist_journal_records_total", "Records appended to the journal.")
-		j.byteMetric = m.Counter("dist_journal_bytes_total", "Payload bytes appended to the journal.")
-		j.errMetric = m.Counter("dist_journal_error_records_total", "Error records appended to the journal.")
-	}
 	return j, nil
 }
 
@@ -350,10 +338,7 @@ func (j *Journal) Write(rec sweep.Record) error {
 	j.done++
 	if rec.Err != "" {
 		j.failed++
-		j.errMetric.Inc()
 	}
-	j.recMetric.Inc()
-	j.byteMetric.Add(int64(len(line)))
 	return nil
 }
 

@@ -136,15 +136,15 @@ type member struct {
 // that explains it), and then nothing is written. A merge that verifies
 // no record writes no file. On any other error the bytes already given
 // to tee are meaningless.
-func Merge(out string, paths []string, strict bool, tee io.Writer, sc obs.Scope) (*Manifest, error) {
-	sp := sc.Trace.StartSpan("merge", "merge",
+func Merge(out string, paths []string, strict bool, tee io.Writer, tr *obs.Tracer) (*Manifest, error) {
+	sp := tr.StartSpan("merge", "merge",
 		obs.Arg{Key: "out", Val: out}, obs.Arg{Key: "journals", Val: len(paths)})
-	m, err := merge(out, paths, strict, tee, sc)
+	m, err := merge(out, paths, strict, tee, tr)
 	sp.End(obs.Arg{Key: "err", Val: err != nil})
 	return m, err
 }
 
-func merge(out string, paths []string, strict bool, tee io.Writer, sc obs.Scope) (*Manifest, error) {
+func merge(out string, paths []string, strict bool, tee io.Writer, tr *obs.Tracer) (*Manifest, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("dist: merge of zero journals")
 	}
@@ -210,19 +210,14 @@ func merge(out string, paths []string, strict bool, tee io.Writer, sc obs.Scope)
 		if tee != nil {
 			w = io.MultiWriter(w, tee)
 		}
-		var recs *obs.Counter
-		if reg := sc.Metrics; reg != nil {
-			recs = reg.Counter("dist_merge_records_total", "Records copied into the merged stream.")
-		}
 		for _, mem := range ok {
-			csp := sc.Trace.StartSpan("merge", "copy_journal",
+			csp := tr.StartSpan("merge", "copy_journal",
 				obs.Arg{Key: "path", Val: mem.path}, obs.Arg{Key: "range", Val: mem.plan.String()})
 			err := mem.copyTo(w)
 			csp.End(obs.Arg{Key: "records", Val: mem.plan.Count()}, obs.Arg{Key: "err", Val: err != nil})
 			if err != nil {
 				return err
 			}
-			recs.Add(int64(mem.plan.Count()))
 		}
 		return nil
 	}

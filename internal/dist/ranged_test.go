@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"reunion/internal/obs"
 )
 
 // writeRange journals [lo,hi) of a total-index run and seals it.
@@ -202,7 +200,7 @@ func TestMergePartialFileWritesManifest(t *testing.T) {
 
 	out := filepath.Join(dir, "merged.jsonl")
 	manifest := filepath.Join(dir, "merged.manifest.json")
-	m, err := Merge(out, []string{a}, false, nil, obs.Scope{})
+	m, err := Merge(out, []string{a}, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

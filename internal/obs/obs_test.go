@@ -1,35 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
 
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
-	h := r.Histogram("x_us", "")
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry must hand out nil handles, got %v %v %v", c, g, h)
-	}
-	// All no-ops, no panics.
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
-	h.Observe(42)
-	hs := h.Snapshot()
-	if c.Value() != 0 || g.Value() != 0 || hs.N() != 0 {
-		t.Fatal("nil handles must read as zero")
-	}
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
-		t.Fatalf("nil registry exposition: %v %q", err, sb.String())
-	}
-
 	var tr *Tracer
 	sp := tr.StartSpan("cat", "name")
 	if sp != nil {
@@ -40,228 +16,29 @@ func TestNilSafety(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must read as empty")
 	}
-
-	var zero Scope
-	if zero.Enabled() {
-		t.Fatal("zero Scope must be disabled")
-	}
 }
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("runs_total", "runs", L("kind", "a"))
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	// Get-or-create returns the same series.
-	if r.Counter("runs_total", "runs", L("kind", "a")) != c {
-		t.Fatal("same name+labels must resolve to the same counter")
-	}
-	if r.Counter("runs_total", "runs", L("kind", "b")) == c {
-		t.Fatal("different labels must resolve to a different series")
-	}
-
-	g := r.Gauge("inflight", "")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
-}
-
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
-		}
-	}()
-	r.Gauge("m", "")
-}
-
-func TestInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid metric name must panic")
-		}
-	}()
-	r.Counter("bad name", "")
-}
-
-func TestLabelOrderCanonical(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("m_total", "", L("x", "1"), L("y", "2"))
-	b := r.Counter("m_total", "", L("y", "2"), L("x", "1"))
-	if a != b {
-		t.Fatal("label order must not create distinct series")
-	}
-}
-
-func TestPrometheusRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sweep_runs_total", "Completed sweep runs.", L("sweep", "ipc")).Add(48)
-	r.Counter("sweep_runs_total", "Completed sweep runs.", L("sweep", "slack")).Add(12)
-	r.Gauge("inflight_runs", "Currently executing runs.").Set(3)
-	h := r.Histogram("run_duration_us", "Run wall time.", L("sweep", "ipc"))
-	for _, v := range []int64{0, 1, 2, 3, 100, 5000, 5000, 131072} {
-		h.Observe(v)
-	}
-	// A label value that needs escaping must survive the round trip.
-	r.Counter("odd_total", "", L("path", `a\b"c`+"\n")).Inc()
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParsePrometheus(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("exposition failed independent parse:\n%s\nerr: %v", sb.String(), err)
-	}
-
-	byName := map[string]PromFamily{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	sw, ok := byName["sweep_runs_total"]
-	if !ok || sw.Type != "counter" {
-		t.Fatalf("sweep_runs_total missing or wrong type: %+v", sw)
-	}
-	if len(sw.Samples) != 2 {
-		t.Fatalf("sweep_runs_total series = %d, want 2", len(sw.Samples))
-	}
-	var total float64
-	for _, s := range sw.Samples {
-		total += s.Value
-	}
-	if total != 60 {
-		t.Fatalf("sweep_runs_total sum = %v, want 60", total)
-	}
-
-	hd, ok := byName["run_duration_us"]
-	if !ok || hd.Type != "histogram" {
-		t.Fatalf("run_duration_us missing or wrong type: %+v", hd)
-	}
-	// _count and _sum agree with what was observed.
-	var count, sum float64
-	for _, s := range hd.Samples {
-		switch s.Name {
-		case "run_duration_us_count":
-			count = s.Value
-		case "run_duration_us_sum":
-			sum = s.Value
-		}
-	}
-	if count != 8 {
-		t.Fatalf("histogram count = %v, want 8", count)
-	}
-	if sum != 0+1+2+3+100+5000+5000+131072 {
-		t.Fatalf("histogram sum = %v", sum)
-	}
-
-	odd, ok := byName["odd_total"]
-	if !ok {
-		t.Fatal("odd_total missing")
-	}
-	if got := odd.Samples[0].Labels["path"]; got != `a\b"c`+"\n" {
-		t.Fatalf("escaped label did not round-trip: %q", got)
-	}
-}
-
-func TestPrometheusDeterministicOrder(t *testing.T) {
-	render := func(order []string) string {
-		r := NewRegistry()
-		for _, name := range order {
-			r.Counter(name, "").Inc()
-		}
-		var sb strings.Builder
-		if err := r.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	a := render([]string{"b_total", "a_total", "c_total"})
-	b := render([]string{"c_total", "b_total", "a_total"})
-	if a != b {
-		t.Fatalf("exposition must not depend on registration order:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestParsePrometheusRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"no_type_line 1\n",
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\n",                                     // no _count, no +Inf
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n", // non-monotone
-		"# TYPE c counter\nc notanumber\n",
-	}
-	for _, in := range cases {
-		if _, err := ParsePrometheus(strings.NewReader(in)); err == nil {
-			t.Errorf("parser accepted malformed input:\n%s", in)
-		}
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "help", L("k", "v")).Add(9)
-	r.Histogram("h_us", "").Observe(300)
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []struct {
-			Name   string `json:"name"`
-			Type   string `json:"type"`
-			Series []struct {
-				Labels    map[string]string `json:"labels"`
-				Value     *int64            `json:"value"`
-				Histogram *struct {
-					Count int64 `json:"count"`
-					Sum   int64 `json:"sum"`
-				} `json:"histogram"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("JSON exposition is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(doc.Metrics) != 2 {
-		t.Fatalf("families = %d, want 2", len(doc.Metrics))
-	}
-	if doc.Metrics[0].Name != "c_total" || *doc.Metrics[0].Series[0].Value != 9 {
-		t.Fatalf("counter family wrong: %+v", doc.Metrics[0])
-	}
-	h := doc.Metrics[1].Series[0].Histogram
-	if h == nil || h.Count != 1 || h.Sum != 300 {
-		t.Fatalf("histogram family wrong: %+v", doc.Metrics[1])
-	}
-}
-
+// Sweep workers share one tracer: concurrent spans must all be recorded
+// and must release every track they claimed.
 func TestConcurrentUse(t *testing.T) {
-	r := NewRegistry()
+	tr := NewTracer(0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("c_total", "")
-			h := r.Histogram("h_us", "")
 			for j := 0; j < 1000; j++ {
-				c.Inc()
-				h.Observe(int64(j))
+				tr.StartSpan("c", "s", Arg{"j", j}).End()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("c_total", "").Value(); got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
+	if got := tr.Len(); got != 8000 {
+		t.Fatalf("spans = %d, want 8000", got)
 	}
-	hsnap := r.Histogram("h_us", "").Snapshot()
-	if got := hsnap.N(); got != 8000 {
-		t.Fatalf("histogram n = %d, want 8000", got)
+	for tid, used := range tr.tracks {
+		if used {
+			t.Fatalf("track %d still claimed after every span ended", tid)
+		}
 	}
 }

@@ -227,34 +227,3 @@ func (t *Tracer) WriteFile(path string) error {
 	}
 	return err
 }
-
-// NewScope builds a Scope from the CLI's -trace-out/-metrics-out flag
-// values: each handle is created only if its output path is non-empty,
-// so the zero-flag case stays fully disabled.
-func NewScope(traceOut, metricsOut string) Scope {
-	var s Scope
-	if traceOut != "" {
-		s.Trace = NewTracer(0)
-	}
-	if metricsOut != "" {
-		s.Metrics = NewRegistry()
-	}
-	return s
-}
-
-// WriteFiles flushes whichever outputs the scope has to the given paths
-// (empty path → skip). Returns the first error.
-func (s Scope) WriteFiles(traceOut, metricsOut string) error {
-	var first error
-	if s.Trace != nil && traceOut != "" {
-		if err := s.Trace.WriteFile(traceOut); err != nil {
-			first = err
-		}
-	}
-	if s.Metrics != nil && metricsOut != "" {
-		if err := s.Metrics.WriteFile(metricsOut); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -136,15 +136,3 @@ func TestEmptyTracerValidJSON(t *testing.T) {
 	}
 	parseTrace(t, sb.String())
 }
-
-func TestNewScope(t *testing.T) {
-	if s := NewScope("", ""); s.Enabled() {
-		t.Fatal("empty flag paths must yield a disabled scope")
-	}
-	if s := NewScope("t.json", ""); s.Trace == nil || s.Metrics != nil {
-		t.Fatalf("trace-only scope wrong: %+v", s)
-	}
-	if s := NewScope("", "m.prom"); s.Trace != nil || s.Metrics == nil {
-		t.Fatalf("metrics-only scope wrong: %+v", s)
-	}
-}

@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"reunion/internal/obs"
 )
@@ -217,12 +216,10 @@ type Runner[C, R any] struct {
 	// error stops emission and fails the sweep. Called from the Sweep
 	// goroutine, never concurrently.
 	Emit func(r Result[C, R]) error
-	// Obs, if enabled, observes the sweep: a span per run plus
-	// sweep_runs_total / sweep_run_errors_total counters and a
-	// sweep_run_duration_us histogram. Pure observer — results, Progress,
-	// and the Emit stream are unaffected (asserted by the telemetry
-	// equivalence tests).
-	Obs obs.Scope
+	// Trace, if set, receives a sweep/run span per point with its index,
+	// name and err. Pure observer — results, Progress, and the Emit
+	// stream are unaffected (asserted by the telemetry equivalence tests).
+	Trace *obs.Tracer
 }
 
 // Sweep runs every point of the spec and returns results indexed by
@@ -255,26 +252,6 @@ func (r *Runner[C, R]) SweepIndices(ctx context.Context, spec Spec[C], indices [
 	return r.sweepPoints(ctx, points)
 }
 
-// sweepObs caches the per-sweep metric handles so the hot path does not
-// re-resolve names per run. The zero value (telemetry off) is all nils,
-// which every method tolerates.
-type sweepObs struct {
-	trace    *obs.Tracer
-	runs     *obs.Counter
-	errs     *obs.Counter
-	duration *obs.Histogram
-}
-
-func newSweepObs(sc obs.Scope) sweepObs {
-	o := sweepObs{trace: sc.Trace}
-	if m := sc.Metrics; m != nil {
-		o.runs = m.Counter("sweep_runs_total", "Sweep points executed.")
-		o.errs = m.Counter("sweep_run_errors_total", "Sweep points that returned an error.")
-		o.duration = m.Histogram("sweep_run_duration_us", "Wall time of one sweep point in microseconds.")
-	}
-	return o
-}
-
 // sweepPoints is the shared worker-pool body: results, Progress, and the
 // in-order Emit stream are all positional over the given points.
 func (r *Runner[C, R]) sweepPoints(ctx context.Context, points []Point[C]) ([]Result[C, R], error) {
@@ -301,8 +278,6 @@ func (r *Runner[C, R]) sweepPoints(ctx context.Context, points []Point[C]) ([]Re
 		par = n
 	}
 
-	so := newSweepObs(r.Obs)
-
 	d := newDispatcher(points, r.Group)
 	completions := make(chan int)
 	var wg sync.WaitGroup
@@ -315,7 +290,7 @@ func (r *Runner[C, R]) sweepPoints(ctx context.Context, points []Point[C]) ([]Re
 				if !ok {
 					return
 				}
-				results[i] = r.runOne(ctx, points[i], so)
+				results[i] = r.runOne(ctx, points[i])
 				d.release(i)
 				completions <- i
 			}
@@ -416,24 +391,15 @@ func (d *dispatcher) release(i int) {
 
 // runOne executes a single point, converting a panic into that point's
 // error so one bad configuration cannot take down the whole matrix.
-func (r *Runner[C, R]) runOne(ctx context.Context, p Point[C], so sweepObs) (res Result[C, R]) {
+func (r *Runner[C, R]) runOne(ctx context.Context, p Point[C]) (res Result[C, R]) {
 	res.Point = p
 	var sp *obs.Span
-	var begin time.Time
-	if so.trace != nil || so.duration != nil {
-		sp = so.trace.StartSpan("sweep", "run", obs.Arg{Key: "index", Val: p.Index}, obs.Arg{Key: "point", Val: p.Name()})
-		begin = time.Now()
+	if r.Trace != nil {
+		sp = r.Trace.StartSpan("sweep", "run", obs.Arg{Key: "index", Val: p.Index}, obs.Arg{Key: "point", Val: p.Name()})
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			res.Err = fmt.Errorf("sweep: panic in point %d (%s): %v", p.Index, p.Name(), rec)
-		}
-		if so.duration != nil {
-			so.duration.Observe(time.Since(begin).Microseconds())
-		}
-		so.runs.Inc()
-		if res.Err != nil {
-			so.errs.Inc()
 		}
 		sp.End(obs.Arg{Key: "err", Val: res.Err != nil})
 	}()

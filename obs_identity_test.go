@@ -2,10 +2,10 @@ package reunion
 
 // Observability acceptance: telemetry is a pure observer. For the sweep
 // engine, the campaign engine, and the shard journal, the result bytes
-// with a full scope attached (tracer + registry, plus the per-trial
-// kernel-event ring) are byte-identical to the telemetry-off run — and
-// the telemetry itself is well-formed: the trace parses as Chrome
-// trace-event JSON with the required fields, the metrics count what ran.
+// with a tracer attached (plus the per-trial kernel-event ring) are
+// byte-identical to the telemetry-off run — and the telemetry itself is
+// well-formed: the trace parses as Chrome trace-event JSON with the
+// required fields, and its spans count what ran.
 
 import (
 	"bytes"
@@ -21,10 +21,6 @@ import (
 	"reunion/internal/obs"
 	"reunion/internal/sweep"
 )
-
-func obsTestScope() obs.Scope {
-	return obs.Scope{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry()}
-}
 
 // chromeTraceEvents unmarshals a tracer's output and checks the fields
 // Perfetto requires on every event.
@@ -62,39 +58,21 @@ func chromeTraceEvents(t *testing.T, tr *obs.Tracer) []map[string]any {
 	return doc.TraceEvents
 }
 
-// metricTotals reads the registry through its JSON rendering and sums
-// each family's series: counter and gauge values, histogram counts.
-func metricTotals(t *testing.T, reg *obs.Registry) map[string]float64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []struct {
-			Name   string
-			Series []struct {
-				Value     *int64
-				Histogram *struct{ Count int64 }
-			}
+// spansNamed returns the complete events of one span category and name.
+func spansNamed(events []map[string]any, cat, name string) []map[string]any {
+	var out []map[string]any
+	for _, ev := range events {
+		if ev["ph"] == "X" && ev["cat"] == cat && ev["name"] == name {
+			out = append(out, ev)
 		}
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	totals := make(map[string]float64, len(doc.Metrics))
-	for _, f := range doc.Metrics {
-		totals[f.Name] = 0
-		for _, s := range f.Series {
-			switch {
-			case s.Value != nil:
-				totals[f.Name] += float64(*s.Value)
-			case s.Histogram != nil:
-				totals[f.Name] += float64(s.Histogram.Count)
-			}
-		}
-	}
-	return totals
+	return out
+}
+
+// spanArgs returns a span event's args object (nil when it has none).
+func spanArgs(ev map[string]any) map[string]any {
+	args, _ := ev["args"].(map[string]any)
+	return args
 }
 
 func obsSweepSpec() sweep.Spec[Options] {
@@ -111,12 +89,12 @@ func obsSweepSpec() sweep.Spec[Options] {
 	}
 }
 
-func runObsSweep(t *testing.T, spec sweep.Spec[Options], sc obs.Scope) []byte {
+func runObsSweep(t *testing.T, spec sweep.Spec[Options], tr *obs.Tracer) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	r := sweep.Runner[Options, Result]{
 		Parallelism: 2,
-		Obs:         sc,
+		Trace:       tr,
 		Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
 			return Run(p.Config)
 		},
@@ -130,27 +108,23 @@ func runObsSweep(t *testing.T, spec sweep.Spec[Options], sc obs.Scope) []byte {
 
 func TestTelemetrySweepByteIdentity(t *testing.T) {
 	spec := obsSweepSpec()
-	ref := runObsSweep(t, spec, obs.Scope{})
-	sc := obsTestScope()
-	got := runObsSweep(t, spec, sc)
+	ref := runObsSweep(t, spec, nil)
+	tr := obs.NewTracer(0)
+	got := runObsSweep(t, spec, tr)
 	if !bytes.Equal(got, ref) {
 		t.Fatal("sweep JSONL differs between telemetry on and off")
 	}
 
-	events := chromeTraceEvents(t, sc.Trace)
-	if len(events) != spec.Size() {
-		t.Fatalf("trace holds %d spans, want one per run (%d)", len(events), spec.Size())
+	events := chromeTraceEvents(t, tr)
+	runs := spansNamed(events, "sweep", "run")
+	if len(events) != spec.Size() || len(runs) != spec.Size() {
+		t.Fatalf("trace holds %d spans (%d sweep/run), want one sweep/run per run (%d)",
+			len(events), len(runs), spec.Size())
 	}
-	totals := metricTotals(t, sc.Metrics)
-	n, ok := totals["sweep_runs_total"]
-	if !ok {
-		t.Fatal("metrics missing sweep_runs_total")
-	}
-	if n != float64(spec.Size()) {
-		t.Fatalf("sweep_runs_total = %v, want %d", n, spec.Size())
-	}
-	if _, ok := totals["sweep_run_duration_us"]; !ok {
-		t.Fatal("metrics missing sweep_run_duration_us")
+	for _, ev := range runs {
+		if spanArgs(ev)["err"] != false {
+			t.Fatalf("sweep/run span of a successful run: %v", ev)
+		}
 	}
 }
 
@@ -159,17 +133,17 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 
 	// One 2-shard slice of the matrix, journaled twice: telemetry off and
-	// a full scope through OpenOrCreate + Runner.Obs. The journal files
+	// a tracer through OpenOrCreate + Runner.Trace. The journal files
 	// (header, records, checksummed footer) must be byte-identical.
-	writeJournal := func(path string, sc obs.Scope) {
+	writeJournal := func(path string, tr *obs.Tracer) {
 		t.Helper()
-		jnl, err := dist.OpenOrCreate(path, shardPlan(t, spec.Name, spec.Size(), 0, 2), false, sc)
+		jnl, err := dist.OpenOrCreate(path, shardPlan(t, spec.Name, spec.Size(), 0, 2), false, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := sweep.Runner[Options, Result]{
 			Parallelism: 2,
-			Obs:         sc,
+			Trace:       tr,
 			Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
 				return Run(p.Config)
 			},
@@ -185,9 +159,9 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 
 	refPath := filepath.Join(dir, "ref.jsonl")
 	obsPath := filepath.Join(dir, "obs.jsonl")
-	writeJournal(refPath, obs.Scope{})
-	sc := obsTestScope()
-	writeJournal(obsPath, sc)
+	writeJournal(refPath, nil)
+	tr := obs.NewTracer(0)
+	writeJournal(obsPath, tr)
 
 	refBytes, err := os.ReadFile(refPath)
 	if err != nil {
@@ -201,13 +175,8 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 		t.Fatal("journal bytes differ between telemetry on and off")
 	}
 
-	totals := metricTotals(t, sc.Metrics)
-	n, ok := totals["dist_journal_records_total"]
-	if !ok {
-		t.Fatal("metrics missing dist_journal_records_total")
-	}
-	if n != 2 {
-		t.Fatalf("dist_journal_records_total = %v, want the shard's 2", n)
+	if n := len(spansNamed(chromeTraceEvents(t, tr), "sweep", "run")); n != 2 {
+		t.Fatalf("trace holds %d sweep/run spans, want the shard's 2", n)
 	}
 }
 
@@ -218,15 +187,20 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 			Name: "obs-campaign",
 			Base: injectTestOptions(),
 			Axes: []sweep.Axis[Options]{
+				// Reunion cells detect faults, so trial spans with and
+				// without latency_cycles both occur.
+				sweep.NewAxis("mode", []Mode{ModeNonRedundant, ModeReunion}, Mode.String,
+					func(o *Options, m Mode) { o.Mode = m }),
 				sweep.NewAxis("seed", []uint64{1}, func(s uint64) string { return strconv.FormatUint(s, 10) },
 					func(o *Options, s uint64) { o.Seed = s }),
 			},
 		},
-		Model:  campaign.FaultModel{WindowHi: 400},
-		Trials: 3,
-		Seed:   0xfa017,
+		Model:         campaign.FaultModel{WindowHi: 400},
+		Trials:        3,
+		Seed:          0xfa017,
+		StreamExclude: []string{"mode"},
 	}
-	run := func(sc obs.Scope, traceEvents int) []byte {
+	run := func(tr *obs.Tracer, traceEvents int) []byte {
 		t.Helper()
 		var out bytes.Buffer
 		eng := campaign.Engine[Options]{
@@ -234,7 +208,7 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 			RunTrial:    TrialRunner(spec.Model, NewWarmCache(), traceEvents),
 			Parallelism: 2,
 			Sink:        sweep.NewJSONL(&out),
-			Obs:         sc,
+			Trace:       tr,
 		}
 		if _, err := eng.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -242,25 +216,54 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 		return out.Bytes()
 	}
 
-	ref := run(obs.Scope{}, 0)
-	// Full scope AND the per-trial kernel-event ring: neither the spans
-	// and counters nor Observation.Diag may leak into the trial records.
-	sc := obsTestScope()
-	got := run(sc, 64)
+	ref := run(nil, 0)
+	// A tracer AND the per-trial kernel-event ring: neither the spans nor
+	// Observation.Diag may leak into the trial records.
+	tr := obs.NewTracer(0)
+	got := run(tr, 64)
 	if !bytes.Equal(got, ref) {
 		t.Fatal("campaign JSONL differs between telemetry+trace-dump on and off")
 	}
 
-	events := chromeTraceEvents(t, sc.Trace)
-	if len(events) != spec.Trials {
-		t.Fatalf("trace holds %d spans, want one per trial (%d)", len(events), spec.Trials)
+	events := chromeTraceEvents(t, tr)
+	trials := spansNamed(events, "campaign", "trial")
+	want := spec.Matrix.Size() * spec.Trials
+	if len(events) != want || len(trials) != want {
+		t.Fatalf("trace holds %d spans (%d campaign/trial), want one campaign/trial per trial (%d)",
+			len(events), len(trials), want)
 	}
-	totals := metricTotals(t, sc.Metrics)
-	n, ok := totals["campaign_trials_total"]
-	if !ok {
-		t.Fatal("metrics missing campaign_trials_total")
+
+	// Each trial span carries its record's outcome, and a detected one
+	// also the record's detection latency; no other span has a latency.
+	type trialRecord struct {
+		outcome string
+		latency float64
 	}
-	if n != float64(spec.Trials) {
-		t.Fatalf("campaign_trials_total = %v, want %d", n, spec.Trials)
+	records := map[int]trialRecord{}
+	detected := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(got), []byte("\n")) {
+		var rec sweep.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		records[rec.Index] = trialRecord{rec.Labels["outcome"], rec.Metrics["detect_latency_cycles"]}
+		if rec.Labels["outcome"] == campaign.Detected.String() {
+			detected++
+		}
+	}
+	if detected == 0 || detected == want {
+		t.Fatalf("%d of %d trials detected, want some of each", detected, want)
+	}
+	for _, ev := range trials {
+		args := spanArgs(ev)
+		rec := records[int(args["cell"].(float64))*spec.Trials+int(args["trial"].(float64))]
+		if args["outcome"] != rec.outcome {
+			t.Fatalf("span %v: outcome differs from the record's %q", args, rec.outcome)
+		}
+		lat, ok := args["latency_cycles"]
+		if ok != (rec.outcome == campaign.Detected.String()) || (ok && lat != rec.latency) {
+			t.Fatalf("span %v: latency_cycles must appear exactly on detected trials, equal to the record's %v",
+				args, rec.latency)
+		}
 	}
 }
