@@ -25,9 +25,9 @@ import (
 // watchdog, and the interrupt-delivery chain.
 //
 // A Checkpoint restores only onto the System it was taken from: pending
-// events and in-flight requests hold callbacks into that system's
-// component objects, and Restore rewrites those objects' state in place
-// so the callbacks replay exactly. Restore after arbitrary further
+// events and in-flight requests point at that system's component
+// objects (an event's runner, a request's L1), and Restore rewrites
+// those objects' state in place so the pending work replays exactly. Restore after arbitrary further
 // execution (a fault trial, a different measurement window) yields a
 // machine bit-identical to the moment of Snapshot — the invariant the
 // snapshot equivalence tests prove.

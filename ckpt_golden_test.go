@@ -100,6 +100,11 @@ func goldenCells() []goldenCell {
 	}
 }
 
+// goldenRunOn is how far TestCheckpointGoldenDecode runs a bound golden
+// machine: past every event pending at the snapshot (an off-chip fetch
+// is the longest, a few hundred cycles).
+const goldenRunOn = 2_000
+
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "ckpt", name+".bin")
 }
@@ -235,7 +240,10 @@ func encoderTags(t *testing.T) map[string]string {
 // TestCheckpointGoldenDecode proves the committed blobs still decode to
 // snapshots deep-equal to freshly encoded ones — the decoder-side half
 // of the compatibility pin (an encoder could drift in ways byte
-// comparison alone would blame on the wrong side).
+// comparison alone would blame on the wrong side) — and that a machine
+// bound from each one runs exactly like the machine that wrote it.
+// Between them the cells hold a pending event of every descriptor tag,
+// so every owner Bind attaches runs at least once.
 func TestCheckpointGoldenDecode(t *testing.T) {
 	if *updateGolden {
 		t.Skip("regenerating golden blobs")
@@ -249,7 +257,8 @@ func TestCheckpointGoldenDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: committed golden blob no longer decodes: %v", cell.name, err)
 		}
-		blob, err := EncodeCheckpoint(cell.warm().Snapshot(), CheckpointKey(cell.o))
+		live := cell.warm()
+		blob, err := EncodeCheckpoint(live.Snapshot(), CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,15 +269,17 @@ func TestCheckpointGoldenDecode(t *testing.T) {
 		if !reflect.DeepEqual(fromDisk, fresh) {
 			t.Errorf("%s: committed golden blob decodes to a different snapshot than a fresh encoding", cell.name)
 		}
-		// And the pinned blob must still bind and restore.
+		// And the pinned blob must still bind, restore and run on.
 		sys := buildSystem(cell.o)
 		cp, err := fromDisk.Bind(sys, CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatalf("%s: committed golden blob no longer binds: %v", cell.name, err)
 		}
 		sys.Restore(cp)
-		if got, want := fmt.Sprint(sys.EQ.Now() > 0), "true"; got != want {
-			t.Errorf("%s: restored clock did not advance past zero", cell.name)
+		live.Run(goldenRunOn)
+		sys.Run(goldenRunOn)
+		if got, want := fmt.Sprint(systemStats(sys), sys.ArchDigest()), fmt.Sprint(systemStats(live), live.ArchDigest()); got != want {
+			t.Errorf("%s: the bound machine ran differently from the one that wrote the blob", cell.name)
 		}
 	}
 }

@@ -54,8 +54,12 @@ type Req struct {
 	Vocal bool  // vocal (coherent) or mute (phantom) requester
 	Token int64 // recovery generation for Sync requests; stale ones are dropped
 	Data  *mem.Block
-	Done  func(Resp)
+	L1    *L1 // the cache the reply fills; nil for writebacks
 }
+
+// Deliver hands the shared cache controller's reply to the L1 that
+// issued the request.
+func (r *Req) Deliver(resp Resp) { r.L1.fill(r.Block, resp) }
 
 // Resp is the shared cache controller's reply.
 type Resp struct {
@@ -76,22 +80,27 @@ const (
 	// Hit: the access completed against the array; for loads the value is
 	// valid now (the core applies its load-to-use latency).
 	Hit AccessStatus = iota
-	// Miss: the access was accepted and will complete via callback when
-	// the fill arrives.
+	// Miss: the access was accepted; the L1 completes it into its Client
+	// when the fill arrives.
 	Miss
 	// Retry: a structural hazard (MSHRs full, or an incompatible request
 	// pending on the same block); the core should retry next cycle.
 	Retry
 )
 
+// Client is the component an L1 completes its MSHR waiters into: the
+// core that issued the accesses. Complete receives the waiter's
+// descriptor and the filled word, and dispatches on cb.Kind.
+type Client interface {
+	Complete(cb *CB, word uint64)
+}
+
 type mshrWaiter struct {
 	isStore  bool
 	isAtomic bool
 	word     int
 	data     uint64
-	cb       *CB // serializable descriptor for the callbacks (nil from the plain entry points)
-	loadFn   func(val uint64)
-	storeFn  func()
+	cb       CB
 }
 
 type mshr struct {
@@ -110,6 +119,7 @@ type L1 struct {
 	Vocal bool
 
 	Arr     *Array
+	Client  Client // completes MSHR waiters; wired by the system builder
 	below   Below
 	mshrs   []mshr
 	free    int // count of free MSHRs
@@ -169,20 +179,13 @@ func (c *L1) sendMiss(m *mshr, kind ReqKind) {
 		Core:  c.Core,
 		Pair:  c.Pair,
 		Vocal: c.Vocal,
-		Done:  c.FillFn(m.block),
+		L1:    c,
 	})
 }
 
-// FillFn returns the downstream completion callback for a miss on block —
-// the Done every request this cache issues carries. Exposed so the
-// checkpoint decoder can rebind a deserialized in-flight request to the
-// same closure the live cache registered.
-func (c *L1) FillFn(block uint64) func(Resp) {
-	return func(r Resp) { c.fill(block, r) }
-}
-
 // fill completes an outstanding miss: installs the line, performs waiting
-// stores, and wakes waiting loads.
+// stores, locks the line for a waiting atomic, and completes every waiter
+// into the Client.
 func (c *L1) fill(block uint64, r Resp) {
 	m := c.findMSHR(block)
 	if m == nil {
@@ -210,20 +213,13 @@ func (c *L1) fill(block uint64, r Resp) {
 			line.Data[w.word] = w.data
 			line.State = Modified
 			line.Dirty = true
-			if w.storeFn != nil {
-				w.storeFn()
-			}
-		case w.isAtomic:
+		case w.isAtomic || w.cb.Kind == CBAtomicBegin:
+			// Write permission came with the GetX (or the synchronizing
+			// fill): lock the line until the core's AtomicEnd.
 			line.Locked = true
 			line.State = Modified
-			if w.loadFn != nil {
-				w.loadFn(line.Data[w.word])
-			}
-		default:
-			if w.loadFn != nil {
-				w.loadFn(line.Data[w.word])
-			}
 		}
+		c.Client.Complete(&w.cb, line.Data[w.word])
 	}
 }
 
@@ -248,35 +244,15 @@ func (c *L1) evict(victim Line) {
 	}
 }
 
-// Load attempts to read the 64-bit word at block + 8*word.
-func (c *L1) Load(block uint64, word int, done func(val uint64)) (AccessStatus, uint64) {
-	return c.LoadD(block, word, nil, done)
-}
-
-// TryLoad is the hit-only fast path of Load: on a hit it completes the
-// access (including the Hits counter) and returns the value; on anything
-// else it returns ok=false with no side effects, and the caller falls back
-// to LoadD with its callback and descriptor. Exists so hot callers build
-// the completion closure and CB only when a miss actually needs them.
-func (c *L1) TryLoad(block uint64, word int) (val uint64, ok bool) {
-	if l := c.Arr.Peek(block); l != nil {
-		c.Arr.Touch(l)
-		c.Hits++
-		return l.Data[word], true
-	}
-	return 0, false
-}
-
-// LoadD is Load with a serializable descriptor for done (see CB). Callers
-// whose caches get checkpointed must use the D entry points; the plain ones
-// register callbacks no checkpoint can carry.
-func (c *L1) LoadD(block uint64, word int, cb *CB, done func(val uint64)) (AccessStatus, uint64) {
+// Load attempts to read the 64-bit word at block + 8*word. On a miss, cb
+// describes the completion the fill hands to the Client.
+func (c *L1) Load(block uint64, word int, cb CB) (AccessStatus, uint64) {
 	if l := c.Arr.Lookup(block); l != nil {
 		c.Hits++
 		return Hit, l.Data[word]
 	}
 	if m := c.findMSHR(block); m != nil {
-		m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb, loadFn: done})
+		m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb})
 		c.MergedMisses++
 		return Miss, 0
 	}
@@ -285,7 +261,7 @@ func (c *L1) LoadD(block uint64, word int, cb *CB, done func(val uint64)) (Acces
 		c.Retries++
 		return Retry, 0
 	}
-	m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb, loadFn: done})
+	m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb})
 	c.Misses++
 	kind := GetS
 	if c.iscache {
@@ -297,45 +273,15 @@ func (c *L1) LoadD(block uint64, word int, cb *CB, done func(val uint64)) (Acces
 
 // Ifetch attempts to fetch the instruction block (timing only; instruction
 // bytes themselves come from the Thread).
-func (c *L1) Ifetch(block uint64, done func()) AccessStatus {
-	return c.IfetchD(block, nil, done)
-}
-
-// IfetchD is Ifetch with a serializable descriptor for done.
-func (c *L1) IfetchD(block uint64, cb *CB, done func()) AccessStatus {
-	st, _ := c.LoadD(block, 0, cb, func(uint64) {
-		if done != nil {
-			done()
-		}
-	})
+func (c *L1) Ifetch(block uint64, cb CB) AccessStatus {
+	st, _ := c.Load(block, 0, cb)
 	return st
 }
 
 // Store attempts to write the 64-bit word at block + 8*word. On a hit with
 // write permission the store completes immediately; otherwise the line is
 // (re)fetched exclusively and the store is applied at fill time.
-func (c *L1) Store(block uint64, word int, val uint64, done func()) AccessStatus {
-	return c.StoreD(block, word, val, nil, done)
-}
-
-// TryStore is the hit-only fast path of Store: it completes a store that
-// hits with write permission (M/E) and returns true; a Shared hit, miss,
-// or hazard returns false with no side effects so the caller falls back
-// to StoreD (which re-runs the lookup and takes the upgrade/miss path).
-func (c *L1) TryStore(block uint64, word int, val uint64) bool {
-	if l := c.Arr.Peek(block); l != nil && (l.State == Modified || l.State == Exclusive) {
-		c.Arr.Touch(l)
-		l.Data[word] = val
-		l.State = Modified
-		l.Dirty = true
-		c.Hits++
-		return true
-	}
-	return false
-}
-
-// StoreD is Store with a serializable descriptor for done.
-func (c *L1) StoreD(block uint64, word int, val uint64, cb *CB, done func()) AccessStatus {
+func (c *L1) Store(block uint64, word int, val uint64, cb CB) AccessStatus {
 	if l := c.Arr.Lookup(block); l != nil {
 		switch l.State {
 		case Modified, Exclusive:
@@ -356,7 +302,7 @@ func (c *L1) StoreD(block uint64, word int, val uint64, cb *CB, done func()) Acc
 			c.Retries++
 			return Retry
 		}
-		m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb, storeFn: done})
+		m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb})
 		c.MergedMisses++
 		return Miss
 	}
@@ -365,7 +311,7 @@ func (c *L1) StoreD(block uint64, word int, val uint64, cb *CB, done func()) Acc
 		c.Retries++
 		return Retry
 	}
-	m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb, storeFn: done})
+	m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb})
 	c.Misses++
 	c.sendMiss(m, GetX)
 	return Miss
@@ -374,27 +320,9 @@ func (c *L1) StoreD(block uint64, word int, val uint64, cb *CB, done func()) Acc
 // AtomicBegin obtains the block in Modified state, locks the line against
 // replacement and probes, and returns the current word value. The core
 // calls AtomicEnd at retirement to apply (or discard) the write and
-// unlock. Used by CAS.
-func (c *L1) AtomicBegin(block uint64, word int, done func(old uint64)) (AccessStatus, uint64) {
-	return c.AtomicBeginD(block, word, nil, done)
-}
-
-// TryAtomicBegin is the hit-only fast path of AtomicBegin: a hit with
-// write permission locks the line and returns the word; anything else
-// returns ok=false with no side effects (caller falls back to
-// AtomicBeginD).
-func (c *L1) TryAtomicBegin(block uint64, word int) (old uint64, ok bool) {
-	if l := c.Arr.Peek(block); l != nil && (l.State == Modified || l.State == Exclusive) {
-		c.Arr.Touch(l)
-		l.Locked = true
-		c.Hits++
-		return l.Data[word], true
-	}
-	return 0, false
-}
-
-// AtomicBeginD is AtomicBegin with a serializable descriptor for done.
-func (c *L1) AtomicBeginD(block uint64, word int, cb *CB, done func(old uint64)) (AccessStatus, uint64) {
+// unlock. Used by CAS. A miss fill locks the line before completing cb
+// (whose Kind is CBAtomicBegin).
+func (c *L1) AtomicBegin(block uint64, word int, cb CB) (AccessStatus, uint64) {
 	if l := c.Arr.Lookup(block); l != nil && (l.State == Modified || l.State == Exclusive) {
 		l.Locked = true
 		c.Hits++
@@ -411,26 +339,10 @@ func (c *L1) AtomicBeginD(block uint64, word int, cb *CB, done func(old uint64))
 		c.Retries++
 		return Retry, 0
 	}
-	m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb, loadFn: c.AtomicFillWrap(block, done)})
+	m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb})
 	c.Misses++
 	c.sendMiss(m, GetX)
 	return Miss, 0
-}
-
-// AtomicFillWrap returns the fill completion an AtomicBegin miss registers:
-// lock the just-filled line (write permission was granted by the GetX),
-// then finish the atomic. Exposed so the checkpoint decoder can rebuild the
-// exact waiter closure from a CBAtomicBegin descriptor.
-func (c *L1) AtomicFillWrap(block uint64, done func(old uint64)) func(uint64) {
-	return func(v uint64) {
-		if l := c.Arr.Peek(block); l != nil {
-			l.Locked = true
-			l.State = Modified
-		}
-		if done != nil {
-			done(v)
-		}
-	}
 }
 
 // AtomicEnd completes an atomic: optionally writes the new value, marks
@@ -455,14 +367,10 @@ func (c *L1) AtomicEnd(block uint64, word int, val uint64, write bool) {
 // the coherence protocol sees it in flight — the shared cache controller
 // combines the pair's two requests and replies to both atomically. For
 // atomics the filled line is locked and left Modified, as AtomicBegin
-// would. done receives the coherent word value. Returns false while a
-// prior miss on the block is still outstanding or MSHRs are exhausted.
-func (c *L1) SyncFill(block uint64, word int, atomic bool, token int64, done func(old uint64)) bool {
-	return c.SyncFillD(block, word, atomic, token, nil, done)
-}
-
-// SyncFillD is SyncFill with a serializable descriptor for done.
-func (c *L1) SyncFillD(block uint64, word int, atomic bool, token int64, cb *CB, done func(old uint64)) bool {
+// would. The fill completes cb with the coherent word value. Returns false
+// while a prior miss on the block is still outstanding or MSHRs are
+// exhausted.
+func (c *L1) SyncFill(block uint64, word int, atomic bool, token int64, cb CB) bool {
 	if c.findMSHR(block) != nil {
 		return false
 	}
@@ -470,7 +378,7 @@ func (c *L1) SyncFillD(block uint64, word int, atomic bool, token int64, cb *CB,
 	if m == nil {
 		return false
 	}
-	m.waiters = append(m.waiters, mshrWaiter{isAtomic: atomic, word: word, cb: cb, loadFn: done})
+	m.waiters = append(m.waiters, mshrWaiter{isAtomic: atomic, word: word, cb: cb})
 	c.below.Request(&Req{
 		Kind:  Sync,
 		Block: block,
@@ -478,7 +386,7 @@ func (c *L1) SyncFillD(block uint64, word int, atomic bool, token int64, cb *CB,
 		Pair:  c.Pair,
 		Vocal: c.Vocal,
 		Token: token,
-		Done:  c.FillFn(block),
+		L1:    c,
 	})
 	return true
 }
@@ -558,9 +466,8 @@ func (c *L1) ResetStats() {
 // OutstandingMisses reports the number of MSHRs in use.
 func (c *L1) OutstandingMisses() int { return len(c.mshrs) - c.free }
 
-// L1State is a checkpoint of the cache: array contents, MSHRs (waiter
-// callbacks are shared — they capture only values and the cache/core
-// pointers, whose state is itself checkpointed), and statistics.
+// L1State is a checkpoint of the cache: array contents, MSHRs (with their
+// waiters' plain-data descriptors), and statistics.
 type L1State struct {
 	arr   ArrayState
 	mshrs []mshr
@@ -590,8 +497,8 @@ func (c *L1) Snapshot() *L1State {
 }
 
 // Restore rewrites the cache from a snapshot. MSHR slots keep their
-// backing array (outstanding-fill callbacks find their MSHR by block, not
-// by pointer, but identity costs nothing to preserve); waiter slices are
+// backing array (outstanding fills find their MSHR by block, not by
+// pointer, but identity costs nothing to preserve); waiter slices are
 // copied out so post-restore appends never touch the snapshot.
 func (c *L1) Restore(s *L1State) {
 	c.Arr.Restore(s.arr)

@@ -10,15 +10,15 @@ import (
 
 // This file is the cache package's half of checkpoint serialization: wire
 // codecs for the array, the L1 (including MSHR waiters), and request
-// bodies, plus the CB descriptor that reifies waiter completion callbacks
-// into plain data a checkpoint can carry across a process boundary.
+// bodies, plus the CB descriptor that names the completion an MSHR waiter
+// owes its core.
 
-// CBKind identifies which completion callback a CB describes.
+// CBKind identifies which completion a CB describes.
 type CBKind uint8
 
-// Callback descriptor kinds. Each corresponds to exactly one closure shape
-// in the pipeline/pair layer; the checkpoint decoder rebuilds the closure
-// from the descriptor's fields via the same factory the live pipeline used.
+// Completion descriptor kinds. The core (cpu.Core.Complete) dispatches on
+// the kind; a synchronizing fill's wrapper goes through the core's gate to
+// its pair.
 const (
 	// CBIfetchDone completes an instruction-cache miss: clears the core's
 	// icacheWait if the fetch epoch still matches.
@@ -28,20 +28,20 @@ const (
 	CBLoadDone
 	// CBStoreDone completes a store-buffer drain for Seq.
 	CBStoreDone
-	// CBAtomicBegin completes an atomic-begin miss: locks the filled line
-	// (AtomicFillWrap) and then finishes the CAS in ROB entry Idx.
+	// CBAtomicBegin completes an atomic-begin miss: the fill locks the line
+	// (L1.fill), then the core finishes the CAS in ROB entry Idx.
 	CBAtomicBegin
-	// CBAtomicFin finishes a CAS in ROB entry Idx without the line-locking
-	// wrapper (synchronizing fills lock in the fill path itself).
+	// CBAtomicFin finishes a CAS in ROB entry Idx of a synchronizing fill
+	// (the fill locks the line because the waiter is atomic).
 	CBAtomicFin
 	// CBSyncWrap is the pair-level wrapper around a synchronizing fill's
 	// completion: counts the pair's done fills under a generation guard,
-	// then runs Inner.
+	// then completes Inner.
 	CBSyncWrap
 )
 
-// CB is a serializable callback descriptor: the captures of one completion
-// closure, reified. Which fields are meaningful depends on Kind.
+// CB is a completion descriptor: plain data naming the work an MSHR
+// waiter owes its core. Which fields are meaningful depends on Kind.
 type CB struct {
 	Kind  CBKind
 	Core  int   // global core index (owner of the ROB/fetch state)
@@ -52,7 +52,7 @@ type CB struct {
 	Word  int
 	Pair  int   // logical pair index (CBSyncWrap)
 	Gen   int64 // recovery generation guard (CBSyncWrap)
-	Inner *CB   // wrapped callback (CBSyncWrap)
+	Inner *CB   // wrapped descriptor (CBSyncWrap)
 }
 
 // maxCBDepth bounds Inner nesting on decode; the deepest real chain is a
@@ -112,9 +112,9 @@ func decodeCB(r *bin.Reader, depth int) *CB {
 
 // --- request bodies ---
 
-// EncodeBody writes every Req field except Done (which the checkpoint
-// rebinds from (Kind, Core) on decode: all live fill completions are
-// L1.FillFn closures, and writebacks carry no completion at all).
+// EncodeBody writes every Req field except L1 (which the checkpoint
+// binder rebinds from (Kind, Core): a request fills its core's L1I or
+// L1D, and writebacks fill nothing).
 func (r *Req) EncodeBody(w *bin.Writer) {
 	w.U8(uint8(r.Kind))
 	w.U64(r.Block)
@@ -130,7 +130,7 @@ func (r *Req) EncodeBody(w *bin.Writer) {
 	}
 }
 
-// DecodeReqBody reads a request body; Done is left nil for the checkpoint
+// DecodeReqBody reads a request body; L1 is left nil for the checkpoint
 // binder to fill in.
 func DecodeReqBody(rd *bin.Reader) *Req {
 	r := &Req{
@@ -225,14 +225,8 @@ func DecodeArrayState(r *bin.Reader) ArrayState {
 
 // --- L1 ---
 
-// ErrUnserializableWaiter reports an MSHR waiter whose completion closure
-// was registered without a CB descriptor (test-only entry points); such a
-// cache cannot cross a process boundary.
-var ErrUnserializableWaiter = errors.New("cache: MSHR waiter has no callback descriptor")
-
-// Encode writes the L1 snapshot. It fails when a waiter carries a live
-// completion callback but no descriptor to rebuild it from.
-func (s *L1State) Encode(w *bin.Writer) error {
+// Encode writes the L1 snapshot.
+func (s *L1State) Encode(w *bin.Writer) {
 	s.arr.Encode(w)
 	w.Uvarint(uint64(len(s.mshrs)))
 	for i := range s.mshrs {
@@ -243,17 +237,12 @@ func (s *L1State) Encode(w *bin.Writer) error {
 		w.Uvarint(uint64(len(m.waiters)))
 		for j := range m.waiters {
 			wt := &m.waiters[j]
-			if wt.cb == nil && (wt.loadFn != nil || wt.storeFn != nil) {
-				return ErrUnserializableWaiter
-			}
 			w.Bool(wt.isStore)
 			w.Bool(wt.isAtomic)
 			w.Int(wt.word)
 			w.U64(wt.data)
-			w.Bool(wt.cb != nil)
-			if wt.cb != nil {
-				wt.cb.Encode(w)
-			}
+			w.Bool(true) // every waiter carries a descriptor
+			wt.cb.Encode(w)
 		}
 	}
 	w.Int(s.free)
@@ -264,11 +253,12 @@ func (s *L1State) Encode(w *bin.Writer) error {
 	w.I64(s.wbSent)
 	w.I64(s.muteDrops)
 	w.I64(s.retries)
-	return nil
 }
 
-// DecodeL1State reads an L1 snapshot written by Encode. Waiter completion
-// callbacks are left nil; ResolveWaiters rebinds them from descriptors.
+// DecodeL1State reads an L1 snapshot written by Encode. It refuses a
+// waiter without a descriptor, or one whose flags contradict its
+// descriptor's kind: either would leave the core waiting on a completion
+// that never comes.
 func DecodeL1State(r *bin.Reader) *L1State {
 	s := &L1State{arr: DecodeArrayState(r)}
 	nm := r.Len(1 + 8 + 1 + 1)
@@ -288,8 +278,18 @@ func DecodeL1State(r *bin.Reader) *L1State {
 				return nil
 			}
 			wt.data = r.U64()
-			if r.Bool() {
-				wt.cb = DecodeCB(r)
+			if !r.Bool() {
+				r.Fail(errors.New("cache: waiter has no completion descriptor"))
+				return nil
+			}
+			cb := DecodeCB(r)
+			if cb == nil {
+				return nil
+			}
+			wt.cb = *cb
+			if err := wt.check(); err != nil {
+				r.Fail(err)
+				return nil
 			}
 			m.waiters = append(m.waiters, wt)
 		}
@@ -309,17 +309,33 @@ func DecodeL1State(r *bin.Reader) *L1State {
 	return s
 }
 
-// ResolveWaiters rebinds every decoded waiter's completion callbacks from
-// its descriptor. resolve maps a descriptor to the (loadFn, storeFn) pair
-// the live pipeline would have registered.
-func (s *L1State) ResolveWaiters(resolve func(*CB) (loadFn func(uint64), storeFn func())) {
+// check reports a waiter whose flags contradict its descriptor: a store
+// waiter must carry CBStoreDone, and an atomic one a synchronizing wrapper
+// around CBAtomicFin (and the converse), so the completion the fill
+// dispatches is the one the core waits for.
+func (wt *mshrWaiter) check() error {
+	syncAtomic := wt.cb.Kind == CBSyncWrap && wt.cb.Inner != nil && wt.cb.Inner.Kind == CBAtomicFin
+	switch {
+	case wt.isStore != (wt.cb.Kind == CBStoreDone):
+		return fmt.Errorf("cache: waiter store flag %v contradicts callback kind %d", wt.isStore, wt.cb.Kind)
+	case wt.isAtomic != syncAtomic:
+		return fmt.Errorf("cache: waiter atomic flag %v contradicts callback kind %d", wt.isAtomic, wt.cb.Kind)
+	}
+	return nil
+}
+
+// VisitWaiters calls fn with every waiter's descriptor, stopping at the
+// first error. The checkpoint binder validates descriptors against the
+// live system through it.
+func (s *L1State) VisitWaiters(fn func(*CB) error) error {
 	for i := range s.mshrs {
 		for j := range s.mshrs[i].waiters {
-			if wt := &s.mshrs[i].waiters[j]; wt.cb != nil {
-				wt.loadFn, wt.storeFn = resolve(wt.cb)
+			if err := fn(&s.mshrs[i].waiters[j].cb); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
 }
 
 // Validate cross-checks decoded L1 invariants against the live cache

@@ -207,21 +207,15 @@ func (l2 *L2) Request(r *cache.Req) {
 	l2.eq.AfterR(l2.cfg.XBarLatency, &EvXbar{R: r}, l2)
 }
 
-// XbarArrive returns the fire closure for a crossbar-traversal event:
-// the request lands in its bank queue. The checkpoint decoder rebuilds
-// pending traversals from EvXbar descriptors through this factory; live
-// scheduling goes through RunEvent instead.
-func (l2 *L2) XbarArrive(r *cache.Req) func() {
-	return func() { l2.xbarArrive(r) }
-}
-
+// xbarArrive lands a request that crossed the crossbar in its bank queue.
 func (l2 *L2) xbarArrive(r *cache.Req) { l2.bankOf(r.Block).Push(l2.eq.Now(), r) }
 
 // RunEvent implements sim.EventRunner: the controller schedules its
-// events with descriptors and dispatches on their type here, so the hot
-// paths build no per-event closures. The checkpoint decoder still
-// rebinds decoded events through the closure factories (Fn takes
-// precedence over the runner), keeping one implementation per action.
+// events with descriptors and dispatches on their type here. The
+// checkpoint binder attaches the controller as the runner of every
+// decoded L2 event, so a bound machine runs the same code. Each event's
+// schedule-time bookkeeping (memInFlight, fill tracking) is in the
+// snapshot, so firing only completes it, never repeats it.
 func (l2 *L2) RunEvent(desc any) {
 	switch d := desc.(type) {
 	case *EvXbar:
@@ -310,17 +304,10 @@ func (l2 *L2) reply(r *cache.Req, data *mem.Block, exclusive bool, extra int64) 
 	l2.eq.AfterR(lat, d, l2)
 }
 
-// DeliverReply returns the fire closure for a scheduled reply: deliver
-// the response, then retire the in-flight fill-tracking entry. The
-// tracking increment happened at schedule time and is captured in the
-// snapshotted fillsInFlight map, so a checkpoint rebind must only attach
-// this closure — never re-increment.
-func (l2 *L2) DeliverReply(d *EvReply) func() {
-	return func() { l2.deliverReply(d) }
-}
-
+// deliverReply delivers a scheduled response, then retires the in-flight
+// fill-tracking entry reply took.
 func (l2 *L2) deliverReply(d *EvReply) {
-	d.R.Done(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
+	d.R.Deliver(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
 	if d.Track {
 		key := flightKey{core: d.R.Core, block: d.R.Block}
 		if l2.fillsInFlight[key]--; l2.fillsInFlight[key] == 0 {
@@ -482,8 +469,8 @@ func (l2 *L2) invalidateSharers(r *cache.Req, block uint64, d *dirEntry, keep in
 // ensureLine obtains the L2 line for d.R.Block, fetching from memory when
 // absent. The continuation named by d runs when the line is resident, with
 // extra latency already accumulated for the reply. Returns false if the
-// request was deferred. The continuation is carried as plain data (not a
-// closure) so a pending off-chip fetch survives checkpoint serialization.
+// request was deferred. The continuation is carried as plain data so a
+// pending off-chip fetch survives checkpoint serialization.
 func (l2 *L2) ensureLine(d *EvMemCont) bool {
 	r := d.R
 	if l := l2.arr.Lookup(r.Block); l != nil {
@@ -502,16 +489,10 @@ func (l2 *L2) ensureLine(d *EvMemCont) bool {
 	return true
 }
 
-// MemFetchDone returns the fire closure for an off-chip fetch completion:
-// install the block and resume the request's continuation. The off-chip
-// latency was paid by the event itself; the reply adds only its normal
-// on-chip service and crossbar time. The memInFlight increment happened at
-// schedule time and is captured in the snapshot, so a checkpoint rebind
-// must only attach this closure.
-func (l2 *L2) MemFetchDone(d *EvMemCont) func() {
-	return func() { l2.memFetchDone(d) }
-}
-
+// memFetchDone completes an off-chip fetch: install the block and resume
+// the request's continuation. The off-chip latency was paid by the event
+// itself; the reply adds only its normal on-chip service and crossbar
+// time.
 func (l2 *L2) memFetchDone(d *EvMemCont) {
 	l2.memInFlight--
 	var data mem.Block
@@ -683,14 +664,8 @@ func (l2 *L2) processPhantom(r *cache.Req) {
 	}
 }
 
-// PhantomMemDone returns the fire closure for a phantom off-chip read:
-// reply with the memory image without installing anything. The memInFlight
-// increment happened at schedule time and is captured in the snapshot, so
-// a checkpoint rebind must only attach this closure.
-func (l2 *L2) PhantomMemDone(r *cache.Req) func() {
-	return func() { l2.phantomMemDone(r) }
-}
-
+// phantomMemDone completes a phantom off-chip read: reply with the memory
+// image without installing anything.
 func (l2 *L2) phantomMemDone(r *cache.Req) {
 	l2.memInFlight--
 	var data mem.Block

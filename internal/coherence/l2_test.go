@@ -16,6 +16,29 @@ type rig struct {
 	mem *mem.Memory
 	l2  *L2
 	l1  []*cache.L1
+
+	done recorder
+	seq  int64
+}
+
+// recorder is a cache.Client that keeps each completed waiter's word,
+// keyed by its descriptor's Seq.
+type recorder map[int64]uint64
+
+func (d recorder) Complete(cb *cache.CB, v uint64) { d[cb.Seq] = v }
+
+// next returns a descriptor of the given kind whose completion r.done
+// records under a fresh Seq.
+func (r *rig) next(kind cache.CBKind) cache.CB {
+	r.seq++
+	return cache.CB{Kind: kind, Seq: r.seq}
+}
+
+// syncLoad returns the descriptor of a synchronizing load.
+func (r *rig) syncLoad() cache.CB {
+	cb := r.next(cache.CBSyncWrap)
+	cb.Inner = &cache.CB{Kind: cache.CBLoadDone}
+	return cb
 }
 
 func testConfig() Config {
@@ -37,7 +60,7 @@ func testConfig() Config {
 
 func newRig(t *testing.T, cfg Config, vocal int, mute int) *rig {
 	t.Helper()
-	r := &rig{eq: sim.NewEventQueue(), mem: mem.New()}
+	r := &rig{eq: sim.NewEventQueue(), mem: mem.New(), done: recorder{}}
 	r.l2 = NewL2(cfg, r.eq, r.mem, vocal+mute)
 	for i := 0; i < vocal+mute; i++ {
 		isVocal := i < vocal
@@ -46,6 +69,7 @@ func newRig(t *testing.T, cfg Config, vocal int, mute int) *rig {
 			pair = i - vocal // mute core i pairs with vocal core i-vocal
 		}
 		l1 := cache.NewL1("l1", i, pair, isVocal, 8<<10, 2, 8, r.l2, false)
+		l1.Client = r.done
 		r.l2.RegisterL1D(i, l1)
 		r.l1 = append(r.l1, l1)
 	}
@@ -75,14 +99,14 @@ func blockN(n uint64) uint64 { return n * mem.BlockBytes }
 
 func (r *rig) load(t *testing.T, core int, block uint64, word int) uint64 {
 	t.Helper()
-	var got uint64
-	gotSet := false
-	st, v := r.l1[core].Load(block, word, func(x uint64) { got, gotSet = x, true })
+	cb := r.next(cache.CBLoadDone)
+	st, v := r.l1[core].Load(block, word, cb)
 	switch st {
 	case cache.Hit:
 		return v
 	case cache.Miss:
 		r.drain(t)
+		got, gotSet := r.done[cb.Seq]
 		if !gotSet {
 			t.Fatal("load never completed")
 		}
@@ -96,13 +120,13 @@ func (r *rig) load(t *testing.T, core int, block uint64, word int) uint64 {
 func (r *rig) store(t *testing.T, core int, block uint64, word int, val uint64) {
 	t.Helper()
 	for i := 0; i < 100; i++ {
-		done := false
-		switch r.l1[core].Store(block, word, val, func() { done = true }) {
+		cb := r.next(cache.CBStoreDone)
+		switch r.l1[core].Store(block, word, val, cb) {
 		case cache.Hit:
 			return
 		case cache.Miss:
 			r.drain(t)
-			if !done {
+			if _, done := r.done[cb.Seq]; !done {
 				t.Fatal("store never completed")
 			}
 			return
@@ -281,19 +305,20 @@ func TestSyncRequestCombinesPair(t *testing.T) {
 	r.load(t, 1, b, 0)
 	r.store(t, 0, b, 0, 9)
 
-	var vGot, mGot uint64
-	vDone, mDone := false, false
-	if !r.l1[0].SyncFill(b, 0, false, 1, func(v uint64) { vGot, vDone = v, true }) {
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	if !r.l1[0].SyncFill(b, 0, false, 1, vcb) {
 		t.Fatal("vocal sync rejected")
 	}
 	r.drain(t)
-	if vDone || mDone {
+	if _, vDone := r.done[vcb.Seq]; vDone {
 		t.Fatal("sync completed with only one side arrived")
 	}
-	if !r.l1[1].SyncFill(b, 0, false, 1, func(v uint64) { mGot, mDone = v, true }) {
+	if !r.l1[1].SyncFill(b, 0, false, 1, mcb) {
 		t.Fatal("mute sync rejected")
 	}
 	r.drain(t)
+	vGot, vDone := r.done[vcb.Seq]
+	mGot, mDone := r.done[mcb.Seq]
 	if !vDone || !mDone {
 		t.Fatal("sync did not complete after both sides arrived")
 	}
@@ -308,17 +333,19 @@ func TestSyncRequestCombinesPair(t *testing.T) {
 func TestSyncCancelDropsStaleRequests(t *testing.T) {
 	r := newRig(t, testConfig(), 1, 1)
 	b := blockN(95)
-	called := false
-	r.l1[0].SyncFill(b, 0, false, 1, func(uint64) { called = true })
+	stale := r.syncLoad()
+	r.l1[0].SyncFill(b, 0, false, 1, stale)
 	r.drain(t) // parked at the controller
 	r.l2.CancelSync(0, 2)
 	r.l1[0].AbortMiss(b)
 	// A fresh pair of sync requests with the new token must succeed.
-	vDone, mDone := false, false
-	r.l1[0].SyncFill(b, 0, false, 2, func(uint64) { vDone = true })
-	r.l1[1].SyncFill(b, 0, false, 2, func(uint64) { mDone = true })
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	r.l1[0].SyncFill(b, 0, false, 2, vcb)
+	r.l1[1].SyncFill(b, 0, false, 2, mcb)
 	r.drain(t)
-	if called {
+	_, vDone := r.done[vcb.Seq]
+	_, mDone := r.done[mcb.Seq]
+	if _, called := r.done[stale.Seq]; called {
 		t.Fatal("cancelled sync completed")
 	}
 	if !vDone || !mDone {
@@ -423,13 +450,13 @@ func TestConcurrentConvergence(t *testing.T) {
 
 	const blocks = 32
 	written := make(map[uint64]map[uint64]bool) // block -> set of values written
-	var outstanding int
+	var misses int
 	for step := 0; step < 4000; step++ {
 		core := rnd.Intn(4)
 		b := blockN(uint64(rnd.Intn(blocks)))
 		if rnd.Intn(2) == 0 {
 			val := uint64(step)<<8 | uint64(core)
-			st := r.l1[core].Store(b, 0, val, func() { outstanding-- })
+			st := r.l1[core].Store(b, 0, val, r.next(cache.CBStoreDone))
 			switch st {
 			case cache.Hit:
 				if written[b] == nil {
@@ -437,7 +464,7 @@ func TestConcurrentConvergence(t *testing.T) {
 				}
 				written[b][val] = true
 			case cache.Miss:
-				outstanding++
+				misses++
 				if written[b] == nil {
 					written[b] = map[uint64]bool{}
 				}
@@ -445,9 +472,9 @@ func TestConcurrentConvergence(t *testing.T) {
 			case cache.Retry:
 			}
 		} else {
-			st, _ := r.l1[core].Load(b, 0, func(uint64) { outstanding-- })
+			st, _ := r.l1[core].Load(b, 0, r.next(cache.CBLoadDone))
 			if st == cache.Miss {
-				outstanding++
+				misses++
 			}
 		}
 		// Advance a little without draining: requests overlap.
@@ -457,7 +484,7 @@ func TestConcurrentConvergence(t *testing.T) {
 		}
 	}
 	r.drain(t)
-	if outstanding != 0 {
+	if outstanding := misses - len(r.done); outstanding != 0 {
 		t.Fatalf("%d operations never completed", outstanding)
 	}
 	for i := 0; i < blocks; i++ {

@@ -13,9 +13,9 @@ import (
 // the cache array, the directory, the bank queues, the memory-bank
 // timestamps, and the in-flight bookkeeping maps. Queued and parked
 // *cache.Req values are shared between snapshot and live state — a
-// request is immutable after creation, and its completion callback
-// resolves the L1 MSHR by block at fire time, so a restored request
-// replays exactly against the restored caches.
+// request is immutable after creation, and its reply resolves the L1
+// MSHR by block at fire time, so a restored request replays exactly
+// against the restored caches.
 
 // L2State is a checkpoint of the controller.
 type L2State struct {

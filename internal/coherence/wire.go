@@ -22,12 +22,11 @@ import (
 // hooks down; one table index always decodes to one shared *cache.Req.
 
 // EvXbar describes a request in flight across the crossbar toward its
-// bank (rebind via L2.XbarArrive).
+// bank.
 type EvXbar struct{ R *cache.Req }
 
-// EvReply describes a scheduled reply delivery (rebind via
-// L2.DeliverReply; the fill-tracking increment is already in the
-// snapshotted map).
+// EvReply describes a scheduled reply delivery (the fill-tracking
+// increment is already in the snapshotted map).
 type EvReply struct {
 	R         *cache.Req
 	Data      mem.Block
@@ -55,9 +54,9 @@ const (
 )
 
 // EvMemCont describes a pending off-chip fetch completion together with
-// the continuation that resumes the request (rebind via L2.MemFetchDone;
-// the memInFlight increment is already in the snapshot). Vocal, Mute and
-// the V* fields are meaningful only for ContSync.
+// the continuation that resumes the request (the memInFlight increment is
+// already in the snapshot). Vocal, Mute and the V* fields are meaningful
+// only for ContSync.
 type EvMemCont struct {
 	R            *cache.Req
 	Cont         ContKind
@@ -66,8 +65,7 @@ type EvMemCont struct {
 	VData        mem.Block
 }
 
-// EvPhantomMem describes a pending phantom off-chip read (rebind via
-// L2.PhantomMemDone).
+// EvPhantomMem describes a pending phantom off-chip read.
 type EvPhantomMem struct{ R *cache.Req }
 
 // --- event descriptor codecs ---

@@ -82,8 +82,13 @@ func (*NonRedundantGate) Stepping(*cpu.Core) bool { return false }
 func (*NonRedundantGate) SyncArmed(*cpu.Core) bool { return false }
 
 // SyncIssue implements cpu.Gate.
-func (*NonRedundantGate) SyncIssue(*cpu.Core, uint64, int, bool, *cache.CB, func(uint64)) bool {
+func (*NonRedundantGate) SyncIssue(*cpu.Core, uint64, int, bool, cache.CB) bool {
 	panic("core: synchronizing request without redundancy")
+}
+
+// SyncDone implements cpu.Gate.
+func (*NonRedundantGate) SyncDone(*cpu.Core, int64) {
+	panic("core: synchronizing fill without redundancy")
 }
 
 // DeviceRead implements cpu.Gate.
@@ -189,8 +194,13 @@ func (*StrictGate) SyncArmed(*cpu.Core) bool { return false }
 
 // SyncIssue implements cpu.Gate. Strict input replication never sees input
 // incoherence, so the re-execution protocol is never invoked.
-func (*StrictGate) SyncIssue(*cpu.Core, uint64, int, bool, *cache.CB, func(uint64)) bool {
+func (*StrictGate) SyncIssue(*cpu.Core, uint64, int, bool, cache.CB) bool {
 	panic("core: synchronizing request under strict input replication")
+}
+
+// SyncDone implements cpu.Gate.
+func (*StrictGate) SyncDone(*cpu.Core, int64) {
+	panic("core: synchronizing fill under strict input replication")
 }
 
 // DeviceRead implements cpu.Gate.

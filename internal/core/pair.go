@@ -300,19 +300,11 @@ func (p *Pair) fireDecide(gen int64, match bool, aEnd, bEnd int64, endsMem bool)
 	}
 }
 
-// RunEvent implements sim.EventRunner: the live compare loop schedules
-// decisions as descriptor-driven events (no per-event closure).
+// RunEvent implements sim.EventRunner: it fires a scheduled comparison
+// decision from its EvDecide descriptor.
 func (p *Pair) RunEvent(desc any) {
 	d := desc.(*EvDecide)
 	p.fireDecide(d.Gen, d.Match, d.AEnd, d.BEnd, d.EndsMem)
-}
-
-// FireDecide returns the comparison-decision event body for one matched
-// interval. The checkpoint decoder rebuilds scheduled decisions from
-// their EvDecide descriptors through this factory; the live scheduling
-// path (Tick) goes through RunEvent instead, with identical behavior.
-func (p *Pair) FireDecide(gen int64, match bool, aEnd, bEnd int64, endsMem bool) func() {
-	return func() { p.fireDecide(gen, match, aEnd, bEnd, endsMem) }
 }
 
 // QuiesceWake implements sim.Tickable. After a Tick the matching loop has
@@ -454,7 +446,7 @@ func (p *Pair) SyncArmed(*cpu.Core) bool { return p.syncArmed }
 // through its L1 to the shared cache controller, which combines the
 // pair's two requests into one coherent transaction and replies to both
 // atomically (Definition 10).
-func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb *cache.CB, done func(old uint64)) bool {
+func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb cache.CB) bool {
 	side := p.sideOf(c)
 	if p.syncIssued[side] {
 		return false
@@ -466,9 +458,9 @@ func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb *c
 		p.recover()
 		return false
 	}
-	gen := p.gen
-	wcb := &cache.CB{Kind: cache.CBSyncWrap, Pair: p.ID, Gen: gen, Inner: cb}
-	if !c.L1D.SyncFillD(block, word, atomic, gen, wcb, p.SyncDoneFn(gen, done)) {
+	inner := cb // heap-allocated here, past the early refusals
+	wcb := cache.CB{Kind: cache.CBSyncWrap, Pair: p.ID, Gen: p.gen, Inner: &inner}
+	if !c.L1D.SyncFill(block, word, atomic, p.gen, wcb) {
 		return false
 	}
 	p.syncBlock, p.syncBlockSet = block, true
@@ -479,22 +471,18 @@ func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb *c
 	return true
 }
 
-// SyncDoneFn returns the pair-level wrapper around one side's
-// synchronizing-fill completion: under the generation guard it counts the
-// pair's completed fills (both done resets the sync bookkeeping), then runs
-// the core's own completion. The checkpoint decoder rebuilds CBSyncWrap
-// waiters through this same factory.
-func (p *Pair) SyncDoneFn(gen int64, done func(uint64)) func(uint64) {
-	return func(v uint64) {
-		if p.gen == gen {
-			p.syncDone++
-			if p.syncDone == 2 {
-				p.syncBlockSet = false
-				p.syncIssued = [2]bool{}
-				p.syncDone = 0
-			}
-		}
-		done(v)
+// SyncDone implements cpu.Gate: under the generation guard it counts the
+// pair's completed synchronizing fills; both done resets the sync
+// bookkeeping. The core then completes its own wrapped descriptor.
+func (p *Pair) SyncDone(_ *cpu.Core, gen int64) {
+	if p.gen != gen {
+		return
+	}
+	p.syncDone++
+	if p.syncDone == 2 {
+		p.syncBlockSet = false
+		p.syncIssued = [2]bool{}
+		p.syncDone = 0
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // descriptor for the pair's scheduled comparison decisions.
 
 // EvDecide is the event descriptor for one scheduled comparison decision
-// (the closure Pair.FireDecide builds, reified).
+// (Pair.RunEvent fires it).
 type EvDecide struct {
 	PairID  int
 	Gen     int64

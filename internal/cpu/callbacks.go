@@ -1,62 +1,48 @@
 package cpu
 
-// Completion-callback factories. The pipeline registers these closures with
-// the L1s (and, via the gate, with the pair's synchronizing-request path);
-// the checkpoint decoder rebuilds the very same closures from their CB
-// descriptors. Keeping one factory per closure shape is what makes a
-// restored machine bit-identical to the live one: there is no second
-// implementation to drift.
+import "reunion/internal/cache"
 
-// IfetchDoneFn returns the instruction-cache miss completion for a fetch
-// issued in the given fetch epoch: clear the icache wait unless fetch has
-// since been redirected.
-func (c *Core) IfetchDoneFn(epoch int64) func() {
-	return func() {
-		c.dirty = true
-		if c.fetchEpoch == epoch {
+// Complete implements cache.Client: an L1 fill hands back the descriptor
+// of each waiter it completes, with the filled word, and the core
+// dispatches on its kind. The live pipeline and a machine bound from a
+// checkpoint run this one path; the guards (fetch epoch, ROB slot seq and
+// epoch, pair generation) make a completion that outlived its access a
+// no-op.
+func (c *Core) Complete(cb *cache.CB, v uint64) {
+	c.dirty = true
+	switch cb.Kind {
+	case cache.CBIfetchDone:
+		// Clear the icache wait unless fetch has since been redirected.
+		if c.fetchEpoch == cb.Epoch {
 			c.icacheWait = false
 		}
-	}
-}
-
-// LoadDoneFn returns the load-miss completion for ROB slot idx, guarded by
-// (seq, epoch) against slot reuse and squash.
-func (c *Core) LoadDoneFn(idx int, seq, epoch int64) func(uint64) {
-	return func(v uint64) {
-		c.dirty = true
-		if ee := &c.rob[idx]; ee.Seq == seq && ee.Epoch == epoch && ee.state == stIssued {
-			ee.Result = int64(v)
-			ee.doneAt, ee.hasDoneAt = c.EQ.Now()+1, true
+	case cache.CBLoadDone:
+		if e := &c.rob[cb.Idx]; e.Seq == cb.Seq && e.Epoch == cb.Epoch && e.state == stIssued {
+			e.Result = int64(v)
+			e.doneAt, e.hasDoneAt = c.EQ.Now()+1, true
 		}
-	}
-}
-
-// AtomicFinishFn returns the CAS completion for ROB slot idx: record the
-// old value and CAS outcome, or — when the entry was squashed mid-flight —
-// release the line lock the fill just took.
-func (c *Core) AtomicFinishFn(idx int, seq, epoch int64, block uint64, word int) func(uint64) {
-	return func(old uint64) {
-		c.dirty = true
-		ee := &c.rob[idx]
-		if ee.Seq != seq || ee.Epoch != epoch {
-			c.L1D.AtomicEnd(block, word, 0, false)
+	case cache.CBStoreDone:
+		c.storeDone(cb.Seq)
+	case cache.CBAtomicBegin, cache.CBAtomicFin:
+		// The fill locked the line. Record the old value and CAS outcome,
+		// or — when the entry was squashed mid-flight — release the lock.
+		e := &c.rob[cb.Idx]
+		if e.Seq != cb.Seq || e.Epoch != cb.Epoch {
+			c.L1D.AtomicEnd(cb.Block, cb.Word, 0, false)
 			return
 		}
-		ee.Result = int64(old)
-		ee.casSuccess = int64(old) == ee.src3
-		ee.casNew = ee.src2
-		ee.doneAt, ee.hasDoneAt = c.EQ.Now()+1, true
+		e.Result = int64(v)
+		e.casSuccess = int64(v) == e.src3
+		e.casNew = e.src2
+		e.doneAt, e.hasDoneAt = c.EQ.Now()+1, true
+	case cache.CBSyncWrap:
+		c.Gate.SyncDone(c, cb.Gen)
+		c.Complete(cb.Inner, v)
 	}
 }
 
-// StoreDoneFn returns the store-drain completion for the store buffer head
-// holding seq.
-func (c *Core) StoreDoneFn(seq int64) func() {
-	return func() { c.storeDone(seq) }
-}
-
-// storeDone pops the drained store buffer head. The drain hit path calls
-// it directly; misses go through the StoreDoneFn closure.
+// storeDone pops the drained store buffer head, on a drain hit or when
+// the drain's miss completes.
 func (c *Core) storeDone(seq int64) {
 	c.dirty = true
 	if len(c.sb) == 0 || c.sb[0].seq != seq {
@@ -70,6 +56,6 @@ func (c *Core) storeDone(seq int64) {
 }
 
 // ROBLen returns the reorder-buffer capacity. The checkpoint binder
-// bounds-checks decoded callback descriptors' ROB slots against it before
-// building closures that index the buffer.
+// bounds-checks decoded descriptors' ROB slots against it before any
+// completion can index the buffer.
 func (c *Core) ROBLen() int { return len(c.rob) }

@@ -201,13 +201,16 @@ type Gate interface {
 	// SyncArmed reports whether the next load/atomic must use a
 	// synchronizing request.
 	SyncArmed(c *Core) bool
-	// SyncIssue sends the synchronizing request for this core; done fires
-	// with the coherent word value once the block has been filled into the
-	// core's L1 (locked and Modified when atomic is set). cb is the
-	// serializable descriptor for done (the gate wraps both together before
-	// registering them with the L1). It returns false if the request could
-	// not be sent yet.
-	SyncIssue(c *Core, block uint64, word int, atomic bool, cb *cache.CB, done func(old uint64)) bool
+	// SyncIssue sends the synchronizing request for this core; the fill
+	// completes cb with the coherent word value once the block is in the
+	// core's L1 (locked and Modified when atomic is set). The gate wraps
+	// cb in a CBSyncWrap before registering it with the L1. It returns
+	// false if the request could not be sent yet.
+	SyncIssue(c *Core, block uint64, word int, atomic bool, cb cache.CB) bool
+	// SyncDone runs the gate's half of a completed synchronizing fill (a
+	// CBSyncWrap issued under generation gen), before the core completes
+	// the wrapped descriptor.
+	SyncDone(c *Core, gen int64)
 	// DeviceRead returns the value of the n-th committed non-idempotent
 	// device read at addr for this logical processor (replicated so both
 	// members of a pair observe identical device values).
@@ -375,8 +378,8 @@ type Core struct {
 	// (the earliest time-triggered work, 0 = event-driven only). While
 	// quiet, not dirty, and before the wake cycle, Tick reduces to the
 	// idle accounting a full quiescent tick would perform. dirty is set
-	// by every event-context callback that touches core state (cache
-	// fills, store-drain completions, pair comparison decisions, squash/
+	// by every event-context mutation of core state (cache fills,
+	// store-drain completions, pair comparison decisions, squash/
 	// recovery, fault arming) and forces the next Tick to run in full.
 	dirty     bool
 	selfQuiet bool
@@ -646,8 +649,8 @@ func (c *Core) activeInsert(d dispEntry) {
 
 // MarkDirty invalidates the core's self-tick short-circuit. Every
 // event-context mutation of core-visible state must call it (directly or
-// through the closures the core registers); a missed mark would leave
-// the core asleep on work the naive kernel would have seen.
+// through Complete); a missed mark would leave the core asleep on work the
+// naive kernel would have seen.
 func (c *Core) MarkDirty() { c.dirty = true }
 
 // ARF returns a copy of the committed architectural register file.

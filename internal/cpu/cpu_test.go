@@ -27,14 +27,16 @@ func (b *instantBelow) Request(r *cache.Req) {
 	case cache.Writeback:
 		b.mem.WriteBlock(r.Block, r.Data)
 	default:
-		block := r.Block
-		done := r.Done
-		b.eq.After(b.delay, func() {
-			var d mem.Block
-			b.mem.ReadBlock(block, &d)
-			done(cache.Resp{Data: d, Exclusive: true})
-		})
+		b.eq.AfterR(b.delay, r, b)
 	}
+}
+
+// RunEvent implements sim.EventRunner: fill the request from memory.
+func (b *instantBelow) RunEvent(desc any) {
+	r := desc.(*cache.Req)
+	var d mem.Block
+	b.mem.ReadBlock(r.Block, &d)
+	r.Deliver(cache.Resp{Data: d, Exclusive: true})
 }
 
 type rig struct {
@@ -65,6 +67,7 @@ func newRig(t *testing.T, th *program.Thread, gate cpu.Gate) *rig {
 	}
 	r.core = cpu.New(0, 0, true, testCfg(), r.eq, th,
 		l1d, l1i, tlb.New(64, 2), tlb.New(64, 2), gate)
+	l1d.Client, l1i.Client = r.core, r.core
 	return r
 }
 
@@ -121,7 +124,7 @@ func TestStoreDrainsToCache(t *testing.T) {
 	b.Halt()
 	r := newRig(t, b.Build(), nil)
 	r.runToHalt(t, 10_000)
-	st, v := r.core.L1D.Load(mem.BlockAddr(0x2000), 0, nil)
+	st, v := r.core.L1D.Load(mem.BlockAddr(0x2000), 0, cache.CB{})
 	if st != cache.Hit || v != 9 {
 		t.Fatalf("drained store not in L1: st=%v v=%d", st, v)
 	}
@@ -256,6 +259,7 @@ func TestSCMakesStoresSerializing(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, cfgSC, eq, th, l1d, l1i, tlb.New(64, 2), tlb.New(64, 2),
 		&core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
 	for i := 0; i < 100_000 && !c.Halted(); i++ {
 		eq.Advance(eq.Now() + 1)
 		c.Tick()
@@ -314,6 +318,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
 		tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
 	var cycles int64
 	for ; cycles < 10_000 && !c.Halted(); cycles++ {
 		eq.Advance(eq.Now() + 1)
@@ -334,5 +339,67 @@ func TestROBOccupancyTracked(t *testing.T) {
 	r.runToHalt(t, 10_000)
 	if r.core.Stats.ROBOccupancy == 0 || r.core.Stats.Committed != 51 {
 		t.Fatalf("occupancy=%d committed=%d", r.core.Stats.ROBOccupancy, r.core.Stats.Committed)
+	}
+}
+
+// dataBlackhole serves instruction fetches and swallows every data
+// request, so L1D misses stay outstanding forever.
+type dataBlackhole struct{ instantBelow }
+
+func (b *dataBlackhole) Request(r *cache.Req) {
+	if r.Kind == cache.Ifetch {
+		b.instantBelow.Request(r)
+	}
+}
+
+// TestRetryAllocatesNothing pins the L1 retry path at zero allocations:
+// a core whose L1D has every MSHR busy retries its load, or its store
+// drain, once per tick, and a retry builds nothing on the heap.
+func TestRetryAllocatesNothing(t *testing.T) {
+	const addr = 0x40000
+	for _, tc := range []struct {
+		name  string
+		build func(b *program.Builder)
+	}{
+		{"load", func(b *program.Builder) {
+			b.Li(1, addr)
+			b.Ld(2, 1, 0)
+		}},
+		{"store drain", func(b *program.Builder) {
+			b.Li(1, addr)
+			b.Li(2, 5)
+			b.St(1, 0, 2)
+			b.Membar() // waits for the drain
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := program.NewBuilder("t", 0)
+			tc.build(b)
+			b.Halt()
+			eq := sim.NewEventQueue()
+			below := &dataBlackhole{instantBelow{eq: eq, mem: mem.New(), delay: 20}}
+			l1d := cache.NewL1("d", 0, 0, true, 8<<10, 2, 8, below, false)
+			l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
+			c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
+				tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
+			l1d.Client, l1i.Client = c, c
+			for i := 0; l1d.OutstandingMisses() < 8; i++ {
+				l1d.Load(mem.BlockAddr(0x80000)+uint64(i)*mem.BlockBytes, 0, cache.CB{Kind: cache.CBLoadDone})
+			}
+			tick := func() {
+				eq.Advance(eq.Now() + 1)
+				c.Tick()
+			}
+			for i := 0; i < 500; i++ {
+				tick()
+			}
+			retries := l1d.Retries
+			if a := testing.AllocsPerRun(100, tick); a != 0 {
+				t.Fatalf("a retrying tick allocates %v, want 0", a)
+			}
+			if l1d.Retries <= retries {
+				t.Fatal("the core did not retry during the measured ticks")
+			}
+		})
 	}
 }

@@ -73,20 +73,14 @@ func (c *Core) fetch() {
 		// Instruction cache access, one lookup per block transition.
 		block := mem.BlockAddr(c.Thread.PCAddr(c.fetchPC))
 		if !c.haveIBlock || block != c.curIBlock {
-			// Hit fast path first: the descriptor and completion closure
-			// are only needed when a miss leaves a callback behind.
-			if _, hit := c.L1I.TryLoad(block, 0); !hit {
-				epoch := c.fetchEpoch
-				cb := &cache.CB{Kind: cache.CBIfetchDone, Core: c.ID, Epoch: epoch}
-				switch c.L1I.IfetchD(block, cb, c.IfetchDoneFn(epoch)) {
-				case cacheRetry:
-					c.volatileStall = true
-					return
-				case cacheMiss:
-					c.icacheWait = true
-					c.noteProgress()
-					return
-				}
+			switch c.L1I.Ifetch(block, cache.CB{Kind: cache.CBIfetchDone, Core: c.ID, Epoch: c.fetchEpoch}) {
+			case cacheRetry:
+				c.volatileStall = true
+				return
+			case cacheMiss:
+				c.icacheWait = true
+				c.noteProgress()
+				return
 			}
 			c.curIBlock = block
 			c.haveIBlock = true
@@ -542,12 +536,11 @@ func (c *Core) executeLoad(idx int, e *Entry, now int64) execResult {
 		return execVolatile
 	}
 
+	cb := cache.CB{Kind: cache.CBLoadDone, Core: c.ID, Idx: idx, Seq: e.Seq, Epoch: e.Epoch}
 	// Re-execution protocol: the first load after rollback issues a
 	// synchronizing request instead of a normal access (Definition 11).
 	if c.Gate.SyncArmed(c) && !e.syncIssued {
-		sseq, sepoch := e.Seq, e.Epoch
-		scb := &cache.CB{Kind: cache.CBLoadDone, Core: c.ID, Idx: idx, Seq: sseq, Epoch: sepoch}
-		if !c.Gate.SyncIssue(c, block, word, false, scb, c.LoadDoneFn(idx, sseq, sepoch)) {
+		if !c.Gate.SyncIssue(c, block, word, false, cb) {
 			return execVolatile
 		}
 		e.syncIssued = true
@@ -558,17 +551,7 @@ func (c *Core) executeLoad(idx int, e *Entry, now int64) execResult {
 	}
 
 	c.loadsThisCycle++
-	// Hit fast path: no descriptor or completion closure to build.
-	if val, hit := c.L1D.TryLoad(block, word); hit {
-		e.Result = int64(val)
-		e.state = stIssued
-		e.doneAt, e.hasDoneAt = now+c.Cfg.LoadToUse, true
-		c.inExec = append(c.inExec, idx)
-		return execOK
-	}
-	seq, epoch := e.Seq, e.Epoch
-	cb := &cache.CB{Kind: cache.CBLoadDone, Core: c.ID, Idx: idx, Seq: seq, Epoch: epoch}
-	status, val := c.L1D.LoadD(block, word, cb, c.LoadDoneFn(idx, seq, epoch))
+	status, val := c.L1D.Load(block, word, cb)
 	switch status {
 	case cacheHit:
 		e.Result = int64(val)
@@ -591,13 +574,13 @@ func (c *Core) executeAtomic(idx int, e *Entry, now int64) execResult {
 	block := mem.BlockAddr(addr)
 	word := wordIndex(addr)
 
-	seq, epoch := e.Seq, e.Epoch
+	cb := cache.CB{Kind: cache.CBAtomicBegin, Core: c.ID, Idx: idx, Seq: e.Seq, Epoch: e.Epoch, Block: block, Word: word}
 
 	// Re-execution protocol: an atomic as the first memory operation after
 	// rollback uses the synchronizing request (Definition 11).
 	if c.Gate.SyncArmed(c) && !e.syncIssued {
-		scb := &cache.CB{Kind: cache.CBAtomicFin, Core: c.ID, Idx: idx, Seq: seq, Epoch: epoch, Block: block, Word: word}
-		if !c.Gate.SyncIssue(c, block, word, true, scb, c.AtomicFinishFn(idx, seq, epoch, block, word)) {
+		cb.Kind = cache.CBAtomicFin
+		if !c.Gate.SyncIssue(c, block, word, true, cb) {
 			return execVolatile
 		}
 		e.syncIssued = true
@@ -607,19 +590,7 @@ func (c *Core) executeAtomic(idx int, e *Entry, now int64) execResult {
 		return execOK
 	}
 
-	// Hit fast path: no descriptor or completion closure to build.
-	if old, hit := c.L1D.TryAtomicBegin(block, word); hit {
-		e.Result = int64(old)
-		e.casSuccess = int64(old) == e.src3
-		e.casNew = e.src2
-		e.state = stIssued
-		e.doneAt, e.hasDoneAt = now+c.Cfg.LoadToUse, true
-		c.inExec = append(c.inExec, idx)
-		return execOK
-	}
-
-	cb := &cache.CB{Kind: cache.CBAtomicBegin, Core: c.ID, Idx: idx, Seq: seq, Epoch: epoch, Block: block, Word: word}
-	status, old := c.L1D.AtomicBeginD(block, word, cb, c.AtomicFinishFn(idx, seq, epoch, block, word))
+	status, old := c.L1D.AtomicBegin(block, word, cb)
 	switch status {
 	case cacheHit:
 		e.Result = int64(old)
@@ -681,17 +652,9 @@ func (c *Core) drainSB() {
 		return
 	}
 	c.storesThisCycle++
-	seq := s.seq
-	// Hit fast path: complete synchronously, no closure or descriptor.
-	if c.L1D.TryStore(s.block, s.word, s.data) {
-		c.storeDone(seq)
-		c.noteProgress()
-		return
-	}
-	cb := &cache.CB{Kind: cache.CBStoreDone, Core: c.ID, Seq: seq}
-	switch c.L1D.StoreD(s.block, s.word, s.data, cb, c.StoreDoneFn(seq)) {
+	switch c.L1D.Store(s.block, s.word, s.data, cache.CB{Kind: cache.CBStoreDone, Core: c.ID, Seq: s.seq}) {
 	case cacheHit:
-		c.storeDone(seq)
+		c.storeDone(s.seq)
 		c.noteProgress()
 	case cacheMiss:
 		s.draining = true

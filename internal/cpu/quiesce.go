@@ -35,7 +35,7 @@ func (c *Core) computeWake() int64 {
 
 	// Execution completions: entries with a known finish cycle transition
 	// to Done in completeExec at that cycle. Entries without one wait on a
-	// fill callback (an event).
+	// fill's completion (an event).
 	for _, idx := range c.inExec {
 		e := &c.rob[idx]
 		if e.state == stIssued && e.hasDoneAt {

@@ -60,10 +60,9 @@ func (c *Core) Snapshot() *CoreState {
 	return s
 }
 
-// Restore rewrites the core from a snapshot. The in-flight completion
-// callbacks held by the restored L1 MSHRs (and by pending events) capture
-// only ROB indices, seq/epoch guard values, and the core pointer itself,
-// so they remain valid against the restored window.
+// Restore rewrites the core from a snapshot. The completion descriptors
+// held by the restored L1 MSHRs hold only ROB indices and seq/epoch guard
+// values, so they remain valid against the restored window.
 func (c *Core) Restore(s *CoreState) {
 	*c = s.core
 	c.fq = append([]fqSlot(nil), s.core.fq...)

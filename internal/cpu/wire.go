@@ -128,7 +128,7 @@ func decodeEntry(r *bin.Reader) Entry {
 const entryWireBytes = 100
 
 // Encode writes the core snapshot.
-func (s *CoreState) Encode(w *bin.Writer) error {
+func (s *CoreState) Encode(w *bin.Writer) {
 	c := &s.core
 	w.Int(c.ID)
 	w.Int(c.Pair)
@@ -222,17 +222,12 @@ func (s *CoreState) Encode(w *bin.Writer) error {
 		st.SBFullStalls, st.DevReads} {
 		w.I64(v)
 	}
-	if err := s.l1d.Encode(w); err != nil {
-		return fmt.Errorf("core %d L1D: %w", c.ID, err)
-	}
-	if err := s.l1i.Encode(w); err != nil {
-		return fmt.Errorf("core %d L1I: %w", c.ID, err)
-	}
+	s.l1d.Encode(w)
+	s.l1i.Encode(w)
 	s.itlb.Encode(w)
 	s.dtlb.Encode(w)
 	s.bp.Encode(w)
 	w.U16(s.fp.CRC())
-	return nil
 }
 
 // DecodeCoreState reads a core snapshot written by Encode. Pointer fields
@@ -354,11 +349,13 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 	return s
 }
 
-// ResolveWaiters rebinds the decoded L1 MSHR waiters' completion closures
-// (see cache.L1State.ResolveWaiters).
-func (s *CoreState) ResolveWaiters(resolve func(*cache.CB) (func(uint64), func())) {
-	s.l1d.ResolveWaiters(resolve)
-	s.l1i.ResolveWaiters(resolve)
+// VisitWaiters calls fn with the descriptor of every MSHR waiter in the
+// snapshot's L1D, then its L1I (see cache.L1State.VisitWaiters).
+func (s *CoreState) VisitWaiters(fn func(*cache.CB) error) error {
+	if err := s.l1d.VisitWaiters(fn); err != nil {
+		return err
+	}
+	return s.l1i.VisitWaiters(fn)
 }
 
 // BindTo fixes the snapshot's pointer fields from the live core and

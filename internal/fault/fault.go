@@ -111,7 +111,9 @@ type Injection struct {
 	Bit   uint  // result bit to flip (mod 64)
 }
 
-// Shot observes the fate of one armed Injection.
+// Shot observes the fate of one armed Injection. It is also the arm
+// event's descriptor and runner; a checkpoint cannot carry it, so the
+// encoder refuses a machine with an armed shot still pending.
 type Shot struct {
 	Injection Injection
 
@@ -121,6 +123,10 @@ type Shot struct {
 	// check. FiredAt is the absolute cycle of consumption (-1 until then).
 	Fired   bool
 	FiredAt int64
+
+	eq     *sim.EventQueue
+	target *cpu.Core
+	onFire func(now int64)
 }
 
 // Arm schedules the injection on the event queue: at Cycle the target is
@@ -131,28 +137,32 @@ type Shot struct {
 // target's pre-existing OnFaultFired hook (e.g. the pair's fault
 // attribution) keeps running.
 func (i Injection) Arm(eq *sim.EventQueue, target *cpu.Core, onFire func(now int64)) *Shot {
-	s := &Shot{Injection: i, FiredAt: -1}
-	eq.At(i.Cycle, func() {
-		if target.Halted() || target.FaultPending() {
-			return
-		}
-		prev := target.OnFaultFired
-		target.OnFaultFired = func() {
-			if !s.Fired {
-				s.Fired = true
-				s.FiredAt = eq.Now()
-				if onFire != nil {
-					onFire(s.FiredAt)
-				}
-			}
-			if prev != nil {
-				prev()
-			}
-		}
-		target.ArmFault(i.Bit)
-		s.Armed = true
-	})
+	s := &Shot{Injection: i, FiredAt: -1, eq: eq, target: target, onFire: onFire}
+	eq.AtR(i.Cycle, s, s)
 	return s
+}
+
+// RunEvent implements sim.EventRunner: the arm event.
+func (s *Shot) RunEvent(any) {
+	target := s.target
+	if target.Halted() || target.FaultPending() {
+		return
+	}
+	prev := target.OnFaultFired
+	target.OnFaultFired = func() {
+		if !s.Fired {
+			s.Fired = true
+			s.FiredAt = s.eq.Now()
+			if s.onFire != nil {
+				s.onFire(s.FiredAt)
+			}
+		}
+		if prev != nil {
+			prev()
+		}
+	}
+	target.ArmFault(s.Injection.Bit)
+	s.Armed = true
 }
 
 // Unfired reports whether the shot never flipped a consumed result: the

@@ -24,12 +24,15 @@ func (b *echoBelow) Request(r *cache.Req) {
 		b.mem.WriteBlock(r.Block, r.Data)
 		return
 	}
-	block, done := r.Block, r.Done
-	b.eq.After(5, func() {
-		var d mem.Block
-		b.mem.ReadBlock(block, &d)
-		done(cache.Resp{Data: d, Exclusive: true})
-	})
+	b.eq.AfterR(5, r, b)
+}
+
+// RunEvent implements sim.EventRunner: fill the request from memory.
+func (b *echoBelow) RunEvent(desc any) {
+	r := desc.(*cache.Req)
+	var d mem.Block
+	b.mem.ReadBlock(r.Block, &d)
+	r.Deliver(cache.Resp{Data: d, Exclusive: true})
 }
 
 func testCore(eq *sim.EventQueue) *cpu.Core {
@@ -49,8 +52,10 @@ func testCore(eq *sim.EventQueue) *cpu.Core {
 	}
 	l1d := cache.NewL1("d", 0, 0, true, 1<<10, 2, 4, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
-	return cpu.New(0, 0, true, cfg, eq, th, l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
+	c := cpu.New(0, 0, true, cfg, eq, th, l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
+	return c
 }
 
 func TestCampaignArmsAndFires(t *testing.T) {
@@ -109,6 +114,7 @@ func TestCampaignSkipsHaltedCores(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
 	camp := NewCampaign(5, 10, []*cpu.Core{c})
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)
@@ -182,6 +188,7 @@ func TestCampaignMaskedArmedOnHalt(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
 	// Arm directly just before the halt retires so the flip has no
 	// register-writing instruction left to consume.
 	camp := NewCampaign(5, 1_000_000, []*cpu.Core{c})
@@ -250,6 +257,7 @@ func TestInjectionOnHaltedCoreStaysUnfired(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
+	l1d.Client, l1i.Client = c, c
 	shot := Injection{Core: 0, Cycle: 1_500, Bit: 0}.Arm(eq, c, nil)
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)

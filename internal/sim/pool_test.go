@@ -93,9 +93,8 @@ func TestEventQueueScheduleZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkEventQueueScheduleAdvance measures the kernel's hottest
-// engine operation: scheduling an event and popping it. The descriptor
-// variant is the production fast path (zero-alloc, pooled); the closure
-// variant pays a closure allocation per schedule.
+// engine operation: scheduling an event and popping it (zero-alloc,
+// pooled).
 func BenchmarkEventQueueScheduleAdvance(b *testing.B) {
 	b.Run("descriptor", func(b *testing.B) {
 		q := NewEventQueue()
@@ -104,15 +103,6 @@ func BenchmarkEventQueueScheduleAdvance(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			q.AtR(q.Now()+1, desc, f)
-			q.Advance(q.Now() + 1)
-		}
-	})
-	b.Run("closure", func(b *testing.B) {
-		q := NewEventQueue()
-		n := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q.At(q.Now()+1, func() { n++ })
 			q.Advance(q.Now() + 1)
 		}
 	})

@@ -10,14 +10,17 @@
 // and ordered; given the same seed, a run is cycle-exact reproducible.
 package sim
 
-// Event is a callback scheduled to fire at a specific cycle.
+// Event is one piece of deferred work: a plain-data descriptor and the
+// component that dispatches on it, scheduled to fire at a specific cycle.
+// At fire time the queue calls Run.RunEvent(Desc). Deferred work has no
+// other form, so a live machine and one bound from a checkpoint blob run
+// the same code.
 //
 // An Event is immutable once scheduled: the queue moves *Event pointers
-// between heap slots but never rewrites At, Order or Fn. Checkpointing
-// relies on this — EventQueue.Snapshot copies the heap slice and shares
-// the Event pointers, so a scheduled callback must also never mutate the
-// variables its closure captured at scheduling time (capture values, or
-// pointers to components whose state is itself checkpointed).
+// between heap slots but never rewrites At, Order, Desc or Run.
+// Checkpointing relies on this — EventQueue.Snapshot copies the heap
+// slice and shares the Event pointers, so a runner must treat the
+// descriptor as immutable too.
 //
 // Fired events are recycled through a per-queue free list, but only when
 // no snapshot can possibly hold them: each Event carries the queue
@@ -28,27 +31,19 @@ package sim
 type Event struct {
 	At    int64
 	Order int64 // tie-break: schedule order, preserves FIFO among same-cycle events
-	Fn    func()
-	// Desc is the event's serializable descriptor: a plain-data value a
-	// checkpoint encoder can write and a decoder can rebind to a fresh Fn
-	// (the closure's captures, reified). Events scheduled without a
-	// descriptor cannot cross a process boundary; the checkpoint encoder
-	// rejects them.
+	// Desc is the event's descriptor: a plain-data value the checkpoint
+	// encoder writes and its owner dispatches on.
 	Desc any
-	// run fires descriptor-driven events scheduled with AtR/AfterR; nil
-	// for closure events. Fn takes precedence when both are set (the
-	// checkpoint decoder rebinds decoded events through Fn).
-	run EventRunner
+	// Run is the descriptor's owner. The checkpoint binder sets it on
+	// decoded events; live events get it from AtR/AfterR.
+	Run EventRunner
 	gen uint64 // queue generation at scheduling time; guards pool reuse
 }
 
-// EventRunner is implemented by components that fire events directly
-// from their serializable descriptors. Scheduling through AtR/AfterR
-// avoids the per-event closure allocation of At/AtD: the runner is an
-// interface pair (pointer + itab) copied into the pooled Event, so a
-// hot scheduling site allocates only its descriptor. RunEvent must
-// treat the descriptor as immutable (snapshots share it, exactly like
-// the Event).
+// EventRunner is implemented by every component that schedules deferred
+// work: it fires an event by dispatching on the event's descriptor. The
+// runner is an interface pair (pointer + itab) copied into the pooled
+// Event, so a scheduling site allocates at most its descriptor.
 type EventRunner interface{ RunEvent(desc any) }
 
 type eventHeap []*Event
@@ -96,7 +91,7 @@ func (h eventHeap) down(i0, n int) {
 	}
 }
 
-// EventQueue schedules callbacks at future cycles and fires them in
+// EventQueue schedules events at future cycles and fires them in
 // deterministic order (cycle, then insertion order).
 type EventQueue struct {
 	h     eventHeap
@@ -129,53 +124,22 @@ func NewEventQueue() *EventQueue { return &EventQueue{} }
 // Now returns the current cycle.
 func (q *EventQueue) Now() int64 { return q.now }
 
-// At schedules fn to run at the given absolute cycle. Scheduling in the
-// past (or present) fires on the next Advance to that cycle; the queue
-// clamps to now so callers may schedule "immediately".
-func (q *EventQueue) At(cycle int64, fn func()) {
-	if cycle < q.now {
-		cycle = q.now
-	}
-	q.order++
-	ev := q.alloc()
-	ev.At, ev.Order, ev.Fn, ev.Desc, ev.gen = cycle, q.order, fn, nil, q.gen
-	q.push(ev)
-}
-
-// AtR schedules a descriptor-driven event at an absolute cycle: at fire
-// time the queue calls run.RunEvent(desc). Equivalent to AtD with a
-// closure over (run, desc), minus the closure allocation.
+// AtR schedules an event at an absolute cycle: at fire time the queue
+// calls run.RunEvent(desc). Scheduling in the past (or present) fires on
+// the next Advance to that cycle; the queue clamps to now so callers may
+// schedule "immediately".
 func (q *EventQueue) AtR(cycle int64, desc any, run EventRunner) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.order++
 	ev := q.alloc()
-	ev.At, ev.Order, ev.Desc, ev.run, ev.gen = cycle, q.order, desc, run, q.gen
-	ev.Fn = nil
+	ev.At, ev.Order, ev.Desc, ev.Run, ev.gen = cycle, q.order, desc, run, q.gen
 	q.push(ev)
 }
 
-// AfterR schedules a descriptor-driven event delay cycles from now.
+// AfterR schedules an event delay cycles from now.
 func (q *EventQueue) AfterR(delay int64, desc any, run EventRunner) { q.AtR(q.now+delay, desc, run) }
-
-// After schedules fn to run delay cycles from now.
-func (q *EventQueue) After(delay int64, fn func()) { q.At(q.now+delay, fn) }
-
-// AtD schedules fn at an absolute cycle with a serializable descriptor
-// (see Event.Desc).
-func (q *EventQueue) AtD(cycle int64, desc any, fn func()) {
-	if cycle < q.now {
-		cycle = q.now
-	}
-	q.order++
-	ev := q.alloc()
-	ev.At, ev.Order, ev.Fn, ev.Desc, ev.gen = cycle, q.order, fn, desc, q.gen
-	q.push(ev)
-}
-
-// AfterD schedules fn delay cycles from now with a serializable descriptor.
-func (q *EventQueue) AfterD(delay int64, desc any, fn func()) { q.AtD(q.now+delay, desc, fn) }
 
 // Advance moves the clock to the given cycle and fires every event due at
 // or before it, in order.
@@ -189,17 +153,13 @@ func (q *EventQueue) Advance(cycle int64) {
 		if ev.At > q.now {
 			q.now = ev.At
 		}
-		if ev.Fn != nil {
-			ev.Fn()
-		} else {
-			ev.run.RunEvent(ev.Desc)
-		}
+		ev.Run.RunEvent(ev.Desc)
 		// Recycle only events no snapshot can hold. The generation is
-		// re-checked after the callback runs: a callback that snapshots
+		// re-checked after the runner returns: a runner that snapshots
 		// the queue bumps gen and thereby retires every already-scheduled
 		// event, including this one.
 		if ev.gen == q.gen {
-			ev.Fn, ev.Desc, ev.run = nil, nil, nil
+			ev.Desc, ev.Run = nil, nil
 			q.free = append(q.free, ev)
 		}
 	}
@@ -250,7 +210,7 @@ func (q *EventQueue) Restore(s EventQueueState) {
 	// snapshot — recycle them instead of leaking them to the GC.
 	for _, ev := range q.h {
 		if ev.gen == q.gen {
-			ev.Fn, ev.Desc, ev.run = nil, nil, nil
+			ev.Desc, ev.Run = nil, nil
 			q.free = append(q.free, ev)
 		}
 	}

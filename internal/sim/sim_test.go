@@ -5,13 +5,19 @@ import (
 	"testing/quick"
 )
 
+// fn is an EventRunner that runs itself, for tests that only need an
+// event to do something when it fires.
+type fn func()
+
+func (f fn) RunEvent(any) { f() }
+
 func TestEventQueueOrdering(t *testing.T) {
 	eq := NewEventQueue()
 	var got []int
-	eq.At(5, func() { got = append(got, 5) })
-	eq.At(3, func() { got = append(got, 3) })
-	eq.At(5, func() { got = append(got, 50) }) // same cycle: FIFO
-	eq.At(1, func() { got = append(got, 1) })
+	eq.AtR(5, nil, fn(func() { got = append(got, 5) }))
+	eq.AtR(3, nil, fn(func() { got = append(got, 3) }))
+	eq.AtR(5, nil, fn(func() { got = append(got, 50) })) // same cycle: FIFO
+	eq.AtR(1, nil, fn(func() { got = append(got, 1) }))
 	eq.Advance(10)
 	want := []int{1, 3, 5, 50}
 	if len(got) != len(want) {
@@ -30,8 +36,8 @@ func TestEventQueueOrdering(t *testing.T) {
 func TestEventQueuePartialAdvance(t *testing.T) {
 	eq := NewEventQueue()
 	fired := 0
-	eq.At(5, func() { fired++ })
-	eq.At(15, func() { fired++ })
+	eq.AtR(5, nil, fn(func() { fired++ }))
+	eq.AtR(15, nil, fn(func() { fired++ }))
 	eq.Advance(10)
 	if fired != 1 {
 		t.Fatalf("fired=%d want 1", fired)
@@ -49,7 +55,7 @@ func TestEventQueuePastSchedulingClamps(t *testing.T) {
 	eq := NewEventQueue()
 	eq.Advance(100)
 	fired := false
-	eq.At(5, func() { fired = true }) // in the past: clamps to now
+	eq.AtR(5, nil, fn(func() { fired = true })) // in the past: clamps to now
 	eq.Advance(100)
 	if !fired {
 		t.Fatal("past-scheduled event did not fire at current cycle")
@@ -61,10 +67,10 @@ func TestEventQueueCascade(t *testing.T) {
 	// the same Advance.
 	eq := NewEventQueue()
 	var seq []string
-	eq.At(5, func() {
+	eq.AtR(5, nil, fn(func() {
 		seq = append(seq, "a")
-		eq.After(0, func() { seq = append(seq, "b") })
-	})
+		eq.AfterR(0, nil, fn(func() { seq = append(seq, "b") }))
+	}))
 	eq.Advance(5)
 	if len(seq) != 2 || seq[0] != "a" || seq[1] != "b" {
 		t.Fatalf("cascade: %v", seq)
@@ -75,7 +81,7 @@ func TestAfterUsesNow(t *testing.T) {
 	eq := NewEventQueue()
 	eq.Advance(7)
 	var at int64
-	eq.After(3, func() { at = eq.Now() })
+	eq.AfterR(3, nil, fn(func() { at = eq.Now() }))
 	eq.Advance(100)
 	if at != 10 {
 		t.Fatalf("After(3) fired at %d, want 10", at)
@@ -170,8 +176,8 @@ func TestRandBoolBias(t *testing.T) {
 func TestEventQueueSnapshotRestore(t *testing.T) {
 	eq := NewEventQueue()
 	var fired []int
-	eq.At(3, func() { fired = append(fired, 3) })
-	eq.At(7, func() { fired = append(fired, 7) })
+	eq.AtR(3, nil, fn(func() { fired = append(fired, 3) }))
+	eq.AtR(7, nil, fn(func() { fired = append(fired, 7) }))
 	eq.Advance(4)
 	if len(fired) != 1 || fired[0] != 3 {
 		t.Fatalf("pre-snapshot fires %v", fired)
@@ -183,7 +189,7 @@ func TestEventQueueSnapshotRestore(t *testing.T) {
 	}
 
 	// Diverge: fire the pending event, schedule and fire extra ones.
-	eq.At(5, func() { fired = append(fired, 5) })
+	eq.AtR(5, nil, fn(func() { fired = append(fired, 5) }))
 	eq.Advance(10)
 	if len(fired) != 3 {
 		t.Fatalf("divergent fires %v", fired)
@@ -208,7 +214,7 @@ func TestEventQueueSnapshotPreservesSameCycleOrder(t *testing.T) {
 	var got []string
 	for _, tag := range []string{"a", "b", "c"} {
 		tag := tag
-		eq.At(5, func() { got = append(got, tag) })
+		eq.AtR(5, nil, fn(func() { got = append(got, tag) }))
 	}
 	snap := eq.Snapshot()
 	eq.Advance(5)

@@ -196,10 +196,11 @@ func (b *Bus) reply(r *cache.Req, data *mem.Block, exclusive bool, lat int64, re
 }
 
 // RunEvent implements sim.EventRunner: the bus schedules its events with
-// descriptors and dispatches on their type here, so the hot paths build
-// no per-event closures. The checkpoint decoder still rebinds decoded
-// events through the closure factories (Fn takes precedence over the
-// runner), keeping one implementation per action.
+// descriptors and dispatches on their type here. The checkpoint binder
+// attaches the bus as the runner of every decoded bus event, so a bound
+// machine runs the same code. Each event's schedule-time bookkeeping
+// (memInFlight, fill tracking) is in the snapshot, so firing only
+// completes it, never repeats it.
 func (b *Bus) RunEvent(desc any) {
 	switch d := desc.(type) {
 	case *EvReply:
@@ -215,17 +216,10 @@ func (b *Bus) RunEvent(desc any) {
 	}
 }
 
-// DeliverReply returns the fire closure for a scheduled reply: deliver
-// the response, then retire the fill-tracking entry. The tracking
-// increment happened at schedule time and is captured in the snapshotted
-// fillsInFlight map, so a checkpoint rebind must only attach this
-// closure — never re-increment.
-func (b *Bus) DeliverReply(d *EvReply) func() {
-	return func() { b.deliverReply(d) }
-}
-
+// deliverReply delivers a scheduled response, then retires the
+// fill-tracking entry reply took.
 func (b *Bus) deliverReply(d *EvReply) {
-	d.R.Done(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
+	d.R.Deliver(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
 	if d.Release {
 		b.releaseFill(d.R.Core, d.R.Block)
 	}
@@ -352,14 +346,8 @@ func (b *Bus) fetchAndReply(r *cache.Req, data mem.Block, supplied, exclusive bo
 	return true
 }
 
-// MemFetchDone returns the fire closure for a memory fetch completion:
-// read the block and schedule the reply. The memInFlight and fill-tracking
-// increments happened at schedule time and are captured in the snapshot,
-// so a checkpoint rebind must only attach this closure.
-func (b *Bus) MemFetchDone(d *EvMemFetch) func() {
-	return func() { b.memFetchDone(d) }
-}
-
+// memFetchDone completes a memory fetch: read the block and schedule the
+// reply.
 func (b *Bus) memFetchDone(d *EvMemFetch) {
 	b.memInFlight--
 	var data mem.Block
@@ -472,14 +460,7 @@ func (b *Bus) processPhantom(r *cache.Req) {
 	}
 }
 
-// PhantomMemDone returns the fire closure for a phantom off-chip read.
-// The memInFlight and fill-tracking increments happened at schedule time
-// and are captured in the snapshot, so a checkpoint rebind must only
-// attach this closure.
-func (b *Bus) PhantomMemDone(r *cache.Req) func() {
-	return func() { b.phantomMemDone(r) }
-}
-
+// phantomMemDone completes a phantom off-chip read.
 func (b *Bus) phantomMemDone(r *cache.Req) {
 	b.memInFlight--
 	var data mem.Block
@@ -550,15 +531,8 @@ func (b *Bus) processSync(r *cache.Req) {
 	b.eq.AfterR(b.memLatency(r.Block), d, b)
 }
 
-// SyncMemDone returns the fire closure for a pair's combined off-chip
-// synchronizing fetch: both members receive the same data atomically. The
-// memInFlight and fill-tracking increments happened at schedule time and
-// are captured in the snapshot, so a checkpoint rebind must only attach
-// this closure.
-func (b *Bus) SyncMemDone(d *EvSyncMem) func() {
-	return func() { b.syncMemDone(d) }
-}
-
+// syncMemDone completes a pair's combined off-chip synchronizing fetch:
+// both members receive the same data atomically.
 func (b *Bus) syncMemDone(d *EvSyncMem) {
 	b.memInFlight--
 	var data mem.Block

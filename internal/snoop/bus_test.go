@@ -14,6 +14,29 @@ type rig struct {
 	mem *mem.Memory
 	bus *Bus
 	l1  []*cache.L1
+
+	done recorder
+	seq  int64
+}
+
+// recorder is a cache.Client that keeps each completed waiter's word,
+// keyed by its descriptor's Seq.
+type recorder map[int64]uint64
+
+func (d recorder) Complete(cb *cache.CB, v uint64) { d[cb.Seq] = v }
+
+// next returns a descriptor of the given kind whose completion r.done
+// records under a fresh Seq.
+func (r *rig) next(kind cache.CBKind) cache.CB {
+	r.seq++
+	return cache.CB{Kind: kind, Seq: r.seq}
+}
+
+// syncLoad returns the descriptor of a synchronizing load.
+func (r *rig) syncLoad() cache.CB {
+	cb := r.next(cache.CBSyncWrap)
+	cb.Inner = &cache.CB{Kind: cache.CBLoadDone}
+	return cb
 }
 
 func testConfig() Config {
@@ -30,7 +53,7 @@ func testConfig() Config {
 
 func newRig(t *testing.T, cfg Config, vocal, mute int) *rig {
 	t.Helper()
-	r := &rig{eq: sim.NewEventQueue(), mem: mem.New()}
+	r := &rig{eq: sim.NewEventQueue(), mem: mem.New(), done: recorder{}}
 	r.bus = NewBus(cfg, r.eq, r.mem, vocal+mute)
 	for i := 0; i < vocal+mute; i++ {
 		isVocal := i < vocal
@@ -39,6 +62,7 @@ func newRig(t *testing.T, cfg Config, vocal, mute int) *rig {
 			pair = i - vocal
 		}
 		l1 := cache.NewL1("l1", i, pair, isVocal, 8<<10, 2, 8, r.bus, false)
+		l1.Client = r.done
 		r.bus.RegisterL1D(i, l1)
 		r.l1 = append(r.l1, l1)
 	}
@@ -61,9 +85,8 @@ func blockN(n uint64) uint64 { return n * mem.BlockBytes }
 
 func (r *rig) load(t *testing.T, core int, block uint64) uint64 {
 	t.Helper()
-	var got uint64
-	ok := false
-	st, v := r.l1[core].Load(block, 0, func(x uint64) { got, ok = x, true })
+	cb := r.next(cache.CBLoadDone)
+	st, v := r.l1[core].Load(block, 0, cb)
 	if st == cache.Hit {
 		return v
 	}
@@ -71,6 +94,7 @@ func (r *rig) load(t *testing.T, core int, block uint64) uint64 {
 		t.Fatal("retry in quiet system")
 	}
 	r.drain(t)
+	got, ok := r.done[cb.Seq]
 	if !ok {
 		t.Fatal("load never completed")
 	}
@@ -80,13 +104,13 @@ func (r *rig) load(t *testing.T, core int, block uint64) uint64 {
 func (r *rig) store(t *testing.T, core int, block uint64, val uint64) {
 	t.Helper()
 	for i := 0; i < 100; i++ {
-		done := false
-		switch r.l1[core].Store(block, 0, val, func() { done = true }) {
+		cb := r.next(cache.CBStoreDone)
+		switch r.l1[core].Store(block, 0, val, cb) {
 		case cache.Hit:
 			return
 		case cache.Miss:
 			r.drain(t)
-			if !done {
+			if _, done := r.done[cb.Seq]; !done {
 				t.Fatal("store never completed")
 			}
 			return
@@ -217,19 +241,20 @@ func TestSnoopSyncCombines(t *testing.T) {
 	r.mem.WriteWord(b, 3)
 	r.load(t, 2, b)     // mute 0 caches it
 	r.store(t, 1, b, 9) // other pair's vocal owns it dirty
-	var vGot, mGot uint64
-	vDone, mDone := false, false
-	if !r.l1[0].SyncFill(b, 0, false, 1, func(v uint64) { vGot, vDone = v, true }) {
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	if !r.l1[0].SyncFill(b, 0, false, 1, vcb) {
 		t.Fatal("vocal sync rejected")
 	}
 	r.drain(t)
-	if vDone {
+	if _, vDone := r.done[vcb.Seq]; vDone {
 		t.Fatal("sync completed one-sided")
 	}
-	if !r.l1[2].SyncFill(b, 0, false, 1, func(v uint64) { mGot, mDone = v, true }) {
+	if !r.l1[2].SyncFill(b, 0, false, 1, mcb) {
 		t.Fatal("mute sync rejected")
 	}
 	r.drain(t)
+	vGot, vDone := r.done[vcb.Seq]
+	mGot, mDone := r.done[mcb.Seq]
 	if !vDone || !mDone || vGot != 9 || mGot != 9 {
 		t.Fatalf("sync results %v/%v %d/%d", vDone, mDone, vGot, mGot)
 	}
@@ -241,15 +266,18 @@ func TestSnoopSyncCombines(t *testing.T) {
 func TestSnoopSyncCancel(t *testing.T) {
 	r := newRig(t, testConfig(), 1, 1)
 	b := blockN(25)
-	called := false
-	r.l1[0].SyncFill(b, 0, false, 1, func(uint64) { called = true })
+	stale := r.syncLoad()
+	r.l1[0].SyncFill(b, 0, false, 1, stale)
 	r.drain(t)
 	r.bus.CancelSync(0, 2)
 	r.l1[0].AbortMiss(b)
-	vDone, mDone := false, false
-	r.l1[0].SyncFill(b, 0, false, 2, func(uint64) { vDone = true })
-	r.l1[1].SyncFill(b, 0, false, 2, func(uint64) { mDone = true })
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	r.l1[0].SyncFill(b, 0, false, 2, vcb)
+	r.l1[1].SyncFill(b, 0, false, 2, mcb)
 	r.drain(t)
+	_, called := r.done[stale.Seq]
+	_, vDone := r.done[vcb.Seq]
+	_, mDone := r.done[mcb.Seq]
 	if called || !vDone || !mDone {
 		t.Fatalf("cancel semantics: called=%v v=%v m=%v", called, vDone, mDone)
 	}
@@ -292,16 +320,16 @@ func TestSnoopConcurrentConvergence(t *testing.T) {
 	rnd := sim.NewRand(5)
 	const blocks = 24
 	written := make(map[uint64]map[uint64]bool)
-	outstanding := 0
+	misses := 0
 	for step := 0; step < 3000; step++ {
 		core := rnd.Intn(4)
 		b := blockN(uint64(rnd.Intn(blocks)))
 		if rnd.Intn(2) == 0 {
 			val := uint64(step)<<8 | uint64(core)
-			st := r.l1[core].Store(b, 0, val, func() { outstanding-- })
+			st := r.l1[core].Store(b, 0, val, r.next(cache.CBStoreDone))
 			if st != cache.Retry {
 				if st == cache.Miss {
-					outstanding++
+					misses++
 				}
 				if written[b] == nil {
 					written[b] = map[uint64]bool{}
@@ -309,8 +337,8 @@ func TestSnoopConcurrentConvergence(t *testing.T) {
 				written[b][val] = true
 			}
 		} else {
-			if st, _ := r.l1[core].Load(b, 0, func(uint64) { outstanding-- }); st == cache.Miss {
-				outstanding++
+			if st, _ := r.l1[core].Load(b, 0, r.next(cache.CBLoadDone)); st == cache.Miss {
+				misses++
 			}
 		}
 		for i := 0; i < rnd.Intn(4); i++ {
@@ -319,7 +347,7 @@ func TestSnoopConcurrentConvergence(t *testing.T) {
 		}
 	}
 	r.drain(t)
-	if outstanding != 0 {
+	if outstanding := misses - len(r.done); outstanding != 0 {
 		t.Fatalf("%d operations incomplete", outstanding)
 	}
 	for i := 0; i < blocks; i++ {

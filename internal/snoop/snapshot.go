@@ -9,8 +9,8 @@ import (
 // Checkpoint support for the snoopy bus (see the reunion package's
 // System.Snapshot and the matching coherence controller snapshot).
 // Queued and parked *cache.Req values are shared between snapshot and
-// live state: a request is immutable after creation and its completion
-// callback resolves the L1 MSHR by block at fire time.
+// live state: a request is immutable after creation and its reply
+// resolves the L1 MSHR by block at fire time.
 
 // BusState is a checkpoint of the bus and memory controller.
 type BusState struct {

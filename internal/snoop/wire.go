@@ -16,8 +16,7 @@ import (
 // checkpoint encoder interns every *cache.Req and passes reqID/req
 // translation hooks down so shared pointers stay shared on decode.
 
-// EvReply describes a scheduled reply delivery (rebind via
-// Bus.DeliverReply). Release retires the fill-tracking entry keyed by the
+// EvReply describes a scheduled reply delivery. Release retires the fill-tracking entry keyed by the
 // reply target's {core, block}; the increment is already in the
 // snapshotted map.
 type EvReply struct {
@@ -27,20 +26,17 @@ type EvReply struct {
 	Release   bool
 }
 
-// EvMemFetch describes a pending coherent memory fetch (rebind via
-// Bus.MemFetchDone).
+// EvMemFetch describes a pending coherent memory fetch.
 type EvMemFetch struct {
 	R         *cache.Req
 	Exclusive bool
 	Release   bool
 }
 
-// EvPhantomMem describes a pending phantom off-chip read (rebind via
-// Bus.PhantomMemDone).
+// EvPhantomMem describes a pending phantom off-chip read.
 type EvPhantomMem struct{ R *cache.Req }
 
-// EvSyncMem describes a pair's pending combined synchronizing fetch
-// (rebind via Bus.SyncMemDone).
+// EvSyncMem describes a pair's pending combined synchronizing fetch.
 type EvSyncMem struct{ V, M *cache.Req }
 
 // --- event descriptor codecs ---

@@ -35,13 +35,15 @@ import (
 // structure — enum ranges, index bounds, sorted-map order — so even a
 // blob with a forged checksum cannot produce a restorable Checkpoint.
 //
-// Closures are never serialized. Every pending event carries a plain-data
-// descriptor (sim.Event.Desc), every MSHR waiter a callback descriptor
-// (cache.CB), and every in-flight request is interned into a table so
-// pointer identity — which processSync compares — survives the round
-// trip. Bind rebuilds each closure through the same factory the live
-// pipeline used, then validates component geometry before handing back a
-// Checkpoint that System.Restore accepts exactly like a live snapshot.
+// Deferred work is plain data, so the blob holds it as it is: every
+// pending event is a descriptor (sim.Event.Desc), every MSHR waiter a
+// completion descriptor (cache.CB), and every in-flight request is
+// interned into a table so pointer identity — which processSync compares
+// — survives the round trip. Bind validates each descriptor against the
+// live system and attaches its owner: the pair, L2, bus or system runs an
+// event, the core a waiter, the L1 a request. It then validates component
+// geometry before handing back a Checkpoint that System.Restore accepts
+// exactly like a live snapshot.
 
 // ckptMagic identifies a Reunion checkpoint blob.
 const ckptMagic = "RNCK"
@@ -87,12 +89,6 @@ const (
 	tagInterrupt
 )
 
-// ErrNoDescriptor reports a pending event scheduled without a
-// serializable descriptor. Warm-phase checkpoints never contain one (all
-// production scheduling sites attach descriptors); trial-time events
-// (fault arming) do not cross process boundaries by design.
-var ErrNoDescriptor = errors.New("reunion: pending event has no serializable descriptor")
-
 // visitDescReqs calls fn for every request a descriptor references, in
 // field order.
 func visitDescReqs(desc any, fn func(*cache.Req)) {
@@ -122,8 +118,9 @@ func visitDescReqs(desc any, fn func(*cache.Req)) {
 }
 
 // EncodeCheckpoint serializes a checkpoint into a store-ready blob keyed
-// by the options fingerprint. It fails if any pending event or MSHR
-// waiter lacks a serializable descriptor (test-only entry points).
+// by the options fingerprint. It fails on a pending event whose
+// descriptor has no wire form (an armed fault shot: trial-time events do
+// not cross process boundaries by design).
 func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
 	w := &bin.Writer{}
 	w.Raw([]byte(ckptMagic))
@@ -196,8 +193,6 @@ func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
 			w.U8(tagInterrupt)
 			w.I64(d.gen)
 			w.I64(d.every)
-		case nil:
-			return nil, ErrNoDescriptor
 		default:
 			return nil, fmt.Errorf("reunion: pending event has unknown descriptor type %T", ev.Desc)
 		}
@@ -212,9 +207,7 @@ func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
 
 	w.Uvarint(uint64(len(cp.cores)))
 	for _, cs := range cp.cores {
-		if err := cs.Encode(w); err != nil {
-			return nil, err
-		}
+		cs.Encode(w)
 	}
 	w.Uvarint(uint64(len(cp.pairs)))
 	for _, ps := range cp.pairs {
@@ -253,14 +246,14 @@ func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
 }
 
 // decodedEvent is one pending event's plain-data form: schedule position
-// plus descriptor; Bind attaches the fire closure.
+// plus descriptor; Bind attaches the descriptor's owner as its runner.
 type decodedEvent struct {
 	at, order int64
 	desc      any
 }
 
 // DecodedCheckpoint is a checkpoint parsed from bytes but not yet bound
-// to a System: pure data, no closures, no component pointers. Bind
+// to a System: pure data, no component pointers. Bind
 // validates it against a live system and produces a restorable
 // Checkpoint. Keeping decode and bind separate makes decoding cheap and
 // total (the fuzz target's property) and lets golden tests deep-compare
@@ -449,72 +442,55 @@ func DecodeCheckpoint(data []byte) (*DecodedCheckpoint, error) {
 	return d, nil
 }
 
-// resolveCB rebuilds the (loadFn, storeFn) completion pair a decoded MSHR
-// waiter descriptor stands for, bounds-checking every index against the
-// live system before constructing closures that will use them.
-func (s *System) resolveCB(cb *cache.CB, depth int) (func(uint64), func(), error) {
+// checkCB validates a decoded MSHR waiter descriptor against the live
+// system before anything can fire: every index in range, and the
+// descriptor owned by the core whose L1 holds it (the L1 completes its
+// waiters into that core, and a CBSyncWrap goes through that core's pair).
+func (s *System) checkCB(cb *cache.CB, owner *cpu.Core, depth int) error {
 	if depth > 1 {
-		return nil, nil, errors.New("reunion: checkpoint callback descriptor nested too deeply")
+		return errors.New("reunion: checkpoint callback descriptor nested too deeply")
 	}
 	if cb.Core < 0 || cb.Core >= len(s.Cores) {
-		return nil, nil, fmt.Errorf("reunion: checkpoint callback core %d out of range [0,%d)", cb.Core, len(s.Cores))
+		return fmt.Errorf("reunion: checkpoint callback core %d out of range [0,%d)", cb.Core, len(s.Cores))
 	}
-	c := s.Cores[cb.Core]
-	needIdx := func() error {
-		if cb.Idx < 0 || cb.Idx >= c.ROBLen() {
-			return fmt.Errorf("reunion: checkpoint callback ROB slot %d out of range [0,%d)", cb.Idx, c.ROBLen())
+	switch cb.Kind {
+	case cache.CBIfetchDone, cache.CBStoreDone:
+	case cache.CBLoadDone, cache.CBAtomicBegin, cache.CBAtomicFin:
+		if cb.Idx < 0 || cb.Idx >= owner.ROBLen() {
+			return fmt.Errorf("reunion: checkpoint callback ROB slot %d out of range [0,%d)", cb.Idx, owner.ROBLen())
 		}
 		if cb.Word < 0 || cb.Word >= mem.BlockWords {
 			return fmt.Errorf("reunion: checkpoint callback word %d out of range", cb.Word)
 		}
-		return nil
-	}
-	switch cb.Kind {
-	case cache.CBIfetchDone:
-		done := c.IfetchDoneFn(cb.Epoch)
-		return func(uint64) { done() }, nil, nil
-	case cache.CBLoadDone:
-		if err := needIdx(); err != nil {
-			return nil, nil, err
-		}
-		return c.LoadDoneFn(cb.Idx, cb.Seq, cb.Epoch), nil, nil
-	case cache.CBStoreDone:
-		return nil, c.StoreDoneFn(cb.Seq), nil
-	case cache.CBAtomicBegin:
-		if err := needIdx(); err != nil {
-			return nil, nil, err
-		}
-		return c.L1D.AtomicFillWrap(cb.Block, c.AtomicFinishFn(cb.Idx, cb.Seq, cb.Epoch, cb.Block, cb.Word)), nil, nil
-	case cache.CBAtomicFin:
-		if err := needIdx(); err != nil {
-			return nil, nil, err
-		}
-		return c.AtomicFinishFn(cb.Idx, cb.Seq, cb.Epoch, cb.Block, cb.Word), nil, nil
 	case cache.CBSyncWrap:
 		if cb.Pair < 0 || cb.Pair >= len(s.Pairs) {
-			return nil, nil, fmt.Errorf("reunion: checkpoint callback pair %d out of range [0,%d)", cb.Pair, len(s.Pairs))
+			return fmt.Errorf("reunion: checkpoint callback pair %d out of range [0,%d)", cb.Pair, len(s.Pairs))
+		}
+		if cb.Pair != owner.Pair {
+			return fmt.Errorf("reunion: checkpoint callback for pair %d held by core %d of pair %d", cb.Pair, owner.ID, owner.Pair)
 		}
 		if cb.Inner == nil {
-			return nil, nil, errors.New("reunion: checkpoint sync-wrap callback has no inner callback")
+			return errors.New("reunion: checkpoint sync-wrap callback has no inner callback")
 		}
-		inner, _, err := s.resolveCB(cb.Inner, depth+1)
-		if err != nil {
-			return nil, nil, err
+		if cb.Inner.Kind == cache.CBStoreDone {
+			return errors.New("reunion: checkpoint sync-wrap callback wraps a store callback")
 		}
-		if inner == nil {
-			return nil, nil, errors.New("reunion: checkpoint sync-wrap callback wraps a store callback")
-		}
-		return s.Pairs[cb.Pair].SyncDoneFn(cb.Gen, inner), nil, nil
+		return s.checkCB(cb.Inner, owner, depth+1)
+	default:
+		return fmt.Errorf("reunion: checkpoint callback has unknown kind %d", cb.Kind)
 	}
-	return nil, nil, fmt.Errorf("reunion: checkpoint callback has unknown kind %d", cb.Kind)
+	if cb.Core != owner.ID {
+		return fmt.Errorf("reunion: checkpoint callback for core %d held by core %d", cb.Core, owner.ID)
+	}
+	return nil
 }
 
-// Bind validates a decoded checkpoint against a live system, rebuilds
-// every closure (request completions, MSHR waiters, event fire functions)
-// through the system's factories, and returns a Checkpoint restorable
-// onto that system. key is the fingerprint of the options that built sys;
-// a mismatch — different geometry, workload, seed, or anything else the
-// warm key covers — is an error, never a silent cross-restore.
+// Bind validates a decoded checkpoint against a live system, attaches
+// every descriptor's owner (the L1 a request fills, the component that
+// runs an event), and returns a Checkpoint restorable onto that system.
+// key is the fingerprint of the options that built sys; a mismatch —
+// different geometry, workload, seed, or anything else the warm key
+// covers — is an error, never a silent cross-restore.
 func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 	if d.Key != key {
 		return nil, fmt.Errorf("reunion: checkpoint keyed %016x, system options key %016x", d.Key, key)
@@ -544,8 +520,8 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 		return nil, errors.New("reunion: checkpoint gate roster does not match system")
 	}
 
-	// Rebind request completions: fills resolve their L1 MSHR by block at
-	// fire time, so (Kind, Core, Block) fully determines the closure.
+	// Rebind each request to the cache its reply fills: fills resolve their
+	// L1 MSHR by block at fire time, so (Kind, Core) names the cache.
 	for i, rq := range d.reqs {
 		if rq.Core < 0 || rq.Core >= len(sys.Cores) {
 			return nil, fmt.Errorf("reunion: checkpoint request %d core %d out of range [0,%d)", i, rq.Core, len(sys.Cores))
@@ -555,11 +531,11 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 		}
 		switch rq.Kind {
 		case cache.Writeback:
-			rq.Done = nil
+			rq.L1 = nil
 		case cache.Ifetch:
-			rq.Done = sys.Cores[rq.Core].L1I.FillFn(rq.Block)
+			rq.L1 = sys.Cores[rq.Core].L1I
 		default:
-			rq.Done = sys.Cores[rq.Core].L1D.FillFn(rq.Block)
+			rq.L1 = sys.Cores[rq.Core].L1D
 		}
 	}
 
@@ -567,16 +543,9 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 		if err := cs.BindTo(sys.Cores[i]); err != nil {
 			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, err)
 		}
-		var rerr error
-		cs.ResolveWaiters(func(cb *cache.CB) (func(uint64), func()) {
-			loadFn, storeFn, err := sys.resolveCB(cb, 0)
-			if err != nil && rerr == nil {
-				rerr = err
-			}
-			return loadFn, storeFn
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, rerr)
+		owner := sys.Cores[i]
+		if err := cs.VisitWaiters(func(cb *cache.CB) error { return sys.checkCB(cb, owner, 0) }); err != nil {
+			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, err)
 		}
 	}
 	for i, ps := range d.pairs {
@@ -603,59 +572,29 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 
 	events := make([]*sim.Event, 0, len(d.events))
 	for i, de := range d.events {
-		ev := &sim.Event{At: de.at, Order: de.order, Desc: de.desc}
+		var run sim.EventRunner
 		switch desc := de.desc.(type) {
 		case *core.EvDecide:
 			if desc.PairID < 0 || desc.PairID >= len(sys.Pairs) {
 				return nil, fmt.Errorf("reunion: checkpoint event %d pair %d out of range [0,%d)", i, desc.PairID, len(sys.Pairs))
 			}
-			ev.Fn = sys.Pairs[desc.PairID].FireDecide(desc.Gen, desc.Match, desc.AEnd, desc.BEnd, desc.EndsMem)
-		case *coherence.EvXbar:
+			run = sys.Pairs[desc.PairID]
+		case *coherence.EvXbar, *coherence.EvReply, *coherence.EvMemCont, *coherence.EvPhantomMem:
 			if sys.L2 == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
 			}
-			ev.Fn = sys.L2.XbarArrive(desc.R)
-		case *coherence.EvReply:
-			if sys.L2 == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
-			}
-			ev.Fn = sys.L2.DeliverReply(desc)
-		case *coherence.EvMemCont:
-			if sys.L2 == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
-			}
-			ev.Fn = sys.L2.MemFetchDone(desc)
-		case *coherence.EvPhantomMem:
-			if sys.L2 == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
-			}
-			ev.Fn = sys.L2.PhantomMemDone(desc.R)
-		case *snoop.EvReply:
+			run = sys.L2
+		case *snoop.EvReply, *snoop.EvMemFetch, *snoop.EvPhantomMem, *snoop.EvSyncMem:
 			if sys.Bus == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
 			}
-			ev.Fn = sys.Bus.DeliverReply(desc)
-		case *snoop.EvMemFetch:
-			if sys.Bus == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
-			}
-			ev.Fn = sys.Bus.MemFetchDone(desc)
-		case *snoop.EvPhantomMem:
-			if sys.Bus == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
-			}
-			ev.Fn = sys.Bus.PhantomMemDone(desc.R)
-		case *snoop.EvSyncMem:
-			if sys.Bus == nil {
-				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
-			}
-			ev.Fn = sys.Bus.SyncMemDone(desc)
+			run = sys.Bus
 		case *evInterrupt:
-			ev.Fn = sys.interruptFire(desc.gen, desc.every)
+			run = sys
 		default:
 			return nil, fmt.Errorf("reunion: checkpoint event %d has unknown descriptor type %T", i, de.desc)
 		}
-		events = append(events, ev)
+		events = append(events, &sim.Event{At: de.at, Order: de.order, Desc: de.desc, Run: run})
 	}
 
 	cp := &Checkpoint{

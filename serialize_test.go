@@ -3,11 +3,18 @@ package reunion
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"strings"
 	"testing"
 
+	"reunion/internal/cache"
+	"reunion/internal/coherence"
+	"reunion/internal/core"
+	"reunion/internal/cpu"
+	"reunion/internal/mem"
+	"reunion/internal/snoop"
 	"reunion/internal/workload"
 )
 
@@ -257,5 +264,112 @@ func TestCheckpointTopologyGate(t *testing.T) {
 	other := coldOpts(TopologyDirectory, ModeNonRedundant, KernelFastForward)
 	if _, err := d.Bind(buildSystem(other), d.Key); err == nil {
 		t.Error("Bind restored a snoopy-bus checkpoint onto a directory machine")
+	}
+}
+
+// TestCheckpointBindRejectsOutOfRangeDescriptors pins the checks Bind
+// makes on individual descriptors before anything can fire: each case
+// corrupts one descriptor of a decoded checkpoint, and Bind must return
+// an error rather than panic or bind a machine that would.
+func TestCheckpointBindRejectsOutOfRangeDescriptors(t *testing.T) {
+	type cell struct {
+		o    Options
+		blob []byte
+	}
+	cells := map[Topology]cell{}
+	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
+		o := coldOpts(topo, ModeReunion, KernelFastForward)
+		blob, err := EncodeCheckpoint(warmSystem(o).Snapshot(), CheckpointKey(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[topo] = cell{o, blob}
+	}
+	errStop := errors.New("stop")
+	// waiter rewrites the first MSHR waiter descriptor of the checkpoint
+	// to what set returns for the core holding it.
+	waiter := func(set func(c *cpu.Core) cache.CB) func(*testing.T, *DecodedCheckpoint, *System) {
+		return func(t *testing.T, d *DecodedCheckpoint, sys *System) {
+			for i, cs := range d.cores {
+				if cs.VisitWaiters(func(cb *cache.CB) error { *cb = set(sys.Cores[i]); return errStop }) != nil {
+					return
+				}
+			}
+			t.Fatal("checkpoint holds no MSHR waiter to corrupt")
+		}
+	}
+	event := func(desc any) func(*testing.T, *DecodedCheckpoint, *System) {
+		return func(_ *testing.T, d *DecodedCheckpoint, _ *System) {
+			d.events = append(d.events, decodedEvent{at: d.now + 1, order: d.order + 1, desc: desc})
+		}
+	}
+	cases := []struct {
+		name   string
+		want   string // in the error Bind returns
+		topo   Topology
+		mutate func(*testing.T, *DecodedCheckpoint, *System)
+	}{
+		{"waiter core", "callback core 1048576 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBLoadDone, Core: 1 << 20}
+		})},
+		{"waiter negative core", "callback core -1 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBStoreDone, Core: -1}
+		})},
+		{"waiter ROB slot", "callback ROB slot 256 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBLoadDone, Core: c.ID, Idx: c.ROBLen()}
+		})},
+		{"waiter negative ROB slot", "callback ROB slot -1 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBAtomicBegin, Core: c.ID, Idx: -1}
+		})},
+		{"waiter word", "callback word 8 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBAtomicFin, Core: c.ID, Word: mem.BlockWords}
+		})},
+		{"waiter pair", "callback pair 1048576 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBSyncWrap, Pair: 1 << 20, Inner: &cache.CB{Kind: cache.CBLoadDone, Core: c.ID}}
+		})},
+		{"sync wrap without inner", "no inner callback", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBSyncWrap, Pair: c.Pair}
+		})},
+		{"sync wrap around store", "wraps a store callback", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBSyncWrap, Pair: c.Pair, Inner: &cache.CB{Kind: cache.CBStoreDone, Core: c.ID}}
+		})},
+		{"sync wrap inner ROB slot", "callback ROB slot -1 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBSyncWrap, Pair: c.Pair, Inner: &cache.CB{Kind: cache.CBLoadDone, Core: c.ID, Idx: -1}}
+		})},
+		{"EvDecide pair", "pair 1048576 out of range", TopologyDirectory, event(&core.EvDecide{PairID: 1 << 20})},
+		{"EvDecide negative pair", "pair -1 out of range", TopologyDirectory, event(&core.EvDecide{PairID: -1})},
+		{"EvXbar on snoopy", "targets the directory L2 on a snoopy system", TopologySnoopy, event(&coherence.EvXbar{})},
+		{"L2 EvReply on snoopy", "targets the directory L2 on a snoopy system", TopologySnoopy, event(&coherence.EvReply{})},
+		{"EvMemCont on snoopy", "targets the directory L2 on a snoopy system", TopologySnoopy, event(&coherence.EvMemCont{})},
+		{"L2 EvPhantomMem on snoopy", "targets the directory L2 on a snoopy system", TopologySnoopy, event(&coherence.EvPhantomMem{})},
+		{"bus EvReply on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvReply{})},
+		{"EvMemFetch on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvMemFetch{})},
+		{"bus EvPhantomMem on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvPhantomMem{})},
+		{"EvSyncMem on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvSyncMem{})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cells[tc.topo]
+			d, err := DecodeCheckpoint(c.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := buildSystem(c.o)
+			tc.mutate(t, d, sys)
+			_, err = d.Bind(sys, CheckpointKey(c.o))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Bind error %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	// The uncorrupted blobs bind, so each case fails on its corruption.
+	for topo, c := range cells {
+		d, err := DecodeCheckpoint(c.blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Bind(buildSystem(c.o), CheckpointKey(c.o)); err != nil {
+			t.Fatalf("%v: intact checkpoint: %v", topo, err)
+		}
 	}
 }

@@ -146,6 +146,7 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 		itlb := tlb.New(cfg.ITLBEntries, cfg.ITLBWays)
 		dtlb := tlb.New(cfg.DTLBEntries, cfg.DTLBWays)
 		c := cpu.New(id, pair, vocal, &ccfg, s.EQ, w.Threads[pair], l1d, l1i, itlb, dtlb, gate)
+		l1d.Client, l1i.Client = c, c
 		s.msys.RegisterL1D(id, l1d)
 		s.Cores = append(s.Cores, c)
 		return c
@@ -256,9 +257,9 @@ func (s *System) Prefill() {
 // kernel can never jump across it. Delivery fires at every positive
 // multiple of the interval; each firing schedules the next. Re-arming
 // bumps the generation, which orphans the old chain (its next firing is a
-// no-op and does not reschedule). The chain closure captures only its
-// generation, the interval, and the system pointer — all checkpointed —
-// so a restored chain event replays exactly.
+// no-op and does not reschedule). A chain link is an evInterrupt
+// descriptor the system itself runs; its generation and interval are
+// plain data, so a restored chain event replays exactly.
 func (s *System) armInterrupts() {
 	if s.InterruptEvery == s.intArmed {
 		return
@@ -269,8 +270,7 @@ func (s *System) armInterrupts() {
 		return
 	}
 	every := s.InterruptEvery
-	gen := s.intGen
-	s.EQ.AtD((s.EQ.Now()/every+1)*every, &evInterrupt{gen: gen, every: every}, s.interruptFire(gen, every))
+	s.EQ.AtR((s.EQ.Now()/every+1)*every, &evInterrupt{gen: s.intGen, every: every}, s)
 }
 
 // evInterrupt is the serializable descriptor of one link in the
@@ -278,23 +278,21 @@ func (s *System) armInterrupts() {
 // armed with (see armInterrupts).
 type evInterrupt struct{ gen, every int64 }
 
-// interruptFire returns the fire closure for one interrupt boundary. The
-// checkpoint decoder rebuilds pending chain links from evInterrupt
-// descriptors through this factory.
-func (s *System) interruptFire(gen, every int64) func() {
-	return func() {
-		if s.intGen != gen {
-			return
-		}
-		cost := s.InterruptCost
-		if cost <= 0 {
-			cost = 150
-		}
-		for _, g := range s.gates {
-			g.RaiseInterrupt(cost)
-		}
-		s.EQ.AtD(s.EQ.Now()+every, &evInterrupt{gen: gen, every: every}, s.interruptFire(gen, every))
+// RunEvent implements sim.EventRunner: one interrupt boundary of the
+// delivery chain. A link whose generation is stale does nothing.
+func (s *System) RunEvent(desc any) {
+	d := desc.(*evInterrupt)
+	if s.intGen != d.gen {
+		return
 	}
+	cost := s.InterruptCost
+	if cost <= 0 {
+		cost = 150
+	}
+	for _, g := range s.gates {
+		g.RaiseInterrupt(cost)
+	}
+	s.EQ.AtR(s.EQ.Now()+d.every, d, s)
 }
 
 // Step advances the simulation by exactly one cycle: due events fire,
