@@ -95,12 +95,14 @@ type Client interface {
 	Complete(cb *CB, word uint64)
 }
 
+// mshrWaiter is one access waiting on a fill. Its descriptor's kind
+// decides what the fill does besides completing it: a CBStoreDone waiter
+// writes data, and an atomic one (CBAtomicBegin, or a synchronizing
+// wrapper around CBAtomicFin) locks the line.
 type mshrWaiter struct {
-	isStore  bool
-	isAtomic bool
-	word     int
-	data     uint64
-	cb       CB
+	word int
+	data uint64 // the store's value (CBStoreDone)
+	cb   CB
 }
 
 type mshr struct {
@@ -119,7 +121,7 @@ type L1 struct {
 	Vocal bool
 
 	Arr     *Array
-	Client  Client // completes MSHR waiters; wired by the system builder
+	Client  Client // completes MSHR waiters; cpu.New wires its core
 	below   Below
 	mshrs   []mshr
 	free    int // count of free MSHRs
@@ -209,11 +211,11 @@ func (c *L1) fill(block uint64, r Resp) {
 	for i := range waiters {
 		w := &waiters[i]
 		switch {
-		case w.isStore:
+		case w.cb.Kind == CBStoreDone:
 			line.Data[w.word] = w.data
 			line.State = Modified
 			line.Dirty = true
-		case w.isAtomic || w.cb.Kind == CBAtomicBegin:
+		case w.cb.Kind == CBAtomicBegin || w.cb.syncAtomic():
 			// Write permission came with the GetX (or the synchronizing
 			// fill): lock the line until the core's AtomicEnd.
 			line.Locked = true
@@ -280,7 +282,8 @@ func (c *L1) Ifetch(block uint64, cb CB) AccessStatus {
 
 // Store attempts to write the 64-bit word at block + 8*word. On a hit with
 // write permission the store completes immediately; otherwise the line is
-// (re)fetched exclusively and the store is applied at fill time.
+// (re)fetched exclusively and the store is applied at fill time, which
+// cb's kind, CBStoreDone, tells the fill to do.
 func (c *L1) Store(block uint64, word int, val uint64, cb CB) AccessStatus {
 	if l := c.Arr.Lookup(block); l != nil {
 		switch l.State {
@@ -302,7 +305,7 @@ func (c *L1) Store(block uint64, word int, val uint64, cb CB) AccessStatus {
 			c.Retries++
 			return Retry
 		}
-		m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb})
+		m.waiters = append(m.waiters, mshrWaiter{word: word, data: val, cb: cb})
 		c.MergedMisses++
 		return Miss
 	}
@@ -311,7 +314,7 @@ func (c *L1) Store(block uint64, word int, val uint64, cb CB) AccessStatus {
 		c.Retries++
 		return Retry
 	}
-	m.waiters = append(m.waiters, mshrWaiter{isStore: true, word: word, data: val, cb: cb})
+	m.waiters = append(m.waiters, mshrWaiter{word: word, data: val, cb: cb})
 	c.Misses++
 	c.sendMiss(m, GetX)
 	return Miss
@@ -365,12 +368,12 @@ func (c *L1) AtomicEnd(block uint64, word int, val uint64, write bool) {
 // SyncFill issues a synchronizing request (Reunion re-execution protocol,
 // Definition 10) for this cache. The fill travels through a normal MSHR so
 // the coherence protocol sees it in flight — the shared cache controller
-// combines the pair's two requests and replies to both atomically. For
-// atomics the filled line is locked and left Modified, as AtomicBegin
-// would. The fill completes cb with the coherent word value. Returns false
-// while a prior miss on the block is still outstanding or MSHRs are
-// exhausted.
-func (c *L1) SyncFill(block uint64, word int, atomic bool, token int64, cb CB) bool {
+// combines the pair's two requests and replies to both atomically. When cb
+// wraps an atomic's finish (CBAtomicFin) the filled line is locked and
+// left Modified, as AtomicBegin would. The fill completes cb with the
+// coherent word value. Returns false while a prior miss on the block is
+// still outstanding or MSHRs are exhausted.
+func (c *L1) SyncFill(block uint64, word int, token int64, cb CB) bool {
 	if c.findMSHR(block) != nil {
 		return false
 	}
@@ -378,7 +381,7 @@ func (c *L1) SyncFill(block uint64, word int, atomic bool, token int64, cb CB) b
 	if m == nil {
 		return false
 	}
-	m.waiters = append(m.waiters, mshrWaiter{isAtomic: atomic, word: word, cb: cb})
+	m.waiters = append(m.waiters, mshrWaiter{word: word, cb: cb})
 	c.below.Request(&Req{
 		Kind:  Sync,
 		Block: block,

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"reunion/internal/mem"
@@ -29,10 +30,15 @@ func (f *fakeBelow) replyAll(val uint64, exclusive bool) {
 }
 
 // recorder is a Client that keeps each completed waiter's word, keyed by
-// its descriptor's Seq.
+// its descriptor's Seq. A second completion of one Seq panics.
 type recorder map[int64]uint64
 
-func (r recorder) Complete(cb *CB, v uint64) { r[cb.Seq] = v }
+func (r recorder) Complete(cb *CB, v uint64) {
+	if _, dup := r[cb.Seq]; dup {
+		panic(fmt.Sprintf("waiter %d completed twice", cb.Seq))
+	}
+	r[cb.Seq] = v
+}
 
 // done returns the completions a test L1 has handed to its recorder.
 func done(c *L1) recorder { return c.Client.(recorder) }
@@ -249,13 +255,13 @@ func TestSyncFillAtomicAndAbort(t *testing.T) {
 	c := newTestL1(fb)
 	// An atomic synchronizing fill wraps a CAS completion.
 	syncCAS := CB{Kind: CBSyncWrap, Seq: 1, Inner: &CB{Kind: CBAtomicFin}}
-	if !c.SyncFill(blk(4), 1, true, 7, syncCAS) {
+	if !c.SyncFill(blk(4), 1, 7, syncCAS) {
 		t.Fatal("SyncFill rejected")
 	}
 	if len(fb.reqs) != 1 || fb.reqs[0].Kind != Sync || fb.reqs[0].Token != 7 {
 		t.Fatalf("sync request malformed: %+v", fb.reqs)
 	}
-	if c.SyncFill(blk(4), 1, true, 7, syncCAS) {
+	if c.SyncFill(blk(4), 1, 7, syncCAS) {
 		t.Fatal("second SyncFill on pending block must be refused")
 	}
 	if !c.HasPendingFill(blk(4)) {
@@ -272,7 +278,7 @@ func TestSyncFillAtomicAndAbort(t *testing.T) {
 	c.AtomicEnd(blk(4), 1, 0, false)
 
 	// Abort path: MSHR freed, no completion.
-	c.SyncFill(blk(8), 0, false, 9, CB{Kind: CBSyncWrap, Seq: 2, Inner: &CB{Kind: CBLoadDone}})
+	c.SyncFill(blk(8), 0, 9, CB{Kind: CBSyncWrap, Seq: 2, Inner: &CB{Kind: CBLoadDone}})
 	c.AbortMiss(blk(8))
 	if c.HasPendingFill(blk(8)) {
 		t.Fatal("aborted miss still pending")

@@ -55,6 +55,12 @@ type CB struct {
 	Inner *CB   // wrapped descriptor (CBSyncWrap)
 }
 
+// syncAtomic reports whether cb is a synchronizing wrapper around an
+// atomic's finish, whose fill locks the line as AtomicBegin's does.
+func (cb *CB) syncAtomic() bool {
+	return cb.Kind == CBSyncWrap && cb.Inner != nil && cb.Inner.Kind == CBAtomicFin
+}
+
 // maxCBDepth bounds Inner nesting on decode; the deepest real chain is a
 // CBSyncWrap around a leaf.
 const maxCBDepth = 4
@@ -237,8 +243,9 @@ func (s *L1State) Encode(w *bin.Writer) {
 		w.Uvarint(uint64(len(m.waiters)))
 		for j := range m.waiters {
 			wt := &m.waiters[j]
-			w.Bool(wt.isStore)
-			w.Bool(wt.isAtomic)
+			// The flag bytes repeat what the descriptor's kind says.
+			w.Bool(wt.cb.Kind == CBStoreDone)
+			w.Bool(wt.cb.syncAtomic())
 			w.Int(wt.word)
 			w.U64(wt.data)
 			w.Bool(true) // every waiter carries a descriptor
@@ -256,9 +263,9 @@ func (s *L1State) Encode(w *bin.Writer) {
 }
 
 // DecodeL1State reads an L1 snapshot written by Encode. It refuses a
-// waiter without a descriptor, or one whose flags contradict its
-// descriptor's kind: either would leave the core waiting on a completion
-// that never comes.
+// waiter without a descriptor, which would leave the core waiting on a
+// completion that never comes, and one whose flag bytes contradict its
+// descriptor's kind, which Encode never writes.
 func DecodeL1State(r *bin.Reader) *L1State {
 	s := &L1State{arr: DecodeArrayState(r)}
 	nm := r.Len(1 + 8 + 1 + 1)
@@ -270,8 +277,7 @@ func DecodeL1State(r *bin.Reader) *L1State {
 		nw := r.Len(1 + 1 + 8 + 8 + 1)
 		for j := 0; j < nw; j++ {
 			var wt mshrWaiter
-			wt.isStore = r.Bool()
-			wt.isAtomic = r.Bool()
+			isStore, isAtomic := r.Bool(), r.Bool()
 			wt.word = r.Int()
 			if wt.word < 0 || wt.word >= mem.BlockWords {
 				r.Fail(fmt.Errorf("cache: waiter word %d out of range", wt.word))
@@ -286,11 +292,11 @@ func DecodeL1State(r *bin.Reader) *L1State {
 			if cb == nil {
 				return nil
 			}
-			wt.cb = *cb
-			if err := wt.check(); err != nil {
-				r.Fail(err)
+			if isStore != (cb.Kind == CBStoreDone) || isAtomic != cb.syncAtomic() {
+				r.Fail(fmt.Errorf("cache: waiter flags store=%v atomic=%v contradict callback kind %d", isStore, isAtomic, cb.Kind))
 				return nil
 			}
+			wt.cb = *cb
 			m.waiters = append(m.waiters, wt)
 		}
 		s.mshrs = append(s.mshrs, m)
@@ -307,21 +313,6 @@ func DecodeL1State(r *bin.Reader) *L1State {
 		return nil
 	}
 	return s
-}
-
-// check reports a waiter whose flags contradict its descriptor: a store
-// waiter must carry CBStoreDone, and an atomic one a synchronizing wrapper
-// around CBAtomicFin (and the converse), so the completion the fill
-// dispatches is the one the core waits for.
-func (wt *mshrWaiter) check() error {
-	syncAtomic := wt.cb.Kind == CBSyncWrap && wt.cb.Inner != nil && wt.cb.Inner.Kind == CBAtomicFin
-	switch {
-	case wt.isStore != (wt.cb.Kind == CBStoreDone):
-		return fmt.Errorf("cache: waiter store flag %v contradicts callback kind %d", wt.isStore, wt.cb.Kind)
-	case wt.isAtomic != syncAtomic:
-		return fmt.Errorf("cache: waiter atomic flag %v contradicts callback kind %d", wt.isAtomic, wt.cb.Kind)
-	}
-	return nil
 }
 
 // VisitWaiters calls fn with every waiter's descriptor, stopping at the

@@ -14,11 +14,28 @@ func encodeL1(c *L1) []byte {
 	return w.Bytes()
 }
 
+// descAt returns the offset and length in blob of cb's encoding, which a
+// waiter writes after the waiterHead bytes ending in its descriptor flag.
+func descAt(t *testing.T, blob []byte, cb CB) (at, n int) {
+	t.Helper()
+	cw := &bin.Writer{}
+	cb.Encode(cw)
+	at = bytes.Index(blob, cw.Bytes())
+	if at < waiterHead || blob[at-1] != 1 {
+		t.Fatal("descriptor not found after its flag byte")
+	}
+	return at, len(cw.Bytes())
+}
+
+// waiterHead is the size of a waiter's encoding before its descriptor:
+// store flag, atomic flag, word, data and descriptor flag.
+const waiterHead = 1 + 1 + 8 + 8 + 1
+
 // TestDecodeRejectsWaiterWithoutCompletion: a restored MSHR waiter must
-// name the completion its core waits for. A waiter with no descriptor,
-// or with flags that contradict its descriptor's kind, would complete
-// nothing on fill and leave the core waiting forever, so decoding it
-// fails.
+// name the completion its core waits for. A waiter with no descriptor
+// would complete nothing on fill and leave the core waiting forever, and
+// flag bytes that contradict the descriptor's kind are a blob Encode
+// never writes, so decoding either fails.
 func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 	t.Run("no descriptor", func(t *testing.T) {
 		c := newTestL1(&fakeBelow{})
@@ -30,29 +47,57 @@ func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 		}
 		// Clear the waiter's descriptor flag and drop the descriptor
 		// bytes it announced, leaving a well-formed waiter without one.
-		cw := &bin.Writer{}
-		cb.Encode(cw)
-		at := bytes.Index(blob, cw.Bytes())
-		if at < 1 || blob[at-1] != 1 {
-			t.Fatal("descriptor not found after its flag byte")
-		}
-		hostile := append(append(append([]byte(nil), blob[:at-1]...), 0), blob[at+len(cw.Bytes()):]...)
+		at, n := descAt(t, blob, cb)
+		hostile := append(append(append([]byte(nil), blob[:at-1]...), 0), blob[at+n:]...)
 		if DecodeL1State(bin.NewReader(hostile)) != nil {
 			t.Fatal("decoded a waiter with no completion descriptor")
 		}
 	})
-	t.Run("store waiter with load descriptor", func(t *testing.T) {
-		c := newTestL1(&fakeBelow{})
-		c.Store(blk(3), 1, 9, load(1))
-		if DecodeL1State(bin.NewReader(encodeL1(c))) != nil {
-			t.Fatal("decoded a store waiter that completes a load")
-		}
-	})
-	t.Run("atomic waiter without atomic descriptor", func(t *testing.T) {
-		c := newTestL1(&fakeBelow{})
-		c.SyncFill(blk(3), 1, true, 1, CB{Kind: CBSyncWrap, Inner: &CB{Kind: CBLoadDone}})
-		if DecodeL1State(bin.NewReader(encodeL1(c))) != nil {
-			t.Fatal("decoded an atomic waiter that completes a load")
-		}
-	})
+	// Each case sets one flag byte of an intact waiter to the value its
+	// descriptor's kind contradicts.
+	for _, tc := range []struct {
+		name  string
+		issue func(c *L1) CB
+		flag  int // 0: store flag, 1: atomic flag
+		value byte
+	}{
+		{"store flag on a load waiter", func(c *L1) CB {
+			cb := load(0x5eed)
+			c.Load(blk(3), 1, cb)
+			return cb
+		}, 0, 1},
+		{"store waiter without store flag", func(c *L1) CB {
+			cb := store(0x5eed)
+			c.Store(blk(3), 1, 9, cb)
+			return cb
+		}, 0, 0},
+		{"atomic flag on a synchronizing load", func(c *L1) CB {
+			cb := CB{Kind: CBSyncWrap, Seq: 0x5eed, Inner: &CB{Kind: CBLoadDone}}
+			c.SyncFill(blk(3), 1, 1, cb)
+			return cb
+		}, 1, 1},
+		{"synchronizing atomic without atomic flag", func(c *L1) CB {
+			cb := CB{Kind: CBSyncWrap, Seq: 0x5eed, Inner: &CB{Kind: CBAtomicFin}}
+			c.SyncFill(blk(3), 1, 1, cb)
+			return cb
+		}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestL1(&fakeBelow{})
+			cb := tc.issue(c)
+			blob := encodeL1(c)
+			if DecodeL1State(bin.NewReader(blob)) == nil {
+				t.Fatal("intact blob does not decode")
+			}
+			at, _ := descAt(t, blob, cb)
+			flag := at - waiterHead + tc.flag
+			if blob[flag] == tc.value {
+				t.Fatalf("flag byte is already %d", tc.value)
+			}
+			blob[flag] = tc.value
+			if DecodeL1State(bin.NewReader(blob)) != nil {
+				t.Fatal("decoded a waiter whose flags contradict its descriptor")
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -22,10 +23,15 @@ type rig struct {
 }
 
 // recorder is a cache.Client that keeps each completed waiter's word,
-// keyed by its descriptor's Seq.
+// keyed by its descriptor's Seq. A second completion of one Seq panics.
 type recorder map[int64]uint64
 
-func (d recorder) Complete(cb *cache.CB, v uint64) { d[cb.Seq] = v }
+func (d recorder) Complete(cb *cache.CB, v uint64) {
+	if _, dup := d[cb.Seq]; dup {
+		panic(fmt.Sprintf("waiter %d completed twice", cb.Seq))
+	}
+	d[cb.Seq] = v
+}
 
 // next returns a descriptor of the given kind whose completion r.done
 // records under a fresh Seq.
@@ -306,14 +312,14 @@ func TestSyncRequestCombinesPair(t *testing.T) {
 	r.store(t, 0, b, 0, 9)
 
 	vcb, mcb := r.syncLoad(), r.syncLoad()
-	if !r.l1[0].SyncFill(b, 0, false, 1, vcb) {
+	if !r.l1[0].SyncFill(b, 0, 1, vcb) {
 		t.Fatal("vocal sync rejected")
 	}
 	r.drain(t)
 	if _, vDone := r.done[vcb.Seq]; vDone {
 		t.Fatal("sync completed with only one side arrived")
 	}
-	if !r.l1[1].SyncFill(b, 0, false, 1, mcb) {
+	if !r.l1[1].SyncFill(b, 0, 1, mcb) {
 		t.Fatal("mute sync rejected")
 	}
 	r.drain(t)
@@ -334,14 +340,14 @@ func TestSyncCancelDropsStaleRequests(t *testing.T) {
 	r := newRig(t, testConfig(), 1, 1)
 	b := blockN(95)
 	stale := r.syncLoad()
-	r.l1[0].SyncFill(b, 0, false, 1, stale)
+	r.l1[0].SyncFill(b, 0, 1, stale)
 	r.drain(t) // parked at the controller
 	r.l2.CancelSync(0, 2)
 	r.l1[0].AbortMiss(b)
 	// A fresh pair of sync requests with the new token must succeed.
 	vcb, mcb := r.syncLoad(), r.syncLoad()
-	r.l1[0].SyncFill(b, 0, false, 2, vcb)
-	r.l1[1].SyncFill(b, 0, false, 2, mcb)
+	r.l1[0].SyncFill(b, 0, 2, vcb)
+	r.l1[1].SyncFill(b, 0, 2, mcb)
 	r.drain(t)
 	_, vDone := r.done[vcb.Seq]
 	_, mDone := r.done[mcb.Seq]

@@ -82,7 +82,7 @@ func (*NonRedundantGate) Stepping(*cpu.Core) bool { return false }
 func (*NonRedundantGate) SyncArmed(*cpu.Core) bool { return false }
 
 // SyncIssue implements cpu.Gate.
-func (*NonRedundantGate) SyncIssue(*cpu.Core, uint64, int, bool, cache.CB) bool {
+func (*NonRedundantGate) SyncIssue(*cpu.Core, uint64, int, cache.CB) bool {
 	panic("core: synchronizing request without redundancy")
 }
 
@@ -194,7 +194,7 @@ func (*StrictGate) SyncArmed(*cpu.Core) bool { return false }
 
 // SyncIssue implements cpu.Gate. Strict input replication never sees input
 // incoherence, so the re-execution protocol is never invoked.
-func (*StrictGate) SyncIssue(*cpu.Core, uint64, int, bool, cache.CB) bool {
+func (*StrictGate) SyncIssue(*cpu.Core, uint64, int, cache.CB) bool {
 	panic("core: synchronizing request under strict input replication")
 }
 

@@ -446,7 +446,7 @@ func (p *Pair) SyncArmed(*cpu.Core) bool { return p.syncArmed }
 // through its L1 to the shared cache controller, which combines the
 // pair's two requests into one coherent transaction and replies to both
 // atomically (Definition 10).
-func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb cache.CB) bool {
+func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, cb cache.CB) bool {
 	side := p.sideOf(c)
 	if p.syncIssued[side] {
 		return false
@@ -460,7 +460,7 @@ func (p *Pair) SyncIssue(c *cpu.Core, block uint64, word int, atomic bool, cb ca
 	}
 	inner := cb // heap-allocated here, past the early refusals
 	wcb := cache.CB{Kind: cache.CBSyncWrap, Pair: p.ID, Gen: p.gen, Inner: &inner}
-	if !c.L1D.SyncFill(block, word, atomic, p.gen, wcb) {
+	if !c.L1D.SyncFill(block, word, p.gen, wcb) {
 		return false
 	}
 	p.syncBlock, p.syncBlockSet = block, true

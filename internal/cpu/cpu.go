@@ -203,10 +203,10 @@ type Gate interface {
 	SyncArmed(c *Core) bool
 	// SyncIssue sends the synchronizing request for this core; the fill
 	// completes cb with the coherent word value once the block is in the
-	// core's L1 (locked and Modified when atomic is set). The gate wraps
-	// cb in a CBSyncWrap before registering it with the L1. It returns
-	// false if the request could not be sent yet.
-	SyncIssue(c *Core, block uint64, word int, atomic bool, cb cache.CB) bool
+	// core's L1 (locked and Modified when cb is a CBAtomicFin). The gate
+	// wraps cb in a CBSyncWrap before registering it with the L1. It
+	// returns false if the request could not be sent yet.
+	SyncIssue(c *Core, block uint64, word int, cb cache.CB) bool
 	// SyncDone runs the gate's half of a completed synchronizing fill (a
 	// CBSyncWrap issued under generation gen), before the core completes
 	// the wrapped descriptor.
@@ -423,7 +423,8 @@ type dispEntry struct {
 	idx   int32
 }
 
-// New builds a core bound to a thread and its private caches.
+// New builds a core bound to a thread and its private caches, and makes
+// the core the Client both caches complete their misses into.
 func New(id, pair int, vocal bool, cfg *Config, eq *sim.EventQueue,
 	th *program.Thread, l1d, l1i *cache.L1, itlb, dtlb *tlb.TLB, gate Gate) *Core {
 	c := &Core{
@@ -441,6 +442,7 @@ func New(id, pair int, vocal bool, cfg *Config, eq *sim.EventQueue,
 	c.execStamp = 1
 	c.issueIdleLen = -1
 	c.initWaiters()
+	l1d.Client, l1i.Client = c, c
 	return c
 }
 

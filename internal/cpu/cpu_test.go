@@ -67,7 +67,6 @@ func newRig(t *testing.T, th *program.Thread, gate cpu.Gate) *rig {
 	}
 	r.core = cpu.New(0, 0, true, testCfg(), r.eq, th,
 		l1d, l1i, tlb.New(64, 2), tlb.New(64, 2), gate)
-	l1d.Client, l1i.Client = r.core, r.core
 	return r
 }
 
@@ -259,7 +258,6 @@ func TestSCMakesStoresSerializing(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, cfgSC, eq, th, l1d, l1i, tlb.New(64, 2), tlb.New(64, 2),
 		&core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	for i := 0; i < 100_000 && !c.Halted(); i++ {
 		eq.Advance(eq.Now() + 1)
 		c.Tick()
@@ -318,7 +316,6 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
 		tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	var cycles int64
 	for ; cycles < 10_000 && !c.Halted(); cycles++ {
 		eq.Advance(eq.Now() + 1)
@@ -382,7 +379,6 @@ func TestRetryAllocatesNothing(t *testing.T) {
 			l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 			c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
 				tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
-			l1d.Client, l1i.Client = c, c
 			for i := 0; l1d.OutstandingMisses() < 8; i++ {
 				l1d.Load(mem.BlockAddr(0x80000)+uint64(i)*mem.BlockBytes, 0, cache.CB{Kind: cache.CBLoadDone})
 			}

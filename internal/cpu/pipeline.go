@@ -540,7 +540,7 @@ func (c *Core) executeLoad(idx int, e *Entry, now int64) execResult {
 	// Re-execution protocol: the first load after rollback issues a
 	// synchronizing request instead of a normal access (Definition 11).
 	if c.Gate.SyncArmed(c) && !e.syncIssued {
-		if !c.Gate.SyncIssue(c, block, word, false, cb) {
+		if !c.Gate.SyncIssue(c, block, word, cb) {
 			return execVolatile
 		}
 		e.syncIssued = true
@@ -580,7 +580,7 @@ func (c *Core) executeAtomic(idx int, e *Entry, now int64) execResult {
 	// rollback uses the synchronizing request (Definition 11).
 	if c.Gate.SyncArmed(c) && !e.syncIssued {
 		cb.Kind = cache.CBAtomicFin
-		if !c.Gate.SyncIssue(c, block, word, true, cb) {
+		if !c.Gate.SyncIssue(c, block, word, cb) {
 			return execVolatile
 		}
 		e.syncIssued = true

@@ -111,9 +111,8 @@ type Injection struct {
 	Bit   uint  // result bit to flip (mod 64)
 }
 
-// Shot observes the fate of one armed Injection. It is also the arm
-// event's descriptor and runner; a checkpoint cannot carry it, so the
-// encoder refuses a machine with an armed shot still pending.
+// Shot observes the fate of one armed Injection. It is also the runner
+// of the arm event.
 type Shot struct {
 	Injection Injection
 
@@ -129,6 +128,11 @@ type Shot struct {
 	onFire func(now int64)
 }
 
+// evArm is the arm event's descriptor. It carries nothing, since the Shot
+// that runs it holds the injection, and it has no wire form, so the
+// checkpoint encoder refuses a machine with an armed shot still pending.
+type evArm struct{}
+
 // Arm schedules the injection on the event queue: at Cycle the target is
 // armed (unless it has halted, or already carries an armed fault), and the
 // first consumption is recorded. onFire, if non-nil, observes the flip the
@@ -138,7 +142,7 @@ type Shot struct {
 // attribution) keeps running.
 func (i Injection) Arm(eq *sim.EventQueue, target *cpu.Core, onFire func(now int64)) *Shot {
 	s := &Shot{Injection: i, FiredAt: -1, eq: eq, target: target, onFire: onFire}
-	eq.AtR(i.Cycle, s, s)
+	eq.AtR(i.Cycle, evArm{}, s)
 	return s
 }
 

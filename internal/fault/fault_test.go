@@ -54,7 +54,6 @@ func testCore(eq *sim.EventQueue) *cpu.Core {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, th, l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	return c
 }
 
@@ -114,7 +113,6 @@ func TestCampaignSkipsHaltedCores(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	camp := NewCampaign(5, 10, []*cpu.Core{c})
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)
@@ -188,7 +186,6 @@ func TestCampaignMaskedArmedOnHalt(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	// Arm directly just before the halt retires so the flip has no
 	// register-writing instruction left to consume.
 	camp := NewCampaign(5, 1_000_000, []*cpu.Core{c})
@@ -257,7 +254,6 @@ func TestInjectionOnHaltedCoreStaysUnfired(t *testing.T) {
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
 		&core.NonRedundantGate{EQ: eq})
-	l1d.Client, l1i.Client = c, c
 	shot := Injection{Core: 0, Cycle: 1_500, Bit: 0}.Arm(eq, c, nil)
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)

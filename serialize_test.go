@@ -13,6 +13,7 @@ import (
 	"reunion/internal/coherence"
 	"reunion/internal/core"
 	"reunion/internal/cpu"
+	"reunion/internal/fault"
 	"reunion/internal/mem"
 	"reunion/internal/snoop"
 	"reunion/internal/workload"
@@ -267,6 +268,18 @@ func TestCheckpointTopologyGate(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodeRefusesArmedShot: the arm event of a fault shot
+// has no wire form, so a machine with one pending does not encode.
+func TestCheckpointEncodeRefusesArmedShot(t *testing.T) {
+	o := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
+	sys := warmSystem(o)
+	fault.Injection{Cycle: sys.EQ.Now() + 100}.Arm(sys.EQ, sys.Cores[0], nil)
+	_, err := EncodeCheckpoint(sys.Snapshot(), CheckpointKey(o))
+	if err == nil || !strings.Contains(err.Error(), "unknown descriptor type") {
+		t.Fatalf("EncodeCheckpoint error %v, want an unknown descriptor type", err)
+	}
+}
+
 // TestCheckpointBindRejectsOutOfRangeDescriptors pins the checks Bind
 // makes on individual descriptors before anything can fire: each case
 // corrupts one descriptor of a decoded checkpoint, and Bind must return
@@ -326,6 +339,12 @@ func TestCheckpointBindRejectsOutOfRangeDescriptors(t *testing.T) {
 		})},
 		{"waiter pair", "callback pair 1048576 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
 			return cache.CB{Kind: cache.CBSyncWrap, Pair: 1 << 20, Inner: &cache.CB{Kind: cache.CBLoadDone, Core: c.ID}}
+		})},
+		{"waiter of another core", "held by core", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBLoadDone, Core: c.ID ^ 1}
+		})},
+		{"sync wrap of another pair", "of pair", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
+			return cache.CB{Kind: cache.CBSyncWrap, Pair: c.Pair ^ 1, Inner: &cache.CB{Kind: cache.CBLoadDone, Core: c.ID}}
 		})},
 		{"sync wrap without inner", "no inner callback", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
 			return cache.CB{Kind: cache.CBSyncWrap, Pair: c.Pair}

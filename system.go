@@ -146,7 +146,6 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 		itlb := tlb.New(cfg.ITLBEntries, cfg.ITLBWays)
 		dtlb := tlb.New(cfg.DTLBEntries, cfg.DTLBWays)
 		c := cpu.New(id, pair, vocal, &ccfg, s.EQ, w.Threads[pair], l1d, l1i, itlb, dtlb, gate)
-		l1d.Client, l1i.Client = c, c
 		s.msys.RegisterL1D(id, l1d)
 		s.Cores = append(s.Cores, c)
 		return c
