@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	for _, e := range selected {
 		sp := tr.StartSpan("bench", e.name)
-		start := time.Now() //reunion:nondeterm-ok host wall-clock for bench reporting
+		start := time.Now()
 		if err := e.run(); err != nil {
 			sp.End(obs.Arg{Key: "err", Val: err.Error()})
 			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
@@ -101,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sp.End()
 		hb.Tick()
-		//reunion:nondeterm-ok host wall-clock for bench reporting
 		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	stopHeartbeat()

@@ -224,7 +224,7 @@ func run(args []string) int {
 	hb := obsFlags.Heartbeat("inject "+plan.String(), int64(plan.Hi-lo))
 	stopHeartbeat := hb.Start()
 
-	start := time.Now() //reunion:nondeterm-ok host wall-clock for the progress summary
+	start := time.Now()
 	progress := func(done, total int, cell sweep.Point[reunion.Options], t campaign.Trial, o campaign.Observation, out campaign.Outcome) {
 		hb.Tick()
 		if !*quiet {
@@ -280,7 +280,7 @@ func run(args []string) int {
 	}
 	rep.WriteTable(os.Stdout)
 	fmt.Fprintf(os.Stderr, "inject: %d trials in %s\n",
-		rep.Total.Trials(), time.Since(start).Round(time.Millisecond)) //reunion:nondeterm-ok host wall-clock
+		rep.Total.Trials(), time.Since(start).Round(time.Millisecond))
 	if rep.Total.Count(campaign.DUE) > 0 {
 		fmt.Fprintf(os.Stderr, "inject: %d DUE trials (deadline/unrecoverable) — inspect the results file\n",
 			rep.Total.Count(campaign.DUE))

@@ -1,7 +1,7 @@
 // Command reunion-lint runs the repository's invariant lint suite: the
-// three analyzers in internal/lint (snapshotcomplete, determinism,
-// obsgated). `go test ./...` runs it over the module (TestRepoIsClean),
-// and it doubles as a local pre-commit check:
+// two analyzers in internal/lint (snapshotcomplete, obsgated).
+// `go test ./...` runs it over the module (TestRepoIsClean), and it
+// doubles as a local pre-commit check:
 //
 //	reunion-lint ./...             # whole module, all analyzers
 //	reunion-lint -run obsgated ./internal/cache/...
@@ -13,7 +13,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"reunion/internal/lint"
@@ -85,8 +87,8 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		delete(want, a.Name)
 		out = append(out, a)
 	}
-	for n := range want {
-		return nil, fmt.Errorf("unknown analyzer %q (use -list)", n)
+	if len(want) > 0 {
+		return nil, fmt.Errorf("unknown analyzers %q (use -list)", slices.Sorted(maps.Keys(want)))
 	}
 	return out, nil
 }

@@ -39,6 +39,21 @@ func TestUsageErrors(t *testing.T) {
 	if code := Main([]string{"-run", "nosuch", "./..."}, &out, &errb); code != 2 {
 		t.Errorf("unknown analyzer: exit %d, want 2", code)
 	}
+	// Every unknown name is reported, in sorted order, whatever order
+	// the map of requested names yields them in.
+	for i := 0; i < 20; i++ {
+		out.Reset()
+		errb.Reset()
+		if code := Main([]string{"-run", "determinism,nosuch", "./..."}, &out, &errb); code != 2 {
+			t.Fatalf("two unknown analyzers: exit %d, want 2", code)
+		}
+		if want := `unknown analyzers ["determinism" "nosuch"]`; !strings.Contains(errb.String(), want) {
+			t.Fatalf("two unknown analyzers: stderr %q, want it to contain %q", errb.String(), want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("two unknown analyzers: stdout %q, want empty", out.String())
+		}
+	}
 	if code := Main([]string{"-C", "testdata/nosuchdir", "./..."}, &out, &errb); code != 2 {
 		t.Errorf("bad directory: exit %d, want 2", code)
 	}

@@ -214,7 +214,7 @@ func run() int {
 
 	var ipc stats.Online
 	failures := 0
-	start := time.Now() //reunion:nondeterm-ok host wall-clock for the progress summary
+	start := time.Now()
 	progress := func(done, total int, r sweep.Result[reunion.Options, reunion.Result]) {
 		hb.Tick()
 		if r.Err != nil {
@@ -269,7 +269,7 @@ func run() int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
-		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures) //reunion:nondeterm-ok host wall-clock
+		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures)
 	if failures > 0 {
 		return 1
 	}

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Writer accumulates little-endian binary output. The zero value is ready
@@ -64,9 +63,6 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
 // Uvarint writes an unsigned varint (lengths, counts).
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-
-// F64 writes a float64 by bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bytes64 writes a length-prefixed byte string.
 func (w *Writer) Bytes64(b []byte) {
@@ -188,9 +184,6 @@ func (r *Reader) Uvarint() uint64 {
 	r.off += n
 	return v
 }
-
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Len reads a length written as a varint and bounds-checks it against
 // elemSize-wide elements actually remaining in the input, so a corrupted

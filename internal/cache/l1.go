@@ -448,15 +448,6 @@ func (c *L1) PeekWord(block uint64) (data mem.Block, ok bool) {
 	return l.Data, true
 }
 
-// InstallDirect places a block into the cache outside the normal miss
-// path. Used for warmup prefill and for synchronizing-request fills.
-func (c *L1) InstallDirect(block uint64, data *mem.Block, state State) {
-	_, victim, evicted := c.Arr.Install(block, data, state)
-	if evicted {
-		c.evict(victim)
-	}
-}
-
 // ResetStats zeroes every counter (measurement-window boundary).
 func (c *L1) ResetStats() {
 	c.Hits, c.Misses, c.MergedMisses = 0, 0, 0

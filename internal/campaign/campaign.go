@@ -104,9 +104,6 @@ const (
 	numOutcomes
 )
 
-// Outcomes lists the outcomes in classification-table order.
-func Outcomes() []Outcome { return []Outcome{Masked, Detected, SDC, DUE} }
-
 // String names the outcome as the results-file label.
 func (o Outcome) String() string {
 	switch o {

@@ -43,20 +43,6 @@ func (c *CellReport) Trials() int64 {
 // Count returns the number of trials with the given outcome.
 func (c *CellReport) Count(o Outcome) int64 { return c.Counts[o] }
 
-// Rate returns the fraction of trials with the given outcome.
-func (c *CellReport) Rate(o Outcome) float64 {
-	n := c.Trials()
-	if n == 0 {
-		return 0
-	}
-	return float64(c.Counts[o]) / float64(n)
-}
-
-// RateCI returns the 95% Wilson interval for the outcome's rate.
-func (c *CellReport) RateCI(o Outcome) (lo, hi float64) {
-	return stats.WilsonCI(c.Counts[o], c.Trials())
-}
-
 // Coverage returns the detection coverage — detected / (detected + SDC +
 // DUE), the fraction of architecturally consequential faults the
 // machinery caught — with its 95% Wilson interval. ok is false when no

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"reunion/internal/bin"
-	"reunion/internal/trace"
 )
 
 // Wire codecs for the execution-model gates, plus the serializable
@@ -188,10 +187,6 @@ func (s *PairState) BindTo(live *Pair) error {
 	s.pair.Trace = live.Trace
 	return nil
 }
-
-// Trace returns the trace ring pointer carried by the snapshot (System
-// restore plumbing; a decoded snapshot carries nil until BindTo).
-func (s *PairState) TraceRing() *trace.Ring { return s.pair.Trace }
 
 // Encode writes the non-redundant-gate snapshot.
 func (s *NonRedundantGateState) Encode(w *bin.Writer) {

@@ -7,14 +7,13 @@
 // Why not x/tools: the module is deliberately dependency-free (go.mod
 // has no requires), and the lint suite must run in the same offline
 // environments the simulator does. The subset implemented here — typed
-// packages, per-package and whole-program passes, diagnostics, and an
-// analysistest-style harness (internal/lint/linttest) — is all four
+// packages, one pass per target package, diagnostics, and an
+// analysistest-style harness (internal/lint/linttest) — is all the two
 // analyzers need.
 //
 // Annotation vocabulary: analyzers honor `//reunion:<marker>` comments
 // (see the Mark* constants) placed on the flagged line, the line above
-// it, a field's doc or trailing comment, an enclosing function's
-// declaration, or the file's package clause. The marker may be followed
+// it, or a field's doc or trailing comment. The marker may be followed
 // by free text justifying it: `//reunion:derived rebuilt by
 // rebuildDerived on restore`.
 package analysis
@@ -37,9 +36,6 @@ const (
 	// snapshot and the live machine: identity-preserved component wiring
 	// or immutable-once-created values.
 	MarkShared = "shared"
-	// MarkNondetermOK marks host-time-only code (latency telemetry,
-	// benchmark harnesses) that a deterministic-output path may contain.
-	MarkNondetermOK = "nondeterm-ok"
 )
 
 // An Analyzer describes one invariant check.
@@ -48,11 +44,7 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// WholeProgram analyzers run once per load with Pass.Pkg == nil and
-	// walk Pass.Prog themselves (cross-package callgraphs). Per-package
-	// analyzers run once per target package.
-	WholeProgram bool
-	// Run reports diagnostics through the pass.
+	// Run reports diagnostics through the pass, once per target package.
 	Run func(*Pass) error
 }
 
@@ -83,18 +75,12 @@ type Package struct {
 	fieldAt map[token.Pos]*ast.Field
 }
 
-// A Program is one load: the analysis-domain packages (the module's or
-// testdata tree's own packages — never the standard library) plus
-// which of them are analysis targets.
+// A Program is one load: the packages named by the load patterns.
 type Program struct {
-	Fset       *token.FileSet
-	ModulePath string
-	// Pkgs holds every analysis-domain package by import path,
-	// dependencies included, so whole-program analyzers see the
-	// complete callgraph and type graph.
-	Pkgs map[string]*Package
-	// Targets are the packages named by the load patterns, in load
-	// (dependency-first) order. Diagnostics are only wanted here.
+	Fset *token.FileSet
+	// Targets are the module's or testdata tree's own packages (never
+	// the standard library) that the patterns match, in load
+	// (dependency-first) order.
 	Targets []*Package
 }
 
@@ -102,7 +88,7 @@ type Program struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
-	Pkg      *Package // nil for WholeProgram analyzers
+	Pkg      *Package
 	diags    *[]Diagnostic
 }
 
@@ -115,19 +101,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over the program and returns all
-// diagnostics sorted by position. Per-package analyzers visit every
-// target; whole-program analyzers run once.
+// Run executes each analyzer over every target package and returns all
+// diagnostics sorted by position.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.WholeProgram {
-			pass := &Pass{Analyzer: a, Prog: prog, diags: &diags}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
 		for _, pkg := range prog.Targets {
 			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
 			if err := a.Run(pass); err != nil {
@@ -243,35 +221,6 @@ func (p *Package) MarkedAt(pos token.Pos, marker string) bool {
 	return false
 }
 
-// FuncMarked reports whether the function declaration carries the
-// marker: in its doc comment or on/above its declaration line.
-func (p *Package) FuncMarked(fd *ast.FuncDecl, marker string) bool {
-	if fd == nil {
-		return false
-	}
-	if commentHasMarker(fd.Doc, marker) {
-		return true
-	}
-	return p.MarkedAt(fd.Pos(), marker)
-}
-
-// FileMarked reports whether the file carries the marker at file scope:
-// in any comment on or above the package clause.
-func (p *Package) FileMarked(f *ast.File, marker string) bool {
-	position := p.fset.Position(f.Name.Pos())
-	for line, ms := range p.markers[position.Filename] {
-		if line > position.Line {
-			continue
-		}
-		for _, m := range ms {
-			if m == marker {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FieldMarked reports whether a struct field's declaration carries the
 // marker, via its doc comment, trailing line comment, or a marker
 // line directly above it.
@@ -296,16 +245,6 @@ func commentHasMarker(cg *ast.CommentGroup, marker string) bool {
 		}
 	}
 	return false
-}
-
-// Basename returns the last element of the package path — the name the
-// analyzers use to recognize role packages (trace, obs, sweep, dist) so
-// the linttest trees can stand in for the real ones.
-func Basename(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // WithStack walks the file like ast.Inspect but hands fn the stack of

@@ -50,17 +50,15 @@ type listedPkg struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	DepOnly    bool
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
 // goList runs the go command's lister in dir.
 func goList(dir string, args ...string) ([]*listedPkg, error) {
 	cmd := exec.Command("go", append([]string{"list", "-e",
-		"-json=ImportPath,Dir,Name,GoFiles,Imports,Standard,DepOnly,Module,Error"}, args...)...)
+		"-json=ImportPath,Dir,Name,GoFiles,Standard,DepOnly,Error"}, args...)...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "GOPROXY=off", "GOWORK=off", "GOFLAGS=")
 	var stderr bytes.Buffer
@@ -152,8 +150,8 @@ func newInfo() *types.Info {
 
 // LoadModule loads the module rooted at dir: every package matching the
 // patterns plus the full dependency closure, type-checked from source.
-// The returned Program's Pkgs are the module's own packages; Targets are
-// the pattern matches.
+// Dependencies are checked only to resolve imports; the returned
+// Program's Targets are the pattern matches.
 func LoadModule(dir string, patterns ...string) (*Program, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()
@@ -165,10 +163,7 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{
-		Fset: sharedFset,
-		Pkgs: map[string]*Package{},
-	}
+	prog := &Program{Fset: sharedFset}
 	local := map[string]*types.Package{}
 	var loadErrs []string
 	for _, lp := range listed {
@@ -184,9 +179,6 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 		if lp.Error != nil {
 			loadErrs = append(loadErrs, fmt.Sprintf("%s: %s", lp.ImportPath, lp.Error.Err))
 			continue
-		}
-		if prog.ModulePath == "" && lp.Module != nil {
-			prog.ModulePath = lp.Module.Path
 		}
 		files, err := parseFiles(lp.Dir, lp.GoFiles, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -205,13 +197,12 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 			continue
 		}
 		local[lp.ImportPath] = tp
-		pkg := &Package{
-			Path: lp.ImportPath, Name: lp.Name, Dir: lp.Dir,
-			Files: files, Types: tp, Info: info,
-		}
-		pkg.finish(sharedFset)
-		prog.Pkgs[lp.ImportPath] = pkg
 		if !lp.DepOnly {
+			pkg := &Package{
+				Path: lp.ImportPath, Name: lp.Name, Dir: lp.Dir,
+				Files: files, Types: tp, Info: info,
+			}
+			pkg.finish(sharedFset)
 			prog.Targets = append(prog.Targets, pkg)
 		}
 	}
@@ -343,32 +334,6 @@ func LoadTree(root string, patterns ...string) (*Program, error) {
 		}
 	}
 
-	prog := &Program{
-		Fset: sharedFset,
-		Pkgs: map[string]*Package{},
-	}
-	local := map[string]*types.Package{}
-	for _, ip := range order {
-		tp := parsed[ip]
-		var tcErrs []string
-		conf := types.Config{
-			Importer: cacheImporter{local: local},
-			Error:    func(err error) { tcErrs = append(tcErrs, err.Error()) },
-		}
-		info := newInfo()
-		typed, _ := conf.Check(ip, sharedFset, tp.files, info)
-		if len(tcErrs) > 0 {
-			return nil, fmt.Errorf("%s: %s", ip, strings.Join(tcErrs, "; "))
-		}
-		local[ip] = typed
-		pkg := &Package{
-			Path: ip, Name: typed.Name(), Dir: tp.dir,
-			Files: tp.files, Types: typed, Info: info,
-		}
-		pkg.finish(sharedFset)
-		prog.Pkgs[ip] = pkg
-	}
-
 	match := func(ip string) bool {
 		if len(patterns) == 0 {
 			return true
@@ -384,9 +349,28 @@ func LoadTree(root string, patterns ...string) (*Program, error) {
 		}
 		return false
 	}
+	prog := &Program{Fset: sharedFset}
+	local := map[string]*types.Package{}
 	for _, ip := range order {
+		tp := parsed[ip]
+		var tcErrs []string
+		conf := types.Config{
+			Importer: cacheImporter{local: local},
+			Error:    func(err error) { tcErrs = append(tcErrs, err.Error()) },
+		}
+		info := newInfo()
+		typed, _ := conf.Check(ip, sharedFset, tp.files, info)
+		if len(tcErrs) > 0 {
+			return nil, fmt.Errorf("%s: %s", ip, strings.Join(tcErrs, "; "))
+		}
+		local[ip] = typed
 		if match(ip) {
-			prog.Targets = append(prog.Targets, prog.Pkgs[ip])
+			pkg := &Package{
+				Path: ip, Name: typed.Name(), Dir: tp.dir,
+				Files: tp.files, Types: typed, Info: info,
+			}
+			pkg.finish(sharedFset)
+			prog.Targets = append(prog.Targets, pkg)
 		}
 	}
 	if len(prog.Targets) == 0 {

@@ -1,12 +1,11 @@
 // Package lint registers the repository's invariant analyzers — the
-// checks that encode contracts no unit test can hold by itself. See
+// checks that catch bugs no test in the suite catches. See
 // cmd/reunion-lint for the CLI and DESIGN.md ("Static analysis") for
 // the rationale behind each analyzer.
 package lint
 
 import (
 	"reunion/internal/lint/analysis"
-	"reunion/internal/lint/determinism"
 	"reunion/internal/lint/obsgated"
 	"reunion/internal/lint/snapshotcomplete"
 )
@@ -14,6 +13,5 @@ import (
 // Analyzers is the full suite, in documentation order.
 var Analyzers = []*analysis.Analyzer{
 	snapshotcomplete.Analyzer,
-	determinism.Analyzer,
 	obsgated.Analyzer,
 }

@@ -124,6 +124,48 @@ func TestCSVErrorFirstRecordKeepsMetricColumns(t *testing.T) {
 	}
 }
 
+// TestCSVColumnOrder: label and metric columns are sorted by name and
+// every value sits under its own column. Twenty keys per map make an
+// unsorted map range match the sorted order with negligible odds; the
+// two-key records above match it about one run in ten.
+func TestCSVColumnOrder(t *testing.T) {
+	const keys, rows = 20, 3
+	head := []string{"sweep", "index"}
+	for i := 0; i < keys; i++ {
+		head = append(head, fmt.Sprintf("l%02d", i))
+	}
+	for i := 0; i < keys; i++ {
+		head = append(head, fmt.Sprintf("m%02d", i))
+	}
+	want := []string{strings.Join(append(head, "err"), ",")}
+
+	var buf bytes.Buffer
+	sink := NewCSV(&buf)
+	for r := 0; r < rows; r++ {
+		rec := Record{Sweep: "t", Index: r, Labels: map[string]string{}, Metrics: map[string]float64{}}
+		row := []string{"t", fmt.Sprint(r)}
+		for i := 0; i < keys; i++ {
+			rec.Labels[fmt.Sprintf("l%02d", i)] = fmt.Sprintf("v%d", i)
+			row = append(row, fmt.Sprintf("v%d", i))
+		}
+		for i := 0; i < keys; i++ {
+			rec.Metrics[fmt.Sprintf("m%02d", i)] = float64(100*r + i)
+			row = append(row, fmt.Sprint(100*r+i))
+		}
+		want = append(want, strings.Join(append(row, ""), ","))
+		if err := sink.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("csv:\ngot  %q\nwant %q", got, want)
+	}
+}
+
 func TestCSVAllErrorsStillWrites(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewCSV(&buf)
