@@ -296,6 +296,48 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 	}
 }
 
+// ckptBenchCell warms the apache Reunion cell (seed 1, 100k warm cycles)
+// and encodes its checkpoint: the 57 MB blob a checkpoint store puts and
+// gets for a production-sized cell.
+func ckptBenchCell(b *testing.B) (cp *Checkpoint, key uint64, blob []byte) {
+	o := Options{Mode: ModeReunion, Workload: workload.Apache(), Seed: 1, WarmCycles: 100_000}.withDefaults()
+	key = CheckpointKey(o)
+	cp = warmSystem(o).Snapshot()
+	blob, err := EncodeCheckpoint(cp, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cp, key, blob
+}
+
+// BenchmarkCheckpointEncode measures serializing that checkpoint, CRC-64
+// seal included.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	cp, key, blob := ckptBenchCell(b)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeCheckpoint(cp, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointDecode measures parsing that blob, CRC-64 check and
+// structural validation included (Bind and Restore are not timed).
+func BenchmarkCheckpointDecode(b *testing.B) {
+	_, _, blob := ckptBenchCell(b)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeCheckpoint(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFingerprintGen measures fingerprint generation cost per
 // instruction record (both compression modes).
 func BenchmarkFingerprintGen(b *testing.B) {

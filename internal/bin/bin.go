@@ -2,6 +2,13 @@
 // serialization: a sticky-error writer/reader pair over fixed-width
 // integers, varints, bools and byte strings.
 //
+// Runs of fixed-width words (memory pages, cache-line data) move in bulk:
+// Writer.U64s and Reader.U64s handle a whole slice with one capacity or
+// length check, and Writer.Grow sizes the output up front, so a caller
+// that knows about how large its encoding is allocates the buffer once
+// instead of doubling it through its appends. Bulk calls write exactly
+// the bytes the equivalent per-word calls do.
+//
 // The writer produces fully deterministic bytes — no maps are encoded
 // here; callers sort keys before writing — so the same machine state
 // always serializes to the same blob, which is what makes golden-file
@@ -34,6 +41,21 @@ func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// Grow makes room for at least n more bytes without changing the output.
+// Growth is amortized (the capacity at least doubles when it must grow),
+// so calling Grow before every write keeps encoding linear.
+func (w *Writer) Grow(n int) {
+	if n < 0 {
+		panic("bin: negative Grow")
+	}
+	if cap(w.buf)-len(w.buf) >= n {
+		return
+	}
+	buf := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n))
+	copy(buf, w.buf)
+	w.buf = buf
+}
+
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
@@ -54,6 +76,19 @@ func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf,
 
 // U64 writes a fixed-width little-endian uint64.
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
+// U64s writes each word as a fixed-width little-endian uint64: the same
+// bytes as a U64 call per word, in one step.
+func (w *Writer) U64s(vs []uint64) {
+	w.Grow(8 * len(vs))
+	n := len(w.buf)
+	w.buf = w.buf[:n+8*len(vs)]
+	b := w.buf[n:]
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b, v)
+		b = b[8:]
+	}
+}
 
 // I64 writes a fixed-width little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -163,6 +198,22 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// U64s fills dst with fixed-width little-endian uint64s: the words a
+// U64s (or a U64 per word) wrote. Input too short for all of dst is
+// ErrTruncated, consumes nothing, and leaves dst zeroed, as a U64 call
+// after an error reads zero.
+func (r *Reader) U64s(dst []uint64) {
+	b := r.take(8 * len(dst))
+	if b == nil {
+		clear(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b)
+		b = b[8:]
+	}
 }
 
 // I64 reads a fixed-width little-endian int64.

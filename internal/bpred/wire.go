@@ -8,9 +8,7 @@ import "reunion/internal/bin"
 func (s *PredictorState) Encode(w *bin.Writer) {
 	w.Bytes64(s.counters)
 	w.Uvarint(uint64(len(s.btbTags)))
-	for _, t := range s.btbTags {
-		w.U64(t)
-	}
+	w.U64s(s.btbTags)
 	for _, t := range s.btbTargets {
 		w.I64(t)
 	}
@@ -22,11 +20,11 @@ func (s *PredictorState) Encode(w *bin.Writer) {
 func DecodePredictorState(r *bin.Reader) *PredictorState {
 	s := &PredictorState{counters: r.Bytes64()}
 	n := r.Len(16) // every tag is paired with a target
-	for i := 0; i < n; i++ {
-		s.btbTags = append(s.btbTags, r.U64())
-	}
-	for i := 0; i < n; i++ {
-		s.btbTargets = append(s.btbTargets, r.I64())
+	s.btbTags = make([]uint64, n)
+	r.U64s(s.btbTags)
+	s.btbTargets = make([]int64, n)
+	for i := range s.btbTargets {
+		s.btbTargets[i] = r.I64()
 	}
 	s.lookups = r.I64()
 	s.mispredicts = r.I64()

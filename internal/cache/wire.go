@@ -130,9 +130,7 @@ func (r *Req) EncodeBody(w *bin.Writer) {
 	w.I64(r.Token)
 	w.Bool(r.Data != nil)
 	if r.Data != nil {
-		for _, word := range r.Data {
-			w.U64(word)
-		}
+		w.U64s(r.Data[:])
 	}
 }
 
@@ -153,9 +151,7 @@ func DecodeReqBody(rd *bin.Reader) *Req {
 	}
 	if rd.Bool() {
 		var data mem.Block
-		for i := range data {
-			data[i] = rd.U64()
-		}
+		rd.U64s(data[:])
 		r.Data = &data
 	}
 	if rd.Err() != nil {
@@ -171,9 +167,7 @@ func encodeLine(w *bin.Writer, l *Line) {
 	w.U8(uint8(l.State))
 	w.Bool(l.Dirty)
 	w.Bool(l.Locked)
-	for _, word := range l.Data {
-		w.U64(word)
-	}
+	w.U64s(l.Data[:])
 	w.I64(l.lru)
 }
 
@@ -187,16 +181,19 @@ func decodeLine(r *bin.Reader) Line {
 	}
 	l.Dirty = r.Bool()
 	l.Locked = r.Bool()
-	for i := range l.Data {
-		l.Data[i] = r.U64()
-	}
+	r.U64s(l.Data[:])
 	l.lru = r.I64()
 	return l
 }
 
-// lineWireBytes is a conservative lower bound on an encoded Line, used to
-// bound decoded lengths against remaining input.
+// lineWireBytes is the size of an encoded Line, used to bound decoded
+// lengths against remaining input.
 const lineWireBytes = 8 + 1 + 1 + 1 + mem.BlockWords*8 + 8
+
+// WireBytes returns the size of the lines Encode writes (all of its
+// output but the tick and the count), so a caller can size its buffer
+// once.
+func (s *ArrayState) WireBytes() int { return len(s.idx) * (4 + lineWireBytes) }
 
 // Encode writes the array snapshot.
 func (s *ArrayState) Encode(w *bin.Writer) {
@@ -213,6 +210,8 @@ func DecodeArrayState(r *bin.Reader) ArrayState {
 	var s ArrayState
 	s.tick = r.I64()
 	n := r.Len(4 + lineWireBytes)
+	s.idx = make([]int32, 0, n)
+	s.lines = make([]Line, 0, n)
 	for i := 0; i < n; i++ {
 		flat := int32(r.U32())
 		line := decodeLine(r)
@@ -230,6 +229,10 @@ func DecodeArrayState(r *bin.Reader) ArrayState {
 }
 
 // --- L1 ---
+
+// WireBytes returns the size of the array lines Encode writes; the MSHRs
+// and counters are a few hundred bytes more.
+func (s *L1State) WireBytes() int { return s.arr.WireBytes() }
 
 // Encode writes the L1 snapshot.
 func (s *L1State) Encode(w *bin.Writer) {

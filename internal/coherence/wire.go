@@ -89,9 +89,7 @@ func DecodeEvXbar(r *bin.Reader, req func(int) *cache.Req) *EvXbar {
 // Encode writes the descriptor; reqID interns the request.
 func (d *EvReply) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 	w.Int(reqID(d.R))
-	for _, word := range d.Data {
-		w.U64(word)
-	}
+	w.U64s(d.Data[:])
 	w.Bool(d.Exclusive)
 	w.Bool(d.Track)
 }
@@ -99,9 +97,7 @@ func (d *EvReply) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 // DecodeEvReply reads a descriptor written by Encode.
 func DecodeEvReply(r *bin.Reader, req func(int) *cache.Req) *EvReply {
 	d := &EvReply{R: req(r.Int())}
-	for i := range d.Data {
-		d.Data[i] = r.U64()
-	}
+	r.U64s(d.Data[:])
 	d.Exclusive = r.Bool()
 	d.Track = r.Bool()
 	if r.Err() != nil || d.R == nil {
@@ -120,9 +116,7 @@ func (d *EvMemCont) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 		w.Int(reqID(d.Mute))
 		w.Bool(d.VHad)
 		w.Bool(d.VDirty)
-		for _, word := range d.VData {
-			w.U64(word)
-		}
+		w.U64s(d.VData[:])
 	}
 }
 
@@ -138,9 +132,7 @@ func DecodeEvMemCont(r *bin.Reader, req func(int) *cache.Req) *EvMemCont {
 		d.Mute = req(r.Int())
 		d.VHad = r.Bool()
 		d.VDirty = r.Bool()
-		for i := range d.VData {
-			d.VData[i] = r.U64()
-		}
+		r.U64s(d.VData[:])
 		if r.Err() == nil && (d.Vocal == nil || d.Mute == nil) {
 			r.Fail(errBadReqRef)
 			return nil
@@ -199,6 +191,13 @@ func sortedKeys[V any](m map[int]V) []int {
 	sort.Ints(ks)
 	return ks
 }
+
+// dirWireBytes is one encoded directory entry: block, sharers, owner.
+const dirWireBytes = 8 + 4 + 8
+
+// WireBytes returns the size of the array lines and directory entries
+// Encode writes; the bank queues and counters are a few kilobytes more.
+func (s *L2State) WireBytes() int { return s.arr.WireBytes() + len(s.dir)*dirWireBytes }
 
 // Encode writes the snapshot; reqID interns queued and parked requests.
 // Maps are written in sorted key order so the encoding is deterministic.
@@ -294,7 +293,7 @@ func (s *L2State) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 func DecodeL2State(r *bin.Reader, req func(int) *cache.Req) *L2State {
 	s := &L2State{arr: cache.DecodeArrayState(r)}
 
-	nd := r.Len(8 + 4 + 8)
+	nd := r.Len(dirWireBytes)
 	s.dir = make(map[uint64]dirEntry, nd)
 	var prevBlock uint64
 	for i := 0; i < nd; i++ {

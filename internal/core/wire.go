@@ -80,7 +80,7 @@ func encodeDecided(w *bin.Writer, ds []decidedInterval) {
 
 func decodeDecided(r *bin.Reader) []decidedInterval {
 	n := r.Len(16)
-	var ds []decidedInterval
+	ds := make([]decidedInterval, 0, n)
 	for i := 0; i < n; i++ {
 		ds = append(ds, decidedInterval{endSeq: r.I64(), at: r.I64()})
 	}
@@ -138,6 +138,7 @@ func DecodePairState(r *bin.Reader) *PairState {
 	for i := range p.sides {
 		side := &p.sides[i]
 		n := r.Len(sentIntervalWireBytes)
+		side.sent = make([]sentInterval, 0, n)
 		for j := 0; j < n; j++ {
 			side.sent = append(side.sent, decodeSentInterval(r))
 		}

@@ -127,6 +127,11 @@ func decodeEntry(r *bin.Reader) Entry {
 // entryWireBytes is a conservative lower bound on an encoded Entry.
 const entryWireBytes = 100
 
+// WireBytes returns the size of the L1 array lines Encode writes, the
+// bulk of a core's encoding; the window, TLBs and predictor add tens of
+// kilobytes.
+func (s *CoreState) WireBytes() int { return s.l1d.WireBytes() + s.l1i.WireBytes() }
+
 // Encode writes the core snapshot.
 func (s *CoreState) Encode(w *bin.Writer) {
 	c := &s.core
@@ -251,6 +256,7 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 	c.haveIBlock = r.Bool()
 	c.fetchEpoch = r.I64()
 	nfq := r.Len(8 + 8 + 12 + 1 + 8 + 8)
+	c.fq = make([]fqSlot, 0, nfq)
 	for i := 0; i < nfq; i++ {
 		c.fq = append(c.fq, fqSlot{
 			seq: r.I64(), pc: r.I64(), in: decodeInstr(r),
@@ -258,6 +264,7 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 		})
 	}
 	nrob := r.Len(entryWireBytes)
+	c.rob = make([]Entry, 0, nrob)
 	for i := 0; i < nrob; i++ {
 		c.rob = append(c.rob, decodeEntry(r))
 	}
@@ -282,6 +289,7 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 		c.rename[i] = ref
 	}
 	nexec := r.Len(8)
+	c.inExec = make([]int, 0, nexec)
 	for i := 0; i < nexec; i++ {
 		idx := r.Int()
 		if idx < 0 || idx >= nrob {
@@ -291,6 +299,7 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 		c.inExec = append(c.inExec, idx)
 	}
 	nsb := r.Len(8 + 8 + 8 + 8 + 3)
+	c.sb = make([]sbEntry, 0, nsb)
 	for i := 0; i < nsb; i++ {
 		c.sb = append(c.sb, sbEntry{
 			seq: r.I64(), block: r.U64(), word: r.Int(), data: r.U64(),
@@ -299,6 +308,7 @@ func DecodeCoreState(r *bin.Reader) *CoreState {
 	}
 	c.sbDraining = r.Bool()
 	nser := r.Len(8)
+	c.serQ = make([]int64, 0, nser)
 	for i := 0; i < nser; i++ {
 		c.serQ = append(c.serQ, r.I64())
 	}

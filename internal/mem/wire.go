@@ -11,6 +11,13 @@ import (
 // the same memory image always produces the same bytes, which the
 // content-addressed checkpoint store and the golden-format tests rely on.
 
+// pageWireBytes is one encoded page: its number, then its words.
+const pageWireBytes = 8 + pageWords*8
+
+// WireBytes returns the size of the pages Encode writes (all of its
+// output but the leading count), so a caller can size its buffer once.
+func (s *MemoryState) WireBytes() int { return len(s.pages) * pageWireBytes }
+
 // Encode writes the snapshot.
 func (s *MemoryState) Encode(w *bin.Writer) {
 	nums := make([]uint64, 0, len(s.pages))
@@ -21,16 +28,13 @@ func (s *MemoryState) Encode(w *bin.Writer) {
 	w.Uvarint(uint64(len(nums)))
 	for _, n := range nums {
 		w.U64(n)
-		page := s.pages[n]
-		for _, word := range page {
-			w.U64(word)
-		}
+		w.U64s(s.pages[n][:])
 	}
 }
 
 // DecodeMemoryState reads a snapshot written by Encode.
 func DecodeMemoryState(r *bin.Reader) *MemoryState {
-	n := r.Len(8 + pageWords*8)
+	n := r.Len(pageWireBytes)
 	s := &MemoryState{pages: make(map[uint64]*[pageWords]uint64, n)}
 	frames := make([][pageWords]uint64, n)
 	var prev uint64
@@ -42,9 +46,7 @@ func DecodeMemoryState(r *bin.Reader) *MemoryState {
 		}
 		prev = num
 		page := &frames[i]
-		for j := range page {
-			page[j] = r.U64()
-		}
+		r.U64s(page[:])
 		s.pages[num] = page
 	}
 	if r.Err() != nil {

@@ -50,9 +50,7 @@ func (e errSnoop) Error() string { return string(e) }
 // Encode writes the descriptor; reqID interns the request.
 func (d *EvReply) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 	w.Int(reqID(d.R))
-	for _, word := range d.Data {
-		w.U64(word)
-	}
+	w.U64s(d.Data[:])
 	w.Bool(d.Exclusive)
 	w.Bool(d.Release)
 }
@@ -61,9 +59,7 @@ func (d *EvReply) Encode(w *bin.Writer, reqID func(*cache.Req) int) {
 // interned request indices.
 func DecodeEvReply(r *bin.Reader, req func(int) *cache.Req) *EvReply {
 	d := &EvReply{R: req(r.Int())}
-	for i := range d.Data {
-		d.Data[i] = r.U64()
-	}
+	r.U64s(d.Data[:])
 	d.Exclusive = r.Bool()
 	d.Release = r.Bool()
 	if r.Err() != nil || d.R == nil {

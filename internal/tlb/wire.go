@@ -21,6 +21,7 @@ func (s *TLBState) Encode(w *bin.Writer) {
 func DecodeTLBState(r *bin.Reader) *TLBState {
 	s := &TLBState{}
 	n := r.Len(8 + 1 + 8)
+	s.entries = make([]entry, 0, n)
 	for i := 0; i < n; i++ {
 		s.entries = append(s.entries, entry{page: r.U64(), valid: r.Bool(), lru: r.I64()})
 	}

@@ -68,6 +68,30 @@ var ckptCRCTable = crc64.MakeTable(crc64.ECMA)
 // ckptHeaderBytes is magic + version + options key.
 const ckptHeaderBytes = 4 + 2 + 8
 
+// ckptCoreSlack covers one core's encoding beyond its L1 array lines —
+// window, store buffer, TLBs, predictor — at the default geometry (about
+// 88 KB, most of it the 256-entry ROB); ckptSlack covers the header,
+// request table, events, gates, bank queues and counters. A larger
+// geometry costs EncodeCheckpoint one more growth of its buffer.
+const (
+	ckptCoreSlack = 96 << 10
+	ckptSlack     = 64 << 10
+)
+
+// ckptSizeHint is the buffer EncodeCheckpoint sizes once: exact for the
+// bulk of a blob (memory pages, cache array lines, directory entries)
+// plus slack for the rest.
+func ckptSizeHint(cp *Checkpoint) int {
+	n := ckptSlack + cp.mem.WireBytes()
+	for _, cs := range cp.cores {
+		n += ckptCoreSlack + cs.WireBytes()
+	}
+	if cp.l2 != nil {
+		n += cp.l2.WireBytes()
+	}
+	return n
+}
+
 // CheckpointKey fingerprints the snapshot-invariant options — everything
 // warmKey covers, including the kernel and any config override — into
 // the content-address a checkpoint store files the blob under.
@@ -123,6 +147,7 @@ func visitDescReqs(desc any, fn func(*cache.Req)) {
 // not cross process boundaries by design).
 func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
 	w := &bin.Writer{}
+	w.Grow(ckptSizeHint(cp))
 	w.Raw([]byte(ckptMagic))
 	w.U16(ckptFormatVersion)
 	w.U64(key)
@@ -315,6 +340,7 @@ func DecodeCheckpoint(data []byte) (*DecodedCheckpoint, error) {
 	d := &DecodedCheckpoint{Key: key}
 
 	nreq := r.Len(1 + 8 + 1 + 1 + 1 + 8 + 1)
+	d.reqs = make([]*cache.Req, 0, nreq)
 	for i := 0; i < nreq; i++ {
 		rq := cache.DecodeReqBody(r)
 		if rq == nil {
@@ -332,6 +358,7 @@ func DecodeCheckpoint(data []byte) (*DecodedCheckpoint, error) {
 	d.now = r.I64()
 	d.order = r.I64()
 	nev := r.Len(8 + 8 + 1 + 1)
+	d.events = make([]decodedEvent, 0, nev)
 	for i := 0; i < nev; i++ {
 		ev := decodedEvent{at: r.I64(), order: r.I64()}
 		tag := r.U8()
@@ -377,6 +404,7 @@ func DecodeCheckpoint(data []byte) (*DecodedCheckpoint, error) {
 	}
 
 	ncores := r.Len(64)
+	d.cores = make([]*cpu.CoreState, 0, ncores)
 	for i := 0; i < ncores; i++ {
 		cs := cpu.DecodeCoreState(r)
 		if cs == nil {

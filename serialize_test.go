@@ -183,6 +183,45 @@ func TestCheckpointEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointCodecAllocatesOnce pins the codec's allocation budget:
+// encoding sizes its output buffer once instead of doubling it through
+// every append, and decoding sizes each slice from the length it has just
+// read, so each side allocates about one blob's worth of bytes per call.
+func TestCheckpointCodecAllocatesOnce(t *testing.T) {
+	o := Options{Mode: ModeReunion, Workload: tinyWorkload(), Seed: 1, WarmCycles: 3_000}.withDefaults()
+	key := CheckpointKey(o)
+	cp := warmSystem(o).Snapshot()
+	blob, err := EncodeCheckpoint(cp, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The constant covers the small per-call structures: the request
+	// interning map, sorted key slices, descriptor and gate objects.
+	budget := int64(len(blob))*5/4 + 64<<10
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"EncodeCheckpoint", func() error { _, err := EncodeCheckpoint(cp, key); return err }},
+		{"DecodeCheckpoint", func() error { _, err := DecodeCheckpoint(blob); return err }},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if res.N == 0 {
+			t.Fatalf("%s failed", c.name)
+		}
+		t.Logf("%s: %d B/op, %d allocs/op for a %d B blob", c.name, res.AllocedBytesPerOp(), res.AllocsPerOp(), len(blob))
+		if got := res.AllocedBytesPerOp(); got > budget {
+			t.Errorf("%s allocates %d B/op for a %d B blob; budget %d", c.name, got, len(blob), budget)
+		}
+	}
+}
+
 // TestCheckpointKeyZeroLatency pins the defaulting-idempotence contract
 // behind CheckpointKey: the key is derived from re-defaulted options (a
 // WarmCache sees them already defaulted), so applying defaults twice
