@@ -1,225 +1,18 @@
 package reunion
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§5), plus the §4.3 interval ablation and the §5.5
-// sequential-consistency result. Each benchmark regenerates its result
-// rows (visible with -v via b.Logf) and reports the headline number as a
-// custom metric, so `go test -bench=. -benchmem` reproduces the whole
-// evaluation at quick-campaign scale. cmd/reunion-bench prints the same
-// experiments as tables (-full for paper scale). The simulator's host
-// speed is measured by the repository benchmark in bench/, not here.
+// Micro-benchmarks of the simulator's inner loops: the pair tick, and
+// the checkpoint snapshot, restore and codec paths a campaign pays per
+// cell and per trial. CI runs each once. The paper's tables and figures
+// are printed by `reunion-sweep -experiment`, and their shapes are
+// asserted by TestExperimentShapes; the simulator's host speed is
+// measured end to end by the repository benchmark in bench/.
 
 import (
-	"strings"
 	"testing"
 
 	"reunion/internal/fault"
 	"reunion/internal/workload"
 )
-
-// benchExp returns a campaign small enough for `go test -bench` while
-// still resolving every qualitative shape.
-func benchExp(logf func(string, ...any)) (ExpConfig, *logWriter) {
-	w := &logWriter{logf: logf}
-	cfg := ExpConfig{
-		Seeds:         DefaultSeeds(1),
-		WarmCycles:    20_000,
-		MeasureCycles: 15_000,
-		Table3Cycles:  60_000,
-		Out:           w,
-		base:          newMemo[Result](),
-	}
-	return cfg, w
-}
-
-type logWriter struct {
-	logf func(string, ...any)
-	buf  strings.Builder
-}
-
-func (w *logWriter) Write(p []byte) (int, error) {
-	w.buf.Write(p)
-	for {
-		s := w.buf.String()
-		i := strings.IndexByte(s, '\n')
-		if i < 0 {
-			break
-		}
-		w.logf("%s", s[:i])
-		w.buf.Reset()
-		w.buf.WriteString(s[i+1:])
-	}
-	return len(p), nil
-}
-
-// BenchmarkFigure5 regenerates Figure 5: Strict and Reunion normalized IPC
-// per workload at a 10-cycle comparison latency.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ClassMean(workload.OLTP, "reunion"), "reunionOLTP")
-		b.ReportMetric(res.ClassMean(workload.Scientific, "reunion"), "reunionSci")
-		b.ReportMetric(res.ClassMean(workload.OLTP, "strict"), "strictOLTP")
-	}
-}
-
-// BenchmarkFigure6a regenerates Figure 6(a): Strict normalized IPC vs
-// comparison latency by workload class.
-func BenchmarkFigure6a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Figure6(ModeStrict)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Series[workload.OLTP]
-		b.ReportMetric(s[0], "OLTP@0c")
-		b.ReportMetric(s[len(s)-1], "OLTP@40c")
-	}
-}
-
-// BenchmarkFigure6b regenerates Figure 6(b): Reunion normalized IPC vs
-// comparison latency by workload class.
-func BenchmarkFigure6b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Figure6(ModeReunion)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Series[workload.OLTP]
-		b.ReportMetric(s[0], "OLTP@0c")
-		b.ReportMetric(s[len(s)-1], "OLTP@40c")
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3: input incoherence events per
-// million instructions at each phantom strength, with TLB misses as the
-// reference event rate.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var g, n float64
-		for _, row := range res.Rows {
-			g += row.IncoherencePerM["global"]
-			n += row.IncoherencePerM["null"]
-		}
-		k := float64(len(res.Rows))
-		b.ReportMetric(g/k, "globalInc/M")
-		b.ReportMetric(n/k, "nullInc/M")
-	}
-}
-
-// BenchmarkFigure7a regenerates Figure 7(a): Reunion normalized IPC per
-// phantom request strength.
-func BenchmarkFigure7a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Figure7a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var g, n float64
-		for _, row := range res.Rows {
-			g += row.Values["global"]
-			n += row.Values["null"]
-		}
-		k := float64(len(res.Rows))
-		b.ReportMetric(g/k, "global")
-		b.ReportMetric(n/k, "null")
-	}
-}
-
-// BenchmarkFigure7b regenerates Figure 7(b): commercial average with
-// hardware- vs software-managed TLBs across comparison latencies.
-func BenchmarkFigure7b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.Figure7b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Hardware[len(res.Hardware)-1], "hw@40c")
-		b.ReportMetric(res.Software[len(res.Software)-1], "sw@40c")
-	}
-}
-
-// BenchmarkSequentialConsistency regenerates the §5.5 result: SC makes
-// every store serializing, collapsing performance at large comparison
-// latencies.
-func BenchmarkSequentialConsistency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.SCExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TSO[len(res.TSO)-1], "tso@40c")
-		b.ReportMetric(res.SC[len(res.SC)-1], "sc@40c")
-	}
-}
-
-// BenchmarkFingerprintInterval regenerates the §4.3 ablation: comparison
-// intervals of 1 and 50 instructions perform indistinguishably.
-func BenchmarkFingerprintInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.FPIntervalAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Reunion[0], "interval1")
-		b.ReportMetric(res.Reunion[len(res.Reunion)-1], "interval50")
-	}
-}
-
-// BenchmarkROBSweep regenerates the §5.2 speculation-window ablation:
-// large windows eliminate the occupancy bottleneck for scientific
-// workloads but cannot relieve serializing stalls for commercial ones.
-func BenchmarkROBSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.ROBSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Scientific[0], "sci@128")
-		b.ReportMetric(res.Scientific[len(res.Scientific)-1], "sci@4096")
-	}
-}
-
-// BenchmarkTopologyAblation regenerates the §4.1 ablation: Reunion at a
-// snoopy cache interface vs the directory-based shared L2.
-func BenchmarkTopologyAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, _ := benchExp(b.Logf)
-		res, err := cfg.TopologyAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Commercial[0], "directory")
-		b.ReportMetric(res.Commercial[1], "snoopy")
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (cycles of
-// the 8-core Reunion system simulated per wall-clock second).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w := workload.Apache().Build(1, 4)
-	sys := NewSystem(DefaultConfig(), ModeReunion, w, 1)
-	sys.Prefill()
-	sys.Run(5_000) // warm the structures
-	b.ResetTimer()
-	sys.Run(int64(b.N))
-}
 
 // BenchmarkPairTick measures one steady-state tick of a full vocal/mute
 // Reunion pair system (8 cores, shared L2, fingerprint exchange): the

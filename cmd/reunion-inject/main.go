@@ -93,7 +93,7 @@ func run(args []string) int {
 	quiet := fs.Bool("quiet", false, "suppress per-trial progress on stderr")
 	ckpt := cliconf.RegisterCkpt(fs)
 	obsFlags := cliconf.RegisterObs(fs).WithHeartbeat(fs)
-	traceDump := fs.Int("trace-dump", 0, "record the last N kernel events of each injected run and print them to stderr for SDC and DUE trials (0 = off; prints even under -quiet)")
+	traceDump := fs.Int("trace-dump", 0, "record the last N compare mismatches and recoveries of each injected run and print them to stderr for SDC and DUE trials (0 = off; prints even under -quiet)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	list := fs.Bool("list", false, "list workloads and exit")
 	if err := fs.Parse(args); err != nil {

@@ -82,7 +82,7 @@ func TestBuildSpecErrorsListValidNames(t *testing.T) {
 
 // An unknown -format is a usage error whatever -out says: it exits 2
 // before any trial runs or any results file is created, including under
-// -out '' (no results file at all).
+// an empty -out (no results file at all).
 func TestUnknownFormatExits2(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "inject.xml")
 	for _, out := range []string{"", file} {

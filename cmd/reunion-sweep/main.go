@@ -1,8 +1,21 @@
-// Command reunion-sweep runs the paper's experiment matrix — or any
-// filtered subset — in parallel on a worker pool and writes a
-// machine-readable results file.
+// Command reunion-sweep runs the paper's experiments. It has two forms.
 //
-// The matrix is the cross product of every axis flag:
+// With -experiment it prints one table or figure of the paper's
+// evaluation (§5), or the §4.1, §4.3, §5.2 and §5.5 ablations, by name:
+//
+//	reunion-sweep -experiment fig6b
+//	reunion-sweep -experiment all        # every table, in paper order
+//	reunion-sweep -experiment all -full  # paper-scale sampling (slower)
+//
+// The names are config, workloads, fig5, fig6a, fig6b, table3, fig7a,
+// fig7b, sc, interval, rob and topology. Tables go to stdout and each
+// experiment's run time to stderr, so stdout is byte-identical at any
+// -parallel. An experiment fixes its own matrix and output, so the axis
+// flags, -warm, -measure, -out, -format, -shard, -journal, -resume and
+// -ckpt-store are usage errors with it.
+//
+// Without -experiment it runs the raw matrix — the cross product of
+// every axis flag — on a worker pool and writes one record per run:
 //
 //	reunion-sweep -modes reunion,strict -parallel 4
 //	reunion-sweep -workloads apache,ocean -latencies 0,10,40 -out lat.jsonl
@@ -28,8 +41,9 @@
 // Shards that share a -ckpt-store directory (local or a network mount)
 // hand each other warm checkpoints instead of each warming its own.
 //
-// Run with -list to enumerate workloads, and see EXPERIMENTS.md for the
-// invocation reproducing each paper table and figure.
+// -parallel, -kernel, -trace-out, -heartbeat and -cpuprofile apply to
+// both forms. Run with -list to enumerate workloads, and see
+// EXPERIMENTS.md for the command behind each paper table and figure.
 package main
 
 import (
@@ -56,63 +70,86 @@ import (
 // warnOut receives axis-flag warnings (tests capture it).
 var warnOut io.Writer = os.Stderr
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command behind main, returning its exit code. Every
 // exit returns through it, so the deferred CPU-profile stop flushes the
 // profile on failed runs too.
-func run() int {
-	modes := flag.String("modes", "non-redundant,strict,reunion", "execution models to sweep (csv)")
-	workloads := flag.String("workloads", "all", "workloads to sweep (csv of names, or 'all')")
-	latencies := flag.String("latencies", "10", "comparison latencies in cycles (csv; 0 = zero-cycle)")
-	phantoms := flag.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
-	tlbs := flag.String("tlbs", "hardware", "TLB disciplines (csv: hardware,software)")
-	consistencies := flag.String("consistencies", "tso", "memory consistency models (csv: tso,sc)")
-	intervals := flag.String("intervals", "1", "fingerprint comparison intervals (csv)")
-	seeds := flag.String("seeds", "1", "workload seeds (csv of uint64)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
-	warm := flag.Int64("warm", 100_000, "warmup cycles per run")
-	measure := flag.Int64("measure", 50_000, "measurement cycles per run")
-	out := flag.String("out", "sweep.jsonl", "results file ('-' = stdout)")
-	format := flag.String("format", "jsonl", "results format: jsonl | csv")
-	kernelName := flag.String("kernel", "fastforward", "simulation kernel: fastforward | naive (results are bit-identical)")
-	ckpt := cliconf.RegisterCkpt(flag.CommandLine)
-	shardStr := flag.String("shard", "", "run only static range i/n of the matrix (e.g. 0/3; default: the whole matrix)")
-	journal := flag.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
-	resume := flag.Bool("resume", false, "resume an interrupted -journal from its last complete record")
-	quiet := flag.Bool("quiet", false, "suppress per-run progress on stderr")
-	obsFlags := cliconf.RegisterObs(flag.CommandLine).WithHeartbeat(flag.CommandLine)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	list := flag.Bool("list", false, "list workloads and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reunion-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modes := fs.String("modes", "non-redundant,strict,reunion", "execution models to sweep (csv)")
+	workloads := fs.String("workloads", "all", "workloads to sweep (csv of names, or 'all')")
+	latencies := fs.String("latencies", "10", "comparison latencies in cycles (csv; 0 = zero-cycle)")
+	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
+	tlbs := fs.String("tlbs", "hardware", "TLB disciplines (csv: hardware,software)")
+	consistencies := fs.String("consistencies", "tso", "memory consistency models (csv: tso,sc)")
+	intervals := fs.String("intervals", "1", "fingerprint comparison intervals (csv)")
+	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
+	warm := fs.Int64("warm", 100_000, "warmup cycles per run")
+	measure := fs.Int64("measure", 50_000, "measurement cycles per run")
+	out := fs.String("out", "sweep.jsonl", "results file ('-' = stdout)")
+	format := fs.String("format", "jsonl", "results format: jsonl | csv")
+	kernelName := fs.String("kernel", "fastforward", "simulation kernel: fastforward | naive (results are bit-identical)")
+	ckpt := cliconf.RegisterCkpt(fs)
+	shardStr := fs.String("shard", "", "run only static range i/n of the matrix (e.g. 0/3; default: the whole matrix)")
+	journal := fs.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
+	resume := fs.Bool("resume", false, "resume an interrupted -journal from its last complete record")
+	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
+	obsFlags := cliconf.RegisterObs(fs).WithHeartbeat(fs)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	list := fs.Bool("list", false, "list workloads and exit")
+	expName := fs.String("experiment", "", "print one paper table or figure by name, or 'all', instead of running the matrix (see EXPERIMENTS.md)")
+	full := fs.Bool("full", false, "with -experiment: paper-scale sampling (3 seeds, longer windows; slower)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, p := range workload.Suite() {
-			fmt.Printf("%-12s %s\n", p.Name, p.Class)
+			fmt.Fprintf(stdout, "%-12s %s\n", p.Name, p.Class)
 		}
 		return 0
+	}
+	selected, err := selectExperiments(fs, *expName, *full)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	stopProfile, err := cliconf.StartCPUProfile(*cpuProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
+		fmt.Fprintf(stderr, "sweep: cpuprofile: %v\n", err)
 		return 2
 	}
 	defer func() {
 		if err := stopProfile(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "sweep: cpuprofile: %v\n", err)
 		}
 	}()
 
 	kern, err := cliconf.Kernel(*kernelName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
+	}
+	if selected != nil {
+		cfg := reunion.QuickExp(stdout)
+		if *full {
+			cfg = reunion.FullExp(stdout)
+		}
+		cfg.Parallelism = *parallel
+		cfg.Kernel = kern
+		return runExperiments(selected, cfg, obsFlags, stdout, stderr)
 	}
 	spec, err := buildSpec(*modes, *workloads, *latencies, *phantoms, *tlbs,
 		*consistencies, *intervals, *seeds, *warm, *measure, kern)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	// Telemetry is a pure observer: with or without these flags the
@@ -121,7 +158,7 @@ func run() int {
 	tr := obsFlags.Tracer()
 	store, err := ckpt.Open()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
 	}
 	if store != nil {
@@ -151,13 +188,13 @@ func run() int {
 		fmt.Sprintf("base:%+v", fpBase))...)
 
 	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
-	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet(flag.CommandLine, "out")); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet(fs, "out")); err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	shard, nshards, err := dist.ParseShard(*shardStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	plan.Lo, plan.Hi = dist.ShardRange(plan.Total, shard, nshards)
@@ -169,11 +206,11 @@ func run() int {
 	if *journal != "" {
 		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, tr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if jnl.Complete() {
-			fmt.Fprintf(os.Stderr, "sweep: %s already complete (%d records, %d failed) — nothing to run\n",
+			fmt.Fprintf(stderr, "sweep: %s already complete (%d records, %d failed) — nothing to run\n",
 				plan, jnl.Done(), jnl.Failed())
 			jnl.Close()
 			if jnl.Failed() > 0 {
@@ -184,16 +221,16 @@ func run() int {
 			return 0
 		}
 		if jnl.Done() > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
+			fmt.Fprintf(stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
 		}
 		lo += jnl.Done()
 		sink = jnl
 	} else {
-		w := os.Stdout
+		var w io.Writer = stdout
 		if *out != "-" {
 			f, err := os.Create(*out)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 1
 			}
 			outFile = f
@@ -229,11 +266,11 @@ func run() int {
 		if r.Err != nil {
 			status = r.Err.Error()
 		}
-		fmt.Fprintf(os.Stderr, "[%*d/%d] %s: %s\n",
+		fmt.Fprintf(stderr, "[%*d/%d] %s: %s\n",
 			len(strconv.Itoa(total)), done, total, r.Point.Name(), status)
 	}
 
-	fmt.Fprintf(os.Stderr, "sweep: %s: %d runs (%d workers)\n", plan, plan.Hi-lo, *parallel)
+	fmt.Fprintf(stderr, "sweep: %s: %d runs (%d workers)\n", plan, plan.Hi-lo, *parallel)
 	err = runRange(ctx, spec, lo, plan.Hi, *parallel, tr, sink, progress)
 	stopHeartbeat()
 	if jnl != nil {
@@ -259,16 +296,16 @@ func run() int {
 	// Telemetry flushes even when the sweep failed — that is when the
 	// trace is most wanted — but a flush error must not mask a run error.
 	if werr := obsFlags.WriteTrace(tr); werr != nil {
-		fmt.Fprintf(os.Stderr, "sweep: telemetry: %v\n", werr)
+		fmt.Fprintf(stderr, "sweep: telemetry: %v\n", werr)
 		if err == nil {
 			err = werr
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
+	fmt.Fprintf(stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
 		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures)
 	if failures > 0 {
 		return 1
@@ -319,7 +356,7 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	// warmup itself, so no two cells could share a warm checkpoint —
 	// caching would only pin warmed machines in memory. The caches live
 	// where reuse is real: reunion-inject's per-cell trials and the
-	// reunion-bench experiment campaigns.
+	// -experiment campaigns (ExpConfig).
 	spec := sweep.Spec[reunion.Options]{
 		Name: "paper-matrix",
 		Base: reunion.Options{WarmCycles: warm, MeasureCycles: measure, Kernel: kern},

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -91,5 +92,89 @@ func TestBuildSpecErrorsListValidNames(t *testing.T) {
 	_, err = buildSpec("reunion", "apache", "10", "ghost", "hardware", "tso", "1", "1", 100, 100, reunion.KernelFastForward)
 	if err == nil || !strings.Contains(err.Error(), "global, shared, null") {
 		t.Errorf("phantom error does not list valid names: %v", err)
+	}
+}
+
+// An unknown -experiment is a usage error that lists the valid names,
+// not a silent no-op — including the retired host-performance
+// experiments, whose job the bench/ module now does.
+func TestUnknownExperimentExits2(t *testing.T) {
+	for _, name := range []string{"fig55", "throughput"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-experiment", name}, &stdout, &stderr); code != 2 {
+			t.Errorf("-experiment %s: exit %d, want 2", name, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-experiment %s: wrote to stdout: %q", name, stdout.String())
+		}
+		for _, want := range []string{`unknown experiment "` + name + `"`, "fig5", "topology", "'all'"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("-experiment %s: stderr %q missing %q", name, stderr.String(), want)
+			}
+		}
+	}
+}
+
+// Stdout carries only the table; the timing line goes to stderr, so
+// stdout is comparable byte for byte between runs.
+func TestConfigPrintsTable1(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "config"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-experiment config: exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{"Table 1: simulated baseline CMP parameters", "logical processors"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
+		}
+	}
+	if strings.Contains(stdout.String(), "finished in") {
+		t.Errorf("timing line on stdout:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "(config finished in ") {
+		t.Errorf("stderr missing the timing line: %q", stderr.String())
+	}
+}
+
+// An experiment fixes its own matrix and output, so a flag that would
+// shape either is a usage error, as are -full alone and an unknown name.
+// None of them may create a results file.
+func TestExperimentUsageErrorsExit2(t *testing.T) {
+	t.Chdir(t.TempDir())
+	cases := [][]string{
+		{"-full"},
+		{"-full", "-modes", "reunion"},
+		{"-experiment", "nope"},
+		{"-experiment", "config", "-modes", "reunion"},
+		{"-experiment", "config", "-workloads", "apache"},
+		{"-experiment", "config", "-latencies", "0"},
+		{"-experiment", "config", "-phantoms", "null"},
+		{"-experiment", "config", "-tlbs", "software"},
+		{"-experiment", "config", "-consistencies", "sc"},
+		{"-experiment", "config", "-intervals", "5"},
+		{"-experiment", "config", "-seeds", "2"},
+		{"-experiment", "config", "-warm", "10"},
+		{"-experiment", "config", "-measure", "10"},
+		{"-experiment", "config", "-out", "x.jsonl"},
+		{"-experiment", "config", "-format", "csv"},
+		{"-experiment", "config", "-shard", "0/2"},
+		{"-experiment", "config", "-journal", "j.jsonl"},
+		{"-experiment", "config", "-resume"},
+		{"-experiment", "config", "-ckpt-store", "ckpts"},
+		{"-experiment", "config", "-full", "-out", "-"},
+	}
+	for _, args := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: wrote to stdout: %q", args, stdout.String())
+		}
+		if stderr.Len() == 0 {
+			t.Errorf("%q: no usage message", args)
+		}
+		if files, _ := os.ReadDir("."); len(files) != 0 {
+			t.Fatalf("%q: created %v", args, files)
+		}
 	}
 }

@@ -3,23 +3,23 @@ package reunion
 import (
 	"testing"
 
-	"reunion/internal/core"
 	"reunion/internal/workload"
 )
 
 // TestDebugWedge is a diagnostic scaffold (kept because it doubles as a
 // liveness regression test): it runs the lock-protected counter micro
-// under each execution model and fails with a full state dump if the
-// system stops making progress or computes the wrong count.
+// under each execution model and fails with a full state dump, including
+// the last compare and recovery events, if the system stops making
+// progress or computes the wrong count.
 func TestDebugWedge(t *testing.T) {
 	for _, mode := range []Mode{ModeNonRedundant, ModeStrict, ModeReunion} {
 		t.Run(mode.String(), func(t *testing.T) {
-			core.Debug = testing.Verbose()
-			defer func() { core.Debug = false }()
 			w := workload.MicroCounter(4, 50)
 			sys := NewSystem(DefaultConfig(), mode, w, 1)
+			ring := sys.EnableTracing(256)
 
 			dump := func() {
+				t.Log(ring.Dump())
 				for _, cc := range sys.Cores {
 					t.Log(cc.DumpState())
 				}

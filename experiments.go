@@ -14,9 +14,10 @@ import (
 	"reunion/internal/workload"
 )
 
-// ExpConfig sizes an experiment campaign. Quick settings keep `go test
-// -bench` affordable; Full settings match the paper's methodology more
-// closely (longer windows, several matched seeds).
+// ExpConfig sizes an experiment campaign. Quick settings keep
+// `reunion-sweep -experiment all` to minutes; Full settings match the
+// paper's methodology more closely (longer windows, several matched
+// seeds).
 //
 // Every table/figure reproduction is declared as a sweep spec (a cross
 // product of workload × variant axes) and executed through the
@@ -60,7 +61,8 @@ type ExpConfig struct {
 	warm *WarmCache
 }
 
-// QuickExp returns a campaign sized for CI and `go test -bench`.
+// QuickExp returns a campaign sized for a run of every experiment in
+// minutes (reunion-sweep -experiment).
 func QuickExp(out io.Writer) ExpConfig {
 	return ExpConfig{
 		Seeds:         DefaultSeeds(1),
@@ -305,7 +307,9 @@ type WorkloadRow struct {
 }
 
 // Figure5Result reproduces Figure 5: normalized IPC of Strict and Reunion
-// at a 10-cycle comparison latency, per workload.
+// at a 10-cycle comparison latency, per workload. Redundant execution
+// does not beat the non-redundant baseline, and Reunion does not beat
+// Strict, its ideal input-replication oracle.
 type Figure5Result struct {
 	Rows []WorkloadRow
 }

@@ -1,5 +1,5 @@
 // Package cliconf is the shared flag-parsing and validation layer of
-// the reunion CLIs. Four commands (sweep, inject, bench, merge) accept
+// the reunion CLIs. Three commands (sweep, inject, merge) accept
 // overlapping flag families — axis CSVs with duplicate-value warnings
 // and fail-fast unknown-value listing, the telemetry flags, the
 // checkpoint-store directory, the -cpuprofile profile, and the

@@ -2,22 +2,12 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"reunion/internal/cache"
 	"reunion/internal/cpu"
 	"reunion/internal/sim"
 	"reunion/internal/trace"
 )
-
-// Debug enables recovery/compare tracing to stderr (tests and debugging).
-var Debug = false
-
-func debugf(format string, args ...any) {
-	if Debug {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-}
 
 // SyncTarget is the shared cache controller surface the pair needs: it
 // can cancel stale synchronizing requests during recovery escalation
@@ -48,7 +38,6 @@ type sentInterval struct {
 	extra   int64
 	serial  int
 	endsMem bool
-	dbg     string // populated only when Debug is set
 }
 
 // pairSide holds one core's comparison FIFOs. Both queues are consumed
@@ -179,18 +168,14 @@ func (p *Pair) Offer(c *cpu.Core, e *cpu.Entry, send bool, fp uint16) {
 	if !send {
 		return
 	}
-	si := sentInterval{
+	s.pushSent(sentInterval{
 		endSeq:  e.Seq,
 		fp:      fp,
 		at:      p.EQ.Now(),
 		extra:   s.pendingExtra,
 		serial:  s.pendingSerial,
 		endsMem: e.In.IsMem(),
-	}
-	if Debug {
-		si.dbg = fmt.Sprintf("pc=%d %v res=%d ea=%#x tk=%v tg=%d", e.PC, e.In, e.Result, e.EA, e.Taken, e.Target)
-	}
-	s.pushSent(si)
+	})
 	s.pendingExtra, s.pendingSerial = 0, 0
 }
 
@@ -244,8 +229,6 @@ func (p *Pair) Tick() {
 		gen := p.gen
 		aEnd, bEnd, endsMem := a.endSeq, b.endSeq, a.endsMem
 		if !match {
-			debugf("[%d] %v compare MISMATCH endSeq v=%d m=%d fp %04x/%04x endsMem=%v stepping=%v\n    vocal: %s\n    mute:  %s",
-				p.EQ.Now(), p, aEnd, bEnd, a.fp, b.fp, endsMem, p.stepping, a.dbg, b.dbg)
 			// Gated at the call site: Addf formats lazily, but its variadic
 			// args would still be boxed on every mismatch of every untraced
 			// recovery-heavy run.
@@ -390,11 +373,6 @@ func (p *Pair) recover() {
 	p.MuteC.SquashAll()
 	p.stepping = true
 	p.syncArmed = true
-	if Debug {
-		vs, vp := p.VocalC.CommitPoint()
-		ms, mp := p.MuteC.CommitPoint()
-		debugf("[%d] %v RECOVER phase=%d vocal@(%d,%d) mute@(%d,%d)", p.EQ.Now(), p, p.phase, vs, vp, ms, mp)
-	}
 	if p.Trace.Enabled(trace.Recovery) {
 		seq, pc := p.VocalC.CommitPoint()
 		p.Trace.Addf(p.EQ.Now(), p.VocalC.ID, trace.Recovery,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"reunion/internal/bin"
@@ -53,20 +54,26 @@ func encodeSentInterval(w *bin.Writer, si *sentInterval) {
 	w.I64(si.extra)
 	w.Int(si.serial)
 	w.Bool(si.endsMem)
-	w.String(si.dbg)
+	// Format v3 reserves a debug string here; it is always empty.
+	w.String("")
 }
 
 func decodeSentInterval(r *bin.Reader) sentInterval {
-	return sentInterval{
+	si := sentInterval{
 		endSeq:  r.I64(),
 		fp:      r.U16(),
 		at:      r.I64(),
 		extra:   r.I64(),
 		serial:  r.Int(),
 		endsMem: r.Bool(),
-		dbg:     r.String(),
 	}
+	if r.String() != "" {
+		r.Fail(errSentDebug)
+	}
+	return si
 }
+
+var errSentDebug = errors.New("core: sent interval carries a non-empty debug string")
 
 const sentIntervalWireBytes = 8 + 2 + 8 + 8 + 8 + 1 + 1
 
