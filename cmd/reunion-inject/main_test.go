@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,5 +96,33 @@ func TestUnknownFormatExits2(t *testing.T) {
 	}
 	if _, err := os.Stat(file); !os.IsNotExist(err) {
 		t.Errorf("rejected run created its results file (stat: %v)", err)
+	}
+}
+
+// An explicit bit range means itself: -bits 0 flips bit 0 in every
+// trial, not the whole 0-63 range the zero value once stood for.
+func TestBitsZeroFlipsOnlyBitZero(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "inject.jsonl")
+	if code := run([]string{"-bits", "0", "-trials", "6", "-mode", "non-redundant", "-workloads", "apache",
+		"-warm", "2000", "-target", "300", "-quiet", "-out", out}); code != 0 {
+		t.Fatalf("exit %d, want 0", code)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); n++ {
+		var rec struct{ Metrics map[string]float64 }
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		if bit, ok := rec.Metrics["bit"]; !ok || bit != 0 {
+			t.Errorf("record %d flipped bit %v (present %v), want 0", n, bit, ok)
+		}
+	}
+	if n != 6 {
+		t.Errorf("%d records, want 6", n)
 	}
 }

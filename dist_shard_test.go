@@ -192,7 +192,7 @@ func shardCampaignSpec() campaign.Spec[Options] {
 					func(o *Options, m Mode) { o.Mode = m }),
 			},
 		},
-		Model:         campaign.FaultModel{WindowHi: 400},
+		Model:         campaign.FaultModel{BitHi: 63, WindowHi: 400},
 		Trials:        4,
 		Seed:          0xfa017,
 		StreamExclude: []string{"mode"},

@@ -120,7 +120,7 @@ func TestInjectedRunObservability(t *testing.T) {
 // SDCs, the non-redundant baseline corrupting under the same fault
 // stream, detected trials carrying latencies.
 func TestCampaignEndToEnd(t *testing.T) {
-	model := campaign.FaultModel{WindowHi: 400}
+	model := campaign.FaultModel{BitHi: 63, WindowHi: 400}
 	eng := campaign.Engine[Options]{
 		Spec: campaign.Spec[Options]{
 			Name: "e2e",

@@ -48,7 +48,8 @@ import (
 
 // FaultModel bounds the Monte-Carlo draws of the single-fault trials.
 type FaultModel struct {
-	// BitLo/BitHi is the inclusive flip-bit range (defaults 0..63).
+	// BitLo/BitHi is the inclusive flip-bit range: 0..63 draws from the
+	// whole 64-bit result, and the zero value flips bit 0 only.
 	BitLo, BitHi uint
 	// WindowLo/WindowHi is the injection-cycle window, measured from the
 	// start of the measurement phase: each trial arms its fault at a cycle
@@ -64,9 +65,6 @@ type FaultModel struct {
 }
 
 func (m FaultModel) withDefaults() FaultModel {
-	if m.BitLo == 0 && m.BitHi == 0 {
-		m.BitHi = 63
-	}
 	if m.WindowHi <= m.WindowLo {
 		m.WindowHi = m.WindowLo + 1
 	}

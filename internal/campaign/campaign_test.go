@@ -93,7 +93,7 @@ func TestEveryTrialClassifiedExactlyOnce(t *testing.T) {
 	eng := Engine[fakeCell]{
 		Spec: Spec[fakeCell]{
 			Matrix: fakeMatrix(),
-			Model:  FaultModel{WindowHi: 1000},
+			Model:  FaultModel{BitHi: 63, WindowHi: 1000},
 			Trials: 20,
 			Seed:   42,
 		},
@@ -135,7 +135,7 @@ func TestJSONLDeterministicUnderParallelism(t *testing.T) {
 		eng := Engine[fakeCell]{
 			Spec: Spec[fakeCell]{
 				Matrix:        fakeMatrix(),
-				Model:         FaultModel{WindowHi: 500},
+				Model:         FaultModel{BitHi: 63, WindowHi: 500},
 				Trials:        trials,
 				Seed:          7,
 				StreamExclude: []string{"mode"},
@@ -186,7 +186,7 @@ func TestJSONLDeterministicUnderParallelism(t *testing.T) {
 func TestStreamExclude(t *testing.T) {
 	spec := Spec[fakeCell]{
 		Matrix:        fakeMatrix(),
-		Model:         FaultModel{WindowHi: 10_000},
+		Model:         FaultModel{BitHi: 63, WindowHi: 10_000},
 		Trials:        50,
 		Seed:          99,
 		StreamExclude: []string{"mode"},
@@ -273,7 +273,7 @@ func TestReportCoverageAndTable(t *testing.T) {
 	eng := Engine[fakeCell]{
 		Spec: Spec[fakeCell]{
 			Matrix:        fakeMatrix(),
-			Model:         FaultModel{WindowHi: 1000},
+			Model:         FaultModel{BitHi: 63, WindowHi: 1000},
 			Trials:        40,
 			Seed:          11,
 			StreamExclude: []string{"mode"},
@@ -346,7 +346,7 @@ func TestValidate(t *testing.T) {
 func TestShardedRunReassemblesByteIdentical(t *testing.T) {
 	spec := Spec[fakeCell]{
 		Matrix:        fakeMatrix(),
-		Model:         FaultModel{WindowHi: 500},
+		Model:         FaultModel{BitHi: 63, WindowHi: 500},
 		Trials:        10,
 		Seed:          99,
 		StreamExclude: []string{"mode"},
@@ -406,7 +406,7 @@ func TestCancelledTrialsNeverEnterTheStream(t *testing.T) {
 		eng := Engine[fakeCell]{
 			Spec: Spec[fakeCell]{
 				Matrix: fakeMatrix(),
-				Model:  FaultModel{WindowHi: 100},
+				Model:  FaultModel{BitHi: 63, WindowHi: 100},
 				Trials: 5,
 				Seed:   uint64(iter + 1),
 			},

@@ -1,20 +1,14 @@
-// Package obsgated enforces PR 7's fix as an invariant: observability
-// calls (trace ring, metrics, spans) inside tick-path packages must be
-// dominated by an Enabled() or nil guard, so a disabled scope costs
-// nothing on the hot path — no variadic boxing, no closure allocation,
-// no map lookup per tick.
-package obsgated
+package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
-
-	"reunion/internal/lint/analysis"
 )
 
 // tickPackages names the packages whose every function is assumed to be
 // on (or one call from) the per-cycle tick path. Matched by package
-// name so linttest fixtures can stand in for the real packages.
+// name so fixture packages can stand in for the real packages.
 var tickPackages = map[string]bool{
 	"cpu": true, "core": true, "sim": true, "cache": true,
 	"tlb": true, "coherence": true, "snoop": true, "mem": true,
@@ -29,26 +23,23 @@ var obsPackages = map[string]bool{"trace": true, "obs": true}
 // guaranteed allocation-free when disabled.
 var exempt = map[string]bool{"Enabled": true, "String": true}
 
-var Analyzer = &analysis.Analyzer{
-	Name: "obsgated",
-	Doc: "calls to trace/obs helpers in tick-path packages (cpu, core, sim, cache, " +
-		"tlb, coherence, snoop, mem, interconnect) must be dominated by an " +
-		"Enabled() or nil-scope guard; there is no annotation escape — gate the call",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	if !tickPackages[pass.Pkg.Name] {
+// obsGated enforces the hot-path gating rule: observability calls
+// (trace ring, metrics, spans) inside tick-path packages must be
+// dominated by an Enabled() or nil guard, so a disabled scope costs
+// nothing on the hot path — no variadic boxing, no closure allocation,
+// no map lookup per tick. There is no annotation escape: gate the call.
+func obsGated(tg *target) []finding {
+	if !tickPackages[tg.pkg.Name()] {
 		return nil
 	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		analysis.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+	var out []finding
+	for _, f := range tg.files {
+		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			fn := obsMethod(info, call)
+			fn := obsMethod(tg.info, call)
 			if fn == nil || exempt[fn.Name()] {
 				return true
 			}
@@ -59,13 +50,32 @@ func run(pass *analysis.Pass) error {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				recv = types.ExprString(sel.X)
 			}
-			pass.Reportf(call.Pos(),
+			out = append(out, finding{call.Pos(), fmt.Sprintf(
 				"ungated %s.%s call on the tick path: dominate it with an Enabled() or nil check on %s",
-				fn.Pkg().Name(), fn.Name(), recv)
+				fn.Pkg().Name(), fn.Name(), recv)})
 			return true
 		})
 	}
-	return nil
+	return out
+}
+
+// inspectWithStack walks the file like ast.Inspect but hands fn the
+// stack of enclosing nodes, outermost first; the visited node is
+// stack's last element. Returning false prunes the subtree.
+func inspectWithStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if !fn(n, stack) {
+			stack = stack[:len(stack)-1] // Inspect will not send the pop
+			return false
+		}
+		return true
+	})
 }
 
 // obsMethod returns the called observability method, or nil if the call

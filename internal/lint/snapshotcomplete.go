@@ -1,5 +1,44 @@
-// Package snapshotcomplete enforces the checkpoint-capture contract in
-// every package that has a snapshot path (a snapshot.go, wire.go, or
+package lint
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+)
+
+// Markers recognized in //reunion:<marker> annotation comments on a
+// field's declaration. Free text may follow the marker to justify it:
+// `//reunion:derived rebuilt by rebuildDerived on restore`.
+const (
+	// markDerived names snapshot-skipped state that a restore rebuilds
+	// from authoritative serialized state (waiter chains, memo lists).
+	markDerived = "derived"
+	// markShared names reference fields intentionally shared between a
+	// snapshot and the live machine: identity-preserved component wiring
+	// or immutable-once-created values.
+	markShared = "shared"
+)
+
+// snapshotFiles are the per-package files that constitute the snapshot
+// path.
+var snapshotFiles = map[string]bool{
+	"snapshot.go": true, "wire.go": true, "serialize.go": true,
+}
+
+// captureMode says which fields of a serialized struct need evidence.
+type captureMode int
+
+const (
+	modeRefsOnly  captureMode = iota // shallow-copied: scalars are automatic
+	modeAllFields                    // wire-encoded: nothing is automatic
+)
+
+// snapshotComplete enforces the checkpoint-capture contract in every
+// package that has a snapshot path (a snapshot.go, wire.go, or
 // serialize.go file): a struct that participates in snapshotting may
 // not grow a field the snapshot path silently loses.
 //
@@ -24,47 +63,14 @@
 //     same all-fields rule.
 //
 // Escapes: `//reunion:derived` on a field declares rebuilt-on-restore
-// state (never captured, reconstructed from serialized state — PR 8's
-// waiter chains); `//reunion:shared` declares a reference intentionally
+// state (never captured, reconstructed from serialized state, such as
+// the issue-stage waiter chains); `//reunion:shared` declares a reference intentionally
 // shared between snapshot and live machine (identity-preserved
 // component wiring, immutable-once-created values).
-package snapshotcomplete
-
-import (
-	"go/ast"
-	"go/types"
-	"path/filepath"
-	"sort"
-
-	"reunion/internal/lint/analysis"
-)
-
-var Analyzer = &analysis.Analyzer{
-	Name: "snapshotcomplete",
-	Doc: "every field of a snapshotted or wire-encoded struct must be captured by " +
-		"its package's snapshot path (snapshot.go/wire.go/serialize.go) or annotated " +
-		"//reunion:derived (rebuilt on restore) or //reunion:shared (identity-preserved)",
-	Run: run,
-}
-
-// snapshotFiles are the per-package files that constitute the snapshot
-// path.
-var snapshotFiles = map[string]bool{
-	"snapshot.go": true, "wire.go": true, "serialize.go": true,
-}
-
-// captureMode says which fields of a serialized struct need evidence.
-type captureMode int
-
-const (
-	modeRefsOnly  captureMode = iota // shallow-copied: scalars are automatic
-	modeAllFields                    // wire-encoded: nothing is automatic
-)
-
-func run(pass *analysis.Pass) error {
+func snapshotComplete(tg *target) []finding {
 	var snapFiles []*ast.File
-	for _, f := range pass.Pkg.Files {
-		name := filepath.Base(pass.Prog.Fset.Position(f.Package).Filename)
+	for _, f := range tg.files {
+		name := filepath.Base(tg.fset.Position(f.Package).Filename)
 		if snapshotFiles[name] {
 			snapFiles = append(snapFiles, f)
 		}
@@ -72,7 +78,7 @@ func run(pass *analysis.Pass) error {
 	if len(snapFiles) == 0 {
 		return nil
 	}
-	info := pass.Pkg.Info
+	info := tg.info
 
 	// Pass 1 over the snapshot path: which fields are mentioned, which
 	// structs are shallow-copied, which are snapshot/encode receivers.
@@ -81,7 +87,7 @@ func run(pass *analysis.Pass) error {
 	serialized := map[*types.Named]captureMode{}
 
 	noteNamed := func(t types.Type, mode captureMode) {
-		if n := localNamedStruct(pass.Pkg.Types, t); n != nil {
+		if n := localNamedStruct(tg.pkg, t); n != nil {
 			if cur, ok := serialized[n]; !ok || mode > cur {
 				serialized[n] = mode
 			}
@@ -139,7 +145,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if named := localNamedStruct(pass.Pkg.Types, ptr.Elem()); named != nil {
+				if named := localNamedStruct(tg.pkg, ptr.Elem()); named != nil {
 					shallow[named] = true
 				}
 			}
@@ -166,7 +172,7 @@ func run(pass *analysis.Pass) error {
 		st := n.Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
 			for _, elem := range valueConstituents(st.Field(i).Type()) {
-				child := localNamedStruct(pass.Pkg.Types, elem)
+				child := localNamedStruct(tg.pkg, elem)
 				if child == nil || shallow[child] {
 					continue
 				}
@@ -186,6 +192,7 @@ func run(pass *analysis.Pass) error {
 	sort.Slice(names, func(i, j int) bool {
 		return names[i].Obj().Name() < names[j].Obj().Name()
 	})
+	var out []finding
 	for _, n := range names {
 		mode := serialized[n]
 		st := n.Underlying().(*types.Struct)
@@ -197,21 +204,77 @@ func run(pass *analysis.Pass) error {
 			if mode == modeRefsOnly && !isRefType(f.Type()) {
 				continue
 			}
-			if pass.Pkg.FieldMarked(f, analysis.MarkDerived) ||
-				pass.Pkg.FieldMarked(f, analysis.MarkShared) {
+			if fieldMarked(tg, f, markDerived) || fieldMarked(tg, f, markShared) {
 				continue
 			}
 			what := "captured by the snapshot path"
 			if mode == modeRefsOnly {
 				what = "deep-copied nor fixed up in the snapshot path"
 			}
-			pass.Reportf(f.Pos(),
+			out = append(out, finding{f.Pos(), fmt.Sprintf(
 				"field %s.%s is neither %s (snapshot.go/wire.go/serialize.go) nor annotated "+
 					"//reunion:derived or //reunion:shared — a checkpoint would silently lose it",
-				n.Obj().Name(), f.Name(), what)
+				n.Obj().Name(), f.Name(), what)})
 		}
 	}
-	return nil
+	return out
+}
+
+// fieldMarked reports whether a //reunion:<marker> annotation covers the
+// struct field fv: in a comment starting on its line or the line above,
+// or in its declaration's doc or trailing comment.
+func fieldMarked(tg *target, fv *types.Var, marker string) bool {
+	has := func(c *ast.Comment) bool { return slices.Contains(markersIn(c.Text), marker) }
+	file := tg.fset.File(fv.Pos())
+	line := file.Line(fv.Pos())
+	for _, f := range tg.files {
+		if tg.fset.File(f.Package) != file {
+			continue
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if l := file.Line(c.Pos()); (l == line || l == line-1) && has(c) {
+					return true
+				}
+			}
+		}
+		// The innermost field declaration spanning fv's position is fv's.
+		var decl *ast.Field
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil || n.Pos() > fv.Pos() || n.End() <= fv.Pos() {
+				return false
+			}
+			if fd, ok := n.(*ast.Field); ok {
+				decl = fd
+			}
+			return true
+		})
+		return decl != nil && (decl.Doc != nil && slices.ContainsFunc(decl.Doc.List, has) ||
+			decl.Comment != nil && slices.ContainsFunc(decl.Comment.List, has))
+	}
+	return false
+}
+
+// markersIn extracts reunion annotation markers from one comment's text.
+func markersIn(text string) []string {
+	var out []string
+	rest := text
+	for {
+		i := strings.Index(rest, "//reunion:")
+		if i < 0 {
+			return out
+		}
+		rest = rest[i+len("//reunion:"):]
+		end := strings.IndexFunc(rest, func(r rune) bool {
+			return r == ' ' || r == '\t' || r == '\n'
+		})
+		if end < 0 {
+			end = len(rest)
+		}
+		if m := rest[:end]; m != "" {
+			out = append(out, m)
+		}
+	}
 }
 
 // localNamedStruct returns t as a named struct type defined in pkg, or

@@ -2,7 +2,7 @@
 // the bare and closure-hidden calls it must flag.
 package cache
 
-import "trace"
+import "obsgated/trace"
 
 type L1 struct {
 	tr   *trace.Ring

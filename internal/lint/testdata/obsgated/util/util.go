@@ -2,7 +2,7 @@
 // unconditionally without a gate.
 package util
 
-import "trace"
+import "obsgated/trace"
 
 func Dump(r *trace.Ring) {
 	r.Addf(0, 1, "dump")

@@ -195,7 +195,7 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 					func(o *Options, s uint64) { o.Seed = s }),
 			},
 		},
-		Model:         campaign.FaultModel{WindowHi: 400},
+		Model:         campaign.FaultModel{BitHi: 63, WindowHi: 400},
 		Trials:        3,
 		Seed:          0xfa017,
 		StreamExclude: []string{"mode"},
