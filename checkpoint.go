@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"reunion/internal/cache"
 	"reunion/internal/ckptstore"
 	"reunion/internal/coherence"
 	"reunion/internal/core"
@@ -37,8 +38,17 @@ import (
 // OnFault* observer hooks' *own* state (the hook function values are
 // restored, so per-trial wrappers installed after a snapshot are
 // unwound).
+//
+// A checkpoint decoded from a blob (DecodeCheckpoint) has no owner and no
+// runner on any pending event until Bind attaches it to a system.
 type Checkpoint struct {
 	owner *System
+
+	// key and reqs are a decoded checkpoint's: the options fingerprint its
+	// blob was encoded under, and its interned requests, whose L1s Bind
+	// sets.
+	key  uint64
+	reqs []*cache.Req
 
 	eq     sim.EventQueueState
 	sched  sim.SchedulerState

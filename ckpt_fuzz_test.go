@@ -10,7 +10,7 @@ import (
 // FuzzCheckpointDecode holds the decoder to its hardening contract:
 // arbitrary bytes — truncations, bit flips, hostile forgeries — must
 // produce an error, never a panic, never unbounded allocation, and
-// never a DecodedCheckpoint alongside an error. When a blob does decode
+// never a Checkpoint alongside an error. When a blob does decode
 // (in practice only the seed corpus's genuine encodings and the
 // fuzzer's recombinations of them), binding it against live machines
 // must be equally panic-free: every structural hazard is a returned
@@ -46,8 +46,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		// A decodable blob must survive Bind against machines of both
 		// topologies without panicking; mismatches are returned errors.
-		for _, sys := range fuzzBindTargets() {
-			cp, err := d.Bind(sys, d.Key)
+		// Bind binds in place, so each target gets its own decode.
+		for i, sys := range fuzzBindTargets() {
+			if i > 0 {
+				d, _ = DecodeCheckpoint(data)
+			}
+			cp, err := d.Bind(sys, d.key)
 			if err == nil && cp == nil {
 				t.Fatal("Bind returned neither checkpoint nor error")
 			}

@@ -6,17 +6,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/printer"
-	"go/token"
 	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"reunion/internal/workload"
@@ -155,14 +148,12 @@ func sameFormatVersion(blob []byte) bool {
 }
 
 // TestCheckpointGoldenTagCoverage holds the committed blobs to every
-// wire path: each descriptor tag EncodeCheckpoint writes must appear in
-// at least one of them, so a layout change to any pending-event
-// descriptor fails TestCheckpointGoldenFormat. The tag list is read
-// from the encoder's type switch in serialize.go, so a new descriptor
-// type needs a golden cell before it lands.
+// wire path: each descriptor tag in serialize.go's descriptor table must
+// appear in at least one of them, so a layout change to any
+// pending-event descriptor fails TestCheckpointGoldenFormat. A new
+// descriptor type therefore needs a golden cell before it lands.
 func TestCheckpointGoldenTagCoverage(t *testing.T) {
-	tagOf := encoderTags(t)
-	seen := map[string]bool{}
+	seen := map[uint8]bool{}
 	for _, cell := range goldenCells() {
 		committed, err := os.ReadFile(goldenPath(cell.name))
 		if err != nil {
@@ -172,69 +163,16 @@ func TestCheckpointGoldenTagCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
-		for _, ev := range d.events {
-			typ := strings.Replace(fmt.Sprintf("%T", ev.desc), "*reunion.", "*", 1)
-			tag, ok := tagOf[typ]
-			if !ok {
-				t.Fatalf("%s: pending %s has no tag in serialize.go's encode switch", cell.name, typ)
-			}
-			seen[tag] = true
+		for _, ev := range d.eq.Events() {
+			seen[ckptTags[reflect.TypeOf(ev.Desc)]] = true
 		}
 	}
-	for _, tag := range slices.Sorted(maps.Values(tagOf)) {
-		if !seen[tag] {
-			t.Errorf("no committed golden blob holds a pending event with descriptor tag %s: "+
-				"add a golden cell whose warm window ends while one is pending", tag)
+	for i, desc := range ckptDescs {
+		if !seen[uint8(i+1)] {
+			t.Errorf("no committed golden blob holds a pending event with descriptor tag %d (%T): "+
+				"add a golden cell whose warm window ends while one is pending", i+1, desc())
 		}
 	}
-}
-
-// encoderTags parses serialize.go and maps each descriptor type in
-// EncodeCheckpoint's type switch (as %T prints it, package-local types
-// unqualified) to the tag constant its case writes.
-func encoderTags(t *testing.T) map[string]string {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "serialize.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tags := map[string]string{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		fn, ok := n.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "EncodeCheckpoint" {
-			return true
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			cc, ok := n.(*ast.CaseClause)
-			if !ok || len(cc.List) != 1 || len(cc.Body) == 0 {
-				return true
-			}
-			call, ok := cc.Body[0].(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			ce, ok := call.X.(*ast.CallExpr)
-			if !ok || len(ce.Args) != 1 {
-				return true
-			}
-			tag, ok := ce.Args[0].(*ast.Ident)
-			if !ok || !strings.HasPrefix(tag.Name, "tag") {
-				return true
-			}
-			var typ strings.Builder
-			if err := printer.Fprint(&typ, fset, cc.List[0]); err != nil {
-				t.Fatal(err)
-			}
-			tags[typ.String()] = tag.Name
-			return true
-		})
-		return false
-	})
-	if len(tags) == 0 {
-		t.Fatal("found no descriptor tags in EncodeCheckpoint")
-	}
-	return tags
 }
 
 // TestCheckpointGoldenDecode proves the committed blobs still decode to
@@ -269,11 +207,15 @@ func TestCheckpointGoldenDecode(t *testing.T) {
 		if !reflect.DeepEqual(fromDisk, fresh) {
 			t.Errorf("%s: committed golden blob decodes to a different snapshot than a fresh encoding", cell.name)
 		}
-		// And the pinned blob must still bind, restore and run on.
+		// And the pinned blob must still bind, re-encode to its own bytes,
+		// restore and run on.
 		sys := buildSystem(cell.o)
 		cp, err := fromDisk.Bind(sys, CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatalf("%s: committed golden blob no longer binds: %v", cell.name, err)
+		}
+		if again, err := EncodeCheckpoint(cp, CheckpointKey(cell.o)); err != nil || !bytes.Equal(again, committed) {
+			t.Errorf("%s: the bound golden checkpoint re-encodes to different bytes (err %v)", cell.name, err)
 		}
 		sys.Restore(cp)
 		live.Run(goldenRunOn)

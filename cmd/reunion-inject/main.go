@@ -79,7 +79,7 @@ func run(args []string) int {
 	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
 	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
 	bits := fs.String("bits", "0-63", "inclusive flip-bit range lo-hi")
-	window := fs.String("window", "", "injection cycle window lo-hi, hi exclusive, measured from measurement start (default 0-target)")
+	window := fs.String("window", "", "injection cycle window lo-hi, hi exclusive, measured from measurement start (default 0-target); an empty window, such as a single value N (N-N), exits 2")
 	warm := fs.Int64("warm", 10_000, "warmup cycles per run")
 	target := fs.Int64("target", 2_000, "committed instructions per logical processor per trial (classification boundary)")
 	deadline := fs.Int64("deadline", 150_000, "trial deadline in cycles (past it a trial is a terminal DUE)")

@@ -56,6 +56,7 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 		{"seed", "reunion", "apache", "global", "x", "0-63", ""},
 		{"bits", "reunion", "apache", "global", "1", "63-0", ""},
 		{"window", "reunion", "apache", "global", "1", "0-63", "50-10"},
+		{"empty window", "reunion", "apache", "global", "1", "0-63", "100-100"},
 	}
 	for _, c := range cases {
 		if _, err := buildSpec(c.modes, c.workloads, c.phantoms, c.seeds, c.bits,

@@ -290,10 +290,11 @@ func TestArrayRestoreVsFullCopy(t *testing.T) {
 			// A decoded copy of a snapshot is a different state with the
 			// same contents.
 			i := rng.IntN(len(snaps))
-			var w bin.Writer
-			snaps[i].s.Encode(&w)
-			r := bin.NewReader(w.Bytes())
-			snaps = append(snaps, snap{DecodeArrayState(r), snaps[i].im})
+			w := bin.NewWriter(nil)
+			snaps[i].s.Walk(w)
+			var s ArrayState
+			s.Walk(bin.NewReader(w.Bytes()))
+			snaps = append(snaps, snap{s, snaps[i].im})
 		default:
 			i := len(snaps) - 1 // the base, unless a decode was appended
 			if op == 13 {

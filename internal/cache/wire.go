@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the cache package's half of checkpoint serialization: wire
-// codecs for the array, the L1 (including MSHR waiters), and request
-// bodies, plus the CB descriptor that names the completion an MSHR waiter
-// owes its core.
+// walks for the array, the L1 (including MSHR waiters), and request
+// bodies, the table that interns requests, plus the CB descriptor that
+// names the completion an MSHR waiter owes its core.
 
 // CBKind identifies which completion a CB describes.
 type CBKind uint8
@@ -65,257 +65,201 @@ func (cb *CB) syncAtomic() bool {
 // CBSyncWrap around a leaf.
 const maxCBDepth = 4
 
-// Encode writes the descriptor.
-func (cb *CB) Encode(w *bin.Writer) {
-	w.U8(uint8(cb.Kind))
-	w.Int(cb.Core)
-	w.Int(cb.Idx)
-	w.I64(cb.Seq)
-	w.I64(cb.Epoch)
-	w.U64(cb.Block)
-	w.Int(cb.Word)
-	w.Int(cb.Pair)
-	w.I64(cb.Gen)
-	w.Bool(cb.Inner != nil)
-	if cb.Inner != nil {
-		cb.Inner.Encode(w)
-	}
-}
+// Walk walks the descriptor and, behind a presence flag, its Inner.
+func (cb *CB) Walk(c *bin.Codec) { cb.walk(c, 0) }
 
-// DecodeCB reads a descriptor written by Encode.
-func DecodeCB(r *bin.Reader) *CB {
-	return decodeCB(r, 0)
-}
-
-func decodeCB(r *bin.Reader, depth int) *CB {
+func (cb *CB) walk(c *bin.Codec, depth int) {
 	if depth >= maxCBDepth {
-		r.Fail(errors.New("cache: callback descriptor nested too deeply"))
-		return nil
+		c.Fail(errors.New("cache: callback descriptor nested too deeply"))
+		return
 	}
-	cb := &CB{
-		Kind:  CBKind(r.U8()),
-		Core:  r.Int(),
-		Idx:   r.Int(),
-		Seq:   r.I64(),
-		Epoch: r.I64(),
-		Block: r.U64(),
-		Word:  r.Int(),
-		Pair:  r.Int(),
-		Gen:   r.I64(),
+	c.U8((*uint8)(&cb.Kind))
+	c.Int(&cb.Core)
+	c.Int(&cb.Idx)
+	c.I64(&cb.Seq)
+	c.I64(&cb.Epoch)
+	c.U64(&cb.Block)
+	c.Int(&cb.Word)
+	c.Int(&cb.Pair)
+	c.I64(&cb.Gen)
+	if c.Reading() && (cb.Kind < CBIfetchDone || cb.Kind > CBSyncWrap) {
+		c.Fail(fmt.Errorf("cache: unknown callback kind %d", cb.Kind))
 	}
-	if cb.Kind < CBIfetchDone || cb.Kind > CBSyncWrap {
-		r.Fail(fmt.Errorf("cache: unknown callback kind %d", cb.Kind))
-		return nil
-	}
-	if r.Bool() {
-		cb.Inner = decodeCB(r, depth+1)
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return cb
-}
-
-// --- request bodies ---
-
-// EncodeBody writes every Req field except L1 (which the checkpoint
-// binder rebinds from (Kind, Core): a request fills its core's L1I or
-// L1D, and writebacks fill nothing).
-func (r *Req) EncodeBody(w *bin.Writer) {
-	w.U8(uint8(r.Kind))
-	w.U64(r.Block)
-	w.Int(r.Core)
-	w.Int(r.Pair)
-	w.Bool(r.Vocal)
-	w.I64(r.Token)
-	w.Bool(r.Data != nil)
-	if r.Data != nil {
-		w.U64s(r.Data[:])
+	inner := cb.Inner != nil
+	if c.Bool(&inner); inner {
+		if c.Reading() {
+			cb.Inner = new(CB)
+		}
+		cb.Inner.walk(c, depth+1)
 	}
 }
 
-// DecodeReqBody reads a request body; L1 is left nil for the checkpoint
-// binder to fill in.
-func DecodeReqBody(rd *bin.Reader) *Req {
-	r := &Req{
-		Kind:  ReqKind(rd.U8()),
-		Block: rd.U64(),
-		Core:  rd.Int(),
-		Pair:  rd.Int(),
-		Vocal: rd.Bool(),
-		Token: rd.I64(),
+// --- requests ---
+
+// ReqTable interns the requests a checkpoint references. A request sits
+// in many places at once (bank queues, parked sync slots, event
+// descriptors) and the controllers compare requests by pointer, so a walk
+// never writes one inline: Ref writes its index in the table and reads
+// an index back as the one shared *Req.
+type ReqTable struct {
+	reqs []*Req
+	idx  map[*Req]int
+}
+
+// Add interns r unless the table holds it already.
+func (t *ReqTable) Add(r *Req) {
+	if _, ok := t.idx[r]; ok {
+		return
 	}
-	if r.Kind > Sync {
-		rd.Fail(fmt.Errorf("cache: unknown request kind %d", r.Kind))
-		return nil
+	if t.idx == nil {
+		t.idx = make(map[*Req]int)
 	}
-	if rd.Bool() {
-		var data mem.Block
-		rd.U64s(data[:])
-		r.Data = &data
+	t.idx[r] = len(t.reqs)
+	t.reqs = append(t.reqs, r)
+}
+
+// Reqs returns the interned requests in table order.
+func (t *ReqTable) Reqs() []*Req { return t.reqs }
+
+// Walk walks the table: its length, then each request's every field but
+// L1, which the checkpoint binder sets from (Kind, Core) (a request fills
+// its core's L1I or L1D, and writebacks fill nothing).
+func (t *ReqTable) Walk(c *bin.Codec) {
+	bin.Slice(c, &t.reqs, 1+8+1+1+1+8+1, func(rp **Req) {
+		if c.Reading() {
+			*rp = new(Req)
+		}
+		r := *rp
+		c.U8((*uint8)(&r.Kind))
+		c.U64(&r.Block)
+		c.Int(&r.Core)
+		c.Int(&r.Pair)
+		c.Bool(&r.Vocal)
+		c.I64(&r.Token)
+		if c.Reading() && r.Kind > Sync {
+			c.Fail(fmt.Errorf("cache: unknown request kind %d", r.Kind))
+		}
+		data := r.Data != nil
+		if c.Bool(&data); data {
+			if c.Reading() {
+				r.Data = new(mem.Block)
+			}
+			c.U64s(r.Data[:])
+		}
+	})
+}
+
+// Ref walks a reference to a request as its table index. A writer adds a
+// request the table lacks, so walking into a scratch writer fills a table
+// before its bytes are written; a reader fails on an index outside it.
+func (t *ReqTable) Ref(c *bin.Codec, r **Req) {
+	if !c.Reading() {
+		t.Add(*r)
+		i := t.idx[*r]
+		c.Int(&i)
+		return
 	}
-	if rd.Err() != nil {
-		return nil
+	var i int
+	c.Int(&i)
+	*r = nil
+	if i >= 0 && i < len(t.reqs) {
+		*r = t.reqs[i]
+	} else {
+		c.Fail(errors.New("cache: bad interned request reference"))
 	}
-	return r
 }
 
 // --- array ---
-
-func encodeLine(w *bin.Writer, l *Line) {
-	w.U64(l.Block)
-	w.U8(uint8(l.State))
-	w.Bool(l.Dirty)
-	w.Bool(l.Locked)
-	w.U64s(l.Data[:])
-	w.I64(l.lru)
-}
-
-func decodeLine(r *bin.Reader) Line {
-	var l Line
-	l.Block = r.U64()
-	l.State = State(r.U8())
-	if l.State > Modified {
-		r.Fail(fmt.Errorf("cache: unknown line state %d", l.State))
-		return Line{}
-	}
-	l.Dirty = r.Bool()
-	l.Locked = r.Bool()
-	r.U64s(l.Data[:])
-	l.lru = r.I64()
-	return l
-}
 
 // lineWireBytes is the size of an encoded Line, used to bound decoded
 // lengths against remaining input.
 const lineWireBytes = 8 + 1 + 1 + 1 + mem.BlockWords*8 + 8
 
-// WireBytes returns the size of the lines Encode writes (all of its
-// output but the tick and the count), so a caller can size its buffer
-// once.
+// WireBytes returns the size of the lines Walk writes (all of its output
+// but the tick and the count), so a caller can size its buffer once.
 func (s *ArrayState) WireBytes() int { return len(s.idx) * (4 + lineWireBytes) }
 
-// Encode writes the array snapshot.
-func (s *ArrayState) Encode(w *bin.Writer) {
-	w.I64(s.tick)
-	w.Uvarint(uint64(len(s.idx)))
-	for i, flat := range s.idx {
-		w.U32(uint32(flat))
-		encodeLine(w, &s.lines[i])
+// Walk walks the array snapshot: the tick, then each line after its flat
+// index, the indices strictly increasing.
+func (s *ArrayState) Walk(c *bin.Codec) {
+	c.I64(&s.tick)
+	n := c.Len(len(s.idx), 4+lineWireBytes)
+	if c.Reading() {
+		s.idx, s.lines = make([]int32, n), make([]Line, n)
 	}
-}
-
-// DecodeArrayState reads an array snapshot written by Encode.
-func DecodeArrayState(r *bin.Reader) ArrayState {
-	var s ArrayState
-	s.tick = r.I64()
-	n := r.Len(4 + lineWireBytes)
-	s.idx = make([]int32, 0, n)
-	s.lines = make([]Line, 0, n)
-	for i := 0; i < n; i++ {
-		flat := int32(r.U32())
-		line := decodeLine(r)
-		if i > 0 && flat <= s.idx[len(s.idx)-1] {
-			r.Fail(errors.New("cache: array snapshot indices not strictly increasing"))
-			return ArrayState{}
+	for i := range s.idx {
+		flat := uint32(s.idx[i])
+		c.U32(&flat)
+		l := &s.lines[i]
+		c.U64(&l.Block)
+		c.U8((*uint8)(&l.State))
+		c.Bool(&l.Dirty)
+		c.Bool(&l.Locked)
+		c.U64s(l.Data[:])
+		c.I64(&l.lru)
+		if !c.Reading() {
+			continue
 		}
-		s.idx = append(s.idx, flat)
-		s.lines = append(s.lines, line)
+		s.idx[i] = int32(flat)
+		if l.State > Modified {
+			c.Fail(fmt.Errorf("cache: unknown line state %d", l.State))
+		}
+		if i > 0 && s.idx[i] <= s.idx[i-1] {
+			c.Fail(errors.New("cache: array snapshot indices not strictly increasing"))
+		}
 	}
-	if r.Err() != nil {
-		return ArrayState{}
-	}
-	return s
 }
 
 // --- L1 ---
 
-// WireBytes returns the size of the array lines Encode writes; the MSHRs
+// WireBytes returns the size of the array lines Walk writes; the MSHRs
 // and counters are a few hundred bytes more.
 func (s *L1State) WireBytes() int { return s.arr.WireBytes() }
 
-// Encode writes the L1 snapshot.
-func (s *L1State) Encode(w *bin.Writer) {
-	s.arr.Encode(w)
-	w.Uvarint(uint64(len(s.mshrs)))
-	for i := range s.mshrs {
-		m := &s.mshrs[i]
-		w.Bool(m.valid)
-		w.U64(m.block)
-		w.Bool(m.forX)
-		w.Uvarint(uint64(len(m.waiters)))
-		for j := range m.waiters {
-			wt := &m.waiters[j]
-			// The flag bytes repeat what the descriptor's kind says.
-			w.Bool(wt.cb.Kind == CBStoreDone)
-			w.Bool(wt.cb.syncAtomic())
-			w.Int(wt.word)
-			w.U64(wt.data)
-			w.Bool(true) // every waiter carries a descriptor
-			wt.cb.Encode(w)
-		}
-	}
-	w.Int(s.free)
-	w.I64(s.hits)
-	w.I64(s.misses)
-	w.I64(s.merged)
-	w.I64(s.fills)
-	w.I64(s.wbSent)
-	w.I64(s.muteDrops)
-	w.I64(s.retries)
+// Walk walks the L1 snapshot.
+func (s *L1State) Walk(c *bin.Codec) {
+	s.arr.Walk(c)
+	bin.Slice(c, &s.mshrs, 1+8+1+1, func(m *mshr) {
+		c.Bool(&m.valid)
+		c.U64(&m.block)
+		c.Bool(&m.forX)
+		bin.Slice(c, &m.waiters, 1+1+8+8+1, func(wt *mshrWaiter) { wt.walk(c) })
+	})
+	c.Int(&s.free)
+	c.I64(&s.hits)
+	c.I64(&s.misses)
+	c.I64(&s.merged)
+	c.I64(&s.fills)
+	c.I64(&s.wbSent)
+	c.I64(&s.muteDrops)
+	c.I64(&s.retries)
 }
 
-// DecodeL1State reads an L1 snapshot written by Encode. It refuses a
-// waiter without a descriptor, which would leave the core waiting on a
-// completion that never comes, and one whose flag bytes contradict its
-// descriptor's kind, which Encode never writes.
-func DecodeL1State(r *bin.Reader) *L1State {
-	s := &L1State{arr: DecodeArrayState(r)}
-	nm := r.Len(1 + 8 + 1 + 1)
-	for i := 0; i < nm; i++ {
-		var m mshr
-		m.valid = r.Bool()
-		m.block = r.U64()
-		m.forX = r.Bool()
-		nw := r.Len(1 + 1 + 8 + 8 + 1)
-		for j := 0; j < nw; j++ {
-			var wt mshrWaiter
-			isStore, isAtomic := r.Bool(), r.Bool()
-			wt.word = r.Int()
-			if wt.word < 0 || wt.word >= mem.BlockWords {
-				r.Fail(fmt.Errorf("cache: waiter word %d out of range", wt.word))
-				return nil
-			}
-			wt.data = r.U64()
-			if !r.Bool() {
-				r.Fail(errors.New("cache: waiter has no completion descriptor"))
-				return nil
-			}
-			cb := DecodeCB(r)
-			if cb == nil {
-				return nil
-			}
-			if isStore != (cb.Kind == CBStoreDone) || isAtomic != cb.syncAtomic() {
-				r.Fail(fmt.Errorf("cache: waiter flags store=%v atomic=%v contradict callback kind %d", isStore, isAtomic, cb.Kind))
-				return nil
-			}
-			wt.cb = *cb
-			m.waiters = append(m.waiters, wt)
-		}
-		s.mshrs = append(s.mshrs, m)
+// walk walks a waiter. Its flag bytes repeat what its descriptor's kind
+// says, and a flag announces the descriptor every waiter carries. A
+// reader refuses a waiter without a descriptor, which would leave the
+// core waiting on a completion that never comes, and one whose flags
+// contradict its descriptor's kind, which a writer never writes.
+func (wt *mshrWaiter) walk(c *bin.Codec) {
+	isStore, isAtomic, hasCB := wt.cb.Kind == CBStoreDone, wt.cb.syncAtomic(), true
+	c.Bool(&isStore)
+	c.Bool(&isAtomic)
+	c.Int(&wt.word)
+	c.U64(&wt.data)
+	if c.Bool(&hasCB); !hasCB {
+		c.Fail(errors.New("cache: waiter has no completion descriptor"))
+		return
 	}
-	s.free = r.Int()
-	s.hits = r.I64()
-	s.misses = r.I64()
-	s.merged = r.I64()
-	s.fills = r.I64()
-	s.wbSent = r.I64()
-	s.muteDrops = r.I64()
-	s.retries = r.I64()
-	if r.Err() != nil {
-		return nil
+	wt.cb.Walk(c)
+	if !c.Reading() {
+		return
 	}
-	return s
+	if wt.word < 0 || wt.word >= mem.BlockWords {
+		c.Fail(fmt.Errorf("cache: waiter word %d out of range", wt.word))
+	}
+	if isStore != (wt.cb.Kind == CBStoreDone) || isAtomic != wt.cb.syncAtomic() {
+		c.Fail(fmt.Errorf("cache: waiter flags store=%v atomic=%v contradict callback kind %d", isStore, isAtomic, wt.cb.Kind))
+	}
 }
 
 // VisitWaiters calls fn with every waiter's descriptor, stopping at the

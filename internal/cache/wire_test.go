@@ -9,17 +9,25 @@ import (
 
 // encodeL1 snapshots c and encodes the snapshot.
 func encodeL1(c *L1) []byte {
-	w := &bin.Writer{}
-	c.Snapshot().Encode(w)
+	w := bin.NewWriter(nil)
+	c.Snapshot().Walk(w)
 	return w.Bytes()
+}
+
+// decodes reports whether blob reads back as an L1 snapshot.
+func decodes(blob []byte) bool {
+	var s L1State
+	r := bin.NewReader(blob)
+	s.Walk(r)
+	return r.Err() == nil
 }
 
 // descAt returns the offset and length in blob of cb's encoding, which a
 // waiter writes after the waiterHead bytes ending in its descriptor flag.
 func descAt(t *testing.T, blob []byte, cb CB) (at, n int) {
 	t.Helper()
-	cw := &bin.Writer{}
-	cb.Encode(cw)
+	cw := bin.NewWriter(nil)
+	cb.Walk(cw)
 	at = bytes.Index(blob, cw.Bytes())
 	if at < waiterHead || blob[at-1] != 1 {
 		t.Fatal("descriptor not found after its flag byte")
@@ -34,7 +42,7 @@ const waiterHead = 1 + 1 + 8 + 8 + 1
 // TestDecodeRejectsWaiterWithoutCompletion: a restored MSHR waiter must
 // name the completion its core waits for. A waiter with no descriptor
 // would complete nothing on fill and leave the core waiting forever, and
-// flag bytes that contradict the descriptor's kind are a blob Encode
+// flag bytes that contradict the descriptor's kind are a blob Walk
 // never writes, so decoding either fails.
 func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 	t.Run("no descriptor", func(t *testing.T) {
@@ -42,14 +50,14 @@ func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 		cb := load(0x5eed)
 		c.Load(blk(3), 1, cb)
 		blob := encodeL1(c)
-		if DecodeL1State(bin.NewReader(blob)) == nil {
+		if !decodes(blob) {
 			t.Fatal("intact blob does not decode")
 		}
 		// Clear the waiter's descriptor flag and drop the descriptor
 		// bytes it announced, leaving a well-formed waiter without one.
 		at, n := descAt(t, blob, cb)
 		hostile := append(append(append([]byte(nil), blob[:at-1]...), 0), blob[at+n:]...)
-		if DecodeL1State(bin.NewReader(hostile)) != nil {
+		if decodes(hostile) {
 			t.Fatal("decoded a waiter with no completion descriptor")
 		}
 	})
@@ -86,7 +94,7 @@ func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 			c := newTestL1(&fakeBelow{})
 			cb := tc.issue(c)
 			blob := encodeL1(c)
-			if DecodeL1State(bin.NewReader(blob)) == nil {
+			if !decodes(blob) {
 				t.Fatal("intact blob does not decode")
 			}
 			at, _ := descAt(t, blob, cb)
@@ -95,7 +103,7 @@ func TestDecodeRejectsWaiterWithoutCompletion(t *testing.T) {
 				t.Fatalf("flag byte is already %d", tc.value)
 			}
 			blob[flag] = tc.value
-			if DecodeL1State(bin.NewReader(blob)) != nil {
+			if decodes(blob) {
 				t.Fatal("decoded a waiter whose flags contradict its descriptor")
 			}
 		})

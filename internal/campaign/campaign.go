@@ -53,8 +53,8 @@ type FaultModel struct {
 	BitLo, BitHi uint
 	// WindowLo/WindowHi is the injection-cycle window, measured from the
 	// start of the measurement phase: each trial arms its fault at a cycle
-	// in [WindowLo, WindowHi). WindowHi defaults to WindowLo+1 (inject at
-	// exactly WindowLo).
+	// in [WindowLo, WindowHi). An empty window (WindowHi <= WindowLo)
+	// fails Spec.Validate.
 	WindowLo, WindowHi int64
 	// Cores caps the cores under test: trials target a core index in
 	// [0, Cores). Zero means every core of the cell's system — the trial
@@ -62,13 +62,6 @@ type FaultModel struct {
 	// differs by mode: a Reunion cell has a vocal and a mute per logical
 	// processor).
 	Cores int
-}
-
-func (m FaultModel) withDefaults() FaultModel {
-	if m.WindowHi <= m.WindowLo {
-		m.WindowHi = m.WindowLo + 1
-	}
-	return m
 }
 
 // Trial is one Monte-Carlo draw: which bit to flip, when to arm it, and a
@@ -209,7 +202,6 @@ func (s Spec[C]) withDefaults() Spec[C] {
 	if s.Name == "" {
 		s.Name = "campaign"
 	}
-	s.Model = s.Model.withDefaults()
 	return s
 }
 
@@ -317,9 +309,12 @@ type trialRun struct {
 
 // Run executes every trial and returns the aggregated coverage report.
 // Individual trial failures (including panics in RunTrial) become DUE
-// outcomes, not campaign failures; the campaign itself fails only on
-// context cancellation or a sink write error.
+// outcomes, not campaign failures; the campaign itself fails only on a
+// spec that fails Validate, context cancellation or a sink write error.
 func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
+	if err := e.Spec.Validate(); err != nil {
+		return nil, err
+	}
 	spec := e.Spec.withDefaults()
 	cells := spec.Matrix.Points()
 	combined := sweep.Spec[C]{
@@ -429,7 +424,8 @@ func b2f(b bool) float64 {
 }
 
 // Validate sanity-checks a spec before a long campaign: a non-empty
-// matrix and a drawable fault model.
+// matrix and a drawable fault model (a bit range within the result word,
+// a non-empty injection window).
 func (s Spec[C]) Validate() error {
 	s = s.withDefaults()
 	if s.Matrix.Size() == 0 {
@@ -442,6 +438,9 @@ func (s Spec[C]) Validate() error {
 		// ArmFault flips bit%64: accepting >63 would silently alias the
 		// draws onto low bits while the results file reports the raw ones.
 		return fmt.Errorf("campaign: bit range [%d,%d] exceeds the 63-bit result width", s.Model.BitLo, s.Model.BitHi)
+	}
+	if s.Model.WindowHi <= s.Model.WindowLo {
+		return fmt.Errorf("campaign: injection window [%d,%d) is empty", s.Model.WindowLo, s.Model.WindowHi)
 	}
 	for _, ax := range s.Matrix.Axes {
 		if ax.Name == "trial" || ax.Name == "outcome" {

@@ -243,6 +243,7 @@ func TestPanicInRunTrialBecomesDUE(t *testing.T) {
 	eng := Engine[fakeCell]{
 		Spec: Spec[fakeCell]{
 			Matrix: fakeMatrix(),
+			Model:  FaultModel{WindowHi: 1},
 			Trials: 2,
 			Seed:   1,
 		},
@@ -317,7 +318,7 @@ func TestReportCoverageAndTable(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := Spec[fakeCell]{Matrix: fakeMatrix()}
+	good := Spec[fakeCell]{Matrix: fakeMatrix(), Model: FaultModel{WindowHi: 100}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +333,14 @@ func TestValidate(t *testing.T) {
 		t.Fatal("reserved axis name validated")
 	}
 	wide := good
-	wide.Model = FaultModel{BitLo: 48, BitHi: 70}
+	wide.Model = FaultModel{BitLo: 48, BitHi: 70, WindowHi: 100}
 	if err := wide.Validate(); err == nil {
 		t.Fatal("bit range beyond 63 validated (ArmFault would alias it mod 64)")
+	}
+	shut := good
+	shut.Model = FaultModel{WindowLo: 100, WindowHi: 100}
+	if err := shut.Validate(); err == nil {
+		t.Fatal("empty injection window validated")
 	}
 }
 

@@ -101,10 +101,10 @@ type flightKey struct {
 // L2 is the shared cache controller. It implements cache.Below.
 type L2 struct {
 	cfg Config
-	eq  *sim.EventQueue
+	eq  *sim.EventQueue //reunion:shared the system's one event queue, restored on its own
 	arr *cache.Array
 	dir map[uint64]*dirEntry
-	mem *mem.Memory
+	mem *mem.Memory //reunion:shared the system's backing memory, restored on its own
 
 	banks    []*interconnect.BankQueue
 	bankMask uint64

@@ -108,7 +108,7 @@ type Pair struct {
 	// OnFaultDetected, if set, observes every recovery attributed to an
 	// injected fault, at the cycle the recovery starts (fault-injection
 	// campaigns latch detection latency here).
-	OnFaultDetected func()
+	OnFaultDetected func() //reunion:shared observer hook: Restore puts back the snapshot's, unwinding a per-trial wrapper
 
 	// ForceAlias makes the next n mismatching comparisons pass, emulating
 	// fingerprint aliasing (drives the phase-2 path in tests).

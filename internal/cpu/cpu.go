@@ -321,7 +321,7 @@ type Core struct {
 	// (a datapath transient caught by output comparison).
 	faultArmed   bool
 	faultBit     uint
-	OnFaultFired func()
+	OnFaultFired func() //reunion:shared observer hook: Restore puts back the snapshot's, unwinding a per-trial wrapper
 
 	// Fault-consumption tracking: faultSeq is the seq of the instruction a
 	// fired fault flipped, until that instruction either retires (the flip

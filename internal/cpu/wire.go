@@ -11,352 +11,197 @@ import (
 	"reunion/internal/tlb"
 )
 
-// Wire codec for core snapshots (checkpoint serialization). The encoding
-// walks every mutable field of Core in declaration order; pointer fields
+// Wire walk for core snapshots (checkpoint serialization). The walk
+// visits every mutable field of Core in declaration order; pointer fields
 // (config, thread, caches, gate, hooks) are identity, not state — a
 // decoded snapshot carries nil there until BindTo fixes them from the live
 // core the checkpoint restores onto.
 
-func encodeInstr(w *bin.Writer, in isa.Instr) {
-	w.U8(uint8(in.Op))
-	w.U8(in.Rd)
-	w.U8(in.Rs1)
-	w.U8(in.Rs2)
-	w.I64(in.Imm)
-}
-
-func decodeInstr(r *bin.Reader) isa.Instr {
-	in := isa.Instr{Op: isa.Op(r.U8()), Rd: r.U8(), Rs1: r.U8(), Rs2: r.U8(), Imm: r.I64()}
+func walkInstr(c *bin.Codec, in *isa.Instr) {
+	c.U8((*uint8)(&in.Op))
+	c.U8(&in.Rd)
+	c.U8(&in.Rs1)
+	c.U8(&in.Rs2)
+	c.I64(&in.Imm)
+	if !c.Reading() {
+		return
+	}
 	if !in.Op.Valid() {
-		r.Fail(fmt.Errorf("cpu: invalid opcode %d", in.Op))
+		c.Fail(fmt.Errorf("cpu: invalid opcode %d", in.Op))
 	}
 	if in.Rd >= isa.NumRegs || in.Rs1 >= isa.NumRegs || in.Rs2 >= isa.NumRegs {
-		r.Fail(fmt.Errorf("cpu: register index out of range in %v", in))
+		c.Fail(fmt.Errorf("cpu: register index out of range in %v", *in))
 	}
-	return in
 }
 
-func encodeEntry(w *bin.Writer, e *Entry) {
-	w.I64(e.Seq)
-	w.I64(e.PC)
-	encodeInstr(w, e.In)
-	w.I64(e.Epoch)
-	w.U8(uint8(e.state))
-	w.I64(e.src1)
-	w.I64(e.src2)
-	w.I64(e.src3)
-	w.Int(e.src1Rob)
-	w.Int(e.src2Rob)
-	w.Int(e.src3Rob)
-	w.I64(e.src1Seq)
-	w.I64(e.src2Seq)
-	w.I64(e.src3Seq)
-	w.U8(e.src1Reg)
-	w.U8(e.src2Reg)
-	w.U8(e.src3Reg)
-	w.Bool(e.src1Ready)
-	w.Bool(e.src2Ready)
-	w.Bool(e.src3Ready)
-	w.Bool(e.predTaken)
-	w.I64(e.predTarget)
-	w.I64(e.Result)
-	w.Bool(e.Taken)
-	w.I64(e.Target)
-	w.U64(e.EA)
-	w.I64(e.doneAt)
-	w.Bool(e.hasDoneAt)
-	w.Bool(e.casSuccess)
-	w.I64(e.casNew)
-	w.Bool(e.syncIssued)
-	w.Bool(e.Serializing)
-	w.I64(e.IntervalID)
-	w.I64(e.ExtraCheck)
-	w.Int(e.SerialCount)
-	w.I64(e.OfferedAt)
-	w.Bool(e.tlbChecked)
-	w.I64(e.offerAfter)
-}
-
-func decodeEntry(r *bin.Reader) Entry {
-	var e Entry
-	e.Seq = r.I64()
-	e.PC = r.I64()
-	e.In = decodeInstr(r)
-	e.Epoch = r.I64()
-	e.state = entryState(r.U8())
-	if e.state > stOffered {
-		r.Fail(fmt.Errorf("cpu: invalid ROB entry state %d", e.state))
-		return Entry{}
+func walkEntry(c *bin.Codec, e *Entry) {
+	c.I64(&e.Seq)
+	c.I64(&e.PC)
+	walkInstr(c, &e.In)
+	c.I64(&e.Epoch)
+	c.U8((*uint8)(&e.state))
+	if c.Reading() && e.state > stOffered {
+		c.Fail(fmt.Errorf("cpu: invalid ROB entry state %d", e.state))
 	}
-	e.src1 = r.I64()
-	e.src2 = r.I64()
-	e.src3 = r.I64()
-	e.src1Rob = r.Int()
-	e.src2Rob = r.Int()
-	e.src3Rob = r.Int()
-	e.src1Seq = r.I64()
-	e.src2Seq = r.I64()
-	e.src3Seq = r.I64()
-	e.src1Reg = r.U8()
-	e.src2Reg = r.U8()
-	e.src3Reg = r.U8()
-	e.src1Ready = r.Bool()
-	e.src2Ready = r.Bool()
-	e.src3Ready = r.Bool()
-	e.predTaken = r.Bool()
-	e.predTarget = r.I64()
-	e.Result = r.I64()
-	e.Taken = r.Bool()
-	e.Target = r.I64()
-	e.EA = r.U64()
-	e.doneAt = r.I64()
-	e.hasDoneAt = r.Bool()
-	e.casSuccess = r.Bool()
-	e.casNew = r.I64()
-	e.syncIssued = r.Bool()
-	e.Serializing = r.Bool()
-	e.IntervalID = r.I64()
-	e.ExtraCheck = r.I64()
-	e.SerialCount = r.Int()
-	e.OfferedAt = r.I64()
-	e.tlbChecked = r.Bool()
-	e.offerAfter = r.I64()
-	return e
+	c.I64(&e.src1)
+	c.I64(&e.src2)
+	c.I64(&e.src3)
+	c.Int(&e.src1Rob)
+	c.Int(&e.src2Rob)
+	c.Int(&e.src3Rob)
+	c.I64(&e.src1Seq)
+	c.I64(&e.src2Seq)
+	c.I64(&e.src3Seq)
+	c.U8(&e.src1Reg)
+	c.U8(&e.src2Reg)
+	c.U8(&e.src3Reg)
+	c.Bool(&e.src1Ready)
+	c.Bool(&e.src2Ready)
+	c.Bool(&e.src3Ready)
+	c.Bool(&e.predTaken)
+	c.I64(&e.predTarget)
+	c.I64(&e.Result)
+	c.Bool(&e.Taken)
+	c.I64(&e.Target)
+	c.U64(&e.EA)
+	c.I64(&e.doneAt)
+	c.Bool(&e.hasDoneAt)
+	c.Bool(&e.casSuccess)
+	c.I64(&e.casNew)
+	c.Bool(&e.syncIssued)
+	c.Bool(&e.Serializing)
+	c.I64(&e.IntervalID)
+	c.I64(&e.ExtraCheck)
+	c.Int(&e.SerialCount)
+	c.I64(&e.OfferedAt)
+	c.Bool(&e.tlbChecked)
+	c.I64(&e.offerAfter)
 }
 
 // entryWireBytes is a conservative lower bound on an encoded Entry.
 const entryWireBytes = 100
 
-// WireBytes returns the size of the L1 array lines Encode writes, the
-// bulk of a core's encoding; the window, TLBs and predictor add tens of
+// WireBytes returns the size of the L1 array lines Walk writes, the bulk
+// of a core's encoding; the window, TLBs and predictor add tens of
 // kilobytes.
 func (s *CoreState) WireBytes() int { return s.l1d.WireBytes() + s.l1i.WireBytes() }
 
-// Encode writes the core snapshot.
-func (s *CoreState) Encode(w *bin.Writer) {
-	c := &s.core
-	w.Int(c.ID)
-	w.Int(c.Pair)
-	w.Bool(c.Vocal)
-	for _, v := range c.arf {
-		w.I64(v)
+// Walk walks the core snapshot. A reader leaves the pointer fields nil
+// until BindTo.
+func (s *CoreState) Walk(c *bin.Codec) {
+	co := &s.core
+	c.Int(&co.ID)
+	c.Int(&co.Pair)
+	c.Bool(&co.Vocal)
+	for i := range co.arf {
+		c.I64(&co.arf[i])
 	}
-	w.I64(c.commitSeq)
-	w.I64(c.commitPC)
-	w.I64(c.fetchPC)
-	w.I64(c.fetchSeq)
-	w.Bool(c.fetchHalted)
-	w.Bool(c.icacheWait)
-	w.U64(c.curIBlock)
-	w.Bool(c.haveIBlock)
-	w.I64(c.fetchEpoch)
-	w.Uvarint(uint64(len(c.fq)))
-	for i := range c.fq {
-		f := &c.fq[i]
-		w.I64(f.seq)
-		w.I64(f.pc)
-		encodeInstr(w, f.in)
-		w.Bool(f.predTaken)
-		w.I64(f.predTarget)
-		w.I64(f.readyAt)
+	c.I64(&co.commitSeq)
+	c.I64(&co.commitPC)
+	c.I64(&co.fetchPC)
+	c.I64(&co.fetchSeq)
+	c.Bool(&co.fetchHalted)
+	c.Bool(&co.icacheWait)
+	c.U64(&co.curIBlock)
+	c.Bool(&co.haveIBlock)
+	c.I64(&co.fetchEpoch)
+	bin.Slice(c, &co.fq, 8+8+12+1+8+8, func(f *fqSlot) {
+		c.I64(&f.seq)
+		c.I64(&f.pc)
+		walkInstr(c, &f.in)
+		c.Bool(&f.predTaken)
+		c.I64(&f.predTarget)
+		c.I64(&f.readyAt)
+	})
+	bin.Slice(c, &co.rob, entryWireBytes, func(e *Entry) { walkEntry(c, e) })
+	c.Int(&co.robHead)
+	c.Int(&co.robCount)
+	c.Int(&co.offerIdx)
+	nrob := len(co.rob)
+	if c.Reading() && (nrob == 0 || co.robHead < 0 || co.robHead >= nrob ||
+		co.robCount < 0 || co.robCount > nrob ||
+		co.offerIdx < 0 || co.offerIdx > co.robCount) {
+		c.Fail(fmt.Errorf("cpu: ROB bookkeeping out of range (head=%d count=%d offered=%d size=%d)",
+			co.robHead, co.robCount, co.offerIdx, nrob))
 	}
-	w.Uvarint(uint64(len(c.rob)))
-	for i := range c.rob {
-		encodeEntry(w, &c.rob[i])
-	}
-	w.Int(c.robHead)
-	w.Int(c.robCount)
-	w.Int(c.offerIdx)
-	for _, ref := range c.rename {
-		w.Bool(ref.valid)
-		w.Int(ref.rob)
-		w.I64(ref.seq)
-	}
-	w.Uvarint(uint64(len(c.inExec)))
-	for _, idx := range c.inExec {
-		w.Int(idx)
-	}
-	w.Uvarint(uint64(len(c.sb)))
-	for i := range c.sb {
-		sb := &c.sb[i]
-		w.I64(sb.seq)
-		w.U64(sb.block)
-		w.Int(sb.word)
-		w.U64(sb.data)
-		w.Bool(sb.addrReady)
-		w.Bool(sb.nonspec)
-		w.Bool(sb.draining)
-	}
-	w.Bool(c.sbDraining)
-	w.Uvarint(uint64(len(c.serQ)))
-	for _, seq := range c.serQ {
-		w.I64(seq)
-	}
-	w.I64(c.epoch)
-	w.Bool(c.halted)
-	w.Bool(c.failed)
-	w.Bool(c.faultArmed)
-	w.U64(uint64(c.faultBit))
-	w.I64(c.faultSeq)
-	w.I64(c.FaultRetired)
-	w.I64(c.FaultSquashed)
-	w.Bool(c.digestOn)
-	w.I64(c.digestCount)
-	w.I64(c.digestTarget)
-	w.U64(c.digestVal)
-	w.U64(c.digestLatched)
-	w.Bool(c.digestDone)
-	w.Int(c.intervalCount)
-	w.I64(c.intervalID)
-	w.Int(c.loadsThisCycle)
-	w.Int(c.storesThisCycle)
-	w.Bool(c.progress)
-	w.Bool(c.volatileStall)
-	w.I64(c.idleSerStalls)
-	w.I64(c.idleSBFull)
-	w.I64(c.execStamp)
-	w.Bool(c.pollEvery)
-	w.Bool(c.dirty)
-	w.Bool(c.selfQuiet)
-	w.I64(c.selfWake)
-	w.I64(c.devCount)
-	st := &c.Stats
-	for _, v := range []int64{st.Committed, st.CommittedLoads, st.CommittedStores,
-		st.Mispredicts, st.Serializing, st.ITLBMisses, st.DTLBMisses,
-		st.ROBOccupancy, st.CheckOccupancy, st.Cycles, st.IssueStallSer,
-		st.SBFullStalls, st.DevReads} {
-		w.I64(v)
-	}
-	s.l1d.Encode(w)
-	s.l1i.Encode(w)
-	s.itlb.Encode(w)
-	s.dtlb.Encode(w)
-	s.bp.Encode(w)
-	w.U16(s.fp.CRC())
-}
-
-// DecodeCoreState reads a core snapshot written by Encode. Pointer fields
-// are nil until BindTo.
-func DecodeCoreState(r *bin.Reader) *CoreState {
-	s := &CoreState{}
-	c := &s.core
-	c.ID = r.Int()
-	c.Pair = r.Int()
-	c.Vocal = r.Bool()
-	for i := range c.arf {
-		c.arf[i] = r.I64()
-	}
-	c.commitSeq = r.I64()
-	c.commitPC = r.I64()
-	c.fetchPC = r.I64()
-	c.fetchSeq = r.I64()
-	c.fetchHalted = r.Bool()
-	c.icacheWait = r.Bool()
-	c.curIBlock = r.U64()
-	c.haveIBlock = r.Bool()
-	c.fetchEpoch = r.I64()
-	nfq := r.Len(8 + 8 + 12 + 1 + 8 + 8)
-	c.fq = make([]fqSlot, 0, nfq)
-	for i := 0; i < nfq; i++ {
-		c.fq = append(c.fq, fqSlot{
-			seq: r.I64(), pc: r.I64(), in: decodeInstr(r),
-			predTaken: r.Bool(), predTarget: r.I64(), readyAt: r.I64(),
-		})
-	}
-	nrob := r.Len(entryWireBytes)
-	c.rob = make([]Entry, 0, nrob)
-	for i := 0; i < nrob; i++ {
-		c.rob = append(c.rob, decodeEntry(r))
-	}
-	c.robHead = r.Int()
-	c.robCount = r.Int()
-	c.offerIdx = r.Int()
-	if r.Err() == nil {
-		if nrob == 0 || c.robHead < 0 || c.robHead >= nrob ||
-			c.robCount < 0 || c.robCount > nrob ||
-			c.offerIdx < 0 || c.offerIdx > c.robCount {
-			r.Fail(fmt.Errorf("cpu: ROB bookkeeping out of range (head=%d count=%d offered=%d size=%d)",
-				c.robHead, c.robCount, c.offerIdx, nrob))
-			return nil
+	for i := range co.rename {
+		ref := &co.rename[i]
+		c.Bool(&ref.valid)
+		c.Int(&ref.rob)
+		c.I64(&ref.seq)
+		if c.Reading() && ref.valid && (ref.rob < 0 || ref.rob >= nrob) {
+			c.Fail(fmt.Errorf("cpu: rename reference %d out of range", ref.rob))
 		}
 	}
-	for i := range c.rename {
-		ref := renameRef{valid: r.Bool(), rob: r.Int(), seq: r.I64()}
-		if ref.valid && (ref.rob < 0 || ref.rob >= nrob) {
-			r.Fail(fmt.Errorf("cpu: rename reference %d out of range", ref.rob))
-			return nil
+	bin.Slice(c, &co.inExec, 8, func(idx *int) {
+		c.Int(idx)
+		if c.Reading() && (*idx < 0 || *idx >= nrob) {
+			c.Fail(fmt.Errorf("cpu: in-exec index %d out of range", *idx))
 		}
-		c.rename[i] = ref
+	})
+	bin.Slice(c, &co.sb, 8+8+8+8+3, func(sb *sbEntry) {
+		c.I64(&sb.seq)
+		c.U64(&sb.block)
+		c.Int(&sb.word)
+		c.U64(&sb.data)
+		c.Bool(&sb.addrReady)
+		c.Bool(&sb.nonspec)
+		c.Bool(&sb.draining)
+	})
+	c.Bool(&co.sbDraining)
+	bin.Slice(c, &co.serQ, 8, c.I64)
+	c.I64(&co.epoch)
+	c.Bool(&co.halted)
+	c.Bool(&co.failed)
+	c.Bool(&co.faultArmed)
+	faultBit := uint64(co.faultBit)
+	if c.U64(&faultBit); c.Reading() {
+		co.faultBit = uint(faultBit)
 	}
-	nexec := r.Len(8)
-	c.inExec = make([]int, 0, nexec)
-	for i := 0; i < nexec; i++ {
-		idx := r.Int()
-		if idx < 0 || idx >= nrob {
-			r.Fail(fmt.Errorf("cpu: in-exec index %d out of range", idx))
-			return nil
-		}
-		c.inExec = append(c.inExec, idx)
-	}
-	nsb := r.Len(8 + 8 + 8 + 8 + 3)
-	c.sb = make([]sbEntry, 0, nsb)
-	for i := 0; i < nsb; i++ {
-		c.sb = append(c.sb, sbEntry{
-			seq: r.I64(), block: r.U64(), word: r.Int(), data: r.U64(),
-			addrReady: r.Bool(), nonspec: r.Bool(), draining: r.Bool(),
-		})
-	}
-	c.sbDraining = r.Bool()
-	nser := r.Len(8)
-	c.serQ = make([]int64, 0, nser)
-	for i := 0; i < nser; i++ {
-		c.serQ = append(c.serQ, r.I64())
-	}
-	c.epoch = r.I64()
-	c.halted = r.Bool()
-	c.failed = r.Bool()
-	c.faultArmed = r.Bool()
-	c.faultBit = uint(r.U64())
-	c.faultSeq = r.I64()
-	c.FaultRetired = r.I64()
-	c.FaultSquashed = r.I64()
-	c.digestOn = r.Bool()
-	c.digestCount = r.I64()
-	c.digestTarget = r.I64()
-	c.digestVal = r.U64()
-	c.digestLatched = r.U64()
-	c.digestDone = r.Bool()
-	c.intervalCount = r.Int()
-	c.intervalID = r.I64()
-	c.loadsThisCycle = r.Int()
-	c.storesThisCycle = r.Int()
-	c.progress = r.Bool()
-	c.volatileStall = r.Bool()
-	c.idleSerStalls = r.I64()
-	c.idleSBFull = r.I64()
-	c.execStamp = r.I64()
-	c.pollEvery = r.Bool()
-	c.dirty = r.Bool()
-	c.selfQuiet = r.Bool()
-	c.selfWake = r.I64()
-	c.devCount = r.I64()
-	st := &c.Stats
+	c.I64(&co.faultSeq)
+	c.I64(&co.FaultRetired)
+	c.I64(&co.FaultSquashed)
+	c.Bool(&co.digestOn)
+	c.I64(&co.digestCount)
+	c.I64(&co.digestTarget)
+	c.U64(&co.digestVal)
+	c.U64(&co.digestLatched)
+	c.Bool(&co.digestDone)
+	c.Int(&co.intervalCount)
+	c.I64(&co.intervalID)
+	c.Int(&co.loadsThisCycle)
+	c.Int(&co.storesThisCycle)
+	c.Bool(&co.progress)
+	c.Bool(&co.volatileStall)
+	c.I64(&co.idleSerStalls)
+	c.I64(&co.idleSBFull)
+	c.I64(&co.execStamp)
+	c.Bool(&co.pollEvery)
+	c.Bool(&co.dirty)
+	c.Bool(&co.selfQuiet)
+	c.I64(&co.selfWake)
+	c.I64(&co.devCount)
+	st := &co.Stats
 	for _, v := range []*int64{&st.Committed, &st.CommittedLoads, &st.CommittedStores,
 		&st.Mispredicts, &st.Serializing, &st.ITLBMisses, &st.DTLBMisses,
 		&st.ROBOccupancy, &st.CheckOccupancy, &st.Cycles, &st.IssueStallSer,
 		&st.SBFullStalls, &st.DevReads} {
-		*v = r.I64()
+		c.I64(v)
 	}
-	s.l1d = cache.DecodeL1State(r)
-	s.l1i = cache.DecodeL1State(r)
-	s.itlb = tlb.DecodeTLBState(r)
-	s.dtlb = tlb.DecodeTLBState(r)
-	s.bp = bpred.DecodePredictorState(r)
-	s.fp = fingerprint.NewGenState(r.U16())
-	if r.Err() != nil {
-		return nil
+	if c.Reading() {
+		s.l1d, s.l1i = new(cache.L1State), new(cache.L1State)
+		s.itlb, s.dtlb = new(tlb.TLBState), new(tlb.TLBState)
+		s.bp = new(bpred.PredictorState)
 	}
-	return s
+	s.l1d.Walk(c)
+	s.l1i.Walk(c)
+	s.itlb.Walk(c)
+	s.dtlb.Walk(c)
+	s.bp.Walk(c)
+	crc := s.fp.CRC()
+	if c.U16(&crc); c.Reading() {
+		s.fp = fingerprint.NewGenState(crc)
+	}
 }
 
 // VisitWaiters calls fn with the descriptor of every MSHR waiter in the

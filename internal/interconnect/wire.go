@@ -1,34 +1,28 @@
 package interconnect
 
-// Checkpoint-serialization accessors. The queue items are requests owned
-// by the coherence layer, so the byte codec lives there; this file only
-// exposes the snapshot's contents and a constructor for decoded parts.
+import "reunion/internal/bin"
+
+// Wire walk for queue snapshots (checkpoint serialization). The queue
+// items are requests, which the checkpoint interns, so the caller walks
+// each item.
+
+// Walk walks the snapshot: service bookkeeping and counters, then each
+// queued item through item, followed by its arrival cycle, in FIFO order.
+func (s *BankQueueState) Walk(c *bin.Codec, item func(*Item)) {
+	c.I64(&s.lastSrv)
+	c.Int(&s.served)
+	c.I64(&s.arrivals)
+	c.I64(&s.totWait)
+	c.Int(&s.maxDepth)
+	bin.Slice(c, &s.q, 1+8, func(e *queued) {
+		item(&e.item)
+		c.I64(&e.arrived)
+	})
+}
 
 // Each calls fn for every queued item in FIFO order.
-func (s *BankQueueState) Each(fn func(item Item, arrived int64)) {
+func (s *BankQueueState) Each(fn func(Item)) {
 	for _, e := range s.q {
-		fn(e.item, e.arrived)
+		fn(e.item)
 	}
-}
-
-// Len returns the snapshot's queue depth.
-func (s *BankQueueState) Len() int { return len(s.q) }
-
-// Meta returns the snapshot's service bookkeeping and counters.
-func (s *BankQueueState) Meta() (lastSrv int64, served int, arrivals, totWait int64, maxDepth int) {
-	return s.lastSrv, s.served, s.arrivals, s.totWait, s.maxDepth
-}
-
-// NewBankQueueState assembles a queue snapshot from decoded parts. items
-// and arrived must have equal length and FIFO order.
-func NewBankQueueState(items []Item, arrived []int64,
-	lastSrv int64, served int, arrivals, totWait int64, maxDepth int) BankQueueState {
-	s := BankQueueState{
-		lastSrv: lastSrv, served: served,
-		arrivals: arrivals, totWait: totWait, maxDepth: maxDepth,
-	}
-	for i := range items {
-		s.q = append(s.q, queued{item: items[i], arrived: arrived[i]})
-	}
-	return s
 }

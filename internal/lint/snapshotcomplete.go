@@ -48,16 +48,18 @@ const (
 //   - Shallow-copy snapshots (snapshot.go): `s.core = *c` captures every
 //     scalar automatically, so only reference-typed fields (slices,
 //     maps, pointers, chans, funcs, interfaces) can be lost — each must
-//     be mentioned somewhere in the snapshot path (deep-copied or fixed
-//     up) or annotated. Assigning nil drops a field rather than
-//     capturing it, so a field the path only nils needs the annotation
-//     that says why. Struct values captured by the copy
-//     (including slice/array elements) are checked recursively the same
-//     way: a reference inside a copied element leaks identity just as
-//     surely.
+//     be mentioned in a Snapshot or Restore function (deep-copied or
+//     fixed up) or annotated. A mention in the wire walk does not count:
+//     writing a field to the wire does not copy it, so a snapshot whose
+//     Snapshot and Restore skip it shares it with the live machine.
+//     Assigning nil drops a field rather than capturing it, so a field
+//     the path only nils needs the annotation that says why. Struct
+//     values captured by the copy (including slice/array elements) are
+//     checked recursively the same way: a reference inside a copied
+//     element leaks identity just as surely.
 //
-//   - Field-by-field wire encoding (wire.go Encode/Decode): nothing is
-//     automatic, so every field of an encoded struct must be mentioned
+//   - Field-by-field wire walks (a wire.go Walk method): nothing is
+//     automatic, so every field of a walked struct must be mentioned
 //     in the snapshot path or annotated. Struct-typed constituents
 //     (slice elements, nested values) are checked recursively with the
 //     same all-fields rule.
@@ -80,9 +82,11 @@ func snapshotComplete(tg *target) []finding {
 	}
 	info := tg.info
 
-	// Pass 1 over the snapshot path: which fields are mentioned, which
-	// structs are shallow-copied, which are snapshot/encode receivers.
+	// Pass 1 over the snapshot path: which fields are mentioned (anywhere,
+	// and in a Snapshot or Restore function), which structs are
+	// shallow-copied, which are snapshot/walk receivers.
 	referenced := map[*types.Var]bool{}
+	copied := map[*types.Var]bool{}
 	shallow := map[*types.Named]bool{}
 	serialized := map[*types.Named]captureMode{}
 
@@ -107,13 +111,29 @@ func snapshotComplete(tg *target) []finding {
 				if res := info.Defs[fd.Name].(*types.Func).Signature().Results(); res.Len() == 1 {
 					noteNamed(res.At(0).Type(), modeAllFields)
 				}
-			case "Encode":
+			case "Walk":
 				noteNamed(recv.Type(), modeAllFields)
 			}
 		}
 		// A field assigned nil on the snapshot path is dropped, not
 		// captured: like a field never mentioned, it needs an annotation.
 		dropped := map[*ast.SelectorExpr]bool{}
+		var copyFuncs []*ast.FuncDecl
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "Snapshot" || fd.Name.Name == "Restore") {
+				copyFuncs = append(copyFuncs, fd)
+			}
+		}
+		// mention records a field mentioned at n: in copied too when n
+		// lies in a Snapshot or Restore function.
+		mention := func(v *types.Var, n ast.Node) {
+			referenced[v] = true
+			for _, fd := range copyFuncs {
+				if fd.Pos() <= n.Pos() && n.End() <= fd.End() {
+					copied[v] = true
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -126,23 +146,27 @@ func snapshotComplete(tg *target) []finding {
 				}
 			case *ast.SelectorExpr:
 				if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !dropped[n] {
-					referenced[s.Obj().(*types.Var)] = true
+					mention(s.Obj().(*types.Var), n)
 				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok && !info.Types[n.Value].IsNil() {
 					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-						referenced[v] = true
+						mention(v, n)
 					}
 				}
 			case *ast.StarExpr:
 				// `*b` copying a whole struct value marks the shallow-copy
-				// idiom (both `x := *b` and `*b = snap` directions).
+				// idiom (both `x := *b` and `*b = snap` directions); `*pp`
+				// of a pointer to a pointer copies only a pointer.
 				tv, ok := info.Types[n.X]
 				if !ok || !tv.IsValue() {
 					return true
 				}
 				ptr, ok := tv.Type.Underlying().(*types.Pointer)
 				if !ok {
+					return true
+				}
+				if _, ok := ptr.Elem().Underlying().(*types.Struct); !ok {
 					return true
 				}
 				if named := localNamedStruct(tg.pkg, ptr.Elem()); named != nil {
@@ -153,7 +177,7 @@ func snapshotComplete(tg *target) []finding {
 		})
 	}
 	// Shallow-copied structs are checked refs-only even when they also
-	// have a Snapshot/Encode method.
+	// have a Snapshot/Walk method.
 	for n := range shallow {
 		serialized[n] = modeRefsOnly
 	}
@@ -198,10 +222,14 @@ func snapshotComplete(tg *target) []finding {
 		st := n.Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if f.Name() == "_" || referenced[f] {
+			if f.Name() == "_" {
 				continue
 			}
-			if mode == modeRefsOnly && !isRefType(f.Type()) {
+			// A shallow copy shares a reference field with the live
+			// machine unless Snapshot or Restore copies it: the wire walk
+			// writing it does not.
+			if mode == modeRefsOnly && (copied[f] || !isRefType(f.Type())) ||
+				mode == modeAllFields && referenced[f] {
 				continue
 			}
 			if fieldMarked(tg, f, markDerived) || fieldMarked(tg, f, markShared) {

@@ -22,6 +22,9 @@ type Core struct {
 	// says the drop is deliberate.
 	memo    []int // want `Core\.memo`
 	scratch []int //reunion:derived rebuilt on restore
+	// Only the wire walk mentions sb: writing a field to the wire does
+	// not copy it, so the snapshot shares sb's array with the machine.
+	sb []int // want `Core\.sb`
 }
 
 type CoreState struct {
@@ -34,4 +37,11 @@ func (c *Core) Snapshot() *CoreState {
 	s.core.memo = nil
 	s.core.scratch = nil
 	return s
+}
+
+func (s *CoreState) Walk(buf []byte) []byte {
+	for _, v := range s.core.sb {
+		buf = append(buf, byte(v))
+	}
+	return buf
 }

@@ -1,9 +1,11 @@
 package reunion
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"reflect"
 
 	"reunion/internal/bin"
 	"reunion/internal/cache"
@@ -17,7 +19,7 @@ import (
 )
 
 // Binary checkpoint serialization: EncodeCheckpoint writes a Checkpoint
-// to a self-describing byte blob and DecodeCheckpoint + Bind rebuild one
+// to a self-describing byte blob, and DecodeCheckpoint + Bind rebuild one
 // onto a freshly constructed System, so warm state crosses process (and
 // machine) boundaries — the persistent checkpoint store's substrate.
 //
@@ -31,19 +33,22 @@ import (
 // system's options, which is how a store can never hand warm state to a
 // configuration it does not match. The CRC-64 (ECMA, as in dist.Journal)
 // seals everything before it; DecodeCheckpoint refuses a blob whose
-// checksum disagrees. Beyond the checksum, every decoder validates
-// structure — enum ranges, index bounds, sorted-map order — so even a
-// blob with a forged checksum cannot produce a restorable Checkpoint.
+// checksum disagrees. Beyond the checksum, every walk validates what it
+// reads — enum ranges, index bounds, sorted-map order — so even a blob
+// with a forged checksum cannot produce a restorable Checkpoint.
 //
-// Deferred work is plain data, so the blob holds it as it is: every
-// pending event is a descriptor (sim.Event.Desc), every MSHR waiter a
-// completion descriptor (cache.CB), and every in-flight request is
-// interned into a table so pointer identity — which processSync compares
-// — survives the round trip. Bind validates each descriptor against the
-// live system and attaches its owner: the pair, L2, bus or system runs an
-// event, the core a waiter, the L1 a request. It then validates component
-// geometry before handing back a Checkpoint that System.Restore accepts
-// exactly like a live snapshot.
+// The payload is one walk (Checkpoint.walk, and each component's Walk
+// below it) that writes or reads through a bin.Codec, so the layout is
+// written down once. Deferred work is plain data, so the blob holds it
+// as it is: every pending event is a descriptor (sim.Event.Desc), every
+// MSHR waiter a completion descriptor (cache.CB), and every in-flight
+// request is interned into a cache.ReqTable so pointer identity — which
+// processSync compares — survives the round trip. A decoded Checkpoint is
+// unbound: no owner, and no runner on any event. Bind validates each
+// descriptor against the live system and attaches its owner: the pair,
+// L2, bus or system runs an event, the core a waiter, the L1 a request.
+// It then validates component geometry before handing back a Checkpoint
+// that System.Restore accepts exactly like a live snapshot.
 
 // ckptMagic identifies a Reunion checkpoint blob.
 const ckptMagic = "RNCK"
@@ -99,46 +104,50 @@ func CheckpointKey(o Options) uint64 {
 	return dist.Fingerprint("reunion-ckpt", warmKey(o.withDefaults()))
 }
 
-// event descriptor type tags (wire values; append only).
-const (
-	tagEvDecide uint8 = iota + 1
-	tagCohXbar
-	tagCohReply
-	tagCohMemCont
-	tagCohPhantomMem
-	tagSnoopReply
-	tagSnoopMemFetch
-	tagSnoopPhantomMem
-	tagSnoopSyncMem
-	tagInterrupt
-)
+// ckptDesc is a pending event's descriptor as the wire sees it: a walk
+// over its fields, with the checkpoint's request table for the requests
+// it references.
+type ckptDesc interface {
+	Walk(c *bin.Codec, rt *cache.ReqTable)
+}
 
-// visitDescReqs calls fn for every request a descriptor references, in
-// field order.
-func visitDescReqs(desc any, fn func(*cache.Req)) {
-	switch d := desc.(type) {
-	case *coherence.EvXbar:
-		fn(d.R)
-	case *coherence.EvReply:
-		fn(d.R)
-	case *coherence.EvMemCont:
-		fn(d.R)
-		if d.Cont == coherence.ContSync {
-			fn(d.Vocal)
-			fn(d.Mute)
-		}
-	case *coherence.EvPhantomMem:
-		fn(d.R)
-	case *snoop.EvReply:
-		fn(d.R)
-	case *snoop.EvMemFetch:
-		fn(d.R)
-	case *snoop.EvPhantomMem:
-		fn(d.R)
-	case *snoop.EvSyncMem:
-		fn(d.V)
-		fn(d.M)
+// newDesc makes an empty descriptor of type *T for a reader to fill.
+func newDesc[T any, P interface {
+	*T
+	ckptDesc
+}]() ckptDesc {
+	return P(new(T))
+}
+
+// ckptDescs is the descriptor table: an event's wire tag is its
+// descriptor type's index here plus one, so the table is append only.
+var ckptDescs = []func() ckptDesc{
+	newDesc[core.EvDecide],
+	newDesc[coherence.EvXbar],
+	newDesc[coherence.EvReply],
+	newDesc[coherence.EvMemCont],
+	newDesc[coherence.EvPhantomMem],
+	newDesc[snoop.EvReply],
+	newDesc[snoop.EvMemFetch],
+	newDesc[snoop.EvPhantomMem],
+	newDesc[snoop.EvSyncMem],
+	newDesc[evInterrupt],
+}
+
+// ckptTags maps each descriptor type in ckptDescs to its wire tag.
+var ckptTags = func() map[reflect.Type]uint8 {
+	tags := make(map[reflect.Type]uint8, len(ckptDescs))
+	for i, desc := range ckptDescs {
+		tags[reflect.TypeOf(desc())] = uint8(i + 1)
 	}
+	return tags
+}()
+
+// Walk walks the interrupt chain's descriptor, which references no
+// request.
+func (d *evInterrupt) Walk(c *bin.Codec, _ *cache.ReqTable) {
+	c.I64(&d.gen)
+	c.I64(&d.every)
 }
 
 // EncodeCheckpoint serializes a checkpoint into a store-ready blob keyed
@@ -146,328 +155,158 @@ func visitDescReqs(desc any, fn func(*cache.Req)) {
 // descriptor has no wire form (an armed fault shot: trial-time events do
 // not cross process boundaries by design).
 func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
-	w := &bin.Writer{}
-	w.Grow(ckptSizeHint(cp))
-	w.Raw([]byte(ckptMagic))
-	w.U16(ckptFormatVersion)
-	w.U64(key)
-
-	// Intern every request reachable from event descriptors and the
-	// memory-system snapshot, in deterministic visit order.
-	reqIdx := make(map[*cache.Req]int)
-	var reqs []*cache.Req
-	intern := func(r *cache.Req) {
-		if _, ok := reqIdx[r]; !ok {
-			reqIdx[r] = len(reqs)
-			reqs = append(reqs, r)
-		}
+	buf := append(make([]byte, 0, ckptSizeHint(cp)), ckptMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, ckptFormatVersion)
+	c := bin.NewWriter(binary.LittleEndian.AppendUint64(buf, key))
+	cp.walk(c)
+	if c.Err() != nil {
+		return nil, fmt.Errorf("reunion: checkpoint: %w", c.Err())
 	}
-	events := cp.eq.Events()
-	for _, ev := range events {
-		visitDescReqs(ev.Desc, intern)
-	}
-	if cp.l2 != nil {
-		cp.l2.VisitReqs(intern)
-	}
-	if cp.bus != nil {
-		cp.bus.VisitReqs(intern)
-	}
-	reqID := func(r *cache.Req) int { return reqIdx[r] }
-
-	w.Uvarint(uint64(len(reqs)))
-	for _, r := range reqs {
-		r.EncodeBody(w)
-	}
-
-	now, order := cp.eq.Clock()
-	w.I64(now)
-	w.I64(order)
-	w.Uvarint(uint64(len(events)))
-	for _, ev := range events {
-		w.I64(ev.At)
-		w.I64(ev.Order)
-		switch d := ev.Desc.(type) {
-		case *core.EvDecide:
-			w.U8(tagEvDecide)
-			d.Encode(w)
-		case *coherence.EvXbar:
-			w.U8(tagCohXbar)
-			d.Encode(w, reqID)
-		case *coherence.EvReply:
-			w.U8(tagCohReply)
-			d.Encode(w, reqID)
-		case *coherence.EvMemCont:
-			w.U8(tagCohMemCont)
-			d.Encode(w, reqID)
-		case *coherence.EvPhantomMem:
-			w.U8(tagCohPhantomMem)
-			d.Encode(w, reqID)
-		case *snoop.EvReply:
-			w.U8(tagSnoopReply)
-			d.Encode(w, reqID)
-		case *snoop.EvMemFetch:
-			w.U8(tagSnoopMemFetch)
-			d.Encode(w, reqID)
-		case *snoop.EvPhantomMem:
-			w.U8(tagSnoopPhantomMem)
-			d.Encode(w, reqID)
-		case *snoop.EvSyncMem:
-			w.U8(tagSnoopSyncMem)
-			d.Encode(w, reqID)
-		case *evInterrupt:
-			w.U8(tagInterrupt)
-			w.I64(d.gen)
-			w.I64(d.every)
-		default:
-			return nil, fmt.Errorf("reunion: pending event has unknown descriptor type %T", ev.Desc)
-		}
-	}
-
-	steps, ffs, skipped := cp.sched.Counters()
-	w.I64(steps)
-	w.I64(ffs)
-	w.I64(skipped)
-
-	cp.mem.Encode(w)
-
-	w.Uvarint(uint64(len(cp.cores)))
-	for _, cs := range cp.cores {
-		cs.Encode(w)
-	}
-	w.Uvarint(uint64(len(cp.pairs)))
-	for _, ps := range cp.pairs {
-		ps.Encode(w)
-	}
-	w.Uvarint(uint64(len(cp.nr)))
-	for _, gs := range cp.nr {
-		gs.Encode(w)
-	}
-	w.Uvarint(uint64(len(cp.strict)))
-	for _, gs := range cp.strict {
-		gs.Encode(w)
-	}
-	w.Bool(cp.l2 != nil)
-	if cp.l2 != nil {
-		cp.l2.Encode(w, reqID)
-	}
-	w.Bool(cp.bus != nil)
-	if cp.bus != nil {
-		cp.bus.Encode(w, reqID)
-	}
-
-	w.U8(uint8(cp.kernel))
-	w.U8(uint8(cp.appliedKernel))
-	w.Bool(cp.kernelApplied)
-	w.I64(cp.interruptEvery)
-	w.I64(cp.interruptCost)
-	w.I64(cp.intArmed)
-	w.I64(cp.intGen)
-	w.I64(cp.watchLast)
-	w.I64(cp.watchSince)
-	w.Bool(cp.watchHalted)
-
-	w.U64(crc64.Checksum(w.Bytes(), ckptCRCTable))
-	return w.Bytes(), nil
-}
-
-// decodedEvent is one pending event's plain-data form: schedule position
-// plus descriptor; Bind attaches the descriptor's owner as its runner.
-type decodedEvent struct {
-	at, order int64
-	desc      any
-}
-
-// DecodedCheckpoint is a checkpoint parsed from bytes but not yet bound
-// to a System: pure data, no component pointers. Bind
-// validates it against a live system and produces a restorable
-// Checkpoint. Keeping decode and bind separate makes decoding cheap and
-// total (the fuzz target's property) and lets golden tests deep-compare
-// decoded state without a machine.
-type DecodedCheckpoint struct {
-	// Key is the options fingerprint the blob was encoded under.
-	Key uint64
-
-	reqs   []*cache.Req
-	now    int64
-	order  int64
-	events []decodedEvent
-
-	steps, ffs, skipped int64
-
-	mem    *mem.MemoryState
-	cores  []*cpu.CoreState
-	pairs  []*core.PairState
-	nr     []*core.NonRedundantGateState
-	strict []*core.StrictGateState
-	l2     *coherence.L2State
-	bus    *snoop.BusState
-
-	kernel, appliedKernel Kernel
-	kernelApplied         bool
-
-	interruptEvery, interruptCost int64
-	intArmed, intGen              int64
-
-	watchLast, watchSince int64
-	watchHalted           bool
+	return binary.LittleEndian.AppendUint64(c.Bytes(), crc64.Checksum(c.Bytes(), ckptCRCTable)), nil
 }
 
 // DecodeCheckpoint parses a checkpoint blob: header, checksum, then every
 // component snapshot with full structural validation. It never panics on
-// arbitrary input and never returns a DecodedCheckpoint alongside an
-// error.
-func DecodeCheckpoint(data []byte) (*DecodedCheckpoint, error) {
+// arbitrary input and never returns a Checkpoint alongside an error. The
+// Checkpoint is unbound: only Bind makes it restorable.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < ckptHeaderBytes+8 {
 		return nil, errors.New("reunion: checkpoint blob truncated before header")
 	}
 	if string(data[:4]) != ckptMagic {
 		return nil, errors.New("reunion: not a checkpoint blob (bad magic)")
 	}
-	hr := bin.NewReader(data[4:ckptHeaderBytes])
-	version := hr.U16()
-	key := hr.U64()
-	if version != ckptFormatVersion {
+	if version := binary.LittleEndian.Uint16(data[4:]); version != ckptFormatVersion {
 		return nil, fmt.Errorf("reunion: checkpoint format version %d; this build reads version %d",
 			version, ckptFormatVersion)
 	}
-	payload, footer := data[:len(data)-8], data[len(data)-8:]
-	want := bin.NewReader(footer).U64()
+	payload := data[:len(data)-8]
+	want := binary.LittleEndian.Uint64(data[len(payload):])
 	if got := crc64.Checksum(payload, ckptCRCTable); got != want {
 		return nil, fmt.Errorf("reunion: checkpoint checksum mismatch (blob %016x, computed %016x)", want, got)
 	}
+	cp := &Checkpoint{key: binary.LittleEndian.Uint64(data[6:])}
+	c := bin.NewReader(payload[ckptHeaderBytes:])
+	cp.walk(c)
+	if c.Err() != nil {
+		return nil, fmt.Errorf("reunion: checkpoint: %w", c.Err())
+	}
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("reunion: checkpoint has %d trailing bytes", c.Remaining())
+	}
+	return cp, nil
+}
 
-	r := bin.NewReader(payload[ckptHeaderBytes:])
-	d := &DecodedCheckpoint{Key: key}
+// walk walks the payload in its fixed order: request table, clock,
+// pending events as tagged descriptors, scheduler counters, memory image,
+// cores, pairs, gates, the L2 and the bus each behind a presence flag,
+// then the system's own fields. A reader fills an unbound checkpoint.
+func (cp *Checkpoint) walk(c *bin.Codec) {
+	rt := &cache.ReqTable{}
+	if !c.Reading() {
+		// Fill the table in the order the walk references requests: the
+		// descriptors (walked into a scratch writer, which adds what
+		// they reference), then the L2's or bus's queues and parked slots.
+		scratch := bin.NewWriter(nil)
+		for _, ev := range cp.eq.Events() {
+			if desc, ok := ev.Desc.(ckptDesc); ok {
+				desc.Walk(scratch, rt)
+			}
+		}
+		if cp.l2 != nil {
+			cp.l2.VisitReqs(rt.Add)
+		}
+		if cp.bus != nil {
+			cp.bus.VisitReqs(rt.Add)
+		}
+	}
+	nreqs := len(rt.Reqs())
+	rt.Walk(c)
 
-	nreq := r.Len(1 + 8 + 1 + 1 + 1 + 8 + 1)
-	d.reqs = make([]*cache.Req, 0, nreq)
-	for i := 0; i < nreq; i++ {
-		rq := cache.DecodeReqBody(r)
-		if rq == nil {
-			return nil, fmt.Errorf("reunion: checkpoint request table: %w", r.Err())
+	now, order := cp.eq.Clock()
+	events := cp.eq.Events()
+	c.I64(&now)
+	c.I64(&order)
+	bin.Slice(c, &events, 8+8+1+1, func(evp **sim.Event) {
+		if c.Reading() {
+			*evp = new(sim.Event)
 		}
-		d.reqs = append(d.reqs, rq)
-	}
-	req := func(i int) *cache.Req {
-		if i < 0 || i >= len(d.reqs) {
-			return nil
+		ev := *evp
+		c.I64(&ev.At)
+		c.I64(&ev.Order)
+		tag := ckptTags[reflect.TypeOf(ev.Desc)]
+		if !c.Reading() && tag == 0 {
+			c.Fail(fmt.Errorf("pending event has unknown descriptor type %T", ev.Desc))
+			return
 		}
-		return d.reqs[i]
-	}
-
-	d.now = r.I64()
-	d.order = r.I64()
-	nev := r.Len(8 + 8 + 1 + 1)
-	d.events = make([]decodedEvent, 0, nev)
-	for i := 0; i < nev; i++ {
-		ev := decodedEvent{at: r.I64(), order: r.I64()}
-		tag := r.U8()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("reunion: checkpoint events: %w", r.Err())
+		if c.U8(&tag); c.Reading() {
+			if tag == 0 || int(tag) > len(ckptDescs) {
+				c.Fail(fmt.Errorf("event has unknown descriptor tag %d", tag))
+				return
+			}
+			ev.Desc = ckptDescs[tag-1]()
 		}
-		switch tag {
-		case tagEvDecide:
-			ev.desc = core.DecodeEvDecide(r)
-		case tagCohXbar:
-			ev.desc = coherence.DecodeEvXbar(r, req)
-		case tagCohReply:
-			ev.desc = coherence.DecodeEvReply(r, req)
-		case tagCohMemCont:
-			ev.desc = coherence.DecodeEvMemCont(r, req)
-		case tagCohPhantomMem:
-			ev.desc = coherence.DecodeEvPhantomMem(r, req)
-		case tagSnoopReply:
-			ev.desc = snoop.DecodeEvReply(r, req)
-		case tagSnoopMemFetch:
-			ev.desc = snoop.DecodeEvMemFetch(r, req)
-		case tagSnoopPhantomMem:
-			ev.desc = snoop.DecodeEvPhantomMem(r, req)
-		case tagSnoopSyncMem:
-			ev.desc = snoop.DecodeEvSyncMem(r, req)
-		case tagInterrupt:
-			ev.desc = &evInterrupt{gen: r.I64(), every: r.I64()}
-		default:
-			return nil, fmt.Errorf("reunion: checkpoint event %d has unknown descriptor tag %d", i, tag)
-		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("reunion: checkpoint event %d: %w", i, r.Err())
-		}
-		d.events = append(d.events, ev)
-	}
-
-	d.steps = r.I64()
-	d.ffs = r.I64()
-	d.skipped = r.I64()
-
-	if d.mem = mem.DecodeMemoryState(r); d.mem == nil {
-		return nil, fmt.Errorf("reunion: checkpoint memory: %w", r.Err())
-	}
-
-	ncores := r.Len(64)
-	d.cores = make([]*cpu.CoreState, 0, ncores)
-	for i := 0; i < ncores; i++ {
-		cs := cpu.DecodeCoreState(r)
-		if cs == nil {
-			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, r.Err())
-		}
-		d.cores = append(d.cores, cs)
-	}
-	npairs := r.Len(32)
-	for i := 0; i < npairs; i++ {
-		ps := core.DecodePairState(r)
-		if ps == nil {
-			return nil, fmt.Errorf("reunion: checkpoint pair %d: %w", i, r.Err())
-		}
-		d.pairs = append(d.pairs, ps)
-	}
-	nnr := r.Len(8)
-	for i := 0; i < nnr; i++ {
-		gs := core.DecodeNonRedundantGateState(r)
-		if gs == nil {
-			return nil, fmt.Errorf("reunion: checkpoint gate %d: %w", i, r.Err())
-		}
-		d.nr = append(d.nr, gs)
-	}
-	nstrict := r.Len(8)
-	for i := 0; i < nstrict; i++ {
-		gs := core.DecodeStrictGateState(r)
-		if gs == nil {
-			return nil, fmt.Errorf("reunion: checkpoint gate %d: %w", i, r.Err())
-		}
-		d.strict = append(d.strict, gs)
-	}
-	if r.Bool() {
-		if d.l2 = coherence.DecodeL2State(r, req); d.l2 == nil {
-			return nil, fmt.Errorf("reunion: checkpoint L2: %w", r.Err())
-		}
-	}
-	if r.Bool() {
-		if d.bus = snoop.DecodeBusState(r, req); d.bus == nil {
-			return nil, fmt.Errorf("reunion: checkpoint bus: %w", r.Err())
-		}
+		ev.Desc.(ckptDesc).Walk(c, rt)
+	})
+	steps, ffs, skipped := cp.sched.Counters()
+	c.I64(&steps)
+	c.I64(&ffs)
+	c.I64(&skipped)
+	if c.Reading() {
+		cp.reqs = rt.Reqs()
+		cp.eq = sim.NewEventQueueState(now, order, events)
+		cp.sched = sim.NewSchedulerState(steps, ffs, skipped)
+		cp.mem = new(mem.MemoryState)
 	}
 
-	d.kernel = Kernel(r.U8())
-	d.appliedKernel = Kernel(r.U8())
-	if r.Err() == nil && (d.kernel > KernelNaive || d.appliedKernel > KernelNaive) {
-		return nil, errors.New("reunion: checkpoint names an unknown kernel")
+	cp.mem.Walk(c)
+	walkStates(c, &cp.cores, 64)
+	walkStates(c, &cp.pairs, 32)
+	walkStates(c, &cp.nr, 8)
+	walkStates(c, &cp.strict, 8)
+	hasL2, hasBus := cp.l2 != nil, cp.bus != nil
+	if c.Bool(&hasL2); hasL2 {
+		if c.Reading() {
+			cp.l2 = new(coherence.L2State)
+		}
+		cp.l2.Walk(c, rt)
 	}
-	d.kernelApplied = r.Bool()
-	d.interruptEvery = r.I64()
-	d.interruptCost = r.I64()
-	d.intArmed = r.I64()
-	d.intGen = r.I64()
-	d.watchLast = r.I64()
-	d.watchSince = r.I64()
-	d.watchHalted = r.Bool()
+	if c.Bool(&hasBus); hasBus {
+		if c.Reading() {
+			cp.bus = new(snoop.BusState)
+		}
+		cp.bus.Walk(c, rt)
+	}
 
-	if r.Err() != nil {
-		return nil, fmt.Errorf("reunion: checkpoint trailer: %w", r.Err())
+	c.U8((*uint8)(&cp.kernel))
+	c.U8((*uint8)(&cp.appliedKernel))
+	if c.Reading() && (cp.kernel > KernelNaive || cp.appliedKernel > KernelNaive) {
+		c.Fail(errors.New("unknown kernel"))
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("reunion: checkpoint has %d trailing bytes", r.Remaining())
+	c.Bool(&cp.kernelApplied)
+	c.I64(&cp.interruptEvery)
+	c.I64(&cp.interruptCost)
+	c.I64(&cp.intArmed)
+	c.I64(&cp.intGen)
+	c.I64(&cp.watchLast)
+	c.I64(&cp.watchSince)
+	c.Bool(&cp.watchHalted)
+	if !c.Reading() && len(rt.Reqs()) != nreqs {
+		c.Fail(errors.New("references a request missing from its request table"))
 	}
-	return d, nil
+}
+
+// walkStates walks a slice of component snapshots, a reader making each.
+func walkStates[T any, P interface {
+	*T
+	Walk(*bin.Codec)
+}](c *bin.Codec, s *[]P, elemSize int) {
+	bin.Slice(c, s, elemSize, func(p *P) {
+		if c.Reading() {
+			*p = new(T)
+		}
+		(*p).Walk(c)
+	})
 }
 
 // checkCB validates a decoded MSHR waiter descriptor against the live
@@ -515,21 +354,25 @@ func (s *System) checkCB(cb *cache.CB, owner *cpu.Core, depth int) error {
 
 // Bind validates a decoded checkpoint against a live system, attaches
 // every descriptor's owner (the L1 a request fills, the component that
-// runs an event), and returns a Checkpoint restorable onto that system.
-// key is the fingerprint of the options that built sys; a mismatch —
-// different geometry, workload, seed, or anything else the warm key
-// covers — is an error, never a silent cross-restore.
-func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
-	if d.Key != key {
-		return nil, fmt.Errorf("reunion: checkpoint keyed %016x, system options key %016x", d.Key, key)
+// runs an event), and returns the checkpoint, now restorable onto that
+// system. key is the fingerprint of the options that built sys; a
+// mismatch — different geometry, workload, seed, or anything else the
+// warm key covers — is an error, never a silent cross-restore. A
+// checkpoint binds once: a bound one, or a live snapshot, is an error.
+func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
+	if cp.owner != nil {
+		return nil, errors.New("reunion: checkpoint is already bound to a system")
 	}
-	if len(d.cores) != len(sys.Cores) {
-		return nil, fmt.Errorf("reunion: checkpoint has %d cores, system has %d", len(d.cores), len(sys.Cores))
+	if cp.key != key {
+		return nil, fmt.Errorf("reunion: checkpoint keyed %016x, system options key %016x", cp.key, key)
 	}
-	if len(d.pairs) != len(sys.Pairs) {
-		return nil, fmt.Errorf("reunion: checkpoint has %d pairs, system has %d", len(d.pairs), len(sys.Pairs))
+	if len(cp.cores) != len(sys.Cores) {
+		return nil, fmt.Errorf("reunion: checkpoint has %d cores, system has %d", len(cp.cores), len(sys.Cores))
 	}
-	if (d.l2 != nil) != (sys.L2 != nil) || (d.bus != nil) != (sys.Bus != nil) {
+	if len(cp.pairs) != len(sys.Pairs) {
+		return nil, fmt.Errorf("reunion: checkpoint has %d pairs, system has %d", len(cp.pairs), len(sys.Pairs))
+	}
+	if (cp.l2 != nil) != (sys.L2 != nil) || (cp.bus != nil) != (sys.Bus != nil) {
 		return nil, errors.New("reunion: checkpoint topology does not match system")
 	}
 	var liveNR []*core.NonRedundantGate
@@ -544,13 +387,13 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 			}
 		}
 	}
-	if len(d.nr) != len(liveNR) || len(d.strict) != len(liveStrict) {
+	if len(cp.nr) != len(liveNR) || len(cp.strict) != len(liveStrict) {
 		return nil, errors.New("reunion: checkpoint gate roster does not match system")
 	}
 
 	// Rebind each request to the cache its reply fills: fills resolve their
 	// L1 MSHR by block at fire time, so (Kind, Core) names the cache.
-	for i, rq := range d.reqs {
+	for i, rq := range cp.reqs {
 		if rq.Core < 0 || rq.Core >= len(sys.Cores) {
 			return nil, fmt.Errorf("reunion: checkpoint request %d core %d out of range [0,%d)", i, rq.Core, len(sys.Cores))
 		}
@@ -567,7 +410,7 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 		}
 	}
 
-	for i, cs := range d.cores {
+	for i, cs := range cp.cores {
 		if err := cs.BindTo(sys.Cores[i]); err != nil {
 			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, err)
 		}
@@ -576,80 +419,51 @@ func (d *DecodedCheckpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, err)
 		}
 	}
-	for i, ps := range d.pairs {
+	for i, ps := range cp.pairs {
 		if err := ps.BindTo(sys.Pairs[i]); err != nil {
 			return nil, fmt.Errorf("reunion: checkpoint pair %d: %w", i, err)
 		}
 	}
-	for i, gs := range d.nr {
+	for i, gs := range cp.nr {
 		gs.BindTo(liveNR[i])
 	}
-	for i, gs := range d.strict {
+	for i, gs := range cp.strict {
 		gs.BindTo(liveStrict[i])
 	}
-	if d.l2 != nil {
-		if err := d.l2.BindTo(sys.L2); err != nil {
+	if cp.l2 != nil {
+		if err := cp.l2.BindTo(sys.L2); err != nil {
 			return nil, err
 		}
 	}
-	if d.bus != nil {
-		if err := d.bus.BindTo(sys.Bus); err != nil {
+	if cp.bus != nil {
+		if err := cp.bus.BindTo(sys.Bus); err != nil {
 			return nil, err
 		}
 	}
 
-	events := make([]*sim.Event, 0, len(d.events))
-	for i, de := range d.events {
-		var run sim.EventRunner
-		switch desc := de.desc.(type) {
+	for i, ev := range cp.eq.Events() {
+		switch desc := ev.Desc.(type) {
 		case *core.EvDecide:
 			if desc.PairID < 0 || desc.PairID >= len(sys.Pairs) {
 				return nil, fmt.Errorf("reunion: checkpoint event %d pair %d out of range [0,%d)", i, desc.PairID, len(sys.Pairs))
 			}
-			run = sys.Pairs[desc.PairID]
+			ev.Run = sys.Pairs[desc.PairID]
 		case *coherence.EvXbar, *coherence.EvReply, *coherence.EvMemCont, *coherence.EvPhantomMem:
 			if sys.L2 == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
 			}
-			run = sys.L2
+			ev.Run = sys.L2
 		case *snoop.EvReply, *snoop.EvMemFetch, *snoop.EvPhantomMem, *snoop.EvSyncMem:
 			if sys.Bus == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
 			}
-			run = sys.Bus
+			ev.Run = sys.Bus
 		case *evInterrupt:
-			run = sys
+			ev.Run = sys
 		default:
-			return nil, fmt.Errorf("reunion: checkpoint event %d has unknown descriptor type %T", i, de.desc)
+			return nil, fmt.Errorf("reunion: checkpoint event %d has unknown descriptor type %T", i, ev.Desc)
 		}
-		events = append(events, &sim.Event{At: de.at, Order: de.order, Desc: de.desc, Run: run})
 	}
-
-	cp := &Checkpoint{
-		owner: sys,
-		eq:    sim.NewEventQueueState(d.now, d.order, events),
-		sched: sim.NewSchedulerState(d.steps, d.ffs, d.skipped),
-		mem:   d.mem,
-
-		cores:  d.cores,
-		pairs:  d.pairs,
-		nr:     d.nr,
-		strict: d.strict,
-		l2:     d.l2,
-		bus:    d.bus,
-
-		kernel:        d.kernel,
-		appliedKernel: d.appliedKernel,
-		kernelApplied: d.kernelApplied,
-
-		interruptEvery: d.interruptEvery,
-		interruptCost:  d.interruptCost,
-		intArmed:       d.intArmed,
-		intGen:         d.intGen,
-
-		watchLast:   d.watchLast,
-		watchSince:  d.watchSince,
-		watchHalted: d.watchHalted,
-	}
+	cp.owner = sys
 	return cp, nil
 }

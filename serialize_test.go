@@ -15,6 +15,7 @@ import (
 	"reunion/internal/cpu"
 	"reunion/internal/fault"
 	"reunion/internal/mem"
+	"reunion/internal/sim"
 	"reunion/internal/snoop"
 	"reunion/internal/workload"
 )
@@ -302,7 +303,7 @@ func TestCheckpointTopologyGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := coldOpts(TopologyDirectory, ModeNonRedundant, KernelFastForward)
-	if _, err := d.Bind(buildSystem(other), d.Key); err == nil {
+	if _, err := d.Bind(buildSystem(other), d.key); err == nil {
 		t.Error("Bind restored a snoopy-bus checkpoint onto a directory machine")
 	}
 }
@@ -340,8 +341,8 @@ func TestCheckpointBindRejectsOutOfRangeDescriptors(t *testing.T) {
 	errStop := errors.New("stop")
 	// waiter rewrites the first MSHR waiter descriptor of the checkpoint
 	// to what set returns for the core holding it.
-	waiter := func(set func(c *cpu.Core) cache.CB) func(*testing.T, *DecodedCheckpoint, *System) {
-		return func(t *testing.T, d *DecodedCheckpoint, sys *System) {
+	waiter := func(set func(c *cpu.Core) cache.CB) func(*testing.T, *Checkpoint, *System) {
+		return func(t *testing.T, d *Checkpoint, sys *System) {
 			for i, cs := range d.cores {
 				if cs.VisitWaiters(func(cb *cache.CB) error { *cb = set(sys.Cores[i]); return errStop }) != nil {
 					return
@@ -350,16 +351,17 @@ func TestCheckpointBindRejectsOutOfRangeDescriptors(t *testing.T) {
 			t.Fatal("checkpoint holds no MSHR waiter to corrupt")
 		}
 	}
-	event := func(desc any) func(*testing.T, *DecodedCheckpoint, *System) {
-		return func(_ *testing.T, d *DecodedCheckpoint, _ *System) {
-			d.events = append(d.events, decodedEvent{at: d.now + 1, order: d.order + 1, desc: desc})
+	event := func(desc any) func(*testing.T, *Checkpoint, *System) {
+		return func(_ *testing.T, d *Checkpoint, _ *System) {
+			now, order := d.eq.Clock()
+			d.eq = sim.NewEventQueueState(now, order, append(d.eq.Events(), &sim.Event{At: now + 1, Order: order + 1, Desc: desc}))
 		}
 	}
 	cases := []struct {
 		name   string
 		want   string // in the error Bind returns
 		topo   Topology
-		mutate func(*testing.T, *DecodedCheckpoint, *System)
+		mutate func(*testing.T, *Checkpoint, *System)
 	}{
 		{"waiter core", "callback core 1048576 out of range", TopologyDirectory, waiter(func(c *cpu.Core) cache.CB {
 			return cache.CB{Kind: cache.CBLoadDone, Core: 1 << 20}
