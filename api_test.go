@@ -140,3 +140,28 @@ func TestQuickAndFullCampaignSizing(t *testing.T) {
 		t.Fatal("full campaign must use longer windows")
 	}
 }
+
+// TestRunRejectsUnknownPhantomStrength: an out-of-range phantom strength
+// is an error naming the value under either topology, not a run in which
+// one topology silently drops every mute request and the other treats it
+// as global; the three valid strengths still run.
+func TestRunRejectsUnknownPhantomStrength(t *testing.T) {
+	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
+		cfg := DefaultConfig()
+		cfg.Topology = topo
+		o := Options{Mode: ModeReunion, Workload: workload.Apache(), Config: &cfg,
+			WarmCycles: 3000, MeasureCycles: 2000}
+		t.Run(topo.String(), func(t *testing.T) {
+			o.Phantom = Phantom(7)
+			if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "phantom strength 7") {
+				t.Fatalf("Phantom(7): err = %v, want an error naming strength 7", err)
+			}
+			for _, p := range []Phantom{PhantomNull, PhantomShared, PhantomGlobal} {
+				o.Phantom = p
+				if res, err := Run(o); err != nil || res.Committed == 0 {
+					t.Fatalf("%v: committed %d, err %v", p, res.Committed, err)
+				}
+			}
+		})
+	}
+}

@@ -22,54 +22,12 @@ package coherence
 
 import (
 	"fmt"
-	"os"
 
 	"reunion/internal/cache"
 	"reunion/internal/interconnect"
 	"reunion/internal/mem"
 	"reunion/internal/sim"
 )
-
-// TraceBlock, when non-zero, logs every controller action on that block
-// to stderr (protocol debugging).
-var TraceBlock uint64
-
-func (l2 *L2) tracef(block uint64, format string, args ...any) {
-	if TraceBlock != 0 && block == TraceBlock {
-		fmt.Fprintf(os.Stderr, "[%8d] l2: %s\n", l2.eq.Now(), fmt.Sprintf(format, args...))
-	}
-}
-
-// PhantomStrength selects how diligently a phantom request searches for
-// coherent data (paper §4.2).
-type PhantomStrength uint8
-
-// Phantom request strengths. Global — the paper's default and the only
-// strength that keeps input incoherence rare — is the zero value, so a
-// zero Config gets the sensible configuration.
-const (
-	// PhantomGlobal checks the shared cache, peeks private vocal caches,
-	// and issues non-coherent reads to main memory for off-chip misses.
-	PhantomGlobal PhantomStrength = iota
-	// PhantomShared checks the shared cache and returns arbitrary values
-	// only on L2 misses.
-	PhantomShared
-	// PhantomNull returns arbitrary data on any request.
-	PhantomNull
-)
-
-// String names the strength as in the paper's tables.
-func (p PhantomStrength) String() string {
-	switch p {
-	case PhantomNull:
-		return "null"
-	case PhantomShared:
-		return "shared"
-	case PhantomGlobal:
-		return "global"
-	}
-	return "?"
-}
 
 // Config holds shared-cache and memory parameters (Table 1 defaults come
 // from the reunion package).
@@ -93,10 +51,8 @@ type dirEntry struct {
 	owner   int8   // vocal core index with E/M permission, -1 if none
 }
 
-type flightKey struct {
-	core  int
-	block uint64
-}
+// garbageSalt keeps the directory's phantom garbage apart from the bus's.
+const garbageSalt = 0xbadc0ffee0ddf00d
 
 // L2 is the shared cache controller. It implements cache.Below.
 type L2 struct {
@@ -111,31 +67,13 @@ type L2 struct {
 
 	l1d []*cache.L1 // indexed by global core id; nil until registered
 
-	memInFlight  int
-	memBankFree  []int64 // next free cycle per memory bank
-	MemQueueWait int64   // cycles memory requests waited on busy banks
-
-	pendingSync  map[int]*cache.Req // pair id -> first-arrived sync request
-	syncMinToken map[int]int64      // pair id -> minimum valid sync token
-
-	// fillsInFlight tracks replies that grant a copy to a vocal L1 and
-	// have been scheduled but not yet delivered. A directory-listed owner
-	// or sharer with no line and no in-flight fill has silently evicted a
-	// clean line; with an in-flight fill the prober must retry (the fill
-	// lands within a bounded reply latency, so retries terminate).
-	fillsInFlight map[flightKey]int
+	MemSide
 
 	// Stats
 	Reads, ReadX, Ifetches int64
 	HitsL2, MissesL2       int64
 	Recalls                int64
 	Invalidations          int64
-	MemAccesses            int64
-	PhantomReqs            int64
-	PhantomGarbage         int64
-	PhantomPeeks           int64
-	PhantomMemReads        int64
-	SyncRequests           int64
 	WritebacksRecv         int64
 	RetriesInternal        int64
 }
@@ -146,43 +84,19 @@ func NewL2(cfg Config, eq *sim.EventQueue, m *mem.Memory, numCores int) *L2 {
 		panic("coherence: banks must be a power of two")
 	}
 	l2 := &L2{
-		cfg:           cfg,
-		eq:            eq,
-		arr:           cache.NewArray(cfg.CapacityBytes, cfg.Ways),
-		dir:           make(map[uint64]*dirEntry),
-		mem:           m,
-		bankMask:      uint64(cfg.Banks - 1),
-		l1d:           make([]*cache.L1, numCores),
-		pendingSync:   make(map[int]*cache.Req),
-		syncMinToken:  make(map[int]int64),
-		fillsInFlight: make(map[flightKey]int),
+		cfg:      cfg,
+		eq:       eq,
+		arr:      cache.NewArray(cfg.CapacityBytes, cfg.Ways),
+		dir:      make(map[uint64]*dirEntry),
+		mem:      m,
+		bankMask: uint64(cfg.Banks - 1),
+		l1d:      make([]*cache.L1, numCores),
+		MemSide:  NewMemSide(cfg),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		l2.banks = append(l2.banks, interconnect.NewBankQueue(cfg.PortsPerBank))
 	}
-	if cfg.MemBanks > 0 {
-		l2.memBankFree = make([]int64, cfg.MemBanks)
-	}
 	return l2
-}
-
-// memAccessLatency returns the latency of an off-chip access to block,
-// accounting for memory bank occupancy (banks are interleaved by block
-// address). Doubling miss traffic — as relaxed input replication does —
-// shows up here as queueing delay.
-func (l2 *L2) memAccessLatency(block uint64) int64 {
-	if l2.memBankFree == nil {
-		return l2.cfg.MemLatency
-	}
-	bank := (block >> mem.BlockShift) % uint64(len(l2.memBankFree))
-	now := l2.eq.Now()
-	start := now
-	if l2.memBankFree[bank] > start {
-		start = l2.memBankFree[bank]
-		l2.MemQueueWait += start - now
-	}
-	l2.memBankFree[bank] = start + l2.cfg.MemBankBusy
-	return start - now + l2.cfg.MemLatency
 }
 
 // RegisterL1D attaches a core's data cache for probes and phantom peeks.
@@ -221,7 +135,7 @@ func (l2 *L2) RunEvent(desc any) {
 	case *EvXbar:
 		l2.xbarArrive(d.R)
 	case *EvReply:
-		l2.deliverReply(d)
+		l2.Deliver(d.R, &d.Data, d.Exclusive, d.Track)
 	case *EvMemCont:
 		l2.memFetchDone(d)
 	case *EvPhantomMem:
@@ -268,12 +182,9 @@ func (l2 *L2) ResetStats() {
 	l2.Reads, l2.ReadX, l2.Ifetches = 0, 0, 0
 	l2.HitsL2, l2.MissesL2 = 0, 0
 	l2.Recalls, l2.Invalidations = 0, 0
-	l2.MemAccesses = 0
-	l2.PhantomReqs, l2.PhantomGarbage, l2.PhantomPeeks, l2.PhantomMemReads = 0, 0, 0, 0
-	l2.SyncRequests = 0
 	l2.WritebacksRecv = 0
 	l2.RetriesInternal = 0
-	l2.MemQueueWait = 0
+	l2.MemSide.ResetStats()
 	for _, b := range l2.banks {
 		b.ResetStats()
 	}
@@ -298,45 +209,13 @@ func (l2 *L2) reply(r *cache.Req, data *mem.Block, exclusive bool, extra int64) 
 	}
 	track := r.Kind != cache.Ifetch
 	if track {
-		l2.fillsInFlight[flightKey{core: r.Core, block: r.Block}]++
+		l2.TrackFill(r.Core, r.Block)
 	}
 	d := &EvReply{R: r, Data: *data, Exclusive: exclusive, Track: track}
 	l2.eq.AfterR(lat, d, l2)
 }
 
-// deliverReply delivers a scheduled response, then retires the in-flight
-// fill-tracking entry reply took.
-func (l2 *L2) deliverReply(d *EvReply) {
-	d.R.Deliver(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
-	if d.Track {
-		key := flightKey{core: d.R.Core, block: d.R.Block}
-		if l2.fillsInFlight[key]--; l2.fillsInFlight[key] == 0 {
-			delete(l2.fillsInFlight, key)
-		}
-	}
-}
-
-func (l2 *L2) fillInFlight(core int, block uint64) bool {
-	return l2.fillsInFlight[flightKey{core: core, block: block}] > 0
-}
-
-func garbageBlock(block uint64) mem.Block {
-	var b mem.Block
-	for i := range b {
-		b[i] = sim.Mix64(block ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ 0xbadc0ffee0ddf00d)
-	}
-	return b
-}
-
 func (l2 *L2) process(r *cache.Req) {
-	if TraceBlock != 0 && r.Block == TraceBlock {
-		d := l2.dir[r.Block]
-		ds := "nil"
-		if d != nil {
-			ds = fmt.Sprintf("{own=%d sh=%b}", d.owner, d.sharers)
-		}
-		l2.tracef(r.Block, "process %v core=%d vocal=%v dir=%s", r.Kind, r.Core, r.Vocal, ds)
-	}
 	switch r.Kind {
 	case cache.Writeback:
 		l2.processWriteback(r)
@@ -399,11 +278,10 @@ func (l2 *L2) recallOwner(r *cache.Req, line *cache.Line, d *dirEntry, invalidat
 		d.owner = -1
 		return true, 0
 	}
-	if l2.fillInFlight(int(d.owner), r.Block) {
+	if l2.FillInFlight(int(d.owner), r.Block) {
 		// The owner's grant has not landed yet. Probing now would find
 		// either nothing or a stale pre-upgrade S line; both are wrong to
 		// act on. Retry once the grant is delivered (bounded wait).
-		l2.tracef(r.Block, "recallOwner core=%d: owner=%d fill in flight, requeue", r.Core, d.owner)
 		l2.requeue(r)
 		return false, 0
 	}
@@ -424,11 +302,8 @@ func (l2 *L2) recallOwner(r *cache.Req, line *cache.Line, d *dirEntry, invalidat
 		line.Data = data
 		line.Dirty = true
 	}
-	if !had {
-		// No line and no grant in flight: the owner silently evicted a
-		// clean line; the L2 copy is current. Clear ownership below.
-		l2.tracef(r.Block, "recallOwner core=%d: owner=%d treated as silent evict", r.Core, d.owner)
-	}
+	// With no line and no grant in flight (!had), the owner silently
+	// evicted a clean line; the L2 copy is current. Clear ownership below.
 	if invalidate {
 		d.owner = -1
 	} else {
@@ -451,7 +326,7 @@ func (l2 *L2) invalidateSharers(r *cache.Req, block uint64, d *dirEntry, keep in
 			continue
 		}
 		if l1 := l2.l1d[c]; l1 != nil {
-			if l2.fillInFlight(c, block) {
+			if l2.FillInFlight(c, block) {
 				l2.requeue(r)
 				return false
 			}
@@ -478,14 +353,12 @@ func (l2 *L2) ensureLine(d *EvMemCont) bool {
 		l2.runCont(d, l, 0)
 		return true
 	}
-	if l2.memInFlight >= l2.cfg.MemMSHRs {
+	if l2.MemFull() {
 		l2.requeue(r)
 		return false
 	}
 	l2.MissesL2++
-	l2.MemAccesses++
-	l2.memInFlight++
-	l2.eq.AfterR(l2.memAccessLatency(r.Block), d, l2)
+	l2.eq.AfterR(l2.StartMem(l2.eq.Now(), r.Block), d, l2)
 	return true
 }
 
@@ -494,9 +367,7 @@ func (l2 *L2) ensureLine(d *EvMemCont) bool {
 // itself; the reply adds only its normal on-chip service and crossbar
 // time.
 func (l2 *L2) memFetchDone(d *EvMemCont) {
-	l2.memInFlight--
-	var data mem.Block
-	l2.mem.ReadBlock(d.R.Block, &data)
+	data := l2.EndMem(l2.mem, d.R.Block)
 	line := l2.installL2(d.R.Block, &data)
 	l2.runCont(d, line, 0)
 }
@@ -620,27 +491,13 @@ func (l2 *L2) contGetX(r *cache.Req, line *cache.Line, extra int64) {
 // Phantom replies always grant write permission within the mute hierarchy.
 func (l2 *L2) processPhantom(r *cache.Req) {
 	l2.PhantomReqs++
-	switch l2.cfg.Phantom {
-	case PhantomNull:
-		g := garbageBlock(r.Block)
-		l2.PhantomGarbage++
-		l2.reply(r, &g, true, 0)
-	case PhantomShared:
+	onChip, global := l2.cfg.Phantom.Reach()
+	if onChip {
 		if line := l2.arr.Lookup(r.Block); line != nil {
 			l2.HitsL2++
-			l2.reply(r, &line.Data, true, 0)
-			return
-		}
-		l2.MissesL2++
-		g := garbageBlock(r.Block)
-		l2.PhantomGarbage++
-		l2.reply(r, &g, true, 0)
-	case PhantomGlobal:
-		if line := l2.arr.Lookup(r.Block); line != nil {
-			l2.HitsL2++
-			// Best-effort freshness: peek a vocal owner's private copy
-			// without changing its coherence state.
-			if d := l2.dir[r.Block]; d != nil && d.owner >= 0 {
+			// Best-effort freshness: a global phantom peeks a vocal
+			// owner's private copy without changing its coherence state.
+			if d := l2.dir[r.Block]; global && d != nil && d.owner >= 0 {
 				if data, ok := l2.l1d[d.owner].PeekWord(r.Block); ok {
 					l2.PhantomPeeks++
 					l2.reply(r, &data, true, l2.cfg.RecallLatency)
@@ -650,26 +507,27 @@ func (l2 *L2) processPhantom(r *cache.Req) {
 			l2.reply(r, &line.Data, true, 0)
 			return
 		}
-		// Off-chip non-coherent read: do not install in L2 (a phantom
-		// request must not change memory-system state).
 		l2.MissesL2++
-		if l2.memInFlight >= l2.cfg.MemMSHRs {
-			l2.requeue(r)
-			return
-		}
-		l2.PhantomMemReads++
-		l2.MemAccesses++
-		l2.memInFlight++
-		l2.eq.AfterR(l2.memAccessLatency(r.Block), &EvPhantomMem{R: r}, l2)
 	}
+	if !global {
+		g := l2.Garbage(r.Block, garbageSalt)
+		l2.reply(r, &g, true, 0)
+		return
+	}
+	// Off-chip non-coherent read: do not install in L2 (a phantom
+	// request must not change memory-system state).
+	if l2.MemFull() {
+		l2.requeue(r)
+		return
+	}
+	l2.PhantomMemReads++
+	l2.eq.AfterR(l2.StartMem(l2.eq.Now(), r.Block), &EvPhantomMem{R: r}, l2)
 }
 
 // phantomMemDone completes a phantom off-chip read: reply with the memory
 // image without installing anything.
 func (l2 *L2) phantomMemDone(r *cache.Req) {
-	l2.memInFlight--
-	var data mem.Block
-	l2.mem.ReadBlock(r.Block, &data)
+	data := l2.EndMem(l2.mem, r.Block)
 	l2.reply(r, &data, true, 0)
 }
 
@@ -743,69 +601,30 @@ func (l2 *L2) VisitDirty(fn func(block uint64, data *mem.Block)) {
 	})
 }
 
-// CancelSync invalidates every synchronizing request of the pair with a
-// token below minToken: a parked request is dropped and in-flight ones are
-// discarded on arrival. Recovery escalation uses this so stale sync
-// requests can never pair with the re-executed ones.
-func (l2 *L2) CancelSync(pair int, minToken int64) {
-	if r := l2.pendingSync[pair]; r != nil && r.Token < minToken {
-		delete(l2.pendingSync, pair)
-	}
-	if l2.syncMinToken[pair] < minToken {
-		l2.syncMinToken[pair] = minToken
-	}
-}
-
-// processSync implements the synchronizing request: held until both
-// members of the logical pair have arrived, then the block is flushed from
-// the pair's private caches, a coherent write transaction is performed on
-// the pair's behalf, and both cores receive the same value atomically.
+// processSync implements the synchronizing request: once MemSide has
+// paired both members of the logical pair, the block is flushed from the
+// pair's private caches, a coherent write transaction is performed on the
+// pair's behalf, and both cores receive the same value atomically.
 func (l2 *L2) processSync(r *cache.Req) {
-	if r.Token < l2.syncMinToken[r.Pair] {
-		return // cancelled by recovery escalation; the L1 MSHR was aborted
-	}
-	first, ok := l2.pendingSync[r.Pair]
-	if !ok {
-		l2.pendingSync[r.Pair] = r
-		return
-	}
-	if first.Token != r.Token {
-		// A stale partner survived cancellation bookkeeping; keep the
-		// newer request parked and drop the older one.
-		if first.Token < r.Token {
-			l2.pendingSync[r.Pair] = r
-		}
-		return
-	}
-	if first.Block != r.Block {
-		panic(fmt.Sprintf("coherence: pair %d sync requests disagree on block: %#x vs %#x",
-			r.Pair, first.Block, r.Block))
-	}
-	vocal, mute := first, r
-	if !vocal.Vocal {
-		vocal, mute = r, first
-	}
-	// Stale pre-recovery fills still in flight toward either private cache
-	// would land over the synchronizing fill; wait for them to drain.
-	if l2.fillInFlight(vocal.Core, r.Block) || l2.fillInFlight(mute.Core, r.Block) {
-		l2.pendingSync[r.Pair] = first
+	vocal, mute, retry := l2.PairSync(r)
+	if retry {
 		l2.requeue(r)
 		return
 	}
-	l2.SyncRequests++
+	if vocal == nil {
+		return
+	}
 	// Flush the pair's private copies: the vocal's comes home, the mute's
 	// is discarded.
 	vd, vdirty, vhad, vbusy := l2.l1d[vocal.Core].ProbeInvalidate(r.Block)
 	if vbusy {
 		// Cannot happen in the re-execution protocol (the pair is single-
 		// stepping and holds no locked lines), but be safe.
-		delete(l2.pendingSync, r.Pair)
-		l2.requeue(first)
+		l2.requeue(syncPartner(r, vocal, mute))
 		l2.requeue(r)
 		return
 	}
 	l2.l1d[mute.Core].ProbeInvalidate(r.Block)
-	delete(l2.pendingSync, r.Pair)
 
 	l2.ensureLine(&EvMemCont{
 		R: r, Cont: ContSync,
@@ -821,13 +640,7 @@ func (l2 *L2) contSync(c *EvMemCont, line *cache.Line, extra int64) {
 	d := l2.dirFor(r.Block)
 	ok, rextra := l2.recallOwner(r, line, d, true)
 	if !ok {
-		// recallOwner requeued r; re-park its partner so the retried
-		// request finds it and the pair combines again.
-		partner := c.Vocal
-		if r == c.Vocal {
-			partner = c.Mute
-		}
-		l2.pendingSync[r.Pair] = partner
+		l2.ReparkSync(r, c.Vocal, c.Mute) // recallOwner requeued r
 		return
 	}
 	if c.VHad && c.VDirty {
@@ -835,13 +648,7 @@ func (l2 *L2) contSync(c *EvMemCont, line *cache.Line, extra int64) {
 		line.Dirty = true
 	}
 	if !l2.invalidateSharers(r, r.Block, d, c.Vocal.Core) {
-		// r was requeued; re-park its partner so the retried request
-		// finds it and the pair combines again.
-		partner := c.Vocal
-		if r == c.Vocal {
-			partner = c.Mute
-		}
-		l2.pendingSync[r.Pair] = partner
+		l2.ReparkSync(r, c.Vocal, c.Mute) // invalidateSharers requeued r
 		return
 	}
 	d.sharers = 0

@@ -359,6 +359,37 @@ func TestSyncCancelDropsStaleRequests(t *testing.T) {
 	}
 }
 
+// TestSyncStalePartnerDropped parks a token-1 synchronizing request and,
+// without CancelSync, sends a token-2 pair: the newer request displaces
+// the stale one, the pair combines on one value, and the stale request is
+// never answered. Recovery always cancels first, so only a test at the
+// controller reaches this path.
+func TestSyncStalePartnerDropped(t *testing.T) {
+	r := newRig(t, testConfig(), 1, 1)
+	staleBlock, b := blockN(96), blockN(97)
+	r.mem.WriteWord(b, 7)
+	stale := r.syncLoad()
+	if !r.l1[0].SyncFill(staleBlock, 0, 1, stale) {
+		t.Fatal("stale sync rejected")
+	}
+	r.drain(t) // parked at the controller
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	r.l1[0].SyncFill(b, 0, 2, vcb)
+	r.l1[1].SyncFill(b, 0, 2, mcb)
+	r.drain(t)
+	vGot, vDone := r.done[vcb.Seq]
+	mGot, mDone := r.done[mcb.Seq]
+	if !vDone || !mDone || vGot != 7 || mGot != 7 {
+		t.Fatalf("token-2 pair: done %v/%v values %d/%d, want both 7", vDone, mDone, vGot, mGot)
+	}
+	if _, called := r.done[stale.Seq]; called {
+		t.Fatal("stale token-1 sync completed")
+	}
+	if r.l2.SyncRequests != 1 {
+		t.Fatalf("SyncRequests=%d", r.l2.SyncRequests)
+	}
+}
+
 // TestCoherenceVsSerialOracle is the protocol's core safety property: for
 // any interleaving of loads and stores issued one-at-a-time (each drained
 // to completion), every vocal load observes exactly the value of the last

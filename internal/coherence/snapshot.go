@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"maps"
+	"slices"
 
 	"reunion/internal/cache"
 	"reunion/internal/interconnect"
@@ -10,12 +11,12 @@ import (
 // Checkpoint support for the shared cache controller (see the reunion
 // package's System.Snapshot). The snapshot is a shallow struct copy
 // (every counter and scalar) plus deep copies of the reference state:
-// the cache array, the directory, the bank queues, the memory-bank
-// timestamps, and the in-flight bookkeeping maps. Queued and parked
-// *cache.Req values are shared between snapshot and live state — a
-// request is immutable after creation, and its reply resolves the L1
-// MSHR by block at fire time, so a restored request replays exactly
-// against the restored caches.
+// the cache array, the directory, the bank queues, and the shared
+// memory-side state (memory-bank timestamps and the in-flight
+// bookkeeping maps). Queued and parked *cache.Req values are shared
+// between snapshot and live state — a request is immutable after
+// creation, and its reply resolves the L1 MSHR by block at fire time, so
+// a restored request replays exactly against the restored caches.
 
 // L2State is a checkpoint of the controller.
 type L2State struct {
@@ -23,6 +24,19 @@ type L2State struct {
 	arr   cache.ArrayState
 	dir   map[uint64]dirEntry
 	banks []interconnect.BankQueueState
+}
+
+// Snapshot returns a copy of the shared memory-side state that shares no
+// slice or map with m. Both controllers take one when they snapshot and
+// another when they restore, so a checkpoint restored many times never
+// shares bookkeeping with a live machine.
+func (m *MemSide) Snapshot() MemSide {
+	s := *m
+	s.memBankFree = slices.Clone(m.memBankFree)
+	s.pendingSync = maps.Clone(m.pendingSync)
+	s.syncMinToken = maps.Clone(m.syncMinToken)
+	s.fillsInFlight = maps.Clone(m.fillsInFlight)
+	return s
 }
 
 // Snapshot captures the controller state. Read-only.
@@ -35,10 +49,7 @@ func (l2 *L2) Snapshot() *L2State {
 	for _, b := range l2.banks {
 		s.banks = append(s.banks, b.Snapshot())
 	}
-	s.l2.memBankFree = append([]int64(nil), l2.memBankFree...)
-	s.l2.pendingSync = maps.Clone(l2.pendingSync)
-	s.l2.syncMinToken = maps.Clone(l2.syncMinToken)
-	s.l2.fillsInFlight = maps.Clone(l2.fillsInFlight)
+	s.l2.MemSide = l2.MemSide.Snapshot()
 	return s
 }
 
@@ -58,8 +69,5 @@ func (l2 *L2) Restore(s *L2State) {
 	for i, b := range l2.banks {
 		b.Restore(s.banks[i])
 	}
-	l2.memBankFree = append([]int64(nil), s.l2.memBankFree...)
-	l2.pendingSync = maps.Clone(s.l2.pendingSync)
-	l2.syncMinToken = maps.Clone(s.l2.syncMinToken)
-	l2.fillsInFlight = maps.Clone(s.l2.fillsInFlight)
+	l2.MemSide = s.l2.MemSide.Snapshot()
 }

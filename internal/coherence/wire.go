@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -15,7 +16,8 @@ import (
 // This file is the coherence package's half of checkpoint serialization:
 // plain-data descriptors for the controller's scheduled events (so pending
 // crossbar traversals, reply deliveries, and off-chip fetches survive a
-// process boundary) and a wire walk for L2State.
+// process boundary) and wire walks for L2State and for the MemSide both
+// topologies embed.
 //
 // Requests appear in many places at once — bank queues, parked sync slots,
 // event descriptors — and processSync compares them by pointer, so the
@@ -103,6 +105,69 @@ func (d *EvMemCont) Walk(c *bin.Codec, rt *cache.ReqTable) {
 // Walk walks the descriptor; rt interns its request.
 func (d *EvPhantomMem) Walk(c *bin.Codec, rt *cache.ReqTable) { rt.Ref(c, &d.R) }
 
+// --- MemSide ---
+
+// VisitReqs calls fn for each parked sync request in Walk's order.
+func (m *MemSide) VisitReqs(fn func(*cache.Req)) {
+	for _, p := range slices.Sorted(maps.Keys(m.pendingSync)) {
+		fn(m.pendingSync[p])
+	}
+}
+
+// Walk walks the five fields both controllers' snapshots hold in a row,
+// maps in ascending key order; rt interns the parked sync requests. Each
+// controller walks the counters, in its own order.
+func (m *MemSide) Walk(c *bin.Codec, rt *cache.ReqTable) {
+	bin.Slice(c, &m.memBankFree, 8, c.I64)
+	c.Int(&m.memInFlight)
+	if c.Reading() && m.memInFlight < 0 {
+		c.Fail(fmt.Errorf("coherence: snapshot memInFlight %d negative", m.memInFlight))
+	}
+	bin.Map(c, &m.pendingSync, 1+1, cmp.Compare, func(p *int, r **cache.Req) {
+		c.Int(p)
+		rt.Ref(c, r)
+		if c.Reading() && *p < 0 {
+			c.Fail(errors.New("coherence: snapshot pendingSync malformed"))
+		}
+	})
+	bin.Map(c, &m.syncMinToken, 1+8, cmp.Compare, func(p *int, tok *int64) {
+		c.Int(p)
+		c.I64(tok)
+		if c.Reading() && *p < 0 {
+			c.Fail(errors.New("coherence: snapshot syncMinToken malformed"))
+		}
+	})
+	bin.Map(c, &m.fillsInFlight, 1+8+1, flightKey.cmp, func(k *flightKey, n *int) {
+		c.Int(&k.core)
+		c.U64(&k.block)
+		c.Int(n)
+		if c.Reading() && (*n <= 0 || k.core < 0) {
+			c.Fail(errors.New("coherence: snapshot fillsInFlight malformed"))
+		}
+	})
+}
+
+// cmp orders in-flight fills by core, then block.
+func (k flightKey) cmp(o flightKey) int {
+	return cmp.Or(cmp.Compare(k.core, o.core), cmp.Compare(k.block, o.block))
+}
+
+// BindTo checks decoded state against the live controller's memory banks
+// and its cores, and takes the configuration the wire does not carry.
+func (m *MemSide) BindTo(live *MemSide, cores int) error {
+	if len(m.memBankFree) != len(live.memBankFree) {
+		return fmt.Errorf("coherence: snapshot has %d memory banks, controller has %d",
+			len(m.memBankFree), len(live.memBankFree))
+	}
+	for k := range m.fillsInFlight {
+		if k.core >= cores {
+			return fmt.Errorf("coherence: snapshot in-flight fill core %d out of range for %d cores", k.core, cores)
+		}
+	}
+	m.cfg = live.cfg
+	return nil
+}
+
 // --- L2State ---
 
 // VisitReqs calls fn for every request the snapshot references, in the
@@ -112,9 +177,7 @@ func (s *L2State) VisitReqs(fn func(*cache.Req)) {
 	for i := range s.banks {
 		s.banks[i].Each(func(it interconnect.Item) { fn(it.(*cache.Req)) })
 	}
-	for _, p := range slices.Sorted(maps.Keys(s.l2.pendingSync)) {
-		fn(s.l2.pendingSync[p])
-	}
+	s.l2.MemSide.VisitReqs(fn)
 }
 
 // dirWireBytes is one encoded directory entry: block, sharers, owner.
@@ -150,33 +213,7 @@ func (s *L2State) Walk(c *bin.Codec, rt *cache.ReqTable) {
 			}
 		})
 	})
-	bin.Slice(c, &s.l2.memBankFree, 8, c.I64)
-	c.Int(&s.l2.memInFlight)
-	if c.Reading() && s.l2.memInFlight < 0 {
-		c.Fail(fmt.Errorf("coherence: snapshot memInFlight %d negative", s.l2.memInFlight))
-	}
-	bin.Map(c, &s.l2.pendingSync, 1+1, cmp.Compare, func(p *int, r **cache.Req) {
-		c.Int(p)
-		rt.Ref(c, r)
-		if c.Reading() && *p < 0 {
-			c.Fail(errCoherence("coherence: snapshot pendingSync malformed"))
-		}
-	})
-	bin.Map(c, &s.l2.syncMinToken, 1+8, cmp.Compare, func(p *int, tok *int64) {
-		c.Int(p)
-		c.I64(tok)
-		if c.Reading() && *p < 0 {
-			c.Fail(errCoherence("coherence: snapshot syncMinToken malformed"))
-		}
-	})
-	bin.Map(c, &s.l2.fillsInFlight, 1+8+1, flightKey.cmp, func(k *flightKey, n *int) {
-		c.Int(&k.core)
-		c.U64(&k.block)
-		c.Int(n)
-		if c.Reading() && (*n <= 0 || k.core < 0) {
-			c.Fail(errCoherence("coherence: snapshot fillsInFlight malformed"))
-		}
-	})
+	s.l2.MemSide.Walk(c, rt)
 	l2 := &s.l2
 	for _, v := range []*int64{&l2.Reads, &l2.ReadX, &l2.Ifetches, &l2.HitsL2,
 		&l2.MissesL2, &l2.Recalls, &l2.Invalidations, &l2.MemAccesses,
@@ -186,15 +223,6 @@ func (s *L2State) Walk(c *bin.Codec, rt *cache.ReqTable) {
 	}
 }
 
-// cmp orders in-flight fills by core, then block.
-func (k flightKey) cmp(o flightKey) int {
-	return cmp.Or(cmp.Compare(k.core, o.core), cmp.Compare(k.block, o.block))
-}
-
-type errCoherence string
-
-func (e errCoherence) Error() string { return string(e) }
-
 // BindTo validates the decoded snapshot against the live controller's
 // geometry and fixes up the pointer fields Restore carries over (config,
 // event queue, array, memory, banks, registered L1s), so Restore on a
@@ -203,9 +231,8 @@ func (s *L2State) BindTo(live *L2) error {
 	if len(s.banks) != len(live.banks) {
 		return fmt.Errorf("coherence: snapshot has %d banks, controller has %d", len(s.banks), len(live.banks))
 	}
-	if len(s.l2.memBankFree) != len(live.memBankFree) {
-		return fmt.Errorf("coherence: snapshot has %d memory banks, controller has %d",
-			len(s.l2.memBankFree), len(live.memBankFree))
+	if err := s.l2.MemSide.BindTo(&live.MemSide, len(live.l1d)); err != nil {
+		return err
 	}
 	if err := s.arr.Validate(live.arr); err != nil {
 		return err
@@ -218,11 +245,6 @@ func (s *L2State) BindTo(live *L2) error {
 		if n < 32 && d.sharers>>uint(n) != 0 {
 			return fmt.Errorf("coherence: snapshot directory sharers %#x out of range for %d cores (block %#x)",
 				d.sharers, n, b)
-		}
-	}
-	for k := range s.l2.fillsInFlight {
-		if k.core >= n {
-			return fmt.Errorf("coherence: snapshot in-flight fill core %d out of range for %d cores", k.core, n)
 		}
 	}
 	s.l2.cfg = live.cfg

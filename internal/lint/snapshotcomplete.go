@@ -56,7 +56,11 @@ const (
 //     the path only nils needs the annotation that says why. Struct
 //     values captured by the copy (including slice/array elements) are
 //     checked recursively the same way: a reference inside a copied
-//     element leaks identity just as surely.
+//     element leaks identity just as surely. A value of another package's
+//     struct type that holds references (an embedded shared component)
+//     cannot be checked field by field, so it must be mentioned in both a
+//     Snapshot and a Restore function: the copy that detaches it from the
+//     live machine is a call each direction has to make.
 //
 //   - Field-by-field wire walks (a wire.go Walk method): nothing is
 //     automatic, so every field of a walked struct must be mentioned
@@ -86,7 +90,7 @@ func snapshotComplete(tg *target) []finding {
 	// and in a Snapshot or Restore function), which structs are
 	// shallow-copied, which are snapshot/walk receivers.
 	referenced := map[*types.Var]bool{}
-	copied := map[*types.Var]bool{}
+	copied := map[*types.Var]copyDirs{}
 	shallow := map[*types.Named]bool{}
 	serialized := map[*types.Named]captureMode{}
 
@@ -130,7 +134,11 @@ func snapshotComplete(tg *target) []finding {
 			referenced[v] = true
 			for _, fd := range copyFuncs {
 				if fd.Pos() <= n.Pos() && n.End() <= fd.End() {
-					copied[v] = true
+					if fd.Name.Name == "Snapshot" {
+						copied[v] |= inSnapshot
+					} else {
+						copied[v] |= inRestore
+					}
 				}
 			}
 		}
@@ -227,8 +235,11 @@ func snapshotComplete(tg *target) []finding {
 			}
 			// A shallow copy shares a reference field with the live
 			// machine unless Snapshot or Restore copies it: the wire walk
-			// writing it does not.
-			if mode == modeRefsOnly && (copied[f] || !isRefType(f.Type())) ||
+			// writing it does not. Another package's struct holding
+			// references needs a copy in each direction.
+			foreign := mode == modeRefsOnly && !isRefType(f.Type()) && holdsForeignRefs(tg.pkg, f.Type())
+			if mode == modeRefsOnly && !foreign && (copied[f] != 0 || !isRefType(f.Type())) ||
+				foreign && copied[f] == inSnapshot|inRestore ||
 				mode == modeAllFields && referenced[f] {
 				continue
 			}
@@ -236,7 +247,10 @@ func snapshotComplete(tg *target) []finding {
 				continue
 			}
 			what := "captured by the snapshot path"
-			if mode == modeRefsOnly {
+			switch {
+			case foreign:
+				what = "deep-copied in both Snapshot and Restore"
+			case mode == modeRefsOnly:
 				what = "deep-copied nor fixed up in the snapshot path"
 			}
 			out = append(out, finding{f.Pos(), fmt.Sprintf(
@@ -247,6 +261,15 @@ func snapshotComplete(tg *target) []finding {
 	}
 	return out
 }
+
+// copyDirs records which copy functions, Snapshot or Restore, mention a
+// field.
+type copyDirs uint8
+
+const (
+	inSnapshot copyDirs = 1 << iota
+	inRestore
+)
 
 // fieldMarked reports whether a //reunion:<marker> annotation covers the
 // struct field fv: in a comment starting on its line or the line above,
@@ -343,6 +366,37 @@ func valueConstituents(t types.Type) []types.Type {
 		return valueConstituents(u.Elem())
 	}
 	return nil
+}
+
+// holdsForeignRefs reports whether a value of type t (a struct or an
+// array of structs) is another package's named struct that holds a
+// reference, which the local constituent closure cannot follow.
+func holdsForeignRefs(pkg *types.Package, t types.Type) bool {
+	for _, elem := range valueConstituents(t) {
+		if n, ok := elem.(*types.Named); ok && n.Obj().Pkg() != pkg && holdsRefs(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// holdsRefs reports whether a shallow copy of a value of type t shares a
+// reference with the original, at any depth of nested value structs.
+func holdsRefs(t types.Type) bool {
+	if isRefType(t) {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsRefs(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return holdsRefs(u.Elem())
+	}
+	return false
 }
 
 // isRefType reports whether a field of this type can escape a shallow

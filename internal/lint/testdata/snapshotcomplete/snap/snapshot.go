@@ -2,6 +2,8 @@
 // scalars, reference fields need explicit treatment or an annotation.
 package snap
 
+import "snapshotcomplete/wire"
+
 type Config struct{ Ways int }
 
 type inner struct {
@@ -25,6 +27,12 @@ type Core struct {
 	// Only the wire walk mentions sb: writing a field to the wire does
 	// not copy it, so the snapshot shares sb's array with the machine.
 	sb []int // want `Core\.sb`
+	// A value of another package's struct type that holds references is
+	// shared by the shallow copy unless Snapshot and Restore both copy it.
+	tlb     wire.TLBState
+	tlbHalf wire.TLBState // want `Core\.tlbHalf is neither deep-copied in both Snapshot and Restore`
+	tlbNone wire.TLBState // want `Core\.tlbNone is neither deep-copied in both Snapshot and Restore`
+	entry   wire.Entry    // holds no reference: the shallow copy captures it
 }
 
 type CoreState struct {
@@ -36,7 +44,15 @@ func (c *Core) Snapshot() *CoreState {
 	s.core.buf = append([]int(nil), c.buf...)
 	s.core.memo = nil
 	s.core.scratch = nil
+	s.core.tlb.Entries = append([]wire.Entry(nil), c.tlb.Entries...)
+	s.core.tlbHalf.Entries = append([]wire.Entry(nil), c.tlbHalf.Entries...)
 	return s
+}
+
+func (c *Core) Restore(s *CoreState) {
+	*c = s.core
+	c.buf = append([]int(nil), s.core.buf...)
+	c.tlb.Entries = append([]wire.Entry(nil), s.core.tlb.Entries...)
 }
 
 func (s *CoreState) Walk(buf []byte) []byte {

@@ -10,7 +10,10 @@
 // bus serializes transactions, which makes the protocol a total order —
 // considerably simpler than the banked directory.
 //
-// The three Reunion mechanisms translate naturally:
+// The three Reunion mechanisms translate naturally, and the bus shares
+// the directory's implementation of what does not depend on the topology
+// (coherence.MemSide: memory-bank timing, sync pairing, fill tracking,
+// and the phantom strength's reach):
 //
 //   - Vocal/mute semantics: mute caches never assert snoop responses and
 //     their writebacks are dropped at the source; the bus behaves as if
@@ -29,6 +32,7 @@ import (
 	"fmt"
 
 	"reunion/internal/cache"
+	"reunion/internal/coherence"
 	"reunion/internal/interconnect"
 	"reunion/internal/mem"
 	"reunion/internal/sim"
@@ -42,19 +46,11 @@ type Config struct {
 	MemBanks     int
 	MemBankBusy  int64
 	MemMSHRs     int // outstanding memory fetches
-	Phantom      PhantomStrength
+	Phantom      coherence.PhantomStrength
 }
 
-// PhantomStrength aliases the shared definition so callers configure one
-// notion of strength for either topology.
-type PhantomStrength = int
-
-// Phantom strengths (numeric values match coherence.PhantomStrength).
-const (
-	PhantomGlobal PhantomStrength = iota
-	PhantomShared
-	PhantomNull
-)
+// garbageSalt keeps the bus's phantom garbage apart from the directory's.
+const garbageSalt = 0x5160_0b5c_bad5_eed5
 
 // Bus is the snoopy interconnect plus memory controller. It implements
 // the same downstream surface as the directory L2 (cache.Below plus sync
@@ -68,33 +64,15 @@ type Bus struct {
 	q   *interconnect.BankQueue //reunion:shared
 	l1d []*cache.L1             //reunion:shared
 
-	memInFlight  int
-	memBankFree  []int64
-	MemQueueWait int64
-
-	pendingSync  map[int]*cache.Req
-	syncMinToken map[int]int64
-
-	fillsInFlight map[flightKey]int
+	coherence.MemSide
 
 	// Stats
-	Transactions    int64
-	Reads, ReadX    int64
-	Ifetches        int64
-	SnoopHits       int64 // supplied by another cache
-	MemAccesses     int64
-	WritebacksRecv  int64
-	PhantomReqs     int64
-	PhantomGarbage  int64
-	PhantomPeeks    int64
-	PhantomMemReads int64
-	SyncRequests    int64
-	Retries         int64
-}
-
-type flightKey struct {
-	core  int
-	block uint64
+	Transactions   int64
+	Reads, ReadX   int64
+	Ifetches       int64
+	SnoopHits      int64 // supplied by another cache
+	WritebacksRecv int64
+	Retries        int64
 }
 
 // NewBus builds the snoopy memory system for numCores private caches.
@@ -102,20 +80,19 @@ func NewBus(cfg Config, eq *sim.EventQueue, m *mem.Memory, numCores int) *Bus {
 	if cfg.BusPerCycle < 1 {
 		cfg.BusPerCycle = 1
 	}
-	b := &Bus{
-		cfg:           cfg,
-		eq:            eq,
-		mem:           m,
-		q:             interconnect.NewBankQueue(cfg.BusPerCycle),
-		l1d:           make([]*cache.L1, numCores),
-		pendingSync:   make(map[int]*cache.Req),
-		syncMinToken:  make(map[int]int64),
-		fillsInFlight: make(map[flightKey]int),
+	return &Bus{
+		cfg: cfg,
+		eq:  eq,
+		mem: m,
+		q:   interconnect.NewBankQueue(cfg.BusPerCycle),
+		l1d: make([]*cache.L1, numCores),
+		MemSide: coherence.NewMemSide(coherence.Config{
+			MemLatency:  cfg.MemLatency,
+			MemBanks:    cfg.MemBanks,
+			MemBankBusy: cfg.MemBankBusy,
+			MemMSHRs:    cfg.MemMSHRs,
+		}),
 	}
-	if cfg.MemBanks > 0 {
-		b.memBankFree = make([]int64, cfg.MemBanks)
-	}
-	return b
 }
 
 // RegisterL1D attaches a core's data cache for snooping.
@@ -153,12 +130,9 @@ func (b *Bus) ResetStats() {
 	b.Transactions = 0
 	b.Reads, b.ReadX, b.Ifetches = 0, 0, 0
 	b.SnoopHits = 0
-	b.MemAccesses = 0
 	b.WritebacksRecv = 0
-	b.PhantomReqs, b.PhantomGarbage, b.PhantomPeeks, b.PhantomMemReads = 0, 0, 0, 0
-	b.SyncRequests = 0
 	b.Retries = 0
-	b.MemQueueWait = 0
+	b.MemSide.ResetStats()
 	b.q.ResetStats()
 }
 
@@ -167,26 +141,13 @@ func (b *Bus) requeue(r *cache.Req) {
 	b.q.Push(b.eq.Now(), r)
 }
 
-// trackFill marks a granted-but-undelivered fill. A matching releaseFill
-// must run after the fill lands. Grants are tracked from the moment the
-// bus transaction decides them — the decision's side effects (snoops,
-// invalidations) happen at process time, so later transactions must see
-// the grant immediately or they would re-grant exclusivity.
-func (b *Bus) trackFill(core int, block uint64) {
-	b.fillsInFlight[flightKey{core: core, block: block}]++
-}
-
-func (b *Bus) releaseFill(core int, block uint64) {
-	key := flightKey{core: core, block: block}
-	if b.fillsInFlight[key]--; b.fillsInFlight[key] == 0 {
-		delete(b.fillsInFlight, key)
-	}
-}
-
 // reply delivers a response after lat cycles. release selects whether the
 // delivery retires a tracked fill; the tracking key is always the reply
 // target's {core, block}, which is what lets the event survive checkpoint
-// serialization as plain data.
+// serialization as plain data. Grants are tracked (TrackFill) from the
+// moment the bus transaction decides them — the decision's side effects
+// (snoops, invalidations) happen at process time, so later transactions
+// must see the grant immediately or they would re-grant exclusivity.
 func (b *Bus) reply(r *cache.Req, data *mem.Block, exclusive bool, lat int64, release bool) {
 	if lat < 1 {
 		lat = 1
@@ -204,7 +165,7 @@ func (b *Bus) reply(r *cache.Req, data *mem.Block, exclusive bool, lat int64, re
 func (b *Bus) RunEvent(desc any) {
 	switch d := desc.(type) {
 	case *EvReply:
-		b.deliverReply(d)
+		b.Deliver(d.R, &d.Data, d.Exclusive, d.Release)
 	case *EvMemFetch:
 		b.memFetchDone(d)
 	case *EvPhantomMem:
@@ -214,42 +175,6 @@ func (b *Bus) RunEvent(desc any) {
 	default:
 		panic(fmt.Sprintf("snoop: Bus.RunEvent on unknown descriptor %T", desc))
 	}
-}
-
-// deliverReply delivers a scheduled response, then retires the
-// fill-tracking entry reply took.
-func (b *Bus) deliverReply(d *EvReply) {
-	d.R.Deliver(cache.Resp{Data: d.Data, Exclusive: d.Exclusive})
-	if d.Release {
-		b.releaseFill(d.R.Core, d.R.Block)
-	}
-}
-
-func (b *Bus) fillInFlight(core int, block uint64) bool {
-	return b.fillsInFlight[flightKey{core: core, block: block}] > 0
-}
-
-func (b *Bus) memLatency(block uint64) int64 {
-	if b.memBankFree == nil {
-		return b.cfg.MemLatency
-	}
-	bank := (block >> mem.BlockShift) % uint64(len(b.memBankFree))
-	now := b.eq.Now()
-	start := now
-	if b.memBankFree[bank] > start {
-		start = b.memBankFree[bank]
-		b.MemQueueWait += start - now
-	}
-	b.memBankFree[bank] = start + b.cfg.MemBankBusy
-	return start - now + b.cfg.MemLatency
-}
-
-func garbageBlock(block uint64) mem.Block {
-	var g mem.Block
-	for i := range g {
-		g[i] = sim.Mix64(block ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ 0x5160_0b5c_bad5_eed5)
-	}
-	return g
 }
 
 // snoopOthers probes every other vocal cache. invalidate selects
@@ -262,7 +187,7 @@ func (b *Bus) snoopOthers(r *cache.Req, invalidate bool) (data mem.Block, suppli
 		if l1 == nil || c == r.Core || !l1.Vocal {
 			continue
 		}
-		if b.fillInFlight(c, r.Block) {
+		if b.FillInFlight(c, r.Block) {
 			return mem.Block{}, false, true
 		}
 		line := l1.Arr.Peek(r.Block)
@@ -327,31 +252,27 @@ func (b *Bus) process(r *cache.Req) {
 // fetchAndReply supplies r from snooped data or memory. Tracking of the
 // granted fill begins now, before any latency elapses.
 func (b *Bus) fetchAndReply(r *cache.Req, data mem.Block, supplied, exclusive bool) bool {
-	if !supplied && b.memInFlight >= b.cfg.MemMSHRs {
+	if !supplied && b.MemFull() {
 		b.requeue(r)
 		return false
 	}
 	release := r.Kind != cache.Ifetch
 	if release {
-		b.trackFill(r.Core, r.Block)
+		b.TrackFill(r.Core, r.Block)
 	}
 	if supplied {
 		b.reply(r, &data, exclusive, b.cfg.SnoopLatency, release)
 		return true
 	}
-	b.MemAccesses++
-	b.memInFlight++
 	d := &EvMemFetch{R: r, Exclusive: exclusive, Release: release}
-	b.eq.AfterR(b.memLatency(r.Block), d, b)
+	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), d, b)
 	return true
 }
 
 // memFetchDone completes a memory fetch: read the block and schedule the
 // reply.
 func (b *Bus) memFetchDone(d *EvMemFetch) {
-	b.memInFlight--
-	var data mem.Block
-	b.mem.ReadBlock(d.R.Block, &data)
+	data := b.EndMem(b.mem, d.R.Block)
 	b.reply(d.R, &data, d.Exclusive, b.cfg.SnoopLatency, d.Release)
 }
 
@@ -420,84 +341,54 @@ func (b *Bus) peekVocal(block uint64) (mem.Block, bool) {
 	return best, found
 }
 
+// processPhantom serves a mute request at the configured strength. No
+// shared cache exists at a snoopy interface, so the on-chip search peeks
+// the other private caches without going off-chip.
 func (b *Bus) processPhantom(r *cache.Req) {
 	b.PhantomReqs++
-	switch b.cfg.Phantom {
-	case PhantomNull:
-		g := garbageBlock(r.Block)
-		b.PhantomGarbage++
-		b.trackFill(r.Core, r.Block)
-		b.reply(r, &g, true, b.cfg.SnoopLatency, true)
-	case PhantomShared:
-		// No shared cache exists at a snoopy interface; the comparable
-		// strength peeks the other private caches without going off-chip.
+	onChip, global := b.cfg.Phantom.Reach()
+	if onChip {
 		if d, ok := b.peekVocal(r.Block); ok {
 			b.PhantomPeeks++
-			b.trackFill(r.Core, r.Block)
+			b.TrackFill(r.Core, r.Block)
 			b.reply(r, &d, true, b.cfg.SnoopLatency, true)
 			return
 		}
-		g := garbageBlock(r.Block)
-		b.PhantomGarbage++
-		b.trackFill(r.Core, r.Block)
-		b.reply(r, &g, true, b.cfg.SnoopLatency, true)
-	default: // PhantomGlobal
-		if d, ok := b.peekVocal(r.Block); ok {
-			b.PhantomPeeks++
-			b.trackFill(r.Core, r.Block)
-			b.reply(r, &d, true, b.cfg.SnoopLatency, true)
-			return
-		}
-		if b.memInFlight >= b.cfg.MemMSHRs {
-			b.requeue(r)
-			return
-		}
-		b.PhantomMemReads++
-		b.MemAccesses++
-		b.memInFlight++
-		b.trackFill(r.Core, r.Block)
-		b.eq.AfterR(b.memLatency(r.Block), &EvPhantomMem{R: r}, b)
 	}
+	if !global {
+		g := b.Garbage(r.Block, garbageSalt)
+		b.TrackFill(r.Core, r.Block)
+		b.reply(r, &g, true, b.cfg.SnoopLatency, true)
+		return
+	}
+	if b.MemFull() {
+		b.requeue(r)
+		return
+	}
+	b.PhantomMemReads++
+	b.TrackFill(r.Core, r.Block)
+	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), &EvPhantomMem{R: r}, b)
 }
 
 // phantomMemDone completes a phantom off-chip read.
 func (b *Bus) phantomMemDone(r *cache.Req) {
-	b.memInFlight--
-	var data mem.Block
-	b.mem.ReadBlock(r.Block, &data)
+	data := b.EndMem(b.mem, r.Block)
 	b.reply(r, &data, true, b.cfg.SnoopLatency, true)
 }
 
+// processSync implements the synchronizing request: once MemSide has
+// paired both members of the logical pair, the block is flushed from
+// their private caches, one coherent bus transaction obtains the data,
+// and both receive it atomically.
 func (b *Bus) processSync(r *cache.Req) {
-	if r.Token < b.syncMinToken[r.Pair] {
-		return // cancelled by recovery escalation
-	}
-	first, ok := b.pendingSync[r.Pair]
-	if !ok {
-		b.pendingSync[r.Pair] = r
-		return
-	}
-	if first.Token != r.Token {
-		if first.Token < r.Token {
-			b.pendingSync[r.Pair] = r
-		}
-		return
-	}
-	if first.Block != r.Block {
-		panic(fmt.Sprintf("snoop: pair %d sync blocks disagree: %#x vs %#x", r.Pair, first.Block, r.Block))
-	}
-	vocal, mute := first, r
-	if !vocal.Vocal {
-		vocal, mute = r, first
-	}
-	if b.fillInFlight(vocal.Core, r.Block) || b.fillInFlight(mute.Core, r.Block) {
-		b.pendingSync[r.Pair] = first
+	vocal, mute, retry := b.PairSync(r)
+	if retry {
 		b.requeue(r)
 		return
 	}
-	delete(b.pendingSync, r.Pair)
-	b.SyncRequests++
-
+	if vocal == nil {
+		return
+	}
 	// Flush the pair's own copies; the vocal's dirty data goes home.
 	if vd, vdirty, vhad, vbusy := b.l1d[vocal.Core].ProbeInvalidate(r.Block); !vbusy && vhad && vdirty {
 		b.mem.WriteBlock(r.Block, &vd)
@@ -506,50 +397,28 @@ func (b *Bus) processSync(r *cache.Req) {
 
 	// One coherent write transaction on behalf of the pair.
 	data, supplied, retry := b.snoopOthers(vocal, true)
-	if retry {
-		b.pendingSync[r.Pair] = first
+	if retry || !supplied && b.MemFull() {
+		b.ReparkSync(r, vocal, mute)
 		b.requeue(r)
 		return
 	}
+	b.TrackFill(vocal.Core, r.Block)
+	b.TrackFill(mute.Core, r.Block)
 	if supplied {
-		b.trackFill(vocal.Core, r.Block)
-		b.trackFill(mute.Core, r.Block)
 		b.reply(vocal, &data, true, b.cfg.SnoopLatency, true)
 		b.reply(mute, &data, true, b.cfg.SnoopLatency, true)
 		return
 	}
-	if b.memInFlight >= b.cfg.MemMSHRs {
-		b.pendingSync[r.Pair] = first
-		b.requeue(r)
-		return
-	}
-	b.MemAccesses++
-	b.memInFlight++
-	b.trackFill(vocal.Core, r.Block)
-	b.trackFill(mute.Core, r.Block)
 	d := &EvSyncMem{V: vocal, M: mute}
-	b.eq.AfterR(b.memLatency(r.Block), d, b)
+	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), d, b)
 }
 
 // syncMemDone completes a pair's combined off-chip synchronizing fetch:
 // both members receive the same data atomically.
 func (b *Bus) syncMemDone(d *EvSyncMem) {
-	b.memInFlight--
-	var data mem.Block
-	b.mem.ReadBlock(d.V.Block, &data)
+	data := b.EndMem(b.mem, d.V.Block)
 	b.reply(d.V, &data, true, b.cfg.SnoopLatency, true)
 	b.reply(d.M, &data, true, b.cfg.SnoopLatency, true)
-}
-
-// CancelSync invalidates stale synchronizing requests (recovery
-// escalation), mirroring the directory controller's contract.
-func (b *Bus) CancelSync(pair int, minToken int64) {
-	if r := b.pendingSync[pair]; r != nil && r.Token < minToken {
-		delete(b.pendingSync, pair)
-	}
-	if b.syncMinToken[pair] < minToken {
-		b.syncMinToken[pair] = minToken
-	}
 }
 
 // DebugRead returns the coherent view of a block (owner copy, else memory).

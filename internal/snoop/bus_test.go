@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"reunion/internal/cache"
+	"reunion/internal/coherence"
 	"reunion/internal/mem"
 	"reunion/internal/sim"
 )
@@ -53,7 +54,7 @@ func testConfig() Config {
 		MemBanks:     8,
 		MemBankBusy:  24,
 		MemMSHRs:     32,
-		Phantom:      PhantomGlobal,
+		Phantom:      coherence.PhantomGlobal,
 	}
 }
 
@@ -206,7 +207,7 @@ func TestSnoopPhantomStrengths(t *testing.T) {
 
 	// Null: garbage always.
 	cfg := testConfig()
-	cfg.Phantom = PhantomNull
+	cfg.Phantom = coherence.PhantomNull
 	r2 := newRig(t, cfg, 1, 1)
 	r2.mem.WriteWord(b, 3)
 	r2.load(t, 0, b)
@@ -215,7 +216,7 @@ func TestSnoopPhantomStrengths(t *testing.T) {
 	}
 
 	// Shared-analog: cache peek works, memory path returns garbage.
-	cfg.Phantom = PhantomShared
+	cfg.Phantom = coherence.PhantomShared
 	r3 := newRig(t, cfg, 1, 1)
 	r3.store(t, 0, b, 8)
 	if got := r3.load(t, 1, b); got != 8 {
@@ -286,6 +287,35 @@ func TestSnoopSyncCancel(t *testing.T) {
 	_, mDone := r.done[mcb.Seq]
 	if called || !vDone || !mDone {
 		t.Fatalf("cancel semantics: called=%v v=%v m=%v", called, vDone, mDone)
+	}
+}
+
+// TestSnoopSyncStalePartnerDropped is the directory's stale-partner test
+// on the bus: a token-2 pair arriving over a parked token-1 request, with
+// no CancelSync, combines on one value and never answers the stale one.
+func TestSnoopSyncStalePartnerDropped(t *testing.T) {
+	r := newRig(t, testConfig(), 1, 1)
+	staleBlock, b := blockN(26), blockN(27)
+	r.mem.WriteWord(b, 7)
+	stale := r.syncLoad()
+	if !r.l1[0].SyncFill(staleBlock, 0, 1, stale) {
+		t.Fatal("stale sync rejected")
+	}
+	r.drain(t)
+	vcb, mcb := r.syncLoad(), r.syncLoad()
+	r.l1[0].SyncFill(b, 0, 2, vcb)
+	r.l1[1].SyncFill(b, 0, 2, mcb)
+	r.drain(t)
+	vGot, vDone := r.done[vcb.Seq]
+	mGot, mDone := r.done[mcb.Seq]
+	if !vDone || !mDone || vGot != 7 || mGot != 7 {
+		t.Fatalf("token-2 pair: done %v/%v values %d/%d, want both 7", vDone, mDone, vGot, mGot)
+	}
+	if _, called := r.done[stale.Seq]; called {
+		t.Fatal("stale token-1 sync completed")
+	}
+	if r.bus.SyncRequests != 1 {
+		t.Fatalf("SyncRequests=%d", r.bus.SyncRequests)
 	}
 }
 

@@ -1,10 +1,6 @@
 package snoop
 
-import (
-	"maps"
-
-	"reunion/internal/interconnect"
-)
+import "reunion/internal/interconnect"
 
 // Checkpoint support for the snoopy bus (see the reunion package's
 // System.Snapshot and the matching coherence controller snapshot).
@@ -21,10 +17,7 @@ type BusState struct {
 // Snapshot captures the bus state. Read-only.
 func (b *Bus) Snapshot() *BusState {
 	s := &BusState{bus: *b, q: b.q.Snapshot()}
-	s.bus.memBankFree = append([]int64(nil), b.memBankFree...)
-	s.bus.pendingSync = maps.Clone(b.pendingSync)
-	s.bus.syncMinToken = maps.Clone(b.syncMinToken)
-	s.bus.fillsInFlight = maps.Clone(b.fillsInFlight)
+	s.bus.MemSide = b.MemSide.Snapshot()
 	return s
 }
 
@@ -34,8 +27,5 @@ func (b *Bus) Restore(s *BusState) {
 	*b = s.bus
 	b.q, b.l1d = q, l1d
 	b.q.Restore(s.q)
-	b.memBankFree = append([]int64(nil), s.bus.memBankFree...)
-	b.pendingSync = maps.Clone(s.bus.pendingSync)
-	b.syncMinToken = maps.Clone(s.bus.syncMinToken)
-	b.fillsInFlight = maps.Clone(s.bus.fillsInFlight)
+	b.MemSide = s.bus.MemSide.Snapshot()
 }

@@ -1,11 +1,6 @@
 package snoop
 
 import (
-	"cmp"
-	"fmt"
-	"maps"
-	"slices"
-
 	"reunion/internal/bin"
 	"reunion/internal/cache"
 	"reunion/internal/interconnect"
@@ -18,9 +13,9 @@ import (
 // checkpoint walk interns every *cache.Req into a cache.ReqTable, so
 // shared pointers stay shared on decode.
 
-// EvReply describes a scheduled reply delivery. Release retires the fill-tracking entry keyed by the
-// reply target's {core, block}; the increment is already in the
-// snapshotted map.
+// EvReply describes a scheduled reply delivery. Release retires the
+// fill-tracking entry keyed by the reply target's {core, block}; the
+// increment is already in the snapshotted map.
 type EvReply struct {
 	R         *cache.Req
 	Data      mem.Block
@@ -74,14 +69,11 @@ func (d *EvSyncMem) Walk(c *bin.Codec, rt *cache.ReqTable) {
 // by pair id). The root walk fills its request table with this.
 func (s *BusState) VisitReqs(fn func(*cache.Req)) {
 	s.q.Each(func(it interconnect.Item) { fn(it.(*cache.Req)) })
-	for _, p := range slices.Sorted(maps.Keys(s.bus.pendingSync)) {
-		fn(s.bus.pendingSync[p])
-	}
+	s.bus.MemSide.VisitReqs(fn)
 }
 
-// Walk walks the snapshot; rt interns queued and parked requests. Maps
-// go in ascending key order, so the encoding is deterministic. A reader
-// leaves the pointer fields nil for BindTo.
+// Walk walks the snapshot; rt interns queued and parked requests. A
+// reader leaves the pointer fields nil for BindTo.
 func (s *BusState) Walk(c *bin.Codec, rt *cache.ReqTable) {
 	s.q.Walk(c, func(it *interconnect.Item) {
 		r, _ := (*it).(*cache.Req)
@@ -89,33 +81,7 @@ func (s *BusState) Walk(c *bin.Codec, rt *cache.ReqTable) {
 			*it = r
 		}
 	})
-	bin.Slice(c, &s.bus.memBankFree, 8, c.I64)
-	c.Int(&s.bus.memInFlight)
-	if c.Reading() && s.bus.memInFlight < 0 {
-		c.Fail(fmt.Errorf("snoop: snapshot memInFlight %d negative", s.bus.memInFlight))
-	}
-	bin.Map(c, &s.bus.pendingSync, 1+1, cmp.Compare, func(p *int, r **cache.Req) {
-		c.Int(p)
-		rt.Ref(c, r)
-		if c.Reading() && *p < 0 {
-			c.Fail(errSnoop("snoop: snapshot pendingSync malformed"))
-		}
-	})
-	bin.Map(c, &s.bus.syncMinToken, 1+8, cmp.Compare, func(p *int, tok *int64) {
-		c.Int(p)
-		c.I64(tok)
-		if c.Reading() && *p < 0 {
-			c.Fail(errSnoop("snoop: snapshot syncMinToken malformed"))
-		}
-	})
-	bin.Map(c, &s.bus.fillsInFlight, 1+8+1, flightKey.cmp, func(k *flightKey, n *int) {
-		c.Int(&k.core)
-		c.U64(&k.block)
-		c.Int(n)
-		if c.Reading() && (*n <= 0 || k.core < 0) {
-			c.Fail(errSnoop("snoop: snapshot fillsInFlight malformed"))
-		}
-	})
+	s.bus.MemSide.Walk(c, rt)
 	b := &s.bus
 	for _, v := range []*int64{&b.Transactions, &b.Reads, &b.ReadX, &b.Ifetches,
 		&b.SnoopHits, &b.MemAccesses, &b.WritebacksRecv, &b.PhantomReqs,
@@ -125,28 +91,12 @@ func (s *BusState) Walk(c *bin.Codec, rt *cache.ReqTable) {
 	}
 }
 
-// cmp orders in-flight fills by core, then block.
-func (k flightKey) cmp(o flightKey) int {
-	return cmp.Or(cmp.Compare(k.core, o.core), cmp.Compare(k.block, o.block))
-}
-
-type errSnoop string
-
-func (e errSnoop) Error() string { return string(e) }
-
 // BindTo validates the decoded snapshot against the live bus geometry and
 // fixes up the pointer fields Restore carries over, so Restore on a
 // decoded snapshot behaves exactly like Restore on a live one.
 func (s *BusState) BindTo(live *Bus) error {
-	if len(s.bus.memBankFree) != len(live.memBankFree) {
-		return fmt.Errorf("snoop: snapshot has %d memory banks, bus has %d",
-			len(s.bus.memBankFree), len(live.memBankFree))
-	}
-	n := len(live.l1d)
-	for k := range s.bus.fillsInFlight {
-		if k.core >= n {
-			return fmt.Errorf("snoop: snapshot in-flight fill core %d out of range for %d cores", k.core, n)
-		}
+	if err := s.bus.MemSide.BindTo(&live.MemSide, len(live.l1d)); err != nil {
+		return err
 	}
 	s.bus.cfg = live.cfg
 	s.bus.eq = live.eq

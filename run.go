@@ -191,6 +191,9 @@ type Result struct {
 // With Options.Warm set, the build/prefill/warm phase is served from the
 // checkpointed warm-state cache (bit-identical results, less host time).
 func Run(o Options) (Result, error) {
+	if !o.Phantom.Valid() {
+		return Result{}, fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Phantom)
+	}
 	o = o.withDefaults()
 	if o.Warm != nil {
 		return o.Warm.run(o)

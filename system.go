@@ -125,7 +125,7 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 			MemBanks:     cfg.L2.MemBanks,
 			MemBankBusy:  cfg.L2.MemBankBusy,
 			MemMSHRs:     cfg.L2.MemMSHRs,
-			Phantom:      int(cfg.L2.Phantom),
+			Phantom:      cfg.L2.Phantom,
 		}, s.EQ, s.Mem, numCores)
 		s.msys = s.Bus
 	default:
