@@ -141,6 +141,25 @@ func TestQuickAndFullCampaignSizing(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeKnobs: a comparison latency below ZeroLatency
+// or a negative fingerprint interval is an error naming the value, not a
+// run that silently aliases the zero-cycle latency or interval 1.
+func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
+	for _, c := range []struct {
+		set  func(*Options)
+		want string
+	}{
+		{func(o *Options) { o.CompareLatency = -5 }, "comparison latency -5"},
+		{func(o *Options) { o.FPInterval = -2 }, "fingerprint interval -2"},
+	} {
+		o := Options{Mode: ModeReunion, Workload: workload.Apache(), WarmCycles: 3000, MeasureCycles: 2000}
+		c.set(&o)
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want an error naming %q", err, c.want)
+		}
+	}
+}
+
 // TestRunRejectsUnknownPhantomStrength: an out-of-range phantom strength
 // is an error naming the value under either topology, not a run in which
 // one topology silently drops every mute request and the other treats it

@@ -358,31 +358,21 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 	if err != nil {
 		return spec, err
 	}
-	matrix.Axes = append(matrix.Axes, sweep.NewAxis("mode", ms, reunion.Mode.String,
-		func(o *reunion.Options, m reunion.Mode) { o.Mode = m }))
-
 	phs, err := cliconf.Phantoms(warnOut, "inject", phantoms)
 	if err != nil {
 		return spec, err
 	}
-	matrix.Axes = append(matrix.Axes, sweep.NewAxis("phantom", phs, reunion.Phantom.String,
-		func(o *reunion.Options, ph reunion.Phantom) { o.Phantom = ph }))
-
 	sds, err := cliconf.Seeds(warnOut, "inject", seeds)
 	if err != nil {
 		return spec, fmt.Errorf("seeds: %w", err)
 	}
-	matrix.Axes = append(matrix.Axes, sweep.NewAxis("seed", sds,
-		func(s uint64) string { return strconv.FormatUint(s, 10) },
-		func(o *reunion.Options, s uint64) { o.Seed = s }))
-
 	ps, err := cliconf.Workloads(warnOut, "inject", workloads)
 	if err != nil {
 		return spec, err
 	}
-	matrix.Axes = append(matrix.Axes, sweep.NewAxis("workload", ps,
-		func(p workload.Params) string { return p.Name },
-		func(o *reunion.Options, p workload.Params) { o.Workload = p }))
+	matrix.Axes = []sweep.Axis[reunion.Options]{
+		reunion.ModeAxis(ms), reunion.PhantomAxis(phs), reunion.SeedAxis(sds), reunion.WorkloadAxis(ps),
+	}
 
 	spec.Matrix = matrix
 	cells := matrix.Size()

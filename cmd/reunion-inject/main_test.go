@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,36 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 			c.window, 1000, 500, 60000, 40, 1); err == nil {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
+	}
+}
+
+// The campaign vocabulary at the default flags — spec, axis and value
+// names, and the cell names built from them — is what journal
+// fingerprints and trial records carry, so it must not drift.
+func TestBuildSpecVocabulary(t *testing.T) {
+	spec, err := buildSpec("reunion,non-redundant", "all", "global", "1", "0-63", "",
+		10_000, 2_000, 150_000, 200, 0xfa017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := spec.Matrix
+	want := []string{"spec:inject", "axis:mode", "reunion", "non-redundant",
+		"axis:phantom", "global", "axis:seed", "1",
+		"axis:workload", "apache", "zeus", "db2-oltp", "oracle-oltp", "dss-q1", "dss-q2", "dss-q17",
+		"em3d", "moldyn", "ocean", "sparse"}
+	if got := m.FingerprintParts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FingerprintParts:\n got %q\nwant %q", got, want)
+	}
+	for i, want := range map[int]string{
+		0:  "mode=reunion,phantom=global,seed=1,workload=apache",
+		21: "mode=non-redundant,phantom=global,seed=1,workload=sparse",
+	} {
+		if got := m.Point(i).Name(); got != want {
+			t.Errorf("cell %d: %q, want %q", i, got, want)
+		}
+	}
+	if m.Size() != 22 || spec.Trials != 9 {
+		t.Errorf("%d cells × %d trials, want 22 × 9", m.Size(), spec.Trials)
 	}
 }
 

@@ -366,66 +366,39 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("workload", ps,
-		func(p workload.Params) string { return p.Name },
-		func(o *reunion.Options, p workload.Params) { o.Workload = p }))
-
 	ms, err := cliconf.Modes(warnOut, "sweep", modes, true)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("mode", ms, reunion.Mode.String,
-		func(o *reunion.Options, m reunion.Mode) { o.Mode = m }))
-
-	lats, err := cliconf.Int64Axis(warnOut, "sweep", "latency", latencies)
+	lats, err := cliconf.Latencies(warnOut, "sweep", latencies)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("latency", lats,
-		func(l int64) string { return strconv.FormatInt(l, 10) },
-		func(o *reunion.Options, l int64) {
-			if l == 0 {
-				l = reunion.ZeroLatency
-			}
-			o.CompareLatency = l
-		}))
-
 	phs, err := cliconf.Phantoms(warnOut, "sweep", phantoms)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("phantom", phs, reunion.Phantom.String,
-		func(o *reunion.Options, ph reunion.Phantom) { o.Phantom = ph }))
-
 	ts, err := cliconf.TLBs(warnOut, "sweep", tlbs)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("tlb", ts, reunion.TLBMode.String,
-		func(o *reunion.Options, m reunion.TLBMode) { o.TLB = m }))
-
 	cs, err := cliconf.Consistencies(warnOut, "sweep", consistencies)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("consistency", cs, reunion.ConsistencyName,
-		func(o *reunion.Options, m reunion.Consistency) { o.Consistency = m }))
-
-	ivs, err := cliconf.Int64Axis(warnOut, "sweep", "interval", intervals)
+	ivs, err := cliconf.Intervals(warnOut, "sweep", intervals)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("interval", ivs,
-		func(iv int64) string { return strconv.FormatInt(iv, 10) },
-		func(o *reunion.Options, iv int64) { o.FPInterval = int(iv) }))
-
 	sds, err := cliconf.Seeds(warnOut, "sweep", seeds)
 	if err != nil {
 		return spec, err
 	}
-	spec.Axes = append(spec.Axes, sweep.NewAxis("seed", sds,
-		func(s uint64) string { return strconv.FormatUint(s, 10) },
-		func(o *reunion.Options, s uint64) { o.Seed = s }))
+	spec.Axes = []sweep.Axis[reunion.Options]{
+		reunion.WorkloadAxis(ps), reunion.ModeAxis(ms), reunion.LatencyAxis(lats),
+		reunion.PhantomAxis(phs), reunion.TLBAxis(ts), reunion.ConsistencyAxis(cs),
+		reunion.IntervalAxis(ivs), reunion.SeedAxis(sds),
+	}
 
 	if spec.Size() == 0 {
 		return spec, fmt.Errorf("empty matrix: every axis needs at least one value")

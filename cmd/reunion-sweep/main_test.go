@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,7 +68,10 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 		{"phantom", "reunion", "apache", "10", "ghost", "hardware", "tso", "1", "1"},
 		{"tlb", "reunion", "apache", "10", "global", "firmware", "tso", "1", "1"},
 		{"consistency", "reunion", "apache", "10", "global", "hardware", "weak", "1", "1"},
+		{"negative latency", "reunion", "apache", "-5", "global", "hardware", "tso", "1", "1"},
 		{"interval", "reunion", "apache", "10", "global", "hardware", "tso", "one", "1"},
+		{"zero interval", "reunion", "apache", "10", "global", "hardware", "tso", "0", "1"},
+		{"negative interval", "reunion", "apache", "10", "global", "hardware", "tso", "-2", "1"},
 		{"seed", "reunion", "apache", "10", "global", "hardware", "tso", "1", "-1x"},
 	}
 	for _, c := range cases {
@@ -75,6 +79,37 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 			c.consistencies, c.intervals, c.seeds, 100, 100, reunion.KernelFastForward); err == nil {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
+	}
+}
+
+// The matrix vocabulary at the default flags — spec, axis and value
+// names, and the point names built from them — is what journal
+// fingerprints and results records carry, so it must not drift.
+func TestBuildSpecVocabulary(t *testing.T) {
+	spec, err := buildSpec("non-redundant,strict,reunion", "all", "10", "global", "hardware",
+		"tso", "1", "1", 100_000, 50_000, reunion.KernelFastForward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"spec:paper-matrix",
+		"axis:workload", "apache", "zeus", "db2-oltp", "oracle-oltp", "dss-q1", "dss-q2", "dss-q17",
+		"em3d", "moldyn", "ocean", "sparse",
+		"axis:mode", "non-redundant", "strict", "reunion", "axis:latency", "10",
+		"axis:phantom", "global", "axis:tlb", "hardware", "axis:consistency", "tso",
+		"axis:interval", "1", "axis:seed", "1"}
+	if got := spec.FingerprintParts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FingerprintParts:\n got %q\nwant %q", got, want)
+	}
+	for i, want := range map[int]string{
+		0:  "workload=apache,mode=non-redundant,latency=10,phantom=global,tlb=hardware,consistency=tso,interval=1,seed=1",
+		32: "workload=sparse,mode=reunion,latency=10,phantom=global,tlb=hardware,consistency=tso,interval=1,seed=1",
+	} {
+		if got := spec.Point(i).Name(); got != want {
+			t.Errorf("point %d: %q, want %q", i, got, want)
+		}
+	}
+	if spec.Size() != 33 {
+		t.Errorf("matrix size %d, want 33", spec.Size())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"reunion/internal/campaign"
 	"reunion/internal/obs"
 	"reunion/internal/stats"
 	"reunion/internal/sweep"
@@ -43,8 +42,8 @@ type ExpConfig struct {
 	// (default KernelFastForward; results are bit-identical either way).
 	Kernel Kernel
 
-	// Trace is the campaign's span tracer: the sweep and coverage engines
-	// and the warm-state cache report spans into it. Set it through
+	// Trace is the campaign's span tracer: the sweep engine and the
+	// warm-state cache report spans into it. Set it through
 	// Observe so the cache is wired too. Nil = off. Pure observer: results
 	// are byte-identical with or without a tracer.
 	Trace *obs.Tracer
@@ -55,8 +54,7 @@ type ExpConfig struct {
 	base *memo[Result]
 
 	// warm is the campaign-wide checkpointed warm-state cache: cells that
-	// differ only in measurement-phase knobs (window length, commit
-	// target, injection) restore a shared warm snapshot instead of
+	// differ only in the measurement window restore a shared warm snapshot instead of
 	// re-warming from cycle 0. Results are bit-identical either way.
 	warm *WarmCache
 }
@@ -136,26 +134,13 @@ func baselineKey(o Options) string {
 }
 
 // Observe attaches a tracer to the campaign. Beyond storing it for the
-// sweep and coverage engines, it attaches it to the shared warm-state
-// cache — which is why callers should use this instead of assigning
-// Trace directly.
+// sweep engine, it attaches it to the shared warm-state cache — which is
+// why callers should use this instead of assigning Trace directly.
 func (c *ExpConfig) Observe(tr *obs.Tracer) {
 	c.Trace = tr
 	if c.warm != nil {
 		c.warm.Observe(tr)
 	}
-}
-
-// coverageWarm picks the warm cache for the coverage campaign: the
-// campaign-wide cache when the config has one (so its spans, wired by
-// Observe, also cover coverage trials), else a fresh private cache as
-// before. Either way results are bit-identical — warm restore is
-// checkpoint-keyed.
-func (c ExpConfig) coverageWarm() *WarmCache {
-	if c.warm != nil {
-		return c.warm
-	}
-	return NewWarmCache()
 }
 
 func (c ExpConfig) printf(format string, args ...any) {
@@ -164,139 +149,171 @@ func (c ExpConfig) printf(format string, args ...any) {
 	}
 }
 
-func (c ExpConfig) runOpts(mode Mode, p workload.Params, seed uint64) Options {
+// opts is the base Options of every run in the campaign.
+func (c ExpConfig) opts() Options {
 	return Options{
-		Mode: mode, Workload: p, Seed: seed,
 		WarmCycles: c.WarmCycles, MeasureCycles: c.MeasureCycles,
 		Kernel: c.Kernel, Warm: c.warm,
 	}
 }
 
-// normalized measures mode-vs-nonredundant IPC for one workload across
-// the campaign's seeds. The common mutator applies to both the baseline
-// and the test run, so system-level knobs (TLB discipline, consistency
-// model) configure the whole comparison, as in the paper.
-func (c ExpConfig) normalized(p workload.Params, mode Mode, common func(*Options)) (float64, error) {
-	base := Options{Mode: ModeNonRedundant, Workload: p,
-		WarmCycles: c.WarmCycles, MeasureCycles: c.MeasureCycles,
-		Kernel: c.Kernel, Warm: c.warm}
-	if common != nil {
-		common(&base)
-	}
+// normalized measures o's normalized IPC across the campaign's seeds: o is
+// the test run, and its baseline is the same Options under
+// ModeNonRedundant, so system-level knobs (TLB discipline, consistency
+// model) configure the whole comparison, as in the paper. Baselines come
+// from the campaign's memo.
+func (c ExpConfig) normalized(o Options) (float64, error) {
+	base := o
 	base.Mode = ModeNonRedundant
-	test := base
-	test.Mode = mode
-	var mp stats.MatchedPair
-	for _, seed := range c.Seeds {
-		b := base
-		b.Seed = seed
-		br, err := c.baseline(b)
-		if err != nil {
-			return 0, err
-		}
-		tt := test
-		tt.Seed = seed
-		tr, err := Run(tt)
-		if err != nil {
-			return 0, err
-		}
-		mp.Add(br.UserIPC, tr.UserIPC)
-	}
-	return mp.Mean(), nil
+	cmp, err := compare(base, o, c.Seeds, c.baseline)
+	return cmp.Normalized, err
 }
 
-// normCell is one normalized-IPC measurement: a workload, a test mode,
-// and the option mutations both sides of the matched-pair comparison
-// share. It is the configuration type of every normalized-IPC sweep spec.
-type normCell struct {
-	p    workload.Params
-	mode Mode
-	muts []func(*Options)
-}
-
-// addMut appends copy-on-write, so axis values composing on a shared base
-// cell never alias each other's mutator slices across points.
-func (c *normCell) addMut(m func(*Options)) {
-	muts := make([]func(*Options), len(c.muts), len(c.muts)+1)
-	copy(muts, c.muts)
-	c.muts = append(muts, m)
-}
-
-func (c normCell) apply(o *Options) {
-	for _, m := range c.muts {
-		m(o)
-	}
-}
-
-// workloadAxis sweeps the cell's workload over the given profiles.
-func workloadAxis(ps []workload.Params) sweep.Axis[normCell] {
+// WorkloadAxis sweeps Options.Workload over the given profiles. It and the
+// axes below are the one definition of each Options axis — its name and
+// value labels — for the paper experiments and the reunion-sweep and
+// reunion-inject matrices, whose journal fingerprints and results records
+// carry those labels.
+func WorkloadAxis(ps []workload.Params) sweep.Axis[Options] {
 	return sweep.NewAxis("workload", ps,
 		func(p workload.Params) string { return p.Name },
-		func(c *normCell, p workload.Params) { c.p = p })
+		func(o *Options, p workload.Params) { o.Workload = p })
 }
 
-// modeAxis sweeps the cell's execution model.
-func modeAxis(modes ...Mode) sweep.Axis[normCell] {
-	return sweep.NewAxis("mode", modes, Mode.String,
-		func(c *normCell, m Mode) { c.mode = m })
+// ModeAxis sweeps the execution model.
+func ModeAxis(ms []Mode) sweep.Axis[Options] {
+	return sweep.NewAxis("mode", ms, Mode.String,
+		func(o *Options, m Mode) { o.Mode = m })
 }
 
-// latencyAxis sweeps the comparison latency (0 means a literal zero-cycle
-// latency, as on the Figure 6 x-axis).
-func latencyAxis(lats []int64) sweep.Axis[normCell] {
+// LatencyAxis sweeps the comparison latency (0 means a literal zero-cycle
+// latency, ZeroLatency, as on the Figure 6 x-axis).
+func LatencyAxis(lats []int64) sweep.Axis[Options] {
 	return sweep.NewAxis("latency", lats,
 		func(l int64) string { return strconv.FormatInt(l, 10) },
-		func(c *normCell, l int64) {
+		func(o *Options, l int64) {
 			if l == 0 {
 				l = ZeroLatency
 			}
-			c.addMut(func(o *Options) { o.CompareLatency = l })
+			o.CompareLatency = l
 		})
 }
 
-// phantomAxis sweeps the phantom request strength.
-func phantomAxis(phs []Phantom) sweep.Axis[normCell] {
+// PhantomAxis sweeps the phantom request strength.
+func PhantomAxis(phs []Phantom) sweep.Axis[Options] {
 	return sweep.NewAxis("phantom", phs, Phantom.String,
-		func(c *normCell, ph Phantom) {
-			c.addMut(func(o *Options) { o.Phantom = ph })
-		})
+		func(o *Options, ph Phantom) { o.Phantom = ph })
 }
 
-// runNormalized executes a normalized-IPC sweep spec and returns one
-// value per point in point-index order (deterministic at any
-// parallelism).
-func (c ExpConfig) runNormalized(name string, base normCell, axes ...sweep.Axis[normCell]) ([]float64, error) {
-	spec := sweep.Spec[normCell]{Name: name, Base: base, Axes: axes}
-	r := sweep.Runner[normCell, float64]{
+// TLBAxis sweeps the TLB discipline.
+func TLBAxis(ts []TLBMode) sweep.Axis[Options] {
+	return sweep.NewAxis("tlb", ts, TLBMode.String,
+		func(o *Options, m TLBMode) { o.TLB = m })
+}
+
+// ConsistencyAxis sweeps the memory consistency model.
+func ConsistencyAxis(cs []Consistency) sweep.Axis[Options] {
+	return sweep.NewAxis("consistency", cs, ConsistencyName,
+		func(o *Options, m Consistency) { o.Consistency = m })
+}
+
+// IntervalAxis sweeps the fingerprint comparison interval.
+func IntervalAxis(ivs []int) sweep.Axis[Options] {
+	return sweep.NewAxis("interval", ivs, strconv.Itoa,
+		func(o *Options, iv int) { o.FPInterval = iv })
+}
+
+// SeedAxis sweeps the workload seed.
+func SeedAxis(sds []uint64) sweep.Axis[Options] {
+	return sweep.NewAxis("seed", sds,
+		func(s uint64) string { return strconv.FormatUint(s, 10) },
+		func(o *Options, s uint64) { o.Seed = s })
+}
+
+// sweepRuns runs one experiment matrix, measuring each point's Options
+// with run, and returns one output per point in point-index order
+// (deterministic at any parallelism).
+func sweepRuns[R any](c ExpConfig, name string, base Options, run func(Options) (R, error), axes ...sweep.Axis[Options]) ([]R, error) {
+	r := sweep.Runner[Options, R]{
 		Parallelism: c.Parallelism,
 		Trace:       c.Trace,
-		Run: func(_ context.Context, pt sweep.Point[normCell]) (float64, error) {
-			return c.normalized(pt.Config.p, pt.Config.mode, pt.Config.apply)
+		Run: func(_ context.Context, pt sweep.Point[Options]) (R, error) {
+			return run(pt.Config)
 		},
 	}
-	results, err := r.Sweep(context.Background(), spec)
+	results, err := r.Sweep(context.Background(), sweep.Spec[Options]{Name: name, Base: base, Axes: axes})
 	if err != nil {
 		return nil, err
 	}
 	return sweep.Outputs(results)
 }
 
-// runDirect executes a sweep of raw simulation runs (no baseline
-// normalization), as the event-rate experiments need.
-func (c ExpConfig) runDirect(name string, base Options, axes ...sweep.Axis[Options]) ([]Result, error) {
-	spec := sweep.Spec[Options]{Name: name, Base: base, Axes: axes}
-	r := sweep.Runner[Options, Result]{
-		Parallelism: c.Parallelism,
-		Trace:       c.Trace,
-		Run: func(_ context.Context, pt sweep.Point[Options]) (Result, error) {
-			return Run(pt.Config)
-		},
+// printLatencyTable prints one row per series over comparison-latency
+// columns.
+func (c ExpConfig) printLatencyTable(head string, lats []int64, rows []string, series [][]float64) {
+	c.printf("%-10s", head)
+	for _, lat := range lats {
+		c.printf(" %7dc", lat)
 	}
-	results, err := r.Sweep(context.Background(), spec)
+	c.printf("\n")
+	for i, s := range series {
+		c.printf("%-10s", rows[i])
+		for _, v := range s {
+			c.printf(" %8.3f", v)
+		}
+		c.printf("\n")
+	}
+}
+
+// commercialLatencySweep runs Reunion over axis × Figure 6 latency ×
+// commercial workload, prints the commercial geo-mean normalized IPC per
+// axis value (one row each, named by rows) and latency, and returns it.
+func (c ExpConfig) commercialLatencySweep(name string, axis sweep.Axis[Options], head string, rows ...string) ([][]float64, error) {
+	commercial := commercialSuite()
+	base := c.opts()
+	base.Mode = ModeReunion
+	vals, err := sweepRuns(c, name, base, c.normalized,
+		axis, LatencyAxis(Figure6Latencies), WorkloadAxis(commercial))
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Outputs(results)
+	nl, nw := len(Figure6Latencies), len(commercial)
+	series := make([][]float64, len(axis.Values))
+	for i := range series {
+		series[i] = make([]float64, nl)
+		for li := range series[i] {
+			k := (i*nl + li) * nw
+			series[i][li] = stats.GeoMean(vals[k : k+nw])
+		}
+	}
+	c.printLatencyTable(head, Figure6Latencies, rows, series)
+	return series, nil
+}
+
+// classSplitSweep runs axis × workload from base and returns the
+// commercial and scientific geo-mean normalized IPC per axis value,
+// printing one line per value with its name formatted by label.
+func (c ExpConfig) classSplitSweep(name string, base Options, axis sweep.Axis[Options], label string) (comm, sci []float64, err error) {
+	suite := workload.Suite()
+	vals, err := sweepRuns(c, name, base, c.normalized, axis, WorkloadAxis(suite))
+	if err != nil {
+		return nil, nil, err
+	}
+	nw := len(suite)
+	for ai, v := range axis.Values {
+		var cs, ss []float64
+		for wi, p := range suite {
+			if p.Class == workload.Scientific {
+				ss = append(ss, vals[ai*nw+wi])
+			} else {
+				cs = append(cs, vals[ai*nw+wi])
+			}
+		}
+		comm = append(comm, stats.GeoMean(cs))
+		sci = append(sci, stats.GeoMean(ss))
+		c.printf(label+": commercial %.3f  scientific %.3f\n", v.Name, comm[ai], sci[ai])
+	}
+	return comm, sci, nil
 }
 
 // WorkloadRow is one workload's entry in a figure.
@@ -321,9 +338,9 @@ func (c ExpConfig) Figure5() (*Figure5Result, error) {
 	c.printf("%-12s %-10s %8s %8s\n", "workload", "class", "strict", "reunion")
 	suite := workload.Suite()
 	modes := []Mode{ModeStrict, ModeReunion}
-	var base normCell
-	base.addMut(func(o *Options) { o.CompareLatency = 10 })
-	vals, err := c.runNormalized("figure5", base, workloadAxis(suite), modeAxis(modes...))
+	base := c.opts()
+	base.CompareLatency = 10
+	vals, err := sweepRuns(c, "figure5", base, c.normalized, WorkloadAxis(suite), ModeAxis(modes))
 	if err != nil {
 		return nil, err
 	}
@@ -378,8 +395,10 @@ func (c ExpConfig) Figure6(mode Mode) (*LatencySweepResult, error) {
 	suite := workload.Suite()
 	res := &LatencySweepResult{Mode: mode, Latencies: Figure6Latencies,
 		Series: make(map[workload.Class][]float64)}
-	vals, err := c.runNormalized("figure6-"+mode.String(), normCell{mode: mode},
-		workloadAxis(suite), latencyAxis(res.Latencies))
+	base := c.opts()
+	base.Mode = mode
+	vals, err := sweepRuns(c, "figure6-"+mode.String(), base, c.normalized,
+		WorkloadAxis(suite), LatencyAxis(res.Latencies))
 	if err != nil {
 		return nil, err
 	}
@@ -393,23 +412,18 @@ func (c ExpConfig) Figure6(mode Mode) (*LatencySweepResult, error) {
 			perClass[p.Class][li] = append(perClass[p.Class][li], vals[wi*nl+li])
 		}
 	}
-	c.printf("%-10s", "class")
-	for _, lat := range res.Latencies {
-		c.printf(" %7dc", lat)
-	}
-	c.printf("\n")
+	var rows []string
+	var series [][]float64
 	for _, cls := range workload.Classes() {
-		series := make([]float64, nl)
-		for i := range series {
-			series[i] = stats.GeoMean(perClass[cls][i])
+		s := make([]float64, nl)
+		for i := range s {
+			s[i] = stats.GeoMean(perClass[cls][i])
 		}
-		res.Series[cls] = series
-		c.printf("%-10s", cls)
-		for _, v := range series {
-			c.printf(" %8.3f", v)
-		}
-		c.printf("\n")
+		res.Series[cls] = s
+		rows = append(rows, string(cls))
+		series = append(series, s)
 	}
+	c.printLatencyTable("class", res.Latencies, rows, series)
 	return res, nil
 }
 
@@ -437,16 +451,11 @@ func (c ExpConfig) Table3() (*Table3Result, error) {
 	c.printf("%-12s %10s %10s %10s %12s\n", "workload", "global", "shared", "null", "TLB misses")
 	suite := workload.Suite()
 	phantoms := []Phantom{PhantomGlobal, PhantomShared, PhantomNull}
-	base := c.runOpts(ModeReunion, workload.Params{}, c.Seeds[0])
+	base := c.opts()
+	base.Mode, base.Seed = ModeReunion, c.Seeds[0]
 	base.CompareLatency = 10
 	base.MeasureCycles = c.Table3Cycles
-	runs, err := c.runDirect("table3", base,
-		sweep.NewAxis("workload", suite,
-			func(p workload.Params) string { return p.Name },
-			func(o *Options, p workload.Params) { o.Workload = p }),
-		sweep.NewAxis("phantom", phantoms, Phantom.String,
-			func(o *Options, ph Phantom) { o.Phantom = ph }),
-	)
+	runs, err := sweepRuns(c, "table3", base, Run, WorkloadAxis(suite), PhantomAxis(phantoms))
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +491,10 @@ func (c ExpConfig) Figure7a() (*Figure7aResult, error) {
 	c.printf("%-12s %8s %8s %8s\n", "workload", "global", "shared", "null")
 	suite := workload.Suite()
 	phantoms := []Phantom{PhantomGlobal, PhantomShared, PhantomNull}
-	base := normCell{mode: ModeReunion}
-	base.addMut(func(o *Options) { o.CompareLatency = 10 })
-	vals, err := c.runNormalized("figure7a", base,
-		workloadAxis(suite), phantomAxis(phantoms))
+	base := c.opts()
+	base.Mode, base.CompareLatency = ModeReunion, 10
+	vals, err := sweepRuns(c, "figure7a", base, c.normalized,
+		WorkloadAxis(suite), PhantomAxis(phantoms))
 	if err != nil {
 		return nil, err
 	}
@@ -515,50 +524,12 @@ type Figure7bResult struct {
 // TLB mode × latency × workload, class-averaged per (mode, latency).
 func (c ExpConfig) Figure7b() (*Figure7bResult, error) {
 	c.printf("Figure 7(b): Reunion commercial average, hardware vs software-managed TLB\n")
-	res := &Figure7bResult{Latencies: Figure6Latencies}
-	commercial := commercialSuite()
-	tlbs := []TLBMode{TLBHardware, TLBSoftware}
-	vals, err := c.runNormalized("figure7b", normCell{mode: ModeReunion},
-		sweep.NewAxis("tlb", tlbs, TLBMode.String,
-			func(cell *normCell, m TLBMode) {
-				cell.addMut(func(o *Options) { o.TLB = m })
-			}),
-		latencyAxis(res.Latencies),
-		workloadAxis(commercial),
-	)
+	s, err := c.commercialLatencySweep("figure7b", TLBAxis([]TLBMode{TLBHardware, TLBSoftware}),
+		"TLB", "hardware", "software")
 	if err != nil {
 		return nil, err
 	}
-	nl, nw := len(res.Latencies), len(commercial)
-	for ti := range tlbs {
-		series := make([]float64, nl)
-		for li := 0; li < nl; li++ {
-			var ws []float64
-			for wi := 0; wi < nw; wi++ {
-				ws = append(ws, vals[(ti*nl+li)*nw+wi])
-			}
-			series[li] = stats.GeoMean(ws)
-		}
-		if tlbs[ti] == TLBHardware {
-			res.Hardware = series
-		} else {
-			res.Software = series
-		}
-	}
-	c.printf("%-10s", "TLB")
-	for _, lat := range res.Latencies {
-		c.printf(" %7dc", lat)
-	}
-	c.printf("\n%-10s", "hardware")
-	for _, v := range res.Hardware {
-		c.printf(" %8.3f", v)
-	}
-	c.printf("\n%-10s", "software")
-	for _, v := range res.Software {
-		c.printf(" %8.3f", v)
-	}
-	c.printf("\n")
-	return res, nil
+	return &Figure7bResult{Latencies: Figure6Latencies, Hardware: s[0], Software: s[1]}, nil
 }
 
 // SCResult reproduces the §5.5 consistency-model result: performance under
@@ -573,50 +544,12 @@ type SCResult struct {
 // workloads under Reunion: consistency × latency × workload.
 func (c ExpConfig) SCExperiment() (*SCResult, error) {
 	c.printf("§5.5: Reunion commercial average under TSO vs sequential consistency\n")
-	res := &SCResult{Latencies: []int64{0, 10, 20, 30, 40}}
-	commercial := commercialSuite()
-	models := []Consistency{TSO, SC}
-	vals, err := c.runNormalized("sc", normCell{mode: ModeReunion},
-		sweep.NewAxis("consistency", models, ConsistencyName,
-			func(cell *normCell, m Consistency) {
-				cell.addMut(func(o *Options) { o.Consistency = m })
-			}),
-		latencyAxis(res.Latencies),
-		workloadAxis(commercial),
-	)
+	s, err := c.commercialLatencySweep("sc", ConsistencyAxis([]Consistency{TSO, SC}),
+		"model", "TSO", "SC")
 	if err != nil {
 		return nil, err
 	}
-	nl, nw := len(res.Latencies), len(commercial)
-	for mi := range models {
-		series := make([]float64, nl)
-		for li := 0; li < nl; li++ {
-			var ws []float64
-			for wi := 0; wi < nw; wi++ {
-				ws = append(ws, vals[(mi*nl+li)*nw+wi])
-			}
-			series[li] = stats.GeoMean(ws)
-		}
-		if models[mi] == TSO {
-			res.TSO = series
-		} else {
-			res.SC = series
-		}
-	}
-	c.printf("%-10s", "model")
-	for _, lat := range res.Latencies {
-		c.printf(" %7dc", lat)
-	}
-	c.printf("\n%-10s", "TSO")
-	for _, v := range res.TSO {
-		c.printf(" %8.3f", v)
-	}
-	c.printf("\n%-10s", "SC")
-	for _, v := range res.SC {
-		c.printf(" %8.3f", v)
-	}
-	c.printf("\n")
-	return res, nil
+	return &SCResult{Latencies: Figure6Latencies, TSO: s[0], SC: s[1]}, nil
 }
 
 // FPIntervalResult is the fingerprint-interval ablation. §4.3 reports that
@@ -634,15 +567,10 @@ func (c ExpConfig) FPIntervalAblation() (*FPIntervalResult, error) {
 	c.printf("Ablation (§4.3): fingerprint interval sensitivity, Reunion commercial average\n")
 	res := &FPIntervalResult{Intervals: []int{1, 5, 10, 50}}
 	commercial := commercialSuite()
-	base := normCell{mode: ModeReunion}
-	base.addMut(func(o *Options) { o.CompareLatency = 10 })
-	vals, err := c.runNormalized("fp-interval", base,
-		sweep.NewAxis("interval", res.Intervals, strconv.Itoa,
-			func(cell *normCell, iv int) {
-				cell.addMut(func(o *Options) { o.FPInterval = iv })
-			}),
-		workloadAxis(commercial),
-	)
+	base := c.opts()
+	base.Mode, base.CompareLatency = ModeReunion, 10
+	vals, err := sweepRuns(c, "fp-interval", base, c.normalized,
+		IntervalAxis(res.Intervals), WorkloadAxis(commercial))
 	if err != nil {
 		return nil, err
 	}
@@ -670,39 +598,19 @@ type ROBSweepResult struct {
 func (c ExpConfig) ROBSweep() (*ROBSweepResult, error) {
 	c.printf("Ablation (§5.2): speculation window size, Strict @40-cycle latency\n")
 	res := &ROBSweepResult{Sizes: []int{128, 256, 1024, 4096}}
-	suite := workload.Suite()
-	base := normCell{mode: ModeStrict}
-	base.addMut(func(o *Options) { o.CompareLatency = 40 })
-	vals, err := c.runNormalized("rob-sweep", base,
-		sweep.NewAxis("window", res.Sizes, strconv.Itoa,
-			func(cell *normCell, sz int) {
-				cell.addMut(func(o *Options) {
-					cfg := DefaultConfig()
-					cfg.Core.ROBSize = sz
-					cfg.Core.CheckQCap = sz
-					o.Config = &cfg
-				})
-			}),
-		workloadAxis(suite),
-	)
+	base := c.opts()
+	base.Mode, base.CompareLatency = ModeStrict, 40
+	window := sweep.NewAxis("window", res.Sizes, strconv.Itoa,
+		func(o *Options, sz int) {
+			cfg := DefaultConfig()
+			cfg.Core.ROBSize = sz
+			cfg.Core.CheckQCap = sz
+			o.Config = &cfg
+		})
+	var err error
+	res.Commercial, res.Scientific, err = c.classSplitSweep("rob-sweep", base, window, "window %5s")
 	if err != nil {
 		return nil, err
-	}
-	nw := len(suite)
-	for si, size := range res.Sizes {
-		var comm, sci []float64
-		for wi, p := range suite {
-			v := vals[si*nw+wi]
-			if p.Class == workload.Scientific {
-				sci = append(sci, v)
-			} else {
-				comm = append(comm, v)
-			}
-		}
-		res.Commercial = append(res.Commercial, stats.GeoMean(comm))
-		res.Scientific = append(res.Scientific, stats.GeoMean(sci))
-		c.printf("window %5d: commercial %.3f  scientific %.3f\n",
-			size, res.Commercial[len(res.Commercial)-1], res.Scientific[len(res.Scientific)-1])
 	}
 	return res, nil
 }
@@ -725,38 +633,18 @@ type TopologyResult struct {
 func (c ExpConfig) TopologyAblation() (*TopologyResult, error) {
 	c.printf("Ablation (§4.1): Reunion normalized IPC by memory-system topology (10-cycle latency)\n")
 	res := &TopologyResult{Topologies: []Topology{TopologyDirectory, TopologySnoopy}}
-	suite := workload.Suite()
-	base := normCell{mode: ModeReunion}
-	base.addMut(func(o *Options) { o.CompareLatency = 10 })
-	vals, err := c.runNormalized("topology", base,
-		sweep.NewAxis("topology", res.Topologies, Topology.String,
-			func(cell *normCell, tp Topology) {
-				cell.addMut(func(o *Options) {
-					cfg := DefaultConfig()
-					cfg.Topology = tp
-					o.Config = &cfg
-				})
-			}),
-		workloadAxis(suite),
-	)
+	base := c.opts()
+	base.Mode, base.CompareLatency = ModeReunion, 10
+	topology := sweep.NewAxis("topology", res.Topologies, Topology.String,
+		func(o *Options, tp Topology) {
+			cfg := DefaultConfig()
+			cfg.Topology = tp
+			o.Config = &cfg
+		})
+	var err error
+	res.Commercial, res.Scientific, err = c.classSplitSweep("topology", base, topology, "%-10s")
 	if err != nil {
 		return nil, err
-	}
-	nw := len(suite)
-	for ti, topo := range res.Topologies {
-		var comm, sci []float64
-		for wi, p := range suite {
-			v := vals[ti*nw+wi]
-			if p.Class == workload.Scientific {
-				sci = append(sci, v)
-			} else {
-				comm = append(comm, v)
-			}
-		}
-		res.Commercial = append(res.Commercial, stats.GeoMean(comm))
-		res.Scientific = append(res.Scientific, stats.GeoMean(sci))
-		c.printf("%-10s: commercial %.3f  scientific %.3f\n",
-			topo, res.Commercial[len(res.Commercial)-1], res.Scientific[len(res.Scientific)-1])
 	}
 	return res, nil
 }
@@ -769,63 +657,4 @@ func commercialSuite() []workload.Params {
 		}
 	}
 	return out
-}
-
-// CoverageExperiment runs the Monte-Carlo fault-injection coverage
-// campaign the paper's evaluation assumes but never performs: single-bit
-// datapath flips over mode × phantom × workload, every trial classified
-// as masked, detected (with latency), SDC, or DUE against a fault-free
-// golden run. The mode and phantom axes are excluded from the fault-
-// stream draw, so Reunion and the non-redundant baseline face identical
-// fault streams — the controlled comparison behind "Reunion: zero SDCs,
-// non-redundant: silent corruption".
-func (c ExpConfig) CoverageExperiment(trialsPerCell int) (*campaign.Report, error) {
-	c.printf("Coverage: Monte-Carlo fault injection, mode × phantom × workload (%d trials/cell)\n", trialsPerCell)
-	target := c.MeasureCycles / 16
-	if target < 500 {
-		target = 500
-	}
-	base := Options{
-		Seed:         c.Seeds[0],
-		WarmCycles:   c.WarmCycles,
-		CommitTarget: target,
-		Kernel:       c.Kernel,
-	}
-	model := campaign.FaultModel{BitHi: 63, WindowHi: target}
-	eng := campaign.Engine[Options]{
-		Spec: campaign.Spec[Options]{
-			Name: "coverage",
-			Matrix: sweep.Spec[Options]{
-				Name: "coverage",
-				Base: base,
-				Axes: []sweep.Axis[Options]{
-					sweep.NewAxis("mode", []Mode{ModeReunion, ModeNonRedundant}, Mode.String,
-						func(o *Options, m Mode) { o.Mode = m }),
-					sweep.NewAxis("phantom", []Phantom{PhantomGlobal, PhantomNull}, Phantom.String,
-						func(o *Options, ph Phantom) { o.Phantom = ph }),
-					sweep.NewAxis("workload", workload.Suite(),
-						func(p workload.Params) string { return p.Name },
-						func(o *Options, p workload.Params) { o.Workload = p }),
-				},
-			},
-			Model:         model,
-			Trials:        trialsPerCell,
-			Seed:          0xfa017,
-			StreamExclude: []string{"mode", "phantom"},
-		},
-		RunTrial:    TrialRunner(model, c.coverageWarm(), 0),
-		Parallelism: c.Parallelism,
-		Trace:       c.Trace,
-	}
-	if err := eng.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	rep, err := eng.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if c.Out != nil {
-		rep.WriteTable(c.Out)
-	}
-	return rep, nil
 }

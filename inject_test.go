@@ -99,20 +99,6 @@ func TestInjectedRunObservability(t *testing.T) {
 	}) != campaign.Detected {
 		t.Fatal("classification disagrees")
 	}
-	// TrialMetrics is the library-surface encoding of the same
-	// observability (for users streaming Results through sweep sinks).
-	m := r.TrialMetrics()
-	if m["fault_fired"] != 1 || m["fault_detected"] != 1 {
-		t.Fatalf("TrialMetrics disagrees with Result: %v", m)
-	}
-	if m["detect_latency_cycles"] != float64(r.DetectLatency) ||
-		m["fault_squashed"] != float64(r.FaultSquashed) ||
-		m["trial_cycles"] != float64(r.TrialCycles) {
-		t.Fatalf("TrialMetrics values drifted from Result fields: %v", m)
-	}
-	if _, ok := m["user_ipc"]; !ok {
-		t.Fatal("TrialMetrics must extend the base Metrics map")
-	}
 }
 
 // TestCampaignEndToEnd runs a small real campaign through the engine and

@@ -206,14 +206,37 @@ func Seeds(w io.Writer, tool, csv string) ([]uint64, error) {
 	return sweep.Dedupe(w, tool, "seed", sds, func(s uint64) string { return strconv.FormatUint(s, 10) }), nil
 }
 
-// Int64Axis parses a CSV of int64 axis values with dedupe warnings
-// under the given axis name (latency, interval, …).
-func Int64Axis(w io.Writer, tool, axis, csv string) ([]int64, error) {
-	vals, err := Int64s(csv)
+// Latencies parses a comparison-latency axis CSV in cycles (0 = a
+// zero-cycle latency); a negative latency is an error, not a second
+// label for the zero-cycle run.
+func Latencies(w io.Writer, tool, csv string) ([]int64, error) {
+	lats, err := Int64s(csv)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", axis, err)
+		return nil, fmt.Errorf("latency: %w", err)
 	}
-	return sweep.Dedupe(w, tool, axis, vals, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
+	for _, l := range lats {
+		if l < 0 {
+			return nil, fmt.Errorf("latency %d is negative (0 = zero-cycle)", l)
+		}
+	}
+	return sweep.Dedupe(w, tool, "latency", lats, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
+}
+
+// Intervals parses a fingerprint-interval axis CSV in instructions; an
+// interval below 1 is an error, not a second label for interval 1.
+func Intervals(w io.Writer, tool, csv string) ([]int, error) {
+	var ivs []int
+	for _, f := range SplitCSV(csv) {
+		iv, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, fmt.Errorf("interval: %w", err)
+		}
+		if iv < 1 {
+			return nil, fmt.Errorf("interval %d is not positive (instructions per fingerprint comparison)", iv)
+		}
+		ivs = append(ivs, iv)
+	}
+	return sweep.Dedupe(w, tool, "interval", ivs, strconv.Itoa), nil
 }
 
 // CkptFlags is the shared checkpoint-store flag.

@@ -342,24 +342,24 @@ func (l2 *L2) invalidateSharers(r *cache.Req, block uint64, d *dirEntry, keep in
 }
 
 // ensureLine obtains the L2 line for d.R.Block, fetching from memory when
-// absent. The continuation named by d runs when the line is resident, with
-// extra latency already accumulated for the reply. Returns false if the
-// request was deferred. The continuation is carried as plain data so a
-// pending off-chip fetch survives checkpoint serialization.
-func (l2 *L2) ensureLine(d *EvMemCont) bool {
+// absent, or requeues the request while the memory MSHRs are full. The
+// continuation named by d runs when the line is resident, with extra
+// latency already accumulated for the reply. The continuation is carried
+// as plain data so a pending off-chip fetch survives checkpoint
+// serialization.
+func (l2 *L2) ensureLine(d *EvMemCont) {
 	r := d.R
 	if l := l2.arr.Lookup(r.Block); l != nil {
 		l2.HitsL2++
 		l2.runCont(d, l, 0)
-		return true
+		return
 	}
 	if l2.MemFull() {
 		l2.requeue(r)
-		return false
+		return
 	}
 	l2.MissesL2++
 	l2.eq.AfterR(l2.StartMem(l2.eq.Now(), r.Block), d, l2)
-	return true
 }
 
 // memFetchDone completes an off-chip fetch: install the block and resume

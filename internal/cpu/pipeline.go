@@ -391,8 +391,6 @@ func (c *Core) issue() {
 	}
 }
 
-func (c *Core) sbSpecCount() int { return len(c.sb) - c.sbNonspec }
-
 // execResult classifies an execute attempt for the issue stage.
 type execResult uint8
 

@@ -249,12 +249,13 @@ func (b *Bus) process(r *cache.Req) {
 	}
 }
 
-// fetchAndReply supplies r from snooped data or memory. Tracking of the
-// granted fill begins now, before any latency elapses.
-func (b *Bus) fetchAndReply(r *cache.Req, data mem.Block, supplied, exclusive bool) bool {
+// fetchAndReply supplies r from snooped data or memory, or requeues it
+// while the memory MSHRs are full. Tracking of the granted fill begins
+// now, before any latency elapses.
+func (b *Bus) fetchAndReply(r *cache.Req, data mem.Block, supplied, exclusive bool) {
 	if !supplied && b.MemFull() {
 		b.requeue(r)
-		return false
+		return
 	}
 	release := r.Kind != cache.Ifetch
 	if release {
@@ -262,11 +263,10 @@ func (b *Bus) fetchAndReply(r *cache.Req, data mem.Block, supplied, exclusive bo
 	}
 	if supplied {
 		b.reply(r, &data, exclusive, b.cfg.SnoopLatency, release)
-		return true
+		return
 	}
 	d := &EvMemFetch{R: r, Exclusive: exclusive, Release: release}
 	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), d, b)
-	return true
 }
 
 // memFetchDone completes a memory fetch: read the block and schedule the

@@ -194,6 +194,12 @@ func Run(o Options) (Result, error) {
 	if !o.Phantom.Valid() {
 		return Result{}, fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Phantom)
 	}
+	if o.CompareLatency < ZeroLatency {
+		return Result{}, fmt.Errorf("reunion: comparison latency %d is negative (ZeroLatency is a zero-cycle latency)", o.CompareLatency)
+	}
+	if o.FPInterval < 0 {
+		return Result{}, fmt.Errorf("reunion: fingerprint interval %d is negative", o.FPInterval)
+	}
 	o = o.withDefaults()
 	if o.Warm != nil {
 		return o.Warm.run(o)
@@ -434,33 +440,6 @@ func (r Result) Metrics() map[string]float64 {
 	}
 }
 
-// TrialMetrics extends Metrics with the fault-injection observability of a
-// campaign trial. Digests stay out (float64 cannot hold them losslessly);
-// the campaign records the digest verdict as an outcome label instead.
-func (r Result) TrialMetrics() map[string]float64 {
-	m := r.Metrics()
-	m["fault_armed"] = boolMetric(r.FaultArmed)
-	m["fault_fired"] = boolMetric(r.FaultFired)
-	m["fault_fire_cycle"] = float64(r.FaultFireCycle)
-	m["fault_fire_instr"] = float64(r.FaultFireInstr)
-	m["fault_detected"] = boolMetric(r.FaultDetected)
-	m["detect_latency_cycles"] = float64(r.DetectLatency)
-	m["detect_latency_instrs"] = float64(r.DetectLatencyInstr)
-	m["fault_retired"] = float64(r.FaultRetired)
-	m["fault_squashed"] = float64(r.FaultSquashed)
-	m["trial_complete"] = boolMetric(r.TrialComplete)
-	m["trial_cycles"] = float64(r.TrialCycles)
-	m["unrecoverable"] = boolMetric(r.Unrecoverable)
-	return m
-}
-
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Comparison is the outcome of a matched-pair normalized-performance
 // measurement: the test mode's IPC relative to a baseline across seeds.
 type Comparison struct {
@@ -474,6 +453,12 @@ type Comparison struct {
 // using matched pairs (same seed, same workload in both runs), the
 // paper's methodology.
 func Compare(base, test Options, seeds []uint64) (Comparison, error) {
+	return compare(base, test, seeds, Run)
+}
+
+// compare is Compare with the baseline runs served by runBase (an
+// experiment campaign's memo).
+func compare(base, test Options, seeds []uint64, runBase func(Options) (Result, error)) (Comparison, error) {
 	var mp stats.MatchedPair
 	cmp := Comparison{Workload: base.Workload.Name}
 	for _, seed := range seeds {
@@ -481,7 +466,7 @@ func Compare(base, test Options, seeds []uint64) (Comparison, error) {
 		b.Seed = seed
 		t := test
 		t.Seed = seed
-		br, err := Run(b)
+		br, err := runBase(b)
 		if err != nil {
 			return cmp, err
 		}
