@@ -141,9 +141,10 @@ func TestQuickAndFullCampaignSizing(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRangeKnobs: a comparison latency below ZeroLatency
-// or a negative fingerprint interval is an error naming the value, not a
-// run that silently aliases the zero-cycle latency or interval 1.
+// TestRunRejectsOutOfRangeKnobs: a comparison latency below ZeroLatency,
+// a negative fingerprint interval and a negative cycle count, commit
+// target or deadline are errors naming the value, not runs that silently
+// alias the zero-cycle latency, interval 1 or a meaningless window.
 func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
 	for _, c := range []struct {
 		set  func(*Options)
@@ -151,6 +152,10 @@ func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
 	}{
 		{func(o *Options) { o.CompareLatency = -5 }, "comparison latency -5"},
 		{func(o *Options) { o.FPInterval = -2 }, "fingerprint interval -2"},
+		{func(o *Options) { o.WarmCycles = -1 }, "warm cycles -1"},
+		{func(o *Options) { o.MeasureCycles = -5 }, "measure cycles -5"},
+		{func(o *Options) { o.TrialDeadline = -1 }, "trial deadline -1"},
+		{func(o *Options) { o.CommitTarget = -3 }, "commit target -3"},
 	} {
 		o := Options{Mode: ModeReunion, Workload: workload.Apache(), WarmCycles: 3000, MeasureCycles: 2000}
 		c.set(&o)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,6 +66,21 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
 	}
+	// A cycle count below 1 is not the Options default 0 stands for.
+	for _, c := range []struct {
+		name           string
+		warm, deadline int64
+	}{
+		{"zero warm", 0, 60000},
+		{"negative warm", -1, 60000},
+		{"zero deadline", 1000, 0},
+		{"negative deadline", 1000, -1},
+	} {
+		if _, err := buildSpec("reunion", "apache", "global", "1", "0-63", "",
+			c.warm, 500, c.deadline, 40, 1); err == nil {
+			t.Errorf("%s: bad value accepted", c.name)
+		}
+	}
 }
 
 // The campaign vocabulary at the default flags — spec, axis and value
@@ -121,7 +137,8 @@ func TestUnknownFormatExits2(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "inject.xml")
 	for _, out := range []string{"", file} {
 		code := run([]string{"-out", out, "-format", "xml", "-quiet",
-			"-trials", "1", "-mode", "reunion", "-workloads", "apache", "-warm", "1000", "-target", "100"})
+			"-trials", "1", "-mode", "reunion", "-workloads", "apache", "-warm", "1000", "-target", "100"},
+			io.Discard, io.Discard)
 		if code != 2 {
 			t.Errorf("-out %q -format xml: exit %d, want 2", out, code)
 		}
@@ -136,7 +153,7 @@ func TestUnknownFormatExits2(t *testing.T) {
 func TestBitsZeroFlipsOnlyBitZero(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "inject.jsonl")
 	if code := run([]string{"-bits", "0", "-trials", "6", "-mode", "non-redundant", "-workloads", "apache",
-		"-warm", "2000", "-target", "300", "-quiet", "-out", out}); code != 0 {
+		"-warm", "2000", "-target", "300", "-quiet", "-out", out}, io.Discard, io.Discard); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
 	f, err := os.Open(out)
@@ -156,5 +173,36 @@ func TestBitsZeroFlipsOnlyBitZero(t *testing.T) {
 	}
 	if n != 6 {
 		t.Errorf("%d records, want 6", n)
+	}
+}
+
+// A -shard -journal range resumes to the same bytes: -resume recomputes
+// a torn tail, and a -resume of the complete journal is an exit-0 no-op
+// that leaves the file as it was.
+func TestShardJournalResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.jsonl")
+	args := []string{"-trials", "4", "-mode", "reunion,non-redundant", "-workloads", "apache",
+		"-warm", "2000", "-target", "300", "-deadline", "60000", "-quiet", "-shard", "0/2", "-journal", path}
+	inject := func(extra ...string) []byte {
+		t.Helper()
+		var stderr bytes.Buffer
+		if code := run(append(args, extra...), io.Discard, &stderr); code != 0 {
+			t.Fatalf("%q: exit %d, stderr %q", extra, code, stderr.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	intact := inject()
+	if err := os.Truncate(path, int64(len(intact)-120)); err != nil {
+		t.Fatal(err)
+	}
+	if got := inject("-resume"); !bytes.Equal(got, intact) {
+		t.Fatalf("resumed journal differs:\n got %s\nwant %s", got, intact)
+	}
+	if got := inject("-resume"); !bytes.Equal(got, intact) {
+		t.Fatalf("-resume of a complete journal changed it:\n got %s\nwant %s", got, intact)
 	}
 }

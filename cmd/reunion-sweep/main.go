@@ -48,20 +48,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
 	"strconv"
 	"time"
 
 	"reunion"
 	"reunion/internal/cliconf"
-	"reunion/internal/dist"
-	"reunion/internal/obs"
 	"reunion/internal/stats"
 	"reunion/internal/sweep"
 	"reunion/internal/workload"
@@ -86,17 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	consistencies := fs.String("consistencies", "tso", "memory consistency models (csv: tso,sc)")
 	intervals := fs.String("intervals", "1", "fingerprint comparison intervals (csv)")
 	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
 	warm := fs.Int64("warm", 100_000, "warmup cycles per run")
 	measure := fs.Int64("measure", 50_000, "measurement cycles per run")
-	out := fs.String("out", "sweep.jsonl", "results file ('-' = stdout)")
-	format := fs.String("format", "jsonl", "results format: jsonl | csv")
 	kernelName := fs.String("kernel", "fastforward", "simulation kernel: fastforward | naive (results are bit-identical)")
+	rf := cliconf.RegisterRange(fs, "sweep", "run", "sweep.jsonl", false)
 	ckpt := cliconf.RegisterCkpt(fs)
-	shardStr := fs.String("shard", "", "run only static range i/n of the matrix (e.g. 0/3; default: the whole matrix)")
-	journal := fs.String("journal", "", "write the range as a resumable journal (JSONL + checksummed footer; replaces -out, excludes -format csv)")
-	resume := fs.Bool("resume", false, "resume an interrupted -journal from its last complete record")
-	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
 	obsFlags := cliconf.RegisterObs(fs).WithHeartbeat(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	list := fs.Bool("list", false, "list workloads and exit")
@@ -142,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *full {
 			cfg = reunion.FullExp(stdout)
 		}
-		cfg.Parallelism = *parallel
+		cfg.Parallelism = *rf.Parallel
 		cfg.Kernel = kern
 		return runExperiments(selected, cfg, obsFlags, stdout, stderr)
 	}
@@ -184,82 +173,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fpBase := spec.Base
 	fpBase.Kernel = reunion.KernelFastForward
 	fpBase.Warm = nil
-	fingerprint := dist.Fingerprint(append(spec.FingerprintParts(),
-		fmt.Sprintf("base:%+v", fpBase))...)
-
-	plan := dist.Plan{Spec: spec.Name, Fingerprint: fingerprint, Total: spec.Size()}
-	if err := cliconf.CheckJournalFlags("sweep", *journal, *format, *resume, cliconf.FlagWasSet(fs, "out")); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	shard, nshards, err := dist.ParseShard(*shardStr)
+	plan, err := rf.Plan(spec.Name, spec.Size(), append(spec.FingerprintParts(), fmt.Sprintf("base:%+v", fpBase))...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	plan.Lo, plan.Hi = dist.ShardRange(plan.Total, shard, nshards)
-
-	var sink sweep.Sink
-	var outFile *os.File
-	var jnl *dist.Journal
-	lo := plan.Lo
-	if *journal != "" {
-		jnl, err = dist.OpenOrCreate(*journal, plan, *resume, tr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if jnl.Complete() {
-			fmt.Fprintf(stderr, "sweep: %s already complete (%d records, %d failed) — nothing to run\n",
-				plan, jnl.Done(), jnl.Failed())
-			jnl.Close()
-			if jnl.Failed() > 0 {
-				// The sealed range contains failed runs: exit as the run
-				// that produced them did.
-				return 1
-			}
-			return 0
-		}
-		if jnl.Done() > 0 {
-			fmt.Fprintf(stderr, "sweep: resuming %s at record %d\n", plan, jnl.Done())
-		}
-		lo += jnl.Done()
-		sink = jnl
-	} else {
-		var w io.Writer = stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			outFile = f
-			w = f
-		}
-		if *format == "csv" {
-			sink = sweep.NewCSV(w)
-		} else {
-			sink = sweep.NewJSONL(w)
-		}
+	rng, err := rf.Open(plan, obsFlags, tr, stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if rng.Complete() {
+		// A sealed range with failed runs exits 1, as the run that
+		// produced them did.
+		return min(rng.Failed(), 1)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	hb := obsFlags.Heartbeat("sweep "+plan.String(), int64(plan.Hi-lo))
-	stopHeartbeat := hb.Start()
-
 	var ipc stats.Online
-	failures := 0
 	start := time.Now()
 	progress := func(done, total int, r sweep.Result[reunion.Options, reunion.Result]) {
-		hb.Tick()
-		if r.Err != nil {
-			failures++
-		} else {
+		rng.Tick()
+		if r.Err == nil {
 			ipc.Add(r.Out.UserIPC)
 		}
-		if *quiet {
+		if *rf.Quiet {
 			return
 		}
 		status := "ok"
@@ -270,81 +207,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(strconv.Itoa(total)), done, total, r.Point.Name(), status)
 	}
 
-	fmt.Fprintf(stderr, "sweep: %s: %d runs (%d workers)\n", plan, plan.Hi-lo, *parallel)
-	err = runRange(ctx, spec, lo, plan.Hi, *parallel, tr, sink, progress)
-	stopHeartbeat()
-	if jnl != nil {
-		// Seal the journal once every range record is on disk (failed runs
-		// journal deterministic error records, exactly as the single-process
-		// file carries them; the exit code still reports them). An
-		// interrupted or write-failed range stays footerless — resumable.
-		err = dist.SealOrClose(jnl, err)
-		// The exit code reflects the whole journaled range: a failed run
-		// journaled before a kill still fails the range after -resume, as
-		// it would have failed the uninterrupted run.
-		failures = jnl.Failed()
-	} else if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	if outFile != nil {
-		// A close error can carry a deferred write failure; it must fail
-		// the sweep rather than vanish.
-		if cerr := outFile.Close(); err == nil {
-			err = cerr
-		}
-	}
-	// Telemetry flushes even when the sweep failed — that is when the
-	// trace is most wanted — but a flush error must not mask a run error.
-	if werr := obsFlags.WriteTrace(tr); werr != nil {
-		fmt.Fprintf(stderr, "sweep: telemetry: %v\n", werr)
-		if err == nil {
-			err = werr
-		}
-	}
+	runs := len(rng.Indices())
+	fmt.Fprintf(stderr, "sweep: %s: %d runs (%d workers)\n", plan, runs, *rf.Parallel)
+	err = rng.Run(func(ctx context.Context, indices []int, sink sweep.Sink) error {
+		return reunion.SweepRecords(ctx, spec, indices, sink, *rf.Parallel, tr, progress)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 1
 	}
+	// Failed runs are records too (deterministic error records, exactly
+	// as the single-process file carries them), so the range completes;
+	// the exit code still reports them, over the whole journaled range.
 	fmt.Fprintf(stderr, "sweep: %d runs in %s, user IPC %s, %d failed\n",
-		plan.Hi-lo, time.Since(start).Round(time.Millisecond), ipc.String(), failures)
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runRange runs matrix indices [lo, hi) and writes their records to
-// sink in index order — byte-identical to the same records of a
-// single-process run at any parallelism, for a whole run, a -shard
-// range and a -resume tail alike. A cancelled, never-executed run never
-// reaches the sink: a journal would otherwise resume past it forever as
-// a bogus error record.
-func runRange(ctx context.Context, spec sweep.Spec[reunion.Options], lo, hi, parallel int,
-	tr *obs.Tracer, sink sweep.Sink, progress func(done, total int, r sweep.Result[reunion.Options, reunion.Result])) error {
-	indices := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		indices = append(indices, i)
-	}
-	runner := sweep.Runner[reunion.Options, reunion.Result]{
-		Parallelism: parallel,
-		Trace:       tr,
-		Run: func(_ context.Context, p sweep.Point[reunion.Options]) (reunion.Result, error) {
-			return reunion.Run(p.Config)
-		},
-		Progress: progress,
-		Emit: func(r sweep.Result[reunion.Options, reunion.Result]) error {
-			if errors.Is(r.Err, sweep.ErrSkipped) {
-				return r.Err
-			}
-			var metrics map[string]float64
-			if r.Err == nil {
-				metrics = r.Out.Metrics()
-			}
-			return sink.Write(sweep.NewRecord(spec.Name, r.Point.Index, r.Point.LabelMap(), metrics, r.Err))
-		},
-	}
-	_, err := runner.SweepIndices(ctx, spec, indices)
-	return err
+		runs, time.Since(start).Round(time.Millisecond), ipc.String(), rng.Failed())
+	return min(rng.Failed(), 1)
 }
 
 // buildSpec assembles the matrix from the axis flags (validation and
@@ -360,6 +237,10 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	spec := sweep.Spec[reunion.Options]{
 		Name: "paper-matrix",
 		Base: reunion.Options{WarmCycles: warm, MeasureCycles: measure, Kernel: kern},
+	}
+	// 0 would mean the Options default, not the count asked for.
+	if warm < 1 || measure < 1 {
+		return spec, fmt.Errorf("sweep: -warm %d and -measure %d must be at least 1 cycle", warm, measure)
 	}
 
 	ps, err := cliconf.Workloads(warnOut, "sweep", workloads)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,6 +79,21 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 	for _, c := range cases {
 		if _, err := buildSpec(c.modes, c.workloads, c.lats, c.phantoms, c.tlbs,
 			c.consistencies, c.intervals, c.seeds, 100, 100, reunion.KernelFastForward); err == nil {
+			t.Errorf("%s: bad value accepted", c.name)
+		}
+	}
+	// A cycle count below 1 is not the Options default 0 stands for.
+	for _, c := range []struct {
+		name          string
+		warm, measure int64
+	}{
+		{"zero warm", 0, 100},
+		{"negative warm", -1, 100},
+		{"zero measure", 100, 0},
+		{"negative measure", 100, -5},
+	} {
+		if _, err := buildSpec("reunion", "apache", "10", "global", "hardware", "tso", "1", "1",
+			c.warm, c.measure, reunion.KernelFastForward); err == nil {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
 	}
@@ -211,5 +228,36 @@ func TestExperimentUsageErrorsExit2(t *testing.T) {
 		if files, _ := os.ReadDir("."); len(files) != 0 {
 			t.Fatalf("%q: created %v", args, files)
 		}
+	}
+}
+
+// A -shard -journal range resumes to the same bytes: -resume recomputes
+// a torn tail, and a -resume of the complete journal is an exit-0 no-op
+// that leaves the file as it was.
+func TestShardJournalResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.jsonl")
+	args := []string{"-modes", "non-redundant,reunion", "-workloads", "apache,sparse",
+		"-warm", "2000", "-measure", "1000", "-quiet", "-shard", "0/2", "-journal", path}
+	sweep := func(extra ...string) []byte {
+		t.Helper()
+		var stderr bytes.Buffer
+		if code := run(append(args, extra...), io.Discard, &stderr); code != 0 {
+			t.Fatalf("%q: exit %d, stderr %q", extra, code, stderr.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	intact := sweep()
+	if err := os.Truncate(path, int64(len(intact)-120)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep("-resume"); !bytes.Equal(got, intact) {
+		t.Fatalf("resumed journal differs:\n got %s\nwant %s", got, intact)
+	}
+	if got := sweep("-resume"); !bytes.Equal(got, intact) {
+		t.Fatalf("-resume of a complete journal changed it:\n got %s\nwant %s", got, intact)
 	}
 }

@@ -68,31 +68,15 @@ func shardSweepSpec() sweep.Spec[Options] {
 	}
 }
 
-// sweepEmit reproduces the reunion-sweep CLI's record encoding, so the
-// test proves exactly what the CLI's sharded mode proves.
-func sweepEmit(spec sweep.Spec[Options], sink sweep.Sink) func(sweep.Result[Options, Result]) error {
-	return func(r sweep.Result[Options, Result]) error {
-		var metrics map[string]float64
-		if r.Err == nil {
-			metrics = r.Out.Metrics()
-		}
-		return sink.Write(sweep.NewRecord(spec.Name, r.Point.Index, r.Point.LabelMap(), metrics, r.Err))
-	}
-}
-
+// The sweeps run through SweepRecords, the record encoding the
+// reunion-sweep CLI writes, so the test proves exactly what the CLI's
+// sharded mode proves.
 func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 	spec := shardSweepSpec()
 	ctx := context.Background()
 
 	var ref bytes.Buffer
-	runner := sweep.Runner[Options, Result]{
-		Parallelism: 3,
-		Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
-			return Run(p.Config)
-		},
-		Emit: sweepEmit(spec, sweep.NewJSONL(&ref)),
-	}
-	if _, err := runner.Sweep(ctx, spec); err != nil {
+	if err := SweepRecords(ctx, spec, nil, sweep.NewJSONL(&ref), 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,14 +85,7 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 	paths := make([]string, nshards)
 	runSlice := func(jnl *dist.Journal, par int) {
 		t.Helper()
-		r := sweep.Runner[Options, Result]{
-			Parallelism: par,
-			Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
-				return Run(p.Config)
-			},
-			Emit: sweepEmit(spec, jnl),
-		}
-		if _, err := r.SweepIndices(ctx, spec, jnl.Remaining()); err != nil {
+		if err := SweepRecords(ctx, spec, jnl.Remaining(), jnl, par, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,12 +118,7 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 		case 2:
 			// Kill between records: journal one run, crash, resume the rest
 			// under a different parallelism.
-			one := jnl.Remaining()[:1]
-			r := sweep.Runner[Options, Result]{
-				Run:  func(_ context.Context, p sweep.Point[Options]) (Result, error) { return Run(p.Config) },
-				Emit: sweepEmit(spec, jnl),
-			}
-			if _, err := r.SweepIndices(ctx, spec, one); err != nil {
+			if err := SweepRecords(ctx, spec, jnl.Remaining()[:1], jnl, 0, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := jnl.Close(); err != nil {

@@ -2,6 +2,7 @@ package reunion
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -246,6 +247,42 @@ func sweepRuns[R any](c ExpConfig, name string, base Options, run func(Options) 
 		return nil, err
 	}
 	return sweep.Outputs(results)
+}
+
+// SweepRecords runs the given global indices of spec (nil: the whole
+// matrix) on parallel workers (0: GOMAXPROCS) and writes each point's
+// record — labels plus Result.Metrics(), or the error — to sink in index
+// order: reunion-sweep's results, byte-identical at any parallelism. It
+// stops at the first point a cancellation skipped, which a journal would
+// otherwise hold as an error record that -resume skips forever. tr gets
+// a sweep/run span per point; progress sees points as they finish.
+func SweepRecords(ctx context.Context, spec sweep.Spec[Options], indices []int, sink sweep.Sink,
+	parallel int, tr *obs.Tracer, progress func(done, total int, r sweep.Result[Options, Result])) error {
+	r := sweep.Runner[Options, Result]{
+		Parallelism: parallel,
+		Trace:       tr,
+		Run: func(_ context.Context, pt sweep.Point[Options]) (Result, error) {
+			return Run(pt.Config)
+		},
+		Progress: progress,
+		Emit: func(res sweep.Result[Options, Result]) error {
+			if errors.Is(res.Err, sweep.ErrSkipped) {
+				return res.Err
+			}
+			var metrics map[string]float64
+			if res.Err == nil {
+				metrics = res.Out.Metrics()
+			}
+			return sink.Write(sweep.NewRecord(spec.Name, res.Point.Index, res.Point.LabelMap(), metrics, res.Err))
+		},
+	}
+	var err error
+	if indices == nil {
+		_, err = r.Sweep(ctx, spec)
+	} else {
+		_, err = r.SweepIndices(ctx, spec, indices)
+	}
+	return err
 }
 
 // printLatencyTable prints one row per series over comparison-latency

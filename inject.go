@@ -62,10 +62,10 @@ func trialKey(o Options) string {
 // When traceEvents is positive, each injected run records its last
 // traceEvents recovery/mismatch events and the formatted dump reaches
 // the Observation's Diag field — where the inject CLI's -trace-dump flag
-// prints it for SDC and unexpected-DUE trials. Golden runs stay
-// untraced. Tracing is a pure observer (Options.TraceEvents is excluded
-// from every cache key), so traced and untraced campaigns produce
-// byte-identical result streams.
+// prints it for SDC and DUE trials. Only reunion cells record events
+// (the ring hangs on the pairs). Golden runs stay untraced. Tracing is a
+// pure observer (Options.TraceEvents is excluded from every cache key),
+// so traced and untraced campaigns produce byte-identical result streams.
 func TrialRunner(model campaign.FaultModel, warm *WarmCache, traceEvents int) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
 	golden := newMemo[Result]()
 	return func(_ context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {

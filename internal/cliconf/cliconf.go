@@ -2,11 +2,11 @@
 // the reunion CLIs. Three commands (sweep, inject, merge) accept
 // overlapping flag families — axis CSVs with duplicate-value warnings
 // and fail-fast unknown-value listing, the telemetry flags, the
-// checkpoint-store directory, the -cpuprofile profile, and the
-// -shard/-journal/-resume cluster — and before this package each CLI
-// carried its own copy, which is exactly how validation rules drift
-// apart. The parsers here are the single source of those rules; the
-// CLIs keep only their flag registration and exit-code choreography.
+// checkpoint-store directory, the -cpuprofile profile, and the range
+// flags (-parallel, -out, -format, -shard, -journal, -resume, -quiet)
+// with the range lifecycle behind them (RangeFlags, Range): each rule
+// lives here once, so it cannot drift apart between the CLIs. The CLIs
+// keep their own flags, their specs and their exit-code choices.
 package cliconf
 
 import (
@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -101,81 +102,54 @@ func Kernel(name string) (reunion.Kernel, error) {
 	return 0, fmt.Errorf("unknown kernel %q (valid: fastforward, naive)", name)
 }
 
+// named parses an axis CSV of named values — each value's name is its
+// label, name(v) — and dedupes it, rejecting an unknown name with the
+// valid ones listed. what names the axis in that error.
+func named[T comparable](w io.Writer, tool, axis, what, csv string, name func(T) string, valid ...T) ([]T, error) {
+	var out []T
+	var names []string
+	for _, v := range valid {
+		names = append(names, name(v))
+	}
+	for _, f := range SplitCSV(csv) {
+		i := slices.Index(names, f)
+		if i < 0 {
+			return nil, fmt.Errorf("unknown %s %q (valid: %s)", what, f, strings.Join(names, ", "))
+		}
+		out = append(out, valid[i])
+	}
+	return sweep.Dedupe(w, tool, axis, out, name), nil
+}
+
 // Modes parses an execution-model axis CSV. allowStrict selects the
 // sweep form; inject passes false, because its strict oracle simulates
 // comparison timing only and a fault campaign against it would
 // mislabel the unprotected substrate.
 func Modes(w io.Writer, tool, csv string, allowStrict bool) ([]reunion.Mode, error) {
-	var ms []reunion.Mode
-	for _, name := range SplitCSV(csv) {
-		switch name {
-		case "non-redundant":
-			ms = append(ms, reunion.ModeNonRedundant)
-		case "strict":
-			if !allowStrict {
-				return nil, fmt.Errorf("mode strict models comparison timing only (no simulated partner); inject supports reunion,non-redundant")
-			}
-			ms = append(ms, reunion.ModeStrict)
-		case "reunion":
-			ms = append(ms, reunion.ModeReunion)
-		default:
-			if !allowStrict {
-				return nil, fmt.Errorf("unknown mode %q (valid: reunion, non-redundant)", name)
-			}
-			return nil, fmt.Errorf("unknown mode %q (valid: non-redundant, strict, reunion)", name)
-		}
+	if allowStrict {
+		return named(w, tool, "mode", "mode", csv, reunion.Mode.String,
+			reunion.ModeNonRedundant, reunion.ModeStrict, reunion.ModeReunion)
 	}
-	return sweep.Dedupe(w, tool, "mode", ms, reunion.Mode.String), nil
+	if slices.Contains(SplitCSV(csv), "strict") {
+		return nil, fmt.Errorf("mode strict models comparison timing only (no simulated partner); inject supports reunion,non-redundant")
+	}
+	return named(w, tool, "mode", "mode", csv, reunion.Mode.String, reunion.ModeReunion, reunion.ModeNonRedundant)
 }
 
 // Phantoms parses a phantom-strength axis CSV.
 func Phantoms(w io.Writer, tool, csv string) ([]reunion.Phantom, error) {
-	var phs []reunion.Phantom
-	for _, name := range SplitCSV(csv) {
-		switch name {
-		case "global":
-			phs = append(phs, reunion.PhantomGlobal)
-		case "shared":
-			phs = append(phs, reunion.PhantomShared)
-		case "null":
-			phs = append(phs, reunion.PhantomNull)
-		default:
-			return nil, fmt.Errorf("unknown phantom strength %q (valid: global, shared, null)", name)
-		}
-	}
-	return sweep.Dedupe(w, tool, "phantom", phs, reunion.Phantom.String), nil
+	return named(w, tool, "phantom", "phantom strength", csv, reunion.Phantom.String,
+		reunion.PhantomGlobal, reunion.PhantomShared, reunion.PhantomNull)
 }
 
 // TLBs parses a TLB-discipline axis CSV.
 func TLBs(w io.Writer, tool, csv string) ([]reunion.TLBMode, error) {
-	var ts []reunion.TLBMode
-	for _, name := range SplitCSV(csv) {
-		switch name {
-		case "hardware":
-			ts = append(ts, reunion.TLBHardware)
-		case "software":
-			ts = append(ts, reunion.TLBSoftware)
-		default:
-			return nil, fmt.Errorf("unknown TLB discipline %q (valid: hardware, software)", name)
-		}
-	}
-	return sweep.Dedupe(w, tool, "tlb", ts, reunion.TLBMode.String), nil
+	return named(w, tool, "tlb", "TLB discipline", csv, reunion.TLBMode.String, reunion.TLBHardware, reunion.TLBSoftware)
 }
 
 // Consistencies parses a memory-consistency axis CSV.
 func Consistencies(w io.Writer, tool, csv string) ([]reunion.Consistency, error) {
-	var cs []reunion.Consistency
-	for _, name := range SplitCSV(csv) {
-		switch name {
-		case "tso":
-			cs = append(cs, reunion.TSO)
-		case "sc":
-			cs = append(cs, reunion.SC)
-		default:
-			return nil, fmt.Errorf("unknown consistency model %q (valid: tso, sc)", name)
-		}
-	}
-	return sweep.Dedupe(w, tool, "consistency", cs, reunion.ConsistencyName), nil
+	return named(w, tool, "consistency", "consistency model", csv, reunion.ConsistencyName, reunion.TSO, reunion.SC)
 }
 
 // Workloads parses a workload axis CSV ("all" = the full suite),

@@ -270,20 +270,7 @@ func TestKernelEquivalenceJSONL(t *testing.T) {
 					func(o *Options, m Mode) { o.Mode = m }),
 			},
 		}
-		sink := sweep.NewJSONL(&out[i])
-		runner := sweep.Runner[Options, Result]{
-			Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
-				return Run(p.Config)
-			},
-			Emit: func(r sweep.Result[Options, Result]) error {
-				var metrics map[string]float64
-				if r.Err == nil {
-					metrics = r.Out.Metrics()
-				}
-				return sink.Write(sweep.NewRecord(spec.Name, r.Point.Index, r.Point.LabelMap(), metrics, r.Err))
-			},
-		}
-		if _, err := runner.Sweep(context.Background(), spec); err != nil {
+		if err := SweepRecords(context.Background(), spec, nil, sweep.NewJSONL(&out[i]), 0, nil, nil); err != nil {
 			t.Fatalf("%v: %v", kern, err)
 		}
 	}

@@ -92,15 +92,7 @@ func obsSweepSpec() sweep.Spec[Options] {
 func runObsSweep(t *testing.T, spec sweep.Spec[Options], tr *obs.Tracer) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	r := sweep.Runner[Options, Result]{
-		Parallelism: 2,
-		Trace:       tr,
-		Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
-			return Run(p.Config)
-		},
-		Emit: sweepEmit(spec, sweep.NewJSONL(&out)),
-	}
-	if _, err := r.Sweep(context.Background(), spec); err != nil {
+	if err := SweepRecords(context.Background(), spec, nil, sweep.NewJSONL(&out), 2, tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -133,7 +125,7 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 
 	// One 2-shard slice of the matrix, journaled twice: telemetry off and
-	// a tracer through OpenOrCreate + Runner.Trace. The journal files
+	// a tracer through OpenOrCreate and SweepRecords. The journal files
 	// (header, records, checksummed footer) must be byte-identical.
 	writeJournal := func(path string, tr *obs.Tracer) {
 		t.Helper()
@@ -141,15 +133,7 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := sweep.Runner[Options, Result]{
-			Parallelism: 2,
-			Trace:       tr,
-			Run: func(_ context.Context, p sweep.Point[Options]) (Result, error) {
-				return Run(p.Config)
-			},
-			Emit: sweepEmit(spec, jnl),
-		}
-		if _, err := r.SweepIndices(context.Background(), spec, jnl.Remaining()); err != nil {
+		if err := SweepRecords(context.Background(), spec, jnl.Remaining(), jnl, 2, tr, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := jnl.Finish(); err != nil {

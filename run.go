@@ -35,7 +35,7 @@ type Options struct {
 	// (default 1: compare every instruction, as the paper does).
 	FPInterval int
 	// WarmCycles and MeasureCycles size the sampling window (defaults
-	// 100k/50k, the paper's §5 methodology).
+	// 100k/50k, the paper's §5 methodology; a negative count is an error).
 	WarmCycles    int64
 	MeasureCycles int64
 	// NoPrefill skips the warmed-checkpoint cache/TLB prefill.
@@ -62,7 +62,7 @@ type Options struct {
 	CommitTarget int64
 	// TrialDeadline bounds the measurement phase in cycles when
 	// CommitTarget is set (default 200k). A trial past its deadline is a
-	// terminal DUE outcome, never a retry.
+	// terminal DUE outcome, never a retry. Neither may be negative.
 	TrialDeadline int64
 
 	// TraceEvents, when positive, attaches a kernel-event ring of that
@@ -199,6 +199,10 @@ func Run(o Options) (Result, error) {
 	}
 	if o.FPInterval < 0 {
 		return Result{}, fmt.Errorf("reunion: fingerprint interval %d is negative", o.FPInterval)
+	}
+	if o.WarmCycles < 0 || o.MeasureCycles < 0 || o.TrialDeadline < 0 || o.CommitTarget < 0 {
+		return Result{}, fmt.Errorf("reunion: negative count in warm cycles %d, measure cycles %d, trial deadline %d, commit target %d (0 means the default)",
+			o.WarmCycles, o.MeasureCycles, o.TrialDeadline, o.CommitTarget)
 	}
 	o = o.withDefaults()
 	if o.Warm != nil {
