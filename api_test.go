@@ -9,23 +9,18 @@ import (
 )
 
 func TestOptionDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Threads != 4 || o.CompareLatency != 10 || o.FPInterval != 1 {
+	o := DefaultOptions()
+	if o.Threads != 4 || o.Seed != 0x5eed || o.CompareLatency != 10 || o.FPInterval != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.WarmCycles != 100_000 || o.MeasureCycles != 50_000 {
+	if o.WarmCycles != 100_000 || o.MeasureCycles != 50_000 || o.TrialDeadline != 200_000 {
 		t.Fatalf("window defaults: %+v", o)
 	}
-	// The sentinel survives defaulting (buildSystem maps it to a literal
-	// zero): folding it here would make withDefaults non-idempotent and
-	// collide zero-latency checkpoint keys with default-latency ones.
-	z := Options{CompareLatency: ZeroLatency}.withDefaults()
-	if z.CompareLatency != ZeroLatency {
-		t.Fatalf("ZeroLatency → %d", z.CompareLatency)
+	if o.CommitTarget != 0 || o.TraceEvents != 0 || o.Mode != ModeNonRedundant || o.Phantom != PhantomGlobal {
+		t.Fatalf("a trial or trace is on by default: %+v", o)
 	}
-	five := Options{CompareLatency: 5}.withDefaults()
-	if five.CompareLatency != 5 {
-		t.Fatalf("explicit latency clobbered: %d", five.CompareLatency)
+	if err := o.Validate(); err != nil {
+		t.Fatalf("DefaultOptions does not validate: %v", err)
 	}
 }
 
@@ -141,8 +136,8 @@ func TestQuickAndFullCampaignSizing(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRangeKnobs: a comparison latency below ZeroLatency,
-// a negative fingerprint interval and a negative cycle count, commit
+// TestRunRejectsOutOfRangeKnobs: a negative comparison latency, a
+// negative fingerprint interval and a negative cycle count, commit
 // target or deadline are errors naming the value, not runs that silently
 // alias the zero-cycle latency, interval 1 or a meaningless window.
 func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
@@ -157,7 +152,8 @@ func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
 		{func(o *Options) { o.TrialDeadline = -1 }, "trial deadline -1"},
 		{func(o *Options) { o.CommitTarget = -3 }, "commit target -3"},
 	} {
-		o := Options{Mode: ModeReunion, Workload: workload.Apache(), WarmCycles: 3000, MeasureCycles: 2000}
+		o := DefaultOptions()
+		o.Mode, o.Workload, o.WarmCycles, o.MeasureCycles = ModeReunion, workload.Apache(), 3000, 2000
 		c.set(&o)
 		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("err = %v, want an error naming %q", err, c.want)
@@ -173,8 +169,9 @@ func TestRunRejectsUnknownPhantomStrength(t *testing.T) {
 	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
 		cfg := DefaultConfig()
 		cfg.Topology = topo
-		o := Options{Mode: ModeReunion, Workload: workload.Apache(), Config: &cfg,
-			WarmCycles: 3000, MeasureCycles: 2000}
+		o := DefaultOptions()
+		o.Mode, o.Workload, o.Config = ModeReunion, workload.Apache(), &cfg
+		o.WarmCycles, o.MeasureCycles = 3000, 2000
 		t.Run(topo.String(), func(t *testing.T) {
 			o.Phantom = Phantom(7)
 			if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "phantom strength 7") {

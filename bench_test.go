@@ -54,14 +54,9 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 // run it with a fixed count: go test -run '^$' -bench SystemRestore
 // -benchtime 20x .
 func BenchmarkSystemRestore(b *testing.B) {
-	o := Options{
-		Mode:         ModeReunion,
-		Workload:     workload.Apache(),
-		Seed:         1,
-		WarmCycles:   20_000,
-		CommitTarget: 2_000,
-		Inject:       &fault.Injection{Core: 0, Cycle: 500, Bit: 13},
-	}.withDefaults()
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Seed, o.WarmCycles = ModeReunion, workload.Apache(), 1, 20_000
+	o.CommitTarget, o.Inject = 2_000, &fault.Injection{Core: 0, Cycle: 500, Bit: 13}
 	sys := warmSystem(o)
 	cp := sys.Snapshot()
 	b.ReportAllocs()
@@ -93,7 +88,8 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 // and encodes its checkpoint: the 57 MB blob a checkpoint store puts and
 // gets for a production-sized cell.
 func ckptBenchCell(b *testing.B) (cp *Checkpoint, key uint64, blob []byte) {
-	o := Options{Mode: ModeReunion, Workload: workload.Apache(), Seed: 1, WarmCycles: 100_000}.withDefaults()
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Seed = ModeReunion, workload.Apache(), 1
 	key = CheckpointKey(o)
 	cp = warmSystem(o).Snapshot()
 	blob, err := EncodeCheckpoint(cp, key)

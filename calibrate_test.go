@@ -15,15 +15,20 @@ func TestCalibrate(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, p := range workload.Suite() {
-		base, err := Run(Options{Mode: ModeNonRedundant, Workload: p, Seed: 7})
+		run := func(mode Mode) (Result, error) {
+			o := DefaultOptions()
+			o.Mode, o.Workload, o.Seed = mode, p, 7
+			return Run(o)
+		}
+		base, err := run(ModeNonRedundant)
 		if err != nil {
 			t.Fatalf("%s base: %v", p.Name, err)
 		}
-		strict, err := Run(Options{Mode: ModeStrict, Workload: p, Seed: 7})
+		strict, err := run(ModeStrict)
 		if err != nil {
 			t.Fatalf("%s strict: %v", p.Name, err)
 		}
-		reun, err := Run(Options{Mode: ModeReunion, Workload: p, Seed: 7})
+		reun, err := run(ModeReunion)
 		if err != nil {
 			t.Fatalf("%s reunion: %v", p.Name, err)
 		}

@@ -70,14 +70,9 @@ func fuzzSeedBlobs(f *testing.F) [][]byte {
 			for _, kern := range []Kernel{KernelNaive, KernelFastForward} {
 				cfg := DefaultConfig()
 				cfg.Topology = topo
-				o := Options{
-					Mode:       mode,
-					Workload:   tinyWorkload(),
-					Seed:       11,
-					WarmCycles: 2_000,
-					Config:     &cfg,
-					Kernel:     kern,
-				}.withDefaults()
+				o := DefaultOptions()
+				o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, tinyWorkload(), 11, 2_000
+				o.Config, o.Kernel = &cfg, kern
 				blob, err := EncodeCheckpoint(warmSystem(o).Snapshot(), CheckpointKey(o))
 				if err != nil {
 					f.Fatal(err)
@@ -97,13 +92,9 @@ var fuzzBindTargets = sync.OnceValue(func() []*System {
 	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
 		cfg := DefaultConfig()
 		cfg.Topology = topo
-		o := Options{
-			Mode:       ModeReunion,
-			Workload:   workload.Apache(),
-			Seed:       11,
-			WarmCycles: 2_000,
-			Config:     &cfg,
-		}.withDefaults()
+		o := DefaultOptions()
+		o.Mode, o.Workload, o.Seed, o.WarmCycles = ModeReunion, workload.Apache(), 11, 2_000
+		o.Config = &cfg
 		systems = append(systems, buildSystem(o))
 	}
 	return systems

@@ -65,14 +65,10 @@ func goldenCells() []goldenCell {
 	cell := func(name string, topo Topology, mode Mode, kern Kernel, p workload.Params, warm, interruptEvery int64) goldenCell {
 		cfg := DefaultConfig()
 		cfg.Topology = topo
-		return goldenCell{name, Options{
-			Mode:       mode,
-			Workload:   p,
-			Seed:       23,
-			WarmCycles: warm,
-			Config:     &cfg,
-			Kernel:     kern,
-		}.withDefaults(), interruptEvery}
+		o := DefaultOptions()
+		o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, p, 23, warm
+		o.Config, o.Kernel = &cfg, kern
+		return goldenCell{name, o, interruptEvery}
 	}
 	// dss-q1 shrunk like tinyWorkload, and its 32 MB scan table too, so
 	// the blob stays about a megabyte; a synchronizing fetch is pending

@@ -17,13 +17,10 @@ import (
 
 // storeCell builds a small, fast cell keyed by seed.
 func storeCell(seed uint64) Options {
-	return Options{
-		Mode:          ModeReunion,
-		Workload:      tinyWorkload(),
-		Seed:          seed,
-		WarmCycles:    2_000,
-		MeasureCycles: 2_000,
-	}
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Seed = ModeReunion, tinyWorkload(), seed
+	o.WarmCycles, o.MeasureCycles = 2_000, 2_000
+	return o
 }
 
 // memStore is an in-test Store whose contents the tests poison at will.
@@ -202,13 +199,13 @@ func TestWarmCacheStoreRecompute(t *testing.T) {
 	}
 	// A genuine blob for *different* options (another seed), filed under
 	// our key — the fingerprint gate must reject it.
-	other := storeCell(58).withDefaults()
+	other := storeCell(58)
 	otherBlob, err := EncodeCheckpoint(warmSystem(other).Snapshot(), CheckpointKey(other))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A well-sealed blob claiming a future format version.
-	ourBlob, err := EncodeCheckpoint(warmSystem(o.withDefaults()).Snapshot(), key)
+	ourBlob, err := EncodeCheckpoint(warmSystem(o).Snapshot(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

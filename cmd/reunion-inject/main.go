@@ -70,7 +70,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reunion-inject", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	trials := fs.Int("trials", 200, "total trial budget, split evenly across cells (min 1 per cell)")
+	trials := cliconf.AtLeast(fs, "trials", 200, 1, strconv.Atoi, "total trial `budget`, split evenly across cells (min 1 per cell)")
 	modes := fs.String("mode", "reunion,non-redundant", "execution models (csv: reunion,strict,non-redundant)")
 	workloads := fs.String("workloads", "all", "workloads (csv of names, or 'all')")
 	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	spec, err := buildSpec(*modes, *workloads, *phantoms, *seeds, *bits, *window,
-		*warm, *target, *deadline, *trials, *campSeed)
+		*warm, *target, *deadline, *trials, *traceDump, *campSeed)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -140,19 +140,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if store != nil {
 		warmCache.UseStore(store)
 	}
-	runTrial := reunion.TrialRunner(spec.Model, warmCache, *traceDump)
+	runTrial := reunion.TrialRunner(spec.Model, warmCache)
 
-	// Pin the journal to this exact campaign configuration — matrix
-	// axes, base options (warm/target/deadline), trial budget, fault
-	// model, and draw seed — so resuming or merging under different
-	// flags that happen to yield the same name and trial count fails
-	// loudly instead of interleaving two campaigns.
-	plan, err := rf.Plan(spec.Name, spec.Matrix.Size()*spec.Trials, append(spec.Matrix.FingerprintParts(),
-		fmt.Sprintf("base:%+v", spec.Matrix.Base),
-		fmt.Sprintf("trials:%d", spec.Trials),
-		fmt.Sprintf("campaign-seed:%d", spec.Seed),
-		fmt.Sprintf("model:%+v", spec.Model),
-		fmt.Sprintf("exclude:%v", spec.StreamExclude))...)
+	plan, err := rf.Plan(spec.Name, spec.Matrix.Size()*spec.Trials, planParts(spec)...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -224,12 +214,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// buildSpec assembles the campaign from the flags (validation and
-// dedupe-warning rules live in cliconf, shared with the other CLIs).
-// Axis order fixes the enumeration (and results-file) order: mode,
-// phantom, seed, workload, trial.
+// planParts pin the journal to this campaign's configuration, so a
+// resume or merge under other flags fails loudly: the matrix, the base
+// flags (as the sparse Options literal journals have always carried),
+// trial budget, fault model and draw seed. -trace-dump only observes.
+func planParts(spec campaign.Spec[reunion.Options]) []string {
+	b := spec.Matrix.Base
+	base := reunion.Options{WarmCycles: b.WarmCycles, CommitTarget: b.CommitTarget, TrialDeadline: b.TrialDeadline}
+	return append(spec.Matrix.FingerprintParts(),
+		fmt.Sprintf("base:%+v", base),
+		fmt.Sprintf("trials:%d", spec.Trials),
+		fmt.Sprintf("campaign-seed:%d", spec.Seed),
+		fmt.Sprintf("model:%+v", spec.Model),
+		fmt.Sprintf("exclude:%v", spec.StreamExclude))
+}
+
+// buildSpec assembles the campaign from the flags (parsing and
+// dedupe-warning rules live in cliconf, shared with the other CLIs, and
+// every cell passes Options.ValidateTrial). Axis order fixes the
+// enumeration (and results-file) order: mode, phantom, seed, workload,
+// trial.
 func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
-	warm, target, deadline int64, totalTrials int, campSeed uint64) (campaign.Spec[reunion.Options], error) {
+	warm, target, deadline int64, totalTrials, traceDump int, campSeed uint64) (campaign.Spec[reunion.Options], error) {
 	spec := campaign.Spec[reunion.Options]{
 		Name: "inject",
 		Seed: campSeed,
@@ -238,35 +244,9 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 		StreamExclude: []string{"mode", "phantom"},
 	}
 
-	bitLo, bitHi, err := cliconf.ParseRange(bits, 0, 63)
-	if err != nil {
-		return spec, fmt.Errorf("bits: %w", err)
-	}
-	if window == "" {
-		window = fmt.Sprintf("0-%d", target)
-	}
-	winLo, winHi, err := cliconf.ParseRange(window, 0, target)
-	if err != nil {
-		return spec, fmt.Errorf("window: %w", err)
-	}
-	spec.Model = campaign.FaultModel{
-		BitLo: uint(bitLo), BitHi: uint(bitHi),
-		WindowLo: winLo, WindowHi: winHi,
-	}
-
-	// 0 would mean the Options default, not the count asked for.
-	if warm < 1 || deadline < 1 {
-		return spec, fmt.Errorf("inject: -warm %d and -deadline %d must be at least 1 cycle", warm, deadline)
-	}
-
-	matrix := sweep.Spec[reunion.Options]{
-		Name: "inject",
-		Base: reunion.Options{
-			WarmCycles:    warm,
-			CommitTarget:  target,
-			TrialDeadline: deadline,
-		},
-	}
+	spec.Matrix = sweep.Spec[reunion.Options]{Name: "inject", Base: reunion.DefaultOptions()}
+	b := &spec.Matrix.Base
+	b.WarmCycles, b.CommitTarget, b.TrialDeadline, b.TraceEvents = warm, target, deadline, traceDump
 
 	ms, err := cliconf.Modes(warnOut, "inject", modes, false)
 	if err != nil {
@@ -284,15 +264,30 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 	if err != nil {
 		return spec, err
 	}
-	matrix.Axes = []sweep.Axis[reunion.Options]{
+	spec.Matrix.Axes = []sweep.Axis[reunion.Options]{
 		reunion.ModeAxis(ms), reunion.PhantomAxis(phs), reunion.SeedAxis(sds), reunion.WorkloadAxis(ps),
 	}
 
-	spec.Matrix = matrix
-	cells := matrix.Size()
-	if cells == 0 {
-		return spec, fmt.Errorf("empty matrix: every axis needs at least one value")
+	if err := cliconf.ValidatePoints(spec.Matrix, reunion.Options.ValidateTrial); err != nil {
+		return spec, err
 	}
-	spec.Trials = max(totalTrials/cells, 1)
-	return spec, spec.Validate()
+
+	bitLo, bitHi, err := cliconf.ParseRange(bits, 0, 63)
+	if err != nil {
+		return spec, fmt.Errorf("bits: %w", err)
+	}
+	winLo, winHi, err := cliconf.ParseRange(window, 0, target)
+	if err != nil {
+		return spec, fmt.Errorf("window: %w", err)
+	}
+	spec.Model = campaign.FaultModel{
+		BitLo: uint(bitLo), BitHi: uint(bitHi),
+		WindowLo: winLo, WindowHi: winHi,
+	}
+
+	if err := spec.Validate(); err != nil {
+		return spec, err
+	}
+	spec.Trials = max(totalTrials/spec.Matrix.Size(), 1)
+	return spec, nil
 }

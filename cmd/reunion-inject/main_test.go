@@ -28,7 +28,7 @@ func captureWarnings(t *testing.T) *bytes.Buffer {
 func TestBuildSpecDedupesAxisValues(t *testing.T) {
 	warnings := captureWarnings(t)
 	spec, err := buildSpec("reunion,reunion", "apache,apache,ocean", "global,global",
-		"1,1,2", "0-63", "", 1000, 500, 60000, 40, 0xfa017)
+		"1,1,2", "0-63", "", 1000, 500, 60000, 40, 0, 0xfa017)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 	}
 	for _, c := range cases {
 		if _, err := buildSpec(c.modes, c.workloads, c.phantoms, c.seeds, c.bits,
-			c.window, 1000, 500, 60000, 40, 1); err == nil {
+			c.window, 1000, 500, 60000, 40, 0, 1); err == nil {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
 	}
@@ -77,7 +77,7 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 		{"negative deadline", 1000, -1},
 	} {
 		if _, err := buildSpec("reunion", "apache", "global", "1", "0-63", "",
-			c.warm, 500, c.deadline, 40, 1); err == nil {
+			c.warm, 500, c.deadline, 40, 0, 1); err == nil {
 			t.Errorf("%s: bad value accepted", c.name)
 		}
 	}
@@ -88,7 +88,7 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 // fingerprints and trial records carry, so it must not drift.
 func TestBuildSpecVocabulary(t *testing.T) {
 	spec, err := buildSpec("reunion,non-redundant", "all", "global", "1", "0-63", "",
-		10_000, 2_000, 150_000, 200, 0xfa017)
+		10_000, 2_000, 150_000, 200, 0, 0xfa017)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,20 +111,53 @@ func TestBuildSpecVocabulary(t *testing.T) {
 	if m.Size() != 22 || spec.Trials != 9 {
 		t.Errorf("%d cells × %d trials, want 22 × 9", m.Size(), spec.Trials)
 	}
+	// The journal fingerprint at the default flags, base:%+v part
+	// included, is what every journal written at them carries: if the
+	// parts or the rendering of Options drift, no interrupted journal
+	// resumes and no shard merges with an older one.
+	if got, want := journalFingerprint(t, "-shard", "0/199"), uint64(2101065049012325232); got != want {
+		t.Errorf("default journal fingerprint %d, want %d", got, want)
+	}
+}
+
+// journalFingerprint runs the command on an empty shard (more shards
+// than indices), which writes a journal header and runs nothing, and
+// returns the fingerprint the header carries.
+func journalFingerprint(t *testing.T, args ...string) uint64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var stderr bytes.Buffer
+	if code := run(append(args, "-quiet", "-journal", path), io.Discard, &stderr); code != 0 {
+		t.Fatalf("%q: exit %d, stderr %q", args, code, stderr.String())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Header struct {
+			Fingerprint uint64 `json:"fingerprint"`
+		} `json:"dist_header"`
+	}
+	line, _, _ := bytes.Cut(b, []byte("\n"))
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatalf("journal header %q: %v", line, err)
+	}
+	return h.Header.Fingerprint
 }
 
 // An unknown axis value must fail fast with the list of valid names —
 // not silently run a partial campaign matrix.
 func TestBuildSpecErrorsListValidNames(t *testing.T) {
-	_, err := buildSpec("warp", "apache", "global", "1", "0-63", "", 100, 100, 1000, 10, 1)
+	_, err := buildSpec("warp", "apache", "global", "1", "0-63", "", 100, 100, 1000, 10, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "reunion, non-redundant") {
 		t.Errorf("mode error does not list valid names: %v", err)
 	}
-	_, err = buildSpec("reunion", "nope", "global", "1", "0-63", "", 100, 100, 1000, 10, 1)
+	_, err = buildSpec("reunion", "nope", "global", "1", "0-63", "", 100, 100, 1000, 10, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "apache") || !strings.Contains(err.Error(), "sparse") {
 		t.Errorf("workload error does not list valid names: %v", err)
 	}
-	_, err = buildSpec("reunion", "apache", "ghost", "1", "0-63", "", 100, 100, 1000, 10, 1)
+	_, err = buildSpec("reunion", "apache", "ghost", "1", "0-63", "", 100, 100, 1000, 10, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "global, shared, null") {
 		t.Errorf("phantom error does not list valid names: %v", err)
 	}

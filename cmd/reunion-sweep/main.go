@@ -73,16 +73,17 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reunion-sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := reunion.DefaultOptions()
 	modes := fs.String("modes", "non-redundant,strict,reunion", "execution models to sweep (csv)")
 	workloads := fs.String("workloads", "all", "workloads to sweep (csv of names, or 'all')")
-	latencies := fs.String("latencies", "10", "comparison latencies in cycles (csv; 0 = zero-cycle)")
+	latencies := fs.String("latencies", strconv.FormatInt(def.CompareLatency, 10), "comparison latencies in cycles (csv; 0 = zero-cycle)")
 	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
 	tlbs := fs.String("tlbs", "hardware", "TLB disciplines (csv: hardware,software)")
 	consistencies := fs.String("consistencies", "tso", "memory consistency models (csv: tso,sc)")
-	intervals := fs.String("intervals", "1", "fingerprint comparison intervals (csv)")
+	intervals := fs.String("intervals", strconv.Itoa(def.FPInterval), "fingerprint comparison intervals (csv)")
 	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
-	warm := fs.Int64("warm", 100_000, "warmup cycles per run")
-	measure := fs.Int64("measure", 50_000, "measurement cycles per run")
+	warm := fs.Int64("warm", def.WarmCycles, "warmup cycles per run")
+	measure := fs.Int64("measure", def.MeasureCycles, "measurement cycles per run")
 	kernelName := fs.String("kernel", "fastforward", "simulation kernel: fastforward | naive (results are bit-identical)")
 	rf := cliconf.RegisterRange(fs, "sweep", "run", "sweep.jsonl", false)
 	ckpt := cliconf.RegisterCkpt(fs)
@@ -162,18 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Base.Warm = wc
 	}
 
-	// Pin the journal to this exact run configuration, not just the
-	// (constant) spec name and size: resuming or merging under different
-	// flags must fail loudly instead of interleaving two experiments.
-	// The kernel is deliberately excluded — its outputs are bit-identical
-	// by contract, and CI byte-compares fastforward/naive journals. So is
-	// the checkpoint store: it is a cache, not configuration (restores are
-	// bit-identical to local warmup), and as a pointer it would render as
-	// an address and ruin fingerprint determinism anyway.
-	fpBase := spec.Base
-	fpBase.Kernel = reunion.KernelFastForward
-	fpBase.Warm = nil
-	plan, err := rf.Plan(spec.Name, spec.Size(), append(spec.FingerprintParts(), fmt.Sprintf("base:%+v", fpBase))...)
+	plan, err := rf.Plan(spec.Name, spec.Size(), planParts(spec)...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -224,24 +214,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return min(rng.Failed(), 1)
 }
 
-// buildSpec assembles the matrix from the axis flags (validation and
-// dedupe-warning rules live in cliconf, shared with the other CLIs).
-// Axis order fixes the enumeration (and output) order: workload, mode,
-// latency, phantom, tlb, consistency, interval, seed.
+// planParts pin the journal to this run's configuration: the matrix
+// vocabulary and the window flags, as the sparse Options literal
+// journals have always carried. The kernel (bit-identical by contract)
+// and the checkpoint store (a cache) are not configuration.
+func planParts(spec sweep.Spec[reunion.Options]) []string {
+	base := reunion.Options{WarmCycles: spec.Base.WarmCycles, MeasureCycles: spec.Base.MeasureCycles}
+	return append(spec.FingerprintParts(), fmt.Sprintf("base:%+v", base))
+}
+
+// buildSpec assembles the matrix from the axis flags (parsing and
+// dedupe-warning rules live in cliconf, shared with the other CLIs, and
+// every point passes Options.Validate). Axis order fixes the enumeration
+// (and output) order: workload, mode, latency, phantom, tlb, consistency,
+// interval, seed.
 func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, intervals, seeds string, warm, measure int64, kern reunion.Kernel) (sweep.Spec[reunion.Options], error) {
 	// No reunion.WarmCache here: every axis of this matrix shapes the
 	// warmup itself, so no two cells could share a warm checkpoint —
 	// caching would only pin warmed machines in memory. The caches live
 	// where reuse is real: reunion-inject's per-cell trials and the
 	// -experiment campaigns (ExpConfig).
-	spec := sweep.Spec[reunion.Options]{
-		Name: "paper-matrix",
-		Base: reunion.Options{WarmCycles: warm, MeasureCycles: measure, Kernel: kern},
-	}
-	// 0 would mean the Options default, not the count asked for.
-	if warm < 1 || measure < 1 {
-		return spec, fmt.Errorf("sweep: -warm %d and -measure %d must be at least 1 cycle", warm, measure)
-	}
+	spec := sweep.Spec[reunion.Options]{Name: "paper-matrix", Base: reunion.DefaultOptions()}
+	spec.Base.WarmCycles, spec.Base.MeasureCycles, spec.Base.Kernel = warm, measure, kern
 
 	ps, err := cliconf.Workloads(warnOut, "sweep", workloads)
 	if err != nil {
@@ -284,5 +278,5 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	if spec.Size() == 0 {
 		return spec, fmt.Errorf("empty matrix: every axis needs at least one value")
 	}
-	return spec, nil
+	return spec, cliconf.ValidatePoints(spec, reunion.Options.Validate)
 }

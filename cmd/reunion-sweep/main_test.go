@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -128,6 +129,39 @@ func TestBuildSpecVocabulary(t *testing.T) {
 	if spec.Size() != 33 {
 		t.Errorf("matrix size %d, want 33", spec.Size())
 	}
+	// The journal fingerprint at the default flags, base:%+v part
+	// included, is what every journal written at them carries: if the
+	// parts or the rendering of Options drift, no interrupted journal
+	// resumes and no shard merges with an older one.
+	if got, want := journalFingerprint(t, "-shard", "0/34"), uint64(13283934820806580138); got != want {
+		t.Errorf("default journal fingerprint %d, want %d", got, want)
+	}
+}
+
+// journalFingerprint runs the command on an empty shard (more shards
+// than indices), which writes a journal header and runs nothing, and
+// returns the fingerprint the header carries.
+func journalFingerprint(t *testing.T, args ...string) uint64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var stderr bytes.Buffer
+	if code := run(append(args, "-quiet", "-journal", path), io.Discard, &stderr); code != 0 {
+		t.Fatalf("%q: exit %d, stderr %q", args, code, stderr.String())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Header struct {
+			Fingerprint uint64 `json:"fingerprint"`
+		} `json:"dist_header"`
+	}
+	line, _, _ := bytes.Cut(b, []byte("\n"))
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatalf("journal header %q: %v", line, err)
+	}
+	return h.Header.Fingerprint
 }
 
 // An unknown axis value must fail fast with the list of valid names —

@@ -51,7 +51,8 @@ func shardPlan(t *testing.T, spec string, total, s, n int) dist.Plan {
 }
 
 func shardSweepSpec() sweep.Spec[Options] {
-	base := Options{WarmCycles: 2_000, MeasureCycles: 1_500}
+	base := DefaultOptions()
+	base.WarmCycles, base.MeasureCycles = 2_000, 1_500
 	return sweep.Spec[Options]{
 		Name: "shard-sweep",
 		Base: base,
@@ -180,7 +181,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	var ref bytes.Buffer
 	refEng := campaign.Engine[Options]{
 		Spec:        spec,
-		RunTrial:    TrialRunner(model, NewWarmCache(), 0),
+		RunTrial:    TrialRunner(model, NewWarmCache()),
 		Parallelism: 2,
 		Sink:        sweep.NewJSONL(&ref),
 	}
@@ -208,7 +209,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 			t.Helper()
 			eng := campaign.Engine[Options]{
 				Spec:        spec,
-				RunTrial:    TrialRunner(model, warm, 0),
+				RunTrial:    TrialRunner(model, warm),
 				Parallelism: 2,
 				Sink:        jnl,
 				Indices:     jnl.Remaining(),

@@ -16,20 +16,24 @@ func ExampleRun() {
 	p := workload.Apache()
 	fmt.Printf("workload: %s (%s)\n\n", p.Name, p.Class)
 
-	base, err := reunion.Run(reunion.Options{Mode: reunion.ModeNonRedundant, Workload: p})
+	o := reunion.DefaultOptions()
+	o.Mode, o.Workload = reunion.ModeNonRedundant, p
+	base, err := reunion.Run(o)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("non-redundant baseline: %.3f aggregate user IPC\n", base.UserIPC)
 
-	strict, err := reunion.Run(reunion.Options{Mode: reunion.ModeStrict, Workload: p})
+	o.Mode = reunion.ModeStrict
+	strict, err := reunion.Run(o)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("strict input replication: %.3f IPC (%.1f%% overhead)\n",
 		strict.UserIPC, 100*(1-strict.UserIPC/base.UserIPC))
 
-	reun, err := reunion.Run(reunion.Options{Mode: reunion.ModeReunion, Workload: p})
+	o.Mode = reunion.ModeReunion
+	reun, err := reunion.Run(o)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,12 +74,14 @@ func QuickExp(out io.Writer) ExpConfig {
 	}
 }
 
-// FullExp returns a campaign sized like the paper's sampling methodology.
+// FullExp returns a campaign sized like the paper's sampling methodology
+// (DefaultOptions' window).
 func FullExp(out io.Writer) ExpConfig {
+	o := DefaultOptions()
 	return ExpConfig{
 		Seeds:         DefaultSeeds(3),
-		WarmCycles:    100_000,
-		MeasureCycles: 50_000,
+		WarmCycles:    o.WarmCycles,
+		MeasureCycles: o.MeasureCycles,
 		Table3Cycles:  400_000,
 		Out:           out,
 		base:          newMemo[Result](),
@@ -152,10 +154,10 @@ func (c ExpConfig) printf(format string, args ...any) {
 
 // opts is the base Options of every run in the campaign.
 func (c ExpConfig) opts() Options {
-	return Options{
-		WarmCycles: c.WarmCycles, MeasureCycles: c.MeasureCycles,
-		Kernel: c.Kernel, Warm: c.warm,
-	}
+	o := DefaultOptions()
+	o.WarmCycles, o.MeasureCycles = c.WarmCycles, c.MeasureCycles
+	o.Kernel, o.Warm = c.Kernel, c.warm
+	return o
 }
 
 // normalized measures o's normalized IPC across the campaign's seeds: o is
@@ -187,17 +189,12 @@ func ModeAxis(ms []Mode) sweep.Axis[Options] {
 		func(o *Options, m Mode) { o.Mode = m })
 }
 
-// LatencyAxis sweeps the comparison latency (0 means a literal zero-cycle
-// latency, ZeroLatency, as on the Figure 6 x-axis).
+// LatencyAxis sweeps the comparison latency in cycles (0 is the
+// zero-cycle latency of the Figure 6 x-axis).
 func LatencyAxis(lats []int64) sweep.Axis[Options] {
 	return sweep.NewAxis("latency", lats,
 		func(l int64) string { return strconv.FormatInt(l, 10) },
-		func(o *Options, l int64) {
-			if l == 0 {
-				l = ZeroLatency
-			}
-			o.CompareLatency = l
-		})
+		func(o *Options, l int64) { o.CompareLatency = l })
 }
 
 // PhantomAxis sweeps the phantom request strength.
@@ -376,7 +373,6 @@ func (c ExpConfig) Figure5() (*Figure5Result, error) {
 	suite := workload.Suite()
 	modes := []Mode{ModeStrict, ModeReunion}
 	base := c.opts()
-	base.CompareLatency = 10
 	vals, err := sweepRuns(c, "figure5", base, c.normalized, WorkloadAxis(suite), ModeAxis(modes))
 	if err != nil {
 		return nil, err
@@ -490,7 +486,6 @@ func (c ExpConfig) Table3() (*Table3Result, error) {
 	phantoms := []Phantom{PhantomGlobal, PhantomShared, PhantomNull}
 	base := c.opts()
 	base.Mode, base.Seed = ModeReunion, c.Seeds[0]
-	base.CompareLatency = 10
 	base.MeasureCycles = c.Table3Cycles
 	runs, err := sweepRuns(c, "table3", base, Run, WorkloadAxis(suite), PhantomAxis(phantoms))
 	if err != nil {
@@ -529,7 +524,7 @@ func (c ExpConfig) Figure7a() (*Figure7aResult, error) {
 	suite := workload.Suite()
 	phantoms := []Phantom{PhantomGlobal, PhantomShared, PhantomNull}
 	base := c.opts()
-	base.Mode, base.CompareLatency = ModeReunion, 10
+	base.Mode = ModeReunion
 	vals, err := sweepRuns(c, "figure7a", base, c.normalized,
 		WorkloadAxis(suite), PhantomAxis(phantoms))
 	if err != nil {
@@ -605,7 +600,7 @@ func (c ExpConfig) FPIntervalAblation() (*FPIntervalResult, error) {
 	res := &FPIntervalResult{Intervals: []int{1, 5, 10, 50}}
 	commercial := commercialSuite()
 	base := c.opts()
-	base.Mode, base.CompareLatency = ModeReunion, 10
+	base.Mode = ModeReunion
 	vals, err := sweepRuns(c, "fp-interval", base, c.normalized,
 		IntervalAxis(res.Intervals), WorkloadAxis(commercial))
 	if err != nil {
@@ -671,7 +666,7 @@ func (c ExpConfig) TopologyAblation() (*TopologyResult, error) {
 	c.printf("Ablation (§4.1): Reunion normalized IPC by memory-system topology (10-cycle latency)\n")
 	res := &TopologyResult{Topologies: []Topology{TopologyDirectory, TopologySnoopy}}
 	base := c.opts()
-	base.Mode, base.CompareLatency = ModeReunion, 10
+	base.Mode = ModeReunion
 	topology := sweep.NewAxis("topology", res.Topologies, Topology.String,
 		func(o *Options, tp Topology) {
 			cfg := DefaultConfig()

@@ -9,26 +9,13 @@ import (
 	"reunion/internal/sweep"
 )
 
-// DefaultCommitTarget is the per-logical-processor committed-instruction
-// boundary a fault-injection trial runs to when the cell options leave
-// CommitTarget unset. Classification compares commit digests at this
-// boundary, so it also bounds how far a fault can propagate before the
-// verdict.
-const DefaultCommitTarget = 2000
-
-// CoresUnderTest returns the number of physical cores a run of these
-// options simulates: one per logical processor, doubled under ModeReunion
-// (each logical processor is a vocal/mute pair, and faults target both —
-// a mute flip must be detected exactly like a vocal one).
-func (o Options) CoresUnderTest() int {
-	n := o.Threads
-	if n == 0 {
-		n = 4
+// ValidateTrial is Validate for a fault-injection cell, which also needs
+// the commit target its trials are classified at.
+func (o Options) ValidateTrial() error {
+	if o.CommitTarget < 1 {
+		return fmt.Errorf("reunion: commit target %d is below 1 (a trial is classified at its commit-target boundary)", o.CommitTarget)
 	}
-	if o.Mode == ModeReunion {
-		n *= 2
-	}
-	return n
+	return o.Validate()
 }
 
 // trialKey fingerprints every option a golden (fault-free) trial run
@@ -59,22 +46,23 @@ func trialKey(o Options) string {
 // One cache can serve several engines of the same campaign, e.g. a
 // resumed shard's second Engine run.
 //
-// When traceEvents is positive, each injected run records its last
-// traceEvents recovery/mismatch events and the formatted dump reaches
+// A cell that fails ValidateTrial is an error observation. When the
+// cell's TraceEvents is positive, each injected run records its last
+// TraceEvents recovery/mismatch events and the formatted dump reaches
 // the Observation's Diag field — where the inject CLI's -trace-dump flag
 // prints it for SDC and DUE trials. Only reunion cells record events
 // (the ring hangs on the pairs). Golden runs stay untraced. Tracing is a
 // pure observer (Options.TraceEvents is excluded from every cache key),
 // so traced and untraced campaigns produce byte-identical result streams.
-func TrialRunner(model campaign.FaultModel, warm *WarmCache, traceEvents int) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
+func TrialRunner(model campaign.FaultModel, warm *WarmCache) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
 	golden := newMemo[Result]()
 	return func(_ context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {
 		o := cell.Config
-		if o.CommitTarget <= 0 {
-			o.CommitTarget = DefaultCommitTarget
+		if err := o.ValidateTrial(); err != nil {
+			return campaign.Observation{Err: err}
 		}
-		o.Inject = nil
-		o.Warm = warm
+		traceEvents := o.TraceEvents
+		o.Inject, o.Warm, o.TraceEvents = nil, warm, 0
 		g, err := golden.do(trialKey(o), func() (Result, error) {
 			r, err := Run(o)
 			if err == nil && !r.DigestOK {
@@ -86,7 +74,11 @@ func TrialRunner(model campaign.FaultModel, warm *WarmCache, traceEvents int) fu
 		if err != nil {
 			return campaign.Observation{Err: fmt.Errorf("golden: %w", err)}
 		}
-		n := o.CoresUnderTest()
+		// Faults target mutes too: one must be detected like a vocal.
+		n := o.Threads
+		if o.Mode == ModeReunion {
+			n *= 2
+		}
 		if model.Cores > 0 && model.Cores < n {
 			n = model.Cores
 		}

@@ -13,13 +13,10 @@ import (
 )
 
 func injectTestOptions() Options {
-	return Options{
-		Workload:      mustWorkload("apache"),
-		Seed:          1,
-		WarmCycles:    5_000,
-		CommitTarget:  500,
-		TrialDeadline: 60_000,
-	}
+	o := DefaultOptions()
+	o.Workload, o.Seed, o.WarmCycles = mustWorkload("apache"), 1, 5_000
+	o.CommitTarget, o.TrialDeadline = 500, 60_000
+	return o
 }
 
 func mustWorkload(name string) workload.Params {
@@ -123,7 +120,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 			Seed:          0xfa017,
 			StreamExclude: []string{"mode"},
 		},
-		RunTrial: TrialRunner(model, NewWarmCache(), 0),
+		RunTrial: TrialRunner(model, NewWarmCache()),
 	}
 	rep, err := eng.Run(context.Background())
 	if err != nil {

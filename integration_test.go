@@ -307,8 +307,11 @@ func TestMuteNeverLeaks(t *testing.T) {
 // TestRunAPI exercises the public entry points.
 func TestRunAPI(t *testing.T) {
 	p := workload.Sparse()
-	r, err := Run(Options{Mode: ModeReunion, Workload: p, Seed: 3,
-		WarmCycles: 5_000, MeasureCycles: 5_000})
+	o := DefaultOptions()
+	o.Workload, o.WarmCycles, o.MeasureCycles = p, 5_000, 5_000
+	reun := o
+	reun.Mode, reun.Seed = ModeReunion, 3
+	r, err := Run(reun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,10 +321,9 @@ func TestRunAPI(t *testing.T) {
 	if r.Workload != "sparse" || r.Mode != ModeReunion {
 		t.Fatal("result identity fields wrong")
 	}
-	cmp, err := Compare(
-		Options{Mode: ModeNonRedundant, Workload: p, WarmCycles: 5_000, MeasureCycles: 5_000},
-		Options{Mode: ModeStrict, Workload: p, WarmCycles: 5_000, MeasureCycles: 5_000},
-		DefaultSeeds(2))
+	strict := o
+	strict.Mode = ModeStrict
+	cmp, err := Compare(o, strict, DefaultSeeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,17 +335,19 @@ func TestRunAPI(t *testing.T) {
 	}
 }
 
-// TestZeroLatency: ZeroLatency must request a literal 0-cycle comparison
+// TestZeroCycleLatency: CompareLatency 0 must run a literal 0-cycle comparison
 // and perform at least as well as 10 cycles.
-func TestZeroLatency(t *testing.T) {
-	p := workload.Moldyn()
-	z, err := Run(Options{Mode: ModeStrict, Workload: p, CompareLatency: ZeroLatency,
-		WarmCycles: 10_000, MeasureCycles: 10_000})
+func TestZeroCycleLatency(t *testing.T) {
+	o := DefaultOptions()
+	o.Mode, o.Workload = ModeStrict, workload.Moldyn()
+	o.WarmCycles, o.MeasureCycles = 10_000, 10_000
+	o.CompareLatency = 0
+	z, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := Run(Options{Mode: ModeStrict, Workload: p, CompareLatency: 10,
-		WarmCycles: 10_000, MeasureCycles: 10_000})
+	o.CompareLatency = 10
+	ten, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +364,10 @@ func TestAllWorkloadsAllModesSmoke(t *testing.T) {
 	}
 	for _, p := range workload.Suite() {
 		for _, mode := range []Mode{ModeNonRedundant, ModeStrict, ModeReunion} {
-			r, err := Run(Options{Mode: mode, Workload: p, Seed: 2,
-				WarmCycles: 5_000, MeasureCycles: 8_000})
+			o := DefaultOptions()
+			o.Mode, o.Workload, o.Seed = mode, p, 2
+			o.WarmCycles, o.MeasureCycles = 5_000, 8_000
+			r, err := Run(o)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", p.Name, mode, err)
 			}

@@ -181,23 +181,16 @@ func Seeds(w io.Writer, tool, csv string) ([]uint64, error) {
 }
 
 // Latencies parses a comparison-latency axis CSV in cycles (0 = a
-// zero-cycle latency); a negative latency is an error, not a second
-// label for the zero-cycle run.
+// zero-cycle latency).
 func Latencies(w io.Writer, tool, csv string) ([]int64, error) {
 	lats, err := Int64s(csv)
 	if err != nil {
 		return nil, fmt.Errorf("latency: %w", err)
 	}
-	for _, l := range lats {
-		if l < 0 {
-			return nil, fmt.Errorf("latency %d is negative (0 = zero-cycle)", l)
-		}
-	}
 	return sweep.Dedupe(w, tool, "latency", lats, func(v int64) string { return strconv.FormatInt(v, 10) }), nil
 }
 
-// Intervals parses a fingerprint-interval axis CSV in instructions; an
-// interval below 1 is an error, not a second label for interval 1.
+// Intervals parses a fingerprint-interval axis CSV in instructions.
 func Intervals(w io.Writer, tool, csv string) ([]int, error) {
 	var ivs []int
 	for _, f := range SplitCSV(csv) {
@@ -205,12 +198,43 @@ func Intervals(w io.Writer, tool, csv string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interval: %w", err)
 		}
-		if iv < 1 {
-			return nil, fmt.Errorf("interval %d is not positive (instructions per fingerprint comparison)", iv)
-		}
 		ivs = append(ivs, iv)
 	}
 	return sweep.Dedupe(w, tool, "interval", ivs, strconv.Itoa), nil
+}
+
+// ValidatePoints runs check on every point of spec and names the first
+// that fails: the CLIs' one range check, so a flag value that cannot run
+// exits 2 before anything runs, and one that can runs under its label.
+func ValidatePoints(spec sweep.Spec[reunion.Options], check func(reunion.Options) error) error {
+	for i := range spec.Size() {
+		pt := spec.Point(i)
+		if err := check(pt.Config); err != nil {
+			return fmt.Errorf("%s: %w", pt.Name(), err)
+		}
+	}
+	return nil
+}
+
+// AtLeast defines a flag on fs that refuses a value below min as it is
+// parsed: fs.Parse fails and the CLI exits 2 before anything runs,
+// instead of running a stand-in under the flag's label.
+func AtLeast[T int | time.Duration](fs *flag.FlagSet, name string, value, min T, parse func(string) (T, error), usage string) *T {
+	if value != 0 {
+		usage += fmt.Sprintf(" (default %v)", value)
+	}
+	p := &value
+	fs.Func(name, usage, func(s string) error {
+		v, err := parse(s)
+		if err == nil && v < min {
+			err = fmt.Errorf("%v is below %v", v, min)
+		}
+		if err == nil {
+			*p = v
+		}
+		return err
+	})
+	return p
 }
 
 // CkptFlags is the shared checkpoint-store flag.
@@ -252,7 +276,8 @@ func RegisterObs(fs *flag.FlagSet) *ObsFlags {
 // WithHeartbeat additionally registers -heartbeat for the CLIs with a
 // progress loop.
 func (o *ObsFlags) WithHeartbeat(fs *flag.FlagSet) *ObsFlags {
-	o.HeartbeatEvery = fs.Duration("heartbeat", 0, "print a progress heartbeat (done/total, rate, ETA, lag) to stderr at this interval (0 = off)")
+	o.HeartbeatEvery = AtLeast(fs, "heartbeat", 0, 0, time.ParseDuration,
+		"print a progress heartbeat (done/total, rate, ETA, lag) to stderr at this `interval` (0 = off)")
 	return o
 }
 
@@ -268,7 +293,7 @@ func (o *ObsFlags) Tracer() *obs.Tracer {
 // Heartbeat builds the stderr heartbeat, or nil when the flag is off
 // (obs.Heartbeat is nil-safe).
 func (o *ObsFlags) Heartbeat(label string, total int64) *obs.Heartbeat {
-	if o.HeartbeatEvery == nil || *o.HeartbeatEvery <= 0 {
+	if o.HeartbeatEvery == nil || *o.HeartbeatEvery == 0 {
 		return nil
 	}
 	return &obs.Heartbeat{Label: label, Total: total, Every: *o.HeartbeatEvery, W: os.Stderr}

@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"reunion"
+	"reunion/internal/sweep"
 )
 
 // Every axis parser: accepts its valid names, dedupes with a warning,
@@ -84,6 +86,26 @@ func TestAxisParsers(t *testing.T) {
 			ok: "apache,ocean", okCount: 2,
 			dup: "apache,apache", bad: "nope",
 			wantErr: "apache",
+		},
+		{
+			name: "latencies",
+			parse: func(w io.Writer, csv string) (int, error) {
+				ls, err := Latencies(w, "t", csv)
+				return len(ls), err
+			},
+			ok: "0,10,40", okCount: 3,
+			dup: "10,10", bad: "ten",
+			wantErr: "invalid syntax",
+		},
+		{
+			name: "intervals",
+			parse: func(w io.Writer, csv string) (int, error) {
+				is, err := Intervals(w, "t", csv)
+				return len(is), err
+			},
+			ok: "1,5", okCount: 2,
+			dup: "1,1", bad: "one",
+			wantErr: "invalid syntax",
 		},
 		{
 			name: "seeds",
@@ -276,6 +298,64 @@ func TestFlagGroups(t *testing.T) {
 	}
 	if s, err := ckpt2.Open(); err != nil || s != nil {
 		t.Fatalf("ckpt open without flag: %v, %v", s, err)
+	}
+}
+
+// A count flag below its minimum fails fs.Parse (the CLIs exit 2) and
+// leaves the value alone; at or above it, the value is taken as given.
+// The help text shows a non-zero default, as for a plain int flag.
+func TestAtLeastFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-parallel", "1"}, true},
+		{[]string{"-parallel", "0"}, false},
+		{[]string{"-parallel", "-3"}, false},
+		{[]string{"-parallel", "x"}, false},
+		{[]string{"-heartbeat", "0"}, true},
+		{[]string{"-heartbeat", "2s"}, true},
+		{[]string{"-heartbeat", "-1s"}, false},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		rf := RegisterRange(fs, "t", "run", "out.jsonl", false)
+		o := RegisterObs(fs).WithHeartbeat(fs)
+		def := *rf.Parallel
+		err := fs.Parse(c.args)
+		if (err == nil) != c.ok {
+			t.Errorf("%q: err = %v, want ok %v", c.args, err, c.ok)
+		}
+		if !c.ok && (*rf.Parallel != def || *o.HeartbeatEvery != 0) {
+			t.Errorf("%q: a rejected value was stored (parallel %d, heartbeat %v)", c.args, *rf.Parallel, *o.HeartbeatEvery)
+		}
+	}
+	var help bytes.Buffer
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(&help)
+	AtLeast(fs, "trials", 200, 1, strconv.Atoi, "trial `budget`")
+	RegisterObs(fs).WithHeartbeat(fs)
+	fs.PrintDefaults()
+	if !strings.Contains(help.String(), "-trials budget") || !strings.Contains(help.String(), "(default 200)") ||
+		strings.Contains(help.String(), "default 0s") {
+		t.Errorf("help text:\n%s", help.String())
+	}
+}
+
+// ValidatePoints names the first matrix point its check rejects.
+func TestValidatePoints(t *testing.T) {
+	spec := sweep.Spec[reunion.Options]{Name: "t", Base: reunion.DefaultOptions(),
+		Axes: []sweep.Axis[reunion.Options]{reunion.LatencyAxis([]int64{0, -5})}}
+	if err := ValidatePoints(spec, reunion.Options.Validate); err == nil ||
+		!strings.Contains(err.Error(), "latency=-5: reunion: comparison latency -5") {
+		t.Errorf("err = %v, want the latency=-5 point named", err)
+	}
+	spec.Axes = []sweep.Axis[reunion.Options]{reunion.LatencyAxis([]int64{0, 10})}
+	if err := ValidatePoints(spec, reunion.Options.Validate); err != nil {
+		t.Errorf("valid matrix rejected: %v", err)
+	}
+	if err := ValidatePoints(spec, reunion.Options.ValidateTrial); err == nil || !strings.Contains(err.Error(), "commit target 0") {
+		t.Errorf("a trial cell without a commit target passed: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 
 	"reunion/internal/dist"
 	"reunion/internal/obs"
@@ -39,7 +40,7 @@ func RegisterRange(fs *flag.FlagSet, tool, noun, out string, optionalOut bool) *
 		outHelp = "per-" + noun + " results file ('-' = stdout, '' = none)"
 	}
 	return &RangeFlags{
-		Parallel:    fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size"),
+		Parallel:    AtLeast(fs, "parallel", runtime.GOMAXPROCS(0), 1, strconv.Atoi, "worker pool `size`"),
 		Quiet:       fs.Bool("quiet", false, "suppress per-"+noun+" progress on stderr"),
 		out:         fs.String("out", out, outHelp),
 		format:      fs.String("format", "jsonl", "results format: jsonl | csv"),

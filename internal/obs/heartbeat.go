@@ -19,7 +19,7 @@ import (
 type Heartbeat struct {
 	Label string        // printed as the line prefix, e.g. "sweep" or "shard 2/8"
 	Total int64         // expected units; <= 0 → printed as "?"
-	Every time.Duration // print interval; <= 0 → 10s
+	Every time.Duration // print interval; must be positive
 	W     io.Writer     // destination; nil → no output
 
 	done     atomic.Int64
@@ -54,16 +54,12 @@ func (h *Heartbeat) Start() (stop func()) {
 	if h == nil || h.W == nil {
 		return func() {}
 	}
-	every := h.Every
-	if every <= 0 {
-		every = 10 * time.Second
-	}
 	h.stopCh = make(chan struct{})
 	h.doneCh = make(chan struct{})
 	start := time.Now()
 	go func() {
 		defer close(h.doneCh)
-		t := time.NewTicker(every)
+		t := time.NewTicker(h.Every)
 		defer t.Stop()
 		for {
 			select {

@@ -195,7 +195,8 @@ type Runner[C, R any] struct {
 	// Run executes one point. It is called from multiple goroutines and
 	// must be safe for concurrent use across distinct points.
 	Run func(ctx context.Context, p Point[C]) (R, error)
-	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
+	// Parallelism bounds the worker pool; 0 or below means GOMAXPROCS
+	// (a library convenience: the CLIs refuse a -parallel below 1).
 	Parallelism int
 	// Group, if set, names each point's group: points of one group
 	// contend for a shared resource (a campaign cell's warm state), so a

@@ -203,15 +203,11 @@ func TestKernelEquivalenceTrial(t *testing.T) {
 		}
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
-			r, err := Run(Options{
-				Mode:         mode,
-				Workload:     workload.Apache(),
-				Seed:         17,
-				Kernel:       kern,
-				Inject:       &fault.Injection{Cycle: 900, Core: core, Bit: 13},
-				WarmCycles:   6_000,
-				CommitTarget: 1_500,
-			})
+			o := DefaultOptions()
+			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Apache(), 17, kern
+			o.Inject = &fault.Injection{Cycle: 900, Core: core, Bit: 13}
+			o.WarmCycles, o.CommitTarget = 6_000, 1_500
+			r, err := Run(o)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mode, kern, err)
 			}
@@ -231,16 +227,11 @@ func TestKernelEquivalenceTLBConsistency(t *testing.T) {
 	for _, mode := range []Mode{ModeStrict, ModeReunion} {
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
-			r, err := Run(Options{
-				Mode:          mode,
-				Workload:      workload.Apache(),
-				Seed:          9,
-				Kernel:        kern,
-				TLB:           TLBSoftware,
-				Consistency:   SC,
-				WarmCycles:    6_000,
-				MeasureCycles: 6_000,
-			})
+			o := DefaultOptions()
+			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Apache(), 9, kern
+			o.TLB, o.Consistency = TLBSoftware, SC
+			o.WarmCycles, o.MeasureCycles = 6_000, 6_000
+			r, err := Run(o)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mode, kern, err)
 			}
@@ -259,9 +250,11 @@ func TestKernelEquivalenceTLBConsistency(t *testing.T) {
 func TestKernelEquivalenceJSONL(t *testing.T) {
 	var out [2]bytes.Buffer
 	for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
+		base := DefaultOptions()
+		base.Seed, base.WarmCycles, base.MeasureCycles, base.Kernel = 3, 5_000, 5_000, kern
 		spec := sweep.Spec[Options]{
 			Name: "kernel-ab",
-			Base: Options{Seed: 3, WarmCycles: 5_000, MeasureCycles: 5_000, Kernel: kern},
+			Base: base,
 			Axes: []sweep.Axis[Options]{
 				sweep.NewAxis("workload", []workload.Params{workload.Apache(), workload.DSSQ1()},
 					func(p workload.Params) string { return p.Name },
@@ -286,14 +279,10 @@ func TestKernelEquivalenceRun(t *testing.T) {
 	for _, mode := range []Mode{ModeNonRedundant, ModeStrict, ModeReunion} {
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
-			r, err := Run(Options{
-				Mode:          mode,
-				Workload:      workload.Ocean(),
-				Seed:          5,
-				Kernel:        kern,
-				WarmCycles:    8_000,
-				MeasureCycles: 8_000,
-			})
+			o := DefaultOptions()
+			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Ocean(), 5, kern
+			o.WarmCycles, o.MeasureCycles = 8_000, 8_000
+			r, err := Run(o)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mode, kern, err)
 			}

@@ -75,10 +75,16 @@ func spanArgs(ev map[string]any) map[string]any {
 	return args
 }
 
+func obsSweepBase() Options {
+	o := DefaultOptions()
+	o.WarmCycles, o.MeasureCycles = 2_000, 1_500
+	return o
+}
+
 func obsSweepSpec() sweep.Spec[Options] {
 	return sweep.Spec[Options]{
 		Name: "obs-sweep",
-		Base: Options{WarmCycles: 2_000, MeasureCycles: 1_500},
+		Base: obsSweepBase(),
 		Axes: []sweep.Axis[Options]{
 			sweep.NewAxis("workload", []string{"apache", "sparse"},
 				func(s string) string { return s },
@@ -187,9 +193,11 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 	run := func(tr *obs.Tracer, traceEvents int) []byte {
 		t.Helper()
 		var out bytes.Buffer
+		spec := spec
+		spec.Matrix.Base.TraceEvents = traceEvents
 		eng := campaign.Engine[Options]{
 			Spec:        spec,
-			RunTrial:    TrialRunner(spec.Model, NewWarmCache(), traceEvents),
+			RunTrial:    TrialRunner(spec.Model, NewWarmCache()),
 			Parallelism: 2,
 			Sink:        sweep.NewJSONL(&out),
 			Trace:       tr,

@@ -18,11 +18,9 @@
 //
 // Quick start:
 //
-//	w := workload.Apache()
-//	res, err := reunion.Run(reunion.Options{
-//		Mode:     reunion.ModeReunion,
-//		Workload: w,
-//	})
+//	o := reunion.DefaultOptions()
+//	o.Mode, o.Workload = reunion.ModeReunion, workload.Apache()
+//	res, err := reunion.Run(o)
 //	fmt.Println(res.UserIPC, res.IncoherenceEvents)
 //
 // See README.md for an overview and the CLI commands, DESIGN.md for the

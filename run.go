@@ -9,40 +9,40 @@ import (
 	"reunion/internal/workload"
 )
 
-// Options configures one measured simulation run.
+// Options configures one measured simulation run. Start from
+// DefaultOptions: every field runs as given, zero included.
 type Options struct {
-	// Mode selects the execution model (default ModeNonRedundant).
+	// Mode selects the execution model (DefaultOptions: non-redundant).
 	Mode Mode
 	// Workload is the program profile to run (see internal/workload.Suite).
 	Workload workload.Params
-	// Threads is the number of logical processors (default 4, Table 1).
+	// Threads is the number of logical processors (DefaultOptions: 4).
 	Threads int
 	// Seed drives workload generation; matched-pair comparisons run the
 	// same seed under different modes.
 	Seed uint64
-	// CompareLatency overrides the one-way comparison latency. The zero
-	// value means the default of 10 cycles (Figure 5); pass ZeroLatency
-	// for a literal zero-cycle latency (Figure 6's leftmost points).
+	// CompareLatency is the one-way comparison latency in cycles
+	// (DefaultOptions: 10, Figure 5; Figure 6 starts at 0).
 	CompareLatency int64
-	// Phantom selects the phantom request strength (default global).
+	// Phantom selects the phantom request strength (DefaultOptions: global).
 	Phantom Phantom
-	// TLB selects hardware- or software-managed TLBs (default hardware,
-	// as in the paper's headline results).
+	// TLB selects hardware- or software-managed TLBs (DefaultOptions:
+	// hardware, as in the paper's headline results).
 	TLB TLBMode
-	// Consistency selects TSO (default) or SC.
+	// Consistency selects TSO (DefaultOptions) or SC.
 	Consistency Consistency
 	// FPInterval sets the fingerprint comparison interval in instructions
-	// (default 1: compare every instruction, as the paper does).
+	// (DefaultOptions: 1, every instruction, as the paper does).
 	FPInterval int
-	// WarmCycles and MeasureCycles size the sampling window (defaults
-	// 100k/50k, the paper's §5 methodology; a negative count is an error).
+	// WarmCycles and MeasureCycles size the sampling window
+	// (DefaultOptions: 100k/50k, the paper's §5 methodology).
 	WarmCycles    int64
 	MeasureCycles int64
 	// NoPrefill skips the warmed-checkpoint cache/TLB prefill.
 	NoPrefill bool
 	// Config optionally overrides the whole machine configuration.
 	Config *Config
-	// Kernel selects the simulation kernel (default KernelFastForward).
+	// Kernel selects the simulation kernel (DefaultOptions: fastforward).
 	// Both kernels are bit-identical in results; KernelNaive ticks every
 	// component every cycle and exists for A/B verification and as a
 	// reference for new tickable components.
@@ -53,24 +53,26 @@ type Options struct {
 	// check on core Inject.Core is flipped, arming Inject.Cycle cycles
 	// after the measurement window starts.
 	Inject *fault.Injection
-	// CommitTarget, when nonzero, switches the measurement phase from a
+	// CommitTarget, when positive, switches the measurement phase from a
 	// fixed cycle window to "run until every vocal core has committed this
 	// many instructions", latching each core's commit digest exactly at
-	// that boundary. Fault trials are classified on this digest: a
-	// recovered run loses cycles, not instructions, so only an
-	// instruction-precise boundary compares corruption rather than timing.
+	// that boundary (DefaultOptions: 0, the fixed window). Fault trials
+	// are classified on this digest: a recovered run loses cycles, not
+	// instructions, so only an instruction-precise boundary compares
+	// corruption rather than timing.
 	CommitTarget int64
 	// TrialDeadline bounds the measurement phase in cycles when
-	// CommitTarget is set (default 200k). A trial past its deadline is a
-	// terminal DUE outcome, never a retry. Neither may be negative.
+	// CommitTarget is set (DefaultOptions: 200k). A trial past its
+	// deadline is a terminal DUE outcome, never a retry.
 	TrialDeadline int64
 
 	// TraceEvents, when positive, attaches a kernel-event ring of that
 	// capacity (recovery and comparison-mismatch events) for the
 	// measurement phase and returns its formatted dump in
-	// Result.TraceDump. Diagnostics only: it is deliberately excluded
-	// from the warm, golden, and checkpoint keys — a traced run shares
-	// warm state with untraced runs and produces bit-identical results.
+	// Result.TraceDump (DefaultOptions: 0, none). Diagnostics only: it is
+	// deliberately excluded from the warm, golden, and checkpoint keys —
+	// a traced run shares warm state with untraced runs and produces
+	// bit-identical results.
 	TraceEvents int
 
 	// Warm, when set, reuses checkpointed warm state across runs: the
@@ -87,37 +89,49 @@ type Options struct {
 	Warm *WarmCache
 }
 
-// ZeroLatency requests a literal zero-cycle comparison latency (the zero
-// value of Options.CompareLatency means "default").
-const ZeroLatency int64 = -1
+// DefaultOptions returns the paper's evaluation setup: the Table 1
+// machine (4 logical processors, 10-cycle comparison latency, a
+// fingerprint compared every instruction), the §5 sampling window and
+// seed 0x5eed. It is the one place a default is written: a zero in
+// Options is never replaced by one.
+func DefaultOptions() Options {
+	cfg := DefaultConfig()
+	return Options{
+		Threads:        cfg.LogicalProcessors,
+		Seed:           0x5eed,
+		CompareLatency: cfg.CompareLatency,
+		FPInterval:     cfg.Core.FPInterval,
+		WarmCycles:     100_000,
+		MeasureCycles:  50_000,
+		TrialDeadline:  200_000,
+	}
+}
 
-func (o Options) withDefaults() Options {
-	if o.Threads == 0 {
-		o.Threads = 4
+// Validate is the one range check of Options, which Run, TrialRunner and
+// the CLIs' matrix builders reach. A value that can run (seed 0, a
+// zero-cycle latency) runs as given; one that cannot is an error.
+func (o Options) Validate() error {
+	if !o.Phantom.Valid() {
+		return fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Phantom)
 	}
-	if o.Seed == 0 {
-		o.Seed = 0x5eed
+	for _, c := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"threads", int64(o.Threads), 1},
+		{"comparison latency", o.CompareLatency, 0},
+		{"fingerprint interval", int64(o.FPInterval), 1},
+		{"warm cycles", o.WarmCycles, 1},
+		{"measure cycles", o.MeasureCycles, 1},
+		{"commit target", o.CommitTarget, 0},
+		{"trial deadline", o.TrialDeadline, 1},
+		{"trace events", int64(o.TraceEvents), 0},
+	} {
+		if c.v < c.min {
+			return fmt.Errorf("reunion: %s %d is below %d", c.name, c.v, c.min)
+		}
 	}
-	// ZeroLatency stays a sentinel here (buildSystem maps it to a literal
-	// zero): folding it to 0 would make defaulting non-idempotent, and
-	// the checkpoint key re-derives defaults on already-defaulted options
-	// — a zero-latency cell must never hash like a default-latency one.
-	if o.CompareLatency == 0 {
-		o.CompareLatency = 10
-	}
-	if o.FPInterval == 0 {
-		o.FPInterval = 1
-	}
-	if o.WarmCycles == 0 {
-		o.WarmCycles = 100_000
-	}
-	if o.MeasureCycles == 0 {
-		o.MeasureCycles = 50_000
-	}
-	if o.TrialDeadline == 0 {
-		o.TrialDeadline = 200_000
-	}
-	return o
+	return nil
 }
 
 // Result reports the measured statistics of one run.
@@ -191,20 +205,9 @@ type Result struct {
 // With Options.Warm set, the build/prefill/warm phase is served from the
 // checkpointed warm-state cache (bit-identical results, less host time).
 func Run(o Options) (Result, error) {
-	if !o.Phantom.Valid() {
-		return Result{}, fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Phantom)
+	if err := o.Validate(); err != nil {
+		return Result{}, err
 	}
-	if o.CompareLatency < ZeroLatency {
-		return Result{}, fmt.Errorf("reunion: comparison latency %d is negative (ZeroLatency is a zero-cycle latency)", o.CompareLatency)
-	}
-	if o.FPInterval < 0 {
-		return Result{}, fmt.Errorf("reunion: fingerprint interval %d is negative", o.FPInterval)
-	}
-	if o.WarmCycles < 0 || o.MeasureCycles < 0 || o.TrialDeadline < 0 || o.CommitTarget < 0 {
-		return Result{}, fmt.Errorf("reunion: negative count in warm cycles %d, measure cycles %d, trial deadline %d, commit target %d (0 means the default)",
-			o.WarmCycles, o.MeasureCycles, o.TrialDeadline, o.CommitTarget)
-	}
-	o = o.withDefaults()
 	if o.Warm != nil {
 		return o.Warm.run(o)
 	}
@@ -221,9 +224,6 @@ func buildSystem(o Options) *System {
 		cfg = *o.Config
 	}
 	cfg.CompareLatency = o.CompareLatency
-	if o.CompareLatency == ZeroLatency {
-		cfg.CompareLatency = 0
-	}
 	cfg.L2.Phantom = o.Phantom
 	cfg.Core.TLB.Mode = o.TLB
 	cfg.Core.Consistency = o.Consistency

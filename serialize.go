@@ -101,7 +101,7 @@ func ckptSizeHint(cp *Checkpoint) int {
 // warmKey covers, including the kernel and any config override — into
 // the content-address a checkpoint store files the blob under.
 func CheckpointKey(o Options) uint64 {
-	return dist.Fingerprint("reunion-ckpt", warmKey(o.withDefaults()))
+	return dist.Fingerprint("reunion-ckpt", warmKey(o))
 }
 
 // ckptDesc is a pending event's descriptor as the wire sees it: a walk

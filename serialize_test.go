@@ -13,6 +13,7 @@ import (
 	"reunion/internal/coherence"
 	"reunion/internal/core"
 	"reunion/internal/cpu"
+	"reunion/internal/dist"
 	"reunion/internal/fault"
 	"reunion/internal/mem"
 	"reunion/internal/sim"
@@ -46,14 +47,10 @@ func resealCheckpoint(t *testing.T, blob []byte, mutate func([]byte)) []byte {
 func coldOpts(topo Topology, mode Mode, kern Kernel) Options {
 	cfg := DefaultConfig()
 	cfg.Topology = topo
-	return Options{
-		Mode:       mode,
-		Workload:   workload.Apache(),
-		Seed:       7,
-		WarmCycles: 6_000,
-		Config:     &cfg,
-		Kernel:     kern,
-	}.withDefaults()
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, workload.Apache(), 7, 6_000
+	o.Config, o.Kernel = &cfg, kern
+	return o
 }
 
 // warmAndMeasure is the in-process reference: warm, snapshot, measure.
@@ -189,7 +186,8 @@ func TestCheckpointEncodeDeterministic(t *testing.T) {
 // every append, and decoding sizes each slice from the length it has just
 // read, so each side allocates about one blob's worth of bytes per call.
 func TestCheckpointCodecAllocatesOnce(t *testing.T) {
-	o := Options{Mode: ModeReunion, Workload: tinyWorkload(), Seed: 1, WarmCycles: 3_000}.withDefaults()
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Seed, o.WarmCycles = ModeReunion, tinyWorkload(), 1, 3_000
 	key := CheckpointKey(o)
 	cp := warmSystem(o).Snapshot()
 	blob, err := EncodeCheckpoint(cp, key)
@@ -223,28 +221,23 @@ func TestCheckpointCodecAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeyZeroLatency pins the defaulting-idempotence contract
-// behind CheckpointKey: the key is derived from re-defaulted options (a
-// WarmCache sees them already defaulted), so applying defaults twice
-// must be a no-op. The historical hazard: folding the ZeroLatency
-// sentinel to a literal 0 made a second pass read it as "unset" and
-// default it to 10 — a zero-latency cell's store key collided with its
-// default-latency sibling, and a fetched checkpoint restored the wrong
-// machine.
-func TestCheckpointKeyZeroLatency(t *testing.T) {
+// TestCheckpointKeyZeroCycleLatency: a zero-cycle comparison latency is a
+// value of its own, and the checkpoint key hashes the options as given.
+// The historical hazard: when a zero latency meant "default", a
+// zero-latency cell's store key collided with its default-latency
+// sibling's, and a fetched checkpoint restored the wrong machine.
+func TestCheckpointKeyZeroCycleLatency(t *testing.T) {
 	zero := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
-	zero.CompareLatency = ZeroLatency
+	zero.CompareLatency = 0
 	ten := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
 	if CheckpointKey(zero) == CheckpointKey(ten) {
 		t.Error("zero-latency and default-latency cells share a checkpoint key")
 	}
-	once := zero.withDefaults()
-	twice := once.withDefaults()
-	if once != twice {
-		t.Errorf("withDefaults is not idempotent:\nonce:  %+v\ntwice: %+v", once, twice)
+	if got, want := CheckpointKey(zero), dist.Fingerprint("reunion-ckpt", warmKey(zero)); got != want {
+		t.Errorf("CheckpointKey %#x does not hash the options as given (%#x)", got, want)
 	}
-	if CheckpointKey(zero) != CheckpointKey(once) {
-		t.Error("CheckpointKey of raw and defaulted options disagree")
+	if buildSystem(zero).Cfg.CompareLatency != 0 {
+		t.Error("a zero-latency cell does not build a zero-latency machine")
 	}
 }
 

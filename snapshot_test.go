@@ -145,13 +145,9 @@ func TestWarmCacheRunEquivalence(t *testing.T) {
 		if mode == ModeNonRedundant {
 			core = 0
 		}
-		golden := Options{
-			Mode:         mode,
-			Workload:     workload.Apache(),
-			Seed:         17,
-			WarmCycles:   6_000,
-			CommitTarget: 1_200,
-		}
+		golden := DefaultOptions()
+		golden.Mode, golden.Workload, golden.Seed = mode, workload.Apache(), 17
+		golden.WarmCycles, golden.CommitTarget = 6_000, 1_200
 		injected := golden
 		injected.Inject = &fault.Injection{Cycle: 700, Core: core, Bit: 13}
 
@@ -190,12 +186,8 @@ func TestWarmCacheRunEquivalence(t *testing.T) {
 // injections over a single key.
 func TestWarmCacheMeasureWindows(t *testing.T) {
 	warm := NewWarmCache()
-	base := Options{
-		Mode:       ModeReunion,
-		Workload:   workload.DSSQ1(),
-		Seed:       5,
-		WarmCycles: 6_000,
-	}
+	base := DefaultOptions()
+	base.Mode, base.Workload, base.Seed, base.WarmCycles = ModeReunion, workload.DSSQ1(), 5, 6_000
 	for _, measure := range []int64{3_000, 7_000} {
 		fresh := base
 		fresh.MeasureCycles = measure
@@ -226,9 +218,11 @@ func TestWarmCacheMeasureWindows(t *testing.T) {
 func TestSnapshotSweepJSONL(t *testing.T) {
 	var out [2]bytes.Buffer
 	for i, warm := range []*WarmCache{nil, NewWarmCache()} {
+		base := DefaultOptions()
+		base.Seed, base.WarmCycles, base.MeasureCycles, base.Warm = 3, 5_000, 5_000, warm
 		spec := sweep.Spec[Options]{
 			Name: "snapshot-ab",
-			Base: Options{Seed: 3, WarmCycles: 5_000, MeasureCycles: 5_000, Warm: warm},
+			Base: base,
 			Axes: []sweep.Axis[Options]{
 				sweep.NewAxis("workload", []workload.Params{workload.Apache(), workload.DSSQ1()},
 					func(p workload.Params) string { return p.Name },
