@@ -111,21 +111,6 @@ func TestCollectRates(t *testing.T) {
 	}
 }
 
-func TestFigure5ClassMean(t *testing.T) {
-	f := &Figure5Result{Rows: []WorkloadRow{
-		{Workload: "a", Class: workload.Web, Values: map[string]float64{"strict": 0.9}},
-		{Workload: "b", Class: workload.Web, Values: map[string]float64{"strict": 0.4}},
-		{Workload: "c", Class: workload.OLTP, Values: map[string]float64{"strict": 0.7}},
-	}}
-	got := f.ClassMean(workload.Web, "strict")
-	if got < 0.59 || got > 0.61 { // geomean(0.9, 0.4) = 0.6
-		t.Fatalf("class mean %v", got)
-	}
-	if f.ClassMean(workload.DSS, "strict") != 0 {
-		t.Fatal("empty class mean")
-	}
-}
-
 func TestQuickAndFullCampaignSizing(t *testing.T) {
 	q, fl := QuickExp(io.Discard), FullExp(io.Discard)
 	if len(q.Seeds) >= len(fl.Seeds) {

@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	runTrial := reunion.TrialRunner(spec.Model, warmCache)
 
-	plan, err := rf.Plan(spec.Name, spec.Matrix.Size()*spec.Trials, planParts(spec)...)
+	plan, err := rf.Plan(spec.Matrix.Name, spec.Matrix.Size()*spec.Trials, planParts(spec)...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -237,7 +237,6 @@ func planParts(spec campaign.Spec[reunion.Options]) []string {
 func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 	warm, target, deadline int64, totalTrials, traceDump int, campSeed uint64) (campaign.Spec[reunion.Options], error) {
 	spec := campaign.Spec[reunion.Options]{
-		Name: "inject",
 		Seed: campSeed,
 		// Cells differing only in execution model or phantom strength face
 		// the same fault stream.
@@ -285,9 +284,8 @@ func buildSpec(modes, workloads, phantoms, seeds, bits, window string,
 		WindowLo: winLo, WindowHi: winHi,
 	}
 
-	if err := spec.Validate(); err != nil {
-		return spec, err
+	if n := spec.Matrix.Size(); n > 0 { // an empty matrix fails Validate
+		spec.Trials = max(totalTrials/n, 1)
 	}
-	spec.Trials = max(totalTrials/spec.Matrix.Size(), 1)
-	return spec, nil
+	return spec, spec.Validate()
 }

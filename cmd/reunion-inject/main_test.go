@@ -59,6 +59,10 @@ func TestBuildSpecRejectsBadValues(t *testing.T) {
 		{"bits", "reunion", "apache", "global", "1", "63-0", ""},
 		{"window", "reunion", "apache", "global", "1", "0-63", "50-10"},
 		{"empty window", "reunion", "apache", "global", "1", "0-63", "100-100"},
+		{"empty workloads", "reunion", "", "global", "1", "0-63", ""},
+		{"empty modes", ",", "apache", "global", "1", "0-63", ""},
+		{"empty phantoms", "reunion", "apache", "", "1", "0-63", ""},
+		{"empty seeds", "reunion", "apache", "global", "", "0-63", ""},
 	}
 	for _, c := range cases {
 		if _, err := buildSpec(c.modes, c.workloads, c.phantoms, c.seeds, c.bits,

@@ -1,18 +1,21 @@
 // Command reunion-sweep runs the paper's experiments. It has two forms.
 //
 // With -experiment it prints one table or figure of the paper's
-// evaluation (§5), or the §4.1, §4.3, §5.2 and §5.5 ablations, by name:
+// evaluation (§5), or the §4.1, §4.3, §5.2 and §5.5 ablations, by name,
+// followed by the paper's claims about it, one "claim" line each with
+// the measured value, its bound, the margin and whether it holds:
 //
-//	reunion-sweep -experiment fig6b
+//	reunion-sweep -experiment fig6
 //	reunion-sweep -experiment all        # every table, in paper order
 //	reunion-sweep -experiment all -full  # paper-scale sampling (slower)
 //
-// The names are config, workloads, fig5, fig6a, fig6b, table3, fig7a,
-// fig7b, sc, interval, rob and topology. Tables go to stdout and each
-// experiment's run time to stderr, so stdout is byte-identical at any
-// -parallel. An experiment fixes its own matrix and output, so the axis
-// flags, -warm, -measure, -out, -format, -shard, -journal, -resume and
-// -ckpt-store are usage errors with it.
+// The names are config, workloads, fig5, fig6, table3, fig7a, fig7b, sc,
+// interval, rob and topology (reunion.Experiments). The default scale is
+// the one TestExperimentShapes checks. Tables and claims go to stdout
+// and each experiment's run time to stderr, so stdout is byte-identical
+// at any -parallel. An experiment fixes its own matrix and output, so
+// the axis flags, -warm, -measure, -out, -format, -shard, -journal,
+// -resume and -ckpt-store are usage errors with it.
 //
 // Without -experiment it runs the raw matrix — the cross product of
 // every axis flag — on a worker pool and writes one record per run:

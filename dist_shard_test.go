@@ -156,7 +156,6 @@ func TestShardedSweepKillResumeByteIdentical(t *testing.T) {
 
 func shardCampaignSpec() campaign.Spec[Options] {
 	return campaign.Spec[Options]{
-		Name: "shard-e2e",
 		Matrix: sweep.Spec[Options]{
 			Name: "shard-e2e",
 			Base: injectTestOptions(),
@@ -197,7 +196,7 @@ func TestShardedCampaignKillResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, nshards)
 	for s := 0; s < nshards; s++ {
-		plan := shardPlan(t, spec.Name, total, s, nshards)
+		plan := shardPlan(t, spec.Matrix.Name, total, s, nshards)
 		paths[s] = filepath.Join(dir, fmt.Sprintf("trialshard-%d.jsonl", s))
 		jnl, err := dist.Create(paths[s], plan)
 		if err != nil {

@@ -1,238 +1,196 @@
 package reunion
 
 import (
+	"cmp"
 	"io"
-	"math"
+	"slices"
 	"testing"
 
 	"reunion/internal/workload"
 )
 
-// TestExperimentShapes asserts the qualitative results of the paper's
-// evaluation at quick-campaign scale — the "shape" contract of the
-// reproduction:
-//
-//  1. Checking overhead grows with comparison latency (Figure 6a).
-//  2. Reunion never meaningfully beats the Strict oracle, and both
-//     converge toward the same trend at large latencies (Figure 6b).
-//  3. Input incoherence under global phantoms is orders of magnitude
-//     rarer than under shared/null, and rarer than TLB misses (Table 3).
-//  4. Weak phantom strengths collapse performance (Figure 7a).
-//  5. Software-managed TLBs cost more than hardware-managed ones under
-//     redundant execution at high latency (Figure 7b).
-//  6. Sequential consistency collapses performance at high comparison
-//     latency (§5.5).
-//  7. Redundancy costs performance at a 10-cycle latency, and Reunion
-//     does not beat Strict there either (Figure 5).
-//  8. Larger speculation windows recover scientific workloads but leave
-//     commercial ones limited (§5.2).
-//  9. Reunion's commercial overhead persists on a snoopy bus (§4.1).
-//
-// Every subtest logs its headline values with the margin to the bound
-// it asserts.
+// TestExperimentShapes runs every paper experiment at quick-campaign
+// scale, the scale `reunion-sweep -experiment` prints, and fails on each
+// claim that does not hold: the "shape" contract of the reproduction.
+// Every claim is logged with its margin (go test -v).
 func TestExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := ExpConfig{
-		Seeds:         DefaultSeeds(1),
-		WarmCycles:    25_000,
-		MeasureCycles: 20_000,
-		Table3Cycles:  60_000,
-		Out:           io.Discard,
-		base:          newMemo[Result](),
-	}
-
-	t.Run("figure6-latency-sensitivity", func(t *testing.T) {
-		strict, err := cfg.Figure6(ModeStrict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reun, err := cfg.Figure6(ModeReunion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cls := range workload.Classes() {
-			s := strict.Series[cls]
-			r := reun.Series[cls]
-			if s[0] < 0.93 {
-				t.Errorf("%s: strict at zero latency %.3f; should be near 1.0", cls, s[0])
+	cfg := QuickExp(io.Discard)
+	for _, e := range Experiments {
+		t.Run(cmp.Or(shapeSubtests[e.Name], e.Name), func(t *testing.T) {
+			claims, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if s[len(s)-1] > s[0]+0.02 {
-				t.Errorf("%s: strict does not degrade with latency: %.3f -> %.3f", cls, s[0], s[len(s)-1])
-			}
-			if r[len(r)-1] > r[0]+0.02 {
-				t.Errorf("%s: reunion does not degrade with latency: %.3f -> %.3f", cls, r[0], r[len(r)-1])
-			}
-			// Reunion never meaningfully beats the oracle.
-			for i := range s {
-				if r[i] > s[i]+0.05 {
-					t.Errorf("%s @%dc: reunion %.3f beats strict oracle %.3f", cls, strict.Latencies[i], r[i], s[i])
+			for _, c := range claims {
+				if c.Holds() {
+					t.Log(c)
+				} else {
+					t.Error(c)
 				}
 			}
-		}
-	})
+		})
+	}
+}
 
-	t.Run("table3-incoherence-ordering", func(t *testing.T) {
-		res, err := cfg.Table3()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g, sh, nl, tlb float64
-		for _, row := range res.Rows {
-			g += row.IncoherencePerM["global"]
-			sh += row.IncoherencePerM["shared"]
-			nl += row.IncoherencePerM["null"]
-			tlb += row.TLBMissPerM
-		}
-		if !(g < sh && sh <= nl*1.5) {
-			t.Errorf("incoherence ordering violated: global=%.1f shared=%.1f null=%.1f", g, sh, nl)
-		}
-		if g > sh/20 {
-			t.Errorf("global (%.1f) not orders of magnitude rarer than shared (%.1f)", g, sh)
-		}
-		if g > tlb {
-			t.Errorf("global incoherence (%.1f/M) more frequent than TLB misses (%.1f/M)", g/11, tlb/11)
-		}
-	})
+// shapeSubtests names each claiming experiment's subtest after the
+// result its claims check, the test ids TestExperimentShapes has always
+// reported; the two parameter tables run under their -experiment names.
+var shapeSubtests = map[string]string{
+	"fig5":     "figure5-redundancy-costs",
+	"fig6":     "figure6-latency-sensitivity",
+	"table3":   "table3-incoherence-ordering",
+	"fig7a":    "figure7a-weak-phantoms-collapse",
+	"fig7b":    "figure7b-software-tlb-costs-more",
+	"sc":       "sc-store-serialization",
+	"interval": "interval-ablation-flat",
+	"rob":      "rob-window-relieves-occupancy-only",
+	"topology": "topology-overhead-carries-over",
+}
 
-	t.Run("figure7a-weak-phantoms-collapse", func(t *testing.T) {
-		res, err := cfg.Figure7a()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g, n float64
-		for _, row := range res.Rows {
-			g += row.Values["global"]
-			n += row.Values["null"]
-		}
-		k := float64(len(res.Rows))
-		if g/k < 0.8 {
-			t.Errorf("global phantom average %.3f; should be near baseline", g/k)
-		}
-		if n/k > 0.75*g/k {
-			t.Errorf("null phantom average %.3f does not collapse vs global %.3f", n/k, g/k)
-		}
-	})
-
-	t.Run("figure7b-software-tlb-costs-more", func(t *testing.T) {
-		res, err := cfg.Figure7b()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := len(res.Latencies) - 1
-		if res.Software[last] > res.Hardware[last]+0.01 {
-			t.Errorf("software TLB @40c (%.3f) not costlier than hardware (%.3f)",
-				res.Software[last], res.Hardware[last])
-		}
-	})
-
-	t.Run("sc-store-serialization", func(t *testing.T) {
-		res, err := cfg.SCExperiment()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := len(res.Latencies) - 1
-		if res.SC[last] > res.TSO[last]-0.05 {
-			t.Errorf("SC @40c (%.3f) does not collapse vs TSO (%.3f)", res.SC[last], res.TSO[last])
-		}
-	})
-
-	t.Run("interval-ablation-flat", func(t *testing.T) {
-		res, err := cfg.FPIntervalAblation()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := res.Reunion[0], res.Reunion[0]
-		for _, v := range res.Reunion {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
+// TestClaimOps: a value equal to its bound holds a non-strict bound and
+// fails a strict one; a noted value is never a failure, and a claim
+// without a known op (the zero op, a mistyped one) never holds.
+func TestClaimOps(t *testing.T) {
+	for _, c := range []struct {
+		op                   op
+		lower, equal, higher bool
+	}{
+		{atMost, true, true, false},
+		{below, true, false, false},
+		{atLeast, false, true, true},
+		{above, false, false, true},
+		{noted, true, true, true},
+		{"", false, false, false},
+		{"=<", false, false, false},
+	} {
+		for i, v := range []float64{0.4, 0.5, 0.6} {
+			got := Claim{Value: v, op: c.op, Bound: 0.5}.Holds()
+			if want := []bool{c.lower, c.equal, c.higher}[i]; got != want {
+				t.Errorf("%.1f %q 0.5 holds %v, want %v", v, c.op, got, want)
 			}
 		}
-		for i, iv := range res.Intervals {
-			t.Logf("interval %2d: %.3f", iv, res.Reunion[i])
+	}
+	for v, want := range map[float64]bool{-0.6: false, -0.5: true, 0.5: true, 0.6: false} {
+		if got := (Claim{Value: v, op: within, Bound: 0.5}).Holds(); got != want {
+			t.Errorf("|%.1f| within 0.5 holds %v, want %v", v, got, want)
 		}
-		t.Logf("spread %.3f, margin %.3f to the 0.08 bound", hi-lo, 0.08-(hi-lo))
-		// The paper: intervals of 1 and 50 are performance-insignificant.
-		if hi-lo > 0.08 {
-			t.Errorf("interval sensitivity too large: %.3f..%.3f", lo, hi)
-		}
-	})
+	}
+}
 
-	t.Run("figure5-redundancy-costs", func(t *testing.T) {
-		res, err := cfg.Figure5()
-		if err != nil {
-			t.Fatal(err)
+// TestClaimsBiteOneAtATime feeds each experiment's claim function outputs
+// that hold every claim, then outputs that break exactly one bound, which
+// must be the one claim reported as not holding. No simulation runs.
+func TestClaimsBiteOneAtATime(t *testing.T) {
+	nw := len(workload.Suite())
+	rep := func(n int, vs ...float64) []float64 { // vs repeated n times
+		var out []float64
+		for range n {
+			out = append(out, vs...)
 		}
-		for _, r := range res.Rows {
-			s, u := r.Values["strict"], r.Values["reunion"]
-			t.Logf("%-12s strict %.3f (margin %.3f to 1.02), reunion %.3f (margin %.3f to strict+0.05)",
-				r.Workload, s, 1.02-s, u, s+0.05-u)
-			if s > 1.02 || u > 1.02 {
-				t.Errorf("%s: redundant execution beats the baseline: strict %.3f reunion %.3f", r.Workload, s, u)
+		return out
+	}
+	with := func(xs []float64, i int, v float64) []float64 {
+		xs = slices.Clone(xs)
+		xs[i] = v
+		return xs
+	}
+	fig5 := rep(nw, 0.9, 0.88)
+	fig6 := func(strict0, strict40, reun0, reun20, reun40 float64) []Claim {
+		strict := [][]float64{{strict0, 0.98, 0.97, 0.96, strict40}}
+		reun := [][]float64{{reun0, 0.94, reun20, 0.92, reun40}}
+		for range workload.Classes()[1:] {
+			strict = append(strict, []float64{0.99, 0.98, 0.97, 0.96, 0.95})
+			reun = append(reun, []float64{0.95, 0.94, 0.93, 0.92, 0.9})
+		}
+		return figure6Claims(strict, reun)
+	}
+	table3 := func(g0, sh0, tlb float64) []Claim {
+		var runs []Result
+		for wi := range nw {
+			g, sh := 0.1, 100.0
+			if wi == 0 {
+				g, sh = g0, sh0
 			}
-			if u > s+0.05 {
-				t.Errorf("%s: reunion %.3f beats strict oracle %.3f", r.Workload, u, s)
-			}
+			runs = append(runs, Result{IncoherencePerM: g, TLBMissPerM: tlb},
+				Result{IncoherencePerM: sh}, Result{IncoherencePerM: 100})
 		}
-		for _, cls := range workload.Classes() {
-			t.Logf("avg %-10s strict %.3f reunion %.3f", cls, res.ClassMean(cls, "strict"), res.ClassMean(cls, "reunion"))
+		return table3Claims(runs)
+	}
+	zeroGlobalShared := func() []Claim { // global = shared = 0 summed
+		var runs []Result
+		for range nw {
+			runs = append(runs, Result{TLBMissPerM: 1000}, Result{}, Result{IncoherencePerM: 100})
 		}
-	})
+		return table3Claims(runs)
+	}
+	fig7a := rep(nw, 0.9, 0.7, 0.5)
+	lat := func(hi, lo float64) [][]float64 {
+		return [][]float64{{0.95, 0.94, 0.93, 0.92, hi}, {0.94, 0.92, 0.9, 0.88, lo}}
+	}
+	interval := []float64{0.935, 0.931, 0.922, 0.895}
+	robComm, robSci := []float64{0.5, 0.52, 0.53, 0.54}, []float64{0.6, 0.7, 0.8, 0.9}
+	topoComm, topoSci := []float64{0.935, 0.938}, []float64{0.935, 0.853}
 
-	t.Run("rob-window-relieves-occupancy-only", func(t *testing.T) {
-		res, err := cfg.ROBSweep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, sz := range res.Sizes {
-			t.Logf("window %4d: commercial %.3f scientific %.3f", sz, res.Commercial[i], res.Scientific[i])
-		}
-		last := len(res.Sizes) - 1
-		sciGain := res.Scientific[last] - res.Scientific[0]
-		commGain := res.Commercial[last] - res.Commercial[0]
-		t.Logf("scientific gain %.3f (margin %.3f over 0), commercial gain %.3f (margin %.3f under scientific's)",
-			sciGain, sciGain, commGain, sciGain-commGain)
-		t.Logf("at window %d: commercial %.3f, margin %.3f under scientific",
-			res.Sizes[last], res.Commercial[last], res.Scientific[last]-res.Commercial[last])
-		if sciGain <= 0 {
-			t.Errorf("scientific does not recover with a larger window: %.3f -> %.3f", res.Scientific[0], res.Scientific[last])
-		}
-		if commGain >= sciGain {
-			t.Errorf("commercial gains %.3f from a larger window, no less than scientific's %.3f", commGain, sciGain)
-		}
-		if res.Commercial[last] >= res.Scientific[last] {
-			t.Errorf("commercial %.3f not limited below scientific %.3f at window %d",
-				res.Commercial[last], res.Scientific[last], res.Sizes[last])
-		}
-	})
+	for _, c := range []struct {
+		breaks string // "": every claim holds
+		claims []Claim
+	}{
+		{"", figure5Claims(fig5)},
+		{"", figure5Claims(with(with(fig5, 0, 1.02), 1, 1.02))}, // equal to non-strict bounds
+		{"apache: strict vs baseline + 0.02", figure5Claims(with(fig5, 0, 1.03))},
+		{"apache: reunion vs baseline + 0.02", figure5Claims(with(with(fig5, 0, 1.0), 1, 1.03))},
+		{"apache: reunion vs strict + 0.05", figure5Claims(with(fig5, 1, 0.96))},
 
-	t.Run("topology-overhead-carries-over", func(t *testing.T) {
-		res, err := cfg.TopologyAblation()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, topo := range res.Topologies {
-			t.Logf("%-10s commercial %.3f (margin %.3f under 1), scientific %.3f (margin %.3f under 1)",
-				topo, res.Commercial[i], 1-res.Commercial[i], res.Scientific[i], 1-res.Scientific[i])
-			if res.Commercial[i] >= 1 || res.Scientific[i] >= 1 {
-				t.Errorf("%s: no redundancy overhead: commercial %.3f scientific %.3f",
-					topo, res.Commercial[i], res.Scientific[i])
+		{"", fig6(0.99, 0.95, 0.95, 0.93, 0.9)},
+		{"", fig6(0.93, 0.95, 0.95, 0.93, 0.9)}, // equal to a non-strict bound
+		{"Web: strict at 0c", fig6(0.92, 0.93, 0.95, 0.93, 0.9)},
+		{"Web: strict at 40c vs at 0c + 0.02", fig6(0.99, 1.02, 0.95, 0.93, 0.9)},
+		{"Web: reunion at 40c vs at 0c + 0.02", fig6(0.99, 0.95, 0.95, 0.93, 0.98)},
+		{"Web: reunion vs strict + 0.05 at 20c", fig6(0.99, 0.95, 0.95, 1.03, 0.9)},
+
+		{"", table3(0.1, 100, 1000)},
+		{"global vs shared incoherence per M", zeroGlobalShared()}, // equal to a strict bound
+		{"shared vs null x 1.5", table3(0.1, 1000, 1000)},
+		{"global vs shared / 20", table3(60, 100, 1000)},
+		{"global incoherence vs TLB misses per M", table3(0.1, 100, 0.05)},
+
+		{"", figure7aClaims(fig7a)},
+		{"mean global", figure7aClaims(rep(nw, 0.7, 0.7, 0.5))},
+		{"mean null vs mean global x 0.75", figure7aClaims(rep(nw, 0.9, 0.7, 0.7))},
+
+		{"", figure7bClaims(lat(0.91, 0.86))},
+		{"software vs hardware TLB + 0.01 at 40c", figure7bClaims(lat(0.91, 0.93))},
+		{"", scClaims(lat(0.91, 0.8))},
+		{"SC vs TSO - 0.05 at 40c", scClaims(lat(0.91, 0.87))},
+
+		{"", intervalClaims(interval)},
+		{"spread over intervals", intervalClaims(with(interval, 3, 0.85))},
+
+		{"", robClaims(robComm, robSci)},
+		{"scientific gain from the largest window", robClaims(with(robComm, 3, 0.45), with(robSci, 3, 0.6))}, // equal to a strict bound
+		{"commercial gain vs scientific gain", robClaims(with(robComm, 3, 0.8), robSci)},
+		{"commercial vs scientific at window 4096", robClaims([]float64{0.9, 0.91, 0.93, 0.95}, robSci)},
+
+		{"", topologyClaims(topoComm, topoSci)},
+		{"directory: commercial vs baseline", topologyClaims([]float64{1, 0.99}, topoSci)}, // equal to a strict bound
+		{"snoopy: scientific vs baseline", topologyClaims(topoComm, with(topoSci, 1, 1))},
+		{"commercial snoopy - directory", topologyClaims(with(topoComm, 1, 0.85), topoSci)},
+	} {
+		var failing []string
+		for _, cl := range c.claims {
+			if !cl.Holds() {
+				failing = append(failing, cl.Name)
 			}
 		}
-		// The commercial overhead is the same on both organizations. The
-		// scientific one is not (0.935 directory, 0.853 snoopy at seed 1),
-		// so the paper's "carries over" is asserted for commercial only.
-		d := res.Commercial[1] - res.Commercial[0]
-		ds := res.Scientific[1] - res.Scientific[0]
-		t.Logf("commercial snoopy-directory %+.3f, margin %.3f to ±0.05", d, 0.05-math.Abs(d))
-		t.Logf("scientific snoopy-directory %+.3f, margin %.3f to ±0.05 (not asserted)", ds, 0.05-math.Abs(ds))
-		if math.Abs(d) > 0.05 {
-			t.Errorf("commercial overhead does not carry over: directory %.3f snoopy %.3f",
-				res.Commercial[0], res.Commercial[1])
+		want := []string{c.breaks}
+		if c.breaks == "" {
+			want = nil
 		}
-	})
+		if !slices.Equal(failing, want) {
+			t.Errorf("want only %q to fail, got %q", c.breaks, failing)
+		}
+	}
 }

@@ -106,7 +106,6 @@ func TestCampaignEndToEnd(t *testing.T) {
 	model := campaign.FaultModel{BitHi: 63, WindowHi: 400}
 	eng := campaign.Engine[Options]{
 		Spec: campaign.Spec[Options]{
-			Name: "e2e",
 			Matrix: sweep.Spec[Options]{
 				Name: "e2e",
 				Base: injectTestOptions(),

@@ -178,11 +178,11 @@ func Classify(o Observation) Outcome {
 // Spec declares a campaign: the cell matrix, the fault model, and the
 // Monte-Carlo parameters.
 type Spec[C any] struct {
-	Name string
-	// Matrix is the cell cross product (workload × mode × seed × …).
+	// Matrix is the cell cross product (workload × mode × seed × …); its
+	// Name names the campaign.
 	Matrix sweep.Spec[C]
 	Model  FaultModel
-	// Trials is the number of injected trials per cell (min 1).
+	// Trials is the number of injected trials per cell (at least 1).
 	Trials int
 	// Seed drives the per-trial injection draws.
 	Seed uint64
@@ -190,19 +190,6 @@ type Spec[C any] struct {
 	// trial's injection draw, so cells differing only on those axes face
 	// an identical fault stream (typically the execution-model axis).
 	StreamExclude []string
-}
-
-func (s Spec[C]) withDefaults() Spec[C] {
-	if s.Trials < 1 {
-		s.Trials = 1
-	}
-	if s.Name == "" {
-		s.Name = s.Matrix.Name
-	}
-	if s.Name == "" {
-		s.Name = "campaign"
-	}
-	return s
 }
 
 // draw computes the point's injection deterministically from the campaign
@@ -315,15 +302,15 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 	if err := e.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	spec := e.Spec.withDefaults()
+	spec := e.Spec
 	cells := spec.Matrix.Points()
 	combined := sweep.Spec[C]{
-		Name: spec.Name,
+		Name: spec.Matrix.Name,
 		Base: spec.Matrix.Base,
 		Axes: append(append([]sweep.Axis[C]{}, spec.Matrix.Axes...), trialAxis[C](spec.Trials)),
 	}
 
-	rep := newReport(spec.Name, spec.Trials, cells)
+	rep := newReport(spec.Matrix.Name, spec.Trials, cells)
 
 	runner := sweep.Runner[C, trialRun]{
 		Parallelism: e.Parallelism,
@@ -371,7 +358,7 @@ func (e *Engine[C]) Run(ctx context.Context) (*Report, error) {
 			if e.Sink == nil {
 				return nil
 			}
-			return e.Sink.Write(record(spec.Name, r.Point, tr))
+			return e.Sink.Write(record(spec.Matrix.Name, r.Point, tr))
 		},
 	}
 
@@ -424,12 +411,14 @@ func b2f(b bool) float64 {
 }
 
 // Validate sanity-checks a spec before a long campaign: a non-empty
-// matrix and a drawable fault model (a bit range within the result word,
-// a non-empty injection window).
+// matrix, at least one trial per cell and a drawable fault model (a bit
+// range within the result word, a non-empty injection window).
 func (s Spec[C]) Validate() error {
-	s = s.withDefaults()
 	if s.Matrix.Size() == 0 {
 		return fmt.Errorf("campaign: empty cell matrix (every axis needs at least one value)")
+	}
+	if s.Trials < 1 {
+		return fmt.Errorf("campaign: %d trials per cell; need at least 1", s.Trials)
 	}
 	if s.Model.BitHi < s.Model.BitLo {
 		return fmt.Errorf("campaign: bit range [%d,%d] is empty", s.Model.BitLo, s.Model.BitHi)

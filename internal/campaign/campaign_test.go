@@ -190,7 +190,7 @@ func TestStreamExclude(t *testing.T) {
 		Trials:        50,
 		Seed:          99,
 		StreamExclude: []string{"mode"},
-	}.withDefaults()
+	}
 	pts := sweep.Spec[fakeCell]{
 		Base: spec.Matrix.Base,
 		Axes: append(append([]sweep.Axis[fakeCell]{}, spec.Matrix.Axes...), trialAxis[fakeCell](spec.Trials)),
@@ -220,7 +220,7 @@ func TestDrawBounds(t *testing.T) {
 		Model:  FaultModel{BitLo: 8, BitHi: 15, WindowLo: 100, WindowHi: 200},
 		Trials: 200,
 		Seed:   3,
-	}.withDefaults()
+	}
 	pts := sweep.Spec[fakeCell]{
 		Base: spec.Matrix.Base,
 		Axes: append(append([]sweep.Axis[fakeCell]{}, spec.Matrix.Axes...), trialAxis[fakeCell](spec.Trials)),
@@ -318,9 +318,14 @@ func TestReportCoverageAndTable(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := Spec[fakeCell]{Matrix: fakeMatrix(), Model: FaultModel{WindowHi: 100}}
+	good := Spec[fakeCell]{Matrix: fakeMatrix(), Model: FaultModel{WindowHi: 100}, Trials: 1}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	none := good
+	none.Trials = 0
+	if err := none.Validate(); err == nil {
+		t.Fatal("zero trials per cell validated (used to run as one)")
 	}
 	empty := Spec[fakeCell]{Matrix: sweep.Spec[fakeCell]{Axes: []sweep.Axis[fakeCell]{{Name: "mode"}}}}
 	if err := empty.Validate(); err == nil {
@@ -399,6 +404,13 @@ func TestShardedRunReassemblesByteIdentical(t *testing.T) {
 	}
 }
 
+// recordSink keeps the records a campaign writes (the engine writes from
+// one goroutine).
+type recordSink struct{ recs []sweep.Record }
+
+func (s *recordSink) Write(rec sweep.Record) error { s.recs = append(s.recs, rec); return nil }
+func (s *recordSink) Close() error                 { return nil }
+
 // TestCancelledTrialsNeverEnterTheStream: a trial skipped by
 // cancellation (never executed) must stop emission, not be written as a
 // DUE record — a resumable journal downstream would otherwise persist
@@ -408,7 +420,7 @@ func TestCancelledTrialsNeverEnterTheStream(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed atomic.Int64
-		sink := sweep.NewMemory()
+		sink := &recordSink{}
 		eng := Engine[fakeCell]{
 			Spec: Spec[fakeCell]{
 				Matrix: fakeMatrix(),
@@ -430,12 +442,12 @@ func TestCancelledTrialsNeverEnterTheStream(t *testing.T) {
 		if err == nil {
 			t.Fatalf("iter %d: cancelled campaign returned nil error", iter)
 		}
-		for _, r := range sink.Records() {
+		for _, r := range sink.recs {
 			if strings.Contains(r.Err, "skipped") {
 				t.Fatalf("iter %d: never-executed trial entered the stream: %+v", iter, r)
 			}
 		}
-		if got := len(sink.Records()); int64(got) > executed.Load() {
+		if got := len(sink.recs); int64(got) > executed.Load() {
 			t.Fatalf("iter %d: %d records for %d executed trials", iter, got, executed.Load())
 		}
 	}

@@ -95,17 +95,6 @@ func (r *Report) add(tr trialRun) {
 	r.Total.add(tr)
 }
 
-// Cell returns the report for the cell with the given coordinates string
-// (as rendered by sweep.Point.Name), or nil.
-func (r *Report) Cell(name string) *CellReport {
-	for i := range r.Cells {
-		if r.Cells[i].Name == name {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // CellBy returns the first cell whose labels include every given
 // axis=value pair, or nil.
 func (r *Report) CellBy(want map[string]string) *CellReport {

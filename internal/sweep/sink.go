@@ -3,11 +3,9 @@ package sweep
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Record is the serialized form of one finished run, the unit every sink
@@ -138,71 +136,6 @@ func (s *CSV) Close() error {
 	}
 	s.w.Flush()
 	return s.w.Error()
-}
-
-// Memory buffers records in order, for tests and in-process consumers.
-// Unlike the file sinks it is safe for concurrent use.
-type Memory struct {
-	mu      sync.Mutex
-	records []Record
-	closed  bool
-}
-
-// NewMemory returns an in-memory sink.
-func NewMemory() *Memory { return &Memory{} }
-
-// Write appends the record.
-func (s *Memory) Write(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("sweep: write to closed memory sink")
-	}
-	s.records = append(s.records, rec)
-	return nil
-}
-
-// Close marks the sink closed.
-func (s *Memory) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
-}
-
-// Records returns a copy of everything written so far.
-func (s *Memory) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, len(s.records))
-	copy(out, s.records)
-	return out
-}
-
-// Tee fans one record stream out to several sinks.
-type Tee struct {
-	Sinks []Sink
-}
-
-// Write forwards to every sink, stopping at the first error.
-func (t Tee) Write(rec Record) error {
-	for _, s := range t.Sinks {
-		if err := s.Write(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close closes every sink, returning the first error.
-func (t Tee) Close() error {
-	var first error
-	for _, s := range t.Sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 func sortedKeys[V any](m map[string]V) []string {

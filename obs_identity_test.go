@@ -172,7 +172,6 @@ func TestTelemetryJournalByteIdentity(t *testing.T) {
 
 func TestTelemetryCampaignByteIdentity(t *testing.T) {
 	spec := campaign.Spec[Options]{
-		Name: "obs-campaign",
 		Matrix: sweep.Spec[Options]{
 			Name: "obs-campaign",
 			Base: injectTestOptions(),
