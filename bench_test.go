@@ -85,22 +85,22 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 }
 
 // ckptBenchCell warms the apache Reunion cell (seed 1, 100k warm cycles)
-// and encodes its checkpoint: the 57 MB blob a checkpoint store puts and
-// gets for a production-sized cell.
-func ckptBenchCell(b *testing.B) (cp *Checkpoint, key uint64, blob []byte) {
+// and encodes its checkpoint: the blob a checkpoint store puts and gets
+// for a production-sized cell (TestCheckpointApacheBlobSize bounds it).
+func ckptBenchCell(tb testing.TB) (cp *Checkpoint, key uint64, blob []byte) {
 	o := DefaultOptions()
 	o.Mode, o.Workload, o.Seed = ModeReunion, workload.Apache(), 1
 	key = CheckpointKey(o)
 	cp = warmSystem(o).Snapshot()
 	blob, err := EncodeCheckpoint(cp, key)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return cp, key, blob
 }
 
 // BenchmarkCheckpointEncode measures serializing that checkpoint, CRC-64
-// seal included.
+// seal included; MB/blob is the blob's size.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	cp, key, blob := ckptBenchCell(b)
 	b.SetBytes(int64(len(blob)))
@@ -111,10 +111,12 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(blob))/1e6, "MB/blob")
 }
 
 // BenchmarkCheckpointDecode measures parsing that blob, CRC-64 check and
-// structural validation included (Bind and Restore are not timed).
+// structural validation included (Bind and Restore are not timed);
+// MB/blob is the blob's size.
 func BenchmarkCheckpointDecode(b *testing.B) {
 	_, _, blob := ckptBenchCell(b)
 	b.SetBytes(int64(len(blob)))
@@ -125,6 +127,7 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(blob))/1e6, "MB/blob")
 }
 
 // BenchmarkFingerprintGen measures fingerprint generation cost per

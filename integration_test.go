@@ -2,6 +2,7 @@ package reunion
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"reunion/internal/fault"
@@ -436,6 +437,40 @@ func TestExternalInterrupts(t *testing.T) {
 		t.Fatalf("interrupt run (%d cycles) not slower than base (%d)", withInt, base)
 	}
 	t.Logf("base %d cycles, with interrupts %d (%d serviced)", base, withInt, sys.InterruptsServiced())
+}
+
+// TestInterruptCostIsAValue: a new system's handler costs 150 cycles,
+// and a cost of 0 is a zero-cycle handler, not a stand-in for the
+// default: its interrupts are raised and serviced like any other, and
+// the run takes exactly as long as one without interrupts. A negative
+// cost panics at the first interrupt, naming the field.
+func TestInterruptCostIsAValue(t *testing.T) {
+	build := func(every, cost int64) *System {
+		sys := NewSystem(DefaultConfig(), ModeReunion, workload.MicroCounter(4, 50), 7)
+		if sys.InterruptCost != 150 {
+			t.Fatalf("a new system's interrupt cost is %d, want 150", sys.InterruptCost)
+		}
+		sys.InterruptEvery, sys.InterruptCost = every, cost
+		return sys
+	}
+	base := runToHalt(t, build(0, 0), 20_000_000)
+	free := build(500, 0)
+	if cycles := runToHalt(t, free, 20_000_000); cycles != base {
+		t.Errorf("zero-cost interrupts took %d cycles, no interrupts %d", cycles, base)
+	}
+	if free.InterruptsServiced() == 0 {
+		t.Error("no zero-cost interrupt serviced")
+	}
+	if cycles := runToHalt(t, build(500, 150), 20_000_000); cycles <= base {
+		t.Errorf("150-cycle interrupts took %d cycles, no interrupts %d", cycles, base)
+	}
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "InterruptCost") {
+			t.Errorf("a negative interrupt cost panicked with %v, want a panic naming InterruptCost", r)
+		}
+	}()
+	build(500, -1).Run(1_000)
 }
 
 // TestTracing: the event ring records mismatches and recoveries under a

@@ -242,15 +242,6 @@ func (c *Codec) Bytes64(p *[]byte) {
 	}
 }
 
-// String walks a length-prefixed string.
-func (c *Codec) String(p *string) {
-	b := []byte(*p)
-	c.Bytes64(&b)
-	if c.reading {
-		*p = string(b)
-	}
-}
-
 // Slice walks a slice as its length (bounded as Len bounds it, by
 // elemSize-byte elements) and then each element through elem. A reader
 // makes *s that long first.

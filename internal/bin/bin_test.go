@@ -19,7 +19,6 @@ type record struct {
 	n      int
 	length int
 	b      []byte
-	s      string
 	words  []uint64
 	ints   []int64
 	m      map[int]int64
@@ -37,7 +36,6 @@ func (r *record) walk(c *Codec) {
 	c.Int(&r.n)
 	r.length = c.Len(r.length, 1)
 	c.Bytes64(&r.b)
-	c.String(&r.s)
 	Slice(c, &r.words, 8, func(w *uint64) { c.U64(w) })
 	Slice(c, &r.ints, 8, c.I64)
 	Map(c, &r.m, 16, cmp.Compare, func(k *int, v *int64) {
@@ -51,7 +49,7 @@ func (r *record) walk(c *Codec) {
 func TestRoundTrip(t *testing.T) {
 	in := record{
 		u8: 0xfe, t: true, u16: 0xbeef, u32: 0xdeadbeef, u64: 0x0123456789abcdef,
-		i64: -42, n: -7, length: 100, b: []byte{1, 2, 3}, s: "reunion",
+		i64: -42, n: -7, length: 100, b: []byte{1, 2, 3},
 		words: []uint64{0, 1, math.MaxUint64, 0x0123456789abcdef},
 		ints:  []int64{-1, 5},
 		m:     map[int]int64{3: 30, -2: -20, 9: 90},
@@ -91,7 +89,6 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.b, in.b) {
 		t.Errorf("Bytes64: got %v", out.b)
 	}
-	check("String", out.s, in.s)
 	check("Slice length", len(out.words), len(in.words))
 	for i := range min(len(in.words), len(out.words)) {
 		check("Slice of U64", out.words[i], in.words[i])

@@ -239,6 +239,10 @@ type ArrayState struct {
 	tick  int64
 	idx   []int32
 	lines []Line
+	// fromMem is a decoded state's: per line, whether its data is the
+	// memory image's, which BindTo fills in. Nil on a live snapshot and
+	// once bound.
+	fromMem []bool
 }
 
 // Snapshot captures the array contents. Observably read-only; the

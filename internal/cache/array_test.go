@@ -288,12 +288,23 @@ func TestArrayRestoreVsFullCopy(t *testing.T) {
 			snaps = append(snaps, snap{a.Snapshot(), imageOf(a)})
 		case 10:
 			// A decoded copy of a snapshot is a different state with the
-			// same contents.
+			// same contents; half its lines are written as memory's and
+			// filled on bind.
 			i := rng.IntN(len(snaps))
+			m := mem.New()
+			for k, l := range snaps[i].s.lines {
+				if k%2 == 0 {
+					m.WriteBlock(l.Block, &l.Data)
+				}
+			}
+			img := m.Snapshot()
 			w := bin.NewWriter(nil)
-			snaps[i].s.Walk(w)
+			snaps[i].s.Walk(w, img)
 			var s ArrayState
-			s.Walk(bin.NewReader(w.Bytes()))
+			s.Walk(bin.NewReader(w.Bytes()), nil)
+			if err := s.BindTo(a, img); err != nil {
+				t.Fatal(err)
+			}
 			snaps = append(snaps, snap{s, snaps[i].im})
 		default:
 			i := len(snaps) - 1 // the base, unless a decode was appended

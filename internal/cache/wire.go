@@ -171,21 +171,42 @@ func (t *ReqTable) Ref(c *bin.Codec, r **Req) {
 
 // --- array ---
 
-// lineWireBytes is the size of an encoded Line, used to bound decoded
-// lengths against remaining input.
-const lineWireBytes = 8 + 1 + 1 + 1 + mem.BlockWords*8 + 8
+// lineWireBytes is the size of an encoded Line whose data is written;
+// lineMemWireBytes of one whose data is memory's. The smaller bounds
+// decoded lengths against remaining input.
+const (
+	lineMemWireBytes = 8 + 1 + 1 + 1 + 1 + 8
+	lineWireBytes    = lineMemWireBytes + mem.BlockWords*8
+)
 
-// WireBytes returns the size of the lines Walk writes (all of its output
-// but the tick and the count), so a caller can size its buffer once.
-func (s *ArrayState) WireBytes() int { return len(s.idx) * (4 + lineWireBytes) }
+// WireBytes returns the size of the lines Walk writes against m (all of
+// its output but the tick and the count), so a caller can size its
+// buffer once. With m nil every line counts with its data, the size the
+// lines regain once decoded and bound.
+func (s *ArrayState) WireBytes(m *mem.MemoryState) int {
+	if m == nil {
+		return len(s.idx) * (4 + lineWireBytes)
+	}
+	n := len(s.idx) * (4 + lineMemWireBytes)
+	for i := range s.lines {
+		if s.lines[i].Data != *m.Block(s.lines[i].Block) {
+			n += mem.BlockWords * 8
+		}
+	}
+	return n
+}
 
 // Walk walks the array snapshot: the tick, then each line after its flat
-// index, the indices strictly increasing.
-func (s *ArrayState) Walk(c *bin.Codec) {
+// index, the indices strictly increasing. m is the memory image of the
+// same checkpoint. A line's flag says whether its data equals m's block;
+// only a line whose data differs — dirty, or a mute core's stale copy —
+// carries its words. A reader leaves the flagged lines' data to BindTo,
+// which fills it from the bound memory image.
+func (s *ArrayState) Walk(c *bin.Codec, m *mem.MemoryState) {
 	c.I64(&s.tick)
-	n := c.Len(len(s.idx), 4+lineWireBytes)
+	n := c.Len(len(s.idx), 4+lineMemWireBytes)
 	if c.Reading() {
-		s.idx, s.lines = make([]int32, n), make([]Line, n)
+		s.idx, s.lines, s.fromMem = make([]int32, n), make([]Line, n), make([]bool, n)
 	}
 	for i := range s.idx {
 		flat := uint32(s.idx[i])
@@ -195,14 +216,20 @@ func (s *ArrayState) Walk(c *bin.Codec) {
 		c.U8((*uint8)(&l.State))
 		c.Bool(&l.Dirty)
 		c.Bool(&l.Locked)
-		c.U64s(l.Data[:])
+		var inMem bool
+		if !c.Reading() {
+			inMem = l.Data == *m.Block(l.Block)
+		}
+		if c.Bool(&inMem); !inMem {
+			c.U64s(l.Data[:])
+		}
 		c.I64(&l.lru)
 		if !c.Reading() {
 			continue
 		}
-		s.idx[i] = int32(flat)
-		if l.State > Modified {
-			c.Fail(fmt.Errorf("cache: unknown line state %d", l.State))
+		s.idx[i], s.fromMem[i] = int32(flat), inMem
+		if l.State == Invalid || l.State > Modified {
+			c.Fail(fmt.Errorf("cache: snapshot line state %d is not a valid line's", l.State))
 		}
 		if i > 0 && s.idx[i] <= s.idx[i-1] {
 			c.Fail(errors.New("cache: array snapshot indices not strictly increasing"))
@@ -212,13 +239,14 @@ func (s *ArrayState) Walk(c *bin.Codec) {
 
 // --- L1 ---
 
-// WireBytes returns the size of the array lines Walk writes; the MSHRs
-// and counters are a few hundred bytes more.
-func (s *L1State) WireBytes() int { return s.arr.WireBytes() }
+// WireBytes returns the size of the array lines Walk writes against m;
+// the MSHRs and counters are a few hundred bytes more.
+func (s *L1State) WireBytes(m *mem.MemoryState) int { return s.arr.WireBytes(m) }
 
-// Walk walks the L1 snapshot.
-func (s *L1State) Walk(c *bin.Codec) {
-	s.arr.Walk(c)
+// Walk walks the L1 snapshot; m is the checkpoint's memory image (see
+// ArrayState.Walk).
+func (s *L1State) Walk(c *bin.Codec, m *mem.MemoryState) {
+	s.arr.Walk(c, m)
 	bin.Slice(c, &s.mshrs, 1+8+1+1, func(m *mshr) {
 		c.Bool(&m.valid)
 		c.U64(&m.block)
@@ -276,9 +304,11 @@ func (s *L1State) VisitWaiters(fn func(*CB) error) error {
 	return nil
 }
 
-// Validate cross-checks decoded L1 invariants against the live cache
-// geometry so a hostile blob cannot restore out-of-range structure.
-func (s *L1State) Validate(c *L1) error {
+// BindTo cross-checks decoded L1 invariants against the live cache
+// geometry so a hostile blob cannot restore out-of-range structure, then
+// binds the array (ArrayState.BindTo) to m, the checkpoint's bound
+// memory image.
+func (s *L1State) BindTo(c *L1, m *mem.MemoryState) error {
 	if len(s.mshrs) != len(c.mshrs) {
 		return fmt.Errorf("cache: snapshot has %d MSHRs, cache has %d", len(s.mshrs), len(c.mshrs))
 	}
@@ -291,7 +321,23 @@ func (s *L1State) Validate(c *L1) error {
 	if s.free != len(s.mshrs)-used {
 		return fmt.Errorf("cache: snapshot free count %d inconsistent with %d valid MSHRs", s.free, used)
 	}
-	return s.arr.Validate(c.Arr)
+	return s.arr.BindTo(c.Arr, m)
+}
+
+// BindTo validates a decoded array snapshot against the live array and
+// fills the data of each line the walk flagged as memory's from m, the
+// checkpoint's bound memory image.
+func (s *ArrayState) BindTo(a *Array, m *mem.MemoryState) error {
+	if err := s.Validate(a); err != nil {
+		return err
+	}
+	for i, inMem := range s.fromMem {
+		if inMem {
+			s.lines[i].Data = *m.Block(s.lines[i].Block)
+		}
+	}
+	s.fromMem = nil
+	return nil
 }
 
 // Validate checks a decoded array snapshot against the live array's

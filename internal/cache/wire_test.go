@@ -2,15 +2,21 @@ package cache
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"reunion/internal/bin"
+	"reunion/internal/mem"
 )
+
+// noMem is an empty memory image: every line with data is written whole
+// against it.
+var noMem = mem.New().Snapshot()
 
 // encodeL1 snapshots c and encodes the snapshot.
 func encodeL1(c *L1) []byte {
 	w := bin.NewWriter(nil)
-	c.Snapshot().Walk(w)
+	c.Snapshot().Walk(w, noMem)
 	return w.Bytes()
 }
 
@@ -18,8 +24,65 @@ func encodeL1(c *L1) []byte {
 func decodes(blob []byte) bool {
 	var s L1State
 	r := bin.NewReader(blob)
-	s.Walk(r)
+	s.Walk(r, nil)
 	return r.Err() == nil
+}
+
+// TestArrayWalkWritesOnlyDataMemoryLacks pins the line flag: a line
+// whose data equals memory's block is written without its words and
+// filled from memory on bind, while a dirty line, a clean line that
+// differs from memory, and a mute L1's stale copy under input
+// incoherence each keep their own data.
+func TestArrayWalkWritesOnlyDataMemoryLacks(t *testing.T) {
+	var fresh, stale mem.Block
+	fresh[0], fresh[7], stale[0] = 1, 2, 3
+	m := mem.New()
+	for _, b := range []uint64{1, 2, 3, 4} {
+		m.WriteBlock(blk(b), &fresh)
+	}
+	img := m.Snapshot()
+
+	vocal := newL1("l1v", 0, true, 4<<10, &fakeBelow{}, false)
+	vocal.Arr.Install(blk(1), &fresh, Shared) // equals memory: flagged
+	l, _, _ := vocal.Arr.Install(blk(2), &stale, Modified)
+	l.Dirty = true                            // dirty: keeps its data
+	vocal.Arr.Install(blk(3), &stale, Shared) // clean but differs: keeps its data
+	mute := newL1("l1m", 1, false, 4<<10, &fakeBelow{}, false)
+	mute.Arr.Install(blk(4), &stale, Shared) // the mute's incoherent copy
+	mute.Arr.Install(blk(1), &fresh, Shared)
+
+	for _, tc := range []struct {
+		name   string
+		c      *L1
+		inMem  []bool // per line, in flat-index order
+		blocks int    // lines written with their words
+	}{
+		{"vocal", vocal, []bool{true, false, false}, 2},
+		{"mute", mute, []bool{true, false}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := tc.c.Snapshot()
+			if got, want := live.WireBytes(img), len(tc.inMem)*(4+lineMemWireBytes)+tc.blocks*mem.BlockBytes; got != want {
+				t.Errorf("WireBytes %d, want %d", got, want)
+			}
+			w := bin.NewWriter(nil)
+			live.Walk(w, img)
+			var d L1State
+			r := bin.NewReader(w.Bytes())
+			if d.Walk(r, nil); r.Err() != nil || r.Remaining() != 0 {
+				t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
+			}
+			if !reflect.DeepEqual(d.arr.fromMem, tc.inMem) {
+				t.Fatalf("lines read as memory's: %v, want %v", d.arr.fromMem, tc.inMem)
+			}
+			if err := d.BindTo(newL1("l1", tc.c.Core, tc.c.Vocal, 4<<10, &fakeBelow{}, false), img); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(d.arr, live.arr) {
+				t.Errorf("bound lines differ from the snapshot's:\n got %+v\nwant %+v", d.arr.lines, live.arr.lines)
+			}
+		})
+	}
 }
 
 // descAt returns the offset and length in blob of cb's encoding, which a

@@ -69,7 +69,9 @@ type EvMemCont struct {
 	VData        mem.Block
 }
 
-// EvPhantomMem describes a pending phantom off-chip read.
+// EvPhantomMem describes a pending phantom off-chip read. The snoopy bus
+// schedules the same descriptor: a phantom read is a memory-side
+// operation (MemSide.StartMem/EndMem) both topologies share.
 type EvPhantomMem struct{ R *cache.Req }
 
 // --- event descriptor walks ---
@@ -184,15 +186,19 @@ func (s *L2State) VisitReqs(fn func(*cache.Req)) {
 const dirWireBytes = 8 + 4 + 8
 
 // WireBytes returns the size of the array lines and directory entries
-// Walk writes; the bank queues and counters are a few kilobytes more.
-func (s *L2State) WireBytes() int { return s.arr.WireBytes() + len(s.dir)*dirWireBytes }
+// Walk writes against m; the bank queues and counters are a few
+// kilobytes more.
+func (s *L2State) WireBytes(m *mem.MemoryState) int {
+	return s.arr.WireBytes(m) + len(s.dir)*dirWireBytes
+}
 
 // Walk walks the snapshot; rt interns queued and parked requests. Maps
 // go in ascending key order, so the encoding is deterministic. A reader
 // leaves the pointer fields (event queue, array, memory, bank and L1
-// references) nil for BindTo.
-func (s *L2State) Walk(c *bin.Codec, rt *cache.ReqTable) {
-	s.arr.Walk(c)
+// references) nil for BindTo. m is the checkpoint's memory image, against
+// which the array lines are written (cache.ArrayState.Walk).
+func (s *L2State) Walk(c *bin.Codec, rt *cache.ReqTable, m *mem.MemoryState) {
+	s.arr.Walk(c, m)
 	bin.Map(c, &s.dir, dirWireBytes, cmp.Compare, func(b *uint64, d *dirEntry) {
 		owner := int64(d.owner)
 		c.U64(b)
@@ -226,15 +232,17 @@ func (s *L2State) Walk(c *bin.Codec, rt *cache.ReqTable) {
 // BindTo validates the decoded snapshot against the live controller's
 // geometry and fixes up the pointer fields Restore carries over (config,
 // event queue, array, memory, banks, registered L1s), so Restore on a
-// decoded snapshot behaves exactly like Restore on a live one.
-func (s *L2State) BindTo(live *L2) error {
+// decoded snapshot behaves exactly like Restore on a live one. m is the
+// checkpoint's bound memory image, which fills the array lines written
+// as memory's.
+func (s *L2State) BindTo(live *L2, m *mem.MemoryState) error {
 	if len(s.banks) != len(live.banks) {
 		return fmt.Errorf("coherence: snapshot has %d banks, controller has %d", len(s.banks), len(live.banks))
 	}
 	if err := s.l2.MemSide.BindTo(&live.MemSide, len(live.l1d)); err != nil {
 		return err
 	}
-	if err := s.arr.Validate(live.arr); err != nil {
+	if err := s.arr.BindTo(live.arr, m); err != nil {
 		return err
 	}
 	n := len(live.l1d)

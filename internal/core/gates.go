@@ -44,16 +44,17 @@ type NonRedundantGate struct {
 	EQ      *sim.EventQueue //reunion:shared
 	DevSalt uint64
 
-	intPending  int64
+	intRaised   bool  // an interrupt awaits service
+	intPending  int64 // its handler cycles
 	intServiced int64
 }
 
 // Offer implements cpu.Gate: a pending external interrupt is serviced at
 // the next retirement boundary.
 func (g *NonRedundantGate) Offer(_ *cpu.Core, e *cpu.Entry, send bool, _ uint16) {
-	if send && g.intPending > 0 {
+	if send && g.intRaised {
 		e.ExtraCheck += g.intPending
-		g.intPending = 0
+		g.intRaised, g.intPending = false, 0
 		g.intServiced++
 	}
 }
@@ -62,7 +63,9 @@ func (g *NonRedundantGate) Offer(_ *cpu.Core, e *cpu.Entry, send bool, _ uint16)
 func (*NonRedundantGate) FlushInterval(*cpu.Core, int64, uint16) {}
 
 // RaiseInterrupt implements InterruptSink.
-func (g *NonRedundantGate) RaiseInterrupt(cost int64) { g.intPending += cost }
+func (g *NonRedundantGate) RaiseInterrupt(cost int64) {
+	g.intRaised, g.intPending = true, g.intPending+cost
+}
 
 // InterruptsServiced implements InterruptSink.
 func (g *NonRedundantGate) InterruptsServiced() int64 { return g.intServiced }
@@ -126,12 +129,13 @@ type StrictGate struct {
 	pendingSerial int
 	decided       []decidedInterval
 
-	intPending  int64
+	intRaised   bool  // an interrupt awaits service
+	intPending  int64 // its handler cycles
 	intServiced int64
 }
 
 // RaiseInterrupt implements InterruptSink.
-func (g *StrictGate) RaiseInterrupt(cost int64) { g.intPending += cost }
+func (g *StrictGate) RaiseInterrupt(cost int64) { g.intRaised, g.intPending = true, g.intPending+cost }
 
 // InterruptsServiced implements InterruptSink.
 func (g *StrictGate) InterruptsServiced() int64 { return g.intServiced }
@@ -148,9 +152,9 @@ func (g *StrictGate) Offer(_ *cpu.Core, e *cpu.Entry, send bool, _ uint16) {
 	if !send {
 		return
 	}
-	if g.intPending > 0 {
+	if g.intRaised {
 		g.pendingExtra += g.intPending
-		g.intPending = 0
+		g.intRaised, g.intPending = false, 0
 		g.intServiced++
 	}
 	at := g.EQ.Now() + g.CompareLat + g.pendingExtra + int64(g.pendingSerial)*g.CompareLat

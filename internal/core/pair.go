@@ -114,7 +114,8 @@ type Pair struct {
 	// fingerprint aliasing (drives the phase-2 path in tests).
 	ForceAlias int
 
-	intPending  int64
+	intRaised   bool  // an interrupt awaits service
+	intPending  int64 // its handler cycles
 	intServiced int64
 
 	// Trace optionally records recovery/compare events (nil = off).
@@ -126,7 +127,7 @@ type Pair struct {
 // RaiseInterrupt implements InterruptSink: the interrupt is replicated to
 // both cores and serviced at the next comparison boundary — fingerprint
 // comparison synchronizes the pair on a single instruction (paper §4.3).
-func (p *Pair) RaiseInterrupt(cost int64) { p.intPending += cost }
+func (p *Pair) RaiseInterrupt(cost int64) { p.intRaised, p.intPending = true, p.intPending+cost }
 
 // InterruptsServiced implements InterruptSink.
 func (p *Pair) InterruptsServiced() int64 { return p.intServiced }
@@ -213,11 +214,11 @@ func (p *Pair) Tick() {
 			p.Stats.CompareWaitMute += a.at - b.at
 		}
 		at := send + p.Lat + a.extra + int64(a.serial)*p.Lat
-		if p.intPending > 0 {
+		if p.intRaised {
 			// Service the replicated external interrupt at this boundary:
 			// both cores retire the preceding instructions, then handle it.
 			at += p.intPending
-			p.intPending = 0
+			p.intRaised, p.intPending = false, 0
 			p.intServiced++
 		}
 		match := a.fp == b.fp

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"reunion/internal/bin"
@@ -32,8 +31,7 @@ func (d *EvDecide) Walk(c *bin.Codec, _ *cache.ReqTable) {
 	c.Bool(&d.EndsMem)
 }
 
-// walkSentInterval walks one interval. Format v3 reserves a debug string
-// after it, which a writer writes empty and a reader requires empty.
+// walkSentInterval walks one interval.
 func walkSentInterval(c *bin.Codec, si *sentInterval) {
 	c.I64(&si.endSeq)
 	c.U16(&si.fp)
@@ -41,15 +39,9 @@ func walkSentInterval(c *bin.Codec, si *sentInterval) {
 	c.I64(&si.extra)
 	c.Int(&si.serial)
 	c.Bool(&si.endsMem)
-	var dbg string
-	if c.String(&dbg); dbg != "" {
-		c.Fail(errSentDebug)
-	}
 }
 
-var errSentDebug = errors.New("core: sent interval carries a non-empty debug string")
-
-const sentIntervalWireBytes = 8 + 2 + 8 + 8 + 8 + 1 + 1
+const sentIntervalWireBytes = 8 + 2 + 8 + 8 + 8 + 1
 
 func walkDecided(c *bin.Codec, ds *[]decidedInterval) {
 	bin.Slice(c, ds, 16, func(d *decidedInterval) {
@@ -85,6 +77,7 @@ func (s *PairState) Walk(c *bin.Codec) {
 	c.I64(&p.lonelySince)
 	c.Bool(&p.pendingFault)
 	c.Int(&p.ForceAlias)
+	c.Bool(&p.intRaised)
 	c.I64(&p.intPending)
 	c.I64(&p.intServiced)
 	st := &p.Stats
@@ -115,6 +108,7 @@ func (s *PairState) BindTo(live *Pair) error {
 // Walk walks the non-redundant-gate snapshot.
 func (s *NonRedundantGateState) Walk(c *bin.Codec) {
 	c.U64(&s.gate.DevSalt)
+	c.Bool(&s.gate.intRaised)
 	c.I64(&s.gate.intPending)
 	c.I64(&s.gate.intServiced)
 }
@@ -129,6 +123,7 @@ func (s *StrictGateState) Walk(c *bin.Codec) {
 	c.I64(&s.gate.pendingExtra)
 	c.Int(&s.gate.pendingSerial)
 	walkDecided(c, &s.gate.decided)
+	c.Bool(&s.gate.intRaised)
 	c.I64(&s.gate.intPending)
 	c.I64(&s.gate.intServiced)
 }

@@ -8,6 +8,7 @@ import (
 	"reunion/internal/cache"
 	"reunion/internal/fingerprint"
 	"reunion/internal/isa"
+	"reunion/internal/mem"
 	"reunion/internal/tlb"
 )
 
@@ -81,14 +82,15 @@ func walkEntry(c *bin.Codec, e *Entry) {
 // entryWireBytes is a conservative lower bound on an encoded Entry.
 const entryWireBytes = 100
 
-// WireBytes returns the size of the L1 array lines Walk writes, the bulk
-// of a core's encoding; the window, TLBs and predictor add tens of
-// kilobytes.
-func (s *CoreState) WireBytes() int { return s.l1d.WireBytes() + s.l1i.WireBytes() }
+// WireBytes returns the size of the L1 array lines Walk writes against
+// m, the bulk of a core's encoding; the window, TLBs and predictor add
+// tens of kilobytes.
+func (s *CoreState) WireBytes(m *mem.MemoryState) int { return s.l1d.WireBytes(m) + s.l1i.WireBytes(m) }
 
-// Walk walks the core snapshot. A reader leaves the pointer fields nil
-// until BindTo.
-func (s *CoreState) Walk(c *bin.Codec) {
+// Walk walks the core snapshot; m is the checkpoint's memory image,
+// against which the L1 lines are written (cache.ArrayState.Walk). A
+// reader leaves the pointer fields nil until BindTo.
+func (s *CoreState) Walk(c *bin.Codec, m *mem.MemoryState) {
 	co := &s.core
 	c.Int(&co.ID)
 	c.Int(&co.Pair)
@@ -193,8 +195,8 @@ func (s *CoreState) Walk(c *bin.Codec) {
 		s.itlb, s.dtlb = new(tlb.TLBState), new(tlb.TLBState)
 		s.bp = new(bpred.PredictorState)
 	}
-	s.l1d.Walk(c)
-	s.l1i.Walk(c)
+	s.l1d.Walk(c, m)
+	s.l1i.Walk(c, m)
 	s.itlb.Walk(c)
 	s.dtlb.Walk(c)
 	s.bp.Walk(c)
@@ -215,8 +217,9 @@ func (s *CoreState) VisitWaiters(fn func(*cache.CB) error) error {
 
 // BindTo fixes the snapshot's pointer fields from the live core and
 // cross-checks identity and geometry, so Restore writes a struct whose
-// wiring matches the system it restores onto.
-func (s *CoreState) BindTo(live *Core) error {
+// wiring matches the system it restores onto. m is the checkpoint's
+// bound memory image, which fills the L1 lines written as memory's.
+func (s *CoreState) BindTo(live *Core, m *mem.MemoryState) error {
 	c := &s.core
 	if c.ID != live.ID || c.Pair != live.Pair || c.Vocal != live.Vocal {
 		return fmt.Errorf("cpu: core snapshot identity (%d,%d,%v) does not match core (%d,%d,%v)",
@@ -225,10 +228,10 @@ func (s *CoreState) BindTo(live *Core) error {
 	if len(c.rob) != len(live.rob) {
 		return fmt.Errorf("cpu: core %d snapshot ROB size %d, live %d", c.ID, len(c.rob), len(live.rob))
 	}
-	if err := s.l1d.Validate(live.L1D); err != nil {
+	if err := s.l1d.BindTo(live.L1D, m); err != nil {
 		return fmt.Errorf("core %d L1D: %w", c.ID, err)
 	}
-	if err := s.l1i.Validate(live.L1I); err != nil {
+	if err := s.l1i.BindTo(live.L1I, m); err != nil {
 		return fmt.Errorf("core %d L1I: %w", c.ID, err)
 	}
 	if got, want := s.itlb.Entries(), live.ITLB.Snapshot().Entries(); got != want {

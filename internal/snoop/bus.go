@@ -168,7 +168,7 @@ func (b *Bus) RunEvent(desc any) {
 		b.Deliver(d.R, &d.Data, d.Exclusive, d.Release)
 	case *EvMemFetch:
 		b.memFetchDone(d)
-	case *EvPhantomMem:
+	case *coherence.EvPhantomMem:
 		b.phantomMemDone(d.R)
 	case *EvSyncMem:
 		b.syncMemDone(d)
@@ -367,7 +367,7 @@ func (b *Bus) processPhantom(r *cache.Req) {
 	}
 	b.PhantomMemReads++
 	b.TrackFill(r.Core, r.Block)
-	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), &EvPhantomMem{R: r}, b)
+	b.eq.AfterR(b.StartMem(b.eq.Now(), r.Block), &coherence.EvPhantomMem{R: r}, b)
 }
 
 // phantomMemDone completes a phantom off-chip read.

@@ -30,9 +30,6 @@ type EvMemFetch struct {
 	Release   bool
 }
 
-// EvPhantomMem describes a pending phantom off-chip read.
-type EvPhantomMem struct{ R *cache.Req }
-
 // EvSyncMem describes a pair's pending combined synchronizing fetch.
 type EvSyncMem struct{ V, M *cache.Req }
 
@@ -52,9 +49,6 @@ func (d *EvMemFetch) Walk(c *bin.Codec, rt *cache.ReqTable) {
 	c.Bool(&d.Exclusive)
 	c.Bool(&d.Release)
 }
-
-// Walk walks the descriptor; rt interns its request.
-func (d *EvPhantomMem) Walk(c *bin.Codec, rt *cache.ReqTable) { rt.Ref(c, &d.R) }
 
 // Walk walks the descriptor; rt interns both requests.
 func (d *EvSyncMem) Walk(c *bin.Codec, rt *cache.ReqTable) {

@@ -12,10 +12,13 @@ import (
 // Restore is checked here against an oracle independent of the restore
 // code: the checkpoint serializer. A restored machine must encode to the
 // exact bytes of the checkpoint it was restored from. The encoding
-// covers every line of every cache with its LRU stamp, clean lines
-// included, and every mapped memory page — state the stat-counter
-// batteries (TestSnapshotRestoreEquivalence and the rest) only see once
-// it changes a later counter.
+// covers every valid line of every cache with its tag, state and LRU
+// stamp, and its data wherever the data differs from memory; a line
+// whose data equals memory is a flag, so a stale line and a changed
+// memory page each show, as the line's words or as a delta page against
+// the system's init image. That is state the stat-counter batteries
+// (TestSnapshotRestoreEquivalence and the rest) only see once it changes
+// a later counter.
 
 // TestRestoreEncodeOracle runs every restore path across topology × mode
 // × kernel: restores of the state the live machine is based on (only

@@ -64,7 +64,12 @@ const ckptMagic = "RNCK"
 // park memos became fully derived state (per-producer wait pairs
 // reconstructed from the unready flags), so ROB entries no longer carry
 // a memo field.
-const ckptFormatVersion uint16 = 3
+// Version 4: a blob holds only what its key cannot rebuild. Memory is a
+// delta on the system's init image, and a cache line's data is written
+// only when it differs from memory's block (a flag says which). The
+// snoopy bus's phantom reads share the directory's EvPhantomMem tag, and
+// a sent interval lost its always-empty debug string.
+const ckptFormatVersion uint16 = 4
 
 // ckptCRCTable is the CRC-64 (ECMA) table sealing checkpoint blobs,
 // matching the dist journal's footer discipline.
@@ -84,15 +89,15 @@ const (
 )
 
 // ckptSizeHint is the buffer EncodeCheckpoint sizes once: exact for the
-// bulk of a blob (memory pages, cache array lines, directory entries)
-// plus slack for the rest.
+// bulk of a blob (memory delta pages, cache array lines, directory
+// entries) plus slack for the rest.
 func ckptSizeHint(cp *Checkpoint) int {
-	n := ckptSlack + cp.mem.WireBytes()
+	n := ckptSlack + cp.mem.WireBytes(cp.owner.initMem)
 	for _, cs := range cp.cores {
-		n += ckptCoreSlack + cs.WireBytes()
+		n += ckptCoreSlack + cs.WireBytes(cp.mem)
 	}
 	if cp.l2 != nil {
-		n += cp.l2.WireBytes()
+		n += cp.l2.WireBytes(cp.mem)
 	}
 	return n
 }
@@ -120,7 +125,11 @@ func newDesc[T any, P interface {
 }
 
 // ckptDescs is the descriptor table: an event's wire tag is its
-// descriptor type's index here plus one, so the table is append only.
+// descriptor type's index here plus one, so within a format version the
+// table is append only. Both topologies schedule coherence.EvPhantomMem.
+// The two EvReply types stay apart because their fields differ: the
+// directory's reply tracks a fill (Track), the bus's releases one
+// (Release).
 var ckptDescs = []func() ckptDesc{
 	newDesc[core.EvDecide],
 	newDesc[coherence.EvXbar],
@@ -129,7 +138,6 @@ var ckptDescs = []func() ckptDesc{
 	newDesc[coherence.EvPhantomMem],
 	newDesc[snoop.EvReply],
 	newDesc[snoop.EvMemFetch],
-	newDesc[snoop.EvPhantomMem],
 	newDesc[snoop.EvSyncMem],
 	newDesc[evInterrupt],
 }
@@ -151,10 +159,15 @@ func (d *evInterrupt) Walk(c *bin.Codec, _ *cache.ReqTable) {
 }
 
 // EncodeCheckpoint serializes a checkpoint into a store-ready blob keyed
-// by the options fingerprint. It fails on a pending event whose
+// by the options fingerprint. The checkpoint must belong to a system (a
+// snapshot, or a decoded checkpoint once bound): its memory is written
+// against that system's init image. It fails on a pending event whose
 // descriptor has no wire form (an armed fault shot: trial-time events do
 // not cross process boundaries by design).
 func EncodeCheckpoint(cp *Checkpoint, key uint64) ([]byte, error) {
+	if cp.owner == nil {
+		return nil, errors.New("reunion: checkpoint: encoding an unbound checkpoint")
+	}
 	buf := append(make([]byte, 0, ckptSizeHint(cp)), ckptMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, ckptFormatVersion)
 	c := bin.NewWriter(binary.LittleEndian.AppendUint64(buf, key))
@@ -198,9 +211,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // walk walks the payload in its fixed order: request table, clock,
-// pending events as tagged descriptors, scheduler counters, memory image,
-// cores, pairs, gates, the L2 and the bus each behind a presence flag,
-// then the system's own fields. A reader fills an unbound checkpoint.
+// pending events as tagged descriptors, scheduler counters, memory image
+// (as a delta on the owner's init image), cores, pairs, gates, the L2
+// and the bus each behind a presence flag, then the system's own fields.
+// Cache lines are written against the checkpoint's memory image. A
+// reader fills an unbound checkpoint.
 func (cp *Checkpoint) walk(c *bin.Codec) {
 	rt := &cache.ReqTable{}
 	if !c.Reading() {
@@ -259,8 +274,17 @@ func (cp *Checkpoint) walk(c *bin.Codec) {
 		cp.mem = new(mem.MemoryState)
 	}
 
-	cp.mem.Walk(c)
-	walkStates(c, &cp.cores, 64)
+	var init *mem.MemoryState
+	if !c.Reading() {
+		init = cp.owner.initMem
+	}
+	cp.mem.Walk(c, init)
+	bin.Slice(c, &cp.cores, 64, func(p **cpu.CoreState) {
+		if c.Reading() {
+			*p = new(cpu.CoreState)
+		}
+		(*p).Walk(c, cp.mem)
+	})
 	walkStates(c, &cp.pairs, 32)
 	walkStates(c, &cp.nr, 8)
 	walkStates(c, &cp.strict, 8)
@@ -269,7 +293,7 @@ func (cp *Checkpoint) walk(c *bin.Codec) {
 		if c.Reading() {
 			cp.l2 = new(coherence.L2State)
 		}
-		cp.l2.Walk(c, rt)
+		cp.l2.Walk(c, rt, cp.mem)
 	}
 	if c.Bool(&hasBus); hasBus {
 		if c.Reading() {
@@ -285,7 +309,9 @@ func (cp *Checkpoint) walk(c *bin.Codec) {
 	}
 	c.Bool(&cp.kernelApplied)
 	c.I64(&cp.interruptEvery)
-	c.I64(&cp.interruptCost)
+	if c.I64(&cp.interruptCost); c.Reading() && cp.interruptCost < 0 {
+		c.Fail(errors.New("negative interrupt cost"))
+	}
 	c.I64(&cp.intArmed)
 	c.I64(&cp.intGen)
 	c.I64(&cp.watchLast)
@@ -390,6 +416,9 @@ func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 	if len(cp.nr) != len(liveNR) || len(cp.strict) != len(liveStrict) {
 		return nil, errors.New("reunion: checkpoint gate roster does not match system")
 	}
+	// The decoded memory is the pages that differ from the init image;
+	// the cache lines that equal memory fill from the completed image.
+	cp.mem.Overlay(sys.initMem)
 
 	// Rebind each request to the cache its reply fills: fills resolve their
 	// L1 MSHR by block at fire time, so (Kind, Core) names the cache.
@@ -411,7 +440,7 @@ func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 	}
 
 	for i, cs := range cp.cores {
-		if err := cs.BindTo(sys.Cores[i]); err != nil {
+		if err := cs.BindTo(sys.Cores[i], cp.mem); err != nil {
 			return nil, fmt.Errorf("reunion: checkpoint core %d: %w", i, err)
 		}
 		owner := sys.Cores[i]
@@ -431,7 +460,7 @@ func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 		gs.BindTo(liveStrict[i])
 	}
 	if cp.l2 != nil {
-		if err := cp.l2.BindTo(sys.L2); err != nil {
+		if err := cp.l2.BindTo(sys.L2, cp.mem); err != nil {
 			return nil, err
 		}
 	}
@@ -448,12 +477,14 @@ func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 				return nil, fmt.Errorf("reunion: checkpoint event %d pair %d out of range [0,%d)", i, desc.PairID, len(sys.Pairs))
 			}
 			ev.Run = sys.Pairs[desc.PairID]
-		case *coherence.EvXbar, *coherence.EvReply, *coherence.EvMemCont, *coherence.EvPhantomMem:
+		case *coherence.EvPhantomMem:
+			ev.Run = sys.msys
+		case *coherence.EvXbar, *coherence.EvReply, *coherence.EvMemCont:
 			if sys.L2 == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the directory L2 on a snoopy system", i)
 			}
 			ev.Run = sys.L2
-		case *snoop.EvReply, *snoop.EvMemFetch, *snoop.EvPhantomMem, *snoop.EvSyncMem:
+		case *snoop.EvReply, *snoop.EvMemFetch, *snoop.EvSyncMem:
 			if sys.Bus == nil {
 				return nil, fmt.Errorf("reunion: checkpoint event %d targets the snoopy bus on a directory system", i)
 			}

@@ -17,10 +17,12 @@ import (
 
 // memorySystem is the surface both topologies (directory L2 and snoopy
 // bus) provide to the system: the L1s' downstream port, the scheduler's
-// tick/quiescence contract, and stats management.
+// tick/quiescence contract, the runner of the events both schedule
+// (coherence.EvPhantomMem), and stats management.
 type memorySystem interface {
 	cache.Below
 	sim.Tickable
+	sim.EventRunner
 	RegisterL1D(core int, c *cache.L1)
 	CancelSync(pair int, minToken int64)
 	DebugRead(block uint64) mem.Block
@@ -74,12 +76,19 @@ type System struct {
 
 	gates []core.InterruptSink
 
+	// initMem is the memory image once the workload was loaded, before
+	// the system ran: pages only, shared with Mem copy-on-write. A
+	// serialized checkpoint holds its memory as a delta on it.
+	initMem *mem.MemoryState
+
 	// InterruptEvery delivers an external interrupt to every logical
 	// processor each time this many cycles elapse (0 = off). Interrupts
 	// are replicated to both members of a pair and serviced at the same
 	// comparison boundary (§4.3).
 	InterruptEvery int64
-	// InterruptCost is the handler service time in cycles.
+	// InterruptCost is the handler service time in cycles (150 in a new
+	// system; 0 is a zero-cycle handler, and a negative cost panics at
+	// the first interrupt).
 	InterruptCost int64
 
 	// Interrupt delivery runs as a self-scheduling chain of events (so
@@ -114,8 +123,9 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 	if mode == ModeReunion {
 		numCores = 2 * n
 	}
-	s := &System{Cfg: cfg, Mode: mode, EQ: sim.NewEventQueue(), Mem: mem.New(), W: w}
+	s := &System{Cfg: cfg, Mode: mode, EQ: sim.NewEventQueue(), Mem: mem.New(), W: w, InterruptCost: 150}
 	w.Init(s.Mem)
+	s.initMem = s.Mem.Snapshot()
 	switch cfg.Topology {
 	case TopologySnoopy:
 		s.Bus = snoop.NewBus(snoop.Config{
@@ -284,12 +294,11 @@ func (s *System) RunEvent(desc any) {
 	if s.intGen != d.gen {
 		return
 	}
-	cost := s.InterruptCost
-	if cost <= 0 {
-		cost = 150
+	if s.InterruptCost < 0 {
+		panic(fmt.Sprintf("reunion: System.InterruptCost is %d; a handler cannot take negative cycles", s.InterruptCost))
 	}
 	for _, g := range s.gates {
-		g.RaiseInterrupt(cost)
+		g.RaiseInterrupt(s.InterruptCost)
 	}
 	s.EQ.AtR(s.EQ.Now()+d.every, d, s)
 }
