@@ -33,11 +33,9 @@ import (
 // machine bit-identical to the moment of Snapshot — the invariant the
 // snapshot equivalence tests prove.
 //
-// Not captured: the optional trace ring's contents (observability, not
-// simulation state — a restored run re-records its events) and the
-// OnFault* observer hooks' *own* state (the hook function values are
-// restored, so per-trial wrappers installed after a snapshot are
-// unwound).
+// Not captured: the pair observer hooks' *own* state (OnFaultDetected,
+// OnMismatch, OnRecovery: the hook function values are restored, so
+// per-run hooks installed after a snapshot are unwound).
 //
 // A checkpoint decoded from a blob (DecodeCheckpoint) has no owner and no
 // runner on any pending event until Bind attaches it to a system.
@@ -230,7 +228,10 @@ func NewWarmCache() *WarmCache {
 // warmKey fingerprints every option the warm phase depends on. It must
 // include anything that changes the machine, the program, or the warmup
 // execution — a missed field would let two differing configurations share
-// warm state and silently diverge from their straight-through runs.
+// warm state and silently diverge from their straight-through runs. The
+// literal false sits where a since-deleted no-prefill option was: every
+// run prefills, and keeping the slot keeps every CheckpointKey, and with
+// it every stored checkpoint, unchanged.
 func warmKey(o Options) string {
 	cfgKey := ""
 	if o.Config != nil {
@@ -239,7 +240,7 @@ func warmKey(o Options) string {
 	return fmt.Sprintf("%v|%+v|%d|%d|%d|%v|%v|%v|%d|%d|%v|%v|%s",
 		o.Mode, o.Workload, o.Threads, o.Seed, o.CompareLatency,
 		o.Phantom, o.TLB, o.Consistency, o.FPInterval, o.WarmCycles,
-		o.NoPrefill, o.Kernel, cfgKey)
+		false, o.Kernel, cfgKey)
 }
 
 // run serves one measured run from the cache: the first run for a key

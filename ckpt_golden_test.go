@@ -49,9 +49,7 @@ type goldenCell struct {
 func (c goldenCell) warm() *System {
 	sys := buildSystem(c.o)
 	sys.InterruptEvery = c.interruptEvery
-	if !c.o.NoPrefill {
-		sys.Prefill()
-	}
+	sys.Prefill()
 	sys.Run(c.o.WarmCycles)
 	return sys
 }

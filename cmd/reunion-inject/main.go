@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Telemetry is a pure observer: with or without these flags the trial
 	// stream and journal bytes are byte-identical (asserted in tests and
-	// CI). The per-trial kernel-event ring behind -trace-dump is too —
+	// CI). The per-trial pair event dump behind -trace-dump is too —
 	// Options.TraceEvents is excluded from every cache and checkpoint key.
 	tr := obsFlags.Tracer()
 
@@ -215,14 +215,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // planParts pin the journal to this campaign's configuration, so a
-// resume or merge under other flags fails loudly: the matrix, the base
-// flags (as the sparse Options literal journals have always carried),
-// trial budget, fault model and draw seed. -trace-dump only observes.
+// resume or merge under other flags fails loudly: the matrix, the window
+// flags (cliconf.JournalBase), trial budget, fault model and draw seed.
+// -trace-dump only observes.
 func planParts(spec campaign.Spec[reunion.Options]) []string {
 	b := spec.Matrix.Base
-	base := reunion.Options{WarmCycles: b.WarmCycles, CommitTarget: b.CommitTarget, TrialDeadline: b.TrialDeadline}
 	return append(spec.Matrix.FingerprintParts(),
-		fmt.Sprintf("base:%+v", base),
+		cliconf.JournalBase(b.WarmCycles, 0, b.CommitTarget, b.TrialDeadline),
 		fmt.Sprintf("trials:%d", spec.Trials),
 		fmt.Sprintf("campaign-seed:%d", spec.Seed),
 		fmt.Sprintf("model:%+v", spec.Model),

@@ -218,12 +218,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // planParts pin the journal to this run's configuration: the matrix
-// vocabulary and the window flags, as the sparse Options literal
-// journals have always carried. The kernel (bit-identical by contract)
-// and the checkpoint store (a cache) are not configuration.
+// vocabulary and the window flags (cliconf.JournalBase). The kernel
+// (bit-identical by contract) and the checkpoint store (a cache) are not
+// configuration.
 func planParts(spec sweep.Spec[reunion.Options]) []string {
-	base := reunion.Options{WarmCycles: spec.Base.WarmCycles, MeasureCycles: spec.Base.MeasureCycles}
-	return append(spec.FingerprintParts(), fmt.Sprintf("base:%+v", base))
+	return append(spec.FingerprintParts(), cliconf.JournalBase(spec.Base.WarmCycles, spec.Base.MeasureCycles, 0, 0))
 }
 
 // buildSpec assembles the matrix from the axis flags (parsing and

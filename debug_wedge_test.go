@@ -16,10 +16,10 @@ func TestDebugWedge(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			w := workload.MicroCounter(4, 50)
 			sys := NewSystem(DefaultConfig(), mode, w, 1)
-			ring := sys.EnableTracing(256)
+			events := observePairs(sys, 256)
 
 			dump := func() {
-				t.Log(ring.Dump())
+				t.Log(events)
 				for _, cc := range sys.Cores {
 					t.Log(cc.DumpState())
 				}

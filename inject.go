@@ -51,7 +51,7 @@ func trialKey(o Options) string {
 // TraceEvents recovery/mismatch events and the formatted dump reaches
 // the Observation's Diag field — where the inject CLI's -trace-dump flag
 // prints it for SDC and DUE trials. Only reunion cells record events
-// (the ring hangs on the pairs). Golden runs stay untraced. Tracing is a
+// (they come from the pairs' hooks). Golden runs stay untraced. Tracing is a
 // pure observer (Options.TraceEvents is excluded from every cache key),
 // so traced and untraced campaigns produce byte-identical result streams.
 func TrialRunner(model campaign.FaultModel, warm *WarmCache) func(ctx context.Context, cell sweep.Point[Options], t campaign.Trial) campaign.Observation {

@@ -2,12 +2,31 @@ package reunion
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"reunion/internal/fault"
 	"reunion/internal/workload"
 )
+
+// RunUntilHalted runs until every core halts or maxCycles elapse. It
+// returns the cycle count and whether all cores halted. Only tests run a
+// program to its halt; measured runs stop at a cycle or commit count.
+func (s *System) RunUntilHalted(maxCycles int64) (int64, bool) {
+	start := s.EQ.Now()
+	limit := start + maxCycles
+	for s.EQ.Now() < limit {
+		s.Step()
+		s.checkLiveness()
+		if s.watchHalted {
+			return s.EQ.Now() - start, true
+		}
+		s.fastForward(limit)
+	}
+	return s.EQ.Now() - start, false
+}
 
 // runToHalt drives a system to completion and fails the test on timeout or
 // unrecoverable failure.
@@ -473,23 +492,123 @@ func TestInterruptCostIsAValue(t *testing.T) {
 	build(500, -1).Run(1_000)
 }
 
-// TestTracing: the event ring records mismatches and recoveries under a
+// TestTracing: the pair hooks report mismatches and recoveries under a
 // recovery-heavy configuration.
 func TestTracing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L2.Phantom = PhantomShared // frequent incoherence
 	w := workload.MicroCounter(4, 15)
 	sys := NewSystem(cfg, ModeReunion, w, 3)
-	ring := sys.EnableTracing(256)
+	events := observePairs(sys, 256)
 	runToHalt(t, sys, 20_000_000)
-	if ring.Len() == 0 {
+	if len(events.lines) == 0 {
 		t.Fatal("no events recorded under shared phantoms")
 	}
-	dump := ring.Dump()
-	if dump == "" {
-		t.Fatal("empty dump")
+	t.Logf("held the last %d events", len(events.lines))
+}
+
+// TestTraceDump: a traced Run keeps only its last TraceEvents pair
+// events, oldest first, with both event kinds; it changes no result; and
+// the next, untraced run on the same warm cache records nothing, so no
+// hook outlives its run.
+func TestTraceDump(t *testing.T) {
+	const keep = 4
+	o := DefaultOptions()
+	o.Mode, o.Workload, o.Phantom = ModeReunion, workload.Apache(), PhantomShared
+	o.WarmCycles, o.MeasureCycles = 3_000, 4_000
+	o.Warm = NewWarmCache()
+	o.TraceEvents = keep
+	traced, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("recorded %d events (last window %d)", ring.Recorded, ring.Len())
+	if traced.Recoveries < keep {
+		t.Fatalf("only %d recoveries: the window never wraps", traced.Recoveries)
+	}
+	lines := strings.Split(strings.TrimSuffix(traced.TraceDump, "\n"), "\n")
+	if len(lines) != keep {
+		t.Fatalf("dump has %d lines, want the last %d:\n%s", len(lines), keep, traced.TraceDump)
+	}
+	shape := regexp.MustCompile(`^\[ *(\d+)\] core\d +(compare  mismatch endSeq=\d+ fp=[0-9a-f]{4}/[0-9a-f]{4} stepping=(true|false)|recovery phase=[12] restart seq=\d+ pc=\d+)$`)
+	kinds := map[string]bool{}
+	last := int64(-1)
+	for _, line := range lines {
+		m := shape.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("line %q has neither event shape", line)
+		}
+		kinds[strings.Fields(m[2])[0]] = true
+		cycle, _ := strconv.ParseInt(m[1], 10, 64)
+		if cycle < last {
+			t.Errorf("cycle %d after %d: the dump is not oldest first:\n%s", cycle, last, traced.TraceDump)
+		}
+		last = cycle
+	}
+	if !kinds["compare"] || !kinds["recovery"] {
+		t.Errorf("dump lacks an event kind (have %v):\n%s", kinds, traced.TraceDump)
+	}
+
+	o.TraceEvents = 0
+	plain, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.TraceDump != "" {
+		t.Errorf("untraced run after a traced one on the same warm cache dumped:\n%s", plain.TraceDump)
+	}
+	traced.TraceDump = ""
+	if traced != plain {
+		t.Errorf("tracing changed the result:\ntraced   %+v\nuntraced %+v", traced, plain)
+	}
+}
+
+// TestEventLogRecordAndDump: each event becomes one line of the fixed
+// "[cycle] coreN category message" layout, in the order recorded.
+func TestEventLogRecordAndDump(t *testing.T) {
+	l := &eventLog{lines: make([]string, 0, 8)}
+	l.add(1, 0, "compare", "a")
+	l.add(2, 1, "recovery", "b")
+	want := "[         1] core0  compare  a\n" +
+		"[         2] core1  recovery b\n"
+	if got := l.String(); got != want {
+		t.Fatalf("dump:\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestEventLogRingWrap: a full log keeps only its newest cap(lines)
+// events, in cycle order.
+func TestEventLogRingWrap(t *testing.T) {
+	l := &eventLog{lines: make([]string, 0, 4)}
+	for i := int64(0); i < 10; i++ {
+		l.add(i, 0, "compare", "x")
+	}
+	lines := strings.Split(strings.TrimSuffix(l.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("dump has %d lines, want 4:\n%s", len(lines), l)
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf("[%10d] ", 6+i); !strings.HasPrefix(line, want) {
+			t.Fatalf("line %d = %q, want cycle %d (events 6..9 in order)", i, line, 6+i)
+		}
+	}
+}
+
+// TestEventLogDumpOrderingAfterWrap: after the ring wraps mid-buffer the
+// dump still runs oldest first, newest last.
+func TestEventLogDumpOrderingAfterWrap(t *testing.T) {
+	l := &eventLog{lines: make([]string, 0, 3)}
+	for i := int64(0); i < 5; i++ {
+		l.add(i, int(i), "recovery", fmt.Sprintf("ev%d", i))
+	}
+	lines := strings.Split(strings.TrimSuffix(l.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("dump lines: %q", lines)
+	}
+	for i, want := range []string{"ev2", "ev3", "ev4"} {
+		if !strings.HasSuffix(lines[i], want) {
+			t.Fatalf("line %d = %q, want %s", i, lines[i], want)
+		}
+	}
 }
 
 // TestSnoopyTopology: the Reunion execution model is independent of the

@@ -139,8 +139,8 @@ type Observation struct {
 	// Retired/Squashed count flipped results that reached architectural
 	// state vs. were discarded by rollback or a pipeline flush.
 	Retired, Squashed int64
-	// Diag carries free-form diagnostic text (e.g. a kernel-event trace
-	// dump) for live reporting of anomalous trials. It never enters the
+	// Diag carries free-form diagnostic text (e.g. a pair event dump)
+	// for live reporting of anomalous trials. It never enters the
 	// sink record — diagnostics must not perturb the byte-stable results
 	// stream.
 	Diag string

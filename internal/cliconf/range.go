@@ -54,6 +54,23 @@ func RegisterRange(fs *flag.FlagSet, tool, noun, out string, optionalOut bool) *
 	}
 }
 
+// JournalBase renders a run's window (warm and measure cycles, commit
+// target, trial deadline) as the configuration part journals have
+// always carried: the sparse reunion.Options literal, every other field
+// zero. The text is pinned, not rendered from today's Options, so a
+// field added to or deleted from Options or workload.Params changes no
+// journal's fingerprint: an interrupted journal still resumes, and its
+// shards still merge with older ones.
+func JournalBase(warm, measure, target, deadline int64) string {
+	return fmt.Sprintf("base:{Mode:non-redundant Workload:{Name: Class: PrivateBytes:0 HotBytes:0 ColdEvery:0 "+
+		"SharedCtrs:0 Locks:0 LoadsPerIter:0 StoresPerIter:0 ALUPerIter:0 PointerChase:false ScanBytes:0 "+
+		"ScanPerIter:0 ScanStride:0 RemoteSixteenths:0 CritEvery:0 CritLen:0 SharedReadEvery:0 TrapEvery:0 "+
+		"BarEvery:0 UnrollCode:0} Threads:0 Seed:0 CompareLatency:0 Phantom:global TLB:hardware "+
+		"Consistency:TSO FPInterval:0 WarmCycles:%d MeasureCycles:%d NoPrefill:false Config:<nil> "+
+		"Kernel:fastforward Inject:<nil> CommitTarget:%d TrialDeadline:%d TraceEvents:0 Warm:<nil>}",
+		warm, measure, target, deadline)
+}
+
 // Plan checks the range flags and returns the range -shard selects of a
 // run of total indices, pinned to the run's spec name and to the
 // dist.Fingerprint of its configuration parts. Every error it returns is

@@ -102,7 +102,10 @@ func NewL2(cfg Config, eq *sim.EventQueue, m *mem.Memory, numCores int) *L2 {
 // RegisterL1D attaches a core's data cache for probes and phantom peeks.
 func (l2 *L2) RegisterL1D(core int, c *cache.L1) { l2.l1d[core] = c }
 
-// QueueStats returns aggregate bank-queue contention statistics.
+// QueueStats returns aggregate bank-queue contention statistics. No
+// simulator code reads them; it stays exported for the root package's
+// kernel A/B test (TestKernelEquivalence), which compares them between
+// the two kernels.
 func (l2 *L2) QueueStats() (arrivals, totalWait int64) {
 	for _, b := range l2.banks {
 		arrivals += b.Arrivals
@@ -532,7 +535,9 @@ func (l2 *L2) phantomMemDone(r *cache.Req) {
 }
 
 // DebugDir formats the directory and cache state of a block plus every
-// registered L1's view of it (wedge diagnosis).
+// registered L1's view of it (wedge diagnosis). No simulator code calls
+// it; it stays exported for the root package's TestDebugWedge, which
+// prints it when a run wedges.
 func (l2 *L2) DebugDir(block uint64) string {
 	s := fmt.Sprintf("block %#x: ", block)
 	if d := l2.dir[block]; d != nil {

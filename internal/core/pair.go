@@ -6,7 +6,6 @@ import (
 	"reunion/internal/cache"
 	"reunion/internal/cpu"
 	"reunion/internal/sim"
-	"reunion/internal/trace"
 )
 
 // SyncTarget is the shared cache controller surface the pair needs: it
@@ -29,6 +28,21 @@ type PairStats struct {
 	CompareWaitVocal  int64 // cycles the vocal's interval waited for the mute
 	CompareWaitMute   int64
 	Compares          int64
+}
+
+// A Mismatch is one fingerprint comparison whose two sides differ, as
+// Pair.OnMismatch sees it in the cycle the pair matches the two sends.
+type Mismatch struct {
+	EndSeq          int64  // last sequence number of the vocal's interval
+	VocalFP, MuteFP uint16 // the two fingerprints
+	Stepping        bool   // the pair was already re-executing
+}
+
+// A Recovery is the start of one rollback recovery, as Pair.OnRecovery
+// sees it once both cores are squashed to the vocal's commit point.
+type Recovery struct {
+	Phase   int   // 1: rollback; 2: rollback with the vocal's registers copied to the mute
+	Seq, PC int64 // the restart point
 }
 
 type sentInterval struct {
@@ -110,6 +124,14 @@ type Pair struct {
 	// campaigns latch detection latency here).
 	OnFaultDetected func() //reunion:shared observer hook: Restore puts back the snapshot's, unwinding a per-trial wrapper
 
+	// OnMismatch and OnRecovery, if set, observe the chain a fault or an
+	// input incoherence runs (§4.3): every comparison whose fingerprints
+	// differ and every recovery that restarts the pair. A traced
+	// measurement phase installs them (Options.TraceEvents). Each call
+	// site checks for nil, so an untraced run builds no event.
+	OnMismatch func(Mismatch) //reunion:shared observer hook: Restore puts back the snapshot's
+	OnRecovery func(Recovery) //reunion:shared observer hook: Restore puts back the snapshot's
+
 	// ForceAlias makes the next n mismatching comparisons pass, emulating
 	// fingerprint aliasing (drives the phase-2 path in tests).
 	ForceAlias int
@@ -117,9 +139,6 @@ type Pair struct {
 	intRaised   bool  // an interrupt awaits service
 	intPending  int64 // its handler cycles
 	intServiced int64
-
-	// Trace optionally records recovery/compare events (nil = off).
-	Trace *trace.Ring //reunion:shared
 
 	Stats PairStats
 }
@@ -229,14 +248,8 @@ func (p *Pair) Tick() {
 		}
 		gen := p.gen
 		aEnd, bEnd, endsMem := a.endSeq, b.endSeq, a.endsMem
-		if !match {
-			// Gated at the call site: Addf formats lazily, but its variadic
-			// args would still be boxed on every mismatch of every untraced
-			// recovery-heavy run.
-			if p.Trace.Enabled(trace.Compare) {
-				p.Trace.Addf(p.EQ.Now(), p.VocalC.ID, trace.Compare,
-					"mismatch endSeq=%d fp=%04x/%04x stepping=%v", aEnd, a.fp, b.fp, p.stepping)
-			}
+		if !match && p.OnMismatch != nil {
+			p.OnMismatch(Mismatch{EndSeq: aEnd, VocalFP: a.fp, MuteFP: b.fp, Stepping: p.stepping})
 		}
 		desc := &EvDecide{PairID: p.ID, Gen: gen, Match: match, AEnd: aEnd, BEnd: bEnd, EndsMem: endsMem}
 		p.EQ.AtR(at, desc, p)
@@ -374,14 +387,15 @@ func (p *Pair) recover() {
 	p.MuteC.SquashAll()
 	p.stepping = true
 	p.syncArmed = true
-	if p.Trace.Enabled(trace.Recovery) {
+	if p.OnRecovery != nil {
 		seq, pc := p.VocalC.CommitPoint()
-		p.Trace.Addf(p.EQ.Now(), p.VocalC.ID, trace.Recovery,
-			"phase=%d restart seq=%d pc=%d", p.phase, seq, pc)
+		p.OnRecovery(Recovery{Phase: p.phase, Seq: seq, PC: pc})
 	}
 }
 
-// DebugString dumps pair internals for wedge diagnosis.
+// DebugString dumps pair internals for wedge diagnosis. No simulator
+// code calls it; it stays exported for the root package's liveness
+// tests (TestDebugWedge, runToHalt), which print it when a run wedges.
 func (p *Pair) DebugString() string {
 	return fmt.Sprintf("%v gen=%d phase=%d stepping=%v armed=%v syncIssued=%v syncDone=%d sent=[%d,%d] decided=[%d,%d] stats=%+v",
 		p, p.gen, p.phase, p.stepping, p.syncArmed, p.syncIssued, p.syncDone,
@@ -471,9 +485,6 @@ func (p *Pair) SyncDone(_ *cpu.Core, gen int64) {
 func (p *Pair) DeviceRead(c *cpu.Core, addr uint64, n int64) int64 {
 	return deviceValue(p.DevSalt^uint64(p.ID), addr, n)
 }
-
-// InRecovery reports whether the pair is currently re-executing.
-func (p *Pair) InRecovery() bool { return p.stepping }
 
 // String identifies the pair.
 func (p *Pair) String() string { return fmt.Sprintf("pair%d", p.ID) }

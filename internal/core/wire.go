@@ -101,7 +101,8 @@ func (s *PairState) BindTo(live *Pair) error {
 	s.pair.EQ = live.EQ
 	s.pair.L2 = live.L2
 	s.pair.OnFaultDetected = live.OnFaultDetected
-	s.pair.Trace = live.Trace
+	s.pair.OnMismatch = live.OnMismatch
+	s.pair.OnRecovery = live.OnRecovery
 	return nil
 }
 

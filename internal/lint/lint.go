@@ -1,9 +1,9 @@
-// Package lint holds the repository's two invariant checks, each of
-// which catches a bug no test in the suite catches, and the loader they
-// run over: snapshotComplete (snapshotcomplete.go) and obsGated
-// (obsgated.go). `go test ./internal/lint/` runs both over every package
-// of the module (TestRepoIsClean) and each over its fixture module under
-// testdata/. DESIGN.md ("Static analysis") gives the rationale.
+// Package lint holds the repository's invariant check, snapshotComplete
+// (snapshotcomplete.go), which catches bugs no test in the suite
+// catches, and the loader it runs over. `go test ./internal/lint/` runs
+// it over every package of the module (TestRepoIsClean) and over its
+// fixture module under testdata/. DESIGN.md ("Static analysis") gives
+// the rationale.
 package lint
 
 import (

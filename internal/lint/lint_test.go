@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestRepoIsClean: every package of the module type-checks, and neither
-// check reports on any of them.
+// TestRepoIsClean: every package of the module type-checks, and the
+// check reports on none of them.
 func TestRepoIsClean(t *testing.T) {
 	t.Chdir("../..")
 	targets, err := load()
@@ -20,7 +20,7 @@ func TestRepoIsClean(t *testing.T) {
 	var checked []string
 	for _, tg := range targets {
 		checked = append(checked, tg.pkg.Path())
-		for _, f := range append(snapshotComplete(tg), obsGated(tg)...) {
+		for _, f := range snapshotComplete(tg) {
 			t.Errorf("%s: %s", tg.fset.Position(f.pos), f.msg)
 		}
 	}
@@ -45,8 +45,6 @@ func TestLoadErrorIsNotClean(t *testing.T) {
 	}
 }
 
-func TestObsGated(t *testing.T) { checkFixture(t, "testdata/obsgated", obsGated) }
-
 func TestSnapshotComplete(t *testing.T) {
 	checkFixture(t, "testdata/snapshotcomplete", snapshotComplete)
 }
@@ -56,7 +54,7 @@ func TestSnapshotComplete(t *testing.T) {
 // `// want` expectations in the fixture source. An expectation sits on
 // the line the finding is expected at:
 //
-//	r.Addf(now, 0, trace.Compare, "x") // want `ungated`
+//	lost []int // want `Core\.lost`
 //
 // The backquoted (or double-quoted) string is an unanchored regular
 // expression matched against the finding's message; several patterns on

@@ -2,7 +2,7 @@ package reunion
 
 // Observability acceptance: telemetry is a pure observer. For the sweep
 // engine, the campaign engine, and the shard journal, the result bytes
-// with a tracer attached (plus the per-trial kernel-event ring) are
+// with a tracer attached (plus the per-trial pair event dump) are
 // byte-identical to the telemetry-off run — and the telemetry itself is
 // well-formed: the trace parses as Chrome trace-event JSON with the
 // required fields, and its spans count what ran.
@@ -208,7 +208,7 @@ func TestTelemetryCampaignByteIdentity(t *testing.T) {
 	}
 
 	ref := run(nil, 0)
-	// A tracer AND the per-trial kernel-event ring: neither the spans nor
+	// A tracer AND the per-trial pair event dump: neither the spans nor
 	// Observation.Diag may leak into the trial records.
 	tr := obs.NewTracer(0)
 	got := run(tr, 64)

@@ -2,10 +2,11 @@ package reunion
 
 import (
 	"fmt"
+	"strings"
 
+	"reunion/internal/core"
 	"reunion/internal/fault"
 	"reunion/internal/stats"
-	"reunion/internal/trace"
 	"reunion/internal/workload"
 )
 
@@ -38,8 +39,6 @@ type Options struct {
 	// (DefaultOptions: 100k/50k, the paper's §5 methodology).
 	WarmCycles    int64
 	MeasureCycles int64
-	// NoPrefill skips the warmed-checkpoint cache/TLB prefill.
-	NoPrefill bool
 	// Config optionally overrides the whole machine configuration.
 	Config *Config
 	// Kernel selects the simulation kernel (DefaultOptions: fastforward).
@@ -66,10 +65,10 @@ type Options struct {
 	// deadline is a terminal DUE outcome, never a retry.
 	TrialDeadline int64
 
-	// TraceEvents, when positive, attaches a kernel-event ring of that
-	// capacity (recovery and comparison-mismatch events) for the
-	// measurement phase and returns its formatted dump in
-	// Result.TraceDump (DefaultOptions: 0, none). Diagnostics only: it is
+	// TraceEvents, when positive, records the last TraceEvents pair
+	// events (comparison mismatches and recoveries) of the measurement
+	// phase and returns them formatted in Result.TraceDump
+	// (DefaultOptions: 0, none). Diagnostics only: it is
 	// deliberately excluded from the warm, golden, and checkpoint keys —
 	// a traced run shares warm state with untraced runs and produces
 	// bit-identical results.
@@ -194,8 +193,8 @@ type Result struct {
 	DigestOK           bool
 	ArchDigest         uint64 // point-in-time state hash; golden (uninjected) trial runs only
 
-	// TraceDump is the formatted kernel-event ring captured during the
-	// measurement phase when Options.TraceEvents was set (diagnostics;
+	// TraceDump holds the last pair events of the measurement phase, one
+	// line each, oldest first, when Options.TraceEvents was set (diagnostics;
 	// empty otherwise). It never participates in serialized records or
 	// digests.
 	TraceDump string
@@ -239,25 +238,23 @@ func buildSystem(o Options) *System {
 // warmup window (the phase a WarmCache checkpoints and reuses).
 func warmSystem(o Options) *System {
 	sys := buildSystem(o)
-	if !o.NoPrefill {
-		sys.Prefill()
-	}
+	sys.Prefill()
 	sys.Run(o.WarmCycles)
 	return sys
 }
 
 // measure runs the measurement phase on a warmed system: statistics reset
 // at the boundary, then either the plain fixed-window path or the
-// fault-injection trial path. With Options.TraceEvents set, a kernel-
-// event ring observes the phase and its dump lands in Result.TraceDump;
-// the ring is detached again before the system returns to any warm
-// cache, so tracing one run never leaks into the next. Enabling the
-// ring changes no simulated state — it only records.
+// fault-injection trial path. With Options.TraceEvents set, an eventLog
+// observes the phase through the pair hooks and its lines land in
+// Result.TraceDump. The hooks stay on the system until its next Restore,
+// which puts back the snapshot's (a warm cache restores before every
+// run), so tracing one run never leaks into the next. Observing changes
+// no simulated state.
 func measure(sys *System, o Options) (Result, error) {
-	var ring *trace.Ring
+	var events *eventLog
 	if o.TraceEvents > 0 {
-		ring = sys.EnableTracing(o.TraceEvents)
-		defer sys.DisableTracing()
+		events = observePairs(sys, o.TraceEvents)
 	}
 	sys.ResetStats()
 	res, err := func() (Result, error) {
@@ -270,10 +267,48 @@ func measure(sys *System, o Options) (Result, error) {
 		}
 		return Collect(sys, o.MeasureCycles), nil
 	}()
-	if ring != nil && err == nil {
-		res.TraceDump = ring.Dump()
+	if events != nil && err == nil {
+		res.TraceDump = events.String()
 	}
 	return res, err
+}
+
+// eventLog keeps the last cap(lines) pair events, one formatted line
+// each: "[cycle] coreN category message".
+type eventLog struct {
+	lines []string // a ring once full: lines[next] is the oldest
+	next  int
+}
+
+// observePairs installs the mismatch and recovery hooks of every pair of
+// sys, feeding one eventLog of the given capacity.
+func observePairs(sys *System, capacity int) *eventLog {
+	l := &eventLog{lines: make([]string, 0, capacity)}
+	for _, p := range sys.Pairs {
+		p.OnMismatch = func(m core.Mismatch) {
+			l.add(sys.EQ.Now(), p.VocalC.ID, "compare", fmt.Sprintf("mismatch endSeq=%d fp=%04x/%04x stepping=%v",
+				m.EndSeq, m.VocalFP, m.MuteFP, m.Stepping))
+		}
+		p.OnRecovery = func(r core.Recovery) {
+			l.add(sys.EQ.Now(), p.VocalC.ID, "recovery", fmt.Sprintf("phase=%d restart seq=%d pc=%d", r.Phase, r.Seq, r.PC))
+		}
+	}
+	return l
+}
+
+func (l *eventLog) add(cycle int64, coreID int, category, msg string) {
+	line := fmt.Sprintf("[%10d] core%-2d %-8s %s\n", cycle, coreID, category, msg)
+	if len(l.lines) < cap(l.lines) {
+		l.lines = append(l.lines, line)
+		return
+	}
+	l.lines[l.next] = line
+	l.next = (l.next + 1) % len(l.lines)
+}
+
+// String returns the held lines, newest last.
+func (l *eventLog) String() string {
+	return strings.Join(l.lines[l.next:], "") + strings.Join(l.lines[:l.next], "")
 }
 
 // runTrial runs the measurement phase of a fault-injection trial (or of

@@ -45,7 +45,7 @@ func TestSmokeReunionCounter(t *testing.T) {
 			t.Log(c.DumpState())
 		}
 		for _, p := range sys.Pairs {
-			t.Logf("%v: %+v stepping=%v", p, p.Stats, p.InRecovery())
+			t.Log(p.DebugString())
 		}
 		t.Fatalf("did not halt in %d cycles", cycles)
 	}

@@ -11,7 +11,6 @@ import (
 	"reunion/internal/sim"
 	"reunion/internal/snoop"
 	"reunion/internal/tlb"
-	"reunion/internal/trace"
 	"reunion/internal/workload"
 )
 
@@ -200,27 +199,6 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 	return s
 }
 
-// EnableTracing attaches a shared event ring of the given capacity to
-// every pair (recovery and mismatch events) and returns it.
-func (s *System) EnableTracing(capacity int) *trace.Ring {
-	r := trace.New(capacity)
-	for _, p := range s.Pairs {
-		p.Trace = r
-	}
-	return r
-}
-
-// DisableTracing detaches any event ring from every pair, returning the
-// system to the zero-cost untraced path. Trial runners that enable a
-// per-trial ring on a cached warm system must disable it before the
-// system goes back to the cache, so later (untraced) runs of other
-// trials do not keep recording.
-func (s *System) DisableTracing() {
-	for _, p := range s.Pairs {
-		p.Trace = nil
-	}
-}
-
 // InterruptsServiced totals serviced external interrupts across logical
 // processors.
 func (s *System) InterruptsServiced() int64 {
@@ -401,22 +379,6 @@ func (s *System) RunUntilDone(maxCycles int64, done func() bool) (int64, bool) {
 	return s.EQ.Now() - start, done()
 }
 
-// RunUntilHalted runs until every core halts or maxCycles elapse. It
-// returns the cycle count and whether all cores halted.
-func (s *System) RunUntilHalted(maxCycles int64) (int64, bool) {
-	start := s.EQ.Now()
-	limit := start + maxCycles
-	for s.EQ.Now() < limit {
-		s.Step()
-		s.checkLiveness()
-		if s.watchHalted {
-			return s.EQ.Now() - start, true
-		}
-		s.fastForward(limit)
-	}
-	return s.EQ.Now() - start, false
-}
-
 // Failed reports whether any pair signalled an unrecoverable error.
 func (s *System) Failed() bool {
 	for _, c := range s.Cores {
@@ -454,7 +416,8 @@ func (s *System) ResetStats() {
 // CoherentWord returns the coherent architectural value of the 8-byte
 // word at addr, reading through the cache hierarchy (owner's copy first).
 // The bool is always true; it keeps call sites explicit about the
-// non-timing debug path.
+// non-timing debug path. No simulator code calls it; it is the root
+// API's way to read a halted program's result (ExampleNewSystem).
 func (s *System) CoherentWord(addr uint64) (int64, bool) {
 	b := s.msys.DebugRead(mem.BlockAddr(addr))
 	return int64(b[(addr%mem.BlockBytes)/8]), true

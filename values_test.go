@@ -70,7 +70,7 @@ func TestZeroIsAValue(t *testing.T) {
 		{"TrialDeadline -1", func(o *Options) { o.TrialDeadline = -1 }, nil, "trial deadline -1"},
 		{"TraceEvents 0", func(o *Options) { o.TraceEvents = 0 }, func(t *testing.T, r Result) {
 			if r.TraceDump != "" {
-				t.Errorf("trace events 0 attached a ring: %q", r.TraceDump)
+				t.Errorf("trace events 0 recorded events: %q", r.TraceDump)
 			}
 		}, ""},
 		{"TraceEvents -1", func(o *Options) { o.TraceEvents = -1 }, nil, "trace events -1"},
