@@ -10,14 +10,18 @@ import (
 
 func TestOptionDefaults(t *testing.T) {
 	o := DefaultOptions()
-	if o.Threads != 4 || o.Seed != 0x5eed || o.CompareLatency != 10 || o.FPInterval != 1 {
+	c := o.Config
+	if c != DefaultConfig() || c.LogicalProcessors != 4 || o.Seed != 0x5eed || c.CompareLatency != 10 || c.Core.FPInterval != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.WarmCycles != 100_000 || o.MeasureCycles != 50_000 || o.TrialDeadline != 200_000 {
 		t.Fatalf("window defaults: %+v", o)
 	}
-	if o.CommitTarget != 0 || o.TraceEvents != 0 || o.Mode != ModeNonRedundant || o.Phantom != PhantomGlobal {
+	if o.CommitTarget != 0 || o.TraceEvents != 0 || o.Mode != ModeNonRedundant || c.L2.Phantom != PhantomGlobal {
 		t.Fatalf("a trial or trace is on by default: %+v", o)
+	}
+	if c.Kernel != KernelFastForward || c.InterruptEvery != 0 || c.InterruptCost != 150 {
+		t.Fatalf("kernel or interrupt defaults: %+v", c)
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatalf("DefaultOptions does not validate: %v", err)
@@ -130,8 +134,8 @@ func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
 		set  func(*Options)
 		want string
 	}{
-		{func(o *Options) { o.CompareLatency = -5 }, "comparison latency -5"},
-		{func(o *Options) { o.FPInterval = -2 }, "fingerprint interval -2"},
+		{func(o *Options) { o.Config.CompareLatency = -5 }, "comparison latency -5"},
+		{func(o *Options) { o.Config.Core.FPInterval = -2 }, "fingerprint interval -2"},
 		{func(o *Options) { o.WarmCycles = -1 }, "warm cycles -1"},
 		{func(o *Options) { o.MeasureCycles = -5 }, "measure cycles -5"},
 		{func(o *Options) { o.TrialDeadline = -1 }, "trial deadline -1"},
@@ -152,18 +156,16 @@ func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
 // as global; the three valid strengths still run.
 func TestRunRejectsUnknownPhantomStrength(t *testing.T) {
 	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
-		cfg := DefaultConfig()
-		cfg.Topology = topo
 		o := DefaultOptions()
-		o.Mode, o.Workload, o.Config = ModeReunion, workload.Apache(), &cfg
+		o.Mode, o.Workload, o.Config.Topology = ModeReunion, workload.Apache(), topo
 		o.WarmCycles, o.MeasureCycles = 3000, 2000
 		t.Run(topo.String(), func(t *testing.T) {
-			o.Phantom = Phantom(7)
+			o.Config.L2.Phantom = Phantom(7)
 			if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "phantom strength 7") {
 				t.Fatalf("Phantom(7): err = %v, want an error naming strength 7", err)
 			}
 			for _, p := range []Phantom{PhantomNull, PhantomShared, PhantomGlobal} {
-				o.Phantom = p
+				o.Config.L2.Phantom = p
 				if res, err := Run(o); err != nil || res.Committed == 0 {
 					t.Fatalf("%v: committed %d, err %v", p, res.Committed, err)
 				}

@@ -130,9 +130,9 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	b.ReportMetric(float64(len(blob))/1e6, "MB/blob")
 }
 
-// BenchmarkFingerprintGen measures fingerprint generation cost per
+// BenchmarkFingerprint measures fingerprint generation cost per
 // instruction record (both compression modes).
-func BenchmarkFingerprintGen(b *testing.B) {
+func BenchmarkFingerprint(b *testing.B) {
 	for _, mode := range []FingerprintMode{FPDirect, FPTwoStage} {
 		b.Run(mode.String(), func(b *testing.B) {
 			g := newFPGen(mode)

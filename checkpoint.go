@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"reunion/internal/cache"
 	"reunion/internal/ckptstore"
@@ -22,8 +21,10 @@ import (
 // memory (its pages shared copy-on-write with the live image, so never
 // written while the checkpoint exists), every core pipeline with its
 // private caches/TLBs/predictor, the execution-model gates, the
-// memory-system topology (directory L2 or snoopy bus), the liveness
-// watchdog, and the interrupt-delivery chain.
+// memory-system topology (directory L2 or snoopy bus) and the liveness
+// watchdog. The interrupt-delivery chain is a pending event like any
+// other; the kernel and the interrupt schedule are the system's Config,
+// which never changes, so a checkpoint holds neither.
 //
 // A Checkpoint restores only onto the System it was taken from: pending
 // events and in-flight requests point at that system's component
@@ -58,13 +59,6 @@ type Checkpoint struct {
 	l2     *coherence.L2State
 	bus    *snoop.BusState
 
-	kernel        Kernel
-	appliedKernel Kernel
-	kernelApplied bool
-
-	interruptEvery, interruptCost int64
-	intArmed, intGen              int64
-
 	watchLast, watchSince int64
 	watchHalted           bool
 }
@@ -79,15 +73,6 @@ func (s *System) Snapshot() *Checkpoint {
 		eq:    s.EQ.Snapshot(),
 		sched: s.Sched.Snapshot(),
 		mem:   s.Mem.Snapshot(),
-
-		kernel:        s.Kernel,
-		appliedKernel: s.appliedKernel,
-		kernelApplied: s.kernelApplied,
-
-		interruptEvery: s.InterruptEvery,
-		interruptCost:  s.InterruptCost,
-		intArmed:       s.intArmed,
-		intGen:         s.intGen,
 
 		watchLast:   s.watchLast,
 		watchSince:  s.watchSince,
@@ -157,16 +142,6 @@ func (s *System) Restore(cp *Checkpoint) {
 	if s.Bus != nil {
 		s.Bus.Restore(cp.bus)
 	}
-
-	s.Kernel = cp.kernel
-	s.appliedKernel = cp.appliedKernel
-	s.kernelApplied = cp.kernelApplied
-
-	s.InterruptEvery = cp.interruptEvery
-	s.InterruptCost = cp.interruptCost
-	s.intArmed = cp.intArmed
-	s.intGen = cp.intGen
-
 	s.watchLast = cp.watchLast
 	s.watchSince = cp.watchSince
 	s.watchHalted = cp.watchHalted
@@ -175,15 +150,15 @@ func (s *System) Restore(cp *Checkpoint) {
 // WarmCache reuses checkpointed warm state across measured runs (see
 // Options.Warm). Entries are keyed by the snapshot-invariant axes — every
 // option that shapes the simulation from construction through the warmup
-// window: mode, workload profile, thread count, seed, comparison latency,
-// phantom strength, TLB discipline, consistency model, fingerprint
-// interval, warm window, prefill, machine config, and kernel. Options
-// that only shape the measurement phase (measure window, commit target,
-// trial deadline, injection) are deliberately excluded: runs differing
-// only there share one warmed system, restoring its checkpoint instead of
-// re-warming from cycle 0 — the dominant host-time cost of a
-// fault-injection campaign, where hundreds of trials share one cell's
-// warm state.
+// window: mode, workload profile, seed, warm window and the whole machine
+// Config (thread count, comparison latency, phantom strength, TLB
+// discipline, consistency model, fingerprint interval, geometry,
+// kernel, interrupts). Options that only shape the measurement phase
+// (measure window, commit target, trial deadline, injection, tracing)
+// are deliberately excluded: runs differing only there share one warmed
+// system, restoring its checkpoint instead of re-warming from cycle 0 —
+// the dominant host-time cost of a fault-injection campaign, where
+// hundreds of trials share one cell's warm state.
 type WarmCache struct {
 	mu sync.Mutex
 	m  map[string]*warmEntry
@@ -201,9 +176,6 @@ type WarmCache struct {
 	// fingerprint mismatch — silently falls back to local warmup:
 	// results never depend on the store, only host time does.
 	store ckptstore.Store
-
-	warmups   atomic.Int64 // full local warmups performed
-	storeHits atomic.Int64 // warmups avoided via a fetched checkpoint
 
 	// obsTrace (Observe) is a pure observer: the cached systems, the
 	// checkpoints, and every Result are byte-identical with or without
@@ -228,19 +200,9 @@ func NewWarmCache() *WarmCache {
 // warmKey fingerprints every option the warm phase depends on. It must
 // include anything that changes the machine, the program, or the warmup
 // execution — a missed field would let two differing configurations share
-// warm state and silently diverge from their straight-through runs. The
-// literal false sits where a since-deleted no-prefill option was: every
-// run prefills, and keeping the slot keeps every CheckpointKey, and with
-// it every stored checkpoint, unchanged.
+// warm state and silently diverge from their straight-through runs.
 func warmKey(o Options) string {
-	cfgKey := ""
-	if o.Config != nil {
-		cfgKey = fmt.Sprintf("%+v", *o.Config)
-	}
-	return fmt.Sprintf("%v|%+v|%d|%d|%d|%v|%v|%v|%d|%d|%v|%v|%s",
-		o.Mode, o.Workload, o.Threads, o.Seed, o.CompareLatency,
-		o.Phantom, o.TLB, o.Consistency, o.FPInterval, o.WarmCycles,
-		false, o.Kernel, cfgKey)
+	return fmt.Sprintf("%v|%+v|%d|%d|%+v", o.Mode, o.Workload, o.Seed, o.WarmCycles, o.Config)
 }
 
 // run serves one measured run from the cache: the first run for a key
@@ -275,7 +237,6 @@ func (w *WarmCache) run(o Options) (Result, error) {
 		e.sys = warmSystem(o)
 		e.cp = e.sys.Snapshot()
 		e.init = true
-		w.warmups.Add(1)
 		sp.End()
 		if w.store != nil {
 			w.storePut(e.cp, CheckpointKey(o))
@@ -316,15 +277,6 @@ func (w *WarmCache) Observe(tr *obs.Tracer) { w.obsTrace = tr }
 // or shared directory). Call before the first run.
 func (w *WarmCache) UseStore(s ckptstore.Store) { w.store = s }
 
-// Warmups returns how many full local warmups this cache has performed;
-// StoreHits returns how many it avoided by restoring a fetched
-// checkpoint. Together they are the fleet-wide "one warmup per cell"
-// measurement the shared-store tests assert.
-func (w *WarmCache) Warmups() int64 { return w.warmups.Load() }
-
-// StoreHits returns the number of warmups served from the store.
-func (w *WarmCache) StoreHits() int64 { return w.storeHits.Load() }
-
 // tryFetch attempts to initialize a warm entry from the persistent
 // store: fetch, decode, bind onto a freshly built cold system, restore.
 // Every failure leaves the entry uninitialized — the caller warms
@@ -363,7 +315,6 @@ func (w *WarmCache) tryFetch(e *warmEntry, o Options) {
 	}
 	sys.Restore(cp)
 	e.sys, e.cp, e.init = sys, cp, true
-	w.storeHits.Add(1)
 	sp.End(obs.Arg{Key: "outcome", Val: "hit"})
 }
 

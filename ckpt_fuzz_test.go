@@ -76,11 +76,9 @@ func fuzzSeedBlobs(f *testing.F) [][]byte {
 	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
 		for _, mode := range []Mode{ModeNonRedundant, ModeStrict, ModeReunion} {
 			for _, kern := range []Kernel{KernelNaive, KernelFastForward} {
-				cfg := DefaultConfig()
-				cfg.Topology = topo
 				o := DefaultOptions()
 				o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, tinyWorkload(), 11, 2_000
-				o.Config, o.Kernel = &cfg, kern
+				o.Config.Topology, o.Config.Kernel = topo, kern
 				blob, err := EncodeCheckpoint(warmSystem(o).Snapshot(), CheckpointKey(o))
 				if err != nil {
 					f.Fatal(err)
@@ -183,11 +181,9 @@ func TestCheckpointForgedLineFlagAndDeltaPage(t *testing.T) {
 var fuzzBindTargets = sync.OnceValue(func() []*System {
 	var systems []*System
 	for _, topo := range []Topology{TopologyDirectory, TopologySnoopy} {
-		cfg := DefaultConfig()
-		cfg.Topology = topo
 		o := DefaultOptions()
 		o.Mode, o.Workload, o.Seed, o.WarmCycles = ModeReunion, workload.Apache(), 11, 2_000
-		o.Config = &cfg
+		o.Config.Topology = topo
 		systems = append(systems, buildSystem(o))
 	}
 	return systems

@@ -37,21 +37,10 @@ func tinyWorkload() workload.Params {
 }
 
 // goldenCell is one pinned format exemplar: the options that build and
-// warm it, plus the interrupt period set on the system before warming
-// (interrupts are a System knob, not an Option).
+// warm it.
 type goldenCell struct {
-	name           string
-	o              Options
-	interruptEvery int64
-}
-
-// warm builds the cell's system and runs it through the warm window.
-func (c goldenCell) warm() *System {
-	sys := buildSystem(c.o)
-	sys.InterruptEvery = c.interruptEvery
-	sys.Prefill()
-	sys.Run(c.o.WarmCycles)
-	return sys
+	name string
+	o    Options
 }
 
 // goldenCells are the pinned format exemplars: one per structural
@@ -61,12 +50,10 @@ func (c goldenCell) warm() *System {
 // set to every descriptor tag the encoder writes.
 func goldenCells() []goldenCell {
 	cell := func(name string, topo Topology, mode Mode, kern Kernel, p workload.Params, warm, interruptEvery int64) goldenCell {
-		cfg := DefaultConfig()
-		cfg.Topology = topo
 		o := DefaultOptions()
 		o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, p, 23, warm
-		o.Config, o.Kernel = &cfg, kern
-		return goldenCell{name, o, interruptEvery}
+		o.Config.Topology, o.Config.Kernel, o.Config.InterruptEvery = topo, kern, interruptEvery
+		return goldenCell{name, o}
 	}
 	// dss-q1 shrunk like tinyWorkload, and its 32 MB scan table too, so
 	// the blob stays about a megabyte; a synchronizing fetch is pending
@@ -103,7 +90,7 @@ func goldenPath(name string) string {
 // differ, because that is exactly the drift this test exists to catch.
 func TestCheckpointGoldenFormat(t *testing.T) {
 	for _, cell := range goldenCells() {
-		blob, err := EncodeCheckpoint(cell.warm().Snapshot(), CheckpointKey(cell.o))
+		blob, err := EncodeCheckpoint(warmSystem(cell.o).Snapshot(), CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatalf("%s: encode: %v", cell.name, err)
 		}
@@ -189,7 +176,7 @@ func TestCheckpointGoldenDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: committed golden blob no longer decodes: %v", cell.name, err)
 		}
-		live := cell.warm()
+		live := warmSystem(cell.o)
 		blob, err := EncodeCheckpoint(live.Snapshot(), CheckpointKey(cell.o))
 		if err != nil {
 			t.Fatal(err)

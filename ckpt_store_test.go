@@ -48,6 +48,19 @@ func (s *memStore) Put(key uint64, blob []byte) error {
 	return nil
 }
 
+// warmCounts reads a traced warm cache's local warmups and store hits
+// from its spans, as a reader of the -trace-out file would.
+func warmCounts(t *testing.T, tr *obs.Tracer) (warmups, hits int) {
+	t.Helper()
+	events := chromeTraceEvents(t, tr)
+	for _, ev := range spansNamed(events, "warm", "store_fetch") {
+		if spanArgs(ev)["outcome"] == "hit" {
+			hits++
+		}
+	}
+	return len(spansNamed(events, "warm", "warmup")), hits
+}
+
 // TestWarmCacheStoreFleet is the fleet-reuse contract over the disk
 // store: worker A warms every cell once and uploads; worker B, sharing
 // the directory, restores every cell from the store, warms nothing, and
@@ -71,15 +84,17 @@ func TestWarmCacheStoreFleet(t *testing.T) {
 	workers := []struct {
 		name  string
 		store ckptstore.Store
-		hits  int64 // expected StoreHits
-		warms int64 // expected Warmups
+		hits  int // expected store hits
+		warms int // expected local warmups
 	}{
-		{"warming-worker", disk, 0, int64(len(cells))},
-		{"cold-worker-disk", disk, int64(len(cells)), 0},
+		{"warming-worker", disk, 0, len(cells)},
+		{"cold-worker-disk", disk, len(cells), 0},
 	}
 	for _, wk := range workers {
 		warm := NewWarmCache()
 		warm.UseStore(wk.store)
+		tr := obs.NewTracer(0)
+		warm.Observe(tr)
 		for i, o := range cells {
 			o.Warm = warm
 			got, err := Run(o)
@@ -91,11 +106,12 @@ func TestWarmCacheStoreFleet(t *testing.T) {
 					wk.name, i, want[i], got)
 			}
 		}
-		if h := warm.StoreHits(); h != wk.hits {
-			t.Errorf("%s: %d store hits, want %d", wk.name, h, wk.hits)
+		warmups, hits := warmCounts(t, tr)
+		if hits != wk.hits {
+			t.Errorf("%s: %d store hits, want %d", wk.name, hits, wk.hits)
 		}
-		if w := warm.Warmups(); w != wk.warms {
-			t.Errorf("%s: %d local warmups, want %d", wk.name, w, wk.warms)
+		if warmups != wk.warms {
+			t.Errorf("%s: %d local warmups, want %d", wk.name, warmups, wk.warms)
 		}
 	}
 }
@@ -225,6 +241,8 @@ func TestWarmCacheStoreRecompute(t *testing.T) {
 		store.m[key] = tc.blob
 		warm := NewWarmCache()
 		warm.UseStore(store)
+		tr := obs.NewTracer(0)
+		warm.Observe(tr)
 		co := o
 		co.Warm = warm
 		got, err := Run(co)
@@ -234,9 +252,9 @@ func TestWarmCacheStoreRecompute(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: recomputed run diverged from fresh run", tc.name)
 		}
-		if warm.StoreHits() != 0 || warm.Warmups() != 1 {
+		if warmups, hits := warmCounts(t, tr); hits != 0 || warmups != 1 {
 			t.Errorf("%s: hits=%d warmups=%d, want 0/1 (poisoned blob must recompute)",
-				tc.name, warm.StoreHits(), warm.Warmups())
+				tc.name, hits, warmups)
 		}
 	}
 }

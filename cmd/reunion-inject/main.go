@@ -169,15 +169,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if o.Err != nil {
 				status = o.Err.Error()
 			}
-			fmt.Fprintf(stderr, "[%*d/%d] %s,trial=%d bit=%d cycle=%d: %s\n",
-				len(strconv.Itoa(total)), done, total, cell.Name(), t.Index, t.Bit, t.Cycle, status)
+			fmt.Fprintf(stderr, "[%*d/%d] %s bit=%d cycle=%d: %s\n",
+				len(strconv.Itoa(total)), done, total, cell.Name(), t.Bit, t.Cycle, status)
 		}
 		// The diagnostic dump prints even under -quiet: SDC and DUE are
 		// exactly the trials one runs a campaign to find, and the last
 		// kernel events before the verdict are the first clue to why.
 		if *traceDump > 0 && o.Diag != "" && (out == campaign.SDC || out == campaign.DUE) {
-			fmt.Fprintf(stderr, "inject: %s trial: %s,trial=%d bit=%d cycle=%d — last kernel events:\n%s",
-				out, cell.Name(), t.Index, t.Bit, t.Cycle, o.Diag)
+			fmt.Fprintf(stderr, "inject: %s trial: %s bit=%d cycle=%d — last kernel events:\n%s",
+				out, cell.Name(), t.Bit, t.Cycle, o.Diag)
 		}
 	}
 	var rep *campaign.Report

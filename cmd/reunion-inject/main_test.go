@@ -243,3 +243,26 @@ func TestShardJournalResume(t *testing.T) {
 		t.Fatalf("-resume of a complete journal changed it:\n got %s\nwant %s", got, intact)
 	}
 }
+
+// Each progress line names its trial once: the point name the campaign
+// hands the progress callback already ends in its trial label.
+func TestProgressNamesTrialOnce(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-trials", "2", "-mode", "reunion", "-workloads", "apache", "-warm", "2000",
+		"-target", "100", "-out", filepath.Join(t.TempDir(), "inject.jsonl")}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	n := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if !strings.HasPrefix(line, "[") {
+			continue
+		}
+		n++
+		if c := strings.Count(line, "trial="); c != 1 {
+			t.Errorf("progress line names its trial %d times: %q", c, line)
+		}
+	}
+	if n != 2 {
+		t.Errorf("%d progress lines, want 2:\n%s", n, stderr.String())
+	}
+}

@@ -79,11 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	def := reunion.DefaultOptions()
 	modes := fs.String("modes", "non-redundant,strict,reunion", "execution models to sweep (csv)")
 	workloads := fs.String("workloads", "all", "workloads to sweep (csv of names, or 'all')")
-	latencies := fs.String("latencies", strconv.FormatInt(def.CompareLatency, 10), "comparison latencies in cycles (csv; 0 = zero-cycle)")
+	latencies := fs.String("latencies", strconv.FormatInt(def.Config.CompareLatency, 10), "comparison latencies in cycles (csv; 0 = zero-cycle)")
 	phantoms := fs.String("phantoms", "global", "phantom strengths (csv: global,shared,null)")
 	tlbs := fs.String("tlbs", "hardware", "TLB disciplines (csv: hardware,software)")
 	consistencies := fs.String("consistencies", "tso", "memory consistency models (csv: tso,sc)")
-	intervals := fs.String("intervals", strconv.Itoa(def.FPInterval), "fingerprint comparison intervals (csv)")
+	intervals := fs.String("intervals", strconv.Itoa(def.Config.Core.FPInterval), "fingerprint comparison intervals (csv)")
 	seeds := fs.String("seeds", "1", "workload seeds (csv of uint64)")
 	warm := fs.Int64("warm", def.WarmCycles, "warmup cycles per run")
 	measure := fs.Int64("measure", def.MeasureCycles, "measurement cycles per run")
@@ -237,7 +237,7 @@ func buildSpec(modes, workloads, latencies, phantoms, tlbs, consistencies, inter
 	// where reuse is real: reunion-inject's per-cell trials and the
 	// -experiment campaigns (ExpConfig).
 	spec := sweep.Spec[reunion.Options]{Name: "paper-matrix", Base: reunion.DefaultOptions()}
-	spec.Base.WarmCycles, spec.Base.MeasureCycles, spec.Base.Kernel = warm, measure, kern
+	spec.Base.WarmCycles, spec.Base.MeasureCycles, spec.Base.Config.Kernel = warm, measure, kern
 
 	ps, err := cliconf.Workloads(warnOut, "sweep", workloads)
 	if err != nil {

@@ -124,9 +124,10 @@ func (c *memo[V]) do(key string, f func() (V, error)) (V, error) {
 }
 
 // baseline runs (or reuses) the non-redundant baseline for o. The cache
-// key is the warm key plus the measurement window, with CompareLatency
-// and Phantom normalised: neither affects a run without redundant pairs,
-// which is what lets one baseline serve a whole latency sweep.
+// key is the warm key plus the measurement window, with the comparison
+// latency and phantom strength normalised: neither affects a run without
+// redundant pairs, which is what lets one baseline serve a whole latency
+// sweep.
 func (c ExpConfig) baseline(o Options) (Result, error) {
 	if c.base == nil {
 		return Run(o)
@@ -135,7 +136,7 @@ func (c ExpConfig) baseline(o Options) (Result, error) {
 }
 
 func baselineKey(o Options) string {
-	o.CompareLatency, o.Phantom = 0, 0
+	o.Config.CompareLatency, o.Config.L2.Phantom = 0, 0
 	return fmt.Sprintf("%s|%d", warmKey(o), o.MeasureCycles)
 }
 
@@ -159,7 +160,7 @@ func (c ExpConfig) printf(format string, args ...any) {
 func (c ExpConfig) opts() Options {
 	o := DefaultOptions()
 	o.WarmCycles, o.MeasureCycles = c.WarmCycles, c.MeasureCycles
-	o.Kernel, o.Warm = c.Kernel, c.warm
+	o.Config.Kernel, o.Warm = c.Kernel, c.warm
 	return o
 }
 
@@ -197,31 +198,31 @@ func ModeAxis(ms []Mode) sweep.Axis[Options] {
 func LatencyAxis(lats []int64) sweep.Axis[Options] {
 	return sweep.NewAxis("latency", lats,
 		func(l int64) string { return strconv.FormatInt(l, 10) },
-		func(o *Options, l int64) { o.CompareLatency = l })
+		func(o *Options, l int64) { o.Config.CompareLatency = l })
 }
 
 // PhantomAxis sweeps the phantom request strength.
 func PhantomAxis(phs []Phantom) sweep.Axis[Options] {
 	return sweep.NewAxis("phantom", phs, Phantom.String,
-		func(o *Options, ph Phantom) { o.Phantom = ph })
+		func(o *Options, ph Phantom) { o.Config.L2.Phantom = ph })
 }
 
 // TLBAxis sweeps the TLB discipline.
 func TLBAxis(ts []TLBMode) sweep.Axis[Options] {
 	return sweep.NewAxis("tlb", ts, TLBMode.String,
-		func(o *Options, m TLBMode) { o.TLB = m })
+		func(o *Options, m TLBMode) { o.Config.Core.TLB.Mode = m })
 }
 
 // ConsistencyAxis sweeps the memory consistency model.
 func ConsistencyAxis(cs []Consistency) sweep.Axis[Options] {
 	return sweep.NewAxis("consistency", cs, ConsistencyName,
-		func(o *Options, m Consistency) { o.Consistency = m })
+		func(o *Options, m Consistency) { o.Config.Core.Consistency = m })
 }
 
 // IntervalAxis sweeps the fingerprint comparison interval.
 func IntervalAxis(ivs []int) sweep.Axis[Options] {
 	return sweep.NewAxis("interval", ivs, strconv.Itoa,
-		func(o *Options, iv int) { o.FPInterval = iv })
+		func(o *Options, iv int) { o.Config.Core.FPInterval = iv })
 }
 
 // SeedAxis sweeps the workload seed.
@@ -740,14 +741,9 @@ func intervalClaims(reun []float64) []Claim {
 func (c ExpConfig) rob() ([]Claim, error) {
 	c.printf("Ablation (§5.2): speculation window size, Strict @40-cycle latency\n")
 	base := c.opts()
-	base.Mode, base.CompareLatency = ModeStrict, 40
+	base.Mode, base.Config.CompareLatency = ModeStrict, 40
 	window := sweep.NewAxis("window", robWindows, strconv.Itoa,
-		func(o *Options, sz int) {
-			cfg := DefaultConfig()
-			cfg.Core.ROBSize = sz
-			cfg.Core.CheckQCap = sz
-			o.Config = &cfg
-		})
+		func(o *Options, sz int) { o.Config.Core.ROBSize, o.Config.Core.CheckQCap = sz, sz })
 	comm, sci, err := c.classSplitSweep("rob-sweep", base, window, "window %5s")
 	if err != nil {
 		return nil, err
@@ -775,11 +771,7 @@ func (c ExpConfig) topology() ([]Claim, error) {
 	base := c.opts()
 	base.Mode = ModeReunion
 	topology := sweep.NewAxis("topology", topologies, Topology.String,
-		func(o *Options, tp Topology) {
-			cfg := DefaultConfig()
-			cfg.Topology = tp
-			o.Config = &cfg
-		})
+		func(o *Options, tp Topology) { o.Config.Topology = tp })
 	comm, sci, err := c.classSplitSweep("topology", base, topology, "%-10s")
 	if err != nil {
 		return nil, err

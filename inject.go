@@ -75,7 +75,7 @@ func TrialRunner(model campaign.FaultModel, warm *WarmCache) func(ctx context.Co
 			return campaign.Observation{Err: fmt.Errorf("golden: %w", err)}
 		}
 		// Faults target mutes too: one must be detected like a vocal.
-		n := o.Threads
+		n := o.Config.LogicalProcessors
 		if o.Mode == ModeReunion {
 			n *= 2
 		}

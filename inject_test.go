@@ -128,11 +128,11 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if rep.Total.Trials() != 12 {
 		t.Fatalf("classified %d of 12 trials", rep.Total.Trials())
 	}
-	re := rep.CellBy(map[string]string{"mode": "reunion"})
-	nr := rep.CellBy(map[string]string{"mode": "non-redundant"})
-	if re == nil || nr == nil {
-		t.Fatal("cells missing")
+	// Cells are in matrix order, as the coverage table prints them.
+	if len(rep.Cells) != 2 || rep.Cells[0].Name != "mode=reunion" || rep.Cells[1].Name != "mode=non-redundant" {
+		t.Fatalf("cells missing or out of matrix order: %+v", rep.Cells)
 	}
+	re, nr := &rep.Cells[0], &rep.Cells[1]
 	if re.Count(campaign.SDC) != 0 || re.Count(campaign.DUE) != 0 {
 		t.Fatalf("reunion cell not clean: %+v", re.Counts)
 	}
@@ -155,50 +155,63 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunKeysCoverEveryOption perturbs each Options field in turn and
-// checks which memo keys see it: warmKey every field that shapes the
-// system up to the measurement boundary, trialKey those plus the trial
-// window, baselineKey those plus the measurement window minus the two
-// pair-only knobs. A new Options field fails here until it is placed,
+// TestRunKeysCoverEveryOption perturbs each leaf field of Options in
+// turn, Config and the core and L2 configs inside it included, and checks
+// which memo keys see it: warmKey every field that shapes the system up
+// to the measurement boundary, trialKey those plus the trial window,
+// baselineKey those plus the measurement window minus the two pair-only
+// knobs. A new Options or Config field fails here until it is placed,
 // instead of silently sharing a warm, golden or baseline run between
 // cells that differ.
 func TestRunKeysCoverEveryOption(t *testing.T) {
 	measureOnly := map[string]bool{"MeasureCycles": true, "Inject": true, "CommitTarget": true,
 		"TrialDeadline": true, "TraceEvents": true, "Warm": true}
 	trialOnly := map[string]bool{"CommitTarget": true, "TrialDeadline": true}
-	pairOnly := map[string]bool{"CompareLatency": true, "Phantom": true}
+	pairOnly := map[string]bool{"Config.CompareLatency": true, "Config.L2.Phantom": true}
 	var base Options
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		o := base
-		f := reflect.ValueOf(&o).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(1)
-		case reflect.Uint8, reflect.Uint64:
-			f.SetUint(1)
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Pointer:
-			f.Set(reflect.New(f.Type().Elem()))
-		case reflect.Struct:
-			o.Workload.PrivateBytes = 1 // same name, different program
-		default:
-			t.Fatalf("no perturbation for Options.%s (%s)", name, f.Kind())
-		}
-		for _, k := range []struct {
-			key  func(Options) string
-			name string
-			want bool
-		}{
-			{warmKey, "warmKey", !measureOnly[name]},
-			{trialKey, "trialKey", !measureOnly[name] || trialOnly[name]},
-			{baselineKey, "baselineKey", !measureOnly[name] && !pairOnly[name] || name == "MeasureCycles"},
-		} {
-			if got := k.key(o) != k.key(base); got != k.want {
-				t.Errorf("Options.%s: %s changes = %v, want %v", name, k.name, got, k.want)
+	var leaves int
+	var walk func(path string, index []int, typ reflect.Type)
+	walk = func(path string, index []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			sf := typ.Field(i)
+			name := path + sf.Name
+			idx := append(append([]int{}, index...), i)
+			o := base
+			f := reflect.ValueOf(&o).Elem().FieldByIndex(idx)
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(1)
+			case reflect.Uint8, reflect.Uint64:
+				f.SetUint(1)
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Pointer:
+				f.Set(reflect.New(f.Type().Elem()))
+			case reflect.Struct:
+				if sf.Type != reflect.TypeOf(workload.Params{}) {
+					walk(name+".", idx, sf.Type)
+					continue
+				}
+				o.Workload.PrivateBytes = 1 // same name, different program
+			default:
+				t.Fatalf("no perturbation for Options.%s (%s)", name, f.Kind())
+			}
+			leaves++
+			for _, k := range []struct {
+				key  func(Options) string
+				name string
+				want bool
+			}{
+				{warmKey, "warmKey", !measureOnly[name]},
+				{trialKey, "trialKey", !measureOnly[name] || trialOnly[name]},
+				{baselineKey, "baselineKey", !measureOnly[name] && !pairOnly[name] || name == "MeasureCycles"},
+			} {
+				if got := k.key(o) != k.key(base); got != k.want {
+					t.Errorf("Options.%s: %s changes = %v, want %v", name, k.name, got, k.want)
+				}
 			}
 		}
 	}
+	walk("", nil, reflect.TypeOf(base))
+	t.Logf("%d leaf fields", leaves)
 }

@@ -361,12 +361,12 @@ func TestZeroCycleLatency(t *testing.T) {
 	o := DefaultOptions()
 	o.Mode, o.Workload = ModeStrict, workload.Moldyn()
 	o.WarmCycles, o.MeasureCycles = 10_000, 10_000
-	o.CompareLatency = 0
+	o.Config.CompareLatency = 0
 	z, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.CompareLatency = 10
+	o.Config.CompareLatency = 10
 	ten, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -436,10 +436,9 @@ func TestVocalMatchesGoldenUnderReunion(t *testing.T) {
 // preserved, interrupts are counted, and the run is slower.
 func TestExternalInterrupts(t *testing.T) {
 	run := func(every int64) (int64, *System) {
-		w := workload.MicroCounter(4, 50)
-		sys := NewSystem(DefaultConfig(), ModeReunion, w, 7)
-		sys.InterruptEvery = every
-		sys.InterruptCost = 200
+		cfg := DefaultConfig()
+		cfg.InterruptEvery, cfg.InterruptCost = every, 200
+		sys := NewSystem(cfg, ModeReunion, workload.MicroCounter(4, 50), 7)
 		cycles := runToHalt(t, sys, 20_000_000)
 		got, _ := sys.CoherentWord(workload.CounterAddr)
 		if got != 200 {
@@ -458,19 +457,19 @@ func TestExternalInterrupts(t *testing.T) {
 	t.Logf("base %d cycles, with interrupts %d (%d serviced)", base, withInt, sys.InterruptsServiced())
 }
 
-// TestInterruptCostIsAValue: a new system's handler costs 150 cycles,
-// and a cost of 0 is a zero-cycle handler, not a stand-in for the
-// default: its interrupts are raised and serviced like any other, and
-// the run takes exactly as long as one without interrupts. A negative
-// cost panics at the first interrupt, naming the field.
+// TestInterruptCostIsAValue: the default handler costs 150 cycles, and
+// a cost of 0 is a zero-cycle handler, not a stand-in for the default:
+// its interrupts are raised and serviced like any other, and the run
+// takes exactly as long as one without interrupts. A negative cost
+// panics in NewSystem, naming the field.
 func TestInterruptCostIsAValue(t *testing.T) {
+	if c := DefaultConfig().InterruptCost; c != 150 {
+		t.Fatalf("the default interrupt cost is %d, want 150", c)
+	}
 	build := func(every, cost int64) *System {
-		sys := NewSystem(DefaultConfig(), ModeReunion, workload.MicroCounter(4, 50), 7)
-		if sys.InterruptCost != 150 {
-			t.Fatalf("a new system's interrupt cost is %d, want 150", sys.InterruptCost)
-		}
-		sys.InterruptEvery, sys.InterruptCost = every, cost
-		return sys
+		cfg := DefaultConfig()
+		cfg.InterruptEvery, cfg.InterruptCost = every, cost
+		return NewSystem(cfg, ModeReunion, workload.MicroCounter(4, 50), 7)
 	}
 	base := runToHalt(t, build(0, 0), 20_000_000)
 	free := build(500, 0)
@@ -489,7 +488,7 @@ func TestInterruptCostIsAValue(t *testing.T) {
 			t.Errorf("a negative interrupt cost panicked with %v, want a panic naming InterruptCost", r)
 		}
 	}()
-	build(500, -1).Run(1_000)
+	build(500, -1)
 }
 
 // TestTracing: the pair hooks report mismatches and recoveries under a
@@ -514,7 +513,7 @@ func TestTracing(t *testing.T) {
 func TestTraceDump(t *testing.T) {
 	const keep = 4
 	o := DefaultOptions()
-	o.Mode, o.Workload, o.Phantom = ModeReunion, workload.Apache(), PhantomShared
+	o.Mode, o.Workload, o.Config.L2.Phantom = ModeReunion, workload.Apache(), PhantomShared
 	o.WarmCycles, o.MeasureCycles = 3_000, 4_000
 	o.Warm = NewWarmCache()
 	o.TraceEvents = keep

@@ -117,16 +117,6 @@ func (a *Array) Lookup(block uint64) *Line {
 	return nil
 }
 
-// Touch refreshes a line's LRU stamp exactly as a Lookup hit would. Hit
-// fast paths locate the line with Peek and call this on success, so a
-// failed fast path followed by the full Lookup bumps the LRU clock once,
-// same as the full path alone.
-func (a *Array) Touch(l *Line) {
-	a.mark(l.Block)
-	a.tick++
-	l.lru = a.tick
-}
-
 // Peek returns the line holding block without touching LRU, or nil.
 func (a *Array) Peek(block uint64) *Line {
 	set := a.set(block)

@@ -457,9 +457,6 @@ func (c *L1) ResetStats() {
 	c.Retries = 0
 }
 
-// OutstandingMisses reports the number of MSHRs in use.
-func (c *L1) OutstandingMisses() int { return len(c.mshrs) - c.free }
-
 // L1State is a checkpoint of the cache: array contents, MSHRs (with their
 // waiters' plain-data descriptors), and statistics.
 type L1State struct {
@@ -507,8 +504,3 @@ func (c *L1) Restore(s *L1State) {
 	c.MuteDropsWB = s.muteDrops
 	c.Retries = s.retries
 }
-
-// HasPendingFill reports whether a miss for block is outstanding (the
-// shared cache controller uses this to distinguish an in-flight fill from
-// a silently evicted clean line when its directory looks stale).
-func (c *L1) HasPendingFill(block uint64) bool { return c.findMSHR(block) != nil }

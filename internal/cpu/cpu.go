@@ -424,16 +424,22 @@ type dispEntry struct {
 }
 
 // New builds a core bound to a thread and its private caches, and makes
-// the core the Client both caches complete their misses into.
+// the core the Client both caches complete their misses into. pollEvery
+// selects the issue-stage polling policy for the core's lifetime: true is
+// the naive kernel's re-poll-every-entry-every-cycle loop; false (the
+// fast-forward kernel) skips dispatched entries whose blocking condition
+// cannot have changed since they were last evaluated. Both policies are
+// bit-identical in every architectural and statistical outcome.
 func New(id, pair int, vocal bool, cfg *Config, eq *sim.EventQueue,
-	th *program.Thread, l1d, l1i *cache.L1, itlb, dtlb *tlb.TLB, gate Gate) *Core {
+	th *program.Thread, l1d, l1i *cache.L1, itlb, dtlb *tlb.TLB, gate Gate, pollEvery bool) *Core {
 	c := &Core{
 		ID: id, Pair: pair, Vocal: vocal, Cfg: cfg, EQ: eq,
 		Thread: th, L1D: l1d, L1I: l1i, ITLB: itlb, DTLB: dtlb,
-		BP:    bpred.New(12, 10),
-		Gate:  gate,
-		rob:   make([]Entry, cfg.ROBSize),
-		fpGen: fingerprint.NewGen(cfg.FPMode),
+		BP:        bpred.New(12, 10),
+		Gate:      gate,
+		rob:       make([]Entry, cfg.ROBSize),
+		fpGen:     fingerprint.NewGen(cfg.FPMode),
+		pollEvery: pollEvery,
 	}
 	c.arf = th.InitRegs
 	c.fetchPC = th.Entry
@@ -462,20 +468,6 @@ func (c *Core) initWaiters() {
 	}
 	for i := range c.wNext {
 		c.wNext[i], c.wPrev[i], c.wProd[i] = -1, -1, -1
-	}
-}
-
-// SetPollEveryCycle selects the issue-stage polling policy: true restores
-// the naive kernel's re-poll-every-entry-every-cycle loop; false (the
-// fast-forward kernel) skips dispatched entries whose blocking condition
-// cannot have changed since they were last evaluated. Both policies are
-// bit-identical in every architectural and statistical outcome.
-func (c *Core) SetPollEveryCycle(poll bool) {
-	if c.pollEvery != poll {
-		c.pollEvery = poll
-		// Membership in the active list vs the waiter chains depends on
-		// the policy; re-derive it so a mid-run toggle stays sound.
-		c.rebuildDerived()
 	}
 }
 

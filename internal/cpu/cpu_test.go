@@ -66,7 +66,7 @@ func newRig(t *testing.T, th *program.Thread, gate cpu.Gate) *rig {
 		gate = &core.NonRedundantGate{EQ: r.eq}
 	}
 	r.core = cpu.New(0, 0, true, testCfg(), r.eq, th,
-		l1d, l1i, tlb.New(64, 2), tlb.New(64, 2), gate)
+		l1d, l1i, tlb.New(64, 2), tlb.New(64, 2), gate, false)
 	return r
 }
 
@@ -257,7 +257,7 @@ func TestSCMakesStoresSerializing(t *testing.T) {
 	l1d := cache.NewL1("d", 0, 0, true, 8<<10, 2, 8, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, cfgSC, eq, th, l1d, l1i, tlb.New(64, 2), tlb.New(64, 2),
-		&core.NonRedundantGate{EQ: eq})
+		&core.NonRedundantGate{EQ: eq}, false)
 	for i := 0; i < 100_000 && !c.Halted(); i++ {
 		eq.Advance(eq.Now() + 1)
 		c.Tick()
@@ -315,7 +315,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	l1d := cache.NewL1("d", 0, 0, true, 8<<10, 2, 8, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 	c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
-		tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
+		tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq}, false)
 	var cycles int64
 	for ; cycles < 10_000 && !c.Halted(); cycles++ {
 		eq.Advance(eq.Now() + 1)
@@ -378,8 +378,8 @@ func TestRetryAllocatesNothing(t *testing.T) {
 			l1d := cache.NewL1("d", 0, 0, true, 8<<10, 2, 8, below, false)
 			l1i := cache.NewL1("i", 0, 0, true, 8<<10, 2, 8, below, true)
 			c := cpu.New(0, 0, true, testCfg(), eq, b.Build(), l1d, l1i,
-				tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq})
-			for i := 0; l1d.OutstandingMisses() < 8; i++ {
+				tlb.New(64, 2), tlb.New(64, 2), &core.NonRedundantGate{EQ: eq}, false)
+			for i := 0; l1d.Misses < 8; i++ { // every MSHR busy
 				l1d.Load(mem.BlockAddr(0x80000)+uint64(i)*mem.BlockBytes, 0, cache.CB{Kind: cache.CBLoadDone})
 			}
 			tick := func() {

@@ -178,7 +178,6 @@ func (s *CoreState) Walk(c *bin.Codec, m *mem.MemoryState) {
 	c.I64(&co.idleSerStalls)
 	c.I64(&co.idleSBFull)
 	c.I64(&co.execStamp)
-	c.Bool(&co.pollEvery)
 	c.Bool(&co.dirty)
 	c.Bool(&co.selfQuiet)
 	c.I64(&co.selfWake)
@@ -215,7 +214,8 @@ func (s *CoreState) VisitWaiters(fn func(*cache.CB) error) error {
 	return s.l1i.VisitWaiters(fn)
 }
 
-// BindTo fixes the snapshot's pointer fields from the live core and
+// BindTo fixes the snapshot's pointer fields and issue-stage polling
+// policy (fixed when the core was built) from the live core and
 // cross-checks identity and geometry, so Restore writes a struct whose
 // wiring matches the system it restores onto. m is the checkpoint's
 // bound memory image, which fills the L1 lines written as memory's.
@@ -246,6 +246,7 @@ func (s *CoreState) BindTo(live *Core, m *mem.MemoryState) error {
 		return fmt.Errorf("cpu: core %d predictor snapshot geometry (%d,%d), live (%d,%d)", c.ID, gc, gb, lc, lb)
 	}
 	c.Cfg = live.Cfg
+	c.pollEvery = live.pollEvery
 	c.EQ = live.EQ
 	c.Thread = live.Thread
 	c.L1D = live.L1D

@@ -53,7 +53,7 @@ func testCore(eq *sim.EventQueue) *cpu.Core {
 	l1d := cache.NewL1("d", 0, 0, true, 1<<10, 2, 4, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, th, l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
-		&core.NonRedundantGate{EQ: eq})
+		&core.NonRedundantGate{EQ: eq}, false)
 	return c
 }
 
@@ -112,7 +112,7 @@ func TestCampaignSkipsHaltedCores(t *testing.T) {
 	l1d := cache.NewL1("d", 0, 0, true, 1<<10, 2, 4, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
-		&core.NonRedundantGate{EQ: eq})
+		&core.NonRedundantGate{EQ: eq}, false)
 	camp := NewCampaign(5, 10, []*cpu.Core{c})
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)
@@ -185,7 +185,7 @@ func TestCampaignMaskedArmedOnHalt(t *testing.T) {
 	l1d := cache.NewL1("d", 0, 0, true, 1<<10, 2, 4, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
-		&core.NonRedundantGate{EQ: eq})
+		&core.NonRedundantGate{EQ: eq}, false)
 	// Arm directly just before the halt retires so the flip has no
 	// register-writing instruction left to consume.
 	camp := NewCampaign(5, 1_000_000, []*cpu.Core{c})
@@ -253,7 +253,7 @@ func TestInjectionOnHaltedCoreStaysUnfired(t *testing.T) {
 	l1d := cache.NewL1("d", 0, 0, true, 1<<10, 2, 4, below, false)
 	l1i := cache.NewL1("i", 0, 0, true, 1<<10, 2, 4, below, true)
 	c := cpu.New(0, 0, true, cfg, eq, b.Build(), l1d, l1i, tlb.New(16, 2), tlb.New(16, 2),
-		&core.NonRedundantGate{EQ: eq})
+		&core.NonRedundantGate{EQ: eq}, false)
 	shot := Injection{Core: 0, Cycle: 1_500, Bit: 0}.Arm(eq, c, nil)
 	for cyc := int64(0); cyc < 2_000; cyc++ {
 		eq.Advance(eq.Now() + 1)

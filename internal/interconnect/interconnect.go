@@ -40,15 +40,6 @@ func NewBankQueue(perCycle int) *BankQueue {
 	return &BankQueue{perCycle: perCycle}
 }
 
-// SetRate changes the per-cycle service rate (used when scaling bandwidth
-// with core count).
-func (b *BankQueue) SetRate(perCycle int) {
-	if perCycle < 1 {
-		perCycle = 1
-	}
-	b.perCycle = perCycle
-}
-
 // Push enqueues an item at the given cycle.
 func (b *BankQueue) Push(now int64, it Item) {
 	b.q = append(b.q, queued{item: it, arrived: now})

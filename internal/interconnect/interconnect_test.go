@@ -68,14 +68,11 @@ func TestWaitAccounting(t *testing.T) {
 }
 
 func TestRateFloor(t *testing.T) {
-	q := NewBankQueue(0) // clamps to 1
-	q.Push(0, "a")
-	if q.Pop(1) == nil {
-		t.Fatal("rate floor broken")
-	}
-	q.SetRate(-3)
-	q.Push(1, "b")
-	if q.Pop(2) == nil {
-		t.Fatal("SetRate floor broken")
+	for _, rate := range []int{0, -3} {
+		q := NewBankQueue(rate) // clamps to 1
+		q.Push(0, "a")
+		if q.Pop(1) == nil {
+			t.Fatalf("rate floor broken at %d", rate)
+		}
 	}
 }

@@ -139,9 +139,6 @@ func (m *Memory) WriteBlock(addr uint64, b *Block) {
 	copy(p[off:off+BlockWords], b[:])
 }
 
-// MappedPages returns the number of allocated pages (for footprint stats).
-func (m *Memory) MappedPages() int { return len(m.pages) }
-
 // MemoryState is a checkpoint of the memory image: the page-pointer map.
 // The page arrays it points to are immutable — shared with the live image
 // and with other states until a writer copies them — so a state restores

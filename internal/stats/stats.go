@@ -203,7 +203,7 @@ type Histogram struct {
 	buckets [65]int64 // buckets[i] counts values with bit length i (0 → value 0)
 	n       int64
 	sum     int64
-	min     int64
+	min     int64 // read only by this package's tests (export_test.go)
 	max     int64
 }
 
@@ -236,9 +236,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.n)
 }
-
-// Min returns the smallest observation (0 for an empty histogram).
-func (h *Histogram) Min() int64 { return h.min }
 
 // Max returns the largest observation (0 for an empty histogram).
 func (h *Histogram) Max() int64 { return h.max }
@@ -275,21 +272,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Buckets calls fn for every non-empty bucket in ascending value order
-// with the bucket's inclusive value range and count.
-func (h *Histogram) Buckets(fn func(lo, hi, count int64)) {
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		if i == 0 {
-			fn(0, 0, c)
-			continue
-		}
-		fn(int64(1)<<uint(i-1), int64(1)<<uint(i)-1, c)
-	}
 }
 
 // String renders "n=42 mean=13.5 p50≤15 p95≤63 max=70".

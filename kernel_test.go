@@ -133,10 +133,9 @@ func TestKernelEquivalence(t *testing.T) {
 					var stats [2]map[string]int64
 					for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
 						cfg := DefaultConfig()
-						cfg.Topology = topo
+						cfg.Topology, cfg.Kernel = topo, kern
 						w := p.Build(seed, 2)
 						sys := NewSystem(cfg, mode, w, seed)
-						sys.Kernel = kern
 						sys.Prefill()
 						sys.Run(8_000)
 						sys.ResetStats()
@@ -166,11 +165,9 @@ func TestKernelEquivalenceInterrupts(t *testing.T) {
 		var cycles [2]int64
 		var stats [2]map[string]int64
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
-			w := workload.MicroCounter(2, 40)
-			sys := NewSystem(DefaultConfig(), mode, w, 11)
-			sys.Kernel = kern
-			sys.InterruptEvery = 293
-			sys.InterruptCost = 77
+			cfg := DefaultConfig()
+			cfg.Kernel, cfg.InterruptEvery, cfg.InterruptCost = kern, 293, 77
+			sys := NewSystem(cfg, mode, workload.MicroCounter(2, 40), 11)
 			n, halted := sys.RunUntilHalted(20_000_000)
 			if !halted {
 				t.Fatalf("%v/%v: did not halt", mode, kern)
@@ -204,7 +201,7 @@ func TestKernelEquivalenceTrial(t *testing.T) {
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
 			o := DefaultOptions()
-			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Apache(), 17, kern
+			o.Mode, o.Workload, o.Seed, o.Config.Kernel = mode, workload.Apache(), 17, kern
 			o.Inject = &fault.Injection{Cycle: 900, Core: core, Bit: 13}
 			o.WarmCycles, o.CommitTarget = 6_000, 1_500
 			r, err := Run(o)
@@ -228,8 +225,8 @@ func TestKernelEquivalenceTLBConsistency(t *testing.T) {
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
 			o := DefaultOptions()
-			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Apache(), 9, kern
-			o.TLB, o.Consistency = TLBSoftware, SC
+			o.Mode, o.Workload, o.Seed, o.Config.Kernel = mode, workload.Apache(), 9, kern
+			o.Config.Core.TLB.Mode, o.Config.Core.Consistency = TLBSoftware, SC
 			o.WarmCycles, o.MeasureCycles = 6_000, 6_000
 			r, err := Run(o)
 			if err != nil {
@@ -251,7 +248,7 @@ func TestKernelEquivalenceJSONL(t *testing.T) {
 	var out [2]bytes.Buffer
 	for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
 		base := DefaultOptions()
-		base.Seed, base.WarmCycles, base.MeasureCycles, base.Kernel = 3, 5_000, 5_000, kern
+		base.Seed, base.WarmCycles, base.MeasureCycles, base.Config.Kernel = 3, 5_000, 5_000, kern
 		spec := sweep.Spec[Options]{
 			Name: "kernel-ab",
 			Base: base,
@@ -280,7 +277,7 @@ func TestKernelEquivalenceRun(t *testing.T) {
 		var res [2]Result
 		for i, kern := range []Kernel{KernelNaive, KernelFastForward} {
 			o := DefaultOptions()
-			o.Mode, o.Workload, o.Seed, o.Kernel = mode, workload.Ocean(), 5, kern
+			o.Mode, o.Workload, o.Seed, o.Config.Kernel = mode, workload.Ocean(), 5, kern
 			o.WarmCycles, o.MeasureCycles = 8_000, 8_000
 			r, err := Run(o)
 			if err != nil {

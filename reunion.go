@@ -20,6 +20,7 @@
 //
 //	o := reunion.DefaultOptions()
 //	o.Mode, o.Workload = reunion.ModeReunion, workload.Apache()
+//	o.Config.CompareLatency = 20 // the machine is o.Config
 //	res, err := reunion.Run(o)
 //	fmt.Println(res.UserIPC, res.IncoherenceEvents)
 //
@@ -133,7 +134,11 @@ func (t Topology) String() string {
 	return "directory"
 }
 
-// Config holds the full machine configuration. DefaultConfig returns the
+// Config is the one description of the machine: every knob the paper's
+// evaluation sweeps (comparison latency, phantom strength, TLB
+// discipline, consistency, fingerprint interval, ROB window, topology)
+// and the simulation kernel and interrupt schedule. NewSystem reads it
+// once; a built System never changes it. DefaultConfig returns the
 // paper's Table 1 parameters.
 type Config struct {
 	LogicalProcessors int
@@ -162,6 +167,20 @@ type Config struct {
 	// may keep sending fingerprints with the partner silent before forced
 	// recovery.
 	PairTimeout int64
+
+	// Kernel selects the simulation kernel. Both kernels are bit-identical
+	// in results; KernelNaive ticks every component every cycle and exists
+	// for A/B verification and as a reference for new tickable components.
+	Kernel Kernel
+	// InterruptEvery delivers an external interrupt to every logical
+	// processor each time this many cycles elapse (0 = off). Interrupts
+	// are replicated to both members of a pair and serviced at the same
+	// comparison boundary (§4.3).
+	InterruptEvery int64
+	// InterruptCost is the handler service time in cycles (DefaultConfig:
+	// 150; 0 is a zero-cycle handler, and NewSystem panics on a negative
+	// cost).
+	InterruptCost int64
 }
 
 // DefaultConfig returns the simulated baseline CMP of Table 1: 4 logical
@@ -219,6 +238,7 @@ func DefaultConfig() Config {
 		SnoopLatency:   20,
 		CompareLatency: 10,
 		PairTimeout:    20000,
+		InterruptCost:  150,
 	}
 }
 

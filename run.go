@@ -10,42 +10,29 @@ import (
 	"reunion/internal/workload"
 )
 
-// Options configures one measured simulation run. Start from
-// DefaultOptions: every field runs as given, zero included.
+// Options configures one measured simulation run: which program, under
+// which execution model, on which machine (Config), and over which
+// window. Start from DefaultOptions: every field runs as given, zero
+// included.
 type Options struct {
 	// Mode selects the execution model (DefaultOptions: non-redundant).
 	Mode Mode
 	// Workload is the program profile to run (see internal/workload.Suite).
 	Workload workload.Params
-	// Threads is the number of logical processors (DefaultOptions: 4).
-	Threads int
 	// Seed drives workload generation; matched-pair comparisons run the
 	// same seed under different modes.
 	Seed uint64
-	// CompareLatency is the one-way comparison latency in cycles
-	// (DefaultOptions: 10, Figure 5; Figure 6 starts at 0).
-	CompareLatency int64
-	// Phantom selects the phantom request strength (DefaultOptions: global).
-	Phantom Phantom
-	// TLB selects hardware- or software-managed TLBs (DefaultOptions:
-	// hardware, as in the paper's headline results).
-	TLB TLBMode
-	// Consistency selects TSO (DefaultOptions) or SC.
-	Consistency Consistency
-	// FPInterval sets the fingerprint comparison interval in instructions
-	// (DefaultOptions: 1, every instruction, as the paper does).
-	FPInterval int
 	// WarmCycles and MeasureCycles size the sampling window
 	// (DefaultOptions: 100k/50k, the paper's §5 methodology).
 	WarmCycles    int64
 	MeasureCycles int64
-	// Config optionally overrides the whole machine configuration.
-	Config *Config
-	// Kernel selects the simulation kernel (DefaultOptions: fastforward).
-	// Both kernels are bit-identical in results; KernelNaive ticks every
-	// component every cycle and exists for A/B verification and as a
-	// reference for new tickable components.
-	Kernel Kernel
+	// Config is the machine (DefaultOptions: DefaultConfig, the paper's
+	// Table 1). Config.LogicalProcessors is the workload's thread count;
+	// the evaluation's axes (comparison latency, phantom strength, TLB
+	// discipline, consistency, fingerprint interval, ROB window, topology)
+	// and the kernel are Config fields, and the whole Config is part of
+	// the warm key.
+	Config Config
 
 	// Inject arms one precise single-shot fault (fault-injection campaign
 	// trials): bit Inject.Bit of the next register-writing result entering
@@ -89,20 +76,17 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's evaluation setup: the Table 1
-// machine (4 logical processors, 10-cycle comparison latency, a
-// fingerprint compared every instruction), the §5 sampling window and
-// seed 0x5eed. It is the one place a default is written: a zero in
-// Options is never replaced by one.
+// machine (DefaultConfig: 4 logical processors, 10-cycle comparison
+// latency, a fingerprint compared every instruction), the §5 sampling
+// window and seed 0x5eed. With DefaultConfig it is the one place a
+// default is written: a zero in Options is never replaced by one.
 func DefaultOptions() Options {
-	cfg := DefaultConfig()
 	return Options{
-		Threads:        cfg.LogicalProcessors,
-		Seed:           0x5eed,
-		CompareLatency: cfg.CompareLatency,
-		FPInterval:     cfg.Core.FPInterval,
-		WarmCycles:     100_000,
-		MeasureCycles:  50_000,
-		TrialDeadline:  200_000,
+		Seed:          0x5eed,
+		WarmCycles:    100_000,
+		MeasureCycles: 50_000,
+		Config:        DefaultConfig(),
+		TrialDeadline: 200_000,
 	}
 }
 
@@ -110,16 +94,18 @@ func DefaultOptions() Options {
 // the CLIs' matrix builders reach. A value that can run (seed 0, a
 // zero-cycle latency) runs as given; one that cannot is an error.
 func (o Options) Validate() error {
-	if !o.Phantom.Valid() {
-		return fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Phantom)
+	if !o.Config.L2.Phantom.Valid() {
+		return fmt.Errorf("reunion: phantom strength %d is not null, shared or global", o.Config.L2.Phantom)
 	}
 	for _, c := range []struct {
 		name   string
 		v, min int64
 	}{
-		{"threads", int64(o.Threads), 1},
-		{"comparison latency", o.CompareLatency, 0},
-		{"fingerprint interval", int64(o.FPInterval), 1},
+		{"logical processors", int64(o.Config.LogicalProcessors), 1},
+		{"comparison latency", o.Config.CompareLatency, 0},
+		{"fingerprint interval", int64(o.Config.Core.FPInterval), 1},
+		{"interrupt interval", o.Config.InterruptEvery, 0},
+		{"interrupt cost", o.Config.InterruptCost, 0},
 		{"warm cycles", o.WarmCycles, 1},
 		{"measure cycles", o.MeasureCycles, 1},
 		{"commit target", o.CommitTarget, 0},
@@ -218,20 +204,7 @@ func Run(o Options) (Result, error) {
 // checkpoint binds and restores onto a freshly built machine, which must
 // be constructed exactly as the warmed original was.
 func buildSystem(o Options) *System {
-	cfg := DefaultConfig()
-	if o.Config != nil {
-		cfg = *o.Config
-	}
-	cfg.CompareLatency = o.CompareLatency
-	cfg.L2.Phantom = o.Phantom
-	cfg.Core.TLB.Mode = o.TLB
-	cfg.Core.Consistency = o.Consistency
-	cfg.Core.FPInterval = o.FPInterval
-
-	w := o.Workload.Build(o.Seed, o.Threads)
-	sys := NewSystem(cfg, o.Mode, w, o.Seed)
-	sys.Kernel = o.Kernel
-	return sys
+	return NewSystem(o.Config, o.Mode, o.Workload.Build(o.Seed, o.Config.LogicalProcessors), o.Seed)
 }
 
 // warmSystem builds a system for the options and runs it through the

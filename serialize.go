@@ -69,7 +69,12 @@ const ckptMagic = "RNCK"
 // only when it differs from memory's block (a flag says which). The
 // snoopy bus's phantom reads share the directory's EvPhantomMem tag, and
 // a sent interval lost its always-empty debug string.
-const ckptFormatVersion uint16 = 4
+// Version 5: the kernel and the interrupt schedule are Config, fixed
+// when the system is built and covered by the key, so the system's
+// kernel, interrupt and re-arm fields and each core's polling flag left
+// the wire, and an interrupt chain link carries no fields. The key
+// renders the whole Config.
+const ckptFormatVersion uint16 = 5
 
 // ckptCRCTable is the CRC-64 (ECMA) table sealing checkpoint blobs,
 // matching the dist journal's footer discipline.
@@ -103,8 +108,8 @@ func ckptSizeHint(cp *Checkpoint) int {
 }
 
 // CheckpointKey fingerprints the snapshot-invariant options — everything
-// warmKey covers, including the kernel and any config override — into
-// the content-address a checkpoint store files the blob under.
+// warmKey covers, the whole Config included — into the content-address a
+// checkpoint store files the blob under.
 func CheckpointKey(o Options) uint64 {
 	return dist.Fingerprint("reunion-ckpt", warmKey(o))
 }
@@ -151,12 +156,9 @@ var ckptTags = func() map[reflect.Type]uint8 {
 	return tags
 }()
 
-// Walk walks the interrupt chain's descriptor, which references no
-// request.
-func (d *evInterrupt) Walk(c *bin.Codec, _ *cache.ReqTable) {
-	c.I64(&d.gen)
-	c.I64(&d.every)
-}
+// Walk walks the interrupt chain's descriptor, which has no fields: the
+// interval is the system's Config.
+func (*evInterrupt) Walk(*bin.Codec, *cache.ReqTable) {}
 
 // EncodeCheckpoint serializes a checkpoint into a store-ready blob keyed
 // by the options fingerprint. The checkpoint must belong to a system (a
@@ -213,7 +215,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // walk walks the payload in its fixed order: request table, clock,
 // pending events as tagged descriptors, scheduler counters, memory image
 // (as a delta on the owner's init image), cores, pairs, gates, the L2
-// and the bus each behind a presence flag, then the system's own fields.
+// and the bus each behind a presence flag, then the liveness watchdog.
 // Cache lines are written against the checkpoint's memory image. A
 // reader fills an unbound checkpoint.
 func (cp *Checkpoint) walk(c *bin.Codec) {
@@ -302,18 +304,6 @@ func (cp *Checkpoint) walk(c *bin.Codec) {
 		cp.bus.Walk(c, rt)
 	}
 
-	c.U8((*uint8)(&cp.kernel))
-	c.U8((*uint8)(&cp.appliedKernel))
-	if c.Reading() && (cp.kernel > KernelNaive || cp.appliedKernel > KernelNaive) {
-		c.Fail(errors.New("unknown kernel"))
-	}
-	c.Bool(&cp.kernelApplied)
-	c.I64(&cp.interruptEvery)
-	if c.I64(&cp.interruptCost); c.Reading() && cp.interruptCost < 0 {
-		c.Fail(errors.New("negative interrupt cost"))
-	}
-	c.I64(&cp.intArmed)
-	c.I64(&cp.intGen)
 	c.I64(&cp.watchLast)
 	c.I64(&cp.watchSince)
 	c.Bool(&cp.watchHalted)
@@ -490,6 +480,9 @@ func (cp *Checkpoint) Bind(sys *System, key uint64) (*Checkpoint, error) {
 			}
 			ev.Run = sys.Bus
 		case *evInterrupt:
+			if sys.Cfg.InterruptEvery <= 0 {
+				return nil, fmt.Errorf("reunion: checkpoint event %d is an interrupt on a system without interrupts", i)
+			}
 			ev.Run = sys
 		default:
 			return nil, fmt.Errorf("reunion: checkpoint event %d has unknown descriptor type %T", i, ev.Desc)

@@ -45,11 +45,9 @@ func resealCheckpoint(t testing.TB, blob []byte, mutate func([]byte)) []byte {
 // coldOpts is the matrix cell's options: small warm window, default
 // machine otherwise.
 func coldOpts(topo Topology, mode Mode, kern Kernel) Options {
-	cfg := DefaultConfig()
-	cfg.Topology = topo
 	o := DefaultOptions()
 	o.Mode, o.Workload, o.Seed, o.WarmCycles = mode, workload.Apache(), 7, 6_000
-	o.Config, o.Kernel = &cfg, kern
+	o.Config.Topology, o.Config.Kernel = topo, kern
 	return o
 }
 
@@ -104,15 +102,12 @@ func TestCheckpointColdRestoreEquivalence(t *testing.T) {
 
 // TestCheckpointInterruptChain covers the self-rescheduling interrupt
 // event across serialization: a pending evInterrupt must fire in the
-// cold process at the same cycle with the same generation guard.
+// cold process at the same cycle.
 func TestCheckpointInterruptChain(t *testing.T) {
 	o := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
+	o.Config.InterruptEvery, o.Config.InterruptCost = 293, 77
 	run := func(cold bool) map[string]int64 {
-		sys := buildSystem(o)
-		sys.InterruptEvery = 293
-		sys.InterruptCost = 77
-		sys.Prefill()
-		sys.Run(o.WarmCycles)
+		sys := warmSystem(o)
 		cp := sys.Snapshot()
 		if cold {
 			blob, err := EncodeCheckpoint(cp, CheckpointKey(o))
@@ -250,7 +245,7 @@ func TestCheckpointApacheBlobSize(t *testing.T) {
 // sibling's, and a fetched checkpoint restored the wrong machine.
 func TestCheckpointKeyZeroCycleLatency(t *testing.T) {
 	zero := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
-	zero.CompareLatency = 0
+	zero.Config.CompareLatency = 0
 	ten := coldOpts(TopologyDirectory, ModeReunion, KernelFastForward)
 	if CheckpointKey(zero) == CheckpointKey(ten) {
 		t.Error("zero-latency and default-latency cells share a checkpoint key")
@@ -419,6 +414,7 @@ func TestCheckpointBindRejectsOutOfRangeDescriptors(t *testing.T) {
 		{"bus EvReply on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvReply{})},
 		{"EvMemFetch on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvMemFetch{})},
 		{"EvSyncMem on directory", "targets the snoopy bus on a directory system", TopologyDirectory, event(&snoop.EvSyncMem{})},
+		{"interrupt without interrupts", "an interrupt on a system without interrupts", TopologyDirectory, event(&evInterrupt{})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

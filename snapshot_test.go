@@ -27,11 +27,10 @@ import (
 func snapRun(t *testing.T, topo Topology, mode Mode, kern Kernel, cons Consistency, perturb bool) map[string]int64 {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Topology = topo
+	cfg.Topology, cfg.Kernel = topo, kern
 	cfg.Core.Consistency = cons
 	w := workload.Apache().Build(7, 2)
 	sys := NewSystem(cfg, mode, w, 7)
-	sys.Kernel = kern
 	sys.Prefill()
 	sys.Run(6_000)
 	cp := sys.Snapshot()
@@ -111,10 +110,9 @@ func TestSnapshotRepeatedRestore(t *testing.T) {
 func TestSnapshotInterrupts(t *testing.T) {
 	for _, mode := range []Mode{ModeNonRedundant, ModeReunion} {
 		run := func(perturb bool) map[string]int64 {
-			w := workload.Apache().Build(11, 2)
-			sys := NewSystem(DefaultConfig(), mode, w, 11)
-			sys.InterruptEvery = 293
-			sys.InterruptCost = 77
+			cfg := DefaultConfig()
+			cfg.InterruptEvery, cfg.InterruptCost = 293, 77
+			sys := NewSystem(cfg, mode, workload.Apache().Build(11, 2), 11)
 			sys.Prefill()
 			sys.Run(5_000)
 			cp := sys.Snapshot()
@@ -249,10 +247,9 @@ func TestSnapshotSweepJSONL(t *testing.T) {
 // statistics, or warmup bleeds into measured kernel-efficiency metrics.
 func TestResetStatsKernelCounters(t *testing.T) {
 	for _, mode := range []Mode{ModeNonRedundant, ModeStrict, ModeReunion} {
-		w := workload.Apache().Build(3, 2)
-		sys := NewSystem(DefaultConfig(), mode, w, 3)
-		sys.InterruptEvery = 211
-		sys.InterruptCost = 50
+		cfg := DefaultConfig()
+		cfg.InterruptEvery, cfg.InterruptCost = 211, 50
+		sys := NewSystem(cfg, mode, workload.Apache().Build(3, 2), 3)
 		sys.Prefill()
 		sys.Run(6_000)
 		if sys.Sched.Steps == 0 || sys.Sched.SkippedCycles == 0 || sys.Sched.FastForwards == 0 {

@@ -57,21 +57,22 @@ func (k Kernel) String() string {
 // or a vocal/mute pair each under ModeReunion), and the execution-model
 // gates wiring them together.
 type System struct {
+	// Cfg is the machine NewSystem built, its LogicalProcessors set from
+	// the workload. Treat it as read-only: the system reads its kernel
+	// and interrupt schedule from it as it runs, and the cores and caches
+	// were sized from it.
 	Cfg  Config
 	Mode Mode
 
 	EQ    *sim.EventQueue
 	Sched *sim.Scheduler
-	// Kernel selects the simulation kernel (default KernelFastForward).
-	// Set it before the first Run; both kernels are bit-identical.
-	Kernel Kernel
-	Mem    *mem.Memory
-	L2     *coherence.L2 // directory topology (nil under TopologySnoopy)
-	Bus    *snoop.Bus    // snoopy topology (nil under TopologyDirectory)
-	msys   memorySystem
-	Cores  []*cpu.Core
-	Pairs  []*core.Pair // ModeReunion only
-	W      *workload.Workload
+	Mem   *mem.Memory
+	L2    *coherence.L2 // directory topology (nil under TopologySnoopy)
+	Bus   *snoop.Bus    // snoopy topology (nil under TopologyDirectory)
+	msys  memorySystem
+	Cores []*cpu.Core
+	Pairs []*core.Pair // ModeReunion only
+	W     *workload.Workload
 
 	gates []core.InterruptSink
 
@@ -80,49 +81,32 @@ type System struct {
 	// serialized checkpoint holds its memory as a delta on it.
 	initMem *mem.MemoryState
 
-	// InterruptEvery delivers an external interrupt to every logical
-	// processor each time this many cycles elapse (0 = off). Interrupts
-	// are replicated to both members of a pair and serviced at the same
-	// comparison boundary (§4.3).
-	InterruptEvery int64
-	// InterruptCost is the handler service time in cycles (150 in a new
-	// system; 0 is a zero-cycle handler, and a negative cost panics at
-	// the first interrupt).
-	InterruptCost int64
-
-	// Interrupt delivery runs as a self-scheduling chain of events (so
-	// the fast-forward kernel can never jump across a boundary); intArmed
-	// is the interval the chain was armed with, re-armed when the public
-	// field changes between runs. The chain is guarded by a generation
-	// counter rather than a captured cancel flag so Snapshot/Restore can
-	// resurrect a chain exactly as it was: a restored chain event fires
-	// iff its generation matches the restored intGen.
-	intArmed int64
-	intGen   int64
-
 	// Liveness watchdog (see checkLiveness).
 	watchLast   int64
 	watchSince  int64
 	watchHalted bool
-
-	appliedKernel Kernel
-	kernelApplied bool
 }
 
 // NewSystem builds a system running the given workload under the given
 // execution model. The workload's thread count defines the number of
-// logical processors.
+// logical processors. The kernel and the interrupt schedule are fixed
+// here: each core gets the kernel's issue-stage polling policy, and with
+// cfg.InterruptEvery set the first interrupt boundary is scheduled. A
+// negative cfg.InterruptCost panics.
 func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System {
 	n := len(w.Threads)
 	if n == 0 {
 		panic("reunion: workload has no threads")
+	}
+	if cfg.InterruptCost < 0 {
+		panic(fmt.Sprintf("reunion: Config.InterruptCost is %d; a handler cannot take negative cycles", cfg.InterruptCost))
 	}
 	cfg.LogicalProcessors = n
 	numCores := n
 	if mode == ModeReunion {
 		numCores = 2 * n
 	}
-	s := &System{Cfg: cfg, Mode: mode, EQ: sim.NewEventQueue(), Mem: mem.New(), W: w, InterruptCost: 150}
+	s := &System{Cfg: cfg, Mode: mode, EQ: sim.NewEventQueue(), Mem: mem.New(), W: w}
 	w.Init(s.Mem)
 	s.initMem = s.Mem.Snapshot()
 	switch cfg.Topology {
@@ -154,7 +138,7 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 		l1i := cache.NewL1(fmt.Sprintf("l1i%d", id), id, pair, vocal, cfg.L1Bytes, cfg.L1Ways, cfg.L1MSHRs, s.msys, true)
 		itlb := tlb.New(cfg.ITLBEntries, cfg.ITLBWays)
 		dtlb := tlb.New(cfg.DTLBEntries, cfg.DTLBWays)
-		c := cpu.New(id, pair, vocal, &ccfg, s.EQ, w.Threads[pair], l1d, l1i, itlb, dtlb, gate)
+		c := cpu.New(id, pair, vocal, &ccfg, s.EQ, w.Threads[pair], l1d, l1i, itlb, dtlb, gate, cfg.Kernel == KernelNaive)
 		s.msys.RegisterL1D(id, l1d)
 		s.Cores = append(s.Cores, c)
 		return c
@@ -195,6 +179,9 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 	}
 	for _, c := range s.Cores {
 		s.Sched.Register(c)
+	}
+	if every := cfg.InterruptEvery; every > 0 {
+		s.EQ.AtR(every, &evInterrupt{}, s)
 	}
 	return s
 }
@@ -238,47 +225,20 @@ func (s *System) Prefill() {
 	}
 }
 
-// armInterrupts (re)installs the interrupt-delivery event chain when the
-// public InterruptEvery field changed since the last arming. The boundary
-// is a scheduled event, not a per-cycle modulo check, so the fast-forward
-// kernel can never jump across it. Delivery fires at every positive
-// multiple of the interval; each firing schedules the next. Re-arming
-// bumps the generation, which orphans the old chain (its next firing is a
-// no-op and does not reschedule). A chain link is an evInterrupt
-// descriptor the system itself runs; its generation and interval are
-// plain data, so a restored chain event replays exactly.
-func (s *System) armInterrupts() {
-	if s.InterruptEvery == s.intArmed {
-		return
-	}
-	s.intGen++
-	s.intArmed = s.InterruptEvery
-	if s.InterruptEvery <= 0 {
-		return
-	}
-	every := s.InterruptEvery
-	s.EQ.AtR((s.EQ.Now()/every+1)*every, &evInterrupt{gen: s.intGen, every: every}, s)
-}
-
-// evInterrupt is the serializable descriptor of one link in the
-// interrupt-delivery chain: the generation guard and the interval it was
-// armed with (see armInterrupts).
-type evInterrupt struct{ gen, every int64 }
+// evInterrupt is the descriptor of one link in the interrupt-delivery
+// chain. Delivery is a scheduled event at every positive multiple of
+// Cfg.InterruptEvery, not a per-cycle modulo check, so the fast-forward
+// kernel can never jump across a boundary; each link schedules the next.
+// It is plain data, so a restored chain replays exactly.
+type evInterrupt struct{}
 
 // RunEvent implements sim.EventRunner: one interrupt boundary of the
-// delivery chain. A link whose generation is stale does nothing.
+// delivery chain.
 func (s *System) RunEvent(desc any) {
-	d := desc.(*evInterrupt)
-	if s.intGen != d.gen {
-		return
-	}
-	if s.InterruptCost < 0 {
-		panic(fmt.Sprintf("reunion: System.InterruptCost is %d; a handler cannot take negative cycles", s.InterruptCost))
-	}
 	for _, g := range s.gates {
-		g.RaiseInterrupt(s.InterruptCost)
+		g.RaiseInterrupt(s.Cfg.InterruptCost)
 	}
-	s.EQ.AtR(s.EQ.Now()+d.every, d, s)
+	s.EQ.AtR(s.EQ.Now()+s.Cfg.InterruptEvery, desc, s)
 }
 
 // Step advances the simulation by exactly one cycle: due events fire,
@@ -286,13 +246,6 @@ func (s *System) RunEvent(desc any) {
 // both kernels; the Run methods additionally fast-forward between steps
 // under KernelFastForward.
 func (s *System) Step() {
-	s.armInterrupts()
-	if !s.kernelApplied || s.appliedKernel != s.Kernel {
-		s.kernelApplied, s.appliedKernel = true, s.Kernel
-		for _, c := range s.Cores {
-			c.SetPollEveryCycle(s.Kernel == KernelNaive)
-		}
-	}
 	s.Sched.Step()
 }
 
@@ -300,7 +253,7 @@ func (s *System) Step() {
 // bounded by limit and by the liveness watchdog's deadline so a wedged
 // simulation still panics at exactly the cycle the naive kernel would.
 func (s *System) fastForward(limit int64) {
-	if s.Kernel == KernelNaive {
+	if s.Cfg.Kernel == KernelNaive {
 		return
 	}
 	if !s.watchHalted {
@@ -372,7 +325,7 @@ func (s *System) RunUntilDone(maxCycles int64, done func() bool) (int64, bool) {
 		s.checkLiveness()
 		// The fast-forward kernel must not jump past a cycle where done
 		// already holds, or the returned cycle count would overshoot.
-		if s.Kernel != KernelNaive && s.EQ.Now() < limit && !done() {
+		if s.Cfg.Kernel != KernelNaive && s.EQ.Now() < limit && !done() {
 			s.fastForward(limit)
 		}
 	}

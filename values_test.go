@@ -13,8 +13,8 @@ import (
 	"reunion/internal/workload"
 )
 
-// TestZeroIsAValue walks every numeric Options field and every numeric
-// flag of reunion-sweep and reunion-inject at zero and below. Each value
+// TestZeroIsAValue walks every numeric Options field, each Config knob
+// Validate checks, and every numeric flag of reunion-sweep and reunion-inject at zero and below. Each value
 // either runs as given, so what ran matches its label, or is rejected:
 // an error from Run naming the field, exit 2 from a CLI. No zero stands
 // for a default anywhere between a flag and a run.
@@ -41,21 +41,23 @@ func TestZeroIsAValue(t *testing.T) {
 		check func(t *testing.T, r Result)
 		want  string
 	}{
-		{"Threads 0", func(o *Options) { o.Threads = 0 }, nil, "threads 0"},
-		{"Threads -1", func(o *Options) { o.Threads = -1 }, nil, "threads -1"},
+		{"Threads 0", func(o *Options) { o.Config.LogicalProcessors = 0 }, nil, "logical processors 0"},
+		{"Threads -1", func(o *Options) { o.Config.LogicalProcessors = -1 }, nil, "logical processors -1"},
 		{"Seed 0", func(o *Options) { o.Seed = 0 }, func(t *testing.T, r Result) {
 			if reflect.DeepEqual(r, ref) {
 				t.Error("seed 0 ran the default seed's run")
 			}
 		}, ""},
-		{"CompareLatency 0", func(o *Options) { o.CompareLatency = 0 }, func(t *testing.T, r Result) {
+		{"CompareLatency 0", func(o *Options) { o.Config.CompareLatency = 0 }, func(t *testing.T, r Result) {
 			if reflect.DeepEqual(r, ref) {
 				t.Error("latency 0 ran the default latency's run")
 			}
 		}, ""},
-		{"CompareLatency -5", func(o *Options) { o.CompareLatency = -5 }, nil, "comparison latency -5"},
-		{"FPInterval 0", func(o *Options) { o.FPInterval = 0 }, nil, "fingerprint interval 0"},
-		{"FPInterval -2", func(o *Options) { o.FPInterval = -2 }, nil, "fingerprint interval -2"},
+		{"CompareLatency -5", func(o *Options) { o.Config.CompareLatency = -5 }, nil, "comparison latency -5"},
+		{"FPInterval 0", func(o *Options) { o.Config.Core.FPInterval = 0 }, nil, "fingerprint interval 0"},
+		{"FPInterval -2", func(o *Options) { o.Config.Core.FPInterval = -2 }, nil, "fingerprint interval -2"},
+		{"InterruptEvery -1", func(o *Options) { o.Config.InterruptEvery = -1 }, nil, "interrupt interval -1"},
+		{"InterruptCost -1", func(o *Options) { o.Config.InterruptCost = -1 }, nil, "interrupt cost -1"},
 		{"WarmCycles 0", func(o *Options) { o.WarmCycles = 0 }, nil, "warm cycles 0"},
 		{"WarmCycles -1", func(o *Options) { o.WarmCycles = -1 }, nil, "warm cycles -1"},
 		{"MeasureCycles 0", func(o *Options) { o.MeasureCycles = 0 }, nil, "measure cycles 0"},
@@ -204,5 +206,30 @@ func TestZeroIsAValue(t *testing.T) {
 			}
 			c.check(t, stdout.Bytes())
 		})
+	}
+}
+
+// TestConfigRunsAsGiven: a machine set through Options.Config runs as
+// given. Its comparison latency and fingerprint interval reach the built
+// system and change the run; neither is overwritten by a default.
+func TestConfigRunsAsGiven(t *testing.T) {
+	def := DefaultOptions()
+	def.Mode, def.Workload = ModeReunion, workload.Apache()
+	def.WarmCycles, def.MeasureCycles = 2_000, 2_000
+	o := def
+	o.Config.CompareLatency, o.Config.Core.FPInterval = 40, 50
+	if cfg := buildSystem(o).Cfg; cfg.CompareLatency != 40 || cfg.Core.FPInterval != 50 {
+		t.Errorf("built latency %d, interval %d; want 40 and 50", cfg.CompareLatency, cfg.Core.FPInterval)
+	}
+	ref, err := Run(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Compares == ref.Compares || got.Compares == 0 {
+		t.Errorf("latency 40, interval 50 made %d compares, the default machine %d", got.Compares, ref.Compares)
 	}
 }
