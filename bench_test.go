@@ -17,18 +17,33 @@ import (
 // BenchmarkPairTick measures one steady-state tick of a full vocal/mute
 // Reunion pair system (8 cores, shared L2, fingerprint exchange): the
 // inner loop every experiment amortizes. Cycles per second here is the
-// ceiling on campaign throughput.
+// ceiling on campaign throughput. It replays one pairTickWindow of steps
+// from a warm snapshot (the rewinds are not timed), so allocs/op and
+// B/op read the same at any -benchtime Nx of at least pairTickWindow.
 func BenchmarkPairTick(b *testing.B) {
 	w := workload.Apache().Build(1, 4)
 	sys := NewSystem(DefaultConfig(), ModeReunion, w, 1)
 	sys.Prefill()
 	sys.Run(20_000) // reach steady state: warm caches, full windows
+	cp := sys.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%pairTickWindow == 0 {
+			// Every window starts from a restore of the same snapshot,
+			// so the per-op figures do not depend on how far b.N lets
+			// the workload run.
+			b.StopTimer()
+			sys.Restore(cp)
+			b.StartTimer()
+		}
 		sys.Step()
 	}
 }
+
+// pairTickWindow is how many steps BenchmarkPairTick runs from its warm
+// snapshot before rewinding to it.
+const pairTickWindow = 20_000
 
 // BenchmarkCheckpointRestore measures rewinding a warm 8-core system to
 // an in-memory checkpoint, including rebuilding every derived issue-

@@ -64,7 +64,9 @@ func goldenCells() []goldenCell {
 	dss.HotBytes = 32 << 10
 	dss.ScanBytes = 64 << 10
 	return []goldenCell{
-		cell("dir-reunion-ff", TopologyDirectory, ModeReunion, KernelFastForward, tinyWorkload(), 3_000, 0),
+		// An input-incoherence mismatch's decision (cycle 32,735) is
+		// pending.
+		cell("dir-reunion-ff", TopologyDirectory, ModeReunion, KernelFastForward, tinyWorkload(), 32_730, 0),
 		cell("dir-nonred-naive", TopologyDirectory, ModeNonRedundant, KernelNaive, tinyWorkload(), 3_000, 0),
 		cell("snoop-reunion-naive", TopologySnoopy, ModeReunion, KernelNaive, tinyWorkload(), 3_000, 0),
 		cell("snoop-strict-ff", TopologySnoopy, ModeStrict, KernelFastForward, tinyWorkload(), 3_000, 0),

@@ -203,8 +203,8 @@ func TestWarmCacheStoreSpans(t *testing.T) {
 
 // TestWarmCacheStoreRecompute is the silent-fallback table: whatever
 // the store returns — garbage, a truncated blob, a checkpoint for
-// different options, a future format version — the run recomputes
-// locally and matches the fresh result. A bad store costs time, never
+// different options, a future or a previous format version — the run
+// recomputes locally and matches the fresh result. A bad store costs time, never
 // correctness, and never an error.
 func TestWarmCacheStoreRecompute(t *testing.T) {
 	o := storeCell(57)
@@ -226,6 +226,10 @@ func TestWarmCacheStoreRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	future := resealCheckpoint(t, ourBlob, func(b []byte) { b[4]++ })
+	// And one claiming the previous version, which a store filled
+	// before the last format change holds: the same bytes may mean
+	// other state there, so it must never bind.
+	previous := resealCheckpoint(t, ourBlob, func(b []byte) { b[4]-- })
 
 	cases := []struct {
 		name string
@@ -235,6 +239,7 @@ func TestWarmCacheStoreRecompute(t *testing.T) {
 		{"truncated", ourBlob[:len(ourBlob)/3]},
 		{"wrong-options", otherBlob},
 		{"future-version", future},
+		{"previous-version", previous},
 	}
 	for _, tc := range cases {
 		store := newMemStore()

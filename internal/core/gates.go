@@ -110,6 +110,77 @@ type decidedInterval struct {
 	at     int64
 }
 
+// reclaim drops the consumed prefix q[:head] of a head-indexed FIFO
+// before a push: at once when the FIFO is empty, and by moving the live
+// region to the front when the array is full and at least half of it is
+// consumed. A FIFO that never drains (matched decisions wait out the
+// comparison latency while younger ones arrive) thus reuses its array
+// instead of growing it; a move of k elements follows at least k pops,
+// so a push stays amortized O(1).
+func reclaim[T any](q []T, head int) ([]T, int) {
+	switch {
+	case head == len(q):
+		return q[:0], 0
+	case len(q) == cap(q) && 2*head >= len(q):
+		return q[:copy(q, q[head:])], 0
+	}
+	return q, head
+}
+
+// decidedQueue is a FIFO of decided comparison intervals, oldest first,
+// consumed from a head index rather than re-sliced, so its array is
+// reused (a re-sliced head loses its capacity for good). The live
+// decisions are q[head:]; a snapshot stores only those, with head 0.
+type decidedQueue struct {
+	q    []decidedInterval
+	head int
+}
+
+// push appends d. With overtake set, d's cycle also caps every queued
+// decision: an entry retires once any decision at or after its interval
+// is due, so a younger interval decided earlier releases the older ones
+// with it. The queue's cycles then never decrease, and the head is
+// always the first decision due.
+func (dq *decidedQueue) push(d decidedInterval, overtake bool) {
+	dq.q, dq.head = reclaim(dq.q, dq.head)
+	for i := len(dq.q) - 1; overtake && i >= dq.head && dq.q[i].at > d.at; i-- {
+		dq.q[i].at = d.at
+	}
+	dq.q = append(dq.q, d)
+}
+
+// ready reports whether the entry seq may retire at cycle now: the
+// first decision at or after its interval is due. Decisions for
+// intervals older than seq are stale (squashed, or consumed by an
+// overtaking decision) and are dropped; the entry that ends the head's
+// interval consumes it.
+func (dq *decidedQueue) ready(now, seq int64) bool {
+	for dq.head < len(dq.q) && seq > dq.q[dq.head].endSeq {
+		dq.head++
+	}
+	if dq.head == len(dq.q) || now < dq.q[dq.head].at {
+		return false
+	}
+	if seq == dq.q[dq.head].endSeq {
+		dq.head++
+	}
+	return true
+}
+
+// wake is the cycle at which the first decision at or after entry seq's
+// interval is due, or 0 when no such decision is queued yet.
+func (dq *decidedQueue) wake(seq int64) int64 {
+	for _, d := range dq.q[dq.head:] {
+		if seq <= d.endSeq {
+			return d.at
+		}
+	}
+	return 0
+}
+
+// len is the number of live decisions.
+func (dq *decidedQueue) len() int { return len(dq.q) - dq.head }
+
 // StrictGate is the oracle model of strict input replication (paper §5.1):
 // fingerprint comparison with a given comparison latency, but zero input-
 // replication cost and zero slack between the executions — as if an ideal
@@ -127,7 +198,7 @@ type StrictGate struct {
 
 	pendingExtra  int64
 	pendingSerial int
-	decided       []decidedInterval
+	decided       decidedQueue
 
 	intRaised   bool  // an interrupt awaits service
 	intPending  int64 // its handler cycles
@@ -158,7 +229,7 @@ func (g *StrictGate) Offer(_ *cpu.Core, e *cpu.Entry, send bool, _ uint16) {
 		g.intServiced++
 	}
 	at := g.EQ.Now() + g.CompareLat + g.pendingExtra + int64(g.pendingSerial)*g.CompareLat
-	g.decided = append(g.decided, decidedInterval{endSeq: e.Seq, at: at})
+	g.decided.push(decidedInterval{endSeq: e.Seq, at: at}, false)
 	g.pendingExtra, g.pendingSerial = 0, 0
 }
 
@@ -166,28 +237,15 @@ func (g *StrictGate) Offer(_ *cpu.Core, e *cpu.Entry, send bool, _ uint16) {
 // like any other.
 func (g *StrictGate) FlushInterval(_ *cpu.Core, endSeq int64, _ uint16) {
 	at := g.EQ.Now() + g.CompareLat + g.pendingExtra + int64(g.pendingSerial)*g.CompareLat
-	g.decided = append(g.decided, decidedInterval{endSeq: endSeq, at: at})
+	g.decided.push(decidedInterval{endSeq: endSeq, at: at}, false)
 	g.pendingExtra, g.pendingSerial = 0, 0
 }
 
-// FinalizeReady implements cpu.Gate.
+// FinalizeReady implements cpu.Gate. Decisions are queued in send
+// order without overtaking: an older interval's later decision holds
+// back the younger ones, as one in-order comparison channel would.
 func (g *StrictGate) FinalizeReady(_ *cpu.Core, e *cpu.Entry) bool {
-	if len(g.decided) == 0 {
-		return false
-	}
-	d := g.decided[0]
-	if e.Seq > d.endSeq {
-		// Stale decision from before a squash; discard and retry.
-		g.decided = g.decided[1:]
-		return g.FinalizeReady(nil, e)
-	}
-	if g.EQ.Now() < d.at {
-		return false
-	}
-	if e.Seq == d.endSeq {
-		g.decided = g.decided[1:]
-	}
-	return true
+	return g.decided.ready(g.EQ.Now(), e.Seq)
 }
 
 // Stepping implements cpu.Gate.
@@ -217,16 +275,5 @@ func (g *StrictGate) DeviceRead(c *cpu.Core, addr uint64, n int64) int64 {
 // waits for a younger instruction to close the interval (other pipeline
 // activity, which ends any fast-forward by itself).
 func (g *StrictGate) RetireWake(_ *cpu.Core, e *cpu.Entry) int64 {
-	for _, d := range g.decided {
-		if e.Seq <= d.endSeq {
-			return d.at
-		}
-	}
-	return 0
-}
-
-// Reset clears gate state after a pipeline squash in tests.
-func (g *StrictGate) Reset() {
-	g.decided = g.decided[:0]
-	g.pendingExtra, g.pendingSerial = 0, 0
+	return g.decided.wake(e.Seq)
 }

@@ -54,36 +54,21 @@ type sentInterval struct {
 	endsMem bool
 }
 
-// pairSide holds one core's comparison FIFOs. Both queues are consumed
-// from a head index instead of re-slicing, so the backing arrays are
-// reused across the steady push/pop traffic of the compare loop (a
-// re-sliced head loses its capacity forever and forces an allocation on
-// every later push). Live elements are sent[sentHead:] and
-// decided[decidedHead:]; snapshots store the queues normalized (head 0).
+// pairSide holds one core's comparison FIFOs: the fingerprint sends not
+// yet matched, sent[sentHead:] (head-indexed like decidedQueue), and the
+// matched intervals decided.
 type pairSide struct {
 	sent          []sentInterval
 	sentHead      int
-	decided       []decidedInterval
-	decidedHead   int
+	decided       decidedQueue
 	pendingExtra  int64
 	pendingSerial int
 }
 
-// pushSent appends to the sent FIFO, compacting the consumed prefix
-// away when the queue is empty (the common steady state).
+// pushSent appends to the sent FIFO.
 func (s *pairSide) pushSent(si sentInterval) {
-	if s.sentHead == len(s.sent) {
-		s.sent, s.sentHead = s.sent[:0], 0
-	}
+	s.sent, s.sentHead = reclaim(s.sent, s.sentHead)
 	s.sent = append(s.sent, si)
-}
-
-// pushDecided appends to the decided FIFO, compacting likewise.
-func (s *pairSide) pushDecided(d decidedInterval) {
-	if s.decidedHead == len(s.decided) {
-		s.decided, s.decidedHead = s.decided[:0], 0
-	}
-	s.decided = append(s.decided, d)
 }
 
 // Pair implements the Reunion execution model for one logical processor
@@ -214,8 +199,16 @@ func (p *Pair) FlushInterval(c *cpu.Core, endSeq int64, fp uint16) {
 	s.pendingExtra, s.pendingSerial = 0, 0
 }
 
-// Tick matches fingerprint sends from the two sides and schedules the
-// comparison decisions. Call once per cycle.
+// Tick matches fingerprint sends from the two sides and decides each
+// comparison. Call once per cycle. A match is queued at once in both
+// sides' decided FIFOs, due at its decision cycle (at least the next
+// cycle, the first at which the cores can act on it), and marks both
+// cores dirty so they re-read their retirement wake. A recovery empties
+// both FIFOs, which voids a queued decision as the generation guard
+// voids a scheduled one. Two decisions must also act at their decision
+// cycle in event order, so they schedule an EvDecide as well: a
+// mismatch, which starts recovery, and a match that ends re-execution,
+// which clears stepping.
 func (p *Pair) Tick() {
 	v, m := &p.sides[0], &p.sides[1]
 	for v.sentHead < len(v.sent) && m.sentHead < len(m.sent) {
@@ -246,13 +239,21 @@ func (p *Pair) Tick() {
 			p.Stats.AliasForced++
 			match = true
 		}
-		gen := p.gen
-		aEnd, bEnd, endsMem := a.endSeq, b.endSeq, a.endsMem
 		if !match && p.OnMismatch != nil {
-			p.OnMismatch(Mismatch{EndSeq: aEnd, VocalFP: a.fp, MuteFP: b.fp, Stepping: p.stepping})
+			p.OnMismatch(Mismatch{EndSeq: a.endSeq, VocalFP: a.fp, MuteFP: b.fp, Stepping: p.stepping})
 		}
-		desc := &EvDecide{PairID: p.ID, Gen: gen, Match: match, AEnd: aEnd, BEnd: bEnd, EndsMem: endsMem}
-		p.EQ.AtR(at, desc, p)
+		if !match || p.stepping && a.endsMem {
+			p.EQ.AtR(at, &EvDecide{PairID: p.ID, Gen: p.gen, Match: match}, p)
+		}
+		if match {
+			if next := p.EQ.Now() + 1; at < next {
+				at = next
+			}
+			v.decided.push(decidedInterval{endSeq: a.endSeq, at: at}, true)
+			m.decided.push(decidedInterval{endSeq: b.endSeq, at: at}, true)
+			p.VocalC.MarkDirty()
+			p.MuteC.MarkDirty()
+		}
 	}
 	// Divergence watchdog: if one side keeps sending while the other is
 	// silent (e.g., the mute wandered off a garbage-value branch with a
@@ -269,10 +270,11 @@ func (p *Pair) Tick() {
 	}
 }
 
-// fireDecide is the comparison-decision event body for one matched
-// interval: generation-guarded, it either commits the decided interval to
-// both sides or starts recovery.
-func (p *Pair) fireDecide(gen int64, match bool, aEnd, bEnd int64, endsMem bool) {
+// fireDecide is the body of a scheduled comparison decision: under the
+// generation guard (a recovery since the compare voids it), a mismatch
+// starts recovery and a match ends re-execution. The matched interval
+// itself was queued when Tick decided it.
+func (p *Pair) fireDecide(gen int64, match bool) {
 	if p.gen != gen {
 		return
 	}
@@ -284,24 +286,19 @@ func (p *Pair) fireDecide(gen int64, match bool, aEnd, bEnd int64, endsMem bool)
 		p.recover()
 		return
 	}
-	now := p.EQ.Now()
-	p.sides[0].pushDecided(decidedInterval{endSeq: aEnd, at: now})
-	p.sides[1].pushDecided(decidedInterval{endSeq: bEnd, at: now})
-	if p.stepping && endsMem {
-		// Re-execution protocol complete: the first memory
-		// operation after rollback compared successfully; normal
-		// execution resumes (Definition 11).
-		p.stepping = false
-		p.syncArmed = false
-		p.phase = 0
-	}
+	// Re-execution protocol complete: the first memory operation after
+	// rollback compared successfully; normal execution resumes
+	// (Definition 11).
+	p.stepping = false
+	p.syncArmed = false
+	p.phase = 0
 }
 
 // RunEvent implements sim.EventRunner: it fires a scheduled comparison
 // decision from its EvDecide descriptor.
 func (p *Pair) RunEvent(desc any) {
 	d := desc.(*EvDecide)
-	p.fireDecide(d.Gen, d.Match, d.AEnd, d.BEnd, d.EndsMem)
+	p.fireDecide(d.Gen, d.Match)
 }
 
 // QuiesceWake implements sim.Tickable. After a Tick the matching loop has
@@ -400,34 +397,21 @@ func (p *Pair) DebugString() string {
 	return fmt.Sprintf("%v gen=%d phase=%d stepping=%v armed=%v syncIssued=%v syncDone=%d sent=[%d,%d] decided=[%d,%d] stats=%+v",
 		p, p.gen, p.phase, p.stepping, p.syncArmed, p.syncIssued, p.syncDone,
 		len(p.sides[0].sent)-p.sides[0].sentHead, len(p.sides[1].sent)-p.sides[1].sentHead,
-		len(p.sides[0].decided)-p.sides[0].decidedHead, len(p.sides[1].decided)-p.sides[1].decidedHead, p.Stats)
+		p.sides[0].decided.len(), p.sides[1].decided.len(), p.Stats)
 }
 
 // FinalizeReady implements cpu.Gate.
 func (p *Pair) FinalizeReady(c *cpu.Core, e *cpu.Entry) bool {
-	s := &p.sides[p.sideOf(c)]
-	for s.decidedHead < len(s.decided) && e.Seq > s.decided[s.decidedHead].endSeq {
-		s.decidedHead++
-	}
-	if s.decidedHead == len(s.decided) {
-		return false
-	}
-	d := s.decided[s.decidedHead]
-	if p.EQ.Now() < d.at {
-		return false
-	}
-	if e.Seq == d.endSeq {
-		s.decidedHead++
-	}
-	return true
+	return p.sides[p.sideOf(c)].decided.ready(p.EQ.Now(), e.Seq)
 }
 
-// RetireWake implements cpu.Gate: pair retirement is purely
-// event-driven. Decisions are appended by the comparison event at its
-// own fire cycle (their `at` is never in the future), and that event
-// marks both cores dirty — so an offered head blocked on an undecided
-// interval has no self-wake to report.
-func (p *Pair) RetireWake(*cpu.Core, *cpu.Entry) int64 { return 0 }
+// RetireWake implements cpu.Gate: an offered head retires at the cycle
+// its interval's queued decision (or an overtaking younger one) is due.
+// With none queued yet the head waits for the pair to match its
+// interval, and that Tick marks the core dirty.
+func (p *Pair) RetireWake(c *cpu.Core, e *cpu.Entry) int64 {
+	return p.sides[p.sideOf(c)].decided.wake(e.Seq)
+}
 
 // Stepping implements cpu.Gate.
 func (p *Pair) Stepping(*cpu.Core) bool { return p.stepping }

@@ -10,15 +10,14 @@ import (
 // Wire walks for the execution-model gates, plus the serializable
 // descriptor for the pair's scheduled comparison decisions.
 
-// EvDecide is the event descriptor for one scheduled comparison decision
-// (Pair.RunEvent fires it).
+// EvDecide is the event descriptor for a comparison decision that must
+// act at its decision cycle (Pair.RunEvent fires it): a mismatch
+// (Match false) starts recovery, a match that ends re-execution clears
+// stepping. Gen is the pair's recovery generation at the compare.
 type EvDecide struct {
-	PairID  int
-	Gen     int64
-	Match   bool
-	AEnd    int64
-	BEnd    int64
-	EndsMem bool
+	PairID int
+	Gen    int64
+	Match  bool
 }
 
 // Walk walks the descriptor, which references no request.
@@ -26,9 +25,6 @@ func (d *EvDecide) Walk(c *bin.Codec, _ *cache.ReqTable) {
 	c.Int(&d.PairID)
 	c.I64(&d.Gen)
 	c.Bool(&d.Match)
-	c.I64(&d.AEnd)
-	c.I64(&d.BEnd)
-	c.Bool(&d.EndsMem)
 }
 
 // walkSentInterval walks one interval.
@@ -43,8 +39,10 @@ func walkSentInterval(c *bin.Codec, si *sentInterval) {
 
 const sentIntervalWireBytes = 8 + 2 + 8 + 8 + 8 + 1
 
-func walkDecided(c *bin.Codec, ds *[]decidedInterval) {
-	bin.Slice(c, ds, 16, func(d *decidedInterval) {
+// walkDecided walks a snapshot's decided queue, whose head is always 0
+// (Snapshot stores only the live decisions).
+func walkDecided(c *bin.Codec, dq *decidedQueue) {
+	bin.Slice(c, &dq.q, 16, func(d *decidedInterval) {
 		c.I64(&d.endSeq)
 		c.I64(&d.at)
 	})

@@ -137,7 +137,6 @@ type Entry struct {
 
 	// Check-stage state.
 	Serializing bool  // ISA- or consistency-model-serializing
-	IntervalID  int64 // comparison interval this entry belongs to
 	ExtraCheck  int64 // additional compare exposure (software TLB handler)
 	SerialCount int   // serializing compare exposures beyond the first
 	OfferedAt   int64 // cycle the entry entered check
@@ -349,7 +348,6 @@ type Core struct {
 	// Fingerprinting.
 	fpGen         *fingerprint.Gen
 	intervalCount int
-	intervalID    int64
 
 	// Per-cycle structural ports.
 	loadsThisCycle  int

@@ -5,9 +5,10 @@ package cpu
 // in which no stage changed state (progress false) and no self-clearing
 // structural blocker was seen (volatileStall false), re-ticking the core
 // is a no-op except for the per-cycle accounting AccountIdle replays —
-// until either a scheduled event fires (a cache fill, a comparison
-// decision, an interrupt boundary) or one of the known latencies below
-// expires. Every time-dependent condition in the pipeline is enumerated
+// until either a scheduled event fires (a cache fill, a fingerprint
+// mismatch, an interrupt boundary), another component marks it dirty (a
+// pair queuing a comparison decision), or one of the known latencies
+// below expires. Every time-dependent condition in the pipeline is enumerated
 // here; anything not enumerated must resolve through an event or through
 // another component's activity, both of which end a fast-forward.
 
@@ -57,8 +58,9 @@ func (c *Core) computeWake() int64 {
 		}
 	}
 
-	// Retirement: the gate knows when a pending comparison decision
-	// completes. 0 means the decision itself waits on an event.
+	// Retirement: the gate knows when a queued comparison decision is
+	// due. 0 means none is queued yet; the gate that queues one marks
+	// the core dirty.
 	if h := c.head(); h != nil && h.state == stOffered {
 		upd(c.Gate.RetireWake(c, h))
 	}

@@ -72,7 +72,6 @@ func (c *Core) offer() {
 			in.IsBranch(), e.Taken, e.Target, isStore, stAddr, stData)
 
 		c.intervalCount++
-		e.IntervalID = c.intervalID
 		send := c.intervalCount >= c.Cfg.FPInterval ||
 			e.Serializing || in.Op == isa.Halt || c.Gate.Stepping(c)
 		var fp uint16
@@ -80,7 +79,6 @@ func (c *Core) offer() {
 			fp = c.fpGen.Value()
 			c.fpGen.Reset()
 			c.intervalCount = 0
-			c.intervalID++
 		}
 		e.state = stOffered
 		e.OfferedAt = now
@@ -99,7 +97,6 @@ func (c *Core) flushInterval(endSeq int64) {
 	fp := c.fpGen.Value()
 	c.fpGen.Reset()
 	c.intervalCount = 0
-	c.intervalID++
 	c.Gate.FlushInterval(c, endSeq, fp)
 }
 
@@ -361,5 +358,4 @@ func (c *Core) SquashAll() {
 	c.L1D.UnlockAll()
 	c.fpGen.Reset()
 	c.intervalCount = 0
-	c.intervalID++
 }

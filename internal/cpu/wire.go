@@ -71,7 +71,6 @@ func walkEntry(c *bin.Codec, e *Entry) {
 	c.I64(&e.casNew)
 	c.Bool(&e.syncIssued)
 	c.Bool(&e.Serializing)
-	c.I64(&e.IntervalID)
 	c.I64(&e.ExtraCheck)
 	c.Int(&e.SerialCount)
 	c.I64(&e.OfferedAt)
@@ -170,7 +169,6 @@ func (s *CoreState) Walk(c *bin.Codec, m *mem.MemoryState) {
 	c.U64(&co.digestLatched)
 	c.Bool(&co.digestDone)
 	c.Int(&co.intervalCount)
-	c.I64(&co.intervalID)
 	c.Int(&co.loadsThisCycle)
 	c.Int(&co.storesThisCycle)
 	c.Bool(&co.progress)

@@ -196,14 +196,13 @@ func WilsonCI(k, n int64) (lo, hi float64) {
 
 // Histogram accumulates non-negative integer observations (e.g. detection
 // latencies in cycles) into power-of-two buckets, keeping exact count,
-// sum, min and max. Quantiles are bucket-resolution estimates — at most a
+// sum and max. Quantiles are bucket-resolution estimates — at most a
 // factor-of-two overestimate — which is the right cost/fidelity trade for
 // summarizing thousands of streamed trials without buffering them.
 type Histogram struct {
 	buckets [65]int64 // buckets[i] counts values with bit length i (0 → value 0)
 	n       int64
 	sum     int64
-	min     int64 // read only by this package's tests (export_test.go)
 	max     int64
 }
 
@@ -211,9 +210,6 @@ type Histogram struct {
 func (h *Histogram) Add(v int64) {
 	if v < 0 {
 		v = 0
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
 	}
 	if v > h.max {
 		h.max = v

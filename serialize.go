@@ -74,7 +74,14 @@ const ckptMagic = "RNCK"
 // kernel, interrupt and re-arm fields and each core's polling flag left
 // the wire, and an interrupt chain link carries no fields. The key
 // renders the whole Config.
-const ckptFormatVersion uint16 = 5
+// Version 6: a matched comparison is queued in the pair's decided FIFOs
+// when the pair decides it, so a pending match is pair state, not a
+// pending EvDecide. Only mismatches and matches that end re-execution
+// stay events, and EvDecide lost its end seqs and memory flag. The
+// comparison-interval counters (a core's intervalID, an entry's
+// IntervalID), which nothing read, left the wire. A version-5 blob's
+// pending match events have no version-6 form, so it recomputes.
+const ckptFormatVersion uint16 = 6
 
 // ckptCRCTable is the CRC-64 (ECMA) table sealing checkpoint blobs,
 // matching the dist journal's footer discipline.
